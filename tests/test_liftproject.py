@@ -213,6 +213,31 @@ def test_n_lift_optimum_certified_by_exact_duality():
     sys_._lp.check_optimal(raw, dense)
 
 
+def test_n1_pivot_path_on_w10_2_is_pinned():
+    # one solve, then warm re-solves: values and the running pivot total
+    g = web(10, 2)
+    sys_ = n_lift_system(qstab(g), 1, cache=False)
+    rng = random.Random(0)
+    seen = []
+    for _ in range(10):
+        out, raw = sys_.maximize({v: rng.randint(0, 9) for v in g.nodes})
+        seen.append((out.value, raw.pivots))
+    assert seen == [(21, 22), (22, 34), (18, 38), (22, 42), (21, 55),
+                    (18, 83), (24, 112), (23, 125), (21, 135), (17, 163)]
+
+
+@pytest.mark.parametrize("n, k, shape, pivots", [
+    (5, 1, (810, 175), 184),
+    (7, 2, (2170, 434), 482),
+])
+def test_n2_max_pivot_count_is_pinned(n, k, shape, pivots):
+    g = web(n, k)
+    sys_ = n_lift_system(qstab(g), 2, cache=False)
+    assert (len(sys_._lp.rows), sys_._lp.nv) == shape
+    out, raw = sys_.maximize(ones(g))
+    assert out.value == 2 and raw.pivots == pivots
+
+
 def test_warm_restart_reuses_the_lift_system():
     g = web(7, 2)
     h = qstab(g)

@@ -6,12 +6,17 @@ exact rational arithmetic, which together prove optimality without
 trusting the pivot path.
 """
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from webrank.simplex import LinearProgram
+import webrank
+from webrank.simplex import CertificateError, LinearProgram
 
 
 def test_small_box_lp():
@@ -170,3 +175,69 @@ def test_duals_align_with_original_row_order():
     assert res.status == "optimal" and res.value == Fraction(5, 2)
     # binding rows: x2 <= 1 and x1 + x2 <= 3/2
     assert res.duals[0] == 0 and res.duals[1] == 1 and res.duals[2] == 1
+
+
+@pytest.mark.parametrize("field, index, value, message", [
+    ("value", None, 7, "value mismatch"),
+    ("duals", 0, -5, "negative dual on <= row"),
+    ("duals", 0, 0, "dual infeasible"),
+    ("duals", 0, 2, r"complementary slackness \(column\)"),
+    ("x", 0, 2, "primal infeasible"),
+])
+def test_doctored_optimum_is_rejected(field, index, value, message):
+    lp = LinearProgram(2)
+    lp.add_le([1, 0], 1)
+    lp.add_le([0, 1], 1)
+    res = lp.solve([1, 1])
+    lp.check_optimal(res, [1, 1])
+    if index is None:
+        setattr(res, field, Fraction(value))
+    else:
+        getattr(res, field)[index] = Fraction(value)
+    with pytest.raises(CertificateError, match=message):
+        lp.check_optimal(res, [1, 1])
+
+
+@pytest.mark.parametrize("farkas, message", [
+    ([-1, 1], "negative multiplier on <= row"),
+    ([0, 1], "nonnegative right-hand side"),
+    ([1, 0], "negative column"),
+])
+def test_doctored_farkas_certificate_is_rejected(farkas, message):
+    lp = LinearProgram(1)
+    lp.add_le([-1], -2)      # x >= 2
+    lp.add_le([1], 1)        # x <= 1
+    res = lp.solve([1])
+    lp.check_farkas(res)
+    res.farkas = [Fraction(y) for y in farkas]
+    with pytest.raises(CertificateError, match=message):
+        lp.check_farkas(res)
+
+
+DOCTORED_BOX_UNDER_O = """
+import sys
+from webrank.simplex import CertificateError, LinearProgram
+lp = LinearProgram(2)
+lp.add_le([1, 0], 1)
+lp.add_le([0, 1], 1)
+res = lp.solve([1, 1])
+res.value = 7
+res.duals[0] = -5
+try:
+    lp.check_optimal(res, [1, 1])
+except CertificateError:
+    sys.exit(3)
+sys.exit(0)
+"""
+
+
+def test_certificate_checks_survive_python_O():
+    """`python -O` strips `assert`; the certificate checks must still raise."""
+    env = dict(os.environ)
+    pkg_root = str(Path(webrank.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (pkg_root, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-O", "-c", DOCTORED_BOX_UNDER_O],
+                         capture_output=True, text=True, env=env, timeout=60)
+    # exit 3: CertificateError was raised; 0 would mean the doctored optimum passed
+    assert out.returncode == 3, out.stdout + out.stderr
