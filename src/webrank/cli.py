@@ -42,9 +42,8 @@ from .inequalities import (
     rank_constraint,
     tag_inequality,
 )
-from .liftproject import disjunctive_member, n_operator_max, piece_lp_max
+from .liftproject import PieceSystem, disjunctive_member, n_operator_max, piece_max
 from .polyhedra import (
-    LPOutcome,
     convex_hull_facets,
     frac,
     frac_to_str,
@@ -78,7 +77,6 @@ class RunConfig:
     piece_cap: int = 12
     depth_cap: int = 2
     stab_bound: int = 18
-    workers: int = 1
     time_budget: float | None = None
     fmt: str = "table"
     seed: int = 0
@@ -93,7 +91,6 @@ def _add_common(p):
     p.add_argument("--piece-cap", type=int, default=12)
     p.add_argument("--depth-cap", type=int, default=2)
     p.add_argument("--stab-bound", type=int, default=18)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--time-budget", type=float, default=None,
                    help="seconds before searches abort (exit 2)")
     p.add_argument("--format", dest="fmt", choices=("table", "json"), default="table")
@@ -102,7 +99,7 @@ def _add_common(p):
 
 def _config(args) -> RunConfig:
     return RunConfig(args.hull_bound, args.piece_cap, args.depth_cap,
-                     args.stab_bound, args.workers, args.time_budget,
+                     args.stab_bound, args.time_budget,
                      args.fmt, args.seed)
 
 
@@ -198,7 +195,7 @@ def cmd_rank(args, cfg) -> int:
         if args.operator == "disjunctive":
             res = disjunctive_rank_inequality(
                 row, h, cyclic=symmetric and g.family is not None,
-                piece_cap=cfg.piece_cap, workers=cfg.workers)
+                piece_cap=cfg.piece_cap)
             cert = res.to_json(row, h)
             result = {"target": args.spec, "family": args.family,
                       "operator": "disjunctive", "rank": res.rank,
@@ -323,12 +320,8 @@ def cmd_lp(args, cfg) -> int:
         out = n_operator_max(obj, h, args.depth, cfg.depth_cap)
         over = f"N^{args.depth}({args.relaxation}({args.spec}))"
     elif args.operator == "disjunctive":
-        outs = [piece_lp_max(h, obj, dict(zip(f, z)))
-                for z in product((0, 1), repeat=len(f))]
-        vals = [o.value for o in outs if o.status == "optimal"]
-        best = max(range(len(vals)), key=lambda i: vals[i]) if vals else None
-        out = (LPOutcome(status="infeasible") if best is None
-               else [o for o in outs if o.status == "optimal"][best])
+        out = piece_max([PieceSystem(h, dict(zip(f, z)))
+                         for z in product((0, 1), repeat=len(f))], obj)
         over = f"P_F({args.relaxation}({args.spec})), F={list(f)}"
     else:
         out = lp_max(h, obj)

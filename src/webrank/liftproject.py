@@ -20,7 +20,6 @@ violating points, or the lifted matrix Y.
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -34,7 +33,7 @@ from .polyhedra import (
     frac_to_str,
     stab,
 )
-from .simplex import LinearProgram
+from .simplex import CertificateError, LinearProgram
 
 PIECE_CAP = 12      # cap on |F|; pieces number 2^|F|
 DEPTH_CAP = 2       # N iterations; lift size grows as (2n)^(r-1) matrices
@@ -96,84 +95,108 @@ def _check_piece_cap(f, cap):
                                   f"(2^|F| pieces)")
 
 
-def piece_lp_max(h: HPolytope, objective: dict, fixing: dict,
-                 pivot_rule: str = "hybrid") -> LPOutcome:
-    """Exact max of objective over h n {x_i = z_i for i in fixing}.
+class PieceSystem:
+    """The LP of max over the piece h n {x_i = z_i for i in fixing},
+    reusable across objectives.
 
     Fixed coordinates are substituted away, which keeps right-hand
-    sides nonnegative (no phase-1 work) and shrinks the LP.
+    sides nonnegative (no phase-1 work) and shrinks the LP.  A row left
+    with no free coordinate and a negative right-hand side makes the
+    piece empty, and with every coordinate fixed the piece is one
+    point; neither needs an LP.  The first maximize solves the LP with
+    its pivot rule, later ones re-solve from the last optimal basis.
     """
-    free = [v for v in h.index if v not in fixing]
-    shift = sum((Fraction(objective.get(v, 0)) * z for v, z in fixing.items()),
-                Fraction(0))
-    reduced = []
-    for r in h.rows:
-        rhs = r.rhs - sum((r.coeffs[v] * fixing[v] for v in r.coeffs if v in fixing),
-                          Fraction(0))
-        coeffs = {v: c for v, c in r.coeffs.items() if v not in fixing}
-        if not coeffs:
-            if rhs < 0:
-                return LPOutcome(status="infeasible")
-            continue
-        reduced.append((coeffs, rhs))
-    if not free:
-        pt = {v: Fraction(z) for v, z in fixing.items()}
-        return LPOutcome(status="optimal", value=shift, point=pt)
-    pos = {v: i for i, v in enumerate(free)}
-    lp = LinearProgram(len(free))
-    for coeffs, rhs in reduced:
-        lp.add_le({pos[v]: c for v, c in coeffs.items()}, rhs)
-    res = lp.solve({pos[v]: Fraction(objective.get(v, 0)) for v in free
-                    if Fraction(objective.get(v, 0)) != 0} or None,
-                   pivot_rule=pivot_rule)
-    if res.status == "infeasible":
-        return LPOutcome(status="infeasible", pivots=res.pivots)
-    if res.status == "unbounded":
-        raise RuntimeError("unbounded piece: relaxation lacks bound rows")
-    point = {v: Fraction(z) for v, z in fixing.items()}
-    point.update({v: res.x[pos[v]] for v in free})
-    return LPOutcome(status="optimal", value=res.value + shift, point=point,
-                     pivots=res.pivots)
+
+    def __init__(self, h: HPolytope, fixing: dict):
+        self.fixing = fixing
+        self.free = [v for v in h.index if v not in fixing]
+        self.empty = False
+        self._lp = None
+        self._solved = False
+        reduced = []
+        for r in h.rows:
+            rhs = r.rhs - sum((r.coeffs[v] * fixing[v] for v in r.coeffs if v in fixing),
+                              Fraction(0))
+            coeffs = {v: c for v, c in r.coeffs.items() if v not in fixing}
+            if not coeffs:
+                if rhs < 0:
+                    self.empty = True
+                    return
+                continue
+            reduced.append((coeffs, rhs))
+        if not self.free:
+            return
+        pos = {v: i for i, v in enumerate(self.free)}
+        self._lp = LinearProgram(len(self.free))
+        for coeffs, rhs in reduced:
+            self._lp.add_le({pos[v]: c for v, c in coeffs.items()}, rhs)
+
+    def maximize(self, objective: dict, pivot_rule: str = "hybrid") -> LPOutcome:
+        if self.empty:
+            return LPOutcome(status="infeasible")
+        shift = sum((Fraction(objective.get(v, 0)) * z for v, z in self.fixing.items()),
+                    Fraction(0))
+        point = {v: Fraction(z) for v, z in self.fixing.items()}
+        if self._lp is None:
+            return LPOutcome(status="optimal", value=shift, point=point)
+        obj = {}
+        for i, v in enumerate(self.free):
+            c = Fraction(objective.get(v, 0))
+            if c:
+                obj[i] = c
+        if self._solved:
+            res = self._lp.resolve(obj)
+        else:
+            res = self._lp.solve(obj, pivot_rule=pivot_rule)
+            self._solved = res.status == "optimal"
+        if res.status == "infeasible":
+            return LPOutcome(status="infeasible", pivots=res.pivots)
+        if res.status == "unbounded":
+            raise RuntimeError("unbounded piece: relaxation lacks bound rows")
+        point.update(zip(self.free, res.x))
+        return LPOutcome(status="optimal", value=res.value + shift, point=point,
+                         pivots=res.pivots)
 
 
-def _piece_worker(args):
-    h, objective, fixing = args
-    out = piece_lp_max(h, objective, fixing)
-    return out.status, out.value, out.point
+def piece_lp_max(h: HPolytope, objective: dict, fixing: dict,
+                 pivot_rule: str = "hybrid") -> LPOutcome:
+    """Exact max of objective over h n {x_i = z_i for i in fixing}, solved
+    from scratch."""
+    return PieceSystem(h, fixing).maximize(objective, pivot_rule)
+
+
+def piece_max(systems, objective: dict) -> LPOutcome:
+    """Best optimal outcome over the piece systems, the first one winning
+    a tie; infeasible when every piece is empty."""
+    best = None
+    for sys_ in systems:
+        out = sys_.maximize(objective)
+        if out.status == "optimal" and (best is None or out.value > best.value):
+            best = out
+    return LPOutcome(status="infeasible") if best is None else best
 
 
 def disjunctive_valid(ineq: LinearInequality, h: HPolytope, f,
-                      piece_cap: int = PIECE_CAP, workers: int = 1,
-                      pivot_rule: str = "hybrid"):
+                      piece_cap: int = PIECE_CAP, pivot_rule: str = "hybrid"):
     """Is a.x <= b valid for P_F(h)?  Returns (bool, LiftCertificate).
 
     Valid over a convex hull of pieces iff valid on every feasible
     piece; infeasible pieces are vacuous.  Pieces are scanned in
-    lexicographic z order with early exit on the first violation
-    (serial mode).
+    lexicographic z order with early exit on the first violation.
     """
     f = as_nodeset(f)
     _check_piece_cap(f, piece_cap)
     piece_records = []
-    jobs = [dict(zip(f, z)) for z in product((0, 1), repeat=len(f))]
-    if workers > 1 and len(jobs) >= 4:
-        with multiprocessing.Pool(workers) as pool:
-            outs = pool.map(_piece_worker, [(h, ineq.coeffs, fx) for fx in jobs])
-        outs = [(tuple(fx.values()), st, val, pt) for fx, (st, val, pt) in zip(jobs, outs)]
-    else:
-        outs = []
-        for fx in jobs:
-            out = piece_lp_max(h, ineq.coeffs, fx, pivot_rule=pivot_rule)
-            outs.append((tuple(fx.values()), out.status, out.value, out.point))
-            if out.status == "optimal" and out.value > ineq.rhs:
-                break
-    for z, st, val, pt in outs:
-        piece_records.append((z, st, val))
-        if st == "optimal" and val > ineq.rhs:
-            assert h.contains(pt) and pt_matches(pt, dict(zip(f, z)))
+    for z in product((0, 1), repeat=len(f)):
+        fixing = dict(zip(f, z))
+        out = piece_lp_max(h, ineq.coeffs, fixing, pivot_rule=pivot_rule)
+        piece_records.append((z, out.status, out.value))
+        if out.status == "optimal" and out.value > ineq.rhs:
+            if not (h.contains(out.point) and pt_matches(out.point, fixing)):
+                raise CertificateError(f"violating point of piece z={z} lies outside it")
             return False, LiftCertificate(kind="violating-point", f=f,
-                                          pieces=piece_records, point=pt,
-                                          value=val)
+                                          pieces=piece_records, point=out.point,
+                                          value=out.value)
     return True, LiftCertificate(kind="validity-proof", f=f, pieces=piece_records,
                                  value=max((v for _, s, v in piece_records
                                             if s == "optimal"), default=None))
@@ -225,14 +248,18 @@ def disjunctive_member(x: dict, h: HPolytope, f, piece_cap: int = PIECE_CAP):
             if lam == 0:
                 continue
             pt = {v: res.x[p * n + j] / lam for j, v in enumerate(h.index)}
-            assert h.contains(pt) and pt_matches(pt, dict(zip(f, zs[p])))
+            if not (h.contains(pt) and pt_matches(pt, dict(zip(f, zs[p])))):
+                raise CertificateError(f"point of piece z={zs[p]} lies outside it")
             mult.append((zs[p], lam, pt))
-        assert sum(lam for _, lam, _ in mult) == 1
+        if sum(lam for _, lam, _ in mult) != 1:
+            raise CertificateError("convex multipliers do not sum to 1")
         for v in h.index:
-            assert sum((lam * pt[v] for _, lam, pt in mult), Fraction(0)) \
-                == Fraction(x.get(v, 0))
+            if sum((lam * pt[v] for _, lam, pt in mult), Fraction(0)) \
+                    != Fraction(x.get(v, 0)):
+                raise CertificateError(f"coordinate {v} is not the convex combination")
         return True, LiftCertificate(kind="validity-proof", f=f, multipliers=mult)
-    assert res.status == "infeasible"
+    if res.status != "infeasible":
+        raise RuntimeError(f"membership LP ended {res.status}")
     sep = _separating_from_farkas(res.farkas, h, coord_rows, convex_row, f, x)
     return False, LiftCertificate(kind="violating-point", f=f, point=dict(x),
                                   separating=sep)
@@ -244,10 +271,12 @@ def _separating_from_farkas(farkas, h, coord_rows, convex_row, f, x):
     pi0 = farkas[convex_row]
     sep = LinearInequality(pi, pi0, tag="separating")
     # exact re-verification against every piece and against x
-    assert sep.evaluate({v: Fraction(x.get(v, 0)) for v in h.index}) > sep.rhs
+    if not sep.evaluate({v: Fraction(x.get(v, 0)) for v in h.index}) > sep.rhs:
+        raise CertificateError("separating inequality does not cut off the point")
     for z in product((0, 1), repeat=len(f)):
         out = piece_lp_max(h, sep.coeffs, dict(zip(f, z)))
-        assert out.status == "infeasible" or out.value <= sep.rhs
+        if out.status != "infeasible" and out.value > sep.rhs:
+            raise CertificateError(f"separating inequality is violated on piece z={z}")
     return sep
 
 
@@ -358,7 +387,8 @@ class NLiftSystem:
     def _add_le_expr(self, expr):
         const, terms = expr
         if not terms:
-            assert const <= 0, "inconsistent constant row in lift"
+            if const > 0:
+                raise RuntimeError("inconsistent constant row in lift")
             return
         if len(terms) == 1 and const == 0:
             (v, c), = terms.items()
@@ -369,7 +399,8 @@ class NLiftSystem:
     def _add_eq(self, expr):
         const, terms = expr
         if not terms:
-            assert const == 0
+            if const != 0:
+                raise RuntimeError("inconsistent constant equality in lift")
             return
         self._eq.append((dict(terms), -const))
 
@@ -511,9 +542,11 @@ def n_operator_valid(ineq: LinearInequality, h: HPolytope, depth: int = 1,
         return True, LiftCertificate(kind="validity-proof", depth=depth,
                                      value=out.value)
     if depth == 1:
-        assert verify_n_matrix(h, y)
-        assert sum((Fraction(ineq.coeffs.get(v, 0)) * out.point[v]
-                    for v in h.index), Fraction(0)) > ineq.rhs
+        if not verify_n_matrix(h, y):
+            raise CertificateError("lifted matrix Y fails the N-operator conditions")
+        if not sum((Fraction(ineq.coeffs.get(v, 0)) * out.point[v]
+                    for v in h.index), Fraction(0)) > ineq.rhs:
+            raise CertificateError("lifted point does not violate the row")
     return False, LiftCertificate(kind="violating-point", depth=depth,
                                   point=out.point, y_matrix=y, value=out.value)
 

@@ -58,11 +58,13 @@ from .inequalities import (
 )
 from .liftproject import (
     LiftCertificate,
+    PieceSystem,
     disjunctive_member,
     disjunctive_valid,
     n_operator_max,
     n_operator_valid,
-    piece_lp_max,
+    piece_lp_max,  # noqa: F401  (bench/tests/test_bench.py patches this binding)
+    piece_max,
 )
 from .polyhedra import (
     HPolytope,
@@ -242,7 +244,6 @@ def disjunctive_rank_graph_polyhedral(g: Graph, hull_bound: int = 12,
 def disjunctive_rank_inequality(ineq: LinearInequality, h: HPolytope,
                                 cyclic: bool = False, exhaustive_lb=None,
                                 max_size=None, piece_cap: int = 12,
-                                workers: int = 1,
                                 integer_hull=None) -> IneqRankResult:
     """Smallest |F| with the row valid for P_F(h), ascending search.
 
@@ -270,7 +271,7 @@ def disjunctive_rank_inequality(ineq: LinearInequality, h: HPolytope,
             cands = combinations(h.index, m)
         witness = None
         for f in cands:
-            ok, cert = disjunctive_valid(ineq, h, f, piece_cap, workers)
+            ok, cert = disjunctive_valid(ineq, h, f, piece_cap)
             if ok:
                 witness = f
                 break
@@ -280,7 +281,7 @@ def disjunctive_rank_inequality(ineq: LinearInequality, h: HPolytope,
             if exhaustive_lb and m > 0:
                 exhaustive = True
                 for f in combinations(h.index, m - 1):
-                    ok, cert = disjunctive_valid(ineq, h, f, piece_cap, workers)
+                    ok, cert = disjunctive_valid(ineq, h, f, piece_cap)
                     assert not ok, f"symmetry reduction unsound at {f}"
                     if (f, cert.point) not in violations:
                         violations.append((f, cert.point))
@@ -525,7 +526,11 @@ def verify_w2_description(n_values=(6, 7, 8, 9, 10), hull_bound: int = 12,
 
 def verify_operator_sandwich(n_max: int = 9, objectives: int = 20,
                              seed: int = 0, stab_bound: int = 18) -> Report:
-    """STAB <= N(K) <= intersection of P_j(K) <= K on random objectives."""
+    """STAB <= N(K) <= intersection of P_j(K) <= K on random objectives.
+
+    The 2n piece systems K n {x_j = z} of a web are built once and
+    re-solved from their last optimal basis for each objective.
+    """
     rep = Report("operators", {"n_max": n_max, "objectives": objectives,
                                "seed": seed})
     rng = random.Random(seed)
@@ -534,18 +539,13 @@ def verify_operator_sandwich(n_max: int = 9, objectives: int = 20,
             g = web(n, k)
             h = qstab(g)
             vp = stab(g, stab_bound)
+            pieces = [[PieceSystem(h, {j: z}) for z in (0, 1)] for j in g.nodes]
             bad = []
             for _ in range(objectives):
                 c = {v: Fraction(rng.randint(0, 9)) for v in g.nodes}
                 smax = vp.max_over(c)[0]
                 nmax = n_operator_max(c, h, 1).value
-                inter = None
-                for j in g.nodes:
-                    piece = max(out.value
-                                for z in (0, 1)
-                                if (out := piece_lp_max(h, c, {j: z})).status
-                                == "optimal")
-                    inter = piece if inter is None else min(inter, piece)
+                inter = min(piece_max(systems, c).value for systems in pieces)
                 qmax = lp_max(h, c).value
                 if not (smax <= nmax <= inter <= qmax):
                     bad.append({"objective": {str(v): int(x) for v, x in c.items()},

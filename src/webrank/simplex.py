@@ -71,18 +71,18 @@ class LinearProgram:
         if isinstance(coeffs, dict):
             row = [Fraction(0)] * self.nv
             for j, v in coeffs.items():
-                row[j] = Fraction(v)
+                row[j] = _frac(v)
             return row
-        row = [Fraction(v) for v in coeffs]
+        row = [_frac(v) for v in coeffs]
         if len(row) != self.nv:
             raise ValueError(f"row length {len(row)} != {self.nv}")
         return row
 
     def add_le(self, coeffs, rhs):
-        self.rows.append((self._dense(coeffs), Fraction(rhs), "<="))
+        self.rows.append((self._dense(coeffs), _frac(rhs), "<="))
 
     def add_eq(self, coeffs, rhs):
-        self.rows.append((self._dense(coeffs), Fraction(rhs), "="))
+        self.rows.append((self._dense(coeffs), _frac(rhs), "="))
 
     def solve(self, objective=None, pivot_rule: str = "hybrid") -> LPResult:
         """Maximize objective (default 0) over the current rows."""
@@ -150,6 +150,11 @@ class LinearProgram:
         _require(all(v >= 0 for v in col), "negative column in the Farkas combination")
         _require(sum(yi * r[1] for yi, r in zip(y, self.rows)) < 0,
                  "nonnegative right-hand side in the Farkas combination")
+
+
+def _frac(v):
+    """v as a Fraction; a Fraction is kept as it is (it is immutable)."""
+    return v if isinstance(v, Fraction) else Fraction(v)
 
 
 def _nonzeros(coeffs):

@@ -1,21 +1,28 @@
 """Disjunctive and N operator oracles, their certificates and invariants."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
+import webrank
 from webrank.graphs import web
 from webrank.inequalities import rank_constraint
 from webrank.liftproject import (
     LiftCertificate,
+    PieceSystem,
     disjunctive_member,
     disjunctive_valid,
     n_lift_system,
     n_operator_max,
     n_operator_valid,
     piece_lp_max,
+    piece_max,
     relaxation_equals_stab_under,
     verify_n_matrix,
 )
@@ -282,11 +289,112 @@ def test_relaxation_equality_examples():
     assert ok
 
 
-def test_parallel_piece_workers_match_serial():
+# ---------------------------------------------------------------------------
+# piece systems: built once, re-solved across objectives
+
+def test_warm_piece_systems_match_fresh_solves_on_sandwich_webs(monkeypatch):
+    # every web `verify operators --nmax 9` visits, 20 seeded objectives
+    calls = {"solve": 0, "resolve": 0}
+    for name in calls:
+        def counted(self, *args, _name=name, _orig=getattr(LinearProgram, name), **kw):
+            calls[_name] += 1
+            return _orig(self, *args, **kw)
+        monkeypatch.setattr(LinearProgram, name, counted)
+    rng = random.Random(0)
+    pieces = 0
+    for k in range(1, 9 // 2):
+        for n in range(2 * (k + 1), 10):
+            g = web(n, k)
+            h = qstab(g)
+            systems = {(j, z): PieceSystem(h, {j: z}) for j in g.nodes for z in (0, 1)}
+            pieces += len(systems)
+            for _ in range(20):
+                c = {v: Fraction(rng.randint(0, 9)) for v in g.nodes}
+                for (j, z), sys_ in systems.items():
+                    warm = sys_.maximize(c)
+                    fresh = piece_lp_max(h, c, {j: z})
+                    assert (warm.status, warm.value) == (fresh.status, fresh.value), \
+                        (n, k, j, z, c)
+    # one solve per system and per fresh call, re-solves for the rest
+    assert calls == {"solve": 21 * pieces, "resolve": 19 * pieces}
+
+
+def test_empty_piece_stays_infeasible_without_an_lp():
+    g = web(7, 1)
+    h = qstab(g)
+    sys_ = PieceSystem(h, {1: 1, 2: 1})      # both ends of the edge {1, 2}
+    assert sys_.empty
+    for c in (ones(g), {1: 5}, {}):
+        out = sys_.maximize(c)
+        assert out.status == "infeasible" and out.value is None
+        assert piece_lp_max(h, c, {1: 1, 2: 1}).status == "infeasible"
+
+
+def test_fully_fixed_piece_is_its_point():
+    g = web(7, 1)
+    h = qstab(g)
+    fixing = {v: int(v in (1, 3, 5)) for v in g.nodes}
+    sys_ = PieceSystem(h, fixing)
+    for c, value in ((ones(g), 3), ({1: 2, 2: 7, 5: Fraction(1, 2)}, Fraction(5, 2)),
+                     ({}, 0)):
+        out = sys_.maximize(c)
+        assert out.status == "optimal" and out.value == value
+        assert out.point == {v: Fraction(z) for v, z in fixing.items()}
+
+
+def test_piece_max_takes_the_first_best_piece():
     g = web(7, 2)
     h = qstab(g)
-    row = rank_constraint(g)
-    ok_serial, cert_s = disjunctive_valid(row, h, (1, 3), workers=1)
-    ok_par, cert_p = disjunctive_valid(row, h, (1, 3), workers=2)
-    assert ok_serial == ok_par
-    assert cert_s.pieces == cert_p.pieces or ok_serial  # serial may early-exit
+    systems = [PieceSystem(h, {1: z}) for z in (0, 1)]
+    out = piece_max(systems, ones(g))
+    assert out.value == 2 and out.point[1] == 0     # both pieces reach 2
+    assert piece_max(systems[::-1], ones(g)).point[1] == 1
+    empty = PieceSystem(qstab(web(7, 1)), {1: 1, 2: 1})
+    assert piece_max([empty], ones(g)).status == "infeasible"
+
+
+def test_lp_disjunctive_json_is_pinned(capsys):
+    from webrank.cli import main
+    assert main(["lp", "W:7:2", "--operator", "disjunctive", "--f", "1,3",
+                 "--format", "json"]) == 0
+    assert capsys.readouterr().out == (
+        '{"graph":"W:7:2","operator":"disjunctive","point":{"1":"0","2":"1",'
+        '"3":"0","4":"0","5":"1","6":"0","7":"0"},"relaxation":"qstab",'
+        '"status":"optimal","value":"2"}\n')
+
+
+OUTSIDE_PIECE_UNDER_O = """
+import sys
+from fractions import Fraction
+from webrank import liftproject
+from webrank.graphs import web
+from webrank.inequalities import rank_constraint
+from webrank.polyhedra import LPOutcome, qstab
+from webrank.simplex import CertificateError
+
+def outside(h, objective, fixing, pivot_rule="hybrid"):
+    # every coordinate at 1: breaks the clique rows and ignores the fixing
+    return LPOutcome(status="optimal", value=Fraction(7),
+                     point={v: Fraction(1) for v in h.index})
+
+liftproject.piece_lp_max = outside
+g = web(7, 2)
+try:
+    liftproject.disjunctive_valid(rank_constraint(g), qstab(g), (1,))
+except CertificateError:
+    sys.exit(3)
+sys.exit(0)
+"""
+
+
+def test_violating_point_check_survives_python_O():
+    """`python -O` strips `assert`; a piece point outside its piece must
+    still raise CertificateError."""
+    env = dict(os.environ)
+    pkg_root = str(Path(webrank.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (pkg_root, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-O", "-c", OUTSIDE_PIECE_UNDER_O],
+                         capture_output=True, text=True, env=env, timeout=60)
+    # exit 3: CertificateError was raised; 0 would mean the point was accepted
+    assert out.returncode == 3, out.stdout + out.stderr
