@@ -2,9 +2,11 @@
 
 Subcommands: generate, rank, verify, recheck, hull, lp.  Exit codes:
 0 pass, 1 assertion failure, 2 resource cap / time budget, 3 input
-error.  Machine output is JSON with exact rationals ("p/q" strings),
-byte-identical for a fixed seed and config; human tables render the
-same exact values.
+error, 4 internal error (a RuntimeError such as a failed certificate
+check, the simplex pivot limit or an unbounded relaxation, reported as
+one "internal error: ..." line on stderr).  Machine output is JSON with
+exact rationals ("p/q" strings), byte-identical for a fixed seed and
+config; human tables render the same exact values.
 
     webrank generate W:8:2 --out w82
     webrank rank graph W:9:2 --operator disjunctive
@@ -66,7 +68,7 @@ from .rank import (
 from .recheck import recheck_report
 from .reporting import Report
 
-EXIT_OK, EXIT_FAIL, EXIT_CAP, EXIT_INPUT = 0, 1, 2, 3
+EXIT_OK, EXIT_FAIL, EXIT_CAP, EXIT_INPUT, EXIT_INTERNAL = 0, 1, 2, 3, 4
 
 
 @dataclass
@@ -416,6 +418,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -13,7 +13,6 @@ they run past it.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
 from itertools import combinations
@@ -457,7 +456,8 @@ def find_induced_odd_hole(g: Graph, min_len: int = 5, deadline=None, reverse=Fal
                     if w > p1:
                         cyc = path + [w]
                         hole = as_nodeset(g.nodes[i] for i in cyc)
-                        assert _is_hole(g, hole)
+                        if not _is_hole(g, hole):
+                            raise RuntimeError(f"odd-hole search returned a non-hole {hole}")
                         return hole
             for w in _bits(reach & ~nb_b):
                 path.append(w)
@@ -575,7 +575,8 @@ def construct_odd_hole_avoiding(w: WebId, f, deadline=None) -> ConstructedHole:
             f"no odd hole in W_{n}^{k} - F for F={f}; claim violated"
         )
     res = verified(hole, "fallback-search")
-    assert res is not None
+    if res is None:
+        raise RuntimeError(f"odd hole {hole} of W_{n}^{k} - F for F={f} failed verification")
     return res
 
 
@@ -718,7 +719,7 @@ def parse_graph_spec(spec: str) -> Graph:
         parts = spec[len("join:"):].split(",")
         if len(parts) < 2:
             raise ValueError(f"join spec needs >= 2 blocks: {spec!r}")
-        gs = [parse_graph_spec(_rejoin_colon(p)) for p in parts]
+        gs = [parse_graph_spec(p) for p in parts]
         out = gs[0]
         for h in gs[1:]:
             out = complete_join(out, h)
@@ -737,16 +738,3 @@ def parse_graph_spec(spec: str) -> Graph:
         # re-raise bound violations etc. with the spec string attached
         raise ValueError(f"{spec!r}: {exc}") from exc
     raise ValueError(f"unrecognized graph spec {spec!r}")
-
-
-def _rejoin_colon(p: str) -> str:
-    return p.strip()
-
-
-def load_graph(path: str) -> Graph:
-    with open(path) as fh:
-        text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return from_json_dict(json.loads(text))
-    return from_dimacs(text)

@@ -10,17 +10,25 @@ Facet enumeration of 0/1 point sets and vertex enumeration of bounded
 H-polytopes both go through one double description core: the extreme
 rays of a pointed cone {y : M y >= 0}, computed with integer vectors
 and the combinatorial adjacency test.
+
+Exact elimination here is the simplex tableau's: rows are cleared of
+denominators by ``simplex._intify`` and updated by ``simplex._eliminate``
+(the gcd-reduced fraction-free row update of Bareiss 1968).  One in-order
+pass over sparse integer rows gives both the matrix rank and the initial
+simplicial cone of the double description method, whose rays it reads
+from unit marker columns, as the tableau reads duals from its slacks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from itertools import islice
+from math import gcd, lcm
 
 from .graphs import (Graph, ResourceCapExceeded, as_nodeset,
                      enumerate_maximal_cliques, enumerate_stable_sets)
-from .simplex import LinearProgram
+from .simplex import LinearProgram, _eliminate, _intify
 
 HULL_BOUND = 12
 
@@ -28,10 +36,6 @@ HULL_BOUND = 12
 def frac_to_str(q: Fraction) -> str:
     q = Fraction(q)
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
-def parse_frac(s) -> Fraction:
-    return Fraction(s)
 
 
 class LinearInequality:
@@ -70,16 +74,9 @@ class LinearInequality:
 
     def canonical(self) -> tuple:
         if self._canon is None:
-            vals = list(self.coeffs.values()) + [self.rhs]
-            L = 1
-            for f in vals:
-                L = L // gcd(L, f.denominator) * f.denominator
-            ints = {v: int(c * L) for v, c in self.coeffs.items()}
-            r = int(self.rhs * L)
-            g = 0
-            for x in list(ints.values()) + [r]:
-                g = gcd(g, x)
-            g = g or 1
+            ints, _ = _intify([*self.coeffs.items(), ("rhs", self.rhs)])
+            r = ints.pop("rhs")
+            g = gcd(r, *ints.values()) or 1
             key = (tuple(sorted((v, c // g) for v, c in ints.items())), r // g)
             object.__setattr__(self, "_canon", key)
         return self._canon
@@ -116,8 +113,8 @@ class LinearInequality:
 
     @staticmethod
     def from_json(d: dict) -> "LinearInequality":
-        return LinearInequality({int(v): parse_frac(c) for v, c in d["coeffs"].items()},
-                                parse_frac(d["rhs"]), d.get("tag", "other"))
+        return LinearInequality({int(v): Fraction(c) for v, c in d["coeffs"].items()},
+                                Fraction(d["rhs"]), d.get("tag", "other"))
 
 
 def nonneg_row(v: int) -> LinearInequality:
@@ -286,29 +283,44 @@ def stab(g: Graph, bound: int = 18) -> VPolytope:
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra helpers
+# exact linear algebra: the row update of the simplex tableau
+
+def _int_row(values) -> dict:
+    """Sparse integer row (column -> nonzero) of a rational row, scaled by
+    the lcm of its denominators."""
+    row, _ = _intify([(j, v) for j, v in enumerate(values) if v])
+    return row
+
+
+def _echelon(rows, ncols):
+    """In-order elimination of sparse integer rows.
+
+    Yields (i, row, div, col) for each input row i that is independent of
+    the rows before it: the row reduced by the earlier yielded rows, over
+    the positive divisor div, and its pivot column col (the lowest
+    nonzero column below ncols; keys from ncols up are carried along but
+    never pivoted on).  Stops once ncols rows are yielded.
+    """
+    found = []
+    for i, row in enumerate(rows):
+        div = 1
+        for prow, p, col in found:
+            if col in row:
+                div = _eliminate(row, div, prow, p, col)
+        col = min((j for j in row if j < ncols), default=None)
+        if col is None:
+            continue
+        found.append((row, row[col], col))
+        yield i, row, div, col
+        if len(found) == ncols:
+            return
+
 
 def matrix_rank(rows) -> int:
     """Rank over the rationals by fraction-free Gaussian elimination."""
-    m = [[Fraction(v) for v in row] for row in rows]
-    rank = 0
-    cols = len(m[0]) if m else 0
-    piv_row = 0
-    for c in range(cols):
-        sel = next((i for i in range(piv_row, len(m)) if m[i][c] != 0), None)
-        if sel is None:
-            continue
-        m[piv_row], m[sel] = m[sel], m[piv_row]
-        pr = m[piv_row]
-        for i in range(piv_row + 1, len(m)):
-            if m[i][c] != 0:
-                f = m[i][c] / pr[c]
-                m[i] = [a - f * b for a, b in zip(m[i], pr)]
-        piv_row += 1
-        rank += 1
-        if piv_row == len(m):
-            break
-    return rank
+    rows = [_int_row(r) for r in rows]
+    ncols = max((max(r) + 1 for r in rows if r), default=0)
+    return sum(1 for _ in _echelon(rows, ncols))
 
 
 def affine_rank(points) -> int:
@@ -324,62 +336,52 @@ def affine_rank(points) -> int:
 # ---------------------------------------------------------------------------
 # double description core
 
-def _int_vector(fracs):
-    L = 1
-    for f in fracs:
-        L = L // gcd(L, f.denominator) * f.denominator
-    v = [int(f * L) for f in fracs]
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    g = g or 1
-    return tuple(x // g for x in v)
+def _primitive(values) -> tuple:
+    """An integer vector divided by the gcd of its entries."""
+    g = gcd(*values) or 1
+    return tuple(x // g for x in values)
 
 
 def cone_extreme_rays(m_rows) -> list:
     """Extreme rays of the pointed cone {y : M y >= 0}.
 
-    Starts from a simplicial subcone spanned by d independent rows and
-    inserts the remaining halfspaces with the double description step;
-    adjacency of rays is the combinatorial zero-set test.  Exact integer
-    arithmetic throughout; raises if the rows do not have full rank
-    (cone not pointed).
+    Starts from a simplicial subcone spanned by the first d independent
+    rows and inserts the remaining halfspaces with the double description
+    step; adjacency of rays is the combinatorial zero-set test.  Exact
+    integer arithmetic throughout; raises if the rows do not have full
+    rank (cone not pointed).
     """
-    rows = [_int_vector([Fraction(v) for v in r]) for r in m_rows]
-    d = len(rows[0])
+    rows = [_int_row(r) for r in m_rows]
+    d = len(m_rows[0])
 
-    # greedy independent subset for the initial simplicial cone
-    basis_idx = []
-    elim = []
-    for i, r in enumerate(rows):
-        cand = elim + [[Fraction(v) for v in r]]
-        if matrix_rank(cand) > len(elim):
-            elim = cand
-            basis_idx.append(i)
-            if len(basis_idx) == d:
-                break
-    if len(basis_idx) < d:
+    # Gauss-Jordan on the first d independent rows B, each carrying a unit
+    # marker column d + i for its input row i, as the tableau's slack
+    # columns do; after it, row k reads q_k y_{col_k} = sum_i m_ki (M y)_i
+    # with q_k its pivot and m_ki its marker entries, so the ray that is
+    # positive on basis row i alone has entry m_ki / q_k at col_k (a ratio
+    # within one row: _normalize may negate a row)
+    marked = ({**r, d + i: 1} for i, r in enumerate(rows))
+    basis = list(islice(_echelon(marked, d), d))
+    if len(basis) < d:
         raise ValueError("cone is not pointed / input not full-dimensional")
+    basis_idx, brows, divs, cols = map(list, zip(*basis))
+    for k in reversed(range(d)):
+        prow, col = brows[k], cols[k]
+        for i in range(k):
+            if col in brows[i]:
+                divs[i] = _eliminate(brows[i], divs[i], prow, prow[col], col)
+    pivots = sorted(zip(cols, brows))
+    L = lcm(*(row[col] for col, row in pivots))
+    rays = [_primitive([row.get(d + i, 0) * (L // row[col]) for col, row in pivots])
+            for i in basis_idx]
+    # each ray is tight on every basis row but its own
+    zeros = [((1 << d) - 1) ^ (1 << j) for j in range(d)]
 
-    b = [rows[i] for i in basis_idx]
-    rays = []
-    for j in range(d):
-        col = _solve_square(b, j)
-        rays.append(_int_vector(col))
-    order = basis_idx + [i for i in range(len(rows)) if i not in set(basis_idx)]
-    processed = []
-    zeros = []
-    for r in rays:
-        z = 0
-        for bit, t in enumerate(basis_idx):
-            if _dot(rows[t], r) == 0:
-                z |= 1 << bit
-        zeros.append(z)
-    processed = list(basis_idx)
-
-    for t in order[d:]:
+    in_basis = set(basis_idx)
+    rest = [t for t in range(len(rows)) if t not in in_basis]
+    for n, t in enumerate(rest, start=d):
         m = rows[t]
-        bit = 1 << len(processed)
+        bit = 1 << n
         sig = [_dot(m, r) for r in rays]
         plus = [i for i, s in enumerate(sig) if s > 0]
         minus = [i for i, s in enumerate(sig) if s < 0]
@@ -395,17 +397,16 @@ def cone_extreme_rays(m_rows) -> list:
             for i in plus:
                 for j in minus:
                     z = zeros[i] & zeros[j]
-                    if not _adjacent(z, i, j, zeros, len(processed), d):
+                    if not _adjacent(z, i, j, zeros, d):
                         continue
                     comb = [sig[i] * rays[j][c] - sig[j] * rays[i][c] for c in range(d)]
-                    new_rays.append(_int_vector([Fraction(v) for v in comb]))
+                    new_rays.append(_primitive(comb))
                     new_zeros.append(z | bit)
         rays, zeros = new_rays, new_zeros
-        processed.append(t)
     return rays
 
 
-def _adjacent(z_common, i, j, zeros, nbits, d) -> bool:
+def _adjacent(z_common, i, j, zeros, d) -> bool:
     if z_common.bit_count() < d - 2:
         return False
     for k, zk in enumerate(zeros):
@@ -414,25 +415,8 @@ def _adjacent(z_common, i, j, zeros, nbits, d) -> bool:
     return True
 
 
-def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
-
-
-def _solve_square(b, j):
-    """Column j of B^-1 (solve B col = e_j) by exact elimination."""
-    d = len(b)
-    m = [[Fraction(v) for v in row] + [Fraction(1 if i == j else 0)]
-         for i, row in enumerate(b)]
-    for c in range(d):
-        sel = next(i for i in range(c, d) if m[i][c] != 0)
-        m[c], m[sel] = m[sel], m[c]
-        pr = m[c]
-        m[c] = [v / pr[c] for v in pr]
-        for i in range(d):
-            if i != c and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * bb for a, bb in zip(m[i], m[c])]
-    return [m[i][d] for i in range(d)]
+def _dot(row: dict, ray) -> int:
+    return sum(v * ray[j] for j, v in row.items())
 
 
 def convex_hull_facets(v: VPolytope, bound: int = HULL_BOUND) -> list:

@@ -196,7 +196,9 @@ def disjunctive_rank_graph(g: Graph, max_rank=None, deadline=None) -> GraphRankR
         seed = (g.nodes[0],) if anchored else ()
         f = _hitting_search(g, r, pool, seed=seed, deadline=deadline)
         if f is not None:
-            assert len(f) == r and is_perfect(delete_nodes(g, f), deadline=deadline)
+            if len(f) != r or not is_perfect(delete_nodes(g, f), deadline=deadline):
+                raise RuntimeError(f"hitting-set search returned {f}, not {r} deletions "
+                                   "leaving a perfect graph")
             return GraphRankResult(r, f, tuple(pool), anchored=anchored)
     raise RuntimeError("rank search exhausted max_rank without success")
 
@@ -282,7 +284,8 @@ def disjunctive_rank_inequality(ineq: LinearInequality, h: HPolytope,
                 exhaustive = True
                 for f in combinations(h.index, m - 1):
                     ok, cert = disjunctive_valid(ineq, h, f, piece_cap)
-                    assert not ok, f"symmetry reduction unsound at {f}"
+                    if ok:
+                        raise RuntimeError(f"symmetry reduction unsound at {f}")
                     if (f, cert.point) not in violations:
                         violations.append((f, cert.point))
             return IneqRankResult(m, witness, violations, exhaustive)

@@ -21,12 +21,12 @@ from .graphs import (
     is_perfect,
 )
 from .liftproject import piece_lp_max
-from .polyhedra import HPolytope, LinearInequality, parse_frac
+from .polyhedra import HPolytope, LinearInequality
 from .reporting import Report
 
 
 def _point(d: dict) -> dict:
-    return {int(k): parse_frac(v) for k, v in d.items()}
+    return {int(k): Fraction(v) for k, v in d.items()}
 
 
 def _system(d: dict) -> HPolytope:
@@ -92,7 +92,7 @@ def _revalidate_pieces(h, row, f, stored):
             rec = stored[z]
             if rec["status"] != out.status:
                 return False
-            if out.status == "optimal" and parse_frac(rec["value"]) != out.value:
+            if out.status == "optimal" and Fraction(rec["value"]) != out.value:
                 return False
         if out.status == "optimal" and out.value > row.rhs:
             return False
@@ -108,7 +108,7 @@ def _recheck_membership(cert):
         total = Fraction(0)
         combo = {v: Fraction(0) for v in h.index}
         for m in mults:
-            lam = parse_frac(m["lambda"])
+            lam = Fraction(m["lambda"])
             if lam <= 0:
                 return False, "nonpositive multiplier"
             q = _point(m["point"])

@@ -128,6 +128,23 @@ def test_input_error_exit_3(capsys):
     assert code == 3
 
 
+def _raise_certificate_error(*args, **kwargs):
+    from webrank.simplex import CertificateError
+    raise CertificateError("strong duality")
+
+
+def test_internal_error_exit_4(monkeypatch, capsys):
+    from webrank import cli, simplex
+    monkeypatch.setattr(cli, "lp_max", _raise_certificate_error)
+    assert main(["lp", "W:7:2"]) == 4
+    out = capsys.readouterr()
+    assert out.err == "internal error: strong duality\n" and out.out == ""
+    monkeypatch.undo()
+    monkeypatch.setattr(simplex, "MAX_PIVOTS", -1)
+    assert main(["lp", "W:7:2"]) == 4
+    assert capsys.readouterr().err == "internal error: pivot limit exceeded; simplex stalled\n"
+
+
 def test_lp_and_hull_commands(capsys):
     code, out, _ = run(capsys, "lp", "C:5")
     assert code == 0 and "5/2" in out

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
 
@@ -20,6 +21,7 @@ from webrank.polyhedra import (
     LinearInequality,
     VPolytope,
     affine_rank,
+    cone_extreme_rays,
     convex_hull_facets,
     enumerate_vertices,
     feasible_sets_equal,
@@ -28,6 +30,7 @@ from webrank.polyhedra import (
     is_valid,
     is_vertex,
     lp_max,
+    matrix_rank,
     nonneg_row,
     qstab,
     remove_redundant_rows,
@@ -202,7 +205,78 @@ def test_hull_bound_enforced():
 def test_canonical_equality_ignores_scaling_and_tag():
     a = LinearInequality({1: 2, 2: 2}, 4, tag="clique")
     b = LinearInequality({1: Fraction(1, 2), 2: Fraction(1, 2)}, 1, tag="other")
+    c = LinearInequality({1: Fraction(-3, 4), 2: Fraction(-3, 4)}, Fraction(-3, 2))
+    d = LinearInequality({1: -2, 2: -2}, -4, tag="hull")
     assert a == b and hash(a) == hash(b)
+    assert c == d and hash(c) == hash(d)
+    assert c.canonical() == (((1, -1), (2, -1)), -2) and c != a   # the sign is kept
+
+
+def reference_rank(rows):
+    """Gaussian elimination in Fractions, column by column."""
+    m = [[Fraction(v) for v in row] for row in rows]
+    rank = 0
+    for c in range(len(m[0]) if m else 0):
+        sel = next((i for i in range(rank, len(m)) if m[i][c] != 0), None)
+        if sel is None:
+            continue
+        m[rank], m[sel] = m[sel], m[rank]
+        pr = m[rank]
+        for i in range(rank + 1, len(m)):
+            if m[i][c] != 0:
+                f = m[i][c] / pr[c]
+                m[i] = [a - f * b for a, b in zip(m[i], pr)]
+        rank += 1
+    return rank
+
+
+def random_rational_matrix(rng, nrows, ncols, rank):
+    """nrows x ncols rows spanning at most `rank` dimensions, with zero and
+    duplicate rows mixed in."""
+    entry = lambda: Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 7)))
+    gens = [[entry() for _ in range(ncols)] for _ in range(rank)]
+    rows = []
+    for _ in range(nrows):
+        pick = rng.random()
+        if pick < 0.1:
+            rows.append([Fraction(0)] * ncols)
+        elif pick < 0.2 and rows:
+            rows.append(list(rng.choice(rows)))
+        else:
+            coef = [entry() for _ in gens]
+            rows.append([sum((k * g[j] for k, g in zip(coef, gens)), Fraction(0))
+                         for j in range(ncols)])
+    return rows
+
+
+@pytest.mark.parametrize("shape", [(3, 7), (7, 3), (6, 6), (12, 5), (4, 11)])
+def test_matrix_rank_matches_fraction_elimination(shape):
+    rng = random.Random(f"rank:{shape}")
+    nrows, ncols = shape
+    ranks = set()
+    for _ in range(40):
+        rows = random_rational_matrix(rng, nrows, ncols, rng.randint(0, min(shape) + 1))
+        want = reference_rank(rows)
+        assert matrix_rank(rows) == want, rows
+        ranks.add(want)
+    assert len(ranks) > 2             # the seeds reach several ranks per shape
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
+def test_simplicial_cone_rays_invert_the_rows(d):
+    rng = random.Random(f"cone:{d}")
+    for _ in range(20):
+        while True:
+            b = [[rng.randint(-6, 6) for _ in range(d)] for _ in range(d)]
+            b[0][0] = -abs(b[0][0]) or -1       # a negative first pivot
+            if reference_rank(b) == d:
+                break
+        rays = cone_extreme_rays(b)
+        assert len(rays) == d
+        for j, r in enumerate(rays):
+            assert all(isinstance(x, int) for x in r) and gcd(*r) == 1
+            image = [sum(a * x for a, x in zip(row, r)) for row in b]
+            assert image[j] > 0 and all(v == 0 for i, v in enumerate(image) if i != j)
 
 
 def test_hull_on_join_host():

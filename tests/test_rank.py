@@ -1,10 +1,16 @@
 """Rank engine: graph ranks, row ranks, verifiers, closed-form rank tables."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
+
+import webrank
 
 from webrank.graphs import (
     AntiwebId,
@@ -286,3 +292,58 @@ def test_rank_row_of_minimally_imperfect_graphs_is_one():
         res = disjunctive_rank_inequality(rank_constraint(g), qstab(g),
                                           cyclic=True, integer_hull=stab(g))
         assert res.rank == 1
+
+
+# Each script stubs one dependency of a rank search so that the search's
+# own closing check fails; exit 3 means that check raised, 0 that the
+# wrong answer was accepted (as with an `assert` under python -O).
+WRONG_DELETION_SET = """
+import sys
+from webrank import rank
+from webrank.graphs import web
+
+rank._hitting_search = lambda g, size, pool, seed=(), deadline=None: ()
+try:
+    rank.disjunctive_rank_graph(web(7, 2))
+except RuntimeError as exc:
+    sys.exit(3 if "hitting-set search" in str(exc) else 4)
+sys.exit(0)
+"""
+
+UNSOUND_SYMMETRY = """
+import sys
+from webrank import rank
+from webrank.graphs import web
+from webrank.inequalities import rank_constraint
+from webrank.polyhedra import qstab
+
+real = rank.disjunctive_valid
+
+def stub(ineq, h, f, piece_cap=12):
+    # valid for every |F| = 2 and for F = {2}, but not for the anchor {1};
+    # every answer carries the violating point of F = {} as its certificate
+    _, cert = real(ineq, h, (), piece_cap)
+    return len(f) == 2 or f == (2,), cert
+
+rank.disjunctive_valid = stub
+g = web(7, 2)
+try:
+    rank.disjunctive_rank_inequality(rank_constraint(g), qstab(g), cyclic=True)
+except RuntimeError as exc:
+    sys.exit(3 if "symmetry reduction unsound" in str(exc) else 4)
+sys.exit(0)
+"""
+
+
+@pytest.mark.parametrize("script", [WRONG_DELETION_SET, UNSOUND_SYMMETRY],
+                         ids=["graph-rank-deletion-set", "row-rank-symmetry"])
+def test_rank_search_checks_survive_python_O(script):
+    """`python -O` strips `assert`; the closing checks of both rank
+    searches must still raise."""
+    env = dict(os.environ)
+    pkg_root = str(Path(webrank.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (pkg_root, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-O", "-c", script],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert out.returncode == 3, out.stdout + out.stderr
