@@ -42,7 +42,6 @@ from .liftproject import (
     disjunctive_valid,
     n_operator_max,
     n_operator_valid,
-    relaxation_equals_stab_under,
 )
 from .inequalities import (
     JoinBlocks,

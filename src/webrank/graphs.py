@@ -303,64 +303,6 @@ def is_subweb(inner: WebId, outer: WebId) -> bool:
     return n * kp * (k + 1) <= np_ * k * (k + 1) and np_ * (k + 1) <= (kp + 1) * n
 
 
-def has_induced_embedding(inner: Graph, outer: Graph, deadline=None) -> bool:
-    """Backtracking search for an induced-subgraph embedding inner -> outer.
-
-    Both edges and non-edges of `inner` must be preserved, which is the
-    subweb notion Trotter's characterization describes (a web embedded
-    as a mere partial subgraph sits inside almost any denser web).
-    Used as the independent oracle for is_subweb.
-    """
-    if inner.n > outer.n:
-        return False
-    iv = inner.nodes
-    adj = []  # adj[i] = (positions j < i adjacent, positions j < i non-adjacent)
-    for i, v in enumerate(iv):
-        yes = [j for j in range(i) if inner.has_edge(v, iv[j])]
-        no = [j for j in range(i) if not inner.has_edge(v, iv[j])]
-        adj.append((yes, no))
-    used = [None] * len(iv)
-
-    def extend(i):
-        _check_deadline(deadline)
-        if i == len(iv):
-            return True
-        yes, no = adj[i]
-        for cand in outer.nodes:
-            if cand in used[:i]:
-                continue
-            if all(outer.has_edge(cand, used[j]) for j in yes) and \
-                    not any(outer.has_edge(cand, used[j]) for j in no):
-                used[i] = cand
-                if extend(i + 1):
-                    return True
-        used[i] = None
-        return False
-
-    return extend(0)
-
-
-def cyclic_relabel_isomorphic(g1: Graph, g2: Graph) -> bool:
-    """Isomorphism via i -> a(i-1)+b (mod n), for circulant-style graphs.
-
-    Only affine relabelings are tried; general isomorphism is out of scope.
-    """
-    if g1.nodes != g2.nodes or g1.nodes != tuple(range(1, g1.n + 1)):
-        return False
-    n = g1.n
-    e1 = g1.edge_count()
-    if e1 != g2.edge_count():
-        return False
-    for a in range(1, n):
-        if gcd(a, n) != 1:
-            continue
-        for b in range(n):
-            mapping = {i: mod1(a * (i - 1) + b + 1, n) for i in g1.nodes}
-            if all(g2.has_edge(mapping[u], mapping[v]) for u, v in g1.edges()):
-                return True
-    return False
-
-
 # ---------------------------------------------------------------------------
 # cliques and stable sets
 
@@ -426,8 +368,8 @@ def alpha_induced(g: Graph, t, bound: int = STABLE_SET_BOUND) -> int:
 # ---------------------------------------------------------------------------
 # odd holes and perfection
 
-def find_induced_odd_hole(g: Graph, min_len: int = 5, deadline=None, reverse=False):
-    """A chordless odd cycle of length >= min_len, or None.
+def find_induced_odd_hole(g: Graph, deadline=None, reverse=False):
+    """A chordless odd cycle of length >= 5, or None.
 
     DFS over chordless path extensions: the path's interior may not touch
     the base node or any non-consecutive path node, which prunes hard in
@@ -451,7 +393,7 @@ def find_induced_odd_hole(g: Graph, min_len: int = 5, deadline=None, reverse=Fal
             if steps % 2048 == 0:
                 _check_deadline(deadline)
             reach = mid_ok & adj[last]
-            if length + 1 >= min_len and (length + 1) % 2 == 1:
+            if length >= 4 and length % 2 == 0:     # closing at w: odd, >= 5 nodes
                 for w in _bits(reach & nb_b):
                     if w > p1:
                         cyc = path + [w]
@@ -505,12 +447,22 @@ def is_odd_hole(g: Graph, nodes) -> bool:
     return len(nodes) >= 5 and len(nodes) % 2 == 1 and _is_hole(g, nodes)
 
 
+def minimally_imperfect_certificate(g: Graph, deadline=None, reverse=False):
+    """("odd-hole", nodes) for an induced odd hole of g, ("odd-antihole",
+    nodes) for one of its complement, or None when g is perfect."""
+    hole = find_induced_odd_hole(g, deadline=deadline, reverse=reverse)
+    if hole is not None:
+        return ("odd-hole", hole)
+    hole = find_induced_odd_hole(complement(g), deadline=deadline, reverse=reverse)
+    if hole is not None:
+        return ("odd-antihole", hole)
+    return None
+
+
 def is_perfect(g: Graph, deadline=None, reverse=False) -> bool:
     """Strong Perfect Graph Theorem route: no induced odd hole in g or its
     complement."""
-    if find_induced_odd_hole(g, deadline=deadline, reverse=reverse) is not None:
-        return False
-    return find_induced_odd_hole(complement(g), deadline=deadline, reverse=reverse) is None
+    return minimally_imperfect_certificate(g, deadline, reverse) is None
 
 
 # ---------------------------------------------------------------------------

@@ -24,15 +24,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
-from .graphs import Graph, ResourceCapExceeded, as_nodeset
-from .polyhedra import (
-    HPolytope,
-    LinearInequality,
-    LPOutcome,
-    convex_hull_facets,
-    frac_to_str,
-    stab,
-)
+from .graphs import ResourceCapExceeded, as_nodeset
+from .polyhedra import HPolytope, LinearInequality, LPOutcome, frac_to_str
 from .simplex import CertificateError, LinearProgram
 
 PIECE_CAP = 12      # cap on |F|; pieces number 2^|F|
@@ -103,8 +96,9 @@ class PieceSystem:
     sides nonnegative (no phase-1 work) and shrinks the LP.  A row left
     with no free coordinate and a negative right-hand side makes the
     piece empty, and with every coordinate fixed the piece is one
-    point; neither needs an LP.  The first maximize solves the LP with
-    its pivot rule, later ones re-solve from the last optimal basis.
+    point; neither needs an LP.  `LinearProgram.maximize` solves the LP
+    with the pivot rule until it has a feasible basis, then re-solves
+    from the last one.
     """
 
     def __init__(self, h: HPolytope, fixing: dict):
@@ -112,7 +106,6 @@ class PieceSystem:
         self.free = [v for v in h.index if v not in fixing]
         self.empty = False
         self._lp = None
-        self._solved = False
         reduced = []
         for r in h.rows:
             rhs = r.rhs - sum((r.coeffs[v] * fixing[v] for v in r.coeffs if v in fixing),
@@ -144,11 +137,7 @@ class PieceSystem:
             c = Fraction(objective.get(v, 0))
             if c:
                 obj[i] = c
-        if self._solved:
-            res = self._lp.resolve(obj)
-        else:
-            res = self._lp.solve(obj, pivot_rule=pivot_rule)
-            self._solved = res.status == "optimal"
+        res = self._lp.maximize(obj, pivot_rule)
         if res.status == "infeasible":
             return LPOutcome(status="infeasible", pivots=res.pivots)
         if res.status == "unbounded":
@@ -177,7 +166,7 @@ def piece_max(systems, objective: dict) -> LPOutcome:
 
 
 def disjunctive_valid(ineq: LinearInequality, h: HPolytope, f,
-                      piece_cap: int = PIECE_CAP, pivot_rule: str = "hybrid"):
+                      piece_cap: int = PIECE_CAP):
     """Is a.x <= b valid for P_F(h)?  Returns (bool, LiftCertificate).
 
     Valid over a convex hull of pieces iff valid on every feasible
@@ -189,7 +178,7 @@ def disjunctive_valid(ineq: LinearInequality, h: HPolytope, f,
     piece_records = []
     for z in product((0, 1), repeat=len(f)):
         fixing = dict(zip(f, z))
-        out = piece_lp_max(h, ineq.coeffs, fixing, pivot_rule=pivot_rule)
+        out = piece_lp_max(h, ineq.coeffs, fixing)
         piece_records.append((z, out.status, out.value))
         if out.status == "optimal" and out.value > ineq.rhs:
             if not (h.contains(out.point) and pt_matches(out.point, fixing)):
@@ -283,13 +272,27 @@ def _separating_from_farkas(farkas, h, coord_rows, convex_row, f, x):
 # ---------------------------------------------------------------------------
 # the N operator as one exact LP
 
+_ONE = -1           # lift-expression key of the constant term (variables are >= 0)
+
+
+def _lin(*terms):
+    """The lift expression sum(scale * expr) over (scale, expr) pairs."""
+    out = {}
+    for scale, expr in terms:
+        for v, c in expr.items():
+            out[v] = out.get(v, 0) + scale * c
+    return {v: c for v, c in out.items() if c}
+
+
 class NLiftSystem:
     """The LP encoding of max over N^r(h), reusable across objectives.
 
     Depth 1 substitutes Y_00 = 1 and Y_0i = Y_ii away, leaving an
     all-<= system with nonnegative right-hand sides (no phase-1 work);
     deeper lifts add one nested symmetric matrix per cone-membership
-    constraint, tied to its column by equality rows.
+    constraint, tied to its column by equality rows.  A lift expression
+    is a dict from LP variable to its nonzero coefficient, with the
+    constant term under the key _ONE.
     """
 
     def __init__(self, h: HPolytope, depth: int, depth_cap: int = DEPTH_CAP):
@@ -299,21 +302,17 @@ class NLiftSystem:
             raise ResourceCapExceeded(f"N depth cap exceeded: r={depth} > {depth_cap}")
         self.h = h
         self.depth = depth
-        n = h.dim
-        self.n = n
+        self.n = h.dim
         self._nv = 0
-        self._le = []       # (dict var->Fraction, Fraction rhs)
+        self._le = []       # (dict var->coefficient, rhs)
         self._eq = []
         self.top = self._new_matrix(top=True)
-        one = _const_expr(Fraction(1))
-        top_e0 = [one] + [self._entry_expr(self.top, j, j) for j in range(1, n + 1)]
-        self._require_matrix_columns(self.top, top_e0, depth - 1)
+        self._require_matrix_columns(self.top, depth - 1)
         self._lp = LinearProgram(self._nv)
         for coeffs, rhs in self._le:
             self._lp.add_le(coeffs, rhs)
         for coeffs, rhs in self._eq:
             self._lp.add_eq(coeffs, rhs)
-        self._solved = False
 
     # -- variable/expression plumbing --------------------------------------
 
@@ -343,19 +342,19 @@ class NLiftSystem:
             i, j = j, i
         if i == 0:
             if j == 0:
-                if mat["top"]:
-                    return _const_expr(Fraction(1))
-                return _var_expr(mat["00"])
-            return _var_expr(mat[(j, j)])     # Y_0j = Y_jj
-        return _var_expr(mat[(i, j)])
+                return {_ONE: 1} if mat["top"] else {mat["00"]: 1}
+            return {mat[(j, j)]: 1}          # Y_0j = Y_jj
+        return {mat[(i, j)]: 1}
 
-    def _require_matrix_columns(self, mat, e0_expr, inner_depth):
+    def _require_matrix_columns(self, mat, inner_depth):
+        """Ye_i and Y(e_0 - e_i) in cone(N^inner_depth(h)) for i = 1..n."""
         n = self.n
+        e0 = [self._entry_expr(mat, j, j) for j in range(0, n + 1)]
         for i in range(1, n + 1):
             col = [self._entry_expr(mat, j, i) for j in range(0, n + 1)]
-            col_bar = [_expr_sub(e0_expr[j], col[j]) for j in range(0, n + 1)]
             self._require_in_cone(col, inner_depth)
-            self._require_in_cone(col_bar, inner_depth)
+            self._require_in_cone([_lin((1, a), (-1, b)) for a, b in zip(e0, col)],
+                                  inner_depth)
 
     def _require_in_cone(self, expr, inner_depth):
         """expr (length n+1, homogeneous) must lie in cone(N^inner_depth(h))."""
@@ -364,57 +363,41 @@ class NLiftSystem:
             return
         mat = self._new_matrix()
         for j in range(0, self.n + 1):
-            self._add_eq(_expr_sub(self._entry_expr(mat, j, j) if j else
-                                   _var_expr(mat["00"]), expr[j]))
-        e0 = [_var_expr(mat["00"])] + [self._entry_expr(mat, j, j)
-                                       for j in range(1, self.n + 1)]
-        self._require_matrix_columns(mat, e0, inner_depth - 1)
+            self._add_row(_lin((1, self._entry_expr(mat, j, j)), (-1, expr[j])), "=")
+        self._require_matrix_columns(mat, inner_depth - 1)
 
     def _add_cone_rows(self, expr):
         """Homogenized rows of h on expr = (x0, x): A x <= x0 b, x0, x >= 0."""
         pos = {v: j + 1 for j, v in enumerate(self.h.index)}
-        self._add_le_expr(_expr_neg(expr[0]))                 # x0 >= 0
-        for j in range(1, self.n + 1):
-            self._add_le_expr(_expr_neg(expr[j]))             # x >= 0
+        for e in expr:
+            self._add_row(_lin((-1, e)), "<=")                # x0 >= 0, x >= 0
         for r in self.h.rows:
             if r.tag == "nonneg":
                 continue                                      # covered above
-            acc = _expr_scale(expr[0], -r.rhs)
-            for v, c in r.coeffs.items():
-                acc = _expr_add(acc, _expr_scale(expr[pos[v]], c))
-            self._add_le_expr(acc)
+            self._add_row(_lin((-r.rhs, expr[0]),
+                               *((c, expr[pos[v]]) for v, c in r.coeffs.items())), "<=")
 
-    def _add_le_expr(self, expr):
-        const, terms = expr
+    def _add_row(self, expr, kind):
+        """The row expr <= 0 (kind "<=") or expr = 0 (kind "=")."""
+        const = expr.get(_ONE, 0)
+        terms = {v: c for v, c in expr.items() if v != _ONE}
         if not terms:
-            if const > 0:
-                raise RuntimeError("inconsistent constant row in lift")
+            if const > 0 or (kind == "=" and const):
+                raise RuntimeError(f"inconsistent constant {kind} row in lift")
             return
-        if len(terms) == 1 and const == 0:
-            (v, c), = terms.items()
-            if c < 0:
-                return                                        # x >= 0 structural
-        self._le.append((dict(terms), -const))
-
-    def _add_eq(self, expr):
-        const, terms = expr
-        if not terms:
-            if const != 0:
-                raise RuntimeError("inconsistent constant equality in lift")
-            return
-        self._eq.append((dict(terms), -const))
+        if kind == "=":
+            self._eq.append((terms, -const))
+        elif const or len(terms) > 1 or min(terms.values()) > 0:
+            self._le.append((terms, -const))                  # a lone -x <= 0 is structural
 
     # -- solving ------------------------------------------------------------
 
-    def maximize(self, objective: dict, pivot_rule: str = "hybrid") -> LPOutcome:
+    def maximize(self, objective: dict) -> tuple:
+        """(LPOutcome, raw LPResult) of the max over N^depth(h)."""
         obj = {self.top[(j, j)]: Fraction(objective.get(v, 0))
                for j, v in enumerate(self.h.index, start=1)
                if Fraction(objective.get(v, 0)) != 0}
-        if self._solved:
-            res = self._lp.resolve(obj)
-        else:
-            res = self._lp.solve(obj, pivot_rule=pivot_rule)
-            self._solved = res.status == "optimal"
+        res = self._lp.maximize(obj)
         if res.status == "infeasible":
             return LPOutcome(status="infeasible", pivots=res.pivots), res
         if res.status == "unbounded":
@@ -437,55 +420,25 @@ class NLiftSystem:
         return y
 
 
-def _const_expr(c):
-    return (Fraction(c), {})
-
-
-def _var_expr(v):
-    return (Fraction(0), {v: Fraction(1)})
-
-
-def _expr_add(a, b):
-    terms = dict(a[1])
-    for v, c in b[1].items():
-        terms[v] = terms.get(v, Fraction(0)) + c
-        if terms[v] == 0:
-            del terms[v]
-    return (a[0] + b[0], terms)
-
-
-def _expr_neg(a):
-    return (-a[0], {v: -c for v, c in a[1].items()})
-
-
-def _expr_sub(a, b):
-    return _expr_add(a, _expr_neg(b))
-
-
-def _expr_scale(a, s):
-    s = Fraction(s)
-    if s == 0:
-        return (Fraction(0), {})
-    return (a[0] * s, {v: c * s for v, c in a[1].items()})
-
-
-_NLIFT_CACHE: dict = {}
+_NLIFT_CACHE: dict = {}     # the last system built with cache=True, by (h, depth)
 
 
 def n_lift_system(h: HPolytope, depth: int, depth_cap: int = DEPTH_CAP,
                   cache: bool = True) -> NLiftSystem:
+    """The lift system of N^depth(h).  With `cache` only the last one
+    built is kept: callers ask for one system many times in a row."""
     key = (h, depth)
     if cache and key in _NLIFT_CACHE:
         return _NLIFT_CACHE[key]
     sys_ = NLiftSystem(h, depth, depth_cap)
     if cache:
+        _NLIFT_CACHE.clear()
         _NLIFT_CACHE[key] = sys_
     return sys_
 
 
 def n_operator_max(objective, h: HPolytope, depth: int = 1,
-                   depth_cap: int = DEPTH_CAP, pivot_rule: str = "hybrid",
-                   with_certificate: bool = False):
+                   depth_cap: int = DEPTH_CAP, with_certificate: bool = False):
     """Exact max of the objective over N^depth(h).
 
     Returns an LPOutcome; with_certificate=True additionally returns
@@ -494,7 +447,7 @@ def n_operator_max(objective, h: HPolytope, depth: int = 1,
     """
     obj = objective if isinstance(objective, dict) else dict(zip(h.index, objective))
     sys_ = n_lift_system(h, depth, depth_cap)
-    out, raw = sys_.maximize(obj, pivot_rule=pivot_rule)
+    out, raw = sys_.maximize(obj)
     if not with_certificate:
         return out
     return out, (sys_.y_matrix(raw) if out.status == "optimal" else None)
@@ -549,19 +502,3 @@ def n_operator_valid(ineq: LinearInequality, h: HPolytope, depth: int = 1,
             raise CertificateError("lifted point does not violate the row")
     return False, LiftCertificate(kind="violating-point", depth=depth,
                                   point=out.point, y_matrix=y, value=out.value)
-
-
-def relaxation_equals_stab_under(h: HPolytope, g: Graph, f,
-                                 hull_bound: int = 12, stab_bound: int = 18,
-                                 piece_cap: int = PIECE_CAP):
-    """Does P_F(h) equal STAB(g)?  (bool, failing facet or None).
-
-    STAB is always contained in P_F(h), so equality holds iff every
-    facet of STAB(g) is valid for P_F(h).
-    """
-    facets = convex_hull_facets(stab(g, stab_bound), hull_bound)
-    for fac in facets:
-        ok, cert = disjunctive_valid(fac, h, f, piece_cap)
-        if not ok:
-            return False, fac
-    return True, None

@@ -181,7 +181,7 @@ class LPOutcome:
     pivots: int = 0
 
 
-def lp_max(h: HPolytope, objective, pivot_rule: str = "hybrid") -> LPOutcome:
+def lp_max(h: HPolytope, objective) -> LPOutcome:
     """Exact maximum of a linear objective over h (with x >= 0).
 
     Every optimal answer is certified on the spot: primal feasibility,
@@ -194,7 +194,7 @@ def lp_max(h: HPolytope, objective, pivot_rule: str = "hybrid") -> LPOutcome:
     lp = LinearProgram(len(h.index))
     for r in h.rows:
         lp.add_le(h.dense(r.coeffs), r.rhs)
-    res = lp.solve(dense_obj, pivot_rule=pivot_rule)
+    res = lp.solve(dense_obj)
     if res.status == "unbounded":
         raise RuntimeError("relaxation unbounded: missing bound rows")
     if res.status == "infeasible":
@@ -205,12 +205,12 @@ def lp_max(h: HPolytope, objective, pivot_rule: str = "hybrid") -> LPOutcome:
                      duals=res.duals, pivots=res.pivots)
 
 
-def is_valid(ineq: LinearInequality, h: HPolytope, pivot_rule: str = "hybrid"):
+def is_valid(ineq: LinearInequality, h: HPolytope):
     """(True, None) when a.x <= b holds over h; else (False, maximizer).
 
     An infeasible h makes every inequality vacuously valid.
     """
-    out = lp_max(h, ineq.coeffs, pivot_rule=pivot_rule)
+    out = lp_max(h, ineq.coeffs)
     if out.status == "infeasible":
         return True, None
     if out.value <= ineq.rhs:
@@ -444,50 +444,6 @@ def convex_hull_facets(v: VPolytope, bound: int = HULL_BOUND) -> list:
     return sorted(out, key=lambda r: r.canonical())
 
 
-def enumerate_vertices(h: HPolytope, bound: int = HULL_BOUND) -> list:
-    """Vertices of a bounded HPolytope via the homogenized cone.
-
-    Used by the piecewise hull cross-checks of the disjunctive operator.
-    """
-    n = h.dim
-    if n > bound:
-        raise ResourceCapExceeded(f"vertex enumeration bound exceeded: dim={n} > {bound}")
-    m_rows = [[Fraction(1)] + [Fraction(0)] * n]           # x0 >= 0
-    for r in h.rows:
-        dense = h.dense(r.coeffs)
-        m_rows.append([r.rhs] + [-c for c in dense])
-    for j in range(n):                                      # x >= 0 structurally
-        row = [Fraction(0)] * (n + 1)
-        row[j + 1] = Fraction(1)
-        m_rows.append(row)
-    rays = cone_extreme_rays(m_rows)
-    verts = []
-    for ray in rays:
-        if ray[0] == 0:
-            if any(c != 0 for c in ray[1:]):
-                raise RuntimeError("unbounded direction in a supposedly bounded polytope")
-            continue
-        x0 = Fraction(ray[0])
-        verts.append(dict(zip(h.index, (Fraction(c) / x0 for c in ray[1:]))))
-    return verts
-
-
-def is_vertex(point: dict, h: HPolytope) -> bool:
-    """Exact vertex test: tight rows (plus tight x >= 0) have rank n."""
-    if not h.contains(point):
-        return False
-    tight = []
-    for r in h.rows:
-        if r.evaluate(point) == r.rhs:
-            tight.append(h.dense(r.coeffs))
-    for j, vlab in enumerate(h.index):
-        if point.get(vlab, Fraction(0)) == 0:
-            row = [Fraction(0)] * h.dim
-            row[j] = Fraction(1)
-            tight.append(row)
-    return matrix_rank(tight) == h.dim if tight else h.dim == 0
-
-
 def is_facet(ineq: LinearInequality, g: Graph, stab_bound: int = 18) -> bool:
     """Facet test against STAB(G): valid and tight on affine rank n-1.
 
@@ -503,30 +459,3 @@ def is_facet(ineq: LinearInequality, g: Graph, stab_bound: int = 18) -> bool:
                                             for v in vp.index], p)), Fraction(0))
              == ineq.rhs]
     return affine_rank(tight) == g.n - 1
-
-
-def remove_redundant_rows(h: HPolytope) -> HPolytope:
-    """Drop rows implied by the others (per-row LP test).
-
-    A sub-LP going unbounded means the dropped row was load-bearing,
-    so it is kept.
-    """
-    rows = list(h.rows)
-    kept = []
-    for i, r in enumerate(rows):
-        others = kept + rows[i + 1:]
-        lp = LinearProgram(len(h.index))
-        for o in others:
-            lp.add_le(h.dense(o.coeffs), o.rhs)
-        res = lp.solve(h.dense(r.coeffs))
-        implied = res.status == "optimal" and res.value <= r.rhs
-        implied = implied or res.status == "infeasible"
-        if not implied:
-            kept.append(r)
-    return HPolytope(h.index, kept)
-
-
-def feasible_sets_equal(h1: HPolytope, h2: HPolytope) -> bool:
-    """Mutual LP implication: every row of each holds over the other."""
-    return all(is_valid(r, h1)[0] for r in h2.rows) and \
-        all(is_valid(r, h2)[0] for r in h1.rows)

@@ -1,19 +1,24 @@
 """Rank computations with certificates, and the formula verifiers.
 
-The disjunctive rank of a graph equals the minimum number of nodes
-whose deletion leaves a perfect graph, so the graph-side search is an
-implicit hitting set over discovered minimally imperfect induced
-subgraphs (odd holes / odd antiholes): a candidate deletion set must
-hit every certificate in the pool, branching happens on the nodes of
-an unhit certificate, and exhaustion of the tree at size m proves that
-every m-subset misses some recorded certificate.  For circulant inputs
-(webs, antiwebs) one element of a nonempty deletion set is pinned to
-node 1, which is exact by rotational symmetry.
+Both ranks are ascending searches for the first level at which every
+row in question is valid: the disjunctive rank is the smallest |F| with
+each row valid for P_F(h), the N-rank the smallest r with each row
+valid for N^r(h), where N^0(h) = h.  For a graph the rows are the
+facets of STAB and h = QSTAB; for one inequality they are that row.
+One candidate generator lists the m-subsets F in lexicographic order,
+or for circulant inputs (webs, antiwebs) only those holding the first
+coordinate, which is exact by rotational symmetry.  Each rejected F
+leaves its violating point, so a row rank is certified by the witness F
+plus violating points for the probed smaller sets.
 
-Inequality ranks search deletion-set sizes in ascending order: the
-rank is the smallest |F| with the row valid for P_F, certified by the
-witness F plus violating points for the probed smaller sets.  N-ranks
-of rows use the lift LP at increasing depth.
+The disjunctive rank of a graph also equals the minimum number of
+nodes whose deletion leaves a perfect graph; that route is an implicit
+hitting set over discovered minimally imperfect induced subgraphs (odd
+holes / odd antiholes): a candidate deletion set must hit every
+certificate in the pool, branching happens on the nodes of an unhit
+certificate, and exhaustion of the tree at size m proves that every
+m-subset misses some recorded certificate.  It is anchored at node 1
+for circulant inputs in the same way.
 
 Everything reported carries a machine-checkable certificate; the
 verify_* suites compare computed values against the closed-form ranks
@@ -34,15 +39,14 @@ from .graphs import (
     ResourceCapExceeded,
     Graph,
     WebId,
-    alpha,
     antiweb,
     as_nodeset,
     complement,
     delete_nodes,
-    find_induced_odd_hole,
     is_circulant,
     is_perfect,
     is_subweb,
+    minimally_imperfect_certificate,
     omega,
     to_json_dict,
     web,
@@ -138,17 +142,6 @@ class IneqRankResult:
         }
 
 
-def minimally_imperfect_certificate(g: Graph, deadline=None):
-    """An induced odd hole of g or of its complement, or None."""
-    h = find_induced_odd_hole(g, deadline=deadline)
-    if h is not None:
-        return ("odd-hole", h)
-    hc = find_induced_odd_hole(complement(g), deadline=deadline)
-    if hc is not None:
-        return ("odd-antihole", hc)
-    return None
-
-
 def _hitting_search(g: Graph, size: int, pool: list, seed=(), deadline=None):
     """F with seed <= F, |F| <= size and g-F perfect, or None (pool grows)."""
     visited = set()
@@ -187,13 +180,13 @@ def disjunctive_rank_graph(g: Graph, max_rank=None, deadline=None) -> GraphRankR
         raise ResourceCapExceeded(f"graph rank search bound exceeded: n={g.n}")
     if max_rank is None:
         max_rank = g.n - 1
-    anchored = is_circulant(g)
-    pool = []
-    if is_perfect(g, deadline=deadline):
+    cert = minimally_imperfect_certificate(g, deadline)
+    if cert is None:
         return GraphRankResult(0, (), (), anchored=False)
-    pool.append(minimally_imperfect_certificate(g, deadline))
+    anchored = is_circulant(g)
+    pool = [cert]
+    seed = (g.nodes[0],) if anchored else ()
     for r in range(1, max_rank + 1):
-        seed = (g.nodes[0],) if anchored else ()
         f = _hitting_search(g, r, pool, seed=seed, deadline=deadline)
         if f is not None:
             if len(f) != r or not is_perfect(delete_nodes(g, f), deadline=deadline):
@@ -218,6 +211,44 @@ def pool_refutes_all(g: Graph, pool, size: int, anchor=None) -> bool:
     return True
 
 
+# ---------------------------------------------------------------------------
+# the ascending searches over F and over the N depth
+
+def _f_candidates(index, m: int, anchored: bool):
+    """The m-subsets of index in lexicographic order; when anchored, only
+    those holding index[0]."""
+    if anchored and m:
+        return ((index[0],) + rest for rest in combinations(index[1:], m - 1))
+    return combinations(index, m)
+
+
+def _smallest_f(rows, h: HPolytope, anchored: bool, piece_cap: int):
+    """(F, violations): the smallest F (by size, then lexicographically)
+    with every row valid for P_F(h), and (F', point) for each rejected F',
+    with the violating point of its first invalid row."""
+    violations = []
+    for m in range(h.dim + 1):
+        for f in _f_candidates(h.index, m, anchored):
+            for row in rows:
+                ok, cert = disjunctive_valid(row, h, f, piece_cap)
+                if not ok:
+                    violations.append((f, cert.point))
+                    break
+            else:
+                return f, violations
+    raise RuntimeError(f"no F of size <= {h.dim} makes the rows valid")
+
+
+def _smallest_depth(rows, h: HPolytope, rmax: int, depth_cap: int):
+    """Smallest r <= rmax with every row valid for N^r(h), where
+    N^0(h) = h; None when there is none."""
+    for r in range(rmax + 1):
+        if all((n_operator_valid(row, h, r, depth_cap) if r else is_valid(row, h))[0]
+               for row in rows):
+            return r
+    return None
+
+
 def disjunctive_rank_graph_polyhedral(g: Graph, hull_bound: int = 12,
                                       stab_bound: int = 18,
                                       piece_cap: int = 12) -> int:
@@ -227,25 +258,12 @@ def disjunctive_rank_graph_polyhedral(g: Graph, hull_bound: int = 12,
     cross-validates the combinatorial route on small graphs.
     """
     facets = convex_hull_facets(stab(g, stab_bound), hull_bound)
-    h = qstab(g)
-    anchored = is_circulant(g)
-    for r in range(0, g.n):
-        if r == 0:
-            cands = [()]
-        elif anchored:
-            cands = [(g.nodes[0],) + rest
-                     for rest in combinations(g.nodes[1:], r - 1)]
-        else:
-            cands = combinations(g.nodes, r)
-        for f in cands:
-            if all(disjunctive_valid(fac, h, f, piece_cap)[0] for fac in facets):
-                return r
-    raise RuntimeError("no F makes the relaxation integral")
+    return len(_smallest_f(facets, qstab(g), is_circulant(g), piece_cap)[0])
 
 
 def disjunctive_rank_inequality(ineq: LinearInequality, h: HPolytope,
                                 cyclic: bool = False, exhaustive_lb=None,
-                                max_size=None, piece_cap: int = 12,
+                                piece_cap: int = 12,
                                 integer_hull=None) -> IneqRankResult:
     """Smallest |F| with the row valid for P_F(h), ascending search.
 
@@ -258,38 +276,19 @@ def disjunctive_rank_inequality(ineq: LinearInequality, h: HPolytope,
         val, arg = integer_hull.max_over(ineq.coeffs)
         if val > ineq.rhs:
             raise ValueError(f"row {ineq} invalid for the integer hull at {arg}")
-    if max_size is None:
-        max_size = h.dim
     if exhaustive_lb is None:
         exhaustive_lb = h.dim <= 10
-    violations = []
-    for m in range(0, max_size + 1):
-        if m == 0:
-            cands = [()]
-        elif cyclic:
-            cands = [(h.index[0],) + rest
-                     for rest in combinations(h.index[1:], m - 1)]
-        else:
-            cands = combinations(h.index, m)
-        witness = None
-        for f in cands:
+    witness, violations = _smallest_f([ineq], h, cyclic, piece_cap)
+    m = len(witness)
+    exhaustive = bool(exhaustive_lb) and m > 0
+    if exhaustive:
+        for f in combinations(h.index, m - 1):
             ok, cert = disjunctive_valid(ineq, h, f, piece_cap)
             if ok:
-                witness = f
-                break
-            violations.append((f, cert.point))
-        if witness is not None:
-            exhaustive = False
-            if exhaustive_lb and m > 0:
-                exhaustive = True
-                for f in combinations(h.index, m - 1):
-                    ok, cert = disjunctive_valid(ineq, h, f, piece_cap)
-                    if ok:
-                        raise RuntimeError(f"symmetry reduction unsound at {f}")
-                    if (f, cert.point) not in violations:
-                        violations.append((f, cert.point))
-            return IneqRankResult(m, witness, violations, exhaustive)
-    raise RuntimeError(f"row not valid even for |F| = {max_size}")
+                raise RuntimeError(f"symmetry reduction unsound at {f}")
+            if (f, cert.point) not in violations:
+                violations.append((f, cert.point))
+    return IneqRankResult(m, witness, violations, exhaustive)
 
 
 def n_rank_graph_upto(g: Graph, rmax: int, hull_bound: int = 12,
@@ -300,13 +299,19 @@ def n_rank_graph_upto(g: Graph, rmax: int, hull_bound: int = 12,
     mirroring the polyhedral route for the disjunctive graph rank.
     """
     facets = convex_hull_facets(stab(g, stab_bound), hull_bound)
-    h = qstab(g)
-    if all(is_valid(fac, h)[0] for fac in facets):
-        return 0
-    for r in range(1, rmax + 1):
-        if all(n_operator_valid(fac, h, r, depth_cap)[0] for fac in facets):
-            return r
-    return None
+    return _smallest_depth(facets, qstab(g), rmax, depth_cap)
+
+
+def n_rank_inequality_upto(ineq: LinearInequality, h: HPolytope, rmax: int,
+                           depth_cap: int = 2):
+    """Smallest r <= rmax with the row valid for N^r(h), else None.
+
+    r = 0 means the row already holds for h itself (rank-of-row
+    semantics aligned between the two operators).
+    """
+    if rmax > depth_cap:
+        raise ResourceCapExceeded(f"N depth cap exceeded: rmax={rmax} > {depth_cap}")
+    return _smallest_depth([ineq], h, rmax, depth_cap)
 
 
 def wrap_validity_cert(cert: LiftCertificate, h: HPolytope,
@@ -326,24 +331,6 @@ def wrap_membership_cert(cert: LiftCertificate, h: HPolytope, point: dict,
                         for k, v in sorted(point.items())},
               "member": member})
     return d
-
-
-def n_rank_inequality_upto(ineq: LinearInequality, h: HPolytope, rmax: int,
-                           depth_cap: int = 2):
-    """Smallest r <= rmax with the row valid for N^r(h), else None.
-
-    r = 0 means the row already holds for h itself (rank-of-row
-    semantics aligned between the two operators).
-    """
-    if rmax > depth_cap:
-        raise ResourceCapExceeded(f"N depth cap exceeded: rmax={rmax} > {depth_cap}")
-    if is_valid(ineq, h)[0]:
-        return 0
-    for r in range(1, rmax + 1):
-        ok, _ = n_operator_valid(ineq, h, r, depth_cap)
-        if ok:
-            return r
-    return None
 
 
 # ---------------------------------------------------------------------------

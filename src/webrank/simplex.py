@@ -100,6 +100,13 @@ class LinearProgram:
             raise RuntimeError("resolve() needs a previous feasible solve")
         return self._tab.reoptimize(self._dense(objective))
 
+    def maximize(self, objective, pivot_rule: str = "hybrid") -> LPResult:
+        """Re-solve from the last feasible basis when there is one, else
+        solve from scratch with pivot_rule."""
+        if self._tab is not None and self._tab.feasible_basis:
+            return self.resolve(objective)
+        return self.solve(objective, pivot_rule=pivot_rule)
+
     def check_optimal(self, res: LPResult, objective) -> None:
         """Exact certificate check: feasibility, duality, slackness.
 

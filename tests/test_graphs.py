@@ -18,7 +18,6 @@ from webrank.graphs import (
     complete_graph,
     complete_join,
     construct_odd_hole_avoiding,
-    cyclic_relabel_isomorphic,
     delete_nodes,
     edgeless_graph,
     enumerate_maximal_cliques,
@@ -26,7 +25,6 @@ from webrank.graphs import (
     find_induced_odd_hole,
     from_dimacs,
     from_json_dict,
-    has_induced_embedding,
     is_odd_hole,
     is_perfect,
     is_subweb,
@@ -37,6 +35,8 @@ from webrank.graphs import (
     to_json_dict,
     web,
 )
+
+from oracles import cyclic_relabel_isomorphic, has_induced_embedding
 
 
 def test_web_5_1_is_the_5_cycle():

@@ -31,10 +31,11 @@ from webrank.polyhedra import (
     HPolytope,
     LinearInequality,
     convex_hull_facets,
-    feasible_sets_equal,
     is_facet,
     stab,
 )
+
+from oracles import feasible_sets_equal
 
 
 def test_rank_constraint_examples():

@@ -23,20 +23,20 @@ from webrank.liftproject import (
     n_operator_valid,
     piece_lp_max,
     piece_max,
-    relaxation_equals_stab_under,
     verify_n_matrix,
 )
 from webrank.polyhedra import (
     HPolytope,
     LinearInequality,
     convex_hull_facets,
-    enumerate_vertices,
     lp_max,
     nonneg_row,
     qstab,
     stab,
 )
 from webrank.simplex import LinearProgram
+
+from oracles import enumerate_vertices
 
 ones = lambda g: {v: 1 for v in g.nodes}
 
@@ -254,6 +254,8 @@ def test_warm_restart_reuses_the_lift_system():
     a = n_operator_max({v: 1 for v in g.nodes}, h, 1).value
     b = n_operator_max({v: Fraction(v) for v in g.nodes}, h, 1).value
     assert a == 2 and b > 0
+    n_lift_system(qstab(web(8, 2)), 1)
+    assert n_lift_system(h, 1) is not sys1     # only the last system is kept
 
 
 # ---------------------------------------------------------------------------
@@ -278,15 +280,15 @@ def test_sandwich_chain_exhaustive_webs_up_to_10():
 
 
 def test_relaxation_equality_examples():
-    g5 = web(5, 1)
-    ok, _ = relaxation_equals_stab_under(qstab(g5), g5, (1,))
-    assert ok
+    # P_F(QSTAB) = STAB exactly when every facet of STAB is valid for P_F
+    def invalid_facets(g, f):
+        return [fac for fac in convex_hull_facets(stab(g))
+                if not disjunctive_valid(fac, qstab(g), f)[0]]
+
+    assert invalid_facets(web(5, 1), (1,)) == []
     g8 = web(8, 2)
-    ok, witness = relaxation_equals_stab_under(qstab(g8), g8, (1,))
-    assert not ok and witness == rank_constraint(g8)
-    g6 = web(6, 2)
-    ok, _ = relaxation_equals_stab_under(qstab(g6), g6, ())
-    assert ok
+    assert invalid_facets(g8, (1,))[0] == rank_constraint(g8)
+    assert invalid_facets(web(6, 2), ()) == []
 
 
 # ---------------------------------------------------------------------------

@@ -23,19 +23,17 @@ from webrank.polyhedra import (
     affine_rank,
     cone_extreme_rays,
     convex_hull_facets,
-    enumerate_vertices,
-    feasible_sets_equal,
     frac,
     is_facet,
     is_valid,
-    is_vertex,
     lp_max,
     matrix_rank,
     nonneg_row,
     qstab,
-    remove_redundant_rows,
     stab,
 )
+
+from oracles import enumerate_vertices, feasible_sets_equal, is_vertex, remove_redundant_rows
 
 ones = lambda g: {v: 1 for v in g.nodes}
 

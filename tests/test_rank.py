@@ -15,6 +15,7 @@ import webrank
 from webrank.graphs import (
     AntiwebId,
     Graph,
+    ResourceCapExceeded,
     WebId,
     antiweb,
     complement,
@@ -30,6 +31,7 @@ from webrank.inequalities import (
     antiweb_constraint,
     enumerate_one_interval_sets,
     join_blocks_of,
+    joined_inequality,
     one_interval_inequality,
     rank_constraint,
 )
@@ -85,6 +87,12 @@ def test_polyhedral_rank_examples():
     assert disjunctive_rank_graph_polyhedral(web(5, 1)) == 1
     assert disjunctive_rank_graph_polyhedral(web(6, 2)) == 0
     assert disjunctive_rank_graph_polyhedral(web(8, 2)) == 2
+
+
+def test_polyhedral_rank_unanchored_on_a_non_circulant_graph():
+    g = delete_nodes(web(8, 2), (3,))
+    assert not is_circulant(g)
+    assert disjunctive_rank_graph_polyhedral(g) == disjunctive_rank_graph(g).rank == 1
 
 
 def test_combinatorial_equals_polyhedral_on_catalog():
@@ -144,6 +152,23 @@ def test_antiweb_row_rank_a8_3():
     assert res.exhaustive and len(res.violating_points) >= 8
 
 
+def test_row_rank_search_order_is_pinned():
+    # rank, witness F, the F of each recorded violation in order, and the
+    # exhaustive flag, for an anchored (cyclic) and an unanchored search
+    g = antiweb(8, 3)
+    row, _ = antiweb_constraint(AntiwebId(8, 3))
+    res = disjunctive_rank_inequality(row, qstab(g), cyclic=True,
+                                      integer_hull=stab(g))
+    assert (res.rank, res.witness_f, res.exhaustive) == (2, (1, 2), True)
+    assert [f for f, _ in res.violating_points] == [()] + [(v,) for v in range(1, 9)]
+    host = parse_graph_spec("join:A:5:2,A:5:2")
+    row = joined_inequality(join_blocks_of(host))
+    res = disjunctive_rank_inequality(row, qstab(host), integer_hull=stab(host))
+    assert (res.rank, res.witness_f, res.exhaustive) == (2, (1, 6), True)
+    assert [f for f, _ in res.violating_points] == \
+        [()] + [(v,) for v in range(1, 11)] + [(1, v) for v in range(2, 6)]
+
+
 def test_row_rank_rejects_rows_invalid_for_the_hull():
     g = web(5, 1)
     bad = rank_constraint(complete_graph(5))           # x(V) <= 1 on C_5
@@ -179,6 +204,13 @@ def test_n_rank_of_graphs_small():
     assert n_rank_graph_upto(web(9, 2), 1) == 1        # r(W_{3s}^2) = 1
     assert n_rank_graph_upto(web(10, 2), 1) == 1       # r(W_{3s+1}^2) = 1
     assert n_rank_graph_upto(web(8, 2), 1) is None     # N-rank 2 at n = 3s+2
+
+
+def test_n_rank_depth_cap_bounds_rows_only():
+    g = web(6, 2)
+    assert n_rank_graph_upto(g, 3) == 0         # perfect: no lift is built
+    with pytest.raises(ResourceCapExceeded):
+        n_rank_inequality_upto(rank_constraint(g), qstab(g), rmax=3)
 
 
 def test_verify_web_formula_tables():

@@ -111,6 +111,27 @@ def test_resolve_matches_fresh_solve():
         assert warm.value == cold.value, trial
 
 
+def test_maximize_solves_once_then_resolves(monkeypatch):
+    calls = []
+    for name in ("solve", "resolve"):
+        def counted(self, *args, _name=name, _orig=getattr(LinearProgram, name), **kw):
+            calls.append(_name)
+            return _orig(self, *args, **kw)
+        monkeypatch.setattr(LinearProgram, name, counted)
+    lp = LinearProgram(2)
+    lp.add_le([1, 1], 4)
+    lp.add_le([1, 0], 3)
+    assert [lp.maximize(c).value for c in ([1, 0], [0, 1], [1, 2])] == [3, 4, 8]
+    assert calls == ["solve", "resolve", "resolve"]
+    # an infeasible first call leaves no basis to start from
+    calls.clear()
+    bad = LinearProgram(1)
+    bad.add_le([1], 1)
+    bad.add_eq([1], 2)
+    assert [bad.maximize([1]).status for _ in range(2)] == ["infeasible"] * 2
+    assert calls == ["solve", "solve"]
+
+
 def test_random_lps_have_exact_certificates():
     rng = random.Random(5)
     for trial in range(40):
