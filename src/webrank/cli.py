@@ -117,7 +117,7 @@ def _emit(report: Report, cfg: RunConfig, out=None) -> int:
     text = report.to_json_str() if cfg.fmt == "json" else report.to_table()
     if out:
         with open(out, "w") as fh:
-            fh.write(report.to_json_str())
+            fh.write(text if cfg.fmt == "json" else report.to_json_str())
             fh.write("\n")
         print(f"report written to {out}")
     if not out or cfg.fmt == "table":
@@ -247,8 +247,7 @@ def cmd_verify(args, cfg) -> int:
         rep = verify_join_bound(join_blocks_of(host), cfg.piece_cap,
                                 deadline=cfg.deadline)
     elif args.suite == "operators":
-        rep = verify_operator_sandwich(nmax, args.objectives, cfg.seed,
-                                       cfg.stab_bound)
+        rep = verify_operator_sandwich(nmax, args.objectives, cfg.seed)
     else:
         raise ValueError(f"unknown suite {args.suite!r}")
     return _emit(rep, cfg, args.out)

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 
 class SearchTimeout(Exception):
@@ -363,6 +364,52 @@ def alpha_induced(g: Graph, t, bound: int = STABLE_SET_BOUND) -> int:
     if not t:
         return 0
     return alpha(induced_subgraph(g, t), bound)
+
+
+def max_weight_stable_set(g: Graph, weights: dict) -> tuple:
+    """(value, node tuple) of a maximum-weight stable set; the empty set
+    (value 0) when no weight is positive.
+
+    Branch and bound on bitmasks in the style of Östergård's weighted
+    clique search, run on the complement: weights are integers over one
+    common denominator, nodes of weight <= 0 are dropped (they never
+    help), and each subproblem is bounded by a greedy clique cover of its
+    candidates (a colouring of the complement), whose classes add at most
+    their heaviest node each.  Candidates are ordered heaviest first, so a
+    class's first node is its heaviest.
+    """
+    ws = {v: Fraction(weights.get(v, 0)) for v in g.nodes}
+    order = sorted((v for v in g.nodes if ws[v] > 0), key=lambda v: (-ws[v], g._pos[v]))
+    den = lcm(*(ws[v].denominator for v in order))
+    w = [ws[v].numerator * (den // ws[v].denominator) for v in order]
+    at = {v: i for i, v in enumerate(order)}
+    adj = [sum(1 << at[u] for u in g.neighbors(v) if u in at) for v in order]
+    best = [0, 0]                        # value, mask
+
+    def expand(value, chosen, cand):
+        if not cand:
+            if value > best[0]:
+                best[:] = value, chosen
+            return
+        cover = []                       # (node, bound: its class and the earlier ones)
+        bound, rest = 0, cand
+        while rest:
+            q = rest
+            bound += w[(q & -q).bit_length() - 1]
+            while q:
+                v = (q & -q).bit_length() - 1
+                cover.append((v, bound))
+                rest &= ~(1 << v)
+                q &= adj[v]
+        for v, b in reversed(cover):
+            if value + b <= best[0]:
+                return
+            bit = 1 << v
+            cand &= ~bit
+            expand(value + w[v], chosen | bit, cand & ~adj[v])
+
+    expand(0, 0, (1 << len(order)) - 1)
+    return Fraction(best[0], den), tuple(sorted(order[i] for i in _bits(best[1])))
 
 
 # ---------------------------------------------------------------------------

@@ -165,6 +165,28 @@ def piece_max(systems, objective: dict) -> LPOutcome:
     return LPOutcome(status="infeasible") if best is None else best
 
 
+def min_piece_max(pieces, objective: dict):
+    """min over j of the best value over the piece systems pieces[j], that
+    is min(piece_max(systems, objective).value for systems in pieces); None
+    when some j has no feasible piece.  Once a piece of j reaches the
+    running minimum, j cannot lower it, so j's remaining pieces are
+    skipped."""
+    low = None
+    for systems in pieces:
+        top = None
+        for sys_ in systems:
+            out = sys_.maximize(objective)
+            if out.status == "optimal" and (top is None or out.value > top):
+                top = out.value
+                if low is not None and top >= low:
+                    break
+        else:
+            if top is None:
+                return None
+            low = top
+    return low
+
+
 def disjunctive_valid(ineq: LinearInequality, h: HPolytope, f,
                       piece_cap: int = PIECE_CAP):
     """Is a.x <= b valid for P_F(h)?  Returns (bool, LiftCertificate).

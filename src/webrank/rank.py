@@ -46,6 +46,7 @@ from .graphs import (
     is_circulant,
     is_perfect,
     is_subweb,
+    max_weight_stable_set,
     minimally_imperfect_certificate,
     omega,
     to_json_dict,
@@ -65,10 +66,10 @@ from .liftproject import (
     PieceSystem,
     disjunctive_member,
     disjunctive_valid,
+    min_piece_max,
     n_operator_max,
     n_operator_valid,
     piece_lp_max,  # noqa: F401  (bench/tests/test_bench.py patches this binding)
-    piece_max,
 )
 from .polyhedra import (
     HPolytope,
@@ -515,11 +516,15 @@ def verify_w2_description(n_values=(6, 7, 8, 9, 10), hull_bound: int = 12,
 
 
 def verify_operator_sandwich(n_max: int = 9, objectives: int = 20,
-                             seed: int = 0, stab_bound: int = 18) -> Report:
-    """STAB <= N(K) <= intersection of P_j(K) <= K on random objectives.
+                             seed: int = 0) -> Report:
+    """max STAB <= max N(K) <= min_j max P_j(K) <= max K on random
+    objectives, K = QSTAB of a web.
 
-    The 2n piece systems K n {x_j = z} of a web are built once and
-    re-solved from their last optimal basis for each objective.
+    The third term, the least of the maxima over the single pieces
+    P_j(K), bounds the max over their intersection from above.  The max
+    over STAB is a maximum-weight stable set search (no enumeration, so
+    no cap on n).  The 2n piece systems K n {x_j = z} are built once per
+    web and re-solved from their last optimal basis for each objective.
     """
     rep = Report("operators", {"n_max": n_max, "objectives": objectives,
                                "seed": seed})
@@ -528,14 +533,13 @@ def verify_operator_sandwich(n_max: int = 9, objectives: int = 20,
         for n in range(2 * (k + 1), n_max + 1):
             g = web(n, k)
             h = qstab(g)
-            vp = stab(g, stab_bound)
             pieces = [[PieceSystem(h, {j: z}) for z in (0, 1)] for j in g.nodes]
             bad = []
             for _ in range(objectives):
                 c = {v: Fraction(rng.randint(0, 9)) for v in g.nodes}
-                smax = vp.max_over(c)[0]
+                smax = max_weight_stable_set(g, c)[0]
                 nmax = n_operator_max(c, h, 1).value
-                inter = min(piece_max(systems, c).value for systems in pieces)
+                inter = min_piece_max(pieces, c)
                 qmax = lp_max(h, c).value
                 if not (smax <= nmax <= inter <= qmax):
                     bad.append({"objective": {str(v): int(x) for v, x in c.items()},

@@ -21,16 +21,19 @@ independent re-solve path by certificate rechecking.  Every tie is
 broken by column or basis index, never by dict order.
 
 Optimal solves return exact primal and dual certificates (strong
-duality and complementary slackness hold with equality); infeasible
-solves return an exact Farkas certificate.  Certificate checks raise
+duality and complementary slackness hold with equality); the duals are
+built on first read, from the reduced-cost row the solve ended with, so
+re-solves whose duals nobody reads never build them.  Infeasible solves
+return an exact Farkas certificate.  Certificate checks raise
 CertificateError and tableau invariants raise RuntimeError, so both
 hold under ``python -O``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property, partial
 from math import gcd, lcm
 
 
@@ -52,9 +55,16 @@ class LPResult:
     status: str                      # "optimal" | "infeasible" | "unbounded"
     value: Fraction | None = None
     x: list | None = None            # structural variables, exact
-    duals: list | None = None        # one multiplier per added row
     farkas: list | None = None       # infeasibility certificate, per row
     pivots: int = 0
+    dual_source: object = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def duals(self) -> list | None:
+        """One multiplier per added row, built by dual_source on the first
+        read (None without an optimum)."""
+        make, self.dual_source = self.dual_source, None
+        return None if make is None else make()
 
 
 class LinearProgram:
@@ -195,7 +205,9 @@ def _normalize(row: dict, div: int) -> int:
 
 def _eliminate(row: dict, div: int, prow: dict, p: int, s) -> int:
     """Clear column s of row (over div) with the pivot row prow, whose
-    entry there is p; updates row in place and returns its new divisor."""
+    entry there is p; updates row in place and returns its new divisor.
+    With a == 1 (p divides e) the row is not scaled, and a row over
+    divisor 1 stays gcd-normalized, so neither pass is made."""
     e = row[s]
     g = gcd(p, e)
     a, b = p // g, e // g
@@ -208,7 +220,8 @@ def _eliminate(row: dict, div: int, prow: dict, p: int, s) -> int:
             row[j] = w
         else:
             del row[j]
-    return _normalize(row, div * a)
+    div *= a
+    return div if div == 1 else _normalize(row, div)
 
 
 class _Tableau:
@@ -216,7 +229,7 @@ class _Tableau:
     right-hand side under key ncols, over one positive divisor."""
 
     def __init__(self, lp: LinearProgram, pivot_rule: str):
-        self.lp = lp
+        self.kinds = [kind for _, _, kind in lp.rows]
         self.rule = pivot_rule
         self.nv = lp.nv
         self.pivots = 0
@@ -371,7 +384,7 @@ class _Tableau:
             # maximum of -sum(artificials) is negative: infeasible
             if value > 0:
                 raise RuntimeError("phase 1 maximum of -sum(artificials) is positive")
-            farkas = self._extract_duals(obj_scale=1, art_cost=-1)
+            farkas = self._extract_duals(self.obj, self.obj_div, 1, art_cost=-1)
             return LPResult(status="infeasible", farkas=farkas, pivots=self.pivots)
         self._drive_out_artificials()
         return None
@@ -407,12 +420,15 @@ class _Tableau:
             if b < self.nv:
                 x[b] = Fraction(self.rows[i].get(rhs, 0), self.divs[i])
         value = Fraction(self.obj.get(rhs, 0), self.obj_div) / scale
-        duals = self._extract_duals(obj_scale=scale)
-        return LPResult(status="optimal", value=value, x=x, duals=duals,
-                        pivots=self.pivots)
+        # _build_obj makes a new reduced-cost row for every objective, so
+        # this one is never updated again: the duals can wait for a reader
+        return LPResult(status="optimal", value=value, x=x, pivots=self.pivots,
+                        dual_source=partial(self._extract_duals, self.obj,
+                                            self.obj_div, scale))
 
-    def _extract_duals(self, obj_scale, art_cost=0):
-        """Duals w.r.t. the ORIGINAL rows, from marker-column reduced costs.
+    def _extract_duals(self, obj, obj_div, obj_scale, art_cost=0):
+        """Duals w.r.t. the ORIGINAL rows, from the marker-column reduced
+        costs of the row obj over obj_div * obj_scale.
 
         For a <= row the slack column works whether or not the stored row
         was negated; for an = row the artificial column does, with the
@@ -421,16 +437,16 @@ class _Tableau:
         reduced cost r_art = y_std - art_cost.
         """
         present = set(self.orig)
-        obj, den = self.obj, self.obj_div * obj_scale
+        den = obj_div * obj_scale
         duals = []
-        for t, (_, _, kind) in enumerate(self.lp.rows):
+        for t, kind in enumerate(self.kinds):
             if t not in present:
                 duals.append(Fraction(0))
             elif kind == "<=":
                 r = obj.get(self.slack_col[t], 0)
                 duals.append(Fraction(r * self.row_scale[t], den))
             else:
-                y_std = obj.get(self.art_col[t], 0) + art_cost * self.obj_div
+                y_std = obj.get(self.art_col[t], 0) + art_cost * obj_div
                 sign = -1 if self.row_flip[t] else 1
                 duals.append(Fraction(sign * y_std * self.row_scale[t], den))
         return duals

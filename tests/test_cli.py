@@ -5,6 +5,7 @@ import json
 import pytest
 
 from webrank.cli import main
+from webrank.reporting import Report
 
 
 def run(capsys, *argv):
@@ -78,6 +79,24 @@ def test_verify_operators_small(capsys):
     code, out, _ = run(capsys, "verify", "operators", "--nmax", "6",
                        "--objectives", "3")
     assert code == 0
+
+
+def test_a_report_is_serialized_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    orig = Report.to_json_str
+
+    def counted(self):
+        calls.append(1)
+        return orig(self)
+    monkeypatch.setattr(Report, "to_json_str", counted)
+    args = ("verify", "operators", "--nmax", "6", "--objectives", "3")
+    code, printed, _ = run(capsys, *args, "--format", "json")
+    assert code == 0 and len(calls) == 1
+    for fmt in ("json", "table"):
+        calls.clear()
+        path = tmp_path / f"{fmt}.json"
+        assert run(capsys, *args, "--format", fmt, "--out", str(path))[0] == 0
+        assert len(calls) == 1 and path.read_text() == printed
 
 
 def test_verify_join_default_spec(capsys):

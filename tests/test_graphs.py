@@ -1,6 +1,8 @@
 """Web/antiweb construction, cliques, stable sets, odd holes, perfection."""
 
+import random
 import time
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -28,6 +30,7 @@ from webrank.graphs import (
     is_odd_hole,
     is_perfect,
     is_subweb,
+    max_weight_stable_set,
     mod1,
     omega,
     parse_graph_spec,
@@ -35,6 +38,7 @@ from webrank.graphs import (
     to_json_dict,
     web,
 )
+from webrank.polyhedra import stab
 
 from oracles import cyclic_relabel_isomorphic, has_induced_embedding
 
@@ -226,6 +230,36 @@ def test_alpha_examples():
 def test_stable_set_enumeration_counts():
     assert len(enumerate_stable_sets(web(5, 1))) == 11
     assert () in enumerate_stable_sets(complete_graph(3))
+
+
+def test_max_weight_stable_set_matches_enumeration():
+    """Against every stable set, the points of STAB; summing over the sets
+    is 10x cheaper than VPolytope.max_over on stab(g)."""
+    rng = random.Random(11)
+    for _ in range(300):
+        n = rng.randint(1, 14)
+        p = rng.random()
+        g = Graph(range(1, n + 1), [e for e in combinations(range(1, n + 1), 2)
+                                    if rng.random() < p])
+        w = {v: Fraction(rng.randint(-3, 9), rng.choice((1, 1, 2, 3, 7)))
+             for v in g.nodes if rng.random() < 0.9}        # some nodes unweighted
+        value, nodes = max_weight_stable_set(g, w)
+        assert value == max(sum((w.get(v, 0) for v in s), Fraction(0))
+                            for s in enumerate_stable_sets(g))
+        assert all(not g.has_edge(u, v) for u, v in combinations(nodes, 2))
+        assert sum((w.get(v, 0) for v in nodes), Fraction(0)) == value
+
+
+def test_max_weight_stable_set_has_no_size_cap():
+    for n in range(4, 41):
+        for k in range(1, (n - 2) // 2 + 1):
+            g = web(n, k)
+            value, nodes = max_weight_stable_set(g, {v: 1 for v in g.nodes})
+            assert value == n // (k + 1) == len(nodes)
+    assert max_weight_stable_set(web(5, 1), {1: -1, 2: 0}) == (0, ())
+    g = web(9, 2)
+    w = {v: Fraction(v % 4, 3) for v in g.nodes}
+    assert max_weight_stable_set(g, w)[0] == stab(g).max_over(w)[0] == 2
 
 
 # ---------------------------------------------------------------------------

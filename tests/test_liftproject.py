@@ -18,6 +18,7 @@ from webrank.liftproject import (
     PieceSystem,
     disjunctive_member,
     disjunctive_valid,
+    min_piece_max,
     n_lift_system,
     n_operator_max,
     n_operator_valid,
@@ -353,6 +354,26 @@ def test_piece_max_takes_the_first_best_piece():
     assert piece_max(systems[::-1], ones(g)).point[1] == 1
     empty = PieceSystem(qstab(web(7, 1)), {1: 1, 2: 1})
     assert piece_max([empty], ones(g)).status == "infeasible"
+
+
+def test_pruned_piece_scan_equals_the_full_one():
+    """min_piece_max skips the second piece of j once the first reaches
+    the running minimum; the value is that of the full scan."""
+    rng = random.Random(5)
+    for k in range(1, 4):
+        for n in range(2 * (k + 1), 10):
+            g = web(n, k)
+            h = qstab(g)
+
+            def build():
+                return [[PieceSystem(h, {j: z}) for z in (0, 1)] for j in g.nodes]
+            pruned, full = build(), build()
+            for _ in range(40):
+                c = {v: Fraction(rng.randint(0, 9)) for v in g.nodes}
+                assert min_piece_max(pruned, c) == \
+                    min(piece_max(systems, c).value for systems in full)
+    empty = PieceSystem(qstab(web(7, 1)), {1: 1, 2: 1})
+    assert min_piece_max([[empty]], ones(web(7, 1))) is None
 
 
 def test_lp_disjunctive_json_is_pinned(capsys):

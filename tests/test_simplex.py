@@ -6,10 +6,12 @@ exact rational arithmetic, which together prove optimality without
 trusting the pivot path.
 """
 
+import gc
 import os
 import random
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -130,6 +132,44 @@ def test_maximize_solves_once_then_resolves(monkeypatch):
     bad.add_eq([1], 2)
     assert [bad.maximize([1]).status for _ in range(2)] == ["infeasible"] * 2
     assert calls == ["solve", "solve"]
+
+
+def test_duals_read_after_a_resolve_are_those_of_their_own_solve():
+    rng = random.Random(8)
+    for _ in range(20):
+        n = rng.randint(2, 5)
+        rows = [([rng.randint(0, 4) for _ in range(n)], rng.randint(1, 9))
+                for _ in range(rng.randint(2, 7))] + [([1] * n, 10)]
+        objectives = [[rng.randint(-2, 6) for _ in range(n)] for _ in range(3)]
+
+        def build():
+            lp = LinearProgram(n)
+            for coeffs, rhs in rows:
+                lp.add_le(coeffs, rhs)
+            return lp
+        lp = build()
+        results = [lp.maximize(c) for c in objectives]     # one solve, two resolves
+        assert results[0].duals == build().solve(objectives[0]).duals
+        for res, c in zip(results, objectives):
+            lp.check_optimal(res, c)
+
+
+def test_a_dropped_lp_is_freed_without_the_cycle_collector():
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        lp = LinearProgram(2)
+        lp.add_le([1, 1], 3)
+        lp.add_eq([1, 0], 1)
+        res = lp.solve([1, 2])
+        lp.resolve([2, 1])
+        ref = weakref.ref(lp)
+        del lp
+        assert ref() is None
+        assert res.value == 5 and res.duals == [2, -1]
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_random_lps_have_exact_certificates():
