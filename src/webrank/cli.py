@@ -265,7 +265,7 @@ def cmd_hull(args, cfg) -> int:
     facets = convex_hull_facets(stab(g, cfg.stab_bound), cfg.hull_bound)
     rows = []
     for f in facets:
-        tag = tag_inequality(g, f, cfg.stab_bound)
+        tag = tag_inequality(g, f)
         d = f.to_json()
         d["tag"] = tag
         rows.append(d)

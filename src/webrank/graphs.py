@@ -196,8 +196,7 @@ def web(n: int, k: int) -> Graph:
 def antiweb(n: int, k: int) -> Graph:
     """A_n^k = complement of W_n^{k-1}."""
     AntiwebId(n, k)
-    g = complement(web(n, k - 1))
-    return Graph(g.nodes, g.edges(), family=("antiweb", n, k))
+    return complement(web(n, k - 1))        # family ("antiweb", n, k)
 
 
 def complete_graph(n: int) -> Graph:
@@ -216,17 +215,28 @@ def cycle_graph(n: int) -> Graph:
     return web(n, 1)
 
 
+def _from_masks(nodes, adj, family=None) -> Graph:
+    """Graph on sorted labels with one adjacency bitmask per position."""
+    g = object.__new__(Graph)
+    object.__setattr__(g, "nodes", nodes)
+    object.__setattr__(g, "_pos", {v: i for i, v in enumerate(nodes)})
+    object.__setattr__(g, "_adj", tuple(adj))
+    object.__setattr__(g, "family", family)
+    object.__setattr__(g, "blocks", None)
+    object.__setattr__(g, "block_tags", None)
+    return g
+
+
 def complement(g: Graph) -> Graph:
     """Edge iff non-edge of g, on the same labels.  Involutive."""
-    edges = [
-        (u, v) for u, v in combinations(g.nodes, 2) if not g.has_edge(u, v)
-    ]
+    full = (1 << g.n) - 1
     family = None
     if g.family and g.family[0] == "web":
         family = ("antiweb", g.family[1], g.family[2] + 1)
     elif g.family and g.family[0] == "antiweb":
         family = ("web", g.family[1], g.family[2] - 1)
-    return Graph(g.nodes, edges, family=family)
+    return _from_masks(g.nodes, [full ^ m ^ (1 << i) for i, m in enumerate(g._adj)],
+                       family)
 
 
 def delete_nodes(g: Graph, f) -> Graph:
@@ -235,17 +245,24 @@ def delete_nodes(g: Graph, f) -> Graph:
     for v in f:
         if v not in g._pos:
             raise ValueError(f"cannot delete unknown node label {v}")
-    keep = [v for v in g.nodes if v not in set(f)]
-    if not keep:
+    if len(f) == g.n:
         raise ValueError("deletion would empty the graph")
-    edges = [(u, v) for u, v in g.edges() if u not in set(f) and v not in set(f)]
-    family = g.family if not f else None
-    return Graph(keep, edges, family=family)
+    fset = set(f)
+    drop = sorted((g._pos[v] for v in f), reverse=True)
+    keep, adj = [], []
+    for v, m in zip(g.nodes, g._adj):
+        if v in fset:
+            continue
+        for p in drop:                   # close the gap at position p, highest first
+            m = (m & ((1 << p) - 1)) | (m >> (p + 1) << p)
+        keep.append(v)
+        adj.append(m)
+    return _from_masks(tuple(keep), adj, g.family if not f else None)
 
 
 def induced_subgraph(g: Graph, keep) -> Graph:
-    keep = as_nodeset(keep)
-    drop = [v for v in g.nodes if v not in set(keep)]
+    keep = set(keep)
+    drop = [v for v in g.nodes if v not in keep]
     return delete_nodes(g, drop) if drop else g
 
 
@@ -354,16 +371,17 @@ def enumerate_stable_sets(g: Graph, bound: int = STABLE_SET_BOUND) -> list:
     return [g._labels_of(m) for m in masks]
 
 
-def alpha(g: Graph, bound: int = STABLE_SET_BOUND) -> int:
-    return max(len(s) for s in enumerate_stable_sets(g, bound))
+def alpha(g: Graph) -> int:
+    """Stability number: a maximum-weight stable set under unit weights."""
+    return len(max_weight_stable_set(g, dict.fromkeys(g.nodes, 1))[1])
 
 
-def alpha_induced(g: Graph, t, bound: int = STABLE_SET_BOUND) -> int:
+def alpha_induced(g: Graph, t) -> int:
     """Stability number of the subgraph induced by node set t."""
     t = as_nodeset(t)
     if not t:
         return 0
-    return alpha(induced_subgraph(g, t), bound)
+    return alpha(induced_subgraph(g, t))
 
 
 def max_weight_stable_set(g: Graph, weights: dict) -> tuple:
@@ -427,38 +445,45 @@ def find_induced_odd_hole(g: Graph, deadline=None, reverse=False):
     _check_deadline(deadline)
     adj = g._adj
     n = g.n
-    order = range(n - 1, -1, -1) if reverse else range(n)
     steps = 0
-    for b in order:
-        nb_b = adj[b]
-        gt_b = ~((1 << (b + 1)) - 1) & ((1 << n) - 1)
 
-        # path = [b, p1, ..., last]; mid_ok excludes neighbors of interior nodes
-        def dfs(p1, last, mid_ok, length):
-            nonlocal steps
-            steps += 1
-            if steps % 2048 == 0:
-                _check_deadline(deadline)
-            reach = mid_ok & adj[last]
-            if length >= 4 and length % 2 == 0:     # closing at w: odd, >= 5 nodes
-                for w in _bits(reach & nb_b):
-                    if w > p1:
-                        cyc = path + [w]
-                        hole = as_nodeset(g.nodes[i] for i in cyc)
-                        if not _is_hole(g, hole):
-                            raise RuntimeError(f"odd-hole search returned a non-hole {hole}")
-                        return hole
-            for w in _bits(reach & ~nb_b):
-                path.append(w)
-                res = dfs(p1, w, mid_ok & ~adj[last], length + 1)
-                path.pop()
+    # path b, p1, ..., last, with on_path its position mask; mid_ok excludes
+    # neighbors of interior nodes; nb_b (b's neighbors) and above_p1 (the
+    # positions above p1) are set by the loop over b and p1 below
+    def dfs(last, mid_ok, length, on_path):
+        nonlocal steps
+        steps += 1
+        if steps % 2048 == 0:
+            _check_deadline(deadline)
+        reach = mid_ok & adj[last]
+        if length >= 4 and length % 2 == 0:     # closing at w: odd, >= 5 nodes
+            close = reach & nb_b & above_p1      # the lowest w > p1
+            if close:
+                hole = g._labels_of(on_path | (close & -close))
+                if not _is_hole(g, hole):
+                    raise RuntimeError(f"odd-hole search returned a non-hole {hole}")
+                return hole
+        ext = reach & ~nb_b
+        if ext:
+            nxt = mid_ok & ~adj[last]
+            while ext:
+                low = ext & -ext
+                ext ^= low
+                res = dfs(low.bit_length() - 1, nxt, length + 1, on_path | low)
                 if res is not None:
                     return res
-            return None
+        return None
 
-        for p1 in _bits(nb_b & gt_b):
-            path = [b, p1]
-            res = dfs(p1, p1, gt_b & ~(1 << p1), 2)
+    for b in (range(n - 1, -1, -1) if reverse else range(n)):
+        nb_b = adj[b]
+        gt_b = ~((1 << (b + 1)) - 1) & ((1 << n) - 1)
+        m = nb_b & gt_b
+        while m:
+            low = m & -m
+            m ^= low
+            p1 = low.bit_length() - 1
+            above_p1 = -(low << 1)
+            res = dfs(p1, gt_b & ~low, 2, (1 << b) | low)
             if res is not None:
                 return res
     return None

@@ -8,9 +8,9 @@ and joined inequalities sum x(V(A_i)) / alpha(A_i) <= 1 over the blocks
 of a complete join.
 
 The 1-interval right-hand side is computed by the closed form
-sum k_j + (t-1)/2 AND cross-checked against the enumerated stability
-number of the induced subgraph; a mismatch is a hard error, never a
-silently emitted row.
+sum k_j + (t-1)/2 AND cross-checked against the stability number of the
+induced subgraph, found by a maximum stable set search; a mismatch is a
+hard error, never a silently emitted row.
 """
 
 from __future__ import annotations
@@ -32,9 +32,9 @@ from .graphs import (
 from .polyhedra import HPolytope, LinearInequality, qstab
 
 
-def rank_constraint(g: Graph, stab_bound: int = 18) -> LinearInequality:
+def rank_constraint(g: Graph) -> LinearInequality:
     """x(V) <= alpha(G), all-ones coefficients."""
-    return LinearInequality({v: 1 for v in g.nodes}, alpha(g, stab_bound), tag="rank")
+    return LinearInequality({v: 1 for v in g.nodes}, alpha(g), tag="rank")
 
 
 def antiweb_constraint(a: AntiwebId):
@@ -146,27 +146,26 @@ def enumerate_one_interval_sets(n: int, dedup_by_T: bool = True) -> list:
     return out
 
 
-def one_interval_inequality(w: WebId, s: OneIntervalSet,
-                            stab_bound: int = 18) -> LinearInequality:
-    """x(T) <= alpha(T) on W_n^2, rhs by the closed form AND enumeration.
+def one_interval_inequality(w: WebId, s: OneIntervalSet) -> LinearInequality:
+    """x(T) <= alpha(T) on W_n^2, rhs by the closed form AND search.
 
     Refuses to emit the row when the closed form disagrees with the
-    enumerated stability number of the induced subgraph.
+    searched stability number of the induced subgraph.
     """
     if w.k != 2:
         raise ValueError("1-interval inequalities are defined for webs with k=2")
     if w.n != s.n:
         raise ValueError(f"set lives on n={s.n}, web has n={w.n}")
     rhs = s.closed_form_alpha()
-    enumerated = alpha_induced(web(w.n, 2), s.T, stab_bound)
-    if rhs != enumerated:
+    searched = alpha_induced(web(w.n, 2), s.T)
+    if rhs != searched:
         raise RuntimeError(
             f"1-interval rhs mismatch on T={s.T}: closed form {rhs}, "
-            f"enumerated {enumerated}")
+            f"searched {searched}")
     return LinearInequality({v: 1 for v in s.T}, rhs, tag="one-interval")
 
 
-def stab_description_w2(n: int, stab_bound: int = 18) -> list:
+def stab_description_w2(n: int) -> list:
     """Dahl's full description of STAB(W_n^2) as a row list.
 
     Nonnegativity, maximal clique rows, the rank constraint when n is
@@ -177,10 +176,10 @@ def stab_description_w2(n: int, stab_bound: int = 18) -> list:
     g = web(n, 2)
     rows = list(qstab(g).rows)
     if n % 3 != 0:
-        rows.append(rank_constraint(g, stab_bound))
+        rows.append(rank_constraint(g))
     w = WebId(n, 2)
     for s in enumerate_one_interval_sets(n, dedup_by_T=True):
-        rows.append(one_interval_inequality(w, s, stab_bound))
+        rows.append(one_interval_inequality(w, s))
     # drop duplicates (triangle-sized intervals reproduce clique rows)
     uniq, seen = [], set()
     for r in rows:
@@ -190,8 +189,8 @@ def stab_description_w2(n: int, stab_bound: int = 18) -> list:
     return uniq
 
 
-def stab_description_w2_polytope(n: int, stab_bound: int = 18) -> HPolytope:
-    return HPolytope(tuple(range(1, n + 1)), stab_description_w2(n, stab_bound))
+def stab_description_w2_polytope(n: int) -> HPolytope:
+    return HPolytope(tuple(range(1, n + 1)), stab_description_w2(n))
 
 
 # ---------------------------------------------------------------------------
@@ -237,11 +236,11 @@ def join_blocks_of(host: Graph) -> JoinBlocks:
     return JoinBlocks(host, host.blocks, host.block_tags or (None,) * len(host.blocks))
 
 
-def joined_inequality(blocks: JoinBlocks, stab_bound: int = 18) -> LinearInequality:
+def joined_inequality(blocks: JoinBlocks) -> LinearInequality:
     """sum_i x(V(A_i)) / alpha(A_i) <= 1 over the verified join blocks."""
     coeffs = {}
     for blk, bg in zip(blocks.blocks, blocks.block_graphs()):
-        a = alpha(bg, stab_bound)
+        a = alpha(bg)
         for v in blk:
             coeffs[v] = Fraction(1, a)
     return LinearInequality(coeffs, 1, tag="joined")
@@ -250,7 +249,7 @@ def joined_inequality(blocks: JoinBlocks, stab_bound: int = 18) -> LinearInequal
 # ---------------------------------------------------------------------------
 # provenance tagging for hull output
 
-def tag_inequality(g: Graph, ineq: LinearInequality, stab_bound: int = 18) -> str:
+def tag_inequality(g: Graph, ineq: LinearInequality) -> str:
     """Best-effort family tag for a facet produced by the hull code."""
     ints, rhs = ineq.integer_form()
     if len(ints) == 1:
@@ -262,8 +261,8 @@ def tag_inequality(g: Graph, ineq: LinearInequality, stab_bound: int = 18) -> st
         if all(g.has_edge(u, v) for i, u in enumerate(sup) for v in sup[i + 1:]):
             return "clique"
     if set(ints) == set(g.nodes) and all(c == 1 for c in ints.values()):
-        if rhs == alpha(g, stab_bound):
+        if rhs == alpha(g):
             return "rank"
-    if all(c == 1 for c in ints.values()) and rhs == alpha_induced(g, list(ints), stab_bound):
+    if all(c == 1 for c in ints.values()) and rhs == alpha_induced(g, list(ints)):
         return "one-interval" if len(ints) < g.n else "rank"
     return "other"

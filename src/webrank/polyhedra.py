@@ -394,25 +394,33 @@ def cone_extreme_rays(m_rows) -> list:
             new_rays.append(rays[i])
             new_zeros.append(zeros[i] | bit)
         if minus and plus:
+            # rays i (plus) and j (minus) are adjacent when their common zero
+            # set z has d-2 bits or more and no third ray k is zero on all of
+            # z.  Such a k shares z with zeros[i], so the scan covers only
+            # the rays near i, after the last k found, often a k again.
+            need = d - 2
+            minus_zeros = [(j, zeros[j]) for j in minus]
+            last = -1
             for i in plus:
-                for j in minus:
-                    z = zeros[i] & zeros[j]
-                    if not _adjacent(z, i, j, zeros, d):
+                zi = zeros[i]
+                near = None
+                for j, z in [(j, z) for j, zj in minus_zeros
+                             if (z := zi & zj).bit_count() >= need]:
+                    if last not in (-1, i, j) and z & zeros[last] == z:
                         continue
-                    comb = [sig[i] * rays[j][c] - sig[j] * rays[i][c] for c in range(d)]
-                    new_rays.append(_primitive(comb))
-                    new_zeros.append(z | bit)
+                    if near is None:
+                        near = [(k, zk) for k, zk in enumerate(zeros)
+                                if k != i and (zi & zk).bit_count() >= need]
+                    for k, zk in near:
+                        if z & zk == z and k != j:
+                            last = k
+                            break
+                    else:
+                        comb = [sig[i] * rays[j][c] - sig[j] * rays[i][c] for c in range(d)]
+                        new_rays.append(_primitive(comb))
+                        new_zeros.append(z | bit)
         rays, zeros = new_rays, new_zeros
     return rays
-
-
-def _adjacent(z_common, i, j, zeros, d) -> bool:
-    if z_common.bit_count() < d - 2:
-        return False
-    for k, zk in enumerate(zeros):
-        if k != i and k != j and z_common & zk == z_common:
-            return False
-    return True
 
 
 def _dot(row: dict, ray) -> int:

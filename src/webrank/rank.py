@@ -103,16 +103,17 @@ class GraphRankResult:
     anchored: bool = False
 
     def to_json(self, g: Graph) -> dict:
+        gd = to_json_dict(g)
         return {
             "type": "graph-rank",
-            "graph": to_json_dict(g),
+            "graph": gd,
             "rank": self.rank,
             "deletion_set": list(self.deletion_set),
             "anchored": self.anchored,
-            "perfection": {"type": "perfection", "graph": to_json_dict(g),
+            "perfection": {"type": "perfection", "graph": gd,
                            "deletion_set": list(self.deletion_set)},
             "pool": [{"type": "odd-hole" if kind == "odd-hole" else "odd-antihole",
-                      "graph": to_json_dict(g), "nodes": list(nodes)}
+                      "graph": gd, "nodes": list(nodes)}
                      for kind, nodes in self.lower_bound_witnesses],
         }
 
@@ -146,19 +147,21 @@ class IneqRankResult:
 def _hitting_search(g: Graph, size: int, pool: list, seed=(), deadline=None):
     """F with seed <= F, |F| <= size and g-F perfect, or None (pool grows)."""
     visited = set()
+    members = [frozenset(c[1]) for c in pool]       # node sets, in pool order
 
     def rec(fset):
         key = frozenset(fset)
         if key in visited:
             return None
         visited.add(key)
-        unhit = next((c for c in pool if not set(c[1]) & fset), None)
+        unhit = next((c for c, nodes in zip(pool, members) if fset.isdisjoint(nodes)), None)
         if unhit is None:
             gg = delete_nodes(g, fset) if fset else g
             cert = minimally_imperfect_certificate(gg, deadline)
             if cert is None:
                 return as_nodeset(fset)
             pool.append(cert)
+            members.append(frozenset(cert[1]))
             unhit = cert
         if len(fset) >= size:
             return None
@@ -283,12 +286,14 @@ def disjunctive_rank_inequality(ineq: LinearInequality, h: HPolytope,
     m = len(witness)
     exhaustive = bool(exhaustive_lb) and m > 0
     if exhaustive:
+        rejected = {f for f, _ in violations}        # decided by the search already
         for f in combinations(h.index, m - 1):
+            if f in rejected:
+                continue
             ok, cert = disjunctive_valid(ineq, h, f, piece_cap)
             if ok:
                 raise RuntimeError(f"symmetry reduction unsound at {f}")
-            if (f, cert.point) not in violations:
-                violations.append((f, cert.point))
+            violations.append((f, cert.point))
     return IneqRankResult(m, witness, violations, exhaustive)
 
 
@@ -493,7 +498,7 @@ def verify_w2_description(n_values=(6, 7, 8, 9, 10), hull_bound: int = 12,
     rep = Report("w2", {"n_values": list(n_values)})
     for n in n_values:
         g = web(n, 2)
-        desc = stab_description_w2_polytope(n, stab_bound)
+        desc = stab_description_w2_polytope(n)
         hull = HPolytope(g.nodes, convex_hull_facets(stab(g, stab_bound), hull_bound))
         missing = [r for r in hull.rows if not is_valid(r, desc)[0]]
         extra = [r for r in desc.rows if not is_valid(r, hull)[0]]
@@ -507,7 +512,7 @@ def verify_w2_description(n_values=(6, 7, 8, 9, 10), hull_bound: int = 12,
         w = WebId(n, 2)
         for s in enumerate_one_interval_sets(n):
             try:
-                one_interval_inequality(w, s, stab_bound)
+                one_interval_inequality(w, s)
             except RuntimeError:
                 mism += 1
         rep.check(f"closed-form alpha(T) matches enumeration (n={n})", 0, mism,

@@ -15,16 +15,22 @@ from .polyhedra import frac_to_str
 
 
 def _jsonable(v):
+    # exact types first: isinstance(v, Fraction) goes through the numbers
+    # ABC's __instancecheck__, the slow part of encoding a large report;
+    # int list entries (node labels, edges) are kept without a call
+    t = type(v)
+    if t is int or t is str or t is bool or v is None:
+        return v
+    if t is list or t is tuple:
+        return [x if type(x) is int else _jsonable(x) for x in v]
+    if isinstance(v, dict):
+        return {str(k): _jsonable(x) for k, x in sorted(v.items(), key=lambda kv: str(kv[0]))}
     if isinstance(v, Fraction):
         return frac_to_str(v)
-    if isinstance(v, bool) or v is None:
-        return v
     if isinstance(v, int):
         return v
     if isinstance(v, (list, tuple)):
         return [_jsonable(x) for x in v]
-    if isinstance(v, dict):
-        return {str(k): _jsonable(x) for k, x in sorted(v.items(), key=lambda kv: str(kv[0]))}
     return str(v)
 
 

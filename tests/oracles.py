@@ -4,17 +4,31 @@ None of these is used by the package itself.
 """
 
 from fractions import Fraction
-from math import gcd
+from itertools import combinations, islice
+from math import gcd, lcm
 
-from webrank.graphs import Graph, ResourceCapExceeded, mod1
+from webrank.graphs import (
+    Graph,
+    ResourceCapExceeded,
+    _bits,
+    _check_deadline,
+    _is_hole,
+    as_nodeset,
+    mod1,
+)
 from webrank.polyhedra import (
     HULL_BOUND,
     HPolytope,
+    _dot,
+    _echelon,
+    _int_row,
+    _primitive,
     cone_extreme_rays,
+    frac_to_str,
     is_valid,
     matrix_rank,
 )
-from webrank.simplex import LinearProgram
+from webrank.simplex import LinearProgram, _eliminate
 
 
 # ---------------------------------------------------------------------------
@@ -77,8 +91,147 @@ def cyclic_relabel_isomorphic(g1: Graph, g2: Graph) -> bool:
     return False
 
 
+def complement_by_edges(g: Graph) -> Graph:
+    """The complement built from the non-edge list through Graph()."""
+    edges = [
+        (u, v) for u, v in combinations(g.nodes, 2) if not g.has_edge(u, v)
+    ]
+    family = None
+    if g.family and g.family[0] == "web":
+        family = ("antiweb", g.family[1], g.family[2] + 1)
+    elif g.family and g.family[0] == "antiweb":
+        family = ("web", g.family[1], g.family[2] - 1)
+    return Graph(g.nodes, edges, family=family)
+
+
+def delete_nodes_by_edges(g: Graph, f) -> Graph:
+    """Node deletion that filters the edge list and rebuilds through Graph()."""
+    f = as_nodeset(f)
+    for v in f:
+        if v not in g._pos:
+            raise ValueError(f"cannot delete unknown node label {v}")
+    keep = [v for v in g.nodes if v not in set(f)]
+    if not keep:
+        raise ValueError("deletion would empty the graph")
+    edges = [(u, v) for u, v in g.edges() if u not in set(f) and v not in set(f)]
+    family = g.family if not f else None
+    return Graph(keep, edges, family=family)
+
+
+def find_induced_odd_hole_by_generators(g: Graph, deadline=None, reverse=False):
+    """The odd-hole DFS with a path list, one closure per base node and
+    generator bit loops: the scan order graphs.find_induced_odd_hole
+    must keep."""
+    _check_deadline(deadline)
+    adj = g._adj
+    n = g.n
+    order = range(n - 1, -1, -1) if reverse else range(n)
+    steps = 0
+    for b in order:
+        nb_b = adj[b]
+        gt_b = ~((1 << (b + 1)) - 1) & ((1 << n) - 1)
+
+        def dfs(p1, last, mid_ok, length):
+            nonlocal steps
+            steps += 1
+            if steps % 2048 == 0:
+                _check_deadline(deadline)
+            reach = mid_ok & adj[last]
+            if length >= 4 and length % 2 == 0:
+                for w in _bits(reach & nb_b):
+                    if w > p1:
+                        hole = as_nodeset(g.nodes[i] for i in path + [w])
+                        if not _is_hole(g, hole):
+                            raise RuntimeError(f"odd-hole search returned a non-hole {hole}")
+                        return hole
+            for w in _bits(reach & ~nb_b):
+                path.append(w)
+                res = dfs(p1, w, mid_ok & ~adj[last], length + 1)
+                path.pop()
+                if res is not None:
+                    return res
+            return None
+
+        for p1 in _bits(nb_b & gt_b):
+            path = [b, p1]
+            res = dfs(p1, p1, gt_b & ~(1 << p1), 2)
+            if res is not None:
+                return res
+    return None
+
+
+# ---------------------------------------------------------------------------
+# reports
+
+def jsonable_by_isinstance(v):
+    """The report encoder as one isinstance chain, Fraction first."""
+    if isinstance(v, Fraction):
+        return frac_to_str(v)
+    if isinstance(v, bool) or v is None:
+        return v
+    if isinstance(v, int):
+        return v
+    if isinstance(v, (list, tuple)):
+        return [jsonable_by_isinstance(x) for x in v]
+    if isinstance(v, dict):
+        return {str(k): jsonable_by_isinstance(x)
+                for k, x in sorted(v.items(), key=lambda kv: str(kv[0]))}
+    return str(v)
+
+
 # ---------------------------------------------------------------------------
 # polyhedra
+
+def cone_extreme_rays_full_scan(m_rows) -> list:
+    """Double description with an adjacency test that scans every ray for
+    each candidate pair: the rays, in order, cone_extreme_rays must give."""
+    rows = [_int_row(r) for r in m_rows]
+    d = len(m_rows[0])
+    marked = ({**r, d + i: 1} for i, r in enumerate(rows))
+    basis = list(islice(_echelon(marked, d), d))
+    if len(basis) < d:
+        raise ValueError("cone is not pointed / input not full-dimensional")
+    basis_idx, brows, divs, cols = map(list, zip(*basis))
+    for k in reversed(range(d)):
+        prow, col = brows[k], cols[k]
+        for i in range(k):
+            if col in brows[i]:
+                divs[i] = _eliminate(brows[i], divs[i], prow, prow[col], col)
+    pivots = sorted(zip(cols, brows))
+    L = lcm(*(row[col] for col, row in pivots))
+    rays = [_primitive([row.get(d + i, 0) * (L // row[col]) for col, row in pivots])
+            for i in basis_idx]
+    zeros = [((1 << d) - 1) ^ (1 << j) for j in range(d)]
+    in_basis = set(basis_idx)
+    rest = [t for t in range(len(rows)) if t not in in_basis]
+    for n, t in enumerate(rest, start=d):
+        bit = 1 << n
+        sig = [_dot(rows[t], r) for r in rays]
+        plus = [i for i, s in enumerate(sig) if s > 0]
+        minus = [i for i, s in enumerate(sig) if s < 0]
+        new_rays = [rays[i] for i in plus] + [rays[i] for i, s in enumerate(sig) if s == 0]
+        new_zeros = [zeros[i] for i in plus] + \
+            [zeros[i] | bit for i, s in enumerate(sig) if s == 0]
+        for i in plus:
+            for j in minus:
+                z = zeros[i] & zeros[j]
+                if not _adjacent_full_scan(z, i, j, zeros, d):
+                    continue
+                comb = [sig[i] * rays[j][c] - sig[j] * rays[i][c] for c in range(d)]
+                new_rays.append(_primitive(comb))
+                new_zeros.append(z | bit)
+        rays, zeros = new_rays, new_zeros
+    return rays
+
+
+def _adjacent_full_scan(z_common, i, j, zeros, d) -> bool:
+    if z_common.bit_count() < d - 2:
+        return False
+    for k, zk in enumerate(zeros):
+        if k != i and k != j and z_common & zk == z_common:
+            return False
+    return True
+
 
 def enumerate_vertices(h: HPolytope, bound: int = HULL_BOUND) -> list:
     """Vertices of a bounded HPolytope via the homogenized cone.

@@ -40,7 +40,25 @@ from webrank.graphs import (
 )
 from webrank.polyhedra import stab
 
-from oracles import cyclic_relabel_isomorphic, has_induced_embedding
+from oracles import (
+    complement_by_edges,
+    cyclic_relabel_isomorphic,
+    delete_nodes_by_edges,
+    find_induced_odd_hole_by_generators,
+    has_induced_embedding,
+)
+
+
+def random_graph(rng, n, labels=None):
+    labels = labels or range(1, n + 1)
+    p = rng.random()
+    return Graph(labels, [e for e in combinations(sorted(labels), 2) if rng.random() < p])
+
+
+def same_graph(a, b):
+    return (a == b and a.nodes == b.nodes and a.edges() == b.edges()
+            and a._pos == b._pos and a.family == b.family
+            and a.blocks == b.blocks and a.block_tags == b.block_tags)
 
 
 def test_web_5_1_is_the_5_cycle():
@@ -121,6 +139,24 @@ def test_delete_nothing_is_identity():
 def test_delete_one_node_of_w9_2_leaves_an_odd_hole():
     hole = find_induced_odd_hole(delete_nodes(web(9, 2), (1,)))
     assert hole is not None and len(hole) % 2 == 1
+
+
+def test_graph_edits_match_the_edge_list_route():
+    rng = random.Random(8)
+    graphs = [complete_join(antiweb(7, 3), web(5, 1)), web(9, 2), antiweb(11, 4),
+              edgeless_graph(1), complete_graph(4)]
+    for _ in range(120):
+        n = rng.randint(1, 14)
+        graphs.append(random_graph(rng, n, rng.sample(range(1, 40), n)))
+    for g in graphs:
+        assert same_graph(complement(g), complement_by_edges(g))
+        for _ in range(4):
+            f = rng.sample(g.nodes, rng.randint(0, g.n - 1))
+            assert same_graph(delete_nodes(g, f), delete_nodes_by_edges(g, f)), (g, f)
+        with pytest.raises(ValueError, match="empty the graph"):
+            delete_nodes(g, g.nodes)
+        with pytest.raises(ValueError, match="unknown node label"):
+            delete_nodes(g, [max(g.nodes) + 1])
 
 
 def test_delete_unknown_label_rejected():
@@ -218,7 +254,19 @@ def test_web_alpha_omega_formulas_by_enumeration():
                 continue
             g = web(n, k)
             assert omega(g) == k + 1, (n, k)
-            assert alpha(g, bound=20) == n // (k + 1), (n, k)
+            assert alpha(g) == n // (k + 1), (n, k)
+
+
+def test_alpha_matches_enumeration_on_random_graphs():
+    rng = random.Random(21)
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(1, 14))
+        assert alpha(g) == max(len(s) for s in enumerate_stable_sets(g))
+
+
+def test_alpha_has_no_enumeration_cap():
+    assert alpha(web(20, 2)) == 6
+    assert alpha(antiweb(25, 4)) == 4
 
 
 def test_alpha_examples():
@@ -293,6 +341,19 @@ def test_perfection_is_self_complementary_on_small_catalog():
            complete_join(web(5, 1), complete_graph(2))]
     for g in cat:
         assert is_perfect(g) == is_perfect(complement(g))
+
+
+def test_odd_hole_search_matches_the_generator_dfs():
+    rng = random.Random(14)
+    found = 0
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(1, 14))
+        for h in (g, complement(g)):
+            for reverse in (False, True):
+                hole = find_induced_odd_hole(h, reverse=reverse)
+                assert hole == find_induced_odd_hole_by_generators(h, reverse=reverse)
+                found += hole is not None
+    assert 200 < found < 1000          # both outcomes are well represented
 
 
 def test_odd_hole_search_deadline():

@@ -33,7 +33,13 @@ from webrank.polyhedra import (
     stab,
 )
 
-from oracles import enumerate_vertices, feasible_sets_equal, is_vertex, remove_redundant_rows
+from oracles import (
+    cone_extreme_rays_full_scan,
+    enumerate_vertices,
+    feasible_sets_equal,
+    is_vertex,
+    remove_redundant_rows,
+)
 
 ones = lambda g: {v: 1 for v in g.nodes}
 
@@ -282,3 +288,26 @@ def test_hull_on_join_host():
     facets = convex_hull_facets(stab(host))
     joined = LinearInequality({v: Fraction(1, 2) for v in host.nodes}, 1)
     assert joined in facets
+
+
+def test_cone_rays_match_the_full_adjacency_scan():
+    """Same rays in the same order as the DD step that scans every ray for
+    each candidate pair, on the polar cones of seeded 0/1 point sets."""
+    rng = random.Random(40)
+    done = 0
+    while done < 40:
+        n = rng.randint(3, 9)
+        if done % 2:                       # stable sets of a random graph
+            p = rng.random()
+            g = Graph(range(1, n + 1), [e for e in combinations(range(1, n + 1), 2)
+                                        if rng.random() < p])
+            pts = list(stab(g).points)
+        else:                              # any 0/1 points
+            pts = sorted({tuple(rng.randint(0, 1) for _ in range(n))
+                          for _ in range(rng.randint(n + 1, 3 * n))})
+            if affine_rank(pts) != n:
+                continue
+        rng.shuffle(pts)
+        m_rows = [[Fraction(1)] + [-Fraction(c) for c in p] for p in pts]
+        assert cone_extreme_rays(m_rows) == cone_extreme_rays_full_scan(m_rows)
+        done += 1

@@ -169,6 +169,26 @@ def test_row_rank_search_order_is_pinned():
         [()] + [(v,) for v in range(1, 11)] + [(1, v) for v in range(2, 6)]
 
 
+def test_exhaustive_row_rank_step_decides_each_f_once(monkeypatch):
+    # the ascending search has rejected some F of size rank-1 already;
+    # the exhaustive step decides only the others
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2])
+        return disjunctive_valid(*args)
+
+    monkeypatch.setattr(webrank.rank, "disjunctive_valid", counted)
+    g = antiweb(8, 3)
+    row, _ = antiweb_constraint(AntiwebId(8, 3))
+    disjunctive_rank_inequality(row, qstab(g), cyclic=True)
+    assert len(calls) == len(set(calls)) == 10
+    host = parse_graph_spec("join:A:5:2,A:5:2")
+    calls.clear()
+    disjunctive_rank_inequality(joined_inequality(join_blocks_of(host)), qstab(host))
+    assert len(calls) == len(set(calls)) == 16
+
+
 def test_row_rank_rejects_rows_invalid_for_the_hull():
     g = web(5, 1)
     bad = rank_constraint(complete_graph(5))           # x(V) <= 1 on C_5
