@@ -490,28 +490,26 @@ def find_induced_odd_hole(g: Graph, deadline=None, reverse=False):
 
 
 def _is_hole(g: Graph, nodes) -> bool:
-    """Independent re-check: induced subgraph on `nodes` is a single cycle."""
+    """Independent re-check: induced subgraph on `nodes` is a single cycle.
+
+    Read off the adjacency masks alone: every node has exactly two
+    neighbors in the set, and a flood fill from one node reaches all."""
     nodes = as_nodeset(nodes)
     if len(nodes) < 4:
         return False
-    degs = {}
-    for u, v in combinations(nodes, 2):
-        if g.has_edge(u, v):
-            degs[u] = degs.get(u, 0) + 1
-            degs[v] = degs.get(v, 0) + 1
-    if any(degs.get(v, 0) != 2 for v in nodes):
+    adj, pos = g._adj, g._pos
+    at = [pos[v] for v in nodes]
+    inset = sum(1 << i for i in at)
+    if any((adj[i] & inset).bit_count() != 2 for i in at):
         return False
-    # connectivity of the 2-regular induced subgraph = one cycle
-    seen = {nodes[0]}
-    frontier = [nodes[0]]
-    inset = set(nodes)
+    seen = frontier = 1 << at[0]
     while frontier:
-        u = frontier.pop()
-        for w in g.neighbors(u):
-            if w in inset and w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    return len(seen) == len(nodes)
+        reach = 0
+        for i in _bits(frontier):
+            reach |= adj[i]
+        frontier = reach & inset & ~seen
+        seen |= frontier
+    return seen == inset
 
 
 def is_odd_hole(g: Graph, nodes) -> bool:

@@ -236,12 +236,11 @@ def disjunctive_member(x: dict, h: HPolytope, f, piece_cap: int = PIECE_CAP):
     lam0 = npieces * n
     pos = {v: i for i, v in enumerate(h.index)}
     lp = LinearProgram(nv)
-    dense_rows = [(h.dense(r.coeffs), r.rhs) for r in h.rows]
     for p in range(npieces):
         base = p * n
-        for coeffs, rhs in dense_rows:
-            row = {base + j: c for j, c in enumerate(coeffs) if c != 0}
-            row[lam0 + p] = -rhs
+        for r in h.rows:
+            row = {base + pos[v]: c for v, c in r.coeffs.items()}
+            row[lam0 + p] = -r.rhs
             lp.add_le(row, 0)
         for v, z in zip(f, zs[p]):
             lp.add_eq({base + pos[v]: 1, lam0 + p: -z}, 0)

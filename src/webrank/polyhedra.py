@@ -156,9 +156,6 @@ class HPolytope:
     def dim(self) -> int:
         return len(self.index)
 
-    def dense(self, coeffs: dict) -> list:
-        return [Fraction(coeffs.get(v, 0)) for v in self.index]
-
     def contains(self, point: dict) -> bool:
         return all(r.satisfied_by(point) for r in self.rows) and all(
             point.get(v, Fraction(0)) >= 0 for v in self.index)
@@ -190,16 +187,17 @@ def lp_max(h: HPolytope, objective) -> LPOutcome:
     so an unbounded status is an internal inconsistency and raises.
     """
     obj = objective if isinstance(objective, dict) else dict(zip(h.index, objective))
-    dense_obj = h.dense(obj)
+    pos = {v: i for i, v in enumerate(h.index)}
+    lp_obj = {pos[v]: c for v, c in obj.items() if v in pos}
     lp = LinearProgram(len(h.index))
     for r in h.rows:
-        lp.add_le(h.dense(r.coeffs), r.rhs)
-    res = lp.solve(dense_obj)
+        lp.add_le({pos[v]: c for v, c in r.coeffs.items()}, r.rhs)
+    res = lp.solve(lp_obj)
     if res.status == "unbounded":
         raise RuntimeError("relaxation unbounded: missing bound rows")
     if res.status == "infeasible":
         return LPOutcome(status="infeasible", pivots=res.pivots)
-    lp.check_optimal(res, dense_obj)
+    lp.check_optimal(res, lp_obj)
     point = dict(zip(h.index, res.x))
     return LPOutcome(status="optimal", value=res.value, point=point,
                      duals=res.duals, pivots=res.pivots)

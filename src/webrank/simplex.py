@@ -10,8 +10,11 @@ rows with a nonzero in the entering column, and in each of them only the
 nonzeros of that row and of the pivot row: ``row*(p/g) - prow*(e/g)``
 with ``g = gcd(p, e)``, in the gcd-reduced style of Bareiss (1968).  The
 reduced-cost row is built in integers over the lcm of the divisors of
-the rows that contribute to it.  ``LinearProgram.rows`` stays the dense
-``(Fraction coeffs, rhs, kind)`` list; each solve reads its nonzeros once.
+the rows that contribute to it.  ``LinearProgram.rows`` holds sparse
+``(coeffs, rhs, kind)`` rows, ``coeffs`` the nonzero ``(column, Fraction)``
+pairs, which a solve clears of denominators directly.  A pivot scans the
+rows once: the ratio scan also records every row with a nonzero in the
+entering column, and the pivot clears just those.
 
 Pivot rules are deterministic.  The default "hybrid" rule is Dantzig
 (most negative reduced cost, lowest index on ties) with an automatic
@@ -74,29 +77,33 @@ class LinearProgram:
         if num_vars < 1:
             raise ValueError("need at least one variable")
         self.nv = num_vars
-        self.rows = []               # (dense Fraction coeffs, Fraction rhs, kind)
+        self._cols = frozenset(range(num_vars))
+        self.rows = []               # (nonzero (column, Fraction) pairs, Fraction rhs, kind)
         self._tab = None
 
-    def _dense(self, coeffs):
-        if isinstance(coeffs, dict):
-            row = [Fraction(0)] * self.nv
-            for j, v in coeffs.items():
-                row[j] = _frac(v)
-            return row
-        row = [_frac(v) for v in coeffs]
-        if len(row) != self.nv:
-            raise ValueError(f"row length {len(row)} != {self.nv}")
-        return row
+    def _pairs(self, coeffs) -> list:
+        """The nonzero (column, Fraction) pairs of a row or objective given
+        as a dict {column: value} or as a dense list of nv values; a column
+        outside 0..nv-1 raises ValueError."""
+        if not isinstance(coeffs, dict):
+            if len(coeffs) != self.nv:
+                raise ValueError(f"row length {len(coeffs)} != {self.nv}")
+            coeffs = dict(enumerate(coeffs))
+        if not self._cols.issuperset(coeffs):
+            bad = [j for j in coeffs if j not in self._cols]
+            raise ValueError(f"columns {bad} outside 0..{self.nv - 1}")
+        return [(j, v if isinstance(v, Fraction) else Fraction(v))
+                for j, v in coeffs.items() if v]
 
     def add_le(self, coeffs, rhs):
-        self.rows.append((self._dense(coeffs), _frac(rhs), "<="))
+        self.rows.append((self._pairs(coeffs), _frac(rhs), "<="))
 
     def add_eq(self, coeffs, rhs):
-        self.rows.append((self._dense(coeffs), _frac(rhs), "="))
+        self.rows.append((self._pairs(coeffs), _frac(rhs), "="))
 
     def solve(self, objective=None, pivot_rule: str = "hybrid") -> LPResult:
         """Maximize objective (default 0) over the current rows."""
-        obj = self._dense(objective) if objective is not None else [Fraction(0)] * self.nv
+        obj = self._pairs(objective) if objective is not None else []
         self._tab = _Tableau(self, pivot_rule)
         return self._tab.solve(obj)
 
@@ -108,7 +115,7 @@ class LinearProgram:
         """
         if self._tab is None or not self._tab.feasible_basis:
             raise RuntimeError("resolve() needs a previous feasible solve")
-        return self._tab.reoptimize(self._dense(objective))
+        return self._tab.reoptimize(self._pairs(objective))
 
     def maximize(self, objective, pivot_rule: str = "hybrid") -> LPResult:
         """Re-solve from the last feasible basis when there is one, else
@@ -122,28 +129,28 @@ class LinearProgram:
 
         Raises CertificateError naming the first condition that fails.
         """
-        obj = self._dense(objective)
+        obj = dict(self._pairs(objective))
         _require(res.status == "optimal", "not an optimal result")
         x = res.x
         _require(all(v >= 0 for v in x), "negative primal value")
         support = {j: v for j, v in enumerate(x) if v}
-        red = [-c for c in obj]      # sum_i y_i a_ij - c_j, one pass per row
+        red = {j: -c for j, c in obj.items()}   # sum_i y_i a_ij - c_j, one pass per row
         for (coeffs, rhs, kind), y in zip(self.rows, res.duals):
             lhs = Fraction(0)
-            for j, c in _nonzeros(coeffs):
+            for j, c in coeffs:
                 if j in support:
                     lhs += c * support[j]
                 if y:
-                    red[j] += y * c
+                    red[j] = red.get(j, 0) + y * c
             if kind == "<=":
                 _require(lhs <= rhs, "primal infeasible")
                 _require(y >= 0, "negative dual on <= row")
                 _require(y == 0 or lhs == rhs, "complementary slackness (row)")
             else:
                 _require(lhs == rhs, "equality violated")
-        _require(sum(obj[j] * v for j, v in support.items()) == res.value,
+        _require(sum(obj.get(j, 0) * v for j, v in support.items()) == res.value,
                  "value mismatch")
-        for j, r in enumerate(red):
+        for j, r in sorted(red.items()):     # a column missing from red has r = 0
             _require(r >= 0, "dual infeasible")
             _require(j not in support or r == 0, "complementary slackness (column)")
         _require(sum(y * r[1] for y, r in zip(res.duals, self.rows)) == res.value,
@@ -157,14 +164,14 @@ class LinearProgram:
         _require(res.status == "infeasible" and res.farkas is not None,
                  "not an infeasibility certificate")
         y = res.farkas
-        col = [Fraction(0)] * self.nv
+        col = {}
         for (coeffs, rhs, kind), yi in zip(self.rows, y):
             if kind == "<=":
                 _require(yi >= 0, "negative multiplier on <= row")
             if yi:
-                for j, c in _nonzeros(coeffs):
-                    col[j] += yi * c
-        _require(all(v >= 0 for v in col), "negative column in the Farkas combination")
+                for j, c in coeffs:
+                    col[j] = col.get(j, 0) + yi * c
+        _require(all(v >= 0 for v in col.values()), "negative column in the Farkas combination")
         _require(sum(yi * r[1] for yi, r in zip(y, self.rows)) < 0,
                  "nonnegative right-hand side in the Farkas combination")
 
@@ -172,11 +179,6 @@ class LinearProgram:
 def _frac(v):
     """v as a Fraction; a Fraction is kept as it is (it is immutable)."""
     return v if isinstance(v, Fraction) else Fraction(v)
-
-
-def _nonzeros(coeffs):
-    """(column, value) pairs of the nonzero entries of a dense row."""
-    return [(j, c) for j, c in enumerate(coeffs) if c]
 
 
 def _intify(items):
@@ -252,10 +254,7 @@ class _Tableau:
         self.basis = []
         self.orig = []               # original row index per tableau row
         for t, (coeffs, rhs, kind) in enumerate(lp.rows):
-            items = _nonzeros(coeffs)
-            if rhs:
-                items.append((ncols, rhs))
-            row, L = _intify(items)
+            row, L = _intify(coeffs + [(ncols, rhs)] if rhs else coeffs)
             flip = rhs < 0
             if flip:
                 row = {j: -v for j, v in row.items()}
@@ -281,15 +280,17 @@ class _Tableau:
 
     # -- pivoting ----------------------------------------------------------
 
-    def _pivot(self, r, s, allow_any_sign=False):
+    def _pivot(self, r, s, hits, allow_any_sign=False):
+        """Pivot on row r, column s; hits lists every row with a nonzero
+        in column s (row r among them), the rows the pivot must clear."""
         rows, divs = self.rows, self.divs
         prow = rows[r]
         p = prow.get(s, 0)
         if p == 0 or (p < 0 and not allow_any_sign):
             raise RuntimeError(f"pivot entry {p} in row {r}, column {s} has the wrong sign")
-        for i, row in enumerate(rows):
-            if i != r and s in row:
-                divs[i] = _eliminate(row, divs[i], prow, p, s)
+        for i in hits:
+            if i != r:
+                divs[i] = _eliminate(rows[i], divs[i], prow, p, s)
         if s in self.obj:
             self.obj_div = _eliminate(self.obj, self.obj_div, prow, p, s)
         divs[r] = _normalize(prow, p)
@@ -325,11 +326,17 @@ class _Tableau:
 
     def _leaving(self, s):
         """Minimum ratio over rows with a positive entry in column s; ties
-        go to the row whose basic column is lowest."""
+        go to the row whose basic column is lowest.  Returns (best, hits):
+        best is (tableau row, rhs, pivot entry) or None, and hits lists
+        every row with a nonzero in column s, of either sign, in order."""
         rhs = self.ncols
         best = None                   # (tableau row, rhs, pivot entry)
+        hits = []
         for i, row in enumerate(self.rows):
-            a = row.get(s, 0)
+            a = row.get(s)
+            if a is None:
+                continue
+            hits.append(i)
             if a > 0:
                 b = row.get(rhs, 0)
                 if best is None:
@@ -339,7 +346,7 @@ class _Tableau:
                 other = best[1] * a
                 if lhs < other or (lhs == other and self.basis[i] < self.basis[best[0]]):
                     best = (i, b, a)
-        return best
+        return best, hits
 
     def _run(self):
         bland = self.rule == "bland"
@@ -350,11 +357,11 @@ class _Tableau:
             s = self._entering(bland)
             if s is None:
                 return "optimal"
-            hit = self._leaving(s)
+            hit, hits = self._leaving(s)
             if hit is None:
                 return "unbounded"
             r, rhs, _ = hit
-            self._pivot(r, s)
+            self._pivot(r, s, hits)
             if self.rule == "hybrid":
                 if rhs == 0:
                     streak += 1
@@ -403,12 +410,13 @@ class _Tableau:
             if s is None:
                 drop.append(i)      # redundant equality
             else:
-                self._pivot(i, s, allow_any_sign=True)
+                hits = [t for t, other in enumerate(self.rows) if s in other]
+                self._pivot(i, s, hits, allow_any_sign=True)
         for i in reversed(drop):
             del self.rows[i], self.divs[i], self.basis[i], self.orig[i]
 
     def reoptimize(self, objective) -> LPResult:
-        cints, scale = _intify(_nonzeros(objective))
+        cints, scale = _intify(objective)
         self._build_obj(cints, scale)
         status = self._run()
         self.feasible_basis = True

@@ -160,6 +160,31 @@ def find_induced_odd_hole_by_generators(g: Graph, deadline=None, reverse=False):
     return None
 
 
+def is_hole_by_pairs(g: Graph, nodes) -> bool:
+    """The hole re-check over node pairs and neighbor tuples: degrees
+    from has_edge on every pair, then a search over g.neighbors."""
+    nodes = as_nodeset(nodes)
+    if len(nodes) < 4:
+        return False
+    degs = {}
+    for u, v in combinations(nodes, 2):
+        if g.has_edge(u, v):
+            degs[u] = degs.get(u, 0) + 1
+            degs[v] = degs.get(v, 0) + 1
+    if any(degs.get(v, 0) != 2 for v in nodes):
+        return False
+    seen = {nodes[0]}
+    frontier = [nodes[0]]
+    inset = set(nodes)
+    while frontier:
+        u = frontier.pop()
+        for w in g.neighbors(u):
+            if w in inset and w not in seen:
+                seen.add(w)
+                frontier.append(w)
+    return len(seen) == len(nodes)
+
+
 # ---------------------------------------------------------------------------
 # reports
 
@@ -233,6 +258,11 @@ def _adjacent_full_scan(z_common, i, j, zeros, d) -> bool:
     return True
 
 
+def dense(h: HPolytope, coeffs: dict) -> list:
+    """coeffs as one Fraction per coordinate of h, in index order."""
+    return [Fraction(coeffs.get(v, 0)) for v in h.index]
+
+
 def enumerate_vertices(h: HPolytope, bound: int = HULL_BOUND) -> list:
     """Vertices of a bounded HPolytope via the homogenized cone.
 
@@ -243,8 +273,7 @@ def enumerate_vertices(h: HPolytope, bound: int = HULL_BOUND) -> list:
         raise ResourceCapExceeded(f"vertex enumeration bound exceeded: dim={n} > {bound}")
     m_rows = [[Fraction(1)] + [Fraction(0)] * n]           # x0 >= 0
     for r in h.rows:
-        dense = h.dense(r.coeffs)
-        m_rows.append([r.rhs] + [-c for c in dense])
+        m_rows.append([r.rhs] + [-c for c in dense(h, r.coeffs)])
     for j in range(n):                                      # x >= 0 structurally
         row = [Fraction(0)] * (n + 1)
         row[j + 1] = Fraction(1)
@@ -268,7 +297,7 @@ def is_vertex(point: dict, h: HPolytope) -> bool:
     tight = []
     for r in h.rows:
         if r.evaluate(point) == r.rhs:
-            tight.append(h.dense(r.coeffs))
+            tight.append(dense(h, r.coeffs))
     for j, vlab in enumerate(h.index):
         if point.get(vlab, Fraction(0)) == 0:
             row = [Fraction(0)] * h.dim
@@ -289,8 +318,8 @@ def remove_redundant_rows(h: HPolytope) -> HPolytope:
         others = kept + rows[i + 1:]
         lp = LinearProgram(len(h.index))
         for o in others:
-            lp.add_le(h.dense(o.coeffs), o.rhs)
-        res = lp.solve(h.dense(r.coeffs))
+            lp.add_le(dense(h, o.coeffs), o.rhs)
+        res = lp.solve(dense(h, r.coeffs))
         implied = res.status == "optimal" and res.value <= r.rhs
         implied = implied or res.status == "infeasible"
         if not implied:

@@ -9,6 +9,7 @@ import pytest
 
 from webrank.graphs import (
     AntiwebId,
+    _is_hole,
     ConstructedHole,
     Graph,
     SearchTimeout,
@@ -46,6 +47,7 @@ from oracles import (
     delete_nodes_by_edges,
     find_induced_odd_hole_by_generators,
     has_induced_embedding,
+    is_hole_by_pairs,
 )
 
 
@@ -354,6 +356,61 @@ def test_odd_hole_search_matches_the_generator_dfs():
                 assert hole == find_induced_odd_hole_by_generators(h, reverse=reverse)
                 found += hole is not None
     assert 200 < found < 1000          # both outcomes are well represented
+
+
+def planted_cycles(rng, n):
+    """(graph, node list, expected verdict or None) triples on a random graph
+    with n non-contiguous labels: a planted hole, the same graph with a
+    chord across it, two disjoint planted cycles, the holes the odd-hole
+    search finds, and random node lists of any size."""
+    labels = sorted(rng.sample(range(1, 40), n))
+    p = rng.random()
+    edges = {e for e in combinations(labels, 2) if rng.random() < p}
+    order = rng.sample(labels, n)
+
+    def plant(cycle):
+        inside = set(cycle)
+        edges.difference_update({e for e in edges if e[0] in inside and e[1] in inside})
+        edges.update(tuple(sorted(e)) for e in zip(cycle, cycle[1:] + cycle[:1]))
+
+    planted = []
+    if n >= 4:
+        k = rng.randint(4, n)
+        hole, order = order[:k], order[k:]
+        plant(hole)
+        planted.append((hole, True))
+    if len(order) >= 6:
+        a = rng.randint(3, len(order) - 3)
+        first, second = order[:a], order[a:a + rng.randint(3, len(order) - a)]
+        plant(first)
+        plant(second)
+        planted.append((first + second, False))
+    g = Graph(labels, edges)
+    cases = [(g, nodes, expected) for nodes, expected in planted]
+    if n >= 4:
+        i = rng.randrange(len(hole))
+        j = (i + rng.randint(2, len(hole) - 2)) % len(hole)
+        cases.append((Graph(labels, edges | {tuple(sorted((hole[i], hole[j])))}), hole, False))
+    cases += [(g, rng.sample(labels, rng.randint(0, n)), None) for _ in range(6)]
+    for reverse in (False, True):
+        found = find_induced_odd_hole(g, reverse=reverse)
+        if found is not None:
+            cases.append((g, list(found), True))
+    return cases
+
+
+def test_hole_recheck_on_masks_matches_the_pair_scan():
+    rng = random.Random(9)
+    seen = {True: 0, False: 0}
+    for _ in range(400):
+        for g, nodes, expected in planted_cycles(rng, rng.randint(1, 14)):
+            verdict = _is_hole(g, nodes)
+            assert verdict == is_hole_by_pairs(g, nodes), (g.edges(), nodes)
+            assert expected is None or verdict == expected, (g.edges(), nodes)
+            seen[verdict] += 1
+    for small in ((), (1,), (1, 2), (1, 2, 3)):   # a triangle is no hole
+        assert not _is_hole(complete_graph(3), small)
+    assert seen[True] > 300 and seen[False] > 1000
 
 
 def test_odd_hole_search_deadline():

@@ -7,6 +7,7 @@ trusting the pivot path.
 """
 
 import gc
+import hashlib
 import os
 import random
 import subprocess
@@ -208,6 +209,105 @@ def test_bland_and_hybrid_agree():
         assert a.status == b.status
         if a.status == "optimal":
             assert a.value == b.value
+
+
+def random_lp_cases(seed, count):
+    """Seeded small LPs: <= and = rows, negative right-hand sides, scaled
+    duplicate (redundant) rows, three objectives and a pivot rule each."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 6)
+        rows = []
+        for _ in range(rng.randint(1, 7)):
+            coeffs = [Fraction(rng.randint(-3, 4), rng.randint(1, 3))
+                      if rng.random() < 0.6 else Fraction(0) for _ in range(n)]
+            kind = "=" if rng.random() < 0.3 else "<="
+            rhs = Fraction(rng.randint(-3, 8), rng.randint(1, 2))
+            rows.append((coeffs, rhs, kind))
+            if rng.random() < 0.2:
+                k = rng.randint(1, 3)
+                rows.append(([k * c for c in coeffs], k * rhs, kind))
+        rows.append(([Fraction(1)] * n, Fraction(20), "<="))
+        objectives = [[Fraction(rng.randint(-4, 6)) for _ in range(n)] for _ in range(3)]
+        yield n, rows, objectives, rng.choice(("hybrid", "bland"))
+
+
+def run_lp_case(n, rows, objectives, rule, as_dict):
+    """A solve, a resolve and a maximize, each certificate checked; rows and
+    objectives go in as dicts (zeros at odd columns kept) or dense lists."""
+    def form(coeffs):
+        return {j: c for j, c in enumerate(coeffs) if c or j % 2} if as_dict else coeffs
+    lp = LinearProgram(n)
+    for coeffs, rhs, kind in rows:
+        (lp.add_le if kind == "<=" else lp.add_eq)(form(coeffs), rhs)
+    out = [lp.solve(form(objectives[0]), pivot_rule=rule)]
+    if out[0].status != "infeasible":
+        out.append(lp.resolve(form(objectives[1])))
+        out.append(lp.maximize(form(objectives[2])))
+    for res, c in zip(out, objectives):
+        if res.status == "optimal":
+            lp.check_optimal(res, form(c))
+        else:
+            lp.check_farkas(res)
+    return [(r.status, r.value, r.x, r.duals, r.farkas, r.pivots) for r in out]
+
+
+def test_dict_and_dense_rows_give_identical_pinned_results():
+    records = []
+    for case in random_lp_cases(2024, 150):
+        dense = run_lp_case(*case, as_dict=False)
+        assert run_lp_case(*case, as_dict=True) == dense
+        records.append(dense)
+    statuses = [r[0] for rec in records for r in rec]
+    assert (statuses.count("optimal"), statuses.count("infeasible")) == (171, 93)
+    # status, value, x, duals, Farkas multipliers and pivot count of every
+    # result, as the dense-row simplex computed them
+    digest = hashlib.sha256(repr(records).encode()).hexdigest()
+    assert digest == "6bb68012327601c394c37321f05536055a217f5f6d05e49470e1f55506bb5601"
+
+
+def test_a_pivot_clears_negative_entries_of_the_entering_column():
+    # x1 enters first and has -1 in the second row; unless the pivot clears
+    # it there, the second pivot reads x2 = 1 instead of 1 + x1 = 3
+    for as_dict in (False, True):
+        lp = LinearProgram(2)
+        lp.add_le({0: 1} if as_dict else [1, 0], 2)
+        lp.add_le({0: -1, 1: 1} if as_dict else [-1, 1], 1)
+        res = lp.solve([1, 1])
+        assert (res.status, res.value, res.x, res.pivots) == ("optimal", 5, [2, 3], 2)
+        assert res.duals == [2, 1]
+        lp.check_optimal(res, [1, 1])
+
+
+def test_driving_out_an_artificial_clears_its_column_in_every_row():
+    # phase 1 ends at once with both artificials basic at zero; driving the
+    # first out pivots on x1, which has -1 in the second row, and only when
+    # that row is cleared too does it become all-artificial and get dropped
+    lp = LinearProgram(2)
+    lp.add_eq([1, -1], 0)
+    lp.add_eq([-1, 1], 0)
+    lp.add_le([1, 1], 2)
+    res = lp.solve([1, 2])
+    assert (res.status, res.value, res.x, res.pivots) == ("optimal", 3, [1, 1], 2)
+    assert res.duals == [Fraction(-1, 2), 0, Fraction(3, 2)]
+    lp.check_optimal(res, [1, 2])
+
+
+@pytest.mark.parametrize("coeffs", [{-1: 1}, {3: 1}, {0: 1, 5: 2}, {1.5: 1}, [1, 1], [1, 1, 1, 1]])
+def test_out_of_range_columns_are_rejected(coeffs):
+    lp = LinearProgram(3)
+    with pytest.raises(ValueError):
+        lp.add_le(coeffs, 1)
+    with pytest.raises(ValueError):
+        lp.add_eq(coeffs, 1)
+    assert lp.rows == []
+    with pytest.raises(ValueError):
+        lp.solve(coeffs)
+    lp.add_le([1, 1, 1], 1)
+    res = lp.solve([1, 0, 0])
+    for call in (lp.resolve, lp.maximize, lambda c: lp.check_optimal(res, c)):
+        with pytest.raises(ValueError):
+            call(coeffs)
 
 
 def test_beale_cycling_example_terminates():
