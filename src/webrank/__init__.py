@@ -31,7 +31,6 @@ from .polyhedra import (
     VPolytope,
     convex_hull_facets,
     frac,
-    is_facet,
     is_valid,
     lp_max,
     qstab,

@@ -6,13 +6,20 @@ error, 4 internal error (a RuntimeError such as a failed certificate
 check, the simplex pivot limit or an unbounded relaxation, reported as
 one "internal error: ..." line on stderr).  Machine output is JSON with
 exact rationals ("p/q" strings), byte-identical for a fixed seed and
-config; human tables render the same exact values.
+config; human tables render the same exact values.  Caps (exit 2 when
+hit): --hull-bound on the hull dimension, which is also the node count
+whose stable sets a hull enumerates; --piece-cap on |F|; --depth-cap on
+the N depth; --time-budget in seconds for the graph-rank searches.
+A max over STAB without a hull (alpha, the row-rank check against STAB,
+the sandwich) is a stable set search and has no cap.
 
     webrank generate W:8:2 --out w82
     webrank rank graph W:9:2 --operator disjunctive
     webrank rank ineq rank-constraint W:10:2 --operator N --rmax 1
     webrank verify web-formulas --ks 2,3,4 --nmax 16
     webrank verify rdfar --nmax 11
+    webrank verify join --spec join:K:14,A:5:2
+    webrank hull K:19 --hull-bound 19
     webrank recheck report.json
 """
 
@@ -22,7 +29,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 from itertools import product
 
 from .graphs import (
@@ -44,8 +50,16 @@ from .inequalities import (
     rank_constraint,
     tag_inequality,
 )
-from .liftproject import PieceSystem, disjunctive_member, n_operator_max, piece_max
+from .liftproject import (
+    DEPTH_CAP,
+    PIECE_CAP,
+    PieceSystem,
+    disjunctive_member,
+    n_operator_max,
+    piece_max,
+)
 from .polyhedra import (
+    HULL_BOUND,
     convex_hull_facets,
     frac,
     frac_to_str,
@@ -71,38 +85,14 @@ from .reporting import Report
 EXIT_OK, EXIT_FAIL, EXIT_CAP, EXIT_INPUT, EXIT_INTERNAL = 0, 1, 2, 3, 4
 
 
-@dataclass
-class RunConfig:
-    """Caps and output knobs shared by all subcommands."""
-
-    hull_bound: int = 12
-    piece_cap: int = 12
-    depth_cap: int = 2
-    stab_bound: int = 18
-    time_budget: float | None = None
-    fmt: str = "table"
-    seed: int = 0
-
-    @property
-    def deadline(self):
-        return None if self.time_budget is None else time.monotonic() + self.time_budget
-
-
 def _add_common(p):
-    p.add_argument("--hull-bound", type=int, default=12)
-    p.add_argument("--piece-cap", type=int, default=12)
-    p.add_argument("--depth-cap", type=int, default=2)
-    p.add_argument("--stab-bound", type=int, default=18)
+    p.add_argument("--hull-bound", type=int, default=HULL_BOUND)
+    p.add_argument("--piece-cap", type=int, default=PIECE_CAP)
+    p.add_argument("--depth-cap", type=int, default=DEPTH_CAP)
     p.add_argument("--time-budget", type=float, default=None,
                    help="seconds before searches abort (exit 2)")
     p.add_argument("--format", dest="fmt", choices=("table", "json"), default="table")
     p.add_argument("--seed", type=int, default=0)
-
-
-def _config(args) -> RunConfig:
-    return RunConfig(args.hull_bound, args.piece_cap, args.depth_cap,
-                     args.stab_bound, args.time_budget,
-                     args.fmt, args.seed)
 
 
 def _parse_range(text: str):
@@ -113,14 +103,15 @@ def _parse_range(text: str):
     return [int(x) for x in text.split(",")]
 
 
-def _emit(report: Report, cfg: RunConfig, out=None) -> int:
-    text = report.to_json_str() if cfg.fmt == "json" else report.to_table()
+def _emit(report: Report, args) -> int:
+    text = report.to_json_str() if args.fmt == "json" else report.to_table()
+    out = args.out
     if out:
         with open(out, "w") as fh:
-            fh.write(text if cfg.fmt == "json" else report.to_json_str())
+            fh.write(text if args.fmt == "json" else report.to_json_str())
             fh.write("\n")
         print(f"report written to {out}")
-    if not out or cfg.fmt == "table":
+    if not out or args.fmt == "table":
         print(text)
     return EXIT_OK if report.passed else EXIT_FAIL
 
@@ -128,7 +119,7 @@ def _emit(report: Report, cfg: RunConfig, out=None) -> int:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_generate(args, cfg) -> int:
+def cmd_generate(args) -> int:
     g = parse_graph_spec(args.spec)
     dim = to_dimacs(g)
     js = json.dumps(to_json_dict(g), sort_keys=True, separators=(",", ":"))
@@ -167,25 +158,24 @@ def _build_row(family: str, g):
     raise ValueError(f"unknown inequality family {family!r}")
 
 
-def cmd_rank(args, cfg) -> int:
+def cmd_rank(args) -> int:
     g = parse_graph_spec(args.spec)
     cert = None
     if args.target == "graph":
         if args.operator == "disjunctive":
             if args.polyhedral:
-                rank = disjunctive_rank_graph_polyhedral(
-                    g, cfg.hull_bound, cfg.stab_bound, cfg.piece_cap)
+                rank = disjunctive_rank_graph_polyhedral(g, args.hull_bound,
+                                                         args.piece_cap)
                 result = {"target": args.spec, "operator": "disjunctive",
                           "route": "polyhedral", "rank": rank}
             else:
-                res = disjunctive_rank_graph(g, deadline=cfg.deadline)
+                res = disjunctive_rank_graph(g, deadline=args.deadline)
                 cert = res.to_json(g)
                 result = {"target": args.spec, "operator": "disjunctive",
                           "route": "combinatorial", "rank": res.rank,
                           "deletion_set": list(res.deletion_set)}
         else:
-            r = n_rank_graph_upto(g, args.rmax, cfg.hull_bound, cfg.stab_bound,
-                                  cfg.depth_cap)
+            r = n_rank_graph_upto(g, args.rmax, args.hull_bound, args.depth_cap)
             if r is None:
                 print(f"N-rank of {args.spec} exceeds rmax={args.rmax} "
                       f"(lower bound {args.rmax + 1}); raise --rmax/--depth-cap")
@@ -197,13 +187,13 @@ def cmd_rank(args, cfg) -> int:
         if args.operator == "disjunctive":
             res = disjunctive_rank_inequality(
                 row, h, cyclic=symmetric and g.family is not None,
-                piece_cap=cfg.piece_cap)
+                piece_cap=args.piece_cap)
             cert = res.to_json(row, h)
             result = {"target": args.spec, "family": args.family,
                       "operator": "disjunctive", "rank": res.rank,
                       "witness_f": list(res.witness_f)}
         else:
-            r = n_rank_inequality_upto(row, h, args.rmax, cfg.depth_cap)
+            r = n_rank_inequality_upto(row, h, args.rmax, args.depth_cap)
             if r is None:
                 print(f"N-rank of the row exceeds rmax={args.rmax}")
                 return EXIT_CAP
@@ -216,20 +206,20 @@ def cmd_rank(args, cfg) -> int:
                  "certificate": cert}]}, fh, sort_keys=True,
                 separators=(",", ":"))
             fh.write("\n")
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         print(json.dumps(result, sort_keys=True, separators=(",", ":")))
     else:
         print(" ".join(f"{k}={v}" for k, v in result.items()))
     return EXIT_OK
 
 
-def cmd_verify(args, cfg) -> int:
+def cmd_verify(args) -> int:
     nmax_default = {"web-formulas": 12, "rdfar": 11, "operators": 9}
     nmax = args.nmax if args.nmax is not None else nmax_default.get(args.suite)
     if args.suite == "web-formulas":
         rep = verify_web_rank_formulas(
             ks=_parse_range(args.ks), n_max=nmax,
-            complements=not args.no_complements, deadline=cfg.deadline)
+            complements=not args.no_complements, deadline=args.deadline)
     elif args.suite == "rdfar":
         rep = Report("rdfar", {"nmax": nmax, "exhaustive": args.exhaustive})
         from math import gcd
@@ -237,32 +227,31 @@ def cmd_verify(args, cfg) -> int:
             for k in range(2, n // 2 + 1):
                 if gcd(n, k) == 1:
                     sub = verify_rdfar(AntiwebId(n, k), exhaustive=args.exhaustive,
-                                       piece_cap=cfg.piece_cap, seed=cfg.seed)
+                                       piece_cap=args.piece_cap, seed=args.seed)
                     rep.entries.extend(sub.entries)
     elif args.suite == "w2":
-        rep = verify_w2_description(_parse_range(args.n_values),
-                                    cfg.hull_bound, cfg.stab_bound)
+        rep = verify_w2_description(_parse_range(args.n_values), args.hull_bound)
     elif args.suite == "join":
         host = parse_graph_spec(args.spec)
-        rep = verify_join_bound(join_blocks_of(host), cfg.piece_cap,
-                                deadline=cfg.deadline)
+        rep = verify_join_bound(join_blocks_of(host), args.piece_cap,
+                                deadline=args.deadline)
     elif args.suite == "operators":
-        rep = verify_operator_sandwich(nmax, args.objectives, cfg.seed)
+        rep = verify_operator_sandwich(nmax, args.objectives, args.seed)
     else:
         raise ValueError(f"unknown suite {args.suite!r}")
-    return _emit(rep, cfg, args.out)
+    return _emit(rep, args)
 
 
-def cmd_recheck(args, cfg) -> int:
+def cmd_recheck(args) -> int:
     with open(args.path) as fh:
         data = json.load(fh)
     rep = recheck_report(data)
-    return _emit(rep, cfg, args.out)
+    return _emit(rep, args)
 
 
-def cmd_hull(args, cfg) -> int:
+def cmd_hull(args) -> int:
     g = parse_graph_spec(args.spec)
-    facets = convex_hull_facets(stab(g, cfg.stab_bound), cfg.hull_bound)
+    facets = convex_hull_facets(stab(g, args.hull_bound), args.hull_bound)
     rows = []
     for f in facets:
         tag = tag_inequality(g, f)
@@ -270,7 +259,7 @@ def cmd_hull(args, cfg) -> int:
         d["tag"] = tag
         rows.append(d)
     payload = {"graph": args.spec, "facets": rows}
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
     else:
         print(f"{len(rows)} facets of STAB({args.spec}):")
@@ -287,7 +276,7 @@ def _parse_point(text: str, index) -> dict:
     return dict(zip(index, vals))
 
 
-def cmd_lp(args, cfg) -> int:
+def cmd_lp(args) -> int:
     """Plain relaxation max, or the lift-and-project oracles on it.
 
     --operator N maximizes over N^depth(qstab); --operator disjunctive
@@ -297,13 +286,16 @@ def cmd_lp(args, cfg) -> int:
     g = parse_graph_spec(args.spec)
     h = qstab(g) if args.relaxation == "qstab" else frac(g)
     f = as_nodeset(int(x) for x in args.f.split(",")) if args.f else ()
+    unknown = [v for v in f if v not in h.index]
+    if unknown:
+        raise ValueError(f"--f names {unknown}, not nodes of {args.spec}")
     if args.member:
         point = _parse_point(args.member, h.index)
-        member, cert = disjunctive_member(point, h, f, cfg.piece_cap)
+        member, cert = disjunctive_member(point, h, f, args.piece_cap)
         payload = {"graph": args.spec, "relaxation": args.relaxation,
                    "f": list(f), "member": member,
                    "certificate": cert.to_json()}
-        if cfg.fmt == "json":
+        if args.fmt == "json":
             print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
         else:
             verdict = "inside" if member else "outside"
@@ -318,7 +310,7 @@ def cmd_lp(args, cfg) -> int:
     else:
         obj = {v: 1 for v in h.index}
     if args.operator == "N":
-        out = n_operator_max(obj, h, args.depth, cfg.depth_cap)
+        out = n_operator_max(obj, h, args.depth, args.depth_cap)
         over = f"N^{args.depth}({args.relaxation}({args.spec}))"
     elif args.operator == "disjunctive":
         out = piece_max([PieceSystem(h, dict(zip(f, z)))
@@ -332,7 +324,7 @@ def cmd_lp(args, cfg) -> int:
                "value": frac_to_str(out.value) if out.value is not None else None,
                "point": {str(k): frac_to_str(v)
                          for k, v in sorted(out.point.items())} if out.point else None}
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
     else:
         print(f"max over {over} = {payload['value']} at {payload['point']}")
@@ -403,11 +395,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = _config(args)
+    args.deadline = None if args.time_budget is None else time.monotonic() + args.time_budget
     handlers = {"generate": cmd_generate, "rank": cmd_rank, "verify": cmd_verify,
                 "recheck": cmd_recheck, "hull": cmd_hull, "lp": cmd_lp}
     try:
-        return handlers[args.command](args, cfg)
+        return handlers[args.command](args)
     except ResourceCapExceeded as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_CAP

@@ -354,14 +354,9 @@ def omega(g: Graph) -> int:
     return max(len(c) for c in enumerate_maximal_cliques(g))
 
 
-STABLE_SET_BOUND = 18
-
-
-def enumerate_stable_sets(g: Graph, bound: int = STABLE_SET_BOUND) -> list:
-    """All stable sets including the empty set, as label tuples."""
-    if g.n > bound:
-        raise ResourceCapExceeded(
-            f"stable set enumeration bound exceeded: n={g.n} > {bound}")
+def enumerate_stable_sets(g: Graph) -> list:
+    """All stable sets including the empty set, as label tuples (up to
+    2^n of them: polyhedra.stab caps n)."""
     adj = g._adj
     masks = [0]
     for v in range(g.n):

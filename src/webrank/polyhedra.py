@@ -28,13 +28,13 @@ from math import gcd, lcm
 
 from .graphs import (Graph, ResourceCapExceeded, as_nodeset,
                      enumerate_maximal_cliques, enumerate_stable_sets)
-from .simplex import LinearProgram, _eliminate, _intify
+from .simplex import LinearProgram, _eliminate, _frac, _intify
 
-HULL_BOUND = 12
+HULL_BOUND = 12     # cap on the hull dimension, and so on the nodes behind STAB
 
 
-def frac_to_str(q: Fraction) -> str:
-    q = Fraction(q)
+def frac_to_str(q) -> str:
+    """A Fraction or an int as "p" or "p/q"."""
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
@@ -49,9 +49,9 @@ class LinearInequality:
     __slots__ = ("coeffs", "rhs", "tag", "_canon")
 
     def __init__(self, coeffs: dict, rhs, tag: str = "other"):
-        object.__setattr__(self, "coeffs",
-                           {v: Fraction(c) for v, c in coeffs.items() if Fraction(c) != 0})
-        object.__setattr__(self, "rhs", Fraction(rhs))
+        coeffs = {v: _frac(c) for v, c in coeffs.items()}
+        object.__setattr__(self, "coeffs", {v: c for v, c in coeffs.items() if c})
+        object.__setattr__(self, "rhs", _frac(rhs))
         object.__setattr__(self, "tag", tag)
         object.__setattr__(self, "_canon", None)
 
@@ -160,9 +160,6 @@ class HPolytope:
         return all(r.satisfied_by(point) for r in self.rows) and all(
             point.get(v, Fraction(0)) >= 0 for v in self.index)
 
-    def with_rows(self, extra) -> "HPolytope":
-        return HPolytope(self.index, list(self.rows) + list(extra))
-
     def to_json(self) -> dict:
         return {"index": list(self.index), "rows": [r.to_json() for r in self.rows]}
 
@@ -253,28 +250,24 @@ class VPolytope:
     def dim(self) -> int:
         return len(self.index)
 
-    def as_dicts(self):
-        return [dict(zip(self.index, p)) for p in self.points]
-
-    def max_over(self, objective: dict):
-        """(value, best point dict) of a linear objective over the points."""
-        dense = [Fraction(objective.get(v, 0)) for v in self.index]
-        best, arg = None, None
-        for p in self.points:
-            val = sum((c * x for c, x in zip(dense, p)), Fraction(0))
-            if best is None or val > best:
-                best, arg = val, p
-        return best, dict(zip(self.index, arg))
-
     def to_json(self) -> dict:
         return {"index": list(self.index),
                 "points": [[frac_to_str(c) for c in p] for p in self.points]}
 
 
-def stab(g: Graph, bound: int = 18) -> VPolytope:
-    """Incidence vectors of all stable sets (the origin included)."""
+def _check_hull_bound(n: int, bound: int):
+    if n > bound:
+        raise ResourceCapExceeded(f"hull bound exceeded: dim={n} > {bound} "
+                                  "(raise --hull-bound)")
+
+
+def stab(g: Graph, bound: int = HULL_BOUND) -> VPolytope:
+    """Incidence vectors of all stable sets (the origin included): the
+    points of a hull, so n is capped like the hull dimension.  A max over
+    STAB needs no list (graphs.max_weight_stable_set)."""
+    _check_hull_bound(g.n, bound)
     pts = []
-    for s in enumerate_stable_sets(g, bound):
+    for s in enumerate_stable_sets(g):
         sset = set(s)
         pts.append(tuple(Fraction(1 if v in sset else 0) for v in g.nodes))
     return VPolytope(g.nodes, pts)
@@ -433,8 +426,7 @@ def convex_hull_facets(v: VPolytope, bound: int = HULL_BOUND) -> list:
     canonicalized to coprime integers.
     """
     n = v.dim
-    if n > bound:
-        raise ResourceCapExceeded(f"hull bound exceeded: dim={n} > {bound}")
+    _check_hull_bound(n, bound)
     if affine_rank(v.points) != n:
         raise ValueError("convex_hull_facets needs a full-dimensional point set")
     m_rows = [[Fraction(1)] + [-c for c in p] for p in v.points]
@@ -448,20 +440,3 @@ def convex_hull_facets(v: VPolytope, bound: int = HULL_BOUND) -> list:
         ineq = LinearInequality(coeffs, b, tag="hull")
         out.append(ineq)
     return sorted(out, key=lambda r: r.canonical())
-
-
-def is_facet(ineq: LinearInequality, g: Graph, stab_bound: int = 18) -> bool:
-    """Facet test against STAB(G): valid and tight on affine rank n-1.
-
-    Raises when the inequality is not even valid for STAB(G), which is a
-    different failure from being a valid non-facet.
-    """
-    vp = stab(g, stab_bound)
-    val, arg = vp.max_over(ineq.coeffs)
-    if val > ineq.rhs:
-        raise ValueError(f"inequality {ineq} is not valid for STAB: violated by {arg}")
-    tight = [p for p in vp.points
-             if sum((c * x for c, x in zip([ineq.coeffs.get(v, Fraction(0))
-                                            for v in vp.index], p)), Fraction(0))
-             == ineq.rhs]
-    return affine_rank(tight) == g.n - 1

@@ -62,6 +62,8 @@ from .inequalities import (
     stab_description_w2_polytope,
 )
 from .liftproject import (
+    DEPTH_CAP,
+    PIECE_CAP,
     LiftCertificate,
     PieceSystem,
     disjunctive_member,
@@ -72,6 +74,7 @@ from .liftproject import (
     piece_lp_max,  # noqa: F401  (bench/tests/test_bench.py patches this binding)
 )
 from .polyhedra import (
+    HULL_BOUND,
     HPolytope,
     LinearInequality,
     convex_hull_facets,
@@ -253,33 +256,35 @@ def _smallest_depth(rows, h: HPolytope, rmax: int, depth_cap: int):
     return None
 
 
-def disjunctive_rank_graph_polyhedral(g: Graph, hull_bound: int = 12,
-                                      stab_bound: int = 18,
-                                      piece_cap: int = 12) -> int:
+def disjunctive_rank_graph_polyhedral(g: Graph, hull_bound: int = HULL_BOUND,
+                                      piece_cap: int = PIECE_CAP) -> int:
     """Oracle route: smallest |F| with every STAB facet valid for P_F(qstab).
 
     Exhaustive over F by ascending size (orbit-anchored for circulants);
     cross-validates the combinatorial route on small graphs.
     """
-    facets = convex_hull_facets(stab(g, stab_bound), hull_bound)
+    facets = convex_hull_facets(stab(g, hull_bound), hull_bound)
     return len(_smallest_f(facets, qstab(g), is_circulant(g), piece_cap)[0])
 
 
 def disjunctive_rank_inequality(ineq: LinearInequality, h: HPolytope,
                                 cyclic: bool = False, exhaustive_lb=None,
-                                piece_cap: int = 12,
-                                integer_hull=None) -> IneqRankResult:
+                                piece_cap: int = PIECE_CAP,
+                                graph: Graph | None = None) -> IneqRankResult:
     """Smallest |F| with the row valid for P_F(h), ascending search.
 
     cyclic=True pins the first element of a nonempty F to the first
     coordinate (exact when rotation is a symmetry of both h and the
     row).  Exhaustive lower-bound mode additionally shows EVERY F of
-    size rank-1 violated (default on for dim <= 10).
+    size rank-1 violated (default on for dim <= 10).  Given the graph
+    of h = QSTAB(graph), the row is first checked valid for STAB(graph)
+    by a maximum-weight stable set search.
     """
-    if integer_hull is not None:
-        val, arg = integer_hull.max_over(ineq.coeffs)
+    if graph is not None:
+        val, arg = max_weight_stable_set(graph, ineq.coeffs)
         if val > ineq.rhs:
-            raise ValueError(f"row {ineq} invalid for the integer hull at {arg}")
+            raise ValueError(f"row {ineq} invalid for the integer hull at the "
+                             f"stable set {list(arg)}")
     if exhaustive_lb is None:
         exhaustive_lb = h.dim <= 10
     witness, violations = _smallest_f([ineq], h, cyclic, piece_cap)
@@ -297,19 +302,19 @@ def disjunctive_rank_inequality(ineq: LinearInequality, h: HPolytope,
     return IneqRankResult(m, witness, violations, exhaustive)
 
 
-def n_rank_graph_upto(g: Graph, rmax: int, hull_bound: int = 12,
-                      stab_bound: int = 18, depth_cap: int = 2):
+def n_rank_graph_upto(g: Graph, rmax: int, hull_bound: int = HULL_BOUND,
+                      depth_cap: int = DEPTH_CAP):
     """Smallest r <= rmax with N^r(qstab) = STAB, else None.
 
     Equality holds iff every facet of STAB(g) is valid for the lift,
     mirroring the polyhedral route for the disjunctive graph rank.
     """
-    facets = convex_hull_facets(stab(g, stab_bound), hull_bound)
+    facets = convex_hull_facets(stab(g, hull_bound), hull_bound)
     return _smallest_depth(facets, qstab(g), rmax, depth_cap)
 
 
 def n_rank_inequality_upto(ineq: LinearInequality, h: HPolytope, rmax: int,
-                           depth_cap: int = 2):
+                           depth_cap: int = DEPTH_CAP):
     """Smallest r <= rmax with the row valid for N^r(h), else None.
 
     r = 0 means the row already holds for h itself (rank-of-row
@@ -333,8 +338,7 @@ def wrap_membership_cert(cert: LiftCertificate, h: HPolytope, point: dict,
                          member: bool) -> dict:
     d = cert.to_json()
     d.update({"type": "membership", "system": h.to_json(),
-              "point": {str(k): frac_to_str(Fraction(v))
-                        for k, v in sorted(point.items())},
+              "point": {str(k): frac_to_str(v) for k, v in sorted(point.items())},
               "member": member})
     return d
 
@@ -403,7 +407,7 @@ def _flag_n_rank_assumptions(rep: Report, n: int, k: int):
                     detail="rests on the subweb's external N-rank; not asserted")
 
 
-def verify_rdfar(a: AntiwebId, exhaustive: bool = True, piece_cap: int = 12,
+def verify_rdfar(a: AntiwebId, exhaustive: bool = True, piece_cap: int = PIECE_CAP,
                  sample: int = 8, seed: int = 0) -> Report:
     """The antiweb-constraint rank theorem on one prime antiweb.
 
@@ -442,14 +446,13 @@ def verify_rdfar(a: AntiwebId, exhaustive: bool = True, piece_cap: int = 12,
                   detail=f"x(V) = {frac_to_str(total)} > {row.rhs}",
                   certificate=wrap_membership_cert(mcert, h, xbar, member))
 
-    res = disjunctive_rank_inequality(row, h, cyclic=True, piece_cap=piece_cap,
-                                      integer_hull=stab(g) if n <= 18 else None)
+    res = disjunctive_rank_inequality(row, h, cyclic=True, piece_cap=piece_cap, graph=g)
     rep.check(f"r_d(antiweb row A:{n}:{k})", beta, res.rank,
               certificate=res.to_json(row, h))
     return rep
 
 
-def verify_join_bound(blocks: JoinBlocks, piece_cap: int = 12,
+def verify_join_bound(blocks: JoinBlocks, piece_cap: int = PIECE_CAP,
                       deadline=None) -> Report:
     """Join superadditivity of row ranks and the induced graph bound."""
     host = blocks.host
@@ -461,8 +464,7 @@ def verify_join_bound(blocks: JoinBlocks, piece_cap: int = 12,
     for blk, tag, bg in zip(blocks.blocks, blocks.tags, blocks.block_graphs()):
         row = rank_constraint(bg)
         res = disjunctive_rank_inequality(row, qstab(bg), cyclic=is_circulant(bg),
-                                          piece_cap=piece_cap,
-                                          integer_hull=stab(bg))
+                                          piece_cap=piece_cap, graph=bg)
         block_ranks.append(res.rank)
         rep.add(f"r_d(rank row of block {tag or list(blk)})", "info",
                 computed=res.rank)
@@ -474,8 +476,7 @@ def verify_join_bound(blocks: JoinBlocks, piece_cap: int = 12,
         joined = rank_constraint(blocks.block_graphs()[0])
     else:
         joined = joined_inequality(blocks)
-    res_j = disjunctive_rank_inequality(joined, hq, piece_cap=piece_cap,
-                                        integer_hull=stab(host))
+    res_j = disjunctive_rank_inequality(joined, hq, piece_cap=piece_cap, graph=host)
     rep.add("r_d(joined row)", "info", computed=res_j.rank,
             certificate=res_j.to_json(joined, hq))
     rep.check("joined rank >= sum of block ranks",
@@ -492,14 +493,14 @@ def verify_join_bound(blocks: JoinBlocks, piece_cap: int = 12,
     return rep
 
 
-def verify_w2_description(n_values=(6, 7, 8, 9, 10), hull_bound: int = 12,
-                          stab_bound: int = 18) -> Report:
+def verify_w2_description(n_values=(6, 7, 8, 9, 10),
+                          hull_bound: int = HULL_BOUND) -> Report:
     """Dahl's description equals the stable set polytope for W_n^2."""
     rep = Report("w2", {"n_values": list(n_values)})
     for n in n_values:
         g = web(n, 2)
         desc = stab_description_w2_polytope(n)
-        hull = HPolytope(g.nodes, convex_hull_facets(stab(g, stab_bound), hull_bound))
+        hull = HPolytope(g.nodes, convex_hull_facets(stab(g, hull_bound), hull_bound))
         missing = [r for r in hull.rows if not is_valid(r, desc)[0]]
         extra = [r for r in desc.rows if not is_valid(r, hull)[0]]
         rep.check(f"description(W:{n}:2) = conv(STAB)", True,

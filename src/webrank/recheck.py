@@ -133,16 +133,27 @@ def _recheck_membership(cert):
 
 
 def recheck_report(report_json: dict) -> Report:
-    """Re-verify every certificate embedded in a suite/rank report."""
+    """Re-verify every certificate embedded in a suite/rank report.
+
+    A report that is not a JSON object with a list of entry objects is
+    an input error (ValueError); a certificate that lacks a field fails
+    its entry.
+    """
+    entries = report_json.get("entries", []) if isinstance(report_json, dict) else None
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise ValueError("a report is a JSON object with a list of entry objects")
     rep = Report("recheck", {"source_suite": report_json.get("suite", "?")})
     found = 0
-    for e in report_json.get("entries", []):
+    for e in entries:
         cert = e.get("certificate")
         if not cert or not isinstance(cert, dict) or "type" not in cert:
             continue
         found += 1
-        ok, detail = recheck_certificate(cert)
-        rep.check(f"recheck: {e['name']}", True, ok, detail=detail)
+        try:
+            ok, detail = recheck_certificate(cert)
+        except KeyError as exc:
+            ok, detail = False, f"malformed certificate: no field {exc.args[0]!r}"
+        rep.check(f"recheck: {e.get('name', '?')}", True, ok, detail=detail)
     if found == 0:
         rep.add("no embedded certificates found", "info")
     return rep

@@ -19,14 +19,18 @@ from webrank.graphs import (
 from webrank.polyhedra import (
     HULL_BOUND,
     HPolytope,
+    LinearInequality,
+    VPolytope,
     _dot,
     _echelon,
     _int_row,
     _primitive,
+    affine_rank,
     cone_extreme_rays,
     frac_to_str,
     is_valid,
     matrix_rank,
+    stab,
 )
 from webrank.simplex import LinearProgram, _eliminate
 
@@ -331,3 +335,40 @@ def feasible_sets_equal(h1: HPolytope, h2: HPolytope) -> bool:
     """Mutual LP implication: every row of each holds over the other."""
     return all(is_valid(r, h1)[0] for r in h2.rows) and \
         all(is_valid(r, h2)[0] for r in h1.rows)
+
+
+def with_rows(h: HPolytope, extra) -> HPolytope:
+    """h with the rows `extra` appended."""
+    return HPolytope(h.index, list(h.rows) + list(extra))
+
+
+def as_dicts(vp: VPolytope) -> list:
+    """The points of vp as dicts keyed by its index."""
+    return [dict(zip(vp.index, p)) for p in vp.points]
+
+
+def max_over(vp: VPolytope, objective: dict):
+    """(value, best point dict) of a linear objective over the points."""
+    dense_obj = [Fraction(objective.get(v, 0)) for v in vp.index]
+    best, arg = None, None
+    for p in vp.points:
+        val = sum((c * x for c, x in zip(dense_obj, p)), Fraction(0))
+        if best is None or val > best:
+            best, arg = val, p
+    return best, dict(zip(vp.index, arg))
+
+
+def is_facet(ineq: LinearInequality, g: Graph) -> bool:
+    """Facet test against STAB(G): valid and tight on affine rank n-1.
+
+    Raises when the inequality is not even valid for STAB(G), which is a
+    different failure from being a valid non-facet.
+    """
+    vp = stab(g)
+    val, arg = max_over(vp, ineq.coeffs)
+    if val > ineq.rhs:
+        raise ValueError(f"inequality {ineq} is not valid for STAB: violated by {arg}")
+    coeffs = [ineq.coeffs.get(v, Fraction(0)) for v in vp.index]
+    tight = [p for p in vp.points
+             if sum((c * x for c, x in zip(coeffs, p)), Fraction(0)) == ineq.rhs]
+    return affine_rank(tight) == g.n - 1

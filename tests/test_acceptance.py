@@ -39,7 +39,7 @@ from webrank.liftproject import (
     n_operator_valid,
     verify_n_matrix,
 )
-from webrank.polyhedra import is_facet, qstab, stab
+from webrank.polyhedra import qstab
 from webrank.rank import (
     disjunctive_rank_graph,
     disjunctive_rank_graph_polyhedral,
@@ -50,6 +50,8 @@ from webrank.rank import (
     verify_w2_description,
     verify_web_rank_formulas,
 )
+
+from oracles import is_facet
 
 
 def report(num, ok, text):
@@ -138,7 +140,7 @@ def test_criterion_6_w2_row_ranks():
             n = 3 * s + ell
             g = web(n, 2)
             res = disjunctive_rank_inequality(rank_constraint(g), qstab(g),
-                                              cyclic=True, integer_hull=stab(g))
+                                              cyclic=True, graph=g)
             ok = ok and res.rank == ell
     checked = 0
     for n in (9, 10):
@@ -150,7 +152,7 @@ def test_criterion_6_w2_row_ranks():
             if not is_facet(row, g):
                 continue
             checked += 1
-            res = disjunctive_rank_inequality(row, h, integer_hull=stab(g))
+            res = disjunctive_rank_inequality(row, h, graph=g)
             ok = ok and res.rank == 1
             valid, _ = n_operator_valid(row, h, 1)
             ok = ok and valid
@@ -184,7 +186,7 @@ def test_criterion_9_join_bounds():
     host = complete_join(antiweb(5, 2), antiweb(5, 2))
     blocks = join_blocks_of(host)
     row = joined_inequality(blocks)
-    res = disjunctive_rank_inequality(row, qstab(host), integer_hull=stab(host),
+    res = disjunctive_rank_inequality(row, qstab(host), graph=host,
                                       exhaustive_lb=True)
     probed_size_one = {f for f, _ in res.violating_points if len(f) == 1}
     ok = res.rank == 2 and probed_size_one == {(v,) for v in host.nodes}

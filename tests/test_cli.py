@@ -164,6 +164,66 @@ def test_internal_error_exit_4(monkeypatch, capsys):
     assert capsys.readouterr().err == "internal error: pivot limit exceeded; simplex stalled\n"
 
 
+def test_lp_rejects_f_labels_outside_the_graph(capsys):
+    code, out, err = run(capsys, "lp", "W:8:2", "--operator", "disjunctive",
+                         "--f", "99")
+    assert (code, out) == (3, "") and "input error" in err and "99" in err
+    code, out, err = run(capsys, "lp", "C:5", "--member", "1/2,1/2,0,1/2,0",
+                         "--f", "9")
+    assert (code, out) == (3, "") and "input error" in err and "9" in err
+
+
+def test_recheck_of_a_malformed_report(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps({"suite": "rank", "entries": [
+        {"name": "hole", "status": "info", "certificate": {"type": "odd-hole"}}]}))
+    code, out, _ = run(capsys, "recheck", str(path))
+    assert code == 1 and "FAIL" in out and "'graph'" in out
+    path.write_text("[]")
+    code, out, err = run(capsys, "recheck", str(path))
+    assert (code, out) == (3, "") and "input error" in err
+
+
+def test_join_host_above_eighteen_nodes(capsys):
+    # 19 nodes: the row-rank check against STAB is a search, with no cap
+    code, out, _ = run(capsys, "verify", "join", "--spec", "join:K:14,A:5:2")
+    assert code == 0 and "result: PASS" in out
+
+
+def test_hull_bound_caps_the_stable_set_enumeration(capsys):
+    code, out, _ = run(capsys, "hull", "K:19", "--hull-bound", "19")
+    assert code == 0 and out.startswith("20 facets of STAB(K:19)")
+    code, _, err = run(capsys, "hull", "W:13:2")
+    assert code == 2 and "--hull-bound" in err
+
+
+def _doc_examples():
+    """Every `webrank ...` line of README.md's code blocks and of the cli
+    module docstring."""
+    from pathlib import Path
+
+    from webrank import cli
+
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = readme.read_text().split("```")[1::2]
+    lines = [ln for b in blocks for ln in b.splitlines()] + cli.__doc__.splitlines()
+    return [ln.strip() for ln in lines if ln.strip().startswith("webrank ")]
+
+
+def test_documented_command_lines_parse():
+    import shlex
+
+    from webrank.cli import build_parser
+
+    examples = _doc_examples()
+    assert len(examples) >= 20
+    for line in examples:
+        try:
+            build_parser().parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"documented command does not parse: {line}")
+
+
 def test_lp_and_hull_commands(capsys):
     code, out, _ = run(capsys, "lp", "C:5")
     assert code == 0 and "5/2" in out

@@ -48,6 +48,7 @@ from oracles import (
     find_induced_odd_hole_by_generators,
     has_induced_embedding,
     is_hole_by_pairs,
+    max_over,
 )
 
 
@@ -284,7 +285,7 @@ def test_stable_set_enumeration_counts():
 
 def test_max_weight_stable_set_matches_enumeration():
     """Against every stable set, the points of STAB; summing over the sets
-    is 10x cheaper than VPolytope.max_over on stab(g)."""
+    is 10x cheaper than oracles.max_over on stab(g)."""
     rng = random.Random(11)
     for _ in range(300):
         n = rng.randint(1, 14)
@@ -309,7 +310,7 @@ def test_max_weight_stable_set_has_no_size_cap():
     assert max_weight_stable_set(web(5, 1), {1: -1, 2: 0}) == (0, ())
     g = web(9, 2)
     w = {v: Fraction(v % 4, 3) for v in g.nodes}
-    assert max_weight_stable_set(g, w)[0] == stab(g).max_over(w)[0] == 2
+    assert max_weight_stable_set(g, w)[0] == max_over(stab(g), w)[0] == 2
 
 
 # ---------------------------------------------------------------------------

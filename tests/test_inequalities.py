@@ -31,11 +31,10 @@ from webrank.polyhedra import (
     HPolytope,
     LinearInequality,
     convex_hull_facets,
-    is_facet,
     stab,
 )
 
-from oracles import feasible_sets_equal
+from oracles import feasible_sets_equal, is_facet
 
 
 def test_rank_constraint_examples():

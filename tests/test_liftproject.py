@@ -37,7 +37,7 @@ from webrank.polyhedra import (
 )
 from webrank.simplex import LinearProgram
 
-from oracles import enumerate_vertices
+from oracles import as_dicts, enumerate_vertices, max_over, with_rows
 
 ones = lambda g: {v: 1 for v in g.nodes}
 
@@ -84,7 +84,7 @@ def test_half_point_not_in_p1_of_qstab_c5():
 def test_incidence_vectors_are_members_for_any_fixing():
     g = web(6, 2)
     h = qstab(g)
-    for pt in stab(g).as_dicts():
+    for pt in as_dicts(stab(g)):
         for f in ((), (1,), (2, 5)):
             member, cert = disjunctive_member(pt, h, f)
             assert member
@@ -116,7 +116,8 @@ def test_member_agrees_with_piecewise_vertex_hull():
         h = qstab(g)
         piece_vertices = []
         for z in product((0, 1), repeat=len(f)):
-            fixed = h.with_rows(
+            fixed = with_rows(
+                h,
                 [LinearInequality({v: 1}, zv) for v, zv in zip(f, z)]
                 + [LinearInequality({v: -1}, -zv) for v, zv in zip(f, z)])
             piece_vertices.extend(enumerate_vertices(fixed))
@@ -271,7 +272,7 @@ def test_sandwich_chain_exhaustive_webs_up_to_10():
         vp = stab(g)
         for _ in range(3):
             c = {v: Fraction(rng.randint(0, 6)) for v in g.nodes}
-            smax = vp.max_over(c)[0]
+            smax = max_over(vp, c)[0]
             nmax = n_operator_max(c, h, 1).value
             inter = min(
                 max(piece_lp_max(h, c, {j: z}).value for z in (0, 1))

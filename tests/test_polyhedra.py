@@ -24,7 +24,6 @@ from webrank.polyhedra import (
     cone_extreme_rays,
     convex_hull_facets,
     frac,
-    is_facet,
     is_valid,
     lp_max,
     matrix_rank,
@@ -34,9 +33,11 @@ from webrank.polyhedra import (
 )
 
 from oracles import (
+    as_dicts,
     cone_extreme_rays_full_scan,
     enumerate_vertices,
     feasible_sets_equal,
+    is_facet,
     is_vertex,
     remove_redundant_rows,
 )
@@ -155,7 +156,7 @@ def test_membership_chain_stab_qstab_frac():
     for n, k in webs:
         g = web(n, k)
         hq, hf = qstab(g), frac(g)
-        for pt in stab(g).as_dicts():
+        for pt in as_dicts(stab(g)):
             assert hq.contains(pt) and hf.contains(pt)
             assert all(0 <= x <= 1 for x in pt.values())
 

@@ -36,7 +36,7 @@ from webrank.inequalities import (
     rank_constraint,
 )
 from webrank.liftproject import disjunctive_member, disjunctive_valid, n_operator_valid
-from webrank.polyhedra import convex_hull_facets, frac, is_facet, is_valid, qstab, stab
+from webrank.polyhedra import convex_hull_facets, frac, is_valid, qstab, stab
 from webrank.rank import (
     IneqRankResult,
     disjunctive_rank_graph,
@@ -125,7 +125,7 @@ def test_row_rank_table_for_w2_rank_constraints():
     for n, expected in [(9, 0), (10, 1), (8, 2), (6, 0), (7, 1), (11, 2)]:
         g = web(n, 2)
         res = disjunctive_rank_inequality(rank_constraint(g), qstab(g),
-                                          cyclic=True, integer_hull=stab(g))
+                                          cyclic=True, graph=g)
         assert res.rank == expected, n
 
 
@@ -134,7 +134,7 @@ def test_one_interval_row_rank_one_with_paper_witness():
     h = qstab(g)
     s = [t for t in enumerate_one_interval_sets(9) if t.T == (1, 3, 5, 6, 7, 8)][0]
     row = one_interval_inequality(WebId(9, 2), s)
-    res = disjunctive_rank_inequality(row, h, integer_hull=stab(g))
+    res = disjunctive_rank_inequality(row, h, graph=g)
     assert res.rank == 1
     assert set(res.witness_f) <= set(s.T)
     # the proof's own witness: the last node of the final interval
@@ -146,8 +146,7 @@ def test_one_interval_row_rank_one_with_paper_witness():
 def test_antiweb_row_rank_a8_3():
     g = antiweb(8, 3)
     row, _ = antiweb_constraint(AntiwebId(8, 3))
-    res = disjunctive_rank_inequality(row, qstab(g), cyclic=True,
-                                      integer_hull=stab(g))
+    res = disjunctive_rank_inequality(row, qstab(g), cyclic=True, graph=g)
     assert res.rank == 2 == 8 - 2 * 3
     assert res.exhaustive and len(res.violating_points) >= 8
 
@@ -157,13 +156,12 @@ def test_row_rank_search_order_is_pinned():
     # exhaustive flag, for an anchored (cyclic) and an unanchored search
     g = antiweb(8, 3)
     row, _ = antiweb_constraint(AntiwebId(8, 3))
-    res = disjunctive_rank_inequality(row, qstab(g), cyclic=True,
-                                      integer_hull=stab(g))
+    res = disjunctive_rank_inequality(row, qstab(g), cyclic=True, graph=g)
     assert (res.rank, res.witness_f, res.exhaustive) == (2, (1, 2), True)
     assert [f for f, _ in res.violating_points] == [()] + [(v,) for v in range(1, 9)]
     host = parse_graph_spec("join:A:5:2,A:5:2")
     row = joined_inequality(join_blocks_of(host))
-    res = disjunctive_rank_inequality(row, qstab(host), integer_hull=stab(host))
+    res = disjunctive_rank_inequality(row, qstab(host), graph=host)
     assert (res.rank, res.witness_f, res.exhaustive) == (2, (1, 6), True)
     assert [f for f, _ in res.violating_points] == \
         [()] + [(v,) for v in range(1, 11)] + [(1, v) for v in range(2, 6)]
@@ -193,7 +191,7 @@ def test_row_rank_rejects_rows_invalid_for_the_hull():
     g = web(5, 1)
     bad = rank_constraint(complete_graph(5))           # x(V) <= 1 on C_5
     with pytest.raises(ValueError, match="invalid for the integer hull"):
-        disjunctive_rank_inequality(bad, qstab(g), integer_hull=stab(g))
+        disjunctive_rank_inequality(bad, qstab(g), graph=g)
 
 
 def test_n_rank_upto_examples():
@@ -210,8 +208,7 @@ def test_n_rank_never_exceeds_disjunctive_rank():
         g = web(n, 2)
         h = qstab(g)
         row = rank_constraint(g)
-        d = disjunctive_rank_inequality(row, h, cyclic=True,
-                                        integer_hull=stab(g)).rank
+        d = disjunctive_rank_inequality(row, h, cyclic=True, graph=g).rank
         nr = n_rank_inequality_upto(row, h, rmax=min(d, 2) if d else 1)
         if nr is not None:
             assert nr <= d, n
@@ -342,7 +339,7 @@ def test_assumption_entries_for_deep_n_rank_facts():
 def test_rank_row_of_minimally_imperfect_graphs_is_one():
     for g in (web(5, 1), web(7, 2)):
         res = disjunctive_rank_inequality(rank_constraint(g), qstab(g),
-                                          cyclic=True, integer_hull=stab(g))
+                                          cyclic=True, graph=g)
         assert res.rank == 1
 
 
