@@ -9,7 +9,8 @@ exact rationals ("p/q" strings), byte-identical for a fixed seed and
 config; human tables render the same exact values.  Caps (exit 2 when
 hit): --hull-bound on the hull dimension, which is also the node count
 whose stable sets a hull enumerates; --piece-cap on |F|; --depth-cap on
-the N depth; --time-budget in seconds for the graph-rank searches.
+the N depth; --time-budget in seconds for the graph-rank searches and
+the N lift LP of lp --operator N.
 A max over STAB without a hull (alpha, the row-rank check against STAB,
 the sandwich) is a stable set search and has no cap.
 
@@ -310,7 +311,7 @@ def cmd_lp(args) -> int:
     else:
         obj = {v: 1 for v in h.index}
     if args.operator == "N":
-        out = n_operator_max(obj, h, args.depth, args.depth_cap)
+        out = n_operator_max(obj, h, args.depth, args.depth_cap, deadline=args.deadline)
         over = f"N^{args.depth}({args.relaxation}({args.spec}))"
     elif args.operator == "disjunctive":
         out = piece_max([PieceSystem(h, dict(zip(f, z)))

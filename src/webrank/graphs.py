@@ -83,10 +83,6 @@ class AntiwebId:
     def prime(self) -> bool:
         return gcd(self.n, self.k) == 1
 
-    @property
-    def complement_web(self) -> WebId:
-        return WebId(self.n, self.k - 1)
-
 
 class Graph:
     """Simple undirected graph on immutable, possibly non-contiguous labels.
@@ -163,13 +159,6 @@ class Graph:
         tag = f" family={self.family}" if self.family else ""
         return f"Graph(n={self.n}, m={self.edge_count()}{tag})"
 
-    # positions <-> labels helpers used throughout the module
-    def _mask_of(self, labels) -> int:
-        m = 0
-        for v in labels:
-            m |= 1 << self._pos[v]
-        return m
-
     def _labels_of(self, mask: int) -> tuple:
         return tuple(self.nodes[i] for i in _bits(mask))
 
@@ -201,10 +190,6 @@ def antiweb(n: int, k: int) -> Graph:
 
 def complete_graph(n: int) -> Graph:
     return Graph(range(1, n + 1), combinations(range(1, n + 1), 2), family=("clique", n))
-
-
-def edgeless_graph(n: int) -> Graph:
-    return Graph(range(1, n + 1), [])
 
 
 def cycle_graph(n: int) -> Graph:
@@ -681,22 +666,6 @@ def to_dimacs(g: Graph) -> str:
     lines = [f"p edge {g.n} {g.edge_count()}"]
     lines += [f"e {u} {v}" for u, v in g.edges()]
     return "\n".join(lines) + "\n"
-
-
-def from_dimacs(text: str) -> Graph:
-    n = None
-    edges = []
-    for line in text.splitlines():
-        parts = line.split()
-        if not parts or parts[0] == "c":
-            continue
-        if parts[0] == "p":
-            n = int(parts[2])
-        elif parts[0] == "e":
-            edges.append((int(parts[1]), int(parts[2])))
-    if n is None:
-        raise ValueError("missing 'p edge' line")
-    return Graph(range(1, n + 1), edges)
 
 
 def to_json_dict(g: Graph) -> dict:

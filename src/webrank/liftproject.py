@@ -314,6 +314,11 @@ class NLiftSystem:
     constraint, tied to its column by equality rows.  A lift expression
     is a dict from LP variable to its nonzero coefficient, with the
     constant term under the key _ONE.
+
+    The rows built (`_le`, `_eq`) reach the LP through `_presolve`: on
+    QSTAB it drops every edge entry Y_ij of the top matrix, which the
+    clique rows force to 0, and the rows the symmetry of Y repeats.
+    `maximize` reports optima in the full variable layout.
     """
 
     def __init__(self, h: HPolytope, depth: int, depth_cap: int = DEPTH_CAP):
@@ -329,11 +334,10 @@ class NLiftSystem:
         self._eq = []
         self.top = self._new_matrix(top=True)
         self._require_matrix_columns(self.top, depth - 1)
-        self._lp = LinearProgram(self._nv)
-        for coeffs, rhs in self._le:
-            self._lp.add_le(coeffs, rhs)
-        for coeffs, rhs in self._eq:
-            self._lp.add_eq(coeffs, rhs)
+        rows, self._col = _presolve(self._le, self._eq, self._nv)
+        self._lp = LinearProgram(len(self._col))
+        for coeffs, rhs, kind in rows:
+            (self._lp.add_le if kind == "<=" else self._lp.add_eq)(coeffs, rhs)
 
     # -- variable/expression plumbing --------------------------------------
 
@@ -400,29 +404,30 @@ class NLiftSystem:
 
     def _add_row(self, expr, kind):
         """The row expr <= 0 (kind "<=") or expr = 0 (kind "=")."""
-        const = expr.get(_ONE, 0)
         terms = {v: c for v, c in expr.items() if v != _ONE}
-        if not terms:
-            if const > 0 or (kind == "=" and const):
-                raise RuntimeError(f"inconsistent constant {kind} row in lift")
-            return
-        if kind == "=":
-            self._eq.append((terms, -const))
-        elif const or len(terms) > 1 or min(terms.values()) > 0:
-            self._le.append((terms, -const))                  # a lone -x <= 0 is structural
+        (self._le if kind == "<=" else self._eq).append((terms, -expr.get(_ONE, 0)))
 
     # -- solving ------------------------------------------------------------
 
-    def maximize(self, objective: dict) -> tuple:
-        """(LPOutcome, raw LPResult) of the max over N^depth(h)."""
-        obj = {self.top[(j, j)]: Fraction(objective.get(v, 0))
-               for j, v in enumerate(self.h.index, start=1)
-               if Fraction(objective.get(v, 0)) != 0}
-        res = self._lp.maximize(obj)
+    def maximize(self, objective: dict, deadline=None) -> tuple:
+        """(LPOutcome, raw LPResult) of the max over N^depth(h).  The raw
+        result's x is in the full variable layout, 0 on every variable
+        the presolve dropped; its duals belong to the presolved rows."""
+        obj = {}
+        for j, v in enumerate(self.h.index, start=1):
+            c = Fraction(objective.get(v, 0))
+            col = self._col.get(self.top[(j, j)])
+            if c and col is not None:
+                obj[col] = c
+        res = self._lp.maximize(obj, deadline=deadline)
         if res.status == "infeasible":
             return LPOutcome(status="infeasible", pivots=res.pivots), res
         if res.status == "unbounded":
             raise RuntimeError("N lift unbounded: relaxation lacks bound rows")
+        x = [Fraction(0)] * self._nv
+        for v, col in self._col.items():
+            x[v] = res.x[col]
+        res.x = x
         point = {v: res.x[self.top[(j, j)]]
                  for j, v in enumerate(self.h.index, start=1)}
         return LPOutcome(status="optimal", value=res.value, point=point,
@@ -439,6 +444,43 @@ class NLiftSystem:
         for j in range(1, n + 1):
             y[0][j] = y[j][0] = y[j][j]
         return y
+
+
+def _presolve(le, eq, nv):
+    """(rows, col): the <= rows le and = rows eq, (dict var->coefficient,
+    rhs) over nv variables >= 0, as (dict column->coefficient, rhs, kind)
+    rows, col numbering densely the variables not forced to 0.  A row with
+    rhs 0 whose remaining coefficients are all positive, or for an = row
+    all of one sign, forces its variables to 0, to a fixpoint; they leave
+    every row, and rows left empty, lone -x <= 0 rows and exact duplicates
+    go."""
+    rows = [(c, rhs, "<=") for c, rhs in le] + [(c, rhs, "=") for c, rhs in eq]
+    zero, grew = set(), True
+    while grew:
+        grew = False
+        for coeffs, rhs, kind in rows:
+            if rhs:
+                continue
+            live = [c for v, c in coeffs.items() if v not in zero]
+            if live and (min(live) > 0 or (kind == "=" and max(live) < 0)):
+                zero.update(coeffs)
+                grew = True
+    col = {v: i for i, v in enumerate(v for v in range(nv) if v not in zero)}
+    seen = set()
+    out = []
+    for coeffs, rhs, kind in rows:
+        live = {col[v]: c for v, c in coeffs.items() if v not in zero}
+        if not live:
+            if rhs < 0 or (kind == "=" and rhs):
+                raise RuntimeError(f"inconsistent constant {kind} row in lift")
+            continue
+        if kind == "<=" and not rhs and len(live) == 1 and min(live.values()) < 0:
+            continue
+        key = (kind, rhs, frozenset(live.items()))
+        if key not in seen:
+            seen.add(key)
+            out.append((live, rhs, kind))
+    return out, col
 
 
 _NLIFT_CACHE: dict = {}     # the last system built with cache=True, by (h, depth)
@@ -459,16 +501,18 @@ def n_lift_system(h: HPolytope, depth: int, depth_cap: int = DEPTH_CAP,
 
 
 def n_operator_max(objective, h: HPolytope, depth: int = 1,
-                   depth_cap: int = DEPTH_CAP, with_certificate: bool = False):
+                   depth_cap: int = DEPTH_CAP, with_certificate: bool = False,
+                   deadline=None):
     """Exact max of the objective over N^depth(h).
 
     Returns an LPOutcome; with_certificate=True additionally returns
     the lifted matrix Y of an optimal solution (depth-1 Y is fully
-    re-verified against the cone conditions by verify_n_matrix).
+    re-verified against the cone conditions by verify_n_matrix).  Past
+    the deadline (a time.monotonic() value) the solve raises SearchTimeout.
     """
     obj = objective if isinstance(objective, dict) else dict(zip(h.index, objective))
     sys_ = n_lift_system(h, depth, depth_cap)
-    out, raw = sys_.maximize(obj)
+    out, raw = sys_.maximize(obj, deadline)
     if not with_certificate:
         return out
     return out, (sys_.y_matrix(raw) if out.status == "optimal" else None)

@@ -35,7 +35,9 @@ def _system(d: dict) -> HPolytope:
 
 
 def recheck_certificate(cert: dict):
-    """(ok, detail) for one certificate dict."""
+    """(ok, detail) for one certificate dict; anything else fails."""
+    if not isinstance(cert, dict):
+        return False, f"certificate {cert!r} is not an object"
     kind = cert.get("type")
     if kind == "graph-rank":
         oks = [recheck_certificate(cert["perfection"])[0]]
@@ -136,8 +138,9 @@ def recheck_report(report_json: dict) -> Report:
     """Re-verify every certificate embedded in a suite/rank report.
 
     A report that is not a JSON object with a list of entry objects is
-    an input error (ValueError); a certificate that lacks a field fails
-    its entry.
+    an input error (ValueError); a certificate that lacks a field or
+    holds a value of the wrong shape (a rational that does not parse, a
+    number where a list belongs) fails its entry.
     """
     entries = report_json.get("entries", []) if isinstance(report_json, dict) else None
     if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
@@ -153,6 +156,8 @@ def recheck_report(report_json: dict) -> Report:
             ok, detail = recheck_certificate(cert)
         except KeyError as exc:
             ok, detail = False, f"malformed certificate: no field {exc.args[0]!r}"
+        except (ValueError, TypeError, ZeroDivisionError) as exc:
+            ok, detail = False, f"malformed certificate: {exc}"
         rep.check(f"recheck: {e.get('name', '?')}", True, ok, detail=detail)
     if found == 0:
         rep.add("no embedded certificates found", "info")

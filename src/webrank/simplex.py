@@ -38,6 +38,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
 from math import gcd, lcm
+from time import monotonic
+
+from .graphs import SearchTimeout
 
 
 DEGENERACY_STREAK = 40
@@ -101,13 +104,14 @@ class LinearProgram:
     def add_eq(self, coeffs, rhs):
         self.rows.append((self._pairs(coeffs), _frac(rhs), "="))
 
-    def solve(self, objective=None, pivot_rule: str = "hybrid") -> LPResult:
-        """Maximize objective (default 0) over the current rows."""
+    def solve(self, objective=None, pivot_rule: str = "hybrid", deadline=None) -> LPResult:
+        """Maximize objective (default 0) over the current rows.  A deadline
+        (time.monotonic() value) passed mid-solve raises SearchTimeout."""
         obj = self._pairs(objective) if objective is not None else []
         self._tab = _Tableau(self, pivot_rule)
-        return self._tab.solve(obj)
+        return self._tab.solve(obj, deadline)
 
-    def resolve(self, objective) -> LPResult:
+    def resolve(self, objective, deadline=None) -> LPResult:
         """Re-optimize with a new objective from the last optimal basis.
 
         The feasible basis of the previous solve is reused, so only the
@@ -115,14 +119,14 @@ class LinearProgram:
         """
         if self._tab is None or not self._tab.feasible_basis:
             raise RuntimeError("resolve() needs a previous feasible solve")
-        return self._tab.reoptimize(self._pairs(objective))
+        return self._tab.reoptimize(self._pairs(objective), deadline)
 
-    def maximize(self, objective, pivot_rule: str = "hybrid") -> LPResult:
+    def maximize(self, objective, pivot_rule: str = "hybrid", deadline=None) -> LPResult:
         """Re-solve from the last feasible basis when there is one, else
         solve from scratch with pivot_rule."""
         if self._tab is not None and self._tab.feasible_basis:
-            return self.resolve(objective)
-        return self.solve(objective, pivot_rule=pivot_rule)
+            return self.resolve(objective, deadline)
+        return self.solve(objective, pivot_rule, deadline)
 
     def check_optimal(self, res: LPResult, objective) -> None:
         """Exact certificate check: feasibility, duality, slackness.
@@ -348,12 +352,14 @@ class _Tableau:
                     best = (i, b, a)
         return best, hits
 
-    def _run(self):
+    def _run(self, deadline):
         bland = self.rule == "bland"
         streak = 0
         while True:
             if self.pivots > MAX_PIVOTS:
                 raise RuntimeError("pivot limit exceeded; simplex stalled")
+            if deadline is not None and monotonic() > deadline:
+                raise SearchTimeout("simplex deadline exceeded")
             s = self._entering(bland)
             if s is None:
                 return "optimal"
@@ -373,18 +379,18 @@ class _Tableau:
 
     # -- phases ------------------------------------------------------------
 
-    def solve(self, objective) -> LPResult:
+    def solve(self, objective, deadline) -> LPResult:
         if self.art_col:
-            status = self._phase1()
+            status = self._phase1(deadline)
             if status is not None:
                 return status
         self.banned = set(self.art_col.values())
-        return self.reoptimize(objective)
+        return self.reoptimize(objective, deadline)
 
-    def _phase1(self):
+    def _phase1(self, deadline):
         cints = {col: -1 for col in self.art_col.values()}
         self._build_obj(cints, 1)
-        if self._run() != "optimal":
+        if self._run(deadline) != "optimal":
             raise RuntimeError("phase 1 cannot be unbounded")
         value = self.obj.get(self.ncols, 0)
         if value:
@@ -415,10 +421,10 @@ class _Tableau:
         for i in reversed(drop):
             del self.rows[i], self.divs[i], self.basis[i], self.orig[i]
 
-    def reoptimize(self, objective) -> LPResult:
+    def reoptimize(self, objective, deadline) -> LPResult:
         cints, scale = _intify(objective)
         self._build_obj(cints, scale)
-        status = self._run()
+        status = self._run(deadline)
         self.feasible_basis = True
         if status == "unbounded":
             return LPResult(status="unbounded", pivots=self.pivots)

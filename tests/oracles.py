@@ -38,6 +38,27 @@ from webrank.simplex import LinearProgram, _eliminate
 # ---------------------------------------------------------------------------
 # graphs
 
+def edgeless_graph(n: int) -> Graph:
+    return Graph(range(1, n + 1), [])
+
+
+def from_dimacs(text: str) -> Graph:
+    """The graph of a DIMACS edge file, the format `generate` writes."""
+    n = None
+    edges = []
+    for line in text.splitlines():
+        parts = line.split()
+        if not parts or parts[0] == "c":
+            continue
+        if parts[0] == "p":
+            n = int(parts[2])
+        elif parts[0] == "e":
+            edges.append((int(parts[1]), int(parts[2])))
+    if n is None:
+        raise ValueError("missing 'p edge' line")
+    return Graph(range(1, n + 1), edges)
+
+
 def has_induced_embedding(inner: Graph, outer: Graph) -> bool:
     """Backtracking search for an induced-subgraph embedding inner -> outer.
 

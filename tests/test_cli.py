@@ -184,6 +184,38 @@ def test_recheck_of_a_malformed_report(tmp_path, capsys):
     assert (code, out) == (3, "") and "input error" in err
 
 
+def test_recheck_of_malformed_nested_certificates(tmp_path, capsys):
+    # a pool or perfection entry that is not an object fails its entry
+    cert_path = tmp_path / "w10.json"
+    code, _, _ = run(capsys, "rank", "graph", "W:10:2", "--cert", str(cert_path))
+    assert code == 0
+    good = json.loads(cert_path.read_text())
+    for field, value in (("pool", [1]), ("perfection", 1)):
+        data = json.loads(json.dumps(good))
+        data["entries"][0]["certificate"][field] = value
+        cert_path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "recheck", str(cert_path))
+        assert (code, err) == (1, "") and "FAIL" in out, field
+
+
+def test_recheck_of_a_value_that_is_not_rational(tmp_path, capsys):
+    # the doctored point fails its own entry; the other entries still pass
+    path = tmp_path / "rdfar.json"
+    code, _, _ = run(capsys, "verify", "rdfar", "--nmax", "7", "--out", str(path))
+    assert code == 0
+    data = json.loads(path.read_text())
+    names = [e["name"] for e in data["entries"] if e.get("certificate")]
+    doctored = next(e for e in data["entries"]
+                    if e.get("certificate", {}).get("violations"))
+    doctored["certificate"]["violations"][0]["point"] = {"1": "abc"}
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "recheck", str(path))
+    assert (code, err) == (1, "")
+    failed = [line for line in out.splitlines() if "FAIL" in line and "recheck:" in line]
+    assert len(failed) == 1 and doctored["name"] in failed[0] and "abc" in failed[0]
+    assert sum("recheck:" in line for line in out.splitlines()) == len(names)
+
+
 def test_join_host_above_eighteen_nodes(capsys):
     # 19 nodes: the row-rank check against STAB is a search, with no cap
     code, out, _ = run(capsys, "verify", "join", "--spec", "join:K:14,A:5:2")
@@ -239,6 +271,14 @@ def test_time_budget_exhaustion_exit_2(capsys):
     code, _, err = run(capsys, "verify", "web-formulas", "--ks", "4",
                        "--nmax", "16", "--time-budget", "0.000001")
     assert code == 2 and "budget" in err
+
+
+def test_time_budget_bounds_the_n_lift_lp(monkeypatch, capsys):
+    from webrank import liftproject
+    monkeypatch.setattr(liftproject, "_NLIFT_CACHE", {})      # no warm lift to re-solve
+    code, out, err = run(capsys, "lp", "W:7:2", "--operator", "N", "--depth", "2",
+                         "--time-budget", "0.05")
+    assert (code, out) == (2, "") and "budget" in err
 
 
 def test_console_script_entry_point():

@@ -22,11 +22,9 @@ from webrank.graphs import (
     complete_join,
     construct_odd_hole_avoiding,
     delete_nodes,
-    edgeless_graph,
     enumerate_maximal_cliques,
     enumerate_stable_sets,
     find_induced_odd_hole,
-    from_dimacs,
     from_json_dict,
     is_odd_hole,
     is_perfect,
@@ -45,7 +43,9 @@ from oracles import (
     complement_by_edges,
     cyclic_relabel_isomorphic,
     delete_nodes_by_edges,
+    edgeless_graph,
     find_induced_odd_hole_by_generators,
+    from_dimacs,
     has_induced_embedding,
     is_hole_by_pairs,
     max_over,

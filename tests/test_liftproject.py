@@ -210,16 +210,62 @@ def test_n2_reaches_integer_hull_in_two_variables():
     assert o2.value == 1      # N^n(K) is the integer hull for n = 2
 
 
+def _full_lift_lp(sys_):
+    """The lift LP of sys_ as built, before its presolve."""
+    lp = LinearProgram(sys_._nv)
+    for coeffs, rhs in sys_._le:
+        lp.add_le(coeffs, rhs)
+    for coeffs, rhs in sys_._eq:
+        lp.add_eq(coeffs, rhs)
+    return lp
+
+
+def _full_lift_objective(sys_, c):
+    """The objective c on the diagonal of the top matrix of that LP."""
+    return {sys_.top[(j, j)]: Fraction(c[v])
+            for j, v in enumerate(sys_.h.index, start=1) if c[v]}
+
+
 def test_n_lift_optimum_certified_by_exact_duality():
-    # the 16/7 claim is an upper bound too: verify the lift LP's dual
+    # the 16/7 claim is an upper bound too: verify the dual of the full lift
+    # LP, rebuilt from the rows the presolve starts from
     g = web(8, 2)
     sys_ = n_lift_system(qstab(g), 1, cache=False)
-    out, raw = sys_.maximize({v: 1 for v in g.nodes})
+    out, _ = sys_.maximize(ones(g))
     assert out.value == Fraction(16, 7)
-    dense = [Fraction(0)] * sys_._lp.nv
-    for j in range(1, 9):
-        dense[sys_.top[(j, j)]] = Fraction(1)
-    sys_._lp.check_optimal(raw, dense)
+    lp = _full_lift_lp(sys_)
+    obj = _full_lift_objective(sys_, ones(g))
+    raw = lp.solve(obj)
+    assert raw.value == Fraction(16, 7)
+    lp.check_optimal(raw, obj)
+
+
+def test_presolved_lift_max_equals_the_full_lift_max():
+    rng = random.Random(5)
+    cases = [(n, k, 1) for k in range(1, 4) for n in range(2 * (k + 1), 9)]
+    for n, k, depth in cases + [(5, 1, 2)]:
+        g = web(n, k)
+        sys_ = n_lift_system(qstab(g), depth, cache=False)
+        assert sys_._lp.nv < sys_._nv and len(sys_._lp.rows) < len(sys_._le) + len(sys_._eq)
+        lp = _full_lift_lp(sys_)
+        objectives = [ones(g)] + [{v: rng.randint(0, 6) for v in g.nodes}
+                                  for _ in range(5 if depth == 1 else 1)]
+        for c in objectives:
+            out, _ = sys_.maximize(c)
+            assert out.value == lp.maximize(_full_lift_objective(sys_, c)).value, (n, k, c)
+
+
+def test_depth1_lift_matrix_is_certified_and_zero_on_edges():
+    rng = random.Random(6)
+    for n, k in [(5, 1), (7, 2), (8, 2), (9, 3), (10, 2)]:
+        g = web(n, k)
+        h = qstab(g)
+        for _ in range(4):
+            c = {v: rng.randint(0, 6) for v in g.nodes}
+            out, y = n_operator_max(c, h, 1, with_certificate=True)
+            assert verify_n_matrix(h, y), (n, k, c)
+            assert all(y[i][j] == 0 for i, j in g.edges()), (n, k, c)
+            assert [y[j][j] for j in range(1, n + 1)] == [out.point[v] for v in g.nodes]
 
 
 def test_n1_pivot_path_on_w10_2_is_pinned():
@@ -231,13 +277,13 @@ def test_n1_pivot_path_on_w10_2_is_pinned():
     for _ in range(10):
         out, raw = sys_.maximize({v: rng.randint(0, 9) for v in g.nodes})
         seen.append((out.value, raw.pivots))
-    assert seen == [(21, 22), (22, 34), (18, 38), (22, 42), (21, 55),
-                    (18, 83), (24, 112), (23, 125), (21, 135), (17, 163)]
+    assert seen == [(21, 15), (22, 25), (18, 27), (22, 31), (21, 39),
+                    (18, 56), (24, 80), (23, 91), (21, 101), (17, 119)]
 
 
 @pytest.mark.parametrize("n, k, shape, pivots", [
-    (5, 1, (810, 175), 184),
-    (7, 2, (2170, 434), 482),
+    (5, 1, (340, 110), 163),
+    (7, 2, (805, 217), 373),
 ])
 def test_n2_max_pivot_count_is_pinned(n, k, shape, pivots):
     g = web(n, k)
