@@ -281,16 +281,26 @@ def test_n1_pivot_path_on_w10_2_is_pinned():
                     (18, 56), (24, 80), (23, 91), (21, 101), (17, 119)]
 
 
+# shape and pivot count of the presolved depth-2 lift LP, by (n, k)
+_N2_PRESOLVED = {(5, 1): ((340, 110), 163), (7, 2): ((805, 217), 373)}
+
+
 @pytest.mark.parametrize("n, k, shape, pivots", [
-    (5, 1, (340, 110), 163),
-    (7, 2, (805, 217), 373),
+    (5, 1, (1160, 175), 184),
+    (7, 2, (3052, 434), 482),
 ])
 def test_n2_max_pivot_count_is_pinned(n, k, shape, pivots):
+    # shape and pivots of the full lift LP as built, then of its presolve
     g = web(n, k)
     sys_ = n_lift_system(qstab(g), 2, cache=False)
-    assert (len(sys_._lp.rows), sys_._lp.nv) == shape
+    lp = _full_lift_lp(sys_)
+    assert (len(lp.rows), lp.nv) == shape
+    raw = lp.solve(_full_lift_objective(sys_, ones(g)))
+    assert raw.value == 2 and raw.pivots == pivots
+    small_shape, small_pivots = _N2_PRESOLVED[(n, k)]
+    assert (len(sys_._lp.rows), sys_._lp.nv) == small_shape
     out, raw = sys_.maximize(ones(g))
-    assert out.value == 2 and raw.pivots == pivots
+    assert out.value == 2 and raw.pivots == small_pivots
 
 
 def test_warm_restart_reuses_the_lift_system():
