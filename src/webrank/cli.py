@@ -63,7 +63,6 @@ from .polyhedra import (
     HULL_BOUND,
     convex_hull_facets,
     frac,
-    frac_to_str,
     lp_max,
     qstab,
     stab,
@@ -81,7 +80,7 @@ from .rank import (
     verify_web_rank_formulas,
 )
 from .recheck import recheck_report
-from .reporting import Report
+from .reporting import Report, dump, dumps, frac_to_str
 
 EXIT_OK, EXIT_FAIL, EXIT_CAP, EXIT_INPUT, EXIT_INTERNAL = 0, 1, 2, 3, 4
 
@@ -123,7 +122,7 @@ def _emit(report: Report, args) -> int:
 def cmd_generate(args) -> int:
     g = parse_graph_spec(args.spec)
     dim = to_dimacs(g)
-    js = json.dumps(to_json_dict(g), sort_keys=True, separators=(",", ":"))
+    js = dumps(to_json_dict(g))
     if args.out:
         with open(args.out + ".dimacs", "w") as fh:
             fh.write(dim)
@@ -202,13 +201,11 @@ def cmd_rank(args) -> int:
                       "operator": "N", "rank": r}
     if args.cert and cert is not None:
         with open(args.cert, "w") as fh:
-            json.dump({"suite": "rank", "entries": [
+            dump({"suite": "rank", "entries": [
                 {"name": f"rank {args.target} {args.spec}", "status": "info",
-                 "certificate": cert}]}, fh, sort_keys=True,
-                separators=(",", ":"))
-            fh.write("\n")
+                 "certificate": cert}]}, fh)
     if args.fmt == "json":
-        print(json.dumps(result, sort_keys=True, separators=(",", ":")))
+        print(dumps(result))
     else:
         print(" ".join(f"{k}={v}" for k, v in result.items()))
     return EXIT_OK
@@ -261,7 +258,7 @@ def cmd_hull(args) -> int:
         rows.append(d)
     payload = {"graph": args.spec, "facets": rows}
     if args.fmt == "json":
-        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+        print(dumps(payload))
     else:
         print(f"{len(rows)} facets of STAB({args.spec}):")
         for f, d in zip(facets, rows):
@@ -294,10 +291,9 @@ def cmd_lp(args) -> int:
         point = _parse_point(args.member, h.index)
         member, cert = disjunctive_member(point, h, f, args.piece_cap)
         payload = {"graph": args.spec, "relaxation": args.relaxation,
-                   "f": list(f), "member": member,
-                   "certificate": cert.to_json()}
+                   "f": f, "member": member, "certificate": cert}
         if args.fmt == "json":
-            print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+            print(dumps(payload))
         else:
             verdict = "inside" if member else "outside"
             print(f"point is {verdict} P_F({args.relaxation}({args.spec})) "
@@ -320,15 +316,15 @@ def cmd_lp(args) -> int:
     else:
         out = lp_max(h, obj)
         over = f"{args.relaxation}({args.spec})"
-    payload = {"graph": args.spec, "relaxation": args.relaxation,
-               "operator": args.operator, "status": out.status,
-               "value": frac_to_str(out.value) if out.value is not None else None,
-               "point": {str(k): frac_to_str(v)
-                         for k, v in sorted(out.point.items())} if out.point else None}
     if args.fmt == "json":
-        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+        print(dumps({"graph": args.spec, "relaxation": args.relaxation,
+                     "operator": args.operator, "status": out.status,
+                     "value": out.value, "point": out.point or None}))
     else:
-        print(f"max over {over} = {payload['value']} at {payload['point']}")
+        value = None if out.value is None else frac_to_str(out.value)
+        point = ({str(k): frac_to_str(v) for k, v in sorted(out.point.items())}
+                 if out.point else None)
+        print(f"max over {over} = {value} at {point}")
     return EXIT_OK
 
 

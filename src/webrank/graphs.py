@@ -118,10 +118,6 @@ class Graph:
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
 
-    def __reduce__(self):
-        return (Graph, (self.nodes, self.edges(), self.family, self.blocks,
-                        self.block_tags))
-
     @property
     def n(self) -> int:
         return len(self.nodes)

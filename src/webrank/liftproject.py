@@ -14,72 +14,25 @@ A x <= x0 b}; since every coordinate of K is bounded by a row, the cone
 has its apex only at the origin and one exact LP captures N^r via
 nested matrices (one per cone-membership constraint when r >= 2).
 
-Both oracles hand back re-verifiable certificates: per-piece LP values,
-violating points, or the lifted matrix Y.
+Both oracles answer (bool, certificate), the certificate a plain dict of
+exact values (Fractions, int keys, tuples) that `reporting.dumps` writes
+and `recheck` reads: kind ("validity-proof" or "violating-point"), f or
+depth, pieces ({"z", "status", "value"} each), point, Y, value,
+multipliers ({"z", "lambda", "point"} each) and separating (the row's
+to_json()).  A field without a value is left out.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
 from .graphs import ResourceCapExceeded, as_nodeset
-from .polyhedra import HPolytope, LinearInequality, LPOutcome, frac_to_str
+from .polyhedra import HPolytope, LinearInequality, LPOutcome
 from .simplex import CertificateError, LinearProgram
 
 PIECE_CAP = 12      # cap on |F|; pieces number 2^|F|
 DEPTH_CAP = 2       # N iterations; lift size grows as (2n)^(r-1) matrices
-
-
-@dataclass
-class LiftCertificate:
-    """Re-verifiable witness for a lift-and-project answer.
-
-    kind is "validity-proof" or "violating-point".  For disjunctive
-    queries `pieces` holds (z, status, value) per piece; for violating
-    points `point` is the witness (and `y_matrix` the lifted Y when the
-    N operator produced it).  Membership certificates carry the convex
-    multipliers instead.
-    """
-
-    kind: str
-    f: tuple | None = None
-    depth: int | None = None
-    pieces: list = field(default_factory=list)
-    point: dict | None = None
-    y_matrix: list | None = None
-    multipliers: list | None = None
-    separating: LinearInequality | None = None
-    value: Fraction | None = None
-
-    def to_json(self) -> dict:
-        d = {"kind": self.kind}
-        if self.f is not None:
-            d["f"] = list(self.f)
-        if self.depth is not None:
-            d["depth"] = self.depth
-        if self.pieces:
-            d["pieces"] = [
-                {"z": list(z), "status": st,
-                 "value": frac_to_str(v) if v is not None else None}
-                for z, st, v in self.pieces
-            ]
-        if self.point is not None:
-            d["point"] = {str(k): frac_to_str(v) for k, v in sorted(self.point.items())}
-        if self.y_matrix is not None:
-            d["Y"] = [[frac_to_str(v) for v in row] for row in self.y_matrix]
-        if self.multipliers is not None:
-            d["multipliers"] = [
-                {"z": list(z), "lambda": frac_to_str(lam),
-                 "point": {str(k): frac_to_str(v) for k, v in sorted(pt.items())}}
-                for z, lam, pt in self.multipliers
-            ]
-        if self.separating is not None:
-            d["separating"] = self.separating.to_json()
-        if self.value is not None:
-            d["value"] = frac_to_str(self.value)
-        return d
 
 
 def _check_piece_cap(f, cap):
@@ -189,7 +142,7 @@ def min_piece_max(pieces, objective: dict):
 
 def disjunctive_valid(ineq: LinearInequality, h: HPolytope, f,
                       piece_cap: int = PIECE_CAP):
-    """Is a.x <= b valid for P_F(h)?  Returns (bool, LiftCertificate).
+    """Is a.x <= b valid for P_F(h)?  Returns (bool, certificate).
 
     Valid over a convex hull of pieces iff valid on every feasible
     piece; infeasible pieces are vacuous.  Pieces are scanned in
@@ -197,20 +150,21 @@ def disjunctive_valid(ineq: LinearInequality, h: HPolytope, f,
     """
     f = as_nodeset(f)
     _check_piece_cap(f, piece_cap)
-    piece_records = []
+    pieces = []
     for z in product((0, 1), repeat=len(f)):
         fixing = dict(zip(f, z))
         out = piece_lp_max(h, ineq.coeffs, fixing)
-        piece_records.append((z, out.status, out.value))
+        pieces.append({"z": z, "status": out.status, "value": out.value})
         if out.status == "optimal" and out.value > ineq.rhs:
             if not (h.contains(out.point) and pt_matches(out.point, fixing)):
                 raise CertificateError(f"violating point of piece z={z} lies outside it")
-            return False, LiftCertificate(kind="violating-point", f=f,
-                                          pieces=piece_records, point=out.point,
-                                          value=out.value)
-    return True, LiftCertificate(kind="validity-proof", f=f, pieces=piece_records,
-                                 value=max((v for _, s, v in piece_records
-                                            if s == "optimal"), default=None))
+            return False, {"kind": "violating-point", "f": f, "pieces": pieces,
+                           "point": out.point, "value": out.value}
+    cert = {"kind": "validity-proof", "f": f, "pieces": pieces}
+    values = [p["value"] for p in pieces if p["status"] == "optimal"]
+    if values:
+        cert["value"] = max(values)
+    return True, cert
 
 
 def pt_matches(point: dict, fixing: dict) -> bool:
@@ -218,7 +172,7 @@ def pt_matches(point: dict, fixing: dict) -> bool:
 
 
 def disjunctive_member(x: dict, h: HPolytope, f, piece_cap: int = PIECE_CAP):
-    """Is x in P_F(h) = conv of the pieces?  (bool, LiftCertificate).
+    """Is x in P_F(h) = conv of the pieces?  (bool, certificate).
 
     Decided by the disjunctive extended formulation: x = sum_z y^z with
     A y^z <= lambda_z b, y^z_F = lambda_z z, sum lambda_z = 1.  A yes
@@ -260,19 +214,19 @@ def disjunctive_member(x: dict, h: HPolytope, f, piece_cap: int = PIECE_CAP):
             pt = {v: res.x[p * n + j] / lam for j, v in enumerate(h.index)}
             if not (h.contains(pt) and pt_matches(pt, dict(zip(f, zs[p])))):
                 raise CertificateError(f"point of piece z={zs[p]} lies outside it")
-            mult.append((zs[p], lam, pt))
-        if sum(lam for _, lam, _ in mult) != 1:
+            mult.append({"z": zs[p], "lambda": lam, "point": pt})
+        if sum(m["lambda"] for m in mult) != 1:
             raise CertificateError("convex multipliers do not sum to 1")
         for v in h.index:
-            if sum((lam * pt[v] for _, lam, pt in mult), Fraction(0)) \
+            if sum((m["lambda"] * m["point"][v] for m in mult), Fraction(0)) \
                     != Fraction(x.get(v, 0)):
                 raise CertificateError(f"coordinate {v} is not the convex combination")
-        return True, LiftCertificate(kind="validity-proof", f=f, multipliers=mult)
+        return True, {"kind": "validity-proof", "f": f, "multipliers": mult}
     if res.status != "infeasible":
         raise RuntimeError(f"membership LP ended {res.status}")
     sep = _separating_from_farkas(res.farkas, h, coord_rows, convex_row, f, x)
-    return False, LiftCertificate(kind="violating-point", f=f, point=dict(x),
-                                  separating=sep)
+    return False, {"kind": "violating-point", "f": f, "point": dict(x),
+                   "separating": sep.to_json()}
 
 
 def _separating_from_farkas(farkas, h, coord_rows, convex_row, f, x):
@@ -501,21 +455,11 @@ def n_lift_system(h: HPolytope, depth: int, depth_cap: int = DEPTH_CAP,
 
 
 def n_operator_max(objective, h: HPolytope, depth: int = 1,
-                   depth_cap: int = DEPTH_CAP, with_certificate: bool = False,
-                   deadline=None):
-    """Exact max of the objective over N^depth(h).
-
-    Returns an LPOutcome; with_certificate=True additionally returns
-    the lifted matrix Y of an optimal solution (depth-1 Y is fully
-    re-verified against the cone conditions by verify_n_matrix).  Past
-    the deadline (a time.monotonic() value) the solve raises SearchTimeout.
-    """
+                   depth_cap: int = DEPTH_CAP, deadline=None) -> LPOutcome:
+    """Exact max of the objective over N^depth(h).  Past the deadline (a
+    time.monotonic() value) the solve raises SearchTimeout."""
     obj = objective if isinstance(objective, dict) else dict(zip(h.index, objective))
-    sys_ = n_lift_system(h, depth, depth_cap)
-    out, raw = sys_.maximize(obj, deadline)
-    if not with_certificate:
-        return out
-    return out, (sys_.y_matrix(raw) if out.status == "optimal" else None)
+    return n_lift_system(h, depth, depth_cap).maximize(obj, deadline)[0]
 
 
 def verify_n_matrix(h: HPolytope, y: list) -> bool:
@@ -552,18 +496,21 @@ def verify_n_matrix(h: HPolytope, y: list) -> bool:
 
 def n_operator_valid(ineq: LinearInequality, h: HPolytope, depth: int = 1,
                      depth_cap: int = DEPTH_CAP):
-    """Is a.x <= b valid for N^depth(h)?  (bool, LiftCertificate)."""
-    out, y = n_operator_max(ineq.coeffs, h, depth, depth_cap, with_certificate=True)
+    """Is a.x <= b valid for N^depth(h)?  (bool, certificate).  A
+    violating point carries the top lifted matrix Y, re-verified against
+    the cone conditions by verify_n_matrix at depth 1."""
+    sys_ = n_lift_system(h, depth, depth_cap)
+    out, raw = sys_.maximize(ineq.coeffs)
     if out.status == "infeasible":
-        return True, LiftCertificate(kind="validity-proof", depth=depth)
+        return True, {"kind": "validity-proof", "depth": depth}
     if out.value <= ineq.rhs:
-        return True, LiftCertificate(kind="validity-proof", depth=depth,
-                                     value=out.value)
+        return True, {"kind": "validity-proof", "depth": depth, "value": out.value}
+    y = sys_.y_matrix(raw)
     if depth == 1:
         if not verify_n_matrix(h, y):
             raise CertificateError("lifted matrix Y fails the N-operator conditions")
         if not sum((Fraction(ineq.coeffs.get(v, 0)) * out.point[v]
                     for v in h.index), Fraction(0)) > ineq.rhs:
             raise CertificateError("lifted point does not violate the row")
-    return False, LiftCertificate(kind="violating-point", depth=depth,
-                                  point=out.point, y_matrix=y, value=out.value)
+    return False, {"kind": "violating-point", "depth": depth, "point": out.point,
+                   "Y": y, "value": out.value}

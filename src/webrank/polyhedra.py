@@ -33,11 +33,6 @@ from .simplex import LinearProgram, _eliminate, _frac, _intify
 HULL_BOUND = 12     # cap on the hull dimension, and so on the nodes behind STAB
 
 
-def frac_to_str(q) -> str:
-    """A Fraction or an int as "p" or "p/q"."""
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
 class LinearInequality:
     """A row a.x <= b over node-indexed coordinates.
 
@@ -57,9 +52,6 @@ class LinearInequality:
 
     def __setattr__(self, name, value):
         raise AttributeError("LinearInequality is immutable")
-
-    def __reduce__(self):
-        return (LinearInequality, (self.coeffs, self.rhs, self.tag))
 
     @property
     def support(self) -> tuple:
@@ -108,8 +100,7 @@ class LinearInequality:
         return f"<{lhs} <= {r} [{self.tag}]>"
 
     def to_json(self) -> dict:
-        return {"coeffs": {str(v): frac_to_str(c) for v, c in sorted(self.coeffs.items())},
-                "rhs": frac_to_str(self.rhs), "tag": self.tag}
+        return {"coeffs": self.coeffs, "rhs": self.rhs, "tag": self.tag}
 
     @staticmethod
     def from_json(d: dict) -> "LinearInequality":
@@ -141,9 +132,6 @@ class HPolytope:
     def __setattr__(self, name, value):
         raise AttributeError("HPolytope is immutable")
 
-    def __reduce__(self):
-        return (HPolytope, (self.index, self.rows))
-
     def __eq__(self, other):
         if not isinstance(other, HPolytope):
             return NotImplemented
@@ -161,7 +149,7 @@ class HPolytope:
             point.get(v, Fraction(0)) >= 0 for v in self.index)
 
     def to_json(self) -> dict:
-        return {"index": list(self.index), "rows": [r.to_json() for r in self.rows]}
+        return {"index": self.index, "rows": [r.to_json() for r in self.rows]}
 
 
 @dataclass
@@ -249,10 +237,6 @@ class VPolytope:
     @property
     def dim(self) -> int:
         return len(self.index)
-
-    def to_json(self) -> dict:
-        return {"index": list(self.index),
-                "points": [[frac_to_str(c) for c in p] for p in self.points]}
 
 
 def _check_hull_bound(n: int, bound: int):

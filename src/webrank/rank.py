@@ -64,7 +64,6 @@ from .inequalities import (
 from .liftproject import (
     DEPTH_CAP,
     PIECE_CAP,
-    LiftCertificate,
     PieceSystem,
     disjunctive_member,
     disjunctive_valid,
@@ -78,13 +77,12 @@ from .polyhedra import (
     HPolytope,
     LinearInequality,
     convex_hull_facets,
-    frac_to_str,
     is_valid,
     lp_max,
     qstab,
     stab,
 )
-from .reporting import Report
+from .reporting import Report, frac_to_str
 
 RANK_SEARCH_BOUND = 25
 
@@ -131,19 +129,17 @@ class IneqRankResult:
     exhaustive: bool = False
 
     def to_json(self, ineq: LinearInequality, h: HPolytope) -> dict:
+        row, system = ineq.to_json(), h.to_json()
         return {
             "type": "ineq-rank",
-            "row": ineq.to_json(),
-            "system": h.to_json(),
+            "row": row,
+            "system": system,
             "rank": self.rank,
-            "witness_f": list(self.witness_f),
+            "witness_f": self.witness_f,
             "exhaustive": self.exhaustive,
-            "violations": [
-                {"type": "violating-point", "system": h.to_json(),
-                 "f": list(f), "row": ineq.to_json(),
-                 "point": {str(k): frac_to_str(v) for k, v in sorted(pt.items())}}
-                for f, pt in self.violating_points
-            ],
+            "violations": [{"type": "violating-point", "system": system, "f": f,
+                            "row": row, "point": pt}
+                           for f, pt in self.violating_points],
         }
 
 
@@ -239,7 +235,7 @@ def _smallest_f(rows, h: HPolytope, anchored: bool, piece_cap: int):
             for row in rows:
                 ok, cert = disjunctive_valid(row, h, f, piece_cap)
                 if not ok:
-                    violations.append((f, cert.point))
+                    violations.append((f, cert["point"]))
                     break
             else:
                 return f, violations
@@ -298,7 +294,7 @@ def disjunctive_rank_inequality(ineq: LinearInequality, h: HPolytope,
             ok, cert = disjunctive_valid(ineq, h, f, piece_cap)
             if ok:
                 raise RuntimeError(f"symmetry reduction unsound at {f}")
-            violations.append((f, cert.point))
+            violations.append((f, cert["point"]))
     return IneqRankResult(m, witness, violations, exhaustive)
 
 
@@ -323,24 +319,6 @@ def n_rank_inequality_upto(ineq: LinearInequality, h: HPolytope, rmax: int,
     if rmax > depth_cap:
         raise ResourceCapExceeded(f"N depth cap exceeded: rmax={rmax} > {depth_cap}")
     return _smallest_depth([ineq], h, rmax, depth_cap)
-
-
-def wrap_validity_cert(cert: LiftCertificate, h: HPolytope,
-                       row: LinearInequality, valid: bool) -> dict:
-    """Self-contained disjunctive-validity certificate for `recheck`."""
-    d = cert.to_json()
-    d.update({"type": "disjunctive-validity", "system": h.to_json(),
-              "row": row.to_json(), "valid": valid})
-    return d
-
-
-def wrap_membership_cert(cert: LiftCertificate, h: HPolytope, point: dict,
-                         member: bool) -> dict:
-    d = cert.to_json()
-    d.update({"type": "membership", "system": h.to_json(),
-              "point": {str(k): frac_to_str(v) for k, v in sorted(point.items())},
-              "member": member})
-    return d
 
 
 # ---------------------------------------------------------------------------
@@ -427,11 +405,13 @@ def verify_rdfar(a: AntiwebId, exhaustive: bool = True, piece_cap: int = PIECE_C
     beta = n - w * k
     rep = Report("rdfar", {"antiweb": f"A:{n}:{k}", "exhaustive": exhaustive})
     rep.check(f"omega(A:{n}:{k})", w, omega(g), detail="clique number floor(n/k)")
+    system = h.to_json()        # self-contained certificates for `recheck`
 
     f_proof = tuple(range(w * k + 1, w * k + beta + 1))
     ok, cert = disjunctive_valid(row, h, f_proof, piece_cap)
     rep.check(f"valid under proof F={list(f_proof)}", True, ok,
-              certificate=wrap_validity_cert(cert, h, row, ok))
+              certificate={**cert, "type": "disjunctive-validity", "system": system,
+                           "row": row.to_json(), "valid": ok})
 
     tsets = list(combinations(g.nodes, beta - 1))
     if not exhaustive and len(tsets) > sample:
@@ -444,7 +424,8 @@ def verify_rdfar(a: AntiwebId, exhaustive: bool = True, piece_cap: int = PIECE_C
         okt = member and total > row.rhs
         rep.check(f"violating point off T={list(tset)}", True, okt,
                   detail=f"x(V) = {frac_to_str(total)} > {row.rhs}",
-                  certificate=wrap_membership_cert(mcert, h, xbar, member))
+                  certificate={**mcert, "type": "membership", "system": system,
+                               "point": xbar, "member": member})
 
     res = disjunctive_rank_inequality(row, h, cyclic=True, piece_cap=piece_cap, graph=g)
     rep.check(f"r_d(antiweb row A:{n}:{k})", beta, res.rank,
@@ -548,9 +529,8 @@ def verify_operator_sandwich(n_max: int = 9, objectives: int = 20,
                 inter = min_piece_max(pieces, c)
                 qmax = lp_max(h, c).value
                 if not (smax <= nmax <= inter <= qmax):
-                    bad.append({"objective": {str(v): int(x) for v, x in c.items()},
-                                "chain": [frac_to_str(t)
-                                          for t in (smax, nmax, inter, qmax)]})
+                    bad.append({"objective": {v: int(x) for v, x in c.items()},
+                                "chain": [smax, nmax, inter, qmax]})
             rep.check(f"sandwich chain W:{n}:{k}", 0, len(bad),
                       detail=f"{objectives} seeded objectives",
                       certificate={"violations": bad} if bad else None)

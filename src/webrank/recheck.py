@@ -6,12 +6,14 @@ LP values are re-solved with pure Bland pivoting (a different decision
 path than the default hybrid rule), holes are re-validated by direct
 adjacency counting, perfection attestations re-run the odd-hole search
 in reversed scan order, and point/multiplier certificates are checked
-by plain rational arithmetic with no LP at all.
+by plain rational arithmetic with no LP at all.  A failed certificate's
+detail names the first step that failed.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 from .graphs import (
     complement,
@@ -40,10 +42,19 @@ def recheck_certificate(cert: dict):
         return False, f"certificate {cert!r} is not an object"
     kind = cert.get("type")
     if kind == "graph-rank":
-        oks = [recheck_certificate(cert["perfection"])[0]]
-        oks += [recheck_certificate(c)[0] for c in cert.get("pool", [])]
-        oks.append(len(cert["deletion_set"]) == cert["rank"])
-        return all(oks), f"perfection + {len(cert.get('pool', []))} pool certs"
+        pool = cert.get("pool", [])
+        ok, why = recheck_certificate(cert["perfection"])
+        if not ok:
+            return False, f"perfection failed: {why}"
+        for i, c in enumerate(pool):
+            ok, why = recheck_certificate(c)
+            if not ok:
+                what = c.get("type") if isinstance(c, dict) else "not an object"
+                return False, f"pool[{i}] ({what}) failed: {why}"
+        if len(cert["deletion_set"]) != cert["rank"]:
+            return False, (f"|deletion_set| = {len(cert['deletion_set'])} "
+                           f"but rank = {cert['rank']}")
+        return True, f"perfection + {len(pool)} pool certs"
     if kind == "perfection":
         g = from_json_dict(cert["graph"])
         f = tuple(cert["deletion_set"])
@@ -58,47 +69,57 @@ def recheck_certificate(cert: dict):
     if kind == "ineq-rank":
         h = _system(cert["system"])
         row = LinearInequality.from_json(cert["row"])
-        ok = _revalidate_pieces(h, row, cert["witness_f"], None)
-        for v in cert.get("violations", []):
-            ok = ok and recheck_certificate(v)[0]
-        ok = ok and len(cert["witness_f"]) == cert["rank"]
-        return ok, f"witness re-solve + {len(cert.get('violations', []))} violations"
+        violations = cert.get("violations", [])
+        bad = _revalidate_pieces(h, row, cert["witness_f"], None)
+        if bad is not None:
+            return False, f"witness piece z={list(bad)} fails the row"
+        for i, v in enumerate(violations):
+            ok, why = recheck_certificate(v)
+            if not ok:
+                return False, f"violations[{i}] failed: {why}"
+        if len(cert["witness_f"]) != cert["rank"]:
+            return False, (f"|witness_f| = {len(cert['witness_f'])} "
+                           f"but rank = {cert['rank']}")
+        return True, f"witness re-solve + {len(violations)} violations"
     if kind == "disjunctive-validity":
         h = _system(cert["system"])
         row = LinearInequality.from_json(cert["row"])
         stored = {tuple(p["z"]): p for p in cert.get("pieces", [])}
-        ok = _revalidate_pieces(h, row, cert.get("f", []), stored) == cert["valid"]
-        return ok, "piece LPs re-solved with Bland's rule"
+        valid = _revalidate_pieces(h, row, cert.get("f", []), stored) is None
+        return valid == cert["valid"], "piece LPs re-solved with Bland's rule"
     if kind == "violating-point":
         h = _system(cert["system"])
         row = LinearInequality.from_json(cert["row"])
         pt = _point(cert["point"])
-        ok = h.contains(pt)
-        for v in cert.get("f", []):
-            ok = ok and pt.get(int(v), Fraction(0)) in (0, 1)
-        ok = ok and row.evaluate(pt) > row.rhs
-        return ok, "pure arithmetic"
+        if not h.contains(pt):
+            return False, "point outside the system"
+        off = [v for v in cert.get("f", []) if pt.get(int(v), Fraction(0)) not in (0, 1)]
+        if off:
+            return False, f"point not 0/1 at f coordinate {off[0]}"
+        if row.evaluate(pt) <= row.rhs:
+            return False, "point satisfies the row"
+        return True, "pure arithmetic"
     if kind == "membership":
         return _recheck_membership(cert)
     return False, f"unknown certificate type {kind!r}"
 
 
 def _revalidate_pieces(h, row, f, stored):
-    """All-pieces validity via fresh Bland-rule LPs; also cross-checks the
-    stored piece values when given."""
-    from itertools import product
+    """The first piece z on which the row fails, by fresh Bland-rule LPs,
+    or None when it holds on every piece; a piece whose stored record
+    (when given) disagrees with the re-solve also fails."""
     f = [int(v) for v in f]
     for z in product((0, 1), repeat=len(f)):
         out = piece_lp_max(h, row.coeffs, dict(zip(f, z)), pivot_rule="bland")
         if stored is not None and z in stored:
             rec = stored[z]
             if rec["status"] != out.status:
-                return False
+                return z
             if out.status == "optimal" and Fraction(rec["value"]) != out.value:
-                return False
+                return z
         if out.status == "optimal" and out.value > row.rhs:
-            return False
-    return True
+            return z
+    return None
 
 
 def _recheck_membership(cert):
@@ -130,7 +151,7 @@ def _recheck_membership(cert):
     row = LinearInequality.from_json(sep)
     if row.evaluate(pt) <= row.rhs:
         return False, "separating row not violated by the point"
-    ok = _revalidate_pieces(h, row, f, None)
+    ok = _revalidate_pieces(h, row, f, None) is None
     return ok, "separating row valid on every piece (Bland re-solve)"
 
 

@@ -1,8 +1,10 @@
-"""Deterministic pass/fail reports shared by the verify suites and CLI.
+"""Deterministic pass/fail reports, and the one JSON encoder.
 
-Values are serialized as exact rationals ("p/q" strings or integers);
-JSON output is byte-identical for a fixed seed and config (sorted keys,
-no timestamps, no floats).
+Reports, certificates and CLI payloads hold exact values (Fractions,
+int keys, tuples) until `dumps` or `dump` writes them: rationals as
+"p" or "p/q" strings, keys as strings in sorted order, compact
+separators, no timestamps and no floats, so the output is byte-identical
+for a fixed seed and config.
 """
 
 from __future__ import annotations
@@ -11,16 +13,22 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .polyhedra import frac_to_str
+
+def frac_to_str(q) -> str:
+    """A Fraction or an int as "p" or "p/q"."""
+    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
 def _jsonable(v):
     # exact types first: isinstance(v, Fraction) goes through the numbers
-    # ABC's __instancecheck__, the slow part of encoding a large report;
-    # int list entries (node labels, edges) are kept without a call
+    # ABC's __instancecheck__, slow on a large report, so the isinstance
+    # chain below serves only subclasses; int list entries (node labels,
+    # edges) are kept without a call
     t = type(v)
     if t is int or t is str or t is bool or v is None:
         return v
+    if t is Fraction:
+        return frac_to_str(v)
     if t is list or t is tuple:
         return [x if type(x) is int else _jsonable(x) for x in v]
     if isinstance(v, dict):
@@ -32,6 +40,17 @@ def _jsonable(v):
     if isinstance(v, (list, tuple)):
         return [_jsonable(x) for x in v]
     return str(v)
+
+
+def dumps(v) -> str:
+    """The JSON text of v."""
+    return json.dumps(_jsonable(v), sort_keys=True, separators=(",", ":"))
+
+
+def dump(v, fh):
+    """Write the JSON text of v and a newline to fh, streamed."""
+    json.dump(_jsonable(v), fh, sort_keys=True, separators=(",", ":"))
+    fh.write("\n")
 
 
 @dataclass
@@ -46,13 +65,13 @@ class ReportEntry:
     def to_json(self) -> dict:
         d = {"name": self.name, "status": self.status}
         if self.expected is not None:
-            d["expected"] = _jsonable(self.expected)
+            d["expected"] = self.expected
         if self.computed is not None:
-            d["computed"] = _jsonable(self.computed)
+            d["computed"] = self.computed
         if self.detail:
             d["detail"] = self.detail
         if self.certificate is not None:
-            d["certificate"] = _jsonable(self.certificate)
+            d["certificate"] = self.certificate
         return d
 
 
@@ -83,7 +102,7 @@ class Report:
     def to_json(self) -> dict:
         return {
             "suite": self.suite,
-            "config": _jsonable(self.config),
+            "config": self.config,
             "passed": self.passed,
             "counts": {
                 "pass": sum(1 for e in self.entries if e.status == "pass"),
@@ -95,7 +114,7 @@ class Report:
         }
 
     def to_json_str(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
+        return dumps(self.to_json())
 
     def to_table(self) -> str:
         """Human-readable table; rational values rendered exactly."""

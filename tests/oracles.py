@@ -27,11 +27,11 @@ from webrank.polyhedra import (
     _primitive,
     affine_rank,
     cone_extreme_rays,
-    frac_to_str,
     is_valid,
     matrix_rank,
     stab,
 )
+from webrank.reporting import frac_to_str
 from webrank.simplex import LinearProgram, _eliminate
 
 

@@ -35,7 +35,7 @@ from webrank.inequalities import (
 )
 from webrank.liftproject import (
     disjunctive_valid,
-    n_operator_max,
+    n_lift_system,
     n_operator_valid,
     verify_n_matrix,
 )
@@ -164,7 +164,9 @@ def test_criterion_6_w2_row_ranks():
 def test_criterion_7_n_operator_at_k2():
     g8 = web(8, 2)
     h8 = qstab(g8)
-    out, y = n_operator_max({v: 1 for v in g8.nodes}, h8, 1, with_certificate=True)
+    sys_ = n_lift_system(h8, 1)
+    out, raw = sys_.maximize({v: 1 for v in g8.nodes})
+    y = sys_.y_matrix(raw)
     ok = out.value > 2 and verify_n_matrix(h8, y)
     ok = ok and sum(y[j][j] for j in range(1, 9)) == out.value
     for n in (9, 10):

@@ -198,6 +198,46 @@ def test_recheck_of_malformed_nested_certificates(tmp_path, capsys):
         assert (code, err) == (1, "") and "FAIL" in out, field
 
 
+def _recheck_doctored(tmp_path, capsys, argv, doctor):
+    """recheck of the --cert file of `rank` argv after doctor(certificate)."""
+    path = tmp_path / "cert.json"
+    assert main([*argv, "--cert", str(path)]) == 0
+    data = json.loads(path.read_text())
+    doctor(data["entries"][0]["certificate"])
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    code = main(["recheck", str(path)])
+    out = capsys.readouterr()
+    assert (code, out.err) == (1, "") and "FAIL" in out.out
+    return out.out
+
+
+def test_recheck_names_the_failed_step_of_a_graph_rank(tmp_path, capsys):
+    argv = ["rank", "graph", "W:10:2"]
+
+    def hole(c):
+        c["pool"][1]["nodes"] = [1, 2, 3]
+
+    out = _recheck_doctored(tmp_path, capsys, argv, lambda c: c.update(pool=[1]))
+    assert "pool[0] (not an object) failed: certificate 1 is not an object" in out
+    out = _recheck_doctored(tmp_path, capsys, argv, hole)
+    assert "pool[1] (odd-hole) failed: adjacency re-count" in out
+    out = _recheck_doctored(tmp_path, capsys, argv,
+                            lambda c: c["deletion_set"].append(3))
+    assert "|deletion_set| = 3 but rank = 2" in out
+
+
+def test_recheck_names_the_failed_step_of_a_row_rank(tmp_path, capsys):
+    def off_piece(c):
+        v = c["violations"][1]
+        assert v["f"] == [1] and v["point"]["1"] == "0"
+        v["point"]["1"] = "1/4"
+
+    out = _recheck_doctored(tmp_path, capsys, ["rank", "ineq", "antiweb", "A:8:3"],
+                            off_piece)
+    assert "violations[1] failed: point not 0/1 at f coordinate 1" in out
+
+
 def test_recheck_of_a_value_that_is_not_rational(tmp_path, capsys):
     # the doctored point fails its own entry; the other entries still pass
     path = tmp_path / "rdfar.json"

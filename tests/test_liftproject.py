@@ -14,7 +14,6 @@ import webrank
 from webrank.graphs import web
 from webrank.inequalities import rank_constraint
 from webrank.liftproject import (
-    LiftCertificate,
     PieceSystem,
     disjunctive_member,
     disjunctive_valid,
@@ -46,9 +45,9 @@ def test_rank_row_of_c5_valid_under_one_fixing():
     # deleting node 1 leaves P_4, a perfect graph, so both pieces obey x(V) <= 2
     g = web(5, 1)
     ok, cert = disjunctive_valid(rank_constraint(g), qstab(g), (1,))
-    assert ok and cert.kind == "validity-proof"
-    assert [z for z, _, _ in cert.pieces] == [(0,), (1,)]
-    assert max(v for _, s, v in cert.pieces if s == "optimal") == 2
+    assert ok and cert["kind"] == "validity-proof"
+    assert [p["z"] for p in cert["pieces"]] == [(0,), (1,)]
+    assert max(p["value"] for p in cert["pieces"] if p["status"] == "optimal") == 2
 
 
 def test_rank_row_of_w10_2_valid_on_last_coordinate_piece():
@@ -68,8 +67,8 @@ def test_antiweb_row_of_a7_3_valid_under_proof_f():
 def test_rank_row_of_c5_invalid_without_fixings():
     g = web(5, 1)
     ok, cert = disjunctive_valid(rank_constraint(g), qstab(g), ())
-    assert not ok and cert.kind == "violating-point"
-    assert cert.point == {v: Fraction(1, 2) for v in g.nodes}
+    assert not ok and cert["kind"] == "violating-point"
+    assert cert["point"] == {v: Fraction(1, 2) for v in g.nodes}
 
 
 def test_half_point_not_in_p1_of_qstab_c5():
@@ -77,8 +76,8 @@ def test_half_point_not_in_p1_of_qstab_c5():
     x = {v: Fraction(1, 2) for v in g.nodes}
     member, cert = disjunctive_member(x, qstab(g), (1,))
     assert not member
-    sep = cert.separating
-    assert sep is not None and sep.evaluate(x) > sep.rhs
+    sep = LinearInequality.from_json(cert["separating"])
+    assert sep.evaluate(x) > sep.rhs
 
 
 def test_incidence_vectors_are_members_for_any_fixing():
@@ -88,7 +87,7 @@ def test_incidence_vectors_are_members_for_any_fixing():
         for f in ((), (1,), (2, 5)):
             member, cert = disjunctive_member(pt, h, f)
             assert member
-            assert sum(lam for _, lam, _ in cert.multipliers) == 1
+            assert sum(m["lambda"] for m in cert["multipliers"]) == 1
 
 
 def test_rdfar_style_point_in_p_t():
@@ -162,9 +161,10 @@ def test_n1_collapses_qstab_c5_to_stab():
 
 def test_n1_on_w8_2_still_violates_the_rank_row():
     g = web(8, 2)
-    out, y = n_operator_max(ones(g), qstab(g), 1, with_certificate=True)
+    sys_ = n_lift_system(qstab(g), 1)
+    out, raw = sys_.maximize(ones(g))
     assert out.value > 2
-    assert verify_n_matrix(qstab(g), y)
+    assert verify_n_matrix(qstab(g), sys_.y_matrix(raw))
 
 
 def test_n1_equals_alpha_on_perfect_webs():
@@ -188,9 +188,9 @@ def test_n_validity_of_w2_rows():
 def test_n_invalidity_with_reverified_witness():
     g = web(8, 2)
     ok, cert = n_operator_valid(rank_constraint(g), qstab(g), 1)
-    assert not ok and cert.kind == "violating-point"
-    assert verify_n_matrix(qstab(g), cert.y_matrix)
-    assert sum(cert.point.values()) > 2
+    assert not ok and cert["kind"] == "violating-point"
+    assert verify_n_matrix(qstab(g), cert["Y"])
+    assert sum(cert["point"].values()) > 2
 
 
 def test_depth_cap():
@@ -262,7 +262,9 @@ def test_depth1_lift_matrix_is_certified_and_zero_on_edges():
         h = qstab(g)
         for _ in range(4):
             c = {v: rng.randint(0, 6) for v in g.nodes}
-            out, y = n_operator_max(c, h, 1, with_certificate=True)
+            sys_ = n_lift_system(h, 1)
+            out, raw = sys_.maximize(c)
+            y = sys_.y_matrix(raw)
             assert verify_n_matrix(h, y), (n, k, c)
             assert all(y[i][j] == 0 for i, j in g.edges()), (n, k, c)
             assert [y[j][j] for j in range(1, n + 1)] == [out.point[v] for v in g.nodes]

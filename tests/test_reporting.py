@@ -1,9 +1,12 @@
 """The report encoder: exact rationals and keys sorted as strings."""
 
+import hashlib
+import io
 import json
 from fractions import Fraction
 
-from webrank.reporting import _jsonable
+from webrank.cli import main
+from webrank.reporting import _jsonable, dump, dumps
 
 from oracles import jsonable_by_isinstance
 
@@ -39,3 +42,63 @@ def test_jsonable_matches_the_isinstance_chain():
 def test_jsonable_orders_keys_as_strings():
     assert list(_jsonable({10: 1, 2: 2, 1: 3})) == ["1", "10", "2"]
 
+
+
+def test_dumps_writes_exact_values_compactly_with_string_keys_in_order():
+    assert dumps(Fraction(3, 7)) == '"3/7"'
+    assert dumps(Fraction(4)) == '"4"' and dumps(4) == "4"
+    assert dumps({10: Fraction(-1, 2), 2: None, 1: (1, Fraction(1, 3))}) \
+        == '{"1":[1,"1/3"],"10":"-1/2","2":null}'
+    cert = {"kind": "violating-point", "f": (1, 3),
+            "pieces": [{"z": (0, 1), "status": "infeasible", "value": None}],
+            "point": {10: Fraction(1, 2), 9: Fraction(0)},
+            "separating": {"coeffs": {2: Fraction(2)}, "rhs": Fraction(6), "tag": "s"}}
+    assert dumps(cert) == (
+        '{"f":[1,3],"kind":"violating-point",'
+        '"pieces":[{"status":"infeasible","value":null,"z":[0,1]}],'
+        '"point":{"10":"1/2","9":"0"},'
+        '"separating":{"coeffs":{"2":"2"},"rhs":"6","tag":"s"}}')
+
+
+def test_dump_is_dumps_and_a_newline():
+    for v in VALUES:
+        fh = io.StringIO()
+        dump(v, fh)
+        assert fh.getvalue() == dumps(v) + "\n"
+
+
+# exact bytes of the parent encoder, taken before certificates became dicts
+
+MEMBER_A72 = (
+    '{"certificate":{"f":[1,3],"kind":"validity-proof","multipliers":['
+    '{"lambda":"5/7","point":{"1":"0","2":"1/5","3":"0","4":"1/5","5":"1/5",'
+    '"6":"1/5","7":"2/5"},"z":[0,0]},'
+    '{"lambda":"1/7","point":{"1":"0","2":"0","3":"1","4":"0","5":"0","6":"0",'
+    '"7":"0"},"z":[0,1]},'
+    '{"lambda":"1/7","point":{"1":"1","2":"0","3":"0","4":"0","5":"0","6":"0",'
+    '"7":"0"},"z":[1,0]}]},'
+    '"f":[1,3],"graph":"A:7:2","member":true,"relaxation":"qstab"}\n')
+
+NON_MEMBER_A73 = (
+    '{"certificate":{"f":[1,2],"kind":"violating-point","point":{"1":"1/2",'
+    '"2":"1/2","3":"1/2","4":"1/2","5":"1/2","6":"1/2","7":"1/2"},'
+    '"separating":{"coeffs":{"1":"2","2":"2","3":"2","4":"2","5":"2","6":"2",'
+    '"7":"2"},"rhs":"6","tag":"separating"}},'
+    '"f":[1,2],"graph":"A:7:3","member":false,"relaxation":"qstab"}\n')
+
+
+def test_membership_payloads_are_pinned(capsys):
+    assert main(["lp", "A:7:2", "--member", "1/7,1/7,1/7,1/7,1/7,1/7,2/7",
+                 "--f", "1,3", "--format", "json"]) == 0
+    assert capsys.readouterr().out == MEMBER_A72
+    assert main(["lp", "A:7:3", "--member", "1/2,1/2,1/2,1/2,1/2,1/2,1/2",
+                 "--f", "1,2", "--format", "json"]) == 0
+    assert capsys.readouterr().out == NON_MEMBER_A73
+
+
+def test_row_rank_certificate_file_is_pinned(tmp_path, capsys):
+    path = tmp_path / "a83.json"
+    assert main(["rank", "ineq", "antiweb", "A:8:3", "--cert", str(path)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        "d7aba0e0754ce280d9c3474deba311775feecb49ba9f092b042bb57e217f99b9"
