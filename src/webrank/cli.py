@@ -9,8 +9,10 @@ exact rationals ("p/q" strings), byte-identical for a fixed seed and
 config; human tables render the same exact values.  Caps (exit 2 when
 hit): --hull-bound on the hull dimension, which is also the node count
 whose stable sets a hull enumerates; --piece-cap on |F|; --depth-cap on
-the N depth; --time-budget in seconds for the graph-rank searches and
-the N lift LP of lp --operator N.
+the N depth; --time-budget in seconds for the graph-rank searches, the
+N lift LP of lp --operator N and the membership LP of lp --member.
+rank --cert needs a route that builds a certificate: with --operator N
+or --polyhedral it is an input error.
 A max over STAB without a hull (alpha, the row-rank check against STAB,
 the sandwich) is a stable set search and has no cap.
 
@@ -159,8 +161,10 @@ def _build_row(family: str, g):
 
 
 def cmd_rank(args) -> int:
+    if args.cert and (args.operator == "N" or (args.target == "graph" and args.polyhedral)):
+        route = "--operator N" if args.operator == "N" else "--polyhedral"
+        raise ValueError(f"--cert with {route}: that route builds no certificate")
     g = parse_graph_spec(args.spec)
-    cert = None
     if args.target == "graph":
         if args.operator == "disjunctive":
             if args.polyhedral:
@@ -199,7 +203,7 @@ def cmd_rank(args) -> int:
                 return EXIT_CAP
             result = {"target": args.spec, "family": args.family,
                       "operator": "N", "rank": r}
-    if args.cert and cert is not None:
+    if args.cert:
         with open(args.cert, "w") as fh:
             dump({"suite": "rank", "entries": [
                 {"name": f"rank {args.target} {args.spec}", "status": "info",
@@ -289,7 +293,8 @@ def cmd_lp(args) -> int:
         raise ValueError(f"--f names {unknown}, not nodes of {args.spec}")
     if args.member:
         point = _parse_point(args.member, h.index)
-        member, cert = disjunctive_member(point, h, f, args.piece_cap)
+        member, cert = disjunctive_member(point, h, f, args.piece_cap,
+                                          deadline=args.deadline)
         payload = {"graph": args.spec, "relaxation": args.relaxation,
                    "f": f, "member": member, "certificate": cert}
         if args.fmt == "json":
@@ -349,7 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rmax", type=int, default=1)
     p.add_argument("--polyhedral", action="store_true",
                    help="graph rank via exhaustive F + hull facets (oracle route)")
-    p.add_argument("--cert", help="write the certificate JSON here")
+    p.add_argument("--cert", help="write the certificate JSON here (not with "
+                   "--operator N or --polyhedral, which build none)")
     _add_common(p)
 
     p = sub.add_parser("verify", help="run a theorem verification suite")

@@ -145,8 +145,19 @@ class HPolytope:
         return len(self.index)
 
     def contains(self, point: dict) -> bool:
-        return all(r.satisfied_by(point) for r in self.rows) and all(
-            point.get(v, Fraction(0)) >= 0 for v in self.index)
+        """x in h, in integers: the point is cleared of denominators once
+        (x = num / L) and each row tested as a.num <= b L in its integer
+        form; keys outside the index are ignored."""
+        vals = [point.get(v, 0) for v in self.index]
+        L = lcm(*(q.denominator for q in vals))
+        num = {v: q.numerator * (L // q.denominator) for v, q in zip(self.index, vals)}
+        if any(a < 0 for a in num.values()):
+            return False
+        for r in self.rows:
+            key, rhs = r.canonical()
+            if sum(c * num[v] for v, c in key) > rhs * L:
+                return False
+        return True
 
     def to_json(self) -> dict:
         return {"index": self.index, "rows": [r.to_json() for r in self.rows]}

@@ -4,7 +4,7 @@ None of these is used by the package itself.
 """
 
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import combinations, islice, product
 from math import gcd, lcm
 
 from webrank.graphs import (
@@ -15,6 +15,12 @@ from webrank.graphs import (
     _is_hole,
     as_nodeset,
     mod1,
+)
+from webrank.liftproject import (
+    PIECE_CAP,
+    _check_piece_cap,
+    _separating_from_farkas,
+    pt_matches,
 )
 from webrank.polyhedra import (
     HULL_BOUND,
@@ -32,7 +38,7 @@ from webrank.polyhedra import (
     stab,
 )
 from webrank.reporting import frac_to_str
-from webrank.simplex import LinearProgram, _eliminate
+from webrank.simplex import CertificateError, LinearProgram, _eliminate
 
 
 # ---------------------------------------------------------------------------
@@ -393,3 +399,67 @@ def is_facet(ineq: LinearInequality, g: Graph) -> bool:
     tight = [p for p in vp.points
              if sum((c * x for c, x in zip(coeffs, p)), Fraction(0)) == ineq.rhs]
     return affine_rank(tight) == g.n - 1
+
+
+# ---------------------------------------------------------------------------
+# the disjunctive operator
+
+def contains_by_fractions(h: HPolytope, point: dict) -> bool:
+    """x in h, each row evaluated in Fractions (HPolytope.contains works
+    in integers)."""
+    return all(r.satisfied_by(point) for r in h.rows) and all(
+        point.get(v, Fraction(0)) >= 0 for v in h.index)
+
+
+def disjunctive_member_unreduced(x: dict, h: HPolytope, f, piece_cap: int = PIECE_CAP):
+    """disjunctive_member over the unreduced extended formulation: one
+    y^z block of n variables and one lambda_z per piece z, empty pieces
+    included, with x = sum_z y^z, A y^z <= lambda_z b, y^z_F = lambda_z z
+    and sum lambda_z = 1 as they stand."""
+    f = as_nodeset(f)
+    _check_piece_cap(f, piece_cap)
+    n = h.dim
+    zs = list(product((0, 1), repeat=len(f)))
+    npieces = len(zs)
+    # variable layout: y^p (n each), then lambda_p
+    nv = npieces * n + npieces
+    lam0 = npieces * n
+    pos = {v: i for i, v in enumerate(h.index)}
+    lp = LinearProgram(nv)
+    for p in range(npieces):
+        base = p * n
+        for r in h.rows:
+            row = {base + pos[v]: c for v, c in r.coeffs.items()}
+            row[lam0 + p] = -r.rhs
+            lp.add_le(row, 0)
+        for v, z in zip(f, zs[p]):
+            lp.add_eq({base + pos[v]: 1, lam0 + p: -z}, 0)
+    coord_rows = []
+    for j, v in enumerate(h.index):
+        coord_rows.append(len(lp.rows))
+        lp.add_eq({p * n + j: 1 for p in range(npieces)}, Fraction(x.get(v, 0)))
+    convex_row = len(lp.rows)
+    lp.add_eq({lam0 + p: 1 for p in range(npieces)}, 1)
+    res = lp.solve(None)
+    if res.status == "optimal":
+        mult = []
+        for p in range(npieces):
+            lam = res.x[lam0 + p]
+            if lam == 0:
+                continue
+            pt = {v: res.x[p * n + j] / lam for j, v in enumerate(h.index)}
+            if not (contains_by_fractions(h, pt) and pt_matches(pt, dict(zip(f, zs[p])))):
+                raise CertificateError(f"point of piece z={zs[p]} lies outside it")
+            mult.append({"z": zs[p], "lambda": lam, "point": pt})
+        if sum(m["lambda"] for m in mult) != 1:
+            raise CertificateError("convex multipliers do not sum to 1")
+        for v in h.index:
+            if sum((m["lambda"] * m["point"][v] for m in mult), Fraction(0)) \
+                    != Fraction(x.get(v, 0)):
+                raise CertificateError(f"coordinate {v} is not the convex combination")
+        return True, {"kind": "validity-proof", "f": f, "multipliers": mult}
+    if res.status != "infeasible":
+        raise RuntimeError(f"membership LP ended {res.status}")
+    sep = _separating_from_farkas(res.farkas, h, coord_rows, convex_row, f, x)
+    return False, {"kind": "violating-point", "f": f, "point": dict(x),
+                   "separating": sep.to_json()}

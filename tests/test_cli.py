@@ -321,6 +321,40 @@ def test_time_budget_bounds_the_n_lift_lp(monkeypatch, capsys):
     assert (code, out) == (2, "") and "budget" in err
 
 
+A11_4_POINT = "1/4,1/6,5/12,1/6,1/2,1/6,1/4,1/12,1/2,1/12,1/12"
+
+
+def test_time_budget_bounds_the_membership_lp(capsys):
+    argv = ["lp", "A:11:4", "--member", A11_4_POINT, "--f", "5,6,8", "--format", "json"]
+    code, out, err = run(capsys, *argv, "--time-budget", "0")
+    assert (code, out) == (2, "") and "budget" in err
+    assert run(capsys, *argv, "--time-budget", "60") == run(capsys, *argv)
+
+
+def _no_search(*args, **kwargs):
+    raise AssertionError("the search ran")
+
+
+def test_rank_cert_with_operator_n_is_an_input_error(tmp_path, monkeypatch, capsys):
+    from webrank import cli
+    monkeypatch.setattr(cli, "n_rank_inequality_upto", _no_search)
+    path = tmp_path / "c.json"
+    code, out, err = run(capsys, "rank", "ineq", "rank-constraint", "W:10:2",
+                         "--operator", "N", "--rmax", "1", "--cert", str(path))
+    assert (code, out) == (3, "") and "--cert with --operator N" in err
+    assert not path.exists()
+
+
+def test_rank_cert_with_polyhedral_is_an_input_error(tmp_path, monkeypatch, capsys):
+    from webrank import cli
+    monkeypatch.setattr(cli, "disjunctive_rank_graph_polyhedral", _no_search)
+    path = tmp_path / "c.json"
+    code, out, err = run(capsys, "rank", "graph", "W:8:2", "--polyhedral",
+                         "--cert", str(path))
+    assert (code, out) == (3, "") and "--cert with --polyhedral" in err
+    assert not path.exists()
+
+
 def test_console_script_entry_point():
     """The `webrank` script declared in pyproject.toml starts the CLI.
 

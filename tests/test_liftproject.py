@@ -1,5 +1,6 @@
 """Disjunctive and N operator oracles, their certificates and invariants."""
 
+import json
 import os
 import random
 import subprocess
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import webrank
+from webrank import liftproject
 from webrank.graphs import web
 from webrank.inequalities import rank_constraint
 from webrank.liftproject import (
@@ -34,9 +36,17 @@ from webrank.polyhedra import (
     qstab,
     stab,
 )
+from webrank.recheck import recheck_certificate
+from webrank.reporting import dumps
 from webrank.simplex import LinearProgram
 
-from oracles import as_dicts, enumerate_vertices, max_over, with_rows
+from oracles import (
+    as_dicts,
+    disjunctive_member_unreduced,
+    enumerate_vertices,
+    max_over,
+    with_rows,
+)
 
 ones = lambda g: {v: 1 for v in g.nodes}
 
@@ -134,6 +144,82 @@ def test_member_agrees_with_piecewise_vertex_hull():
                 continue
             member, _ = disjunctive_member(x, h, f)
             assert member == oracle(x), x
+
+
+def _membership_cert(h, x, member, cert):
+    """cert wrapped as the membership certificate recheck reads, through
+    its JSON text."""
+    return json.loads(dumps({**cert, "type": "membership", "system": h.to_json(),
+                             "point": x, "member": member}))
+
+
+def _record_lp_shapes(monkeypatch):
+    """The list to which each LP that liftproject solves from scratch
+    appends its (rows, variables, equality rows)."""
+    built = []
+
+    class Recording(LinearProgram):
+        def solve(self, *args, **kwargs):
+            built.append((len(self.rows), self.nv,
+                          sum(kind == "=" for _, _, kind in self.rows)))
+            return super().solve(*args, **kwargs)
+
+    monkeypatch.setattr(liftproject, "LinearProgram", Recording)
+    return built
+
+
+def test_member_with_every_piece_empty_needs_no_lp(monkeypatch):
+    # h is the segment x1 = 1/2, so both pieces x1 = 0 and x1 = 1 are empty
+    # and P_F(h) is empty though h is not
+    h = HPolytope((1, 2), [nonneg_row(1), nonneg_row(2), LinearInequality({1: 1}, 1),
+                           LinearInequality({2: 1}, 1),
+                           LinearInequality({1: 2}, 1), LinearInequality({1: -2}, -1)])
+    x = {1: Fraction(1, 2), 2: Fraction(0)}
+    assert h.contains(x)
+    assert disjunctive_member_unreduced(x, h, (1,))[0] is False
+    monkeypatch.setattr(liftproject, "LinearProgram", None)    # no LP may be built
+    member, cert = disjunctive_member(x, h, (1,))
+    assert not member and cert["kind"] == "violating-point"
+    assert cert["separating"] == {"coeffs": {}, "rhs": Fraction(-1), "tag": "separating"}
+    assert recheck_certificate(_membership_cert(h, x, member, cert)) == \
+        (True, "separating row valid on every piece (Bland re-solve)")
+
+
+def test_member_with_every_coordinate_fixed_has_no_y_block(monkeypatch):
+    # F = V on C_5: the nonempty pieces are the 11 stable sets, and only
+    # their lambdas are variables
+    built = _record_lp_shapes(monkeypatch)
+    g = web(5, 1)
+    h = qstab(g)
+    inside = {1: Fraction(1, 2), 2: Fraction(1, 2), 3: Fraction(0), 4: Fraction(0),
+              5: Fraction(0)}
+    outside = {v: Fraction(1, 2) for v in g.nodes}
+    certs = {}
+    for x, want in ((inside, True), (outside, False)):
+        member, certs[want] = disjunctive_member(x, h, g.nodes)
+        assert member is want and built.pop()[1] == 11
+        assert disjunctive_member_unreduced(x, h, g.nodes)[0] is want
+        assert recheck_certificate(_membership_cert(h, x, member, certs[want]))[0]
+    mults = certs[True]["multipliers"]
+    assert [m["z"] for m in mults] == [(0, 1, 0, 0, 0), (1, 0, 0, 0, 0)]
+    for m in mults:
+        assert m["point"] == {v: Fraction(z) for v, z in zip(g.nodes, m["z"])}
+
+
+@pytest.mark.parametrize("n, k, f, x, shape", [
+    (11, 4, (5, 6, 8), "1/4,1/6,5/12,1/6,1/2,1/6,1/4,1/12,1/2,1/12,1/12", (188, 72, 12)),
+    (11, 3, (1, 4, 7), ",".join(["1/4"] * 11), (96, 36, 12)),
+])
+def test_membership_lp_is_built_reduced(monkeypatch, n, k, f, x, shape):
+    # the unreduced LP of both is 300 rows x 96 variables with 36 = rows;
+    # A_11^3 with F = {1, 4, 7} has 4 empty pieces of 8
+    from webrank.graphs import antiweb
+    built = _record_lp_shapes(monkeypatch)
+    h = qstab(antiweb(n, k))
+    point = dict(zip(h.index, map(Fraction, x.split(","))))
+    member, _ = disjunctive_member(point, h, f)
+    assert built[0] == shape
+    assert member == disjunctive_member_unreduced(point, h, f)[0]
 
 
 def test_disjunctive_monotone_in_f():

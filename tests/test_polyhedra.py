@@ -35,6 +35,7 @@ from webrank.polyhedra import (
 from oracles import (
     as_dicts,
     cone_extreme_rays_full_scan,
+    contains_by_fractions,
     enumerate_vertices,
     feasible_sets_equal,
     is_facet,
@@ -159,6 +160,30 @@ def test_membership_chain_stab_qstab_frac():
         for pt in as_dicts(stab(g)):
             assert hq.contains(pt) and hf.contains(pt)
             assert all(0 <= x <= 1 for x in pt.values())
+
+
+def test_integer_contains_matches_fractions():
+    # rows with fractional and negative coefficients, points with negative
+    # coordinates, int values, missing coordinates and keys outside the index
+    rng = random.Random(13)
+    verdicts = []
+    for _ in range(400):
+        index = tuple(rng.sample(range(1, 10), rng.randint(1, 5)))
+        rows = []
+        for _ in range(rng.randint(0, 5)):
+            support = rng.sample(index, rng.randint(1, len(index)))
+            coeffs = {v: Fraction(rng.randint(-3, 6), rng.randint(1, 4)) for v in support}
+            rows.append(LinearInequality(coeffs, Fraction(rng.randint(-1, 8),
+                                                          rng.randint(1, 3))))
+        h = HPolytope(index, rows)
+        point = {v: Fraction(rng.randint(-1, 6), rng.randint(1, 6))
+                 for v in rng.sample(index, rng.randint(0, len(index)))}
+        point.update({v: rng.randint(0, 1) for v in rng.sample(index, 1)})
+        point.update({v: Fraction(rng.randint(-5, 5), 3)
+                      for v in rng.sample(range(10, 14), rng.randint(0, 2))})
+        verdicts.append(h.contains(point))
+        assert verdicts[-1] == contains_by_fractions(h, point), (h.rows, point)
+    assert 100 < sum(verdicts) < 300
 
 
 def test_is_facet_antiweb_prime_criterion():
