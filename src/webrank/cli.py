@@ -2,17 +2,20 @@
 
 Subcommands: generate, rank, verify, recheck, hull, lp.  Exit codes:
 0 pass, 1 assertion failure, 2 resource cap / time budget, 3 input
-error, 4 internal error (a RuntimeError such as a failed certificate
-check, the simplex pivot limit or an unbounded relaxation, reported as
-one "internal error: ..." line on stderr).  Machine output is JSON with
-exact rationals ("p/q" strings), byte-identical for a fixed seed and
-config; human tables render the same exact values.  Caps (exit 2 when
-hit): --hull-bound on the hull dimension, which is also the node count
-whose stable sets a hull enumerates; --piece-cap on |F|; --depth-cap on
-the N depth; --time-budget in seconds for the graph-rank searches, the
-N lift LP of lp --operator N and the membership LP of lp --member.
-rank --cert needs a route that builds a certificate: with --operator N
-or --polyhedral it is an input error.
+error (a usage error too; --help exits 0), 4 internal error (a
+RuntimeError such as a failed certificate check, the simplex pivot
+limit or an unbounded relaxation, reported as one "internal error: ..."
+line on stderr).  Machine output is JSON with exact rationals ("p/q"
+strings), byte-identical for a fixed seed and config; human tables
+render the same exact values.  Caps (exit 2 when hit): --hull-bound on
+the hull dimension, which is also the node count whose stable sets a
+hull enumerates; --piece-cap on |F| in every piece scan, lp --operator
+disjunctive included; --depth-cap on the N depth; --time-budget in
+seconds for the graph-rank searches, the N lift LP of lp --operator N
+and the membership LP of lp --member.  --polyhedral is a rank graph
+route, and rank --cert needs a route that builds a certificate: rank
+ineq --polyhedral, and --cert with --operator N or --polyhedral, are
+input errors.
 A max over STAB without a hull (alpha, the row-rank check against STAB,
 the sandwich) is a stable set search and has no cap.
 
@@ -32,7 +35,6 @@ import argparse
 import json
 import sys
 import time
-from itertools import product
 
 from .graphs import (
     AntiwebId,
@@ -56,10 +58,10 @@ from .inequalities import (
 from .liftproject import (
     DEPTH_CAP,
     PIECE_CAP,
-    PieceSystem,
     disjunctive_member,
     n_operator_max,
     piece_max,
+    piece_systems,
 )
 from .polyhedra import (
     HULL_BOUND,
@@ -161,7 +163,9 @@ def _build_row(family: str, g):
 
 
 def cmd_rank(args) -> int:
-    if args.cert and (args.operator == "N" or (args.target == "graph" and args.polyhedral)):
+    if args.target == "ineq" and args.polyhedral:
+        raise ValueError("--polyhedral is a rank graph route; rank ineq has none")
+    if args.cert and (args.operator == "N" or args.polyhedral):
         route = "--operator N" if args.operator == "N" else "--polyhedral"
         raise ValueError(f"--cert with {route}: that route builds no certificate")
     g = parse_graph_spec(args.spec)
@@ -315,8 +319,7 @@ def cmd_lp(args) -> int:
         out = n_operator_max(obj, h, args.depth, args.depth_cap, deadline=args.deadline)
         over = f"N^{args.depth}({args.relaxation}({args.spec}))"
     elif args.operator == "disjunctive":
-        out = piece_max([PieceSystem(h, dict(zip(f, z)))
-                         for z in product((0, 1), repeat=len(f))], obj)
+        out = piece_max(piece_systems(h, f, args.piece_cap), obj)
         over = f"P_F({args.relaxation}({args.spec})), F={list(f)}"
     else:
         out = lp_max(h, obj)
@@ -367,7 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-values", default="6..9")
     p.add_argument("--objectives", type=int, default=10)
     p.add_argument("--spec", default="join:A:5:2,A:5:2")
-    p.add_argument("--exhaustive", action="store_true", default=True)
     p.add_argument("--sampled", dest="exhaustive", action="store_false")
     p.add_argument("--no-complements", action="store_true")
     p.add_argument("--out", help="write the JSON report here")
@@ -397,7 +399,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:       # argparse exits 2 on a usage error, 0 after --help
+        return EXIT_INPUT if exc.code == 2 else exc.code
     args.deadline = None if args.time_budget is None else time.monotonic() + args.time_budget
     handlers = {"generate": cmd_generate, "rank": cmd_rank, "verify": cmd_verify,
                 "recheck": cmd_recheck, "hull": cmd_hull, "lp": cmd_lp}

@@ -1,13 +1,15 @@
 """The two lift-and-project oracles over a relaxation K in [0,1]^n.
 
 Disjunctive operator: P_F(K) = conv of the 2^|F| pieces K n {x_F = z}.
-Validity of a row over P_F is decided piecewise (one exact LP per
-piece, fixed coordinates substituted away); membership is decided by
-the disjunctive extended formulation (a convex combination of one
-point per piece), an exact LP feasibility problem whose Farkas dual
-yields a separating inequality.  That LP is built reduced: the fixed
-coordinates of each piece's block are substituted by its lambda (or
-0), pieces a row proves empty are left out, and so are rows that
+The piece layer has one enumeration of the pieces (`_pieces`, behind
+the piece cap), one substitution of the fixed coordinates
+(`_fixed_rows`) and one piece-max loop (`piece_max`).  Validity of a
+row over P_F is decided piecewise (one exact LP per piece); membership
+is decided by the disjunctive extended formulation (a convex
+combination of one point per piece), an exact LP feasibility problem
+whose Farkas dual yields a separating inequality.  That LP is built
+reduced: the fixed coordinates of each piece's block are substituted
+by its lambda (or 0), empty pieces are left out, and so are rows that
 nonnegativity implies.  On A_11^4 with |F| = 3 this takes the LP from
 300 rows x 96 variables (36 equality rows) to 188 x 72 (12).
 
@@ -45,41 +47,60 @@ def _check_piece_cap(f, cap):
                                   f"(2^|F| pieces)")
 
 
+def _pieces(f, piece_cap):
+    """(z, fixing) for each piece of F, z in lexicographic order, after
+    the piece cap check: the one enumeration of the pieces."""
+    _check_piece_cap(f, piece_cap)
+    for z in product((0, 1), repeat=len(f)):
+        yield z, dict(zip(f, z))
+
+
+def _fixed_rows(h: HPolytope, fixing: dict, col: dict):
+    """The rows of h with x_v = fixing[v] substituted: (coefficients keyed
+    by col[v] of the free coordinates, right-hand side) each, or None when
+    the piece is empty.  A row left without a free coordinate is dropped,
+    or makes the piece empty when its right-hand side is negative."""
+    rows = []
+    for r in h.rows:
+        coeffs, rhs = {}, r.rhs
+        for v, c in r.coeffs.items():
+            z = fixing.get(v)
+            if z is None:
+                coeffs[col[v]] = c
+            elif z == 1:
+                rhs -= c
+            elif z:
+                rhs -= c * z
+        if coeffs:
+            rows.append((coeffs, rhs))
+        elif rhs < 0:
+            return None
+    return rows
+
+
 class PieceSystem:
     """The LP of max over the piece h n {x_i = z_i for i in fixing},
     reusable across objectives.
 
-    Fixed coordinates are substituted away, which keeps right-hand
-    sides nonnegative (no phase-1 work) and shrinks the LP.  A row left
-    with no free coordinate and a negative right-hand side makes the
-    piece empty, and with every coordinate fixed the piece is one
-    point; neither needs an LP.  `LinearProgram.maximize` solves the LP
-    with the pivot rule until it has a feasible basis, then re-solves
-    from the last one.
+    Fixed coordinates are substituted away (`_fixed_rows`), which keeps
+    right-hand sides nonnegative (no phase-1 work) and shrinks the LP.
+    An empty piece, and with every coordinate fixed a piece of one
+    point, need no LP.  `LinearProgram.maximize` solves the LP with the
+    pivot rule until it has a feasible basis, then re-solves from the
+    last one.
     """
 
     def __init__(self, h: HPolytope, fixing: dict):
         self.fixing = fixing
         self.free = [v for v in h.index if v not in fixing]
-        self.empty = False
         self._lp = None
-        reduced = []
-        for r in h.rows:
-            rhs = r.rhs - sum((r.coeffs[v] * fixing[v] for v in r.coeffs if v in fixing),
-                              Fraction(0))
-            coeffs = {v: c for v, c in r.coeffs.items() if v not in fixing}
-            if not coeffs:
-                if rhs < 0:
-                    self.empty = True
-                    return
-                continue
-            reduced.append((coeffs, rhs))
-        if not self.free:
+        rows = _fixed_rows(h, fixing, {v: i for i, v in enumerate(self.free)})
+        self.empty = rows is None
+        if self.empty or not self.free:
             return
-        pos = {v: i for i, v in enumerate(self.free)}
         self._lp = LinearProgram(len(self.free))
-        for coeffs, rhs in reduced:
-            self._lp.add_le({pos[v]: c for v, c in coeffs.items()}, rhs)
+        for coeffs, rhs in rows:
+            self._lp.add_le(coeffs, rhs)
 
     def maximize(self, objective: dict, pivot_rule: str = "hybrid") -> LPOutcome:
         if self.empty:
@@ -96,12 +117,16 @@ class PieceSystem:
                 obj[i] = c
         res = self._lp.maximize(obj, pivot_rule)
         if res.status == "infeasible":
-            return LPOutcome(status="infeasible", pivots=res.pivots)
+            return LPOutcome(status="infeasible")
         if res.status == "unbounded":
             raise RuntimeError("unbounded piece: relaxation lacks bound rows")
         point.update(zip(self.free, res.x))
-        return LPOutcome(status="optimal", value=res.value + shift, point=point,
-                         pivots=res.pivots)
+        return LPOutcome(status="optimal", value=res.value + shift, point=point)
+
+
+def piece_systems(h: HPolytope, f, piece_cap: int = PIECE_CAP) -> list:
+    """The PieceSystem of each piece of F, in lexicographic z order."""
+    return [PieceSystem(h, fixing) for _, fixing in _pieces(as_nodeset(f), piece_cap)]
 
 
 def piece_lp_max(h: HPolytope, objective: dict, fixing: dict,
@@ -111,36 +136,32 @@ def piece_lp_max(h: HPolytope, objective: dict, fixing: dict,
     return PieceSystem(h, fixing).maximize(objective, pivot_rule)
 
 
-def piece_max(systems, objective: dict) -> LPOutcome:
+def piece_max(systems, objective: dict, stop=None) -> LPOutcome:
     """Best optimal outcome over the piece systems, the first one winning
-    a tie; infeasible when every piece is empty."""
+    a tie; infeasible when every piece is empty.  With `stop` the scan
+    ends at the first piece whose value reaches it, and that piece's
+    outcome (value >= stop) is returned."""
     best = None
     for sys_ in systems:
         out = sys_.maximize(objective)
         if out.status == "optimal" and (best is None or out.value > best.value):
             best = out
+            if stop is not None and best.value >= stop:
+                break
     return LPOutcome(status="infeasible") if best is None else best
 
 
 def min_piece_max(pieces, objective: dict):
-    """min over j of the best value over the piece systems pieces[j], that
-    is min(piece_max(systems, objective).value for systems in pieces); None
-    when some j has no feasible piece.  Once a piece of j reaches the
-    running minimum, j cannot lower it, so j's remaining pieces are
-    skipped."""
+    """min over j of piece_max(pieces[j], objective).value; None when some
+    j has no feasible piece.  The running minimum is the stop of each
+    scan: a j with a piece that reaches it cannot lower it."""
     low = None
     for systems in pieces:
-        top = None
-        for sys_ in systems:
-            out = sys_.maximize(objective)
-            if out.status == "optimal" and (top is None or out.value > top):
-                top = out.value
-                if low is not None and top >= low:
-                    break
-        else:
-            if top is None:
-                return None
-            low = top
+        out = piece_max(systems, objective, stop=low)
+        if out.status != "optimal":
+            return None
+        if low is None or out.value < low:
+            low = out.value
     return low
 
 
@@ -153,10 +174,8 @@ def disjunctive_valid(ineq: LinearInequality, h: HPolytope, f,
     lexicographic z order with early exit on the first violation.
     """
     f = as_nodeset(f)
-    _check_piece_cap(f, piece_cap)
     pieces = []
-    for z in product((0, 1), repeat=len(f)):
-        fixing = dict(zip(f, z))
+    for z, fixing in _pieces(f, piece_cap):
         out = piece_lp_max(h, ineq.coeffs, fixing)
         pieces.append({"z": z, "status": out.status, "value": out.value})
         if out.status == "optimal" and out.value > ineq.rhs:
@@ -184,46 +203,35 @@ def disjunctive_member(x: dict, h: HPolytope, f, piece_cap: int = PIECE_CAP,
     sum lambda_z = 1, built reduced.  y^z_F is substituted away (lambda_z
     where z is 1, 0 where z is 0), so the coordinate row of v in F reads
     sum of lambda_z over the pieces with z_v = 1 = x_v and y^z keeps only
-    the free coordinates.  A row left with no free coordinate and a
-    positive lambda_z coefficient forces lambda_z = 0, and h is bounded,
-    so that piece is empty and left out; a row with no positive
+    the free coordinates.  A piece `_fixed_rows` finds empty forces
+    lambda_z = 0 (h is bounded) and is left out; a row with no positive
     coefficient (a -x_v <= 0 row) holds for every y^z, lambda_z >= 0 and
     is left out.  With every piece empty P_F(h) is empty and 0.x <= -1
     separates; no LP is built.
 
     A yes answer carries the convex multipliers and per-piece points; a
     no answer carries a separating inequality recovered from the Farkas
-    certificate, both re-verified in exact arithmetic.  Past the
-    deadline (a time.monotonic() value) the solve raises SearchTimeout.
+    certificate.  Both are re-verified in exact arithmetic, the
+    separating row by `disjunctive_valid` under the same piece cap.
+    Past the deadline (a time.monotonic() value) the solve raises
+    SearchTimeout.
     """
     f = as_nodeset(f)
-    _check_piece_cap(f, piece_cap)
-    fixed = set(f)
-    free = [v for v in h.index if v not in fixed]
+    free = [v for v in h.index if v not in f]
     pos = {v: j for j, v in enumerate(free)}
-    pieces = []             # (z, rows) per nonempty piece, rows (free coeffs, lambda coeff)
-    for z in product((0, 1), repeat=len(f)):
-        fixing = dict(zip(f, z))
-        rows = []
-        for r in h.rows:
-            coeffs = {pos[v]: c for v, c in r.coeffs.items() if v not in fixed}
-            lam = sum((c * fixing[v] for v, c in r.coeffs.items() if v in fixed),
-                      -r.rhs)
-            if not coeffs and lam > 0:
-                break
-            if lam > 0 or any(c > 0 for c in coeffs.values()):
-                rows.append((coeffs, lam))
-        else:
-            pieces.append((z, rows))
+    pieces = []         # (z, fixing, rows) per nonempty piece; rows (free coeffs, lambda coeff)
+    for z, fixing in _pieces(f, piece_cap):
+        rows = _fixed_rows(h, fixing, pos)
+        if rows is not None:
+            pieces.append((z, fixing, [(coeffs, -rhs) for coeffs, rhs in rows
+                                       if rhs < 0 or any(c > 0 for c in coeffs.values())]))
     if not pieces:
-        sep = _checked_separating(LinearInequality({}, -1, tag="separating"), h, f, x)
-        return False, {"kind": "violating-point", "f": f, "point": dict(x),
-                       "separating": sep.to_json()}
+        return _non_member(LinearInequality({}, -1, tag="separating"), h, f, x, piece_cap)
     # variable layout: y^p (one per free coordinate each), then lambda_p
     n = len(free)
     lam0 = len(pieces) * n
     lp = LinearProgram(lam0 + len(pieces))
-    for p, (_, rows) in enumerate(pieces):
+    for p, (_, _, rows) in enumerate(pieces):
         base = p * n
         for coeffs, lam in rows:
             row = {base + j: c for j, c in coeffs.items()}
@@ -232,23 +240,21 @@ def disjunctive_member(x: dict, h: HPolytope, f, piece_cap: int = PIECE_CAP,
     coord_rows = []
     for v in h.index:
         coord_rows.append(len(lp.rows))
-        if v in fixed:
-            i = f.index(v)
-            row = {lam0 + p: 1 for p, (z, _) in enumerate(pieces) if z[i]}
-        else:
+        if v in pos:
             row = {p * n + pos[v]: 1 for p in range(len(pieces))}
+        else:
+            row = {lam0 + p: 1 for p, (_, fixing, _) in enumerate(pieces) if fixing[v]}
         lp.add_eq(row, Fraction(x.get(v, 0)))
     convex_row = len(lp.rows)
     lp.add_eq({lam0 + p: 1 for p in range(len(pieces))}, 1)
     res = lp.solve(None, deadline=deadline)
     if res.status == "optimal":
         mult = []
-        for p, (z, _) in enumerate(pieces):
+        for p, (z, fixing, _) in enumerate(pieces):
             lam = res.x[lam0 + p]
             if lam == 0:
                 continue
-            fixing = dict(zip(f, z))
-            pt = {v: Fraction(fixing[v]) if v in fixed else res.x[p * n + pos[v]] / lam
+            pt = {v: res.x[p * n + pos[v]] / lam if v in pos else Fraction(fixing[v])
                   for v in h.index}
             if not (h.contains(pt) and pt_matches(pt, fixing)):
                 raise CertificateError(f"point of piece z={z} lies outside it")
@@ -262,28 +268,21 @@ def disjunctive_member(x: dict, h: HPolytope, f, piece_cap: int = PIECE_CAP,
         return True, {"kind": "validity-proof", "f": f, "multipliers": mult}
     if res.status != "infeasible":
         raise RuntimeError(f"membership LP ended {res.status}")
-    sep = _separating_from_farkas(res.farkas, h, coord_rows, convex_row, f, x)
-    return False, {"kind": "violating-point", "f": f, "point": dict(x),
-                   "separating": sep.to_json()}
+    pi = {v: -res.farkas[coord_rows[j]] for j, v in enumerate(h.index)}
+    return _non_member(LinearInequality(pi, res.farkas[convex_row], tag="separating"),
+                       h, f, x, piece_cap)
 
 
-def _separating_from_farkas(farkas, h, coord_rows, convex_row, f, x):
-    """Farkas certificate -> inequality valid for P_F, violated by x."""
-    pi = {v: -farkas[coord_rows[j]] for j, v in enumerate(h.index)}
-    pi0 = farkas[convex_row]
-    return _checked_separating(LinearInequality(pi, pi0, tag="separating"), h, f, x)
-
-
-def _checked_separating(sep, h, f, x):
-    """sep, after an exact re-verification against every piece and
-    against x."""
+def _non_member(sep, h, f, x, piece_cap):
+    """The no answer of disjunctive_member, after an exact re-verification
+    that sep cuts off x and is valid for P_F(h)."""
     if not sep.evaluate({v: Fraction(x.get(v, 0)) for v in h.index}) > sep.rhs:
         raise CertificateError("separating inequality does not cut off the point")
-    for z in product((0, 1), repeat=len(f)):
-        out = piece_lp_max(h, sep.coeffs, dict(zip(f, z)))
-        if out.status != "infeasible" and out.value > sep.rhs:
-            raise CertificateError(f"separating inequality is violated on piece z={z}")
-    return sep
+    ok, cert = disjunctive_valid(sep, h, f, piece_cap)
+    if not ok:
+        raise CertificateError(f"separating inequality is violated at {cert['point']}")
+    return False, {"kind": "violating-point", "f": f, "point": dict(x),
+                   "separating": sep.to_json()}
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +416,7 @@ class NLiftSystem:
                 obj[col] = c
         res = self._lp.maximize(obj, deadline=deadline)
         if res.status == "infeasible":
-            return LPOutcome(status="infeasible", pivots=res.pivots), res
+            return LPOutcome(status="infeasible"), res
         if res.status == "unbounded":
             raise RuntimeError("N lift unbounded: relaxation lacks bound rows")
         x = [Fraction(0)] * self._nv
@@ -426,8 +425,7 @@ class NLiftSystem:
         res.x = x
         point = {v: res.x[self.top[(j, j)]]
                  for j, v in enumerate(self.h.index, start=1)}
-        return LPOutcome(status="optimal", value=res.value, point=point,
-                         duals=None, pivots=res.pivots), res
+        return LPOutcome(status="optimal", value=res.value, point=point), res
 
     def y_matrix(self, res) -> list:
         """The top lifted matrix as an (n+1)x(n+1) Fraction grid."""

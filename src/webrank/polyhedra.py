@@ -171,7 +171,6 @@ class LPOutcome:
     value: Fraction | None = None
     point: dict | None = None
     duals: list | None = None
-    pivots: int = 0
 
 
 def lp_max(h: HPolytope, objective) -> LPOutcome:
@@ -192,11 +191,10 @@ def lp_max(h: HPolytope, objective) -> LPOutcome:
     if res.status == "unbounded":
         raise RuntimeError("relaxation unbounded: missing bound rows")
     if res.status == "infeasible":
-        return LPOutcome(status="infeasible", pivots=res.pivots)
+        return LPOutcome(status="infeasible")
     lp.check_optimal(res, lp_obj)
     point = dict(zip(h.index, res.x))
-    return LPOutcome(status="optimal", value=res.value, point=point,
-                     duals=res.duals, pivots=res.pivots)
+    return LPOutcome(status="optimal", value=res.value, point=point, duals=res.duals)
 
 
 def is_valid(ineq: LinearInequality, h: HPolytope):

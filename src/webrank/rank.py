@@ -64,13 +64,13 @@ from .inequalities import (
 from .liftproject import (
     DEPTH_CAP,
     PIECE_CAP,
-    PieceSystem,
     disjunctive_member,
     disjunctive_valid,
     min_piece_max,
     n_operator_max,
     n_operator_valid,
     piece_lp_max,  # noqa: F401  (bench/tests/test_bench.py patches this binding)
+    piece_systems,
 )
 from .polyhedra import (
     HULL_BOUND,
@@ -173,7 +173,7 @@ def _hitting_search(g: Graph, size: int, pool: list, seed=(), deadline=None):
     return rec(set(seed))
 
 
-def disjunctive_rank_graph(g: Graph, max_rank=None, deadline=None) -> GraphRankResult:
+def disjunctive_rank_graph(g: Graph, deadline=None) -> GraphRankResult:
     """Minimum deletions to a perfect graph = the disjunctive rank.
 
     Ascending implicit hitting-set search; for circulant graphs a
@@ -181,22 +181,20 @@ def disjunctive_rank_graph(g: Graph, max_rank=None, deadline=None) -> GraphRankR
     """
     if g.n > RANK_SEARCH_BOUND:
         raise ResourceCapExceeded(f"graph rank search bound exceeded: n={g.n}")
-    if max_rank is None:
-        max_rank = g.n - 1
     cert = minimally_imperfect_certificate(g, deadline)
     if cert is None:
         return GraphRankResult(0, (), (), anchored=False)
     anchored = is_circulant(g)
     pool = [cert]
     seed = (g.nodes[0],) if anchored else ()
-    for r in range(1, max_rank + 1):
+    for r in range(1, g.n):
         f = _hitting_search(g, r, pool, seed=seed, deadline=deadline)
         if f is not None:
             if len(f) != r or not is_perfect(delete_nodes(g, f), deadline=deadline):
                 raise RuntimeError(f"hitting-set search returned {f}, not {r} deletions "
                                    "leaving a perfect graph")
             return GraphRankResult(r, f, tuple(pool), anchored=anchored)
-    raise RuntimeError("rank search exhausted max_rank without success")
+    raise RuntimeError(f"no deletion set of size < {g.n} leaves a perfect graph")
 
 
 def pool_refutes_all(g: Graph, pool, size: int, anchor=None) -> bool:
@@ -520,7 +518,7 @@ def verify_operator_sandwich(n_max: int = 9, objectives: int = 20,
         for n in range(2 * (k + 1), n_max + 1):
             g = web(n, k)
             h = qstab(g)
-            pieces = [[PieceSystem(h, {j: z}) for z in (0, 1)] for j in g.nodes]
+            pieces = [piece_systems(h, (j,)) for j in g.nodes]
             bad = []
             for _ in range(objectives):
                 c = {v: Fraction(rng.randint(0, 9)) for v in g.nodes}

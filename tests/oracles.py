@@ -19,7 +19,7 @@ from webrank.graphs import (
 from webrank.liftproject import (
     PIECE_CAP,
     _check_piece_cap,
-    _separating_from_farkas,
+    disjunctive_valid,
     pt_matches,
 )
 from webrank.polyhedra import (
@@ -34,6 +34,7 @@ from webrank.polyhedra import (
     affine_rank,
     cone_extreme_rays,
     is_valid,
+    lp_max,
     matrix_rank,
     stab,
 )
@@ -404,6 +405,15 @@ def is_facet(ineq: LinearInequality, g: Graph) -> bool:
 # ---------------------------------------------------------------------------
 # the disjunctive operator
 
+def piece_max_by_rows(h: HPolytope, objective: dict, fixing: dict):
+    """max of objective over the piece h n {x_v = z_v for v in fixing} by
+    lp_max over h plus the rows x_v <= z_v and -x_v <= -z_v, nothing
+    substituted."""
+    return lp_max(with_rows(h, [r for v, z in fixing.items()
+                                for r in (LinearInequality({v: 1}, z),
+                                          LinearInequality({v: -1}, -z))]), objective)
+
+
 def contains_by_fractions(h: HPolytope, point: dict) -> bool:
     """x in h, each row evaluated in Fractions (HPolytope.contains works
     in integers)."""
@@ -460,6 +470,11 @@ def disjunctive_member_unreduced(x: dict, h: HPolytope, f, piece_cap: int = PIEC
         return True, {"kind": "validity-proof", "f": f, "multipliers": mult}
     if res.status != "infeasible":
         raise RuntimeError(f"membership LP ended {res.status}")
-    sep = _separating_from_farkas(res.farkas, h, coord_rows, convex_row, f, x)
+    sep = LinearInequality({v: -res.farkas[coord_rows[j]] for j, v in enumerate(h.index)},
+                           res.farkas[convex_row], tag="separating")
+    if not sep.evaluate({v: Fraction(x.get(v, 0)) for v in h.index}) > sep.rhs:
+        raise CertificateError("separating inequality does not cut off the point")
+    if not disjunctive_valid(sep, h, f, piece_cap)[0]:
+        raise CertificateError("separating inequality is violated on a piece")
     return False, {"kind": "violating-point", "f": f, "point": dict(x),
                    "separating": sep.to_json()}

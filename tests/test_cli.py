@@ -136,6 +136,9 @@ def test_cap_exceeded_exit_2(capsys):
     code, _, err = run(capsys, "rank", "ineq", "rank-constraint", "W:8:2",
                        "--piece-cap", "0")
     assert code == 2
+    code, out, err = run(capsys, "lp", "W:8:2", "--operator", "disjunctive",
+                         "--f", "1,2,3", "--piece-cap", "2")
+    assert (code, out) == (2, "") and "piece cap" in err
 
 
 def test_input_error_exit_3(capsys):
@@ -145,6 +148,9 @@ def test_input_error_exit_3(capsys):
     assert code == 3
     code, _, err = run(capsys, "lp", "W:8:2", "--objective", "1,2")
     assert code == 3
+    code, out, err = run(capsys, "hull", "W:8:2", "--bogus")      # a usage error
+    assert (code, out) == (3, "") and "--bogus" in err
+    assert main(["--help"]) == 0
 
 
 def _raise_certificate_error(*args, **kwargs):
@@ -353,6 +359,13 @@ def test_rank_cert_with_polyhedral_is_an_input_error(tmp_path, monkeypatch, caps
                          "--cert", str(path))
     assert (code, out) == (3, "") and "--cert with --polyhedral" in err
     assert not path.exists()
+
+
+def test_rank_ineq_with_polyhedral_is_an_input_error(monkeypatch, capsys):
+    from webrank import cli
+    monkeypatch.setattr(cli, "parse_graph_spec", _no_search)
+    code, out, err = run(capsys, "rank", "ineq", "antiweb", "A:8:3", "--polyhedral")
+    assert (code, out) == (3, "") and "--polyhedral" in err
 
 
 def test_console_script_entry_point():
