@@ -10,12 +10,12 @@ strings), byte-identical for a fixed seed and config; human tables
 render the same exact values.  Caps (exit 2 when hit): --hull-bound on
 the hull dimension, which is also the node count whose stable sets a
 hull enumerates; --piece-cap on |F| in every piece scan, lp --operator
-disjunctive included; --depth-cap on the N depth; --time-budget in
-seconds for the graph-rank searches, the N lift LP of lp --operator N
-and the membership LP of lp --member.  --polyhedral is a rank graph
-route, and rank --cert needs a route that builds a certificate: rank
-ineq --polyhedral, and --cert with --operator N or --polyhedral, are
-input errors.
+disjunctive and the piece checks of recheck included; --depth-cap on
+the N depth; --time-budget in seconds for the graph-rank searches, the
+N lift LP of lp --operator N and the membership LP of lp --member.
+--polyhedral is a rank graph route, and rank --cert needs a route that
+builds a certificate: rank ineq --polyhedral, and --cert with --operator
+N or --polyhedral, are input errors.
 A max over STAB without a hull (alpha, the row-rank check against STAB,
 the sandwich) is a stable set search and has no cap.
 
@@ -251,7 +251,7 @@ def cmd_verify(args) -> int:
 def cmd_recheck(args) -> int:
     with open(args.path) as fh:
         data = json.load(fh)
-    rep = recheck_report(data)
+    rep = recheck_report(data, args.piece_cap)
     return _emit(rep, args)
 
 

@@ -28,6 +28,10 @@ class ResourceCapExceeded(ValueError):
     """A configured size/depth cap would be exceeded (CLI exit code 2)."""
 
 
+class CertificateError(RuntimeError):
+    """A certificate failed its exact check; the message names the step."""
+
+
 def _check_deadline(deadline):
     if deadline is not None and time.monotonic() > deadline:
         raise SearchTimeout("search deadline exceeded")

@@ -23,9 +23,10 @@ nested matrices (one per cone-membership constraint when r >= 2).
 Both oracles answer (bool, certificate), the certificate a plain dict of
 exact values (Fractions, int keys, tuples) that `reporting.dumps` writes
 and `recheck` reads: kind ("validity-proof" or "violating-point"), f or
-depth, pieces ({"z", "status", "value"} each), point, Y, value,
-multipliers ({"z", "lambda", "point"} each) and separating (the row's
-to_json()).  A field without a value is left out.
+depth, pieces ({"z", "status", "value", "y"} each, y as in
+`PieceSystem.multipliers`), point, Y, value, multipliers ({"z", "lambda",
+"point"} each) and separating (the row's to_json()).  A field without a
+value is left out.
 """
 
 from __future__ import annotations
@@ -33,18 +34,12 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
-from .graphs import ResourceCapExceeded, as_nodeset
-from .polyhedra import HPolytope, LinearInequality, LPOutcome
-from .simplex import CertificateError, LinearProgram
+from .graphs import CertificateError, ResourceCapExceeded, as_nodeset
+from .polyhedra import PIECE_CAP, HPolytope, LinearInequality, LPOutcome, _check_piece_cap
+from .recheck import check_member, check_point, check_separating
+from .simplex import LinearProgram
 
-PIECE_CAP = 12      # cap on |F|; pieces number 2^|F|
 DEPTH_CAP = 2       # N iterations; lift size grows as (2n)^(r-1) matrices
-
-
-def _check_piece_cap(f, cap):
-    if len(f) > cap:
-        raise ResourceCapExceeded(f"piece cap exceeded: |F|={len(f)} > {cap} "
-                                  f"(2^|F| pieces)")
 
 
 def _pieces(f, piece_cap):
@@ -56,12 +51,12 @@ def _pieces(f, piece_cap):
 
 
 def _fixed_rows(h: HPolytope, fixing: dict, col: dict):
-    """The rows of h with x_v = fixing[v] substituted: (coefficients keyed
-    by col[v] of the free coordinates, right-hand side) each, or None when
-    the piece is empty.  A row left without a free coordinate is dropped,
-    or makes the piece empty when its right-hand side is negative."""
+    """(rows, None), rows the rows of h with x_v = fixing[v] substituted as
+    (index in h.rows, coefficients keyed by col[v] of the free coordinates,
+    right-hand side); or (None, i) when row i, left without a free
+    coordinate, has a negative right-hand side (the piece is empty)."""
     rows = []
-    for r in h.rows:
+    for i, r in enumerate(h.rows):
         coeffs, rhs = {}, r.rhs
         for v, c in r.coeffs.items():
             z = fixing.get(v)
@@ -72,10 +67,10 @@ def _fixed_rows(h: HPolytope, fixing: dict, col: dict):
             elif z:
                 rhs -= c * z
         if coeffs:
-            rows.append((coeffs, rhs))
+            rows.append((i, coeffs, rhs))
         elif rhs < 0:
-            return None
-    return rows
+            return None, i
+    return rows, None
 
 
 class PieceSystem:
@@ -85,24 +80,25 @@ class PieceSystem:
     Fixed coordinates are substituted away (`_fixed_rows`), which keeps
     right-hand sides nonnegative (no phase-1 work) and shrinks the LP.
     An empty piece, and with every coordinate fixed a piece of one
-    point, need no LP.  `LinearProgram.maximize` solves the LP with the
-    pivot rule until it has a feasible basis, then re-solves from the
-    last one.
+    point, need no LP.  `LinearProgram.maximize` re-solves the LP from
+    its last feasible basis.
     """
 
     def __init__(self, h: HPolytope, fixing: dict):
         self.fixing = fixing
         self.free = [v for v in h.index if v not in fixing]
         self._lp = None
-        rows = _fixed_rows(h, fixing, {v: i for i, v in enumerate(self.free)})
+        col = {v: i for i, v in enumerate(self.free)}
+        rows, self._emptied_by = _fixed_rows(h, fixing, col)
         self.empty = rows is None
         if self.empty or not self.free:
             return
         self._lp = LinearProgram(len(self.free))
-        for coeffs, rhs in rows:
+        self._row = [i for i, _, _ in rows]         # the row of h behind each LP row
+        for _, coeffs, rhs in rows:
             self._lp.add_le(coeffs, rhs)
 
-    def maximize(self, objective: dict, pivot_rule: str = "hybrid") -> LPOutcome:
+    def maximize(self, objective: dict) -> LPOutcome:
         if self.empty:
             return LPOutcome(status="infeasible")
         shift = sum((Fraction(objective.get(v, 0)) * z for v, z in self.fixing.items()),
@@ -115,7 +111,7 @@ class PieceSystem:
             c = Fraction(objective.get(v, 0))
             if c:
                 obj[i] = c
-        res = self._lp.maximize(obj, pivot_rule)
+        res = self._last = self._lp.maximize(obj)
         if res.status == "infeasible":
             return LPOutcome(status="infeasible")
         if res.status == "unbounded":
@@ -123,17 +119,32 @@ class PieceSystem:
         point.update(zip(self.free, res.x))
         return LPOutcome(status="optimal", value=res.value + shift, point=point)
 
+    def multipliers(self) -> dict:
+        """The nonzero multipliers over the rows of h, by row index, that
+        prove the last maximize (`recheck.check_pieces`): the LP's dual, its
+        Farkas ray, {i: 1} when row i empties the piece, none for a point."""
+        if self.empty:
+            return {self._emptied_by: Fraction(1)}
+        if self._lp is None:
+            return {}
+        res = self._last
+        y = res.duals if res.status == "optimal" else res.farkas
+        return {self._row[t]: v for t, v in enumerate(y) if v}
+
 
 def piece_systems(h: HPolytope, f, piece_cap: int = PIECE_CAP) -> list:
     """The PieceSystem of each piece of F, in lexicographic z order."""
     return [PieceSystem(h, fixing) for _, fixing in _pieces(as_nodeset(f), piece_cap)]
 
 
-def piece_lp_max(h: HPolytope, objective: dict, fixing: dict,
-                 pivot_rule: str = "hybrid") -> LPOutcome:
+def piece_lp_max(h: HPolytope, objective: dict, fixing: dict) -> LPOutcome:
     """Exact max of objective over h n {x_i = z_i for i in fixing}, solved
-    from scratch."""
-    return PieceSystem(h, fixing).maximize(objective, pivot_rule)
+    from scratch, its duals the piece's multipliers (a dict, see
+    `PieceSystem.multipliers`)."""
+    sys_ = PieceSystem(h, fixing)
+    out = sys_.maximize(objective)
+    out.duals = sys_.multipliers()
+    return out
 
 
 def piece_max(systems, objective: dict, stop=None) -> LPOutcome:
@@ -171,16 +182,16 @@ def disjunctive_valid(ineq: LinearInequality, h: HPolytope, f,
 
     Valid over a convex hull of pieces iff valid on every feasible
     piece; infeasible pieces are vacuous.  Pieces are scanned in
-    lexicographic z order with early exit on the first violation.
+    lexicographic z order with early exit on the first violation; each
+    record carries the multipliers y that prove it.
     """
     f = as_nodeset(f)
     pieces = []
     for z, fixing in _pieces(f, piece_cap):
         out = piece_lp_max(h, ineq.coeffs, fixing)
-        pieces.append({"z": z, "status": out.status, "value": out.value})
+        pieces.append({"z": z, "status": out.status, "value": out.value, "y": out.duals})
         if out.status == "optimal" and out.value > ineq.rhs:
-            if not (h.contains(out.point) and pt_matches(out.point, fixing)):
-                raise CertificateError(f"violating point of piece z={z} lies outside it")
+            check_point(h, f, out.point, ineq)
             return False, {"kind": "violating-point", "f": f, "pieces": pieces,
                            "point": out.point, "value": out.value}
     cert = {"kind": "validity-proof", "f": f, "pieces": pieces}
@@ -188,10 +199,6 @@ def disjunctive_valid(ineq: LinearInequality, h: HPolytope, f,
     if values:
         cert["value"] = max(values)
     return True, cert
-
-
-def pt_matches(point: dict, fixing: dict) -> bool:
-    return all(point.get(v, Fraction(0)) == z for v, z in fixing.items())
 
 
 def disjunctive_member(x: dict, h: HPolytope, f, piece_cap: int = PIECE_CAP,
@@ -211,8 +218,8 @@ def disjunctive_member(x: dict, h: HPolytope, f, piece_cap: int = PIECE_CAP,
 
     A yes answer carries the convex multipliers and per-piece points; a
     no answer carries a separating inequality recovered from the Farkas
-    certificate.  Both are re-verified in exact arithmetic, the
-    separating row by `disjunctive_valid` under the same piece cap.
+    certificate and the piece records of its `disjunctive_valid` scan.
+    Both pass their `recheck` checks before they are handed out.
     Past the deadline (a time.monotonic() value) the solve raises
     SearchTimeout.
     """
@@ -221,9 +228,9 @@ def disjunctive_member(x: dict, h: HPolytope, f, piece_cap: int = PIECE_CAP,
     pos = {v: j for j, v in enumerate(free)}
     pieces = []         # (z, fixing, rows) per nonempty piece; rows (free coeffs, lambda coeff)
     for z, fixing in _pieces(f, piece_cap):
-        rows = _fixed_rows(h, fixing, pos)
+        rows, _ = _fixed_rows(h, fixing, pos)
         if rows is not None:
-            pieces.append((z, fixing, [(coeffs, -rhs) for coeffs, rhs in rows
+            pieces.append((z, fixing, [(coeffs, -rhs) for _, coeffs, rhs in rows
                                        if rhs < 0 or any(c > 0 for c in coeffs.values())]))
     if not pieces:
         return _non_member(LinearInequality({}, -1, tag="separating"), h, f, x, piece_cap)
@@ -252,19 +259,11 @@ def disjunctive_member(x: dict, h: HPolytope, f, piece_cap: int = PIECE_CAP,
         mult = []
         for p, (z, fixing, _) in enumerate(pieces):
             lam = res.x[lam0 + p]
-            if lam == 0:
-                continue
-            pt = {v: res.x[p * n + pos[v]] / lam if v in pos else Fraction(fixing[v])
-                  for v in h.index}
-            if not (h.contains(pt) and pt_matches(pt, fixing)):
-                raise CertificateError(f"point of piece z={z} lies outside it")
-            mult.append({"z": z, "lambda": lam, "point": pt})
-        if sum(m["lambda"] for m in mult) != 1:
-            raise CertificateError("convex multipliers do not sum to 1")
-        for v in h.index:
-            if sum((m["lambda"] * m["point"][v] for m in mult), Fraction(0)) \
-                    != Fraction(x.get(v, 0)):
-                raise CertificateError(f"coordinate {v} is not the convex combination")
+            if lam:
+                mult.append({"z": z, "lambda": lam, "point": {
+                    v: res.x[p * n + pos[v]] / lam if v in pos else Fraction(fixing[v])
+                    for v in h.index}})
+        check_member(h, f, x, mult)
         return True, {"kind": "validity-proof", "f": f, "multipliers": mult}
     if res.status != "infeasible":
         raise RuntimeError(f"membership LP ended {res.status}")
@@ -274,15 +273,14 @@ def disjunctive_member(x: dict, h: HPolytope, f, piece_cap: int = PIECE_CAP,
 
 
 def _non_member(sep, h, f, x, piece_cap):
-    """The no answer of disjunctive_member, after an exact re-verification
-    that sep cuts off x and is valid for P_F(h)."""
-    if not sep.evaluate({v: Fraction(x.get(v, 0)) for v in h.index}) > sep.rhs:
-        raise CertificateError("separating inequality does not cut off the point")
+    """The no answer of disjunctive_member, after checks that sep cuts off
+    x and is valid for P_F(h), whose piece records it carries."""
+    check_separating(sep, x)
     ok, cert = disjunctive_valid(sep, h, f, piece_cap)
     if not ok:
         raise CertificateError(f"separating inequality is violated at {cert['point']}")
     return False, {"kind": "violating-point", "f": f, "point": dict(x),
-                   "separating": sep.to_json()}
+                   "separating": sep.to_json(), "pieces": cert["pieces"]}
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,13 @@ from .graphs import (Graph, ResourceCapExceeded, as_nodeset,
 from .simplex import LinearProgram, _eliminate, _frac, _intify
 
 HULL_BOUND = 12     # cap on the hull dimension, and so on the nodes behind STAB
+PIECE_CAP = 12      # cap on |F| in a piece scan; pieces number 2^|F|
+
+
+def _check_piece_cap(f, cap):
+    if len(f) > cap:
+        raise ResourceCapExceeded(f"piece cap exceeded: |F|={len(f)} > {cap} "
+                                  f"(2^|F| pieces)")
 
 
 class LinearInequality:
@@ -60,9 +67,6 @@ class LinearInequality:
     def evaluate(self, point: dict) -> Fraction:
         return sum((c * point.get(v, Fraction(0)) for v, c in self.coeffs.items()),
                    Fraction(0))
-
-    def satisfied_by(self, point: dict) -> bool:
-        return self.evaluate(point) <= self.rhs
 
     def canonical(self) -> tuple:
         if self._canon is None:
@@ -170,7 +174,7 @@ class LPOutcome:
     status: str
     value: Fraction | None = None
     point: dict | None = None
-    duals: list | None = None
+    duals: list | dict | None = None    # per LP row; piece_lp_max: by row of h
 
 
 def lp_max(h: HPolytope, objective) -> LPOutcome:

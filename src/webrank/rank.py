@@ -104,42 +104,37 @@ class GraphRankResult:
     anchored: bool = False
 
     def to_json(self, g: Graph) -> dict:
-        gd = to_json_dict(g)
         return {
             "type": "graph-rank",
-            "graph": gd,
+            "graph": to_json_dict(g),
             "rank": self.rank,
             "deletion_set": list(self.deletion_set),
             "anchored": self.anchored,
-            "perfection": {"type": "perfection", "graph": gd,
-                           "deletion_set": list(self.deletion_set)},
-            "pool": [{"type": "odd-hole" if kind == "odd-hole" else "odd-antihole",
-                      "graph": gd, "nodes": list(nodes)}
+            "pool": [{"type": kind, "nodes": list(nodes)}
                      for kind, nodes in self.lower_bound_witnesses],
         }
 
 
 @dataclass
 class IneqRankResult:
-    """Disjunctive rank of one row: witness F plus probed violations."""
+    """Disjunctive rank of one row: witness F, its pieces, probed violations."""
 
     rank: int
     witness_f: tuple
     violating_points: list = field(default_factory=list)  # (F, point dict)
     exhaustive: bool = False
+    pieces: list = field(default_factory=list)             # of the witness F
 
     def to_json(self, ineq: LinearInequality, h: HPolytope) -> dict:
-        row, system = ineq.to_json(), h.to_json()
         return {
             "type": "ineq-rank",
-            "row": row,
-            "system": system,
+            "row": ineq.to_json(),
+            "system": h.to_json(),
             "rank": self.rank,
             "witness_f": self.witness_f,
             "exhaustive": self.exhaustive,
-            "violations": [{"type": "violating-point", "system": system, "f": f,
-                            "row": row, "point": pt}
-                           for f, pt in self.violating_points],
+            "pieces": self.pieces,
+            "violations": [{"f": f, "point": pt} for f, pt in self.violating_points],
         }
 
 
@@ -224,9 +219,10 @@ def _f_candidates(index, m: int, anchored: bool):
 
 
 def _smallest_f(rows, h: HPolytope, anchored: bool, piece_cap: int):
-    """(F, violations): the smallest F (by size, then lexicographically)
-    with every row valid for P_F(h), and (F', point) for each rejected F',
-    with the violating point of its first invalid row."""
+    """(F, violations, cert): the smallest F (by size, then
+    lexicographically) with every row valid for P_F(h), (F', point) for
+    each rejected F', with the violating point of its first invalid row,
+    and the validity certificate of the last row on F."""
     violations = []
     for m in range(h.dim + 1):
         for f in _f_candidates(h.index, m, anchored):
@@ -236,7 +232,7 @@ def _smallest_f(rows, h: HPolytope, anchored: bool, piece_cap: int):
                     violations.append((f, cert["point"]))
                     break
             else:
-                return f, violations
+                return f, violations, cert
     raise RuntimeError(f"no F of size <= {h.dim} makes the rows valid")
 
 
@@ -262,38 +258,35 @@ def disjunctive_rank_graph_polyhedral(g: Graph, hull_bound: int = HULL_BOUND,
 
 
 def disjunctive_rank_inequality(ineq: LinearInequality, h: HPolytope,
-                                cyclic: bool = False, exhaustive_lb=None,
-                                piece_cap: int = PIECE_CAP,
+                                cyclic: bool = False, piece_cap: int = PIECE_CAP,
                                 graph: Graph | None = None) -> IneqRankResult:
     """Smallest |F| with the row valid for P_F(h), ascending search.
 
     cyclic=True pins the first element of a nonempty F to the first
     coordinate (exact when rotation is a symmetry of both h and the
-    row).  Exhaustive lower-bound mode additionally shows EVERY F of
-    size rank-1 violated (default on for dim <= 10).  Given the graph
-    of h = QSTAB(graph), the row is first checked valid for STAB(graph)
-    by a maximum-weight stable set search.
+    row).  For dim <= 10 the lower bound is exhaustive: EVERY F of size
+    rank-1 is shown violated.  Given the graph of h = QSTAB(graph), the
+    row is first checked valid for STAB(graph) by a maximum-weight stable
+    set search.
     """
     if graph is not None:
         val, arg = max_weight_stable_set(graph, ineq.coeffs)
         if val > ineq.rhs:
             raise ValueError(f"row {ineq} invalid for the integer hull at the "
                              f"stable set {list(arg)}")
-    if exhaustive_lb is None:
-        exhaustive_lb = h.dim <= 10
-    witness, violations = _smallest_f([ineq], h, cyclic, piece_cap)
+    witness, violations, cert = _smallest_f([ineq], h, cyclic, piece_cap)
     m = len(witness)
-    exhaustive = bool(exhaustive_lb) and m > 0
+    exhaustive = h.dim <= 10 and m > 0
     if exhaustive:
         rejected = {f for f, _ in violations}        # decided by the search already
         for f in combinations(h.index, m - 1):
             if f in rejected:
                 continue
-            ok, cert = disjunctive_valid(ineq, h, f, piece_cap)
+            ok, refuted = disjunctive_valid(ineq, h, f, piece_cap)
             if ok:
                 raise RuntimeError(f"symmetry reduction unsound at {f}")
-            violations.append((f, cert["point"]))
-    return IneqRankResult(m, witness, violations, exhaustive)
+            violations.append((f, refuted["point"]))
+    return IneqRankResult(m, witness, violations, exhaustive, cert["pieces"])
 
 
 def n_rank_graph_upto(g: Graph, rmax: int, hull_bound: int = HULL_BOUND,
@@ -339,7 +332,7 @@ def verify_web_rank_formulas(ks=(2, 3, 4), n_max: int = 16, n_min=None,
                              complements: bool = True, deadline=None) -> Report:
     """Computed web ranks vs the closed forms, and complement invariance.
 
-    N-rank facts that would need lifts beyond the depth cap (the webs
+    N-rank facts that need lifts this suite does not run (the webs
     W_{s(k+1)+k}^k with k >= 3, and the subweb-based N lower bound) are
     never asserted: their combinatorial subweb ingredient is checked
     and the external equality is reported with status "assumed".
@@ -369,7 +362,7 @@ def _flag_n_rank_assumptions(rep: Report, n: int, k: int):
     s, r = divmod(n, k + 1)
     if k >= 3 and r == k and s >= 2:
         rep.add(f"N-rank(W:{n}:{k}) = {k}", "assumed",
-                detail=f"needs an N^{k - 1} lift beyond the depth cap; "
+                detail=f"needs an N^{k - 1} lift that this suite does not run; "
                        f"external fact, not asserted")
     if k >= 3 and s >= 3 and 0 <= r <= k - 1:
         t = -((-k * (1 + r)) // (r + s))
@@ -495,7 +488,7 @@ def verify_w2_description(n_values=(6, 7, 8, 9, 10),
                 one_interval_inequality(w, s)
             except RuntimeError:
                 mism += 1
-        rep.check(f"closed-form alpha(T) matches enumeration (n={n})", 0, mism,
+        rep.check(f"closed-form alpha(T) matches search (n={n})", 0, mism,
                   detail="per 1-interval set")
     return rep
 

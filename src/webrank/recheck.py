@@ -1,13 +1,18 @@
-"""Independent re-verification of archived certificates.
+"""Independent re-verification of archived certificates, with no solver.
 
-Every FAIL or PASS a suite emits is backed by a machine-checkable
-certificate; `recheck` re-validates them through different code paths:
-LP values are re-solved with pure Bland pivoting (a different decision
-path than the default hybrid rule), holes are re-validated by direct
-adjacency counting, perfection attestations re-run the odd-hole search
-in reversed scan order, and point/multiplier certificates are checked
-by plain rational arithmetic with no LP at all.  A failed certificate's
-detail names the first step that failed.
+The trusted base is `fractions`, the graph reader and odd-hole search of
+`graphs`, and the row classes of `polyhedra`; neither the simplex nor the
+lift-and-project oracles are imported.  A graph rank is re-checked by
+the odd-hole search in reversed scan order and by adjacency counts, every
+other claim by rational arithmetic, one function per claim.  A piece
+claim (`check_pieces`) rests on x >= 0, part of what an HPolytope means:
+with y >= 0 and y.A >= c on the free coordinates, max c.x over the piece
+{x : A x <= b, x_F = z} is at most y.(b - A_F z) + c_F z, so a row is
+valid on an optimal piece whose bound is <= its right-hand side, and a
+piece whose bound is < 0 with c = 0 is empty.  The lift-and-project
+oracles run the point, member and separating-row checks on each
+certificate they build.  A failed check raises CertificateError naming
+the step; an F longer than the piece cap raises ResourceCapExceeded.
 """
 
 from __future__ import annotations
@@ -16,14 +21,15 @@ from fractions import Fraction
 from itertools import product
 
 from .graphs import (
+    CertificateError,
+    ResourceCapExceeded,
     complement,
     delete_nodes,
     from_json_dict,
     is_odd_hole,
     is_perfect,
 )
-from .liftproject import piece_lp_max
-from .polyhedra import HPolytope, LinearInequality
+from .polyhedra import PIECE_CAP, HPolytope, LinearInequality, _check_piece_cap
 from .reporting import Report
 
 
@@ -36,132 +42,157 @@ def _system(d: dict) -> HPolytope:
                      [LinearInequality.from_json(r) for r in d["rows"]])
 
 
-def recheck_certificate(cert: dict):
-    """(ok, detail) for one certificate dict; anything else fails."""
-    if not isinstance(cert, dict):
-        return False, f"certificate {cert!r} is not an object"
-    kind = cert.get("type")
-    if kind == "graph-rank":
-        pool = cert.get("pool", [])
-        ok, why = recheck_certificate(cert["perfection"])
-        if not ok:
-            return False, f"perfection failed: {why}"
-        for i, c in enumerate(pool):
-            ok, why = recheck_certificate(c)
-            if not ok:
-                what = c.get("type") if isinstance(c, dict) else "not an object"
-                return False, f"pool[{i}] ({what}) failed: {why}"
-        if len(cert["deletion_set"]) != cert["rank"]:
-            return False, (f"|deletion_set| = {len(cert['deletion_set'])} "
-                           f"but rank = {cert['rank']}")
-        return True, f"perfection + {len(pool)} pool certs"
-    if kind == "perfection":
-        g = from_json_dict(cert["graph"])
-        f = tuple(cert["deletion_set"])
-        gg = delete_nodes(g, f) if f else g
-        return is_perfect(gg, reverse=True), "reversed-order odd hole search"
-    if kind == "odd-hole":
-        g = from_json_dict(cert["graph"])
-        return is_odd_hole(g, cert["nodes"]), "adjacency re-count"
-    if kind == "odd-antihole":
-        g = from_json_dict(cert["graph"])
-        return is_odd_hole(complement(g), cert["nodes"]), "adjacency re-count"
-    if kind == "ineq-rank":
-        h = _system(cert["system"])
-        row = LinearInequality.from_json(cert["row"])
-        violations = cert.get("violations", [])
-        bad = _revalidate_pieces(h, row, cert["witness_f"], None)
-        if bad is not None:
-            return False, f"witness piece z={list(bad)} fails the row"
-        for i, v in enumerate(violations):
-            ok, why = recheck_certificate(v)
-            if not ok:
-                return False, f"violations[{i}] failed: {why}"
-        if len(cert["witness_f"]) != cert["rank"]:
-            return False, (f"|witness_f| = {len(cert['witness_f'])} "
-                           f"but rank = {cert['rank']}")
-        return True, f"witness re-solve + {len(violations)} violations"
-    if kind == "disjunctive-validity":
-        h = _system(cert["system"])
-        row = LinearInequality.from_json(cert["row"])
-        stored = {tuple(p["z"]): p for p in cert.get("pieces", [])}
-        valid = _revalidate_pieces(h, row, cert.get("f", []), stored) is None
-        return valid == cert["valid"], "piece LPs re-solved with Bland's rule"
-    if kind == "violating-point":
-        h = _system(cert["system"])
-        row = LinearInequality.from_json(cert["row"])
-        pt = _point(cert["point"])
-        if not h.contains(pt):
-            return False, "point outside the system"
-        off = [v for v in cert.get("f", []) if pt.get(int(v), Fraction(0)) not in (0, 1)]
-        if off:
-            return False, f"point not 0/1 at f coordinate {off[0]}"
-        if row.evaluate(pt) <= row.rhs:
-            return False, "point satisfies the row"
-        return True, "pure arithmetic"
-    if kind == "membership":
-        return _recheck_membership(cert)
-    return False, f"unknown certificate type {kind!r}"
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise CertificateError(message)
 
 
-def _revalidate_pieces(h, row, f, stored):
-    """The first piece z on which the row fails, by fresh Bland-rule LPs,
-    or None when it holds on every piece; a piece whose stored record
-    (when given) disagrees with the re-solve also fails."""
+def _step(name: str, check, *args):
+    """check(*args), a failure's message prefixed with the step's name."""
+    try:
+        return check(*args)
+    except CertificateError as exc:
+        raise CertificateError(f"{name} failed: {exc}") from None
+
+
+def _piece_bound(h: HPolytope, fixing: dict, y: dict, c: dict) -> Fraction:
+    """y.(b - A_F z) + c_F z, after checking y >= 0 and y.A >= c on the
+    free coordinates; y keyed by row index in h."""
+    bound = sum((c.get(v, 0) * z for v, z in fixing.items()), Fraction(0))
+    ya = {}
+    for i, yi in y.items():
+        i, yi = int(i), Fraction(yi)
+        if not (0 <= i < len(h.rows) and yi >= 0):
+            raise CertificateError(f"multiplier {yi} on row {i}: negative or no such row")
+        bound += yi * h.rows[i].rhs
+        for v, a in h.rows[i].coeffs.items():
+            z = fixing.get(v)
+            if z is None:
+                ya[v] = ya.get(v, 0) + yi * a
+            elif z:
+                bound -= yi * a
+    for v in h.index:
+        if v not in fixing and ya.get(v, 0) < c.get(v, 0):
+            raise CertificateError(f"y.A falls short of the objective at coordinate {v}")
+    return bound
+
+
+def check_pieces(h: HPolytope, row: LinearInequality, f, pieces,
+                 piece_cap: int = PIECE_CAP) -> None:
+    """The row is valid on every piece of f, by one record {"z", "status",
+    "y"} per 0/1 pattern z."""
     f = [int(v) for v in f]
+    _require(len(set(f)) == len(f), f"f {f} repeats a label")
+    _check_piece_cap(f, piece_cap)
+    _require(set(f) | set(row.coeffs) <= set(h.index), "f or the row leaves the system")
+    records = {tuple(p["z"]): p for p in pieces}
     for z in product((0, 1), repeat=len(f)):
-        out = piece_lp_max(h, row.coeffs, dict(zip(f, z)), pivot_rule="bland")
-        if stored is not None and z in stored:
-            rec = stored[z]
-            if rec["status"] != out.status:
-                return z
-            if out.status == "optimal" and Fraction(rec["value"]) != out.value:
-                return z
-        if out.status == "optimal" and out.value > row.rhs:
-            return z
-    return None
+        p = records.get(z, {})
+        optimal = p.get("status") == "optimal"
+        _require(optimal or p.get("status") == "infeasible", f"no record of piece z={list(z)}")
+        bound = _step(f"piece z={list(z)}", _piece_bound, h, dict(zip(f, z)), p["y"],
+                      row.coeffs if optimal else {})
+        _require(bound <= row.rhs if optimal else bound < 0, f"piece z={list(z)} failed: "
+                 + ("bound over the row" if optimal else "not proven empty"))
 
 
-def _recheck_membership(cert):
-    h = _system(cert["system"])
-    pt = _point(cert["point"])
-    f = [int(v) for v in cert.get("f", [])]
-    if cert.get("member"):
-        mults = cert.get("multipliers", [])
-        total = Fraction(0)
-        combo = {v: Fraction(0) for v in h.index}
-        for m in mults:
-            lam = Fraction(m["lambda"])
-            if lam <= 0:
-                return False, "nonpositive multiplier"
-            q = _point(m["point"])
-            if not h.contains(q):
-                return False, "piece point outside the relaxation"
-            for v, z in zip(f, m["z"]):
-                if q.get(v, Fraction(0)) != z:
-                    return False, "piece point violates its 0/1 pattern"
-            total += lam
-            for v in h.index:
-                combo[v] += lam * q.get(v, Fraction(0))
-        ok = total == 1 and all(combo[v] == pt.get(v, Fraction(0)) for v in h.index)
-        return ok, "convex combination re-assembled exactly"
-    sep = cert.get("separating")
-    if sep is None:
-        return False, "non-member certificate lacks a separating row"
-    row = LinearInequality.from_json(sep)
-    if row.evaluate(pt) <= row.rhs:
-        return False, "separating row not violated by the point"
-    ok = _revalidate_pieces(h, row, f, None) is None
-    return ok, "separating row valid on every piece (Bland re-solve)"
+def check_point(h: HPolytope, f, point: dict, row: LinearInequality) -> None:
+    """The point lies in h, is 0/1 on f and violates the row."""
+    pt = _point(point)
+    _require(h.contains(pt), "point outside the system")
+    for v in f:
+        _require(pt.get(int(v), 0) in (0, 1), f"point not 0/1 at f coordinate {v}")
+    _require(row.evaluate(pt) > row.rhs, "point satisfies the row")
 
 
-def recheck_report(report_json: dict) -> Report:
+def check_member(h: HPolytope, f, x: dict, multipliers) -> None:
+    """x is the convex combination of the multipliers' points ({"z",
+    "lambda", "point"} each), each in h and equal to its z on f."""
+    combo = dict.fromkeys(h.index, Fraction(0))
+    for m in multipliers:
+        lam, q = Fraction(m["lambda"]), _point(m["point"])
+        _require(lam > 0, "nonpositive multiplier")
+        _require(h.contains(q), "piece point outside the relaxation")
+        _require(set(m["z"]) <= {0, 1} and [q.get(v, 0) for v in f] == list(m["z"]),
+                 "piece point violates its 0/1 pattern")
+        combo = {v: s + lam * q.get(v, 0) for v, s in combo.items()}
+    _require(sum(Fraction(m["lambda"]) for m in multipliers) == 1,
+             "convex multipliers do not sum to 1")
+    _require(combo == {v: x.get(v, 0) for v in h.index}, "x is not the convex combination")
+
+
+def check_separating(row: LinearInequality, x: dict) -> None:
+    _require(row.evaluate(_point(x)) > row.rhs, "separating row not violated by the point")
+
+
+def _graph_rank(cert, piece_cap):
+    g = from_json_dict(cert["graph"])
+    hole_in = {"odd-hole": g, "odd-antihole": complement(g)}
+    f, pool = cert["deletion_set"], cert["pool"]
+    _require(is_perfect(delete_nodes(g, f) if f else g, reverse=True),
+             "perfection failed: reversed-order odd hole search")
+    for i, c in enumerate(pool):
+        _require(isinstance(c, dict) and c.get("type") in hole_in,
+                 f"pool[{i}] is not an odd-hole or odd-antihole object")
+        _require(is_odd_hole(hole_in[c["type"]], c["nodes"]),
+                 f"pool[{i}] ({c['type']}) failed: adjacency re-count")
+    _require(len(f) == cert["rank"], f"|deletion_set| = {len(f)} but rank = {cert['rank']}")
+    return f"perfection + {len(pool)} pool holes"
+
+
+def _ineq_rank(cert, piece_cap):
+    h, row = _system(cert["system"]), LinearInequality.from_json(cert["row"])
+    wf, violations = cert["witness_f"], cert["violations"]
+    _step(f"witness F={list(wf)}", check_pieces, h, row, wf, cert["pieces"], piece_cap)
+    for i, v in enumerate(violations):
+        _require(isinstance(v, dict), f"violations[{i}] is not an object")
+        _step(f"violations[{i}]", check_point, h, v["f"], v["point"], row)
+    _require(len(wf) == cert["rank"], f"|witness_f| = {len(wf)} but rank = {cert['rank']}")
+    return f"witness pieces + {len(violations)} violations"
+
+
+def _validity(cert, piece_cap):
+    h, row = _system(cert["system"]), LinearInequality.from_json(cert["row"])
+    if not cert["valid"]:
+        check_point(h, cert["f"], cert["point"], row)
+        return "violating point, pure arithmetic"
+    check_pieces(h, row, cert["f"], cert["pieces"], piece_cap)
+    return "row valid on every piece, by its multipliers"
+
+
+def _membership(cert, piece_cap):
+    h, x = _system(cert["system"]), _point(cert["point"])
+    if cert["member"]:
+        check_member(h, cert["f"], x, cert["multipliers"])
+        return "convex combination re-assembled exactly"
+    row = LinearInequality.from_json(cert["separating"])
+    check_separating(row, x)
+    check_pieces(h, row, cert["f"], cert["pieces"], piece_cap)
+    return "separating row valid on every piece, by its multipliers"
+
+
+_CHECKS = {"graph-rank": _graph_rank, "ineq-rank": _ineq_rank,
+           "disjunctive-validity": _validity, "membership": _membership}
+
+
+def recheck_certificate(cert: dict, piece_cap: int = PIECE_CAP):
+    """(ok, detail) for one certificate dict; anything else fails."""
+    check = _CHECKS.get(cert.get("type")) if isinstance(cert, dict) else None
+    if check is None:
+        return False, f"certificate {cert!r:.60} is not an object of a known type"
+    try:
+        return True, check(cert, piece_cap)
+    except CertificateError as exc:
+        return False, str(exc)
+
+
+def recheck_report(report_json: dict, piece_cap: int = PIECE_CAP) -> Report:
     """Re-verify every certificate embedded in a suite/rank report.
 
-    A report that is not a JSON object with a list of entry objects is
-    an input error (ValueError); a certificate that lacks a field or
-    holds a value of the wrong shape (a rational that does not parse, a
-    number where a list belongs) fails its entry.
+    A report that is not a JSON object with a list of entry objects is an
+    input error (ValueError), an f over piece_cap a ResourceCapExceeded; a
+    certificate that lacks a field or holds a value of the wrong shape (a
+    rational that does not parse, a number where a list belongs) fails.
     """
     entries = report_json.get("entries", []) if isinstance(report_json, dict) else None
     if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
@@ -174,10 +205,12 @@ def recheck_report(report_json: dict) -> Report:
             continue
         found += 1
         try:
-            ok, detail = recheck_certificate(cert)
+            ok, detail = recheck_certificate(cert, piece_cap)
+        except ResourceCapExceeded:
+            raise
         except KeyError as exc:
             ok, detail = False, f"malformed certificate: no field {exc.args[0]!r}"
-        except (ValueError, TypeError, ZeroDivisionError) as exc:
+        except (ValueError, TypeError, AttributeError, ZeroDivisionError) as exc:
             ok, detail = False, f"malformed certificate: {exc}"
         rep.check(f"recheck: {e.get('name', '?')}", True, ok, detail=detail)
     if found == 0:

@@ -16,11 +16,10 @@ pairs, which a solve clears of denominators directly.  A pivot scans the
 rows once: the ratio scan also records every row with a nonzero in the
 entering column, and the pivot clears just those.
 
-Pivot rules are deterministic.  The default "hybrid" rule is Dantzig
-(most negative reduced cost, lowest index on ties) with an automatic
-switch to Bland's rule after a run of degenerate pivots, which keeps it
-cycle-free; "bland" selects pure Bland's rule and is used as the
-independent re-solve path by certificate rechecking.  Every tie is
+There is one pivot rule, and it is deterministic: Dantzig (most
+negative reduced cost, lowest index on ties), switching to Bland's rule
+after more than DEGENERACY_STREAK degenerate pivots in a row, which keeps
+it cycle-free, and back after a pivot that is not degenerate.  Every tie is
 broken by column or basis index, never by dict order.
 
 Optimal solves return exact primal and dual certificates (strong
@@ -40,15 +39,11 @@ from functools import cached_property, partial
 from math import gcd, lcm
 from time import monotonic
 
-from .graphs import SearchTimeout
+from .graphs import CertificateError, SearchTimeout
 
 
 DEGENERACY_STREAK = 40
 MAX_PIVOTS = 500_000
-
-
-class CertificateError(RuntimeError):
-    """An optimality or infeasibility certificate failed its exact check."""
 
 
 def _require(ok: bool, message: str) -> None:
@@ -104,11 +99,11 @@ class LinearProgram:
     def add_eq(self, coeffs, rhs):
         self.rows.append((self._pairs(coeffs), _frac(rhs), "="))
 
-    def solve(self, objective=None, pivot_rule: str = "hybrid", deadline=None) -> LPResult:
+    def solve(self, objective=None, deadline=None) -> LPResult:
         """Maximize objective (default 0) over the current rows.  A deadline
         (time.monotonic() value) passed mid-solve raises SearchTimeout."""
         obj = self._pairs(objective) if objective is not None else []
-        self._tab = _Tableau(self, pivot_rule)
+        self._tab = _Tableau(self)
         return self._tab.solve(obj, deadline)
 
     def resolve(self, objective, deadline=None) -> LPResult:
@@ -121,12 +116,12 @@ class LinearProgram:
             raise RuntimeError("resolve() needs a previous feasible solve")
         return self._tab.reoptimize(self._pairs(objective), deadline)
 
-    def maximize(self, objective, pivot_rule: str = "hybrid", deadline=None) -> LPResult:
+    def maximize(self, objective, deadline=None) -> LPResult:
         """Re-solve from the last feasible basis when there is one, else
-        solve from scratch with pivot_rule."""
+        solve from scratch."""
         if self._tab is not None and self._tab.feasible_basis:
             return self.resolve(objective, deadline)
-        return self.solve(objective, pivot_rule, deadline)
+        return self.solve(objective, deadline)
 
     def check_optimal(self, res: LPResult, objective) -> None:
         """Exact certificate check: feasibility, duality, slackness.
@@ -159,25 +154,6 @@ class LinearProgram:
             _require(j not in support or r == 0, "complementary slackness (column)")
         _require(sum(y * r[1] for y, r in zip(res.duals, self.rows)) == res.value,
                  "strong duality")
-
-    def check_farkas(self, res: LPResult) -> None:
-        """Exact check of an infeasibility certificate.
-
-        Raises CertificateError naming the first condition that fails.
-        """
-        _require(res.status == "infeasible" and res.farkas is not None,
-                 "not an infeasibility certificate")
-        y = res.farkas
-        col = {}
-        for (coeffs, rhs, kind), yi in zip(self.rows, y):
-            if kind == "<=":
-                _require(yi >= 0, "negative multiplier on <= row")
-            if yi:
-                for j, c in coeffs:
-                    col[j] = col.get(j, 0) + yi * c
-        _require(all(v >= 0 for v in col.values()), "negative column in the Farkas combination")
-        _require(sum(yi * r[1] for yi, r in zip(y, self.rows)) < 0,
-                 "nonnegative right-hand side in the Farkas combination")
 
 
 def _frac(v):
@@ -234,9 +210,8 @@ class _Tableau:
     """Sparse fraction-free tableau: per row a dict of nonzero integers,
     right-hand side under key ncols, over one positive divisor."""
 
-    def __init__(self, lp: LinearProgram, pivot_rule: str):
+    def __init__(self, lp: LinearProgram):
         self.kinds = [kind for _, _, kind in lp.rows]
-        self.rule = pivot_rule
         self.nv = lp.nv
         self.pivots = 0
         self.feasible_basis = False
@@ -353,8 +328,7 @@ class _Tableau:
         return best, hits
 
     def _run(self, deadline):
-        bland = self.rule == "bland"
-        streak = 0
+        bland, streak = False, 0
         while True:
             if self.pivots > MAX_PIVOTS:
                 raise RuntimeError("pivot limit exceeded; simplex stalled")
@@ -368,14 +342,8 @@ class _Tableau:
                 return "unbounded"
             r, rhs, _ = hit
             self._pivot(r, s, hits)
-            if self.rule == "hybrid":
-                if rhs == 0:
-                    streak += 1
-                    if streak > DEGENERACY_STREAK:
-                        bland = True
-                else:
-                    streak = 0
-                    bland = False
+            streak = streak + 1 if rhs == 0 else 0
+            bland = streak > DEGENERACY_STREAK
 
     # -- phases ------------------------------------------------------------
 

@@ -20,7 +20,6 @@ from webrank.liftproject import (
     PIECE_CAP,
     _check_piece_cap,
     disjunctive_valid,
-    pt_matches,
 )
 from webrank.polyhedra import (
     HULL_BOUND,
@@ -39,7 +38,30 @@ from webrank.polyhedra import (
     stab,
 )
 from webrank.reporting import frac_to_str
-from webrank.simplex import CertificateError, LinearProgram, _eliminate
+from webrank.simplex import CertificateError, LinearProgram, _eliminate, _require
+
+
+# ---------------------------------------------------------------------------
+# simplex
+
+def check_farkas(lp: LinearProgram, res) -> None:
+    """Exact check of an infeasibility certificate of lp.
+
+    Raises CertificateError naming the first condition that fails.
+    """
+    _require(res.status == "infeasible" and res.farkas is not None,
+             "not an infeasibility certificate")
+    y = res.farkas
+    col = {}
+    for (coeffs, rhs, kind), yi in zip(lp.rows, y):
+        if kind == "<=":
+            _require(yi >= 0, "negative multiplier on <= row")
+        if yi:
+            for j, c in coeffs:
+                col[j] = col.get(j, 0) + yi * c
+    _require(all(v >= 0 for v in col.values()), "negative column in the Farkas combination")
+    _require(sum(yi * r[1] for yi, r in zip(y, lp.rows)) < 0,
+             "nonnegative right-hand side in the Farkas combination")
 
 
 # ---------------------------------------------------------------------------
@@ -414,10 +436,19 @@ def piece_max_by_rows(h: HPolytope, objective: dict, fixing: dict):
                                           LinearInequality({v: -1}, -z))]), objective)
 
 
+def satisfied_by(row: LinearInequality, point: dict) -> bool:
+    return row.evaluate(point) <= row.rhs
+
+
+def pt_matches(point: dict, fixing: dict) -> bool:
+    """The point equals fixing[v] at each fixed coordinate v."""
+    return all(point.get(v, Fraction(0)) == z for v, z in fixing.items())
+
+
 def contains_by_fractions(h: HPolytope, point: dict) -> bool:
     """x in h, each row evaluated in Fractions (HPolytope.contains works
     in integers)."""
-    return all(r.satisfied_by(point) for r in h.rows) and all(
+    return all(satisfied_by(r, point) for r in h.rows) and all(
         point.get(v, Fraction(0)) >= 0 for v in h.index)
 
 

@@ -130,7 +130,7 @@ def test_criterion_5_dahl_description():
     rep = verify_w2_description((6, 7, 8, 9, 10))
     report(5, rep.passed,
            "Dahl description = conv(STAB(W_n^2)) for n in 6..10, "
-           "closed-form alpha(T) matches enumeration")
+           "closed-form alpha(T) matches search")
 
 
 def test_criterion_6_w2_row_ranks():
@@ -188,8 +188,8 @@ def test_criterion_9_join_bounds():
     host = complete_join(antiweb(5, 2), antiweb(5, 2))
     blocks = join_blocks_of(host)
     row = joined_inequality(blocks)
-    res = disjunctive_rank_inequality(row, qstab(host), graph=host,
-                                      exhaustive_lb=True)
+    res = disjunctive_rank_inequality(row, qstab(host), graph=host)
+    assert res.exhaustive                       # 10 nodes: dim <= 10
     probed_size_one = {f for f, _ in res.violating_points if len(f) == 1}
     ok = res.rank == 2 and probed_size_one == {(v,) for v in host.nodes}
     host_rank = disjunctive_rank_graph(host).rank

@@ -182,26 +182,38 @@ def test_lp_rejects_f_labels_outside_the_graph(capsys):
 def test_recheck_of_a_malformed_report(tmp_path, capsys):
     path = tmp_path / "report.json"
     path.write_text(json.dumps({"suite": "rank", "entries": [
+        {"name": "rank", "status": "info", "certificate": {"type": "graph-rank"}},
         {"name": "hole", "status": "info", "certificate": {"type": "odd-hole"}}]}))
     code, out, _ = run(capsys, "recheck", str(path))
-    assert code == 1 and "FAIL" in out and "'graph'" in out
+    assert code == 1 and "no field 'graph'" in out
+    assert "{'type': 'odd-hole'} is not an object of a known type" in out
     path.write_text("[]")
     code, out, err = run(capsys, "recheck", str(path))
     assert (code, out) == (3, "") and "input error" in err
 
 
+NESTED_DOCTORINGS = [
+    (["graph", "W:10:2"], "pool", [1], "pool[0] is not an odd-hole or odd-antihole object"),
+    (["graph", "W:10:2"], "pool", [{"type": "odd-hole"}], "no field 'nodes'"),
+    (["graph", "W:10:2"], "pool", [{"type": "perfection", "nodes": [1]}],
+     "pool[0] is not an odd-hole or odd-antihole object"),
+    (["ineq", "antiweb", "A:8:3"], "violations", [1], "violations[0] is not an object"),
+    (["ineq", "antiweb", "A:8:3"], "violations", [{"f": [1]}], "no field 'point'"),
+    (["ineq", "antiweb", "A:8:3"], "pieces", [1], "malformed certificate"),
+]
+
+
 def test_recheck_of_malformed_nested_certificates(tmp_path, capsys):
-    # a pool or perfection entry that is not an object fails its entry
-    cert_path = tmp_path / "w10.json"
-    code, _, _ = run(capsys, "rank", "graph", "W:10:2", "--cert", str(cert_path))
-    assert code == 0
-    good = json.loads(cert_path.read_text())
-    for field, value in (("pool", [1]), ("perfection", 1)):
-        data = json.loads(json.dumps(good))
+    # a pool, violation or piece entry of the wrong shape fails its entry
+    cert_path = tmp_path / "cert.json"
+    for argv, field, value, step in NESTED_DOCTORINGS:
+        assert main(["rank", *argv, "--cert", str(cert_path)]) == 0
+        data = json.loads(cert_path.read_text())
         data["entries"][0]["certificate"][field] = value
         cert_path.write_text(json.dumps(data))
+        capsys.readouterr()
         code, out, err = run(capsys, "recheck", str(cert_path))
-        assert (code, err) == (1, "") and "FAIL" in out, field
+        assert (code, err) == (1, "") and "FAIL" in out and step in out, (field, value)
 
 
 def _recheck_doctored(tmp_path, capsys, argv, doctor):
@@ -225,7 +237,7 @@ def test_recheck_names_the_failed_step_of_a_graph_rank(tmp_path, capsys):
         c["pool"][1]["nodes"] = [1, 2, 3]
 
     out = _recheck_doctored(tmp_path, capsys, argv, lambda c: c.update(pool=[1]))
-    assert "pool[0] (not an object) failed: certificate 1 is not an object" in out
+    assert "pool[0] is not an odd-hole or odd-antihole object" in out
     out = _recheck_doctored(tmp_path, capsys, argv, hole)
     assert "pool[1] (odd-hole) failed: adjacency re-count" in out
     out = _recheck_doctored(tmp_path, capsys, argv,

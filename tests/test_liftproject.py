@@ -182,7 +182,7 @@ def test_member_with_every_piece_empty_needs_no_lp(monkeypatch):
     assert not member and cert["kind"] == "violating-point"
     assert cert["separating"] == {"coeffs": {}, "rhs": Fraction(-1), "tag": "separating"}
     assert recheck_certificate(_membership_cert(h, x, member, cert)) == \
-        (True, "separating row valid on every piece (Bland re-solve)")
+        (True, "separating row valid on every piece, by its multipliers")
 
 
 def test_member_with_every_coordinate_fixed_has_no_y_block(monkeypatch):
@@ -540,7 +540,7 @@ from webrank.inequalities import rank_constraint
 from webrank.polyhedra import LPOutcome, qstab
 from webrank.simplex import CertificateError
 
-def outside(h, objective, fixing, pivot_rule="hybrid"):
+def outside(h, objective, fixing):
     # every coordinate at 1: breaks the clique rows and ignores the fixing
     return LPOutcome(status="optimal", value=Fraction(7),
                      point={v: Fraction(1) for v in h.index})

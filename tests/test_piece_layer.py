@@ -18,10 +18,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from webrank.graphs import Graph
-from webrank.liftproject import piece_max, piece_systems, pt_matches
+from webrank.liftproject import piece_max, piece_systems
 from webrank.polyhedra import frac, qstab
 
-from oracles import piece_max_by_rows
+from oracles import piece_max_by_rows, pt_matches
 
 
 @st.composite

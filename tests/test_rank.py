@@ -294,8 +294,8 @@ def test_remark_antiweb_17_3_row_rank_two():
     xbar = {v: (Fraction(0) if v == 1 else Fraction(1, 5)) for v in g.nodes}
     member, _ = disjunctive_member(xbar, h, (1,))
     assert member and sum(xbar.values()) == Fraction(16, 5) > 3
-    res = disjunctive_rank_inequality(row, h, cyclic=True, exhaustive_lb=False)
-    assert res.rank == 2
+    res = disjunctive_rank_inequality(row, h, cyclic=True)
+    assert res.rank == 2 and not res.exhaustive  # 17 nodes: dim > 10
 
 
 def test_remark_antiweb_25_4_row_rank_one():

@@ -67,7 +67,8 @@ def test_dump_is_dumps_and_a_newline():
         assert fh.getvalue() == dumps(v) + "\n"
 
 
-# exact bytes of the parent encoder, taken before certificates became dicts
+# exact bytes of both membership payloads; the non-member certificate holds
+# the piece records ("pieces") of the validity scan of its separating row
 
 MEMBER_A72 = (
     '{"certificate":{"f":[1,3],"kind":"validity-proof","multipliers":['
@@ -80,7 +81,12 @@ MEMBER_A72 = (
     '"f":[1,3],"graph":"A:7:2","member":true,"relaxation":"qstab"}\n')
 
 NON_MEMBER_A73 = (
-    '{"certificate":{"f":[1,2],"kind":"violating-point","point":{"1":"1/2",'
+    '{"certificate":{"f":[1,2],"kind":"violating-point","pieces":['
+    '{"status":"optimal","value":"6","y":{"11":"2","13":"2","8":"2"},"z":[0,0]},'
+    '{"status":"optimal","value":"6","y":{"10":"2","12":"2","7":"2","9":"2"},"z":[0,1]},'
+    '{"status":"optimal","value":"6","y":{"11":"2","12":"2","7":"2","8":"2"},"z":[1,0]},'
+    '{"status":"optimal","value":"6","y":{"10":"2","12":"2","7":"2","8":"2"},"z":[1,1]}],'
+    '"point":{"1":"1/2",'
     '"2":"1/2","3":"1/2","4":"1/2","5":"1/2","6":"1/2","7":"1/2"},'
     '"separating":{"coeffs":{"1":"2","2":"2","3":"2","4":"2","5":"2","6":"2",'
     '"7":"2"},"rhs":"6","tag":"separating"}},'
@@ -101,4 +107,4 @@ def test_row_rank_certificate_file_is_pinned(tmp_path, capsys):
     assert main(["rank", "ineq", "antiweb", "A:8:3", "--cert", str(path)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(path.read_bytes()).hexdigest() == \
-        "d7aba0e0754ce280d9c3474deba311775feecb49ba9f092b042bb57e217f99b9"
+        "ce456858c780c1350a7211e89db25fc2de503f258b3f09daa0da1918ee0cf830"
