@@ -12,7 +12,8 @@ the hull dimension, which is also the node count whose stable sets a
 hull enumerates; --piece-cap on |F| in every piece scan, lp --operator
 disjunctive and the piece checks of recheck included; --depth-cap on
 the N depth; --time-budget in seconds for the graph-rank searches, the
-N lift LP of lp --operator N and the membership LP of lp --member.
+N lift LP of lp --operator N, the membership LP of lp --member and each
+objective of verify operators.
 --polyhedral is a rank graph route, and rank --cert needs a route that
 builds a certificate: rank ineq --polyhedral, and --cert with --operator
 N or --polyhedral, are input errors.
@@ -242,7 +243,8 @@ def cmd_verify(args) -> int:
         rep = verify_join_bound(join_blocks_of(host), args.piece_cap,
                                 deadline=args.deadline)
     elif args.suite == "operators":
-        rep = verify_operator_sandwich(nmax, args.objectives, args.seed)
+        rep = verify_operator_sandwich(nmax, args.objectives, args.seed,
+                                       deadline=args.deadline)
     else:
         raise ValueError(f"unknown suite {args.suite!r}")
     return _emit(rep, args)

@@ -32,12 +32,13 @@ value is left out.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from itertools import product
 
 from .graphs import CertificateError, ResourceCapExceeded, as_nodeset
 from .polyhedra import PIECE_CAP, HPolytope, LinearInequality, LPOutcome, _check_piece_cap
 from .recheck import check_member, check_point, check_separating
-from .simplex import LinearProgram
+from .simplex import LinearProgram, Primal
 
 DEPTH_CAP = 2       # N iterations; lift size grows as (2n)^(r-1) matrices
 
@@ -99,25 +100,22 @@ class PieceSystem:
             self._lp.add_le(coeffs, rhs)
 
     def maximize(self, objective: dict) -> LPOutcome:
+        """The max over the piece; its point is built on the first read."""
         if self.empty:
             return LPOutcome(status="infeasible")
-        shift = sum((Fraction(objective.get(v, 0)) * z for v, z in self.fixing.items()),
+        shift = sum((objective.get(v, 0) * z for v, z in self.fixing.items() if z),
                     Fraction(0))
-        point = {v: Fraction(z) for v, z in self.fixing.items()}
         if self._lp is None:
-            return LPOutcome(status="optimal", value=shift, point=point)
-        obj = {}
-        for i, v in enumerate(self.free):
-            c = Fraction(objective.get(v, 0))
-            if c:
-                obj[i] = c
+            return LPOutcome(status="optimal", value=shift,
+                             point=_piece_point(self.fixing, self.free, None))
+        obj = {i: c for i, v in enumerate(self.free) if (c := objective.get(v))}
         res = self._last = self._lp.maximize(obj)
         if res.status == "infeasible":
             return LPOutcome(status="infeasible")
         if res.status == "unbounded":
             raise RuntimeError("unbounded piece: relaxation lacks bound rows")
-        point.update(zip(self.free, res.x))
-        return LPOutcome(status="optimal", value=res.value + shift, point=point)
+        return LPOutcome(status="optimal", value=res.value + shift,
+                         point=partial(_piece_point, self.fixing, self.free, res.primal))
 
     def multipliers(self) -> dict:
         """The nonzero multipliers over the rows of h, by row index, that
@@ -130,6 +128,15 @@ class PieceSystem:
         res = self._last
         y = res.duals if res.status == "optimal" else res.farkas
         return {self._row[t]: v for t, v in enumerate(y) if v}
+
+
+def _piece_point(fixing: dict, free: list, primal) -> dict:
+    """The point of a piece: its fixed coordinates, then the free ones
+    from the LP's primal snapshot (none when every coordinate is fixed)."""
+    point = {v: Fraction(z) for v, z in fixing.items()}
+    if primal is not None:
+        point.update(zip(free, primal.values()))
+    return point
 
 
 def piece_systems(h: HPolytope, f, piece_cap: int = PIECE_CAP) -> list:
@@ -328,6 +335,9 @@ class NLiftSystem:
         self.top = self._new_matrix(top=True)
         self._require_matrix_columns(self.top, depth - 1)
         rows, self._col = _presolve(self._le, self._eq, self._nv)
+        self._var = list(self._col)     # the variable behind each LP column
+        self._diag = [(v, self._col.get(self.top[(j, j)]))     # LP column of x_v or None
+                      for j, v in enumerate(h.index, start=1)]
         self._lp = LinearProgram(len(self._col))
         for coeffs, rhs, kind in rows:
             (self._lp.add_le if kind == "<=" else self._lp.add_eq)(coeffs, rhs)
@@ -405,24 +415,18 @@ class NLiftSystem:
     def maximize(self, objective: dict, deadline=None) -> tuple:
         """(LPOutcome, raw LPResult) of the max over N^depth(h).  The raw
         result's x is in the full variable layout, 0 on every variable
-        the presolve dropped; its duals belong to the presolved rows."""
-        obj = {}
-        for j, v in enumerate(self.h.index, start=1):
-            c = Fraction(objective.get(v, 0))
-            col = self._col.get(self.top[(j, j)])
-            if c and col is not None:
-                obj[col] = c
+        the presolve dropped, and built on its first read; its duals
+        belong to the presolved rows."""
+        obj = {col: c for v, col in self._diag if col is not None and (c := objective.get(v))}
         res = self._lp.maximize(obj, deadline=deadline)
         if res.status == "infeasible":
             return LPOutcome(status="infeasible"), res
         if res.status == "unbounded":
             raise RuntimeError("N lift unbounded: relaxation lacks bound rows")
-        x = [Fraction(0)] * self._nv
-        for v, col in self._col.items():
-            x[v] = res.x[col]
-        res.x = x
-        point = {v: res.x[self.top[(j, j)]]
-                 for j, v in enumerate(self.h.index, start=1)}
+        primal = res.primal
+        point = {v: Fraction(0) if col is None else primal[col] for v, col in self._diag}
+        res.primal = Primal(self._nv, primal.basic, self._var)
+        vars(res).pop("x", None)        # an x read before this is in LP columns
         return LPOutcome(status="optimal", value=res.value, point=point), res
 
     def y_matrix(self, res) -> list:

@@ -21,7 +21,6 @@ from unit marker columns, as the tableau reads duals from its slacks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import gcd, lcm
@@ -167,31 +166,51 @@ class HPolytope:
         return {"index": self.index, "rows": [r.to_json() for r in self.rows]}
 
 
-@dataclass
 class LPOutcome:
-    """lp_max result with points keyed by node label."""
+    """lp_max result with points keyed by node label.  The point may be
+    given as a function of no arguments instead, which builds it on the
+    first read."""
 
-    status: str
-    value: Fraction | None = None
-    point: dict | None = None
-    duals: list | dict | None = None    # per LP row; piece_lp_max: by row of h
+    __slots__ = ("status", "value", "duals", "_point")
+
+    def __init__(self, status: str, value=None, point=None, duals=None):
+        self.status, self.value, self._point = status, value, point
+        self.duals = duals          # per LP row; piece_lp_max: by row of h
+
+    @property
+    def point(self) -> dict | None:
+        if callable(self._point):
+            self._point = self._point()
+        return self._point
+
+
+_LP_MAX_CACHE: dict = {}    # id(h) -> (h, its LP), for the last h lp_max was asked about
 
 
 def lp_max(h: HPolytope, objective) -> LPOutcome:
     """Exact maximum of a linear objective over h (with x >= 0).
 
-    Every optimal answer is certified on the spot: primal feasibility,
-    strong duality and complementary slackness are re-checked in exact
-    arithmetic before returning.  Relaxations built here are bounded,
-    so an unbounded status is an internal inconsistency and raises.
+    The LP of h is kept for the next call on the same HPolytope object
+    (only the last one is kept: callers ask about one h many times in a
+    row), which re-solves it from its last feasible basis.  Every optimal
+    answer is certified on the spot: primal feasibility, strong duality
+    and complementary slackness are re-checked in exact integer
+    arithmetic before returning.  Relaxations built here are bounded, so
+    an unbounded status is an internal inconsistency and raises.
     """
     obj = objective if isinstance(objective, dict) else dict(zip(h.index, objective))
     pos = {v: i for i, v in enumerate(h.index)}
     lp_obj = {pos[v]: c for v, c in obj.items() if v in pos}
-    lp = LinearProgram(len(h.index))
-    for r in h.rows:
-        lp.add_le({pos[v]: c for v, c in r.coeffs.items()}, r.rhs)
-    res = lp.solve(lp_obj)
+    hit = _LP_MAX_CACHE.get(id(h))
+    if hit is None:
+        lp = LinearProgram(len(h.index))
+        for r in h.rows:
+            lp.add_le({pos[v]: c for v, c in r.coeffs.items()}, r.rhs)
+        _LP_MAX_CACHE.clear()
+        _LP_MAX_CACHE[id(h)] = (h, lp)      # h held, so its id is not reused meanwhile
+    else:
+        lp = hit[1]
+    res = lp.maximize(lp_obj)
     if res.status == "unbounded":
         raise RuntimeError("relaxation unbounded: missing bound rows")
     if res.status == "infeasible":

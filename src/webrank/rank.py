@@ -39,6 +39,7 @@ from .graphs import (
     ResourceCapExceeded,
     Graph,
     WebId,
+    _check_deadline,
     antiweb,
     as_nodeset,
     complement,
@@ -494,15 +495,18 @@ def verify_w2_description(n_values=(6, 7, 8, 9, 10),
 
 
 def verify_operator_sandwich(n_max: int = 9, objectives: int = 20,
-                             seed: int = 0) -> Report:
+                             seed: int = 0, deadline=None) -> Report:
     """max STAB <= max N(K) <= min_j max P_j(K) <= max K on random
     objectives, K = QSTAB of a web.
 
     The third term, the least of the maxima over the single pieces
     P_j(K), bounds the max over their intersection from above.  The max
     over STAB is a maximum-weight stable set search (no enumeration, so
-    no cap on n).  The 2n piece systems K n {x_j = z} are built once per
-    web and re-solved from their last optimal basis for each objective.
+    no cap on n).  The 2n piece systems K n {x_j = z}, the N lift and the
+    LP of K are each built once per web and re-solved from their last
+    optimal basis for each objective; only values are read, so no point
+    is built.  Past the deadline (a time.monotonic() value, checked once
+    per objective) it raises SearchTimeout.
     """
     rep = Report("operators", {"n_max": n_max, "objectives": objectives,
                                "seed": seed})
@@ -514,6 +518,7 @@ def verify_operator_sandwich(n_max: int = 9, objectives: int = 20,
             pieces = [piece_systems(h, (j,)) for j in g.nodes]
             bad = []
             for _ in range(objectives):
+                _check_deadline(deadline)
                 c = {v: Fraction(rng.randint(0, 9)) for v in g.nodes}
                 smax = max_weight_stable_set(g, c)[0]
                 nmax = n_operator_max(c, h, 1).value

@@ -125,15 +125,24 @@ def check_separating(row: LinearInequality, x: dict) -> None:
     _require(row.evaluate(_point(x)) > row.rhs, "separating row not violated by the point")
 
 
+def _known(nodes: set, labels, where: str) -> None:
+    """Every label is one of the graph's nodes."""
+    if not nodes.issuperset(labels):
+        unknown = [v for v in labels if v not in nodes]
+        raise CertificateError(f"{where} names {unknown}, not nodes of the graph")
+
+
 def _graph_rank(cert, piece_cap):
     g = from_json_dict(cert["graph"])
     hole_in = {"odd-hole": g, "odd-antihole": complement(g)}
-    f, pool = cert["deletion_set"], cert["pool"]
+    f, pool, nodes = cert["deletion_set"], cert["pool"], set(g.nodes)
+    _known(nodes, f, "deletion_set")
     _require(is_perfect(delete_nodes(g, f) if f else g, reverse=True),
              "perfection failed: reversed-order odd hole search")
     for i, c in enumerate(pool):
         _require(isinstance(c, dict) and c.get("type") in hole_in,
                  f"pool[{i}] is not an odd-hole or odd-antihole object")
+        _known(nodes, c["nodes"], f"pool[{i}]")
         _require(is_odd_hole(hole_in[c["type"]], c["nodes"]),
                  f"pool[{i}] ({c['type']}) failed: adjacency re-count")
     _require(len(f) == cert["rank"], f"|deletion_set| = {len(f)} but rank = {cert['rank']}")

@@ -23,12 +23,17 @@ it cycle-free, and back after a pivot that is not degenerate.  Every tie is
 broken by column or basis index, never by dict order.
 
 Optimal solves return exact primal and dual certificates (strong
-duality and complementary slackness hold with equality); the duals are
-built on first read, from the reduced-cost row the solve ended with, so
-re-solves whose duals nobody reads never build them.  Infeasible solves
-return an exact Farkas certificate.  Certificate checks raise
-CertificateError and tableau invariants raise RuntimeError, so both
-hold under ``python -O``.
+duality and complementary slackness hold with equality), both built on
+first read, so re-solves whose point or duals nobody reads never build
+them: the primal point from a snapshot (`Primal`) of the basic columns'
+integer right-hand sides and divisors taken when the solve ends, which
+later pivots leave as it is, and the duals from the reduced-cost row the
+solve ended with.  Infeasible solves return an exact Farkas certificate.
+Each row is cleared of denominators once per LinearProgram; the tableau
+starts from that integer form, and `check_optimal` tests it against x, y
+and c, each put over one common denominator, in integer arithmetic.
+Certificate checks raise CertificateError and tableau invariants raise
+RuntimeError, so both hold under ``python -O``.
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ from .graphs import CertificateError, SearchTimeout
 
 DEGENERACY_STREAK = 40
 MAX_PIVOTS = 500_000
+_ZERO = Fraction(0)
 
 
 def _require(ok: bool, message: str) -> None:
@@ -51,14 +57,46 @@ def _require(ok: bool, message: str) -> None:
         raise CertificateError(message)
 
 
+class Primal:
+    """The structural part of a basic solution as its solve left it: LP
+    column -> (integer right-hand side, divisor) of each basic structural
+    column with a nonzero value.  It copies the integers out, so later
+    pivots leave it as it is; x_j is made a Fraction only when read.
+    `values` lays the point out over nv variables, LP column j at
+    names[j] (at j without names)."""
+
+    __slots__ = ("nv", "basic", "names")
+
+    def __init__(self, nv: int, basic: dict, names=None):
+        self.nv, self.basic, self.names = nv, basic, names
+
+    def __getitem__(self, j) -> Fraction:
+        """x_j of LP column j."""
+        q = self.basic.get(j)
+        return _ZERO if q is None else Fraction(*q)
+
+    def values(self) -> list:
+        x = [_ZERO] * self.nv
+        names = self.names
+        for j, q in self.basic.items():
+            x[j if names is None else names[j]] = Fraction(*q)
+        return x
+
+
 @dataclass
 class LPResult:
     status: str                      # "optimal" | "infeasible" | "unbounded"
     value: Fraction | None = None
-    x: list | None = None            # structural variables, exact
     farkas: list | None = None       # infeasibility certificate, per row
     pivots: int = 0
+    primal: Primal | None = field(default=None, repr=False, compare=False)
     dual_source: object = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def x(self) -> list | None:
+        """The structural variables, exact, built from primal on the first
+        read (None without an optimum)."""
+        return None if self.primal is None else self.primal.values()
 
     @cached_property
     def duals(self) -> list | None:
@@ -77,6 +115,7 @@ class LinearProgram:
         self.nv = num_vars
         self._cols = frozenset(range(num_vars))
         self.rows = []               # (nonzero (column, Fraction) pairs, Fraction rhs, kind)
+        self._ints = []              # integer form of each row, see _integer_rows
         self._tab = None
 
     def _pairs(self, coeffs) -> list:
@@ -123,37 +162,56 @@ class LinearProgram:
             return self.resolve(objective, deadline)
         return self.solve(objective, deadline)
 
+    def _integer_rows(self) -> list:
+        """(column -> integer, integer rhs, L) per row: the row times L, the
+        lcm of its denominators.  Each row is cleared once, on the first
+        solve or check that reaches it."""
+        for coeffs, rhs, _ in self.rows[len(self._ints):]:
+            ints, L = _intify(coeffs + [(-1, rhs)] if rhs else coeffs)
+            self._ints.append((ints, ints.pop(-1, 0), L))
+        return self._ints
+
     def check_optimal(self, res: LPResult, objective) -> None:
         """Exact certificate check: feasibility, duality, slackness.
 
-        Raises CertificateError naming the first condition that fails.
+        x, y and c are each put over one common denominator, y_t folded
+        with the scale of row t, and every condition is tested in
+        integers on the rows' integer form.  Raises CertificateError naming
+        the first condition that fails.
         """
-        obj = dict(self._pairs(objective))
+        c, dc = _intify(self._pairs(objective))
         _require(res.status == "optimal", "not an optimal result")
-        x = res.x
-        _require(all(v >= 0 for v in x), "negative primal value")
-        support = {j: v for j, v in enumerate(x) if v}
-        red = {j: -c for j, c in obj.items()}   # sum_i y_i a_ij - c_j, one pass per row
-        for (coeffs, rhs, kind), y in zip(self.rows, res.duals):
-            lhs = Fraction(0)
-            for j, c in coeffs:
-                if j in support:
-                    lhs += c * support[j]
-                if y:
-                    red[j] = red.get(j, 0) + y * c
+        x, dx = _intify(list(enumerate(res.x)))
+        _require(all(v >= 0 for v in x.values()), "negative primal value")
+        support = {j: v for j, v in x.items() if v}
+        rows = self._integer_rows()
+        y = res.duals
+        dy = lcm(*(q.denominator * L for q, (_, _, L) in zip(y, rows) if q))
+        # u_t / dy = y_t / L_t; r_j * dy * dc = dc * sum_t u_t A_tj - c_j * dy
+        u = [q.numerator * (dy // (q.denominator * L)) if q else 0
+             for q, (_, _, L) in zip(y, rows)]
+        red = {j: -cj * dy for j, cj in c.items()}
+        for (coeffs, b, _), (_, _, kind), ut in zip(rows, self.rows, u):
+            lhs = sum(a * support[j] for j, a in coeffs.items() if j in support)
+            b *= dx
+            if ut:
+                w = ut * dc
+                for j, a in coeffs.items():
+                    red[j] = red.get(j, 0) + w * a
             if kind == "<=":
-                _require(lhs <= rhs, "primal infeasible")
-                _require(y >= 0, "negative dual on <= row")
-                _require(y == 0 or lhs == rhs, "complementary slackness (row)")
+                _require(lhs <= b, "primal infeasible")
+                _require(ut >= 0, "negative dual on <= row")
+                _require(ut == 0 or lhs == b, "complementary slackness (row)")
             else:
-                _require(lhs == rhs, "equality violated")
-        _require(sum(obj.get(j, 0) * v for j, v in support.items()) == res.value,
-                 "value mismatch")
+                _require(lhs == b, "equality violated")
+        value = res.value
+        _require(sum(cj * support.get(j, 0) for j, cj in c.items()) * value.denominator
+                 == value.numerator * dc * dx, "value mismatch")
         for j, r in sorted(red.items()):     # a column missing from red has r = 0
             _require(r >= 0, "dual infeasible")
             _require(j not in support or r == 0, "complementary slackness (column)")
-        _require(sum(y * r[1] for y, r in zip(res.duals, self.rows)) == res.value,
-                 "strong duality")
+        _require(sum(ut * b for ut, (_, b, _) in zip(u, rows)) * value.denominator
+                 == value.numerator * dy, "strong duality")
 
 
 def _frac(v):
@@ -232,11 +290,11 @@ class _Tableau:
         self.divs = []
         self.basis = []
         self.orig = []               # original row index per tableau row
-        for t, (coeffs, rhs, kind) in enumerate(lp.rows):
-            row, L = _intify(coeffs + [(ncols, rhs)] if rhs else coeffs)
+        for t, ((ints, rhs, L), kind) in enumerate(zip(lp._integer_rows(), self.kinds)):
             flip = rhs < 0
-            if flip:
-                row = {j: -v for j, v in row.items()}
+            row = {j: -v for j, v in ints.items()} if flip else dict(ints)
+            if rhs:
+                row[ncols] = -rhs if flip else rhs
             self.row_scale.append(L)
             self.row_flip.append(flip)
             if kind == "<=":
@@ -396,15 +454,14 @@ class _Tableau:
         self.feasible_basis = True
         if status == "unbounded":
             return LPResult(status="unbounded", pivots=self.pivots)
-        rhs = self.ncols
-        x = [Fraction(0)] * self.nv
-        for i, b in enumerate(self.basis):
-            if b < self.nv:
-                x[b] = Fraction(self.rows[i].get(rhs, 0), self.divs[i])
-        value = Fraction(self.obj.get(rhs, 0), self.obj_div) / scale
+        rhs, nv = self.ncols, self.nv
+        basic = {b: (row[rhs], d) for b, row, d in zip(self.basis, self.rows, self.divs)
+                 if b < nv and rhs in row}
+        value = Fraction(self.obj.get(rhs, 0), self.obj_div * scale)
         # _build_obj makes a new reduced-cost row for every objective, so
         # this one is never updated again: the duals can wait for a reader
-        return LPResult(status="optimal", value=value, x=x, pivots=self.pivots,
+        return LPResult(status="optimal", value=value, pivots=self.pivots,
+                        primal=Primal(nv, basic),
                         dual_source=partial(self._extract_duals, self.obj,
                                             self.obj_div, scale))
 

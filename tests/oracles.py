@@ -44,6 +44,38 @@ from webrank.simplex import CertificateError, LinearProgram, _eliminate, _requir
 # ---------------------------------------------------------------------------
 # simplex
 
+def check_optimal_by_fractions(lp: LinearProgram, res, objective) -> None:
+    """The optimality check of `LinearProgram.check_optimal` in Fraction
+    arithmetic: the same conditions in the same order, with the same
+    messages, on the rows as added."""
+    obj = dict(lp._pairs(objective))
+    _require(res.status == "optimal", "not an optimal result")
+    x = res.x
+    _require(all(v >= 0 for v in x), "negative primal value")
+    support = {j: v for j, v in enumerate(x) if v}
+    red = {j: -c for j, c in obj.items()}   # sum_i y_i a_ij - c_j, one pass per row
+    for (coeffs, rhs, kind), y in zip(lp.rows, res.duals):
+        lhs = Fraction(0)
+        for j, c in coeffs:
+            if j in support:
+                lhs += c * support[j]
+            if y:
+                red[j] = red.get(j, 0) + y * c
+        if kind == "<=":
+            _require(lhs <= rhs, "primal infeasible")
+            _require(y >= 0, "negative dual on <= row")
+            _require(y == 0 or lhs == rhs, "complementary slackness (row)")
+        else:
+            _require(lhs == rhs, "equality violated")
+    _require(sum(obj.get(j, 0) * v for j, v in support.items()) == res.value,
+             "value mismatch")
+    for j, r in sorted(red.items()):     # a column missing from red has r = 0
+        _require(r >= 0, "dual infeasible")
+        _require(j not in support or r == 0, "complementary slackness (column)")
+    _require(sum(y * r[1] for y, r in zip(res.duals, lp.rows)) == res.value,
+             "strong duality")
+
+
 def check_farkas(lp: LinearProgram, res) -> None:
     """Exact check of an infeasibility certificate of lp.
 

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, deterministic reports, recheck."""
 
+import hashlib
 import json
 
 import pytest
@@ -79,6 +80,16 @@ def test_verify_operators_small(capsys):
     code, out, _ = run(capsys, "verify", "operators", "--nmax", "6",
                        "--objectives", "3")
     assert code == 0
+
+
+def test_operator_sandwich_report_is_pinned(capsys):
+    # pinned when every maximum of K was solved from scratch: the warm
+    # re-solves, over the nine webs up to 8 nodes, change no byte of it
+    code, out, _ = run(capsys, "verify", "operators", "--nmax", "8", "--objectives", "20",
+                       "--seed", "5", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "5fc0b99f48810a13013a6ba9cb9e667cb9aafad72ebbcec6fa701f79527148bd"
 
 
 def test_a_report_is_serialized_once(tmp_path, capsys, monkeypatch):
@@ -245,6 +256,19 @@ def test_recheck_names_the_failed_step_of_a_graph_rank(tmp_path, capsys):
     assert "|deletion_set| = 3 but rank = 2" in out
 
 
+def test_recheck_names_an_unknown_node_and_its_step(tmp_path, capsys):
+    argv = ["rank", "graph", "W:10:2"]
+
+    def hole(c):
+        c["pool"][0]["nodes"] = [1, 2, 3, 4, 99]
+
+    out = _recheck_doctored(tmp_path, capsys, argv, hole)
+    assert "pool[0] names [99], not nodes of the graph" in out
+    out = _recheck_doctored(tmp_path, capsys, argv,
+                            lambda c: c["deletion_set"].append(99))
+    assert "deletion_set names [99], not nodes of the graph" in out
+
+
 def test_recheck_names_the_failed_step_of_a_row_rank(tmp_path, capsys):
     def off_piece(c):
         v = c["violations"][1]
@@ -329,6 +353,13 @@ def test_time_budget_exhaustion_exit_2(capsys):
     code, _, err = run(capsys, "verify", "web-formulas", "--ks", "4",
                        "--nmax", "16", "--time-budget", "0.000001")
     assert code == 2 and "budget" in err
+
+
+def test_time_budget_bounds_the_operator_sandwich(capsys):
+    argv = ["verify", "operators", "--nmax", "7", "--objectives", "5", "--format", "json"]
+    code, out, err = run(capsys, *argv, "--time-budget", "0")
+    assert (code, out) == (2, "") and "budget" in err
+    assert run(capsys, *argv, "--time-budget", "60") == run(capsys, *argv)
 
 
 def test_time_budget_bounds_the_n_lift_lp(monkeypatch, capsys):

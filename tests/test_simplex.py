@@ -15,14 +15,18 @@ import sys
 import weakref
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import webrank
-from webrank import simplex
+from webrank import liftproject, polyhedra, simplex
+from webrank.graphs import web
+from webrank.liftproject import PieceSystem, n_operator_max, piece_lp_max
+from webrank.polyhedra import lp_max, qstab
 from webrank.simplex import CertificateError, LinearProgram
 
-from oracles import check_farkas
+from oracles import check_farkas, check_optimal_by_fractions
 
 
 def test_small_box_lp():
@@ -154,11 +158,25 @@ def test_duals_read_after_a_resolve_are_those_of_their_own_solve():
         lp = build()
         results = [lp.maximize(c) for c in objectives]     # one solve, two resolves
         assert results[0].duals == build().solve(objectives[0]).duals
+        assert results[0].x == build().solve(objectives[0]).x
         for res, c in zip(results, objectives):
             lp.check_optimal(res, c)
+        # each point and dual read after the later re-solves is the one a
+        # replay reads right after the same solve
+        replay = build()
+        for res, c in zip(results, objectives):
+            now = replay.maximize(c)
+            assert (now.x, now.duals) == (res.x, res.duals)
 
 
-def test_a_dropped_lp_is_freed_without_the_cycle_collector():
+def test_a_dropped_lp_is_freed_without_the_cycle_collector(monkeypatch):
+    monkeypatch.setattr(polyhedra, "_LP_MAX_CACHE", {})
+    monkeypatch.setattr(liftproject, "_NLIFT_CACHE", {})
+    g = web(7, 2)
+    h = qstab(g)
+    c = {v: v % 3 + 1 for v in g.nodes}
+    cold = [lp_max(qstab(g), c), n_operator_max(c, qstab(g), 1),
+            piece_lp_max(h, c, {1: 1})]
     was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -170,7 +188,21 @@ def test_a_dropped_lp_is_freed_without_the_cycle_collector():
         ref = weakref.ref(lp)
         del lp
         assert ref() is None
-        assert res.value == 5 and res.duals == [2, -1]
+        assert res.value == 5 and res.duals == [2, -1] and res.x == [1, 2]
+
+        # an outcome alone keeps no tableau alive, once its system is gone
+        outs, tabs = [lp_max(h, c)], [weakref.ref(polyhedra._LP_MAX_CACHE[id(h)][1]._tab)]
+        polyhedra._LP_MAX_CACHE.clear()
+        liftproject._NLIFT_CACHE.clear()
+        outs.append(n_operator_max(c, h, 1))
+        tabs.append(weakref.ref(liftproject._NLIFT_CACHE[(h, 1)]._lp._tab))
+        liftproject._NLIFT_CACHE.clear()
+        sys_ = PieceSystem(h, {1: 1})
+        outs.append(sys_.maximize(c))
+        tabs.append(weakref.ref(sys_._lp._tab))
+        del sys_
+        assert [t() for t in tabs] == [None] * 3
+        assert [(o.value, o.point) for o in outs] == [(o.value, o.point) for o in cold]
     finally:
         if was_enabled:
             gc.enable()
@@ -251,6 +283,63 @@ def test_dict_and_dense_rows_give_identical_pinned_results():
     # result, as the dense-row simplex computed them
     digest = hashlib.sha256(repr(records).encode()).hexdigest()
     assert digest == "23516c2235e570c8f2689edd0361ae424c4217913f9c337aa471d3cae50ca716"
+
+
+def _verdict(check, *args):
+    try:
+        check(*args)
+    except CertificateError as exc:
+        return str(exc)
+    return "ok"
+
+
+def _doctorings(res, rng):
+    """res, then copies of it with one sign flipped, one entry of x, the
+    value or the duals moved, or one nonzero dual dropped to 0."""
+    def copy(**change):
+        out = SimpleNamespace(status=res.status, value=res.value, x=list(res.x),
+                              duals=list(res.duals))
+        for name, (index, value) in change.items():
+            if index is None:
+                setattr(out, name, value)
+            else:
+                getattr(out, name)[index] = value
+        return out
+
+    step = Fraction(rng.randint(1, 3), rng.randint(1, 4)) * rng.choice((1, -1))
+    yield copy()
+    yield copy(value=(None, res.value + step))
+    for name in ("x", "duals"):
+        values = getattr(res, name)
+        j = rng.randrange(len(values))
+        yield copy(**{name: (j, values[j] + step)})
+        nonzero = [i for i, v in enumerate(values) if v]
+        if nonzero:
+            i = rng.choice(nonzero)
+            yield copy(**{name: (i, -values[i])})
+            if name == "duals":
+                yield copy(duals=(i, Fraction(0)))
+
+
+def test_integer_optimality_check_matches_the_fraction_check():
+    rng = random.Random(11)
+    seen = []
+    for n, rows, objectives in random_lp_cases(2024, 150):
+        lp = LinearProgram(n)
+        for coeffs, rhs, kind in rows:
+            (lp.add_le if kind == "<=" else lp.add_eq)(coeffs, rhs)
+        for c in objectives:
+            res = lp.maximize(c)
+            if res.status != "optimal":
+                continue
+            for doctored in _doctorings(res, rng):
+                want = _verdict(check_optimal_by_fractions, lp, doctored, c)
+                assert _verdict(lp.check_optimal, doctored, c) == want, (rows, c)
+                seen.append(want)
+    assert seen.count("ok") >= 171
+    assert {"negative primal value", "primal infeasible", "negative dual on <= row",
+            "complementary slackness (row)", "equality violated", "value mismatch",
+            "dual infeasible", "complementary slackness (column)"} <= set(seen)
 
 
 def test_a_pivot_clears_negative_entries_of_the_entering_column():
