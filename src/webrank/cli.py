@@ -12,8 +12,8 @@ the hull dimension, which is also the node count whose stable sets a
 hull enumerates; --piece-cap on |F| in every piece scan, lp --operator
 disjunctive and the piece checks of recheck included; --depth-cap on
 the N depth; --time-budget in seconds for the graph-rank searches, the
-N lift LP of lp --operator N, the membership LP of lp --member and each
-objective of verify operators.
+piece LPs of rank ineq, the N lift LP of lp --operator N, the membership
+LP of lp --member and each objective of verify operators.
 --polyhedral is a rank graph route, and rank --cert needs a route that
 builds a certificate: rank ineq --polyhedral, and --cert with --operator
 N or --polyhedral, are input errors.
@@ -36,6 +36,7 @@ import argparse
 import json
 import sys
 import time
+from functools import cache
 
 from .graphs import (
     AntiwebId,
@@ -196,7 +197,7 @@ def cmd_rank(args) -> int:
         if args.operator == "disjunctive":
             res = disjunctive_rank_inequality(
                 row, h, cyclic=symmetric and g.family is not None,
-                piece_cap=args.piece_cap)
+                piece_cap=args.piece_cap, deadline=args.deadline)
             cert = res.to_json(row, h)
             result = {"target": args.spec, "family": args.family,
                       "operator": "disjunctive", "rank": res.rank,
@@ -340,7 +341,10 @@ def cmd_lp(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, so every in-process `main` call shares it."""
     ap = argparse.ArgumentParser(prog="webrank", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)

@@ -99,8 +99,9 @@ class PieceSystem:
         for _, coeffs, rhs in rows:
             self._lp.add_le(coeffs, rhs)
 
-    def maximize(self, objective: dict) -> LPOutcome:
-        """The max over the piece; its point is built on the first read."""
+    def maximize(self, objective: dict, deadline=None) -> LPOutcome:
+        """The max over the piece; its point is built on the first read.
+        A deadline passed mid-solve raises SearchTimeout."""
         if self.empty:
             return LPOutcome(status="infeasible")
         shift = sum((objective.get(v, 0) * z for v, z in self.fixing.items() if z),
@@ -109,7 +110,7 @@ class PieceSystem:
             return LPOutcome(status="optimal", value=shift,
                              point=_piece_point(self.fixing, self.free, None))
         obj = {i: c for i, v in enumerate(self.free) if (c := objective.get(v))}
-        res = self._last = self._lp.maximize(obj)
+        res = self._last = self._lp.maximize(obj, deadline)
         if res.status == "infeasible":
             return LPOutcome(status="infeasible")
         if res.status == "unbounded":
@@ -144,12 +145,13 @@ def piece_systems(h: HPolytope, f, piece_cap: int = PIECE_CAP) -> list:
     return [PieceSystem(h, fixing) for _, fixing in _pieces(as_nodeset(f), piece_cap)]
 
 
-def piece_lp_max(h: HPolytope, objective: dict, fixing: dict) -> LPOutcome:
+def piece_lp_max(h: HPolytope, objective: dict, fixing: dict, *,
+                 deadline=None) -> LPOutcome:
     """Exact max of objective over h n {x_i = z_i for i in fixing}, solved
     from scratch, its duals the piece's multipliers (a dict, see
     `PieceSystem.multipliers`)."""
     sys_ = PieceSystem(h, fixing)
-    out = sys_.maximize(objective)
+    out = sys_.maximize(objective, deadline)
     out.duals = sys_.multipliers()
     return out
 
@@ -169,11 +171,23 @@ def piece_max(systems, objective: dict, stop=None) -> LPOutcome:
     return LPOutcome(status="infeasible") if best is None else best
 
 
-def min_piece_max(pieces, objective: dict):
+def min_piece_max(pieces, objective: dict, known: LPOutcome | None = None):
     """min over j of piece_max(pieces[j], objective).value; None when some
     j has no feasible piece.  The running minimum is the stop of each
-    scan: a j with a piece that reaches it cannot lower it."""
+    scan: a j with a piece that reaches it cannot lower it.
+
+    `known`, an optimal outcome of the max over K (`lp_max`, whose point
+    `check_optimal` has proved in K), settles every j whose F it is 0/1
+    on: the piece z = known.point_F holds that point and lies in K, so the
+    j's max is known.value, and no LP runs for it.  The running minimum
+    starts there when some j is settled; only the other j are scanned."""
     low = None
+    if known is not None:
+        open_ = [systems for systems in pieces
+                 if any(known.point[v] not in (0, 1) for v in systems[0].fixing)]
+        if len(open_) < len(pieces):
+            low = known.value
+        pieces = open_
     for systems in pieces:
         out = piece_max(systems, objective, stop=low)
         if out.status != "optimal":
@@ -184,18 +198,19 @@ def min_piece_max(pieces, objective: dict):
 
 
 def disjunctive_valid(ineq: LinearInequality, h: HPolytope, f,
-                      piece_cap: int = PIECE_CAP):
+                      piece_cap: int = PIECE_CAP, deadline=None):
     """Is a.x <= b valid for P_F(h)?  Returns (bool, certificate).
 
     Valid over a convex hull of pieces iff valid on every feasible
     piece; infeasible pieces are vacuous.  Pieces are scanned in
     lexicographic z order with early exit on the first violation; each
-    record carries the multipliers y that prove it.
+    record carries the multipliers y that prove it.  Past the deadline
+    (a time.monotonic() value) a piece solve raises SearchTimeout.
     """
     f = as_nodeset(f)
     pieces = []
     for z, fixing in _pieces(f, piece_cap):
-        out = piece_lp_max(h, ineq.coeffs, fixing)
+        out = piece_lp_max(h, ineq.coeffs, fixing, deadline=deadline)
         pieces.append({"z": z, "status": out.status, "value": out.value, "y": out.duals})
         if out.status == "optimal" and out.value > ineq.rhs:
             check_point(h, f, out.point, ineq)
@@ -240,7 +255,8 @@ def disjunctive_member(x: dict, h: HPolytope, f, piece_cap: int = PIECE_CAP,
             pieces.append((z, fixing, [(coeffs, -rhs) for _, coeffs, rhs in rows
                                        if rhs < 0 or any(c > 0 for c in coeffs.values())]))
     if not pieces:
-        return _non_member(LinearInequality({}, -1, tag="separating"), h, f, x, piece_cap)
+        sep = LinearInequality({}, -1, tag="separating")
+        return _non_member(sep, h, f, x, piece_cap, deadline)
     # variable layout: y^p (one per free coordinate each), then lambda_p
     n = len(free)
     lam0 = len(pieces) * n
@@ -276,14 +292,14 @@ def disjunctive_member(x: dict, h: HPolytope, f, piece_cap: int = PIECE_CAP,
         raise RuntimeError(f"membership LP ended {res.status}")
     pi = {v: -res.farkas[coord_rows[j]] for j, v in enumerate(h.index)}
     return _non_member(LinearInequality(pi, res.farkas[convex_row], tag="separating"),
-                       h, f, x, piece_cap)
+                       h, f, x, piece_cap, deadline)
 
 
-def _non_member(sep, h, f, x, piece_cap):
+def _non_member(sep, h, f, x, piece_cap, deadline):
     """The no answer of disjunctive_member, after checks that sep cuts off
     x and is valid for P_F(h), whose piece records it carries."""
     check_separating(sep, x)
-    ok, cert = disjunctive_valid(sep, h, f, piece_cap)
+    ok, cert = disjunctive_valid(sep, h, f, piece_cap, deadline)
     if not ok:
         raise CertificateError(f"separating inequality is violated at {cert['point']}")
     return False, {"kind": "violating-point", "f": f, "point": dict(x),

@@ -219,16 +219,17 @@ def _f_candidates(index, m: int, anchored: bool):
     return combinations(index, m)
 
 
-def _smallest_f(rows, h: HPolytope, anchored: bool, piece_cap: int):
+def _smallest_f(rows, h: HPolytope, anchored: bool, piece_cap: int, deadline=None):
     """(F, violations, cert): the smallest F (by size, then
     lexicographically) with every row valid for P_F(h), (F', point) for
     each rejected F', with the violating point of its first invalid row,
-    and the validity certificate of the last row on F."""
+    and the validity certificate of the last row on F.  Past the deadline
+    (a time.monotonic() value) a piece solve raises SearchTimeout."""
     violations = []
     for m in range(h.dim + 1):
         for f in _f_candidates(h.index, m, anchored):
             for row in rows:
-                ok, cert = disjunctive_valid(row, h, f, piece_cap)
+                ok, cert = disjunctive_valid(row, h, f, piece_cap, deadline)
                 if not ok:
                     violations.append((f, cert["point"]))
                     break
@@ -260,7 +261,8 @@ def disjunctive_rank_graph_polyhedral(g: Graph, hull_bound: int = HULL_BOUND,
 
 def disjunctive_rank_inequality(ineq: LinearInequality, h: HPolytope,
                                 cyclic: bool = False, piece_cap: int = PIECE_CAP,
-                                graph: Graph | None = None) -> IneqRankResult:
+                                graph: Graph | None = None,
+                                deadline=None) -> IneqRankResult:
     """Smallest |F| with the row valid for P_F(h), ascending search.
 
     cyclic=True pins the first element of a nonempty F to the first
@@ -268,14 +270,15 @@ def disjunctive_rank_inequality(ineq: LinearInequality, h: HPolytope,
     row).  For dim <= 10 the lower bound is exhaustive: EVERY F of size
     rank-1 is shown violated.  Given the graph of h = QSTAB(graph), the
     row is first checked valid for STAB(graph) by a maximum-weight stable
-    set search.
+    set search.  Past the deadline (a time.monotonic() value) a piece
+    solve raises SearchTimeout.
     """
     if graph is not None:
         val, arg = max_weight_stable_set(graph, ineq.coeffs)
         if val > ineq.rhs:
             raise ValueError(f"row {ineq} invalid for the integer hull at the "
                              f"stable set {list(arg)}")
-    witness, violations, cert = _smallest_f([ineq], h, cyclic, piece_cap)
+    witness, violations, cert = _smallest_f([ineq], h, cyclic, piece_cap, deadline)
     m = len(witness)
     exhaustive = h.dim <= 10 and m > 0
     if exhaustive:
@@ -283,7 +286,7 @@ def disjunctive_rank_inequality(ineq: LinearInequality, h: HPolytope,
         for f in combinations(h.index, m - 1):
             if f in rejected:
                 continue
-            ok, refuted = disjunctive_valid(ineq, h, f, piece_cap)
+            ok, refuted = disjunctive_valid(ineq, h, f, piece_cap, deadline)
             if ok:
                 raise RuntimeError(f"symmetry reduction unsound at {f}")
             violations.append((f, refuted["point"]))
@@ -504,8 +507,12 @@ def verify_operator_sandwich(n_max: int = 9, objectives: int = 20,
     over STAB is a maximum-weight stable set search (no enumeration, so
     no cap on n).  The 2n piece systems K n {x_j = z}, the N lift and the
     LP of K are each built once per web and re-solved from their last
-    optimal basis for each objective; only values are read, so no point
-    is built.  Past the deadline (a time.monotonic() value, checked once
+    optimal basis for each objective.  The max over K is taken before the
+    piece scan: its certified optimum x* settles each j with x*_j in
+    {0, 1} (that piece holds x*, so max P_j(K) = max K), and only the j
+    where x* is fractional get piece LPs (`min_piece_max`).  Of the piece
+    and lift maxima only values are read, so no point of theirs is
+    built.  Past the deadline (a time.monotonic() value, checked once
     per objective) it raises SearchTimeout.
     """
     rep = Report("operators", {"n_max": n_max, "objectives": objectives,
@@ -522,11 +529,11 @@ def verify_operator_sandwich(n_max: int = 9, objectives: int = 20,
                 c = {v: Fraction(rng.randint(0, 9)) for v in g.nodes}
                 smax = max_weight_stable_set(g, c)[0]
                 nmax = n_operator_max(c, h, 1).value
-                inter = min_piece_max(pieces, c)
-                qmax = lp_max(h, c).value
-                if not (smax <= nmax <= inter <= qmax):
+                qmax = lp_max(h, c)
+                inter = min_piece_max(pieces, c, qmax)
+                if not (smax <= nmax <= inter <= qmax.value):
                     bad.append({"objective": {v: int(x) for v, x in c.items()},
-                                "chain": [smax, nmax, inter, qmax]})
+                                "chain": [smax, nmax, inter, qmax.value]})
             rep.check(f"sandwich chain W:{n}:{k}", 0, len(bad),
                       detail=f"{objectives} seeded objectives",
                       certificate={"violations": bad} if bad else None)

@@ -181,6 +181,7 @@ class LinearProgram:
         """
         c, dc = _intify(self._pairs(objective))
         _require(res.status == "optimal", "not an optimal result")
+        _require(len(res.duals) == len(self.rows), "not one dual per row")
         x, dx = _intify(list(enumerate(res.x)))
         _require(all(v >= 0 for v in x.values()), "negative primal value")
         support = {j: v for j, v in x.items() if v}

@@ -50,6 +50,7 @@ def check_optimal_by_fractions(lp: LinearProgram, res, objective) -> None:
     messages, on the rows as added."""
     obj = dict(lp._pairs(objective))
     _require(res.status == "optimal", "not an optimal result")
+    _require(len(res.duals) == len(lp.rows), "not one dual per row")
     x = res.x
     _require(all(v >= 0 for v in x), "negative primal value")
     support = {j: v for j, v in enumerate(x) if v}

@@ -164,6 +164,21 @@ def test_input_error_exit_3(capsys):
     assert main(["--help"]) == 0
 
 
+def test_one_parser_serves_every_call(capsys):
+    """The parser is built once per process; a usage error and --help
+    after a good call still exit 3 and 0, and no option of one call
+    leaks into the next."""
+    from webrank.cli import build_parser
+    assert build_parser() is build_parser()
+    code, out, _ = run(capsys, "lp", "C:5", "--format", "json")
+    assert code == 0 and json.loads(out)["value"] == "5/2"
+    code, out, err = run(capsys, "lp", "C:5", "--bogus")
+    assert (code, out) == (3, "") and "--bogus" in err
+    assert run(capsys, "--help")[0] == 0
+    code, out, _ = run(capsys, "lp", "C:5")
+    assert code == 0 and out.startswith("max over qstab(C:5) = 5/2")
+
+
 def _raise_certificate_error(*args, **kwargs):
     from webrank.simplex import CertificateError
     raise CertificateError("strong duality")
@@ -377,6 +392,15 @@ def test_time_budget_bounds_the_membership_lp(capsys):
     argv = ["lp", "A:11:4", "--member", A11_4_POINT, "--f", "5,6,8", "--format", "json"]
     code, out, err = run(capsys, *argv, "--time-budget", "0")
     assert (code, out) == (2, "") and "budget" in err
+    assert run(capsys, *argv, "--time-budget", "60") == run(capsys, *argv)
+
+
+def test_time_budget_bounds_the_row_rank_search(tmp_path, capsys):
+    argv = ["rank", "ineq", "antiweb", "A:11:4", "--format", "json"]
+    code, out, err = run(capsys, *argv, "--time-budget", "0",
+                         "--cert", str(tmp_path / "cert.json"))
+    assert (code, out) == (2, "") and "budget" in err
+    assert not (tmp_path / "cert.json").exists()
     assert run(capsys, *argv, "--time-budget", "60") == run(capsys, *argv)
 
 

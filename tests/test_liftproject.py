@@ -25,6 +25,7 @@ from webrank.liftproject import (
     n_operator_valid,
     piece_lp_max,
     piece_max,
+    piece_systems,
     verify_n_matrix,
 )
 from webrank.polyhedra import (
@@ -503,7 +504,9 @@ def test_piece_max_takes_the_first_best_piece():
 
 def test_pruned_piece_scan_equals_the_full_one():
     """min_piece_max skips the second piece of j once the first reaches
-    the running minimum; the value is that of the full scan."""
+    the running minimum, and with the certified max over K it solves no
+    piece of a j where that optimum is 0/1; the value is that of the full
+    scan on every web `verify operators` visits."""
     rng = random.Random(5)
     for k in range(1, 4):
         for n in range(2 * (k + 1), 10):
@@ -512,13 +515,94 @@ def test_pruned_piece_scan_equals_the_full_one():
 
             def build():
                 return [[PieceSystem(h, {j: z}) for z in (0, 1)] for j in g.nodes]
-            pruned, full = build(), build()
+            pruned, settled, full = build(), build(), build()
             for _ in range(40):
                 c = {v: Fraction(rng.randint(0, 9)) for v in g.nodes}
-                assert min_piece_max(pruned, c) == \
-                    min(piece_max(systems, c).value for systems in full)
+                want = min(piece_max(systems, c).value for systems in full)
+                assert min_piece_max(pruned, c) == want
+                assert min_piece_max(settled, c, lp_max(h, c)) == want
     empty = PieceSystem(qstab(web(7, 1)), {1: 1, 2: 1})
     assert min_piece_max([[empty]], ones(web(7, 1))) is None
+
+
+def _count_piece_lps(monkeypatch):
+    """The dict whose "piece" entry counts PieceSystem.maximize calls."""
+    calls = {"piece": 0}
+    orig = PieceSystem.maximize
+
+    def counted(self, *args, **kwargs):
+        calls["piece"] += 1
+        return orig(self, *args, **kwargs)
+    monkeypatch.setattr(PieceSystem, "maximize", counted)
+    return calls
+
+
+def test_a_fractional_optimum_settles_no_j(monkeypatch):
+    # over QSTAB(C_5) the all-ones max is 5/2 at x* = 1/2 everywhere
+    g = web(5, 1)
+    h = qstab(g)
+    known = lp_max(h, ones(g))
+    assert set(known.point.values()) == {Fraction(1, 2)}
+    calls = _count_piece_lps(monkeypatch)
+    assert min_piece_max([piece_systems(h, (j,)) for j in g.nodes], ones(g), known) == 2
+    plain = calls["piece"]
+    assert plain >= g.n      # every j is scanned
+    assert min_piece_max([piece_systems(h, (j,)) for j in g.nodes], ones(g)) == 2
+    assert calls["piece"] == 2 * plain
+
+
+def test_an_integral_optimum_settles_every_j(monkeypatch):
+    # the even hole C_6 is perfect: x* is a stable set and no piece is solved
+    g = web(6, 1)
+    h = qstab(g)
+    known = lp_max(h, ones(g))
+    assert known.value == 3 and set(known.point.values()) <= {0, 1}
+    calls = _count_piece_lps(monkeypatch)
+    assert min_piece_max([piece_systems(h, (j,)) for j in g.nodes], ones(g), known) == 3
+    assert calls["piece"] == 0
+
+
+def test_settling_on_two_coordinate_f_and_the_empty_case():
+    # F = {j, j+1} on W:9:2: settled where x* is 0/1 on both, scanned elsewhere
+    rng = random.Random(3)
+    g = web(9, 2)
+    h = qstab(g)
+    fs = [(j, j % 9 + 1) for j in g.nodes]
+    for _ in range(20):
+        c = {v: Fraction(rng.randint(0, 9)) for v in g.nodes}
+        known = lp_max(h, c)
+        want = [piece_max(piece_systems(h, f), c).value for f in fs]
+        assert [min_piece_max([piece_systems(h, f)], c, known) for f in fs] == want, c
+        assert min_piece_max([piece_systems(h, f) for f in fs], c, known) == min(want)
+    # on W:8:2 x* is 1/2 at node 1 and 0 at node 2: F = {1, 2} is not
+    # settled, and its max 5 is below the max 11/2 over K
+    g = web(8, 2)
+    h = qstab(g)
+    c = dict(zip(g.nodes, (2, 1, 2, 3, 0, 2, 2, 2)))
+    known = lp_max(h, c)
+    assert (known.value, known.point[1], known.point[2]) == (Fraction(11, 2), Fraction(1, 2), 0)
+    assert min_piece_max([piece_systems(h, (1, 2))], c, known) == 5
+    # h is the segment x1 = 1/2, x2 in [0, 1]: j = 2 is settled by x* = (1/2, 1),
+    # j = 1 has no feasible piece, so the min is None as without x*
+    h = HPolytope((1, 2), [nonneg_row(1), nonneg_row(2), LinearInequality({1: 1}, 1),
+                           LinearInequality({2: 1}, 1),
+                           LinearInequality({1: 2}, 1), LinearInequality({1: -2}, -1)])
+    c = {1: 1, 2: 1}
+    known = lp_max(h, c)
+    assert known.point == {1: Fraction(1, 2), 2: 1}
+    for pieces in ([piece_systems(h, (2,)), piece_systems(h, (1,))],
+                   [piece_systems(h, (1,)), piece_systems(h, (2,))]):
+        assert min_piece_max(pieces, c, known) is None
+        assert min_piece_max(pieces, c) is None
+    assert min_piece_max([piece_systems(h, (2,))], c, known) == Fraction(3, 2)
+
+
+def test_sandwich_piece_lps_are_pinned(monkeypatch):
+    # without settling by the max over K this run solves 4,829 piece LPs
+    from webrank.rank import verify_operator_sandwich
+    calls = _count_piece_lps(monkeypatch)
+    assert verify_operator_sandwich(9, 40, 5).passed
+    assert calls["piece"] == 240
 
 
 def test_lp_disjunctive_json_is_pinned(capsys):
@@ -540,7 +624,7 @@ from webrank.inequalities import rank_constraint
 from webrank.polyhedra import LPOutcome, qstab
 from webrank.simplex import CertificateError
 
-def outside(h, objective, fixing):
+def outside(h, objective, fixing, *, deadline=None):
     # every coordinate at 1: breaks the clique rows and ignores the fixing
     return LPOutcome(status="optimal", value=Fraction(7),
                      point={v: Fraction(1) for v in h.index})

@@ -6,7 +6,9 @@
 nodes, under QSTAB and FRAC, with |F| <= 3, every piece z and integer
 objectives, both give the same status and value, and `piece_max` with a
 `stop` returns the full max below it and otherwise the value of the
-first piece that reaches it, where its scan ends.
+first piece that reaches it, where its scan ends.  `min_piece_max`
+settled by the certified max over the relaxation gives the value of
+the plain scan.
 """
 
 from fractions import Fraction
@@ -18,8 +20,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from webrank.graphs import Graph
-from webrank.liftproject import piece_max, piece_systems
-from webrank.polyhedra import frac, qstab
+from webrank.liftproject import min_piece_max, piece_max, piece_systems
+from webrank.polyhedra import frac, lp_max, qstab
 
 from oracles import piece_max_by_rows, pt_matches
 
@@ -61,3 +63,15 @@ def test_piece_systems_agree_with_lps_over_the_fixing_rows(case):
         assert (early.value, early.point) == (full.value, full.point)
     else:
         assert early.value == next(v for v in values if v >= stop)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(piece_cases())
+def test_settled_piece_scan_equals_the_plain_one(case):
+    h, f, c, _ = case
+    known = lp_max(h, c)
+    full = piece_max(piece_systems(h, f), c)
+    assert min_piece_max([piece_systems(h, f)], c, known) == full.value
+    fs = [f] + [(v,) for v in h.index]
+    settled = min_piece_max([piece_systems(h, g) for g in fs], c, known)
+    assert settled == min_piece_max([piece_systems(h, g) for g in fs], c)

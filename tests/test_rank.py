@@ -368,7 +368,7 @@ from webrank.polyhedra import qstab
 
 real = rank.disjunctive_valid
 
-def stub(ineq, h, f, piece_cap=12):
+def stub(ineq, h, f, piece_cap=12, deadline=None):
     # valid for every |F| = 2 and for F = {2}, but not for the anchor {1};
     # every answer carries the violating point of F = {} as its certificate
     _, cert = real(ineq, h, (), piece_cap)

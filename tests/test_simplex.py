@@ -14,6 +14,7 @@ import subprocess
 import sys
 import weakref
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -340,6 +341,20 @@ def test_integer_optimality_check_matches_the_fraction_check():
     assert {"negative primal value", "primal infeasible", "negative dual on <= row",
             "complementary slackness (row)", "equality violated", "value mismatch",
             "dual infeasible", "complementary slackness (column)"} <= set(seen)
+
+
+def test_a_short_dual_list_fails_both_optimality_checks():
+    """Rows and duals are paired one to one: a dual list cut short must
+    not skip the rows past its end.  x = (1, 1) violates x1 + x2 <= 1."""
+    lp = LinearProgram(2)
+    lp.add_le({0: 1}, 1)
+    lp.add_le({1: 1}, 1)
+    lp.add_le({0: 1, 1: 1}, 1)
+    res = lp.maximize({0: 1})
+    doctored = SimpleNamespace(status="optimal", value=Fraction(1),
+                               x=[Fraction(1), Fraction(1)], duals=res.duals[:2])
+    for check in (lp.check_optimal, partial(check_optimal_by_fractions, lp)):
+        assert _verdict(check, doctored, {0: 1}) == "not one dual per row"
 
 
 def test_a_pivot_clears_negative_entries_of_the_entering_column():
