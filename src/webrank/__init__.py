@@ -16,7 +16,6 @@ from .graphs import (
     antiweb,
     complement,
     complete_join,
-    construct_odd_hole_avoiding,
     delete_nodes,
     find_induced_odd_hole,
     is_perfect,
@@ -56,7 +55,6 @@ from .rank import (
     GraphRankResult,
     IneqRankResult,
     disjunctive_rank_graph,
-    disjunctive_rank_graph_polyhedral,
     disjunctive_rank_inequality,
     formula_web_rank,
     n_rank_inequality_upto,

@@ -12,11 +12,12 @@ the hull dimension, which is also the node count whose stable sets a
 hull enumerates; --piece-cap on |F| in every piece scan, lp --operator
 disjunctive and the piece checks of recheck included; --depth-cap on
 the N depth; --time-budget in seconds for the graph-rank searches, the
-piece LPs of rank ineq, the N lift LP of lp --operator N, the membership
-LP of lp --member and each objective of verify operators.
---polyhedral is a rank graph route, and rank --cert needs a route that
-builds a certificate: rank ineq --polyhedral, and --cert with --operator
-N or --polyhedral, are input errors.
+piece LPs of rank ineq, verify rdfar and verify join, the N lift LPs of
+rank --operator N and lp --operator N, the membership LPs of lp --member
+and verify rdfar, the hulls of hull, verify w2 and rank graph --operator
+N (checked once per double description insertion), and each objective
+of verify operators.  rank --cert needs a route that builds a
+certificate: --cert with --operator N is an input error.
 A max over STAB without a hull (alpha, the row-rank check against STAB,
 the sandwich) is a stable set search and has no cap.
 
@@ -75,7 +76,6 @@ from .polyhedra import (
 )
 from .rank import (
     disjunctive_rank_graph,
-    disjunctive_rank_graph_polyhedral,
     disjunctive_rank_inequality,
     n_rank_graph_upto,
     n_rank_inequality_upto,
@@ -165,27 +165,19 @@ def _build_row(family: str, g):
 
 
 def cmd_rank(args) -> int:
-    if args.target == "ineq" and args.polyhedral:
-        raise ValueError("--polyhedral is a rank graph route; rank ineq has none")
-    if args.cert and (args.operator == "N" or args.polyhedral):
-        route = "--operator N" if args.operator == "N" else "--polyhedral"
-        raise ValueError(f"--cert with {route}: that route builds no certificate")
+    if args.cert and args.operator == "N":
+        raise ValueError("--cert with --operator N: that route builds no certificate")
     g = parse_graph_spec(args.spec)
     if args.target == "graph":
         if args.operator == "disjunctive":
-            if args.polyhedral:
-                rank = disjunctive_rank_graph_polyhedral(g, args.hull_bound,
-                                                         args.piece_cap)
-                result = {"target": args.spec, "operator": "disjunctive",
-                          "route": "polyhedral", "rank": rank}
-            else:
-                res = disjunctive_rank_graph(g, deadline=args.deadline)
-                cert = res.to_json(g)
-                result = {"target": args.spec, "operator": "disjunctive",
-                          "route": "combinatorial", "rank": res.rank,
-                          "deletion_set": list(res.deletion_set)}
+            res = disjunctive_rank_graph(g, deadline=args.deadline)
+            cert = res.to_json(g)
+            result = {"target": args.spec, "operator": "disjunctive",
+                      "route": "combinatorial", "rank": res.rank,
+                      "deletion_set": list(res.deletion_set)}
         else:
-            r = n_rank_graph_upto(g, args.rmax, args.hull_bound, args.depth_cap)
+            r = n_rank_graph_upto(g, args.rmax, args.hull_bound, args.depth_cap,
+                                  args.deadline)
             if r is None:
                 print(f"N-rank of {args.spec} exceeds rmax={args.rmax} "
                       f"(lower bound {args.rmax + 1}); raise --rmax/--depth-cap")
@@ -203,7 +195,7 @@ def cmd_rank(args) -> int:
                       "operator": "disjunctive", "rank": res.rank,
                       "witness_f": list(res.witness_f)}
         else:
-            r = n_rank_inequality_upto(row, h, args.rmax, args.depth_cap)
+            r = n_rank_inequality_upto(row, h, args.rmax, args.depth_cap, args.deadline)
             if r is None:
                 print(f"N-rank of the row exceeds rmax={args.rmax}")
                 return EXIT_CAP
@@ -229,16 +221,16 @@ def cmd_verify(args) -> int:
             ks=_parse_range(args.ks), n_max=nmax,
             complements=not args.no_complements, deadline=args.deadline)
     elif args.suite == "rdfar":
-        rep = Report("rdfar", {"nmax": nmax, "exhaustive": args.exhaustive})
+        rep = Report("rdfar", {"nmax": nmax})
         from math import gcd
         for n in range(4, nmax + 1):
             for k in range(2, n // 2 + 1):
                 if gcd(n, k) == 1:
-                    sub = verify_rdfar(AntiwebId(n, k), exhaustive=args.exhaustive,
-                                       piece_cap=args.piece_cap, seed=args.seed)
+                    sub = verify_rdfar(AntiwebId(n, k), args.piece_cap, args.deadline)
                     rep.entries.extend(sub.entries)
     elif args.suite == "w2":
-        rep = verify_w2_description(_parse_range(args.n_values), args.hull_bound)
+        rep = verify_w2_description(_parse_range(args.n_values), args.hull_bound,
+                                    args.deadline)
     elif args.suite == "join":
         host = parse_graph_spec(args.spec)
         rep = verify_join_bound(join_blocks_of(host), args.piece_cap,
@@ -260,7 +252,7 @@ def cmd_recheck(args) -> int:
 
 def cmd_hull(args) -> int:
     g = parse_graph_spec(args.spec)
-    facets = convex_hull_facets(stab(g, args.hull_bound), args.hull_bound)
+    facets = convex_hull_facets(stab(g, args.hull_bound), args.hull_bound, args.deadline)
     rows = []
     for f in facets:
         tag = tag_inequality(g, f)
@@ -361,10 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec")
     p.add_argument("--operator", choices=("disjunctive", "N"), default="disjunctive")
     p.add_argument("--rmax", type=int, default=1)
-    p.add_argument("--polyhedral", action="store_true",
-                   help="graph rank via exhaustive F + hull facets (oracle route)")
     p.add_argument("--cert", help="write the certificate JSON here (not with "
-                   "--operator N or --polyhedral, which build none)")
+                   "--operator N, which builds none)")
     _add_common(p)
 
     p = sub.add_parser("verify", help="run a theorem verification suite")
@@ -376,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-values", default="6..9")
     p.add_argument("--objectives", type=int, default=10)
     p.add_argument("--spec", default="join:A:5:2,A:5:2")
-    p.add_argument("--sampled", dest="exhaustive", action="store_false")
     p.add_argument("--no-complements", action="store_true")
     p.add_argument("--out", help="write the JSON report here")
     _add_common(p)

@@ -516,150 +516,6 @@ def is_perfect(g: Graph, deadline=None, reverse=False) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# the constructive odd-hole claim behind the web rank theorem
-
-@dataclass(frozen=True)
-class ConstructedHole:
-    """Odd hole disjoint from a deletion set, with the recipe branch used.
-
-    method is one of "constructive-a", "constructive-b", "fallback-search".
-    """
-
-    nodes: tuple
-    method: str
-
-
-def construct_odd_hole_avoiding(w: WebId, f, deadline=None) -> ConstructedHole:
-    """Odd hole of W_n^k avoiding F, |F| = k-1, for n >= 3k+2.
-
-    Follows the constructive case analysis over the families
-    D_j = {j, j+k, ..., j+(s-1)k} and L_j = D_j + {j+sk} (indices mod n,
-    n = s k + r).  Every candidate is re-verified as a chordless odd
-    cycle disjoint from F; if a case does not apply cleanly the generic
-    odd-hole search takes over and the result is tagged accordingly.
-    """
-    n, k = w.n, w.k
-    if k < 2:
-        raise ValueError("constructive odd-hole claim needs k >= 2")
-    if n < 3 * k + 2:
-        raise ValueError(
-            f"W_{n}^{k}: the claim needs n >= 3k+2 = {3 * k + 2}"
-        )
-    f = as_nodeset(f)
-    if len(f) != k - 1:
-        raise ValueError(f"|F| must be k-1 = {k - 1}, got {len(f)}")
-    g = web(n, k)
-    fset = set(f)
-    s, r = divmod(n, k)
-
-    def D(j):
-        return [mod1(j + t * k, n) for t in range(s)]
-
-    def L(j):
-        d = D(j)
-        extra = mod1(j + s * k, n)
-        return d if extra == d[0] else d + [extra]
-
-    def verified(nodes, method):
-        nodes = as_nodeset(nodes)
-        if not set(nodes) & fset and is_odd_hole(g, nodes):
-            return ConstructedHole(nodes, method)
-        return None
-
-    for cand in _recipe_candidates(n, k, s, r, fset, D, L):
-        res = verified(*cand)
-        if res is not None:
-            return res
-
-    hole = find_induced_odd_hole(delete_nodes(g, f), deadline=deadline)
-    if hole is None:
-        raise RuntimeError(
-            f"no odd hole in W_{n}^{k} - F for F={f}; claim violated"
-        )
-    res = verified(hole, "fallback-search")
-    if res is None:
-        raise RuntimeError(f"odd hole {hole} of W_{n}^{k} - F for F={f} failed verification")
-    return res
-
-
-def _recipe_candidates(n, k, s, r, fset, D, L):
-    """Candidate odd sets from the proof's case analysis, best first.
-
-    Case a yields one candidate per index i with L_i disjoint from F;
-    case b one per (rotation, offset) pair.  Each candidate is verified
-    by the caller, so boundary quirks of the written recipe (wrap-around
-    chords near the seam) just advance to the next candidate.
-    """
-    for i in range(1, n + 1):
-        li = L(i)
-        if set(li) & fset:
-            continue
-        if len(li) % 2 == 1:
-            yield li, "constructive-a"
-            continue
-        di = D(i)
-        tail = {mod1(i + (s - 2) * k, n), mod1(i + (s - 1) * k, n)}
-        window_hit = False
-        for t in di:
-            ct = {mod1(t + a, n) for a in range(k)}
-            if len(ct & fset) == k - 1:
-                window_hit = True
-                if t not in tail:
-                    drop = mod1(t + 2 * k, n)
-                    add = [mod1(t + 2 * k - 1, n), mod1(t + 2 * k + 1, n)]
-                else:
-                    drop = mod1(t - k, n)
-                    add = [mod1(t - 1, n), mod1(t - k - 1, n)]
-                yield [x for x in li if x != drop] + add, "constructive-a"
-                break
-        if window_hit:
-            continue
-        # every window around D_i has spare room; walk out of C_i instead
-        l = max(a for a in range(k) if mod1(i + a, n) not in fset)
-        if l == 0:
-            continue
-        c_next = {mod1(i + l + 1 + a, n) for a in range(k)}
-        if len(c_next & fset) < k - 1:
-            for m in range(1, l + 1):
-                if mod1(i + k + m, n) not in fset:
-                    drop = mod1(i + k, n)
-                    add = [mod1(i + l, n), mod1(i + k + m, n)]
-                    yield [x for x in li if x != drop] + add, "constructive-a"
-                    break
-        else:
-            drop = mod1(i + 2 * k, n)
-            add = [mod1(i + 2 * k - 1, n), mod1(i + 2 * k + 1, n)]
-            yield [x for x in li if x != drop] + add, "constructive-a"
-    if r == 0:
-        return
-    for b in range(1, n + 1):
-        if set(D(b)) & fset or mod1(b + s * k, n) not in fset:
-            continue
-        shift = b - 1
-        fs = {mod1(x - shift, n) for x in fset}
-
-        def Ds(j):
-            return [mod1(j + t * k, n) for t in range(s)]
-
-        for j in range(r + 1, k + 1):
-            if set(Ds(j)) & fs:
-                continue
-            if mod1(j + s * k, n) not in fs or j - r < 2:
-                continue
-            dprime = [1] + Ds(j)
-            if len(dprime) % 2 == 1:
-                yield [mod1(x + shift, n) for x in dprime], "constructive-b"
-                continue
-            hi = min(2 * k, j + k - 1)
-            for jm in range(k + 2, hi + 1):
-                if mod1(jm, n) not in fs:
-                    nodes = [1, jm, 1 + 2 * k] + \
-                        [x for x in Ds(j) if x != mod1(j + k, n)]
-                    yield [mod1(x + shift, n) for x in nodes], "constructive-b"
-                    break
-
-
-# ---------------------------------------------------------------------------
 # I/O
 
 def to_dimacs(g: Graph) -> str:

@@ -553,12 +553,13 @@ def verify_n_matrix(h: HPolytope, y: list) -> bool:
 
 
 def n_operator_valid(ineq: LinearInequality, h: HPolytope, depth: int = 1,
-                     depth_cap: int = DEPTH_CAP):
+                     depth_cap: int = DEPTH_CAP, deadline=None):
     """Is a.x <= b valid for N^depth(h)?  (bool, certificate).  A
     violating point carries the top lifted matrix Y, re-verified against
-    the cone conditions by verify_n_matrix at depth 1."""
+    the cone conditions by verify_n_matrix at depth 1.  Past the deadline
+    (a time.monotonic() value) the solve raises SearchTimeout."""
     sys_ = n_lift_system(h, depth, depth_cap)
-    out, raw = sys_.maximize(ineq.coeffs)
+    out, raw = sys_.maximize(ineq.coeffs, deadline)
     if out.status == "infeasible":
         return True, {"kind": "validity-proof", "depth": depth}
     if out.value <= ineq.rhs:

@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import islice
 from math import gcd, lcm
 
-from .graphs import (Graph, ResourceCapExceeded, as_nodeset,
+from .graphs import (Graph, ResourceCapExceeded, _check_deadline, as_nodeset,
                      enumerate_maximal_cliques, enumerate_stable_sets)
 from .simplex import LinearProgram, _eliminate, _frac, _intify
 
@@ -349,14 +349,15 @@ def _primitive(values) -> tuple:
     return tuple(x // g for x in values)
 
 
-def cone_extreme_rays(m_rows) -> list:
+def cone_extreme_rays(m_rows, deadline=None) -> list:
     """Extreme rays of the pointed cone {y : M y >= 0}.
 
     Starts from a simplicial subcone spanned by the first d independent
     rows and inserts the remaining halfspaces with the double description
     step; adjacency of rays is the combinatorial zero-set test.  Exact
     integer arithmetic throughout; raises if the rows do not have full
-    rank (cone not pointed).
+    rank (cone not pointed).  Past the deadline (a time.monotonic()
+    value, checked once per insertion) it raises SearchTimeout.
     """
     rows = [_int_row(r) for r in m_rows]
     d = len(m_rows[0])
@@ -387,6 +388,7 @@ def cone_extreme_rays(m_rows) -> list:
     in_basis = set(basis_idx)
     rest = [t for t in range(len(rows)) if t not in in_basis]
     for n, t in enumerate(rest, start=d):
+        _check_deadline(deadline)
         m = rows[t]
         bit = 1 << n
         sig = [_dot(m, r) for r in rays]
@@ -434,19 +436,20 @@ def _dot(row: dict, ray) -> int:
     return sum(v * ray[j] for j, v in row.items())
 
 
-def convex_hull_facets(v: VPolytope, bound: int = HULL_BOUND) -> list:
+def convex_hull_facets(v: VPolytope, bound: int = HULL_BOUND, deadline=None) -> list:
     """Irredundant facet list of conv(points) for a full-dimensional set.
 
     Facets are the extreme rays of the polar cone
     {(b, a) : b - a.p >= 0 for all points p}; output rows are
-    canonicalized to coprime integers.
+    canonicalized to coprime integers.  Past the deadline (a
+    time.monotonic() value) the ray enumeration raises SearchTimeout.
     """
     n = v.dim
     _check_hull_bound(n, bound)
     if affine_rank(v.points) != n:
         raise ValueError("convex_hull_facets needs a full-dimensional point set")
     m_rows = [[Fraction(1)] + [-c for c in p] for p in v.points]
-    rays = cone_extreme_rays(m_rows)
+    rays = cone_extreme_rays(m_rows, deadline)
     out = []
     for ray in rays:
         b, a = ray[0], ray[1:]

@@ -1,24 +1,25 @@
 """Rank computations with certificates, and the formula verifiers.
 
-Both ranks are ascending searches for the first level at which every
-row in question is valid: the disjunctive rank is the smallest |F| with
-each row valid for P_F(h), the N-rank the smallest r with each row
-valid for N^r(h), where N^0(h) = h.  For a graph the rows are the
-facets of STAB and h = QSTAB; for one inequality they are that row.
-One candidate generator lists the m-subsets F in lexicographic order,
-or for circulant inputs (webs, antiwebs) only those holding the first
-coordinate, which is exact by rotational symmetry.  Each rejected F
-leaves its violating point, so a row rank is certified by the witness F
-plus violating points for the probed smaller sets.
+The ranks of one row are ascending searches for the first level at
+which it is valid: the disjunctive rank is the smallest |F| with the
+row valid for P_F(h), the N-rank the smallest r with it valid for
+N^r(h), where N^0(h) = h.  The N-rank of a graph is the smallest r with
+every facet of STAB valid for N^r(QSTAB).  One candidate generator
+lists the m-subsets F in lexicographic order, or for circulant inputs
+(webs, antiwebs) only those holding the first coordinate, which is
+exact by rotational symmetry.  Each rejected F leaves its violating
+point, so a row rank is certified by the witness F plus violating
+points for the probed smaller sets.
 
-The disjunctive rank of a graph also equals the minimum number of
-nodes whose deletion leaves a perfect graph; that route is an implicit
-hitting set over discovered minimally imperfect induced subgraphs (odd
-holes / odd antiholes): a candidate deletion set must hit every
-certificate in the pool, branching happens on the nodes of an unhit
-certificate, and exhaustion of the tree at size m proves that every
-m-subset misses some recorded certificate.  It is anchored at node 1
-for circulant inputs in the same way.
+The disjunctive rank of a graph is the minimum number of nodes whose
+deletion leaves a perfect graph, since P_F(QSTAB(G)) = STAB(G) exactly
+when G - F is perfect (the lemma `recheck` states).  The search is an
+implicit hitting set over discovered minimally imperfect induced
+subgraphs (odd holes / odd antiholes): a candidate deletion set must
+hit every certificate in the pool, branching happens on the nodes of an
+unhit certificate, and exhaustion of the tree at size m proves that
+every m-subset misses some recorded certificate.  It is anchored at
+node 1 for circulant inputs in the same way.
 
 Everything reported carries a machine-checkable certificate; the
 verify_* suites compare computed values against the closed-form ranks
@@ -219,44 +220,31 @@ def _f_candidates(index, m: int, anchored: bool):
     return combinations(index, m)
 
 
-def _smallest_f(rows, h: HPolytope, anchored: bool, piece_cap: int, deadline=None):
+def _smallest_f(row, h: HPolytope, anchored: bool, piece_cap: int, deadline=None):
     """(F, violations, cert): the smallest F (by size, then
-    lexicographically) with every row valid for P_F(h), (F', point) for
-    each rejected F', with the violating point of its first invalid row,
-    and the validity certificate of the last row on F.  Past the deadline
-    (a time.monotonic() value) a piece solve raises SearchTimeout."""
+    lexicographically) with the row valid for P_F(h), (F', point) for
+    each rejected F', and the validity certificate of the row on F.  Past
+    the deadline (a time.monotonic() value) a piece solve raises
+    SearchTimeout."""
     violations = []
     for m in range(h.dim + 1):
         for f in _f_candidates(h.index, m, anchored):
-            for row in rows:
-                ok, cert = disjunctive_valid(row, h, f, piece_cap, deadline)
-                if not ok:
-                    violations.append((f, cert["point"]))
-                    break
-            else:
+            ok, cert = disjunctive_valid(row, h, f, piece_cap, deadline)
+            if ok:
                 return f, violations, cert
-    raise RuntimeError(f"no F of size <= {h.dim} makes the rows valid")
+            violations.append((f, cert["point"]))
+    raise RuntimeError(f"no F of size <= {h.dim} makes the row valid")
 
 
-def _smallest_depth(rows, h: HPolytope, rmax: int, depth_cap: int):
+def _smallest_depth(rows, h: HPolytope, rmax: int, depth_cap: int, deadline=None):
     """Smallest r <= rmax with every row valid for N^r(h), where
-    N^0(h) = h; None when there is none."""
+    N^0(h) = h; None when there is none.  Past the deadline (a
+    time.monotonic() value) a lift solve raises SearchTimeout."""
     for r in range(rmax + 1):
-        if all((n_operator_valid(row, h, r, depth_cap) if r else is_valid(row, h))[0]
+        if all((n_operator_valid(row, h, r, depth_cap, deadline) if r else is_valid(row, h))[0]
                for row in rows):
             return r
     return None
-
-
-def disjunctive_rank_graph_polyhedral(g: Graph, hull_bound: int = HULL_BOUND,
-                                      piece_cap: int = PIECE_CAP) -> int:
-    """Oracle route: smallest |F| with every STAB facet valid for P_F(qstab).
-
-    Exhaustive over F by ascending size (orbit-anchored for circulants);
-    cross-validates the combinatorial route on small graphs.
-    """
-    facets = convex_hull_facets(stab(g, hull_bound), hull_bound)
-    return len(_smallest_f(facets, qstab(g), is_circulant(g), piece_cap)[0])
 
 
 def disjunctive_rank_inequality(ineq: LinearInequality, h: HPolytope,
@@ -278,7 +266,7 @@ def disjunctive_rank_inequality(ineq: LinearInequality, h: HPolytope,
         if val > ineq.rhs:
             raise ValueError(f"row {ineq} invalid for the integer hull at the "
                              f"stable set {list(arg)}")
-    witness, violations, cert = _smallest_f([ineq], h, cyclic, piece_cap, deadline)
+    witness, violations, cert = _smallest_f(ineq, h, cyclic, piece_cap, deadline)
     m = len(witness)
     exhaustive = h.dim <= 10 and m > 0
     if exhaustive:
@@ -294,26 +282,28 @@ def disjunctive_rank_inequality(ineq: LinearInequality, h: HPolytope,
 
 
 def n_rank_graph_upto(g: Graph, rmax: int, hull_bound: int = HULL_BOUND,
-                      depth_cap: int = DEPTH_CAP):
+                      depth_cap: int = DEPTH_CAP, deadline=None):
     """Smallest r <= rmax with N^r(qstab) = STAB, else None.
 
-    Equality holds iff every facet of STAB(g) is valid for the lift,
-    mirroring the polyhedral route for the disjunctive graph rank.
+    Equality holds iff every facet of STAB(g), from the hull, is valid
+    for the lift.  Past the deadline (a time.monotonic() value) the hull
+    or a lift solve raises SearchTimeout.
     """
-    facets = convex_hull_facets(stab(g, hull_bound), hull_bound)
-    return _smallest_depth(facets, qstab(g), rmax, depth_cap)
+    facets = convex_hull_facets(stab(g, hull_bound), hull_bound, deadline)
+    return _smallest_depth(facets, qstab(g), rmax, depth_cap, deadline)
 
 
 def n_rank_inequality_upto(ineq: LinearInequality, h: HPolytope, rmax: int,
-                           depth_cap: int = DEPTH_CAP):
+                           depth_cap: int = DEPTH_CAP, deadline=None):
     """Smallest r <= rmax with the row valid for N^r(h), else None.
 
     r = 0 means the row already holds for h itself (rank-of-row
-    semantics aligned between the two operators).
+    semantics aligned between the two operators).  Past the deadline (a
+    time.monotonic() value) a lift solve raises SearchTimeout.
     """
     if rmax > depth_cap:
         raise ResourceCapExceeded(f"N depth cap exceeded: rmax={rmax} > {depth_cap}")
-    return _smallest_depth([ineq], h, rmax, depth_cap)
+    return _smallest_depth([ineq], h, rmax, depth_cap, deadline)
 
 
 # ---------------------------------------------------------------------------
@@ -380,14 +370,14 @@ def _flag_n_rank_assumptions(rep: Report, n: int, k: int):
                     detail="rests on the subweb's external N-rank; not asserted")
 
 
-def verify_rdfar(a: AntiwebId, exhaustive: bool = True, piece_cap: int = PIECE_CAP,
-                 sample: int = 8, seed: int = 0) -> Report:
+def verify_rdfar(a: AntiwebId, piece_cap: int = PIECE_CAP, deadline=None) -> Report:
     """The antiweb-constraint rank theorem on one prime antiweb.
 
     (i) validity under the proof's deletion set F = {wk+1, ..., wk+beta};
     (ii) for every |T| = beta-1 the point at 1/w off T lies in
     P_T(qstab) and violates the row; (iii) minimal-F search agrees with
-    n - w k.
+    n - w k.  Past the deadline (a time.monotonic() value) an LP raises
+    SearchTimeout.
     """
     if not a.prime:
         raise ValueError(f"A_{a.n}^{a.k} is not prime (gcd={gcd(a.n, a.k)}); "
@@ -398,31 +388,28 @@ def verify_rdfar(a: AntiwebId, exhaustive: bool = True, piece_cap: int = PIECE_C
     row, _ = antiweb_constraint(a)
     w = n // k
     beta = n - w * k
-    rep = Report("rdfar", {"antiweb": f"A:{n}:{k}", "exhaustive": exhaustive})
+    rep = Report("rdfar", {"antiweb": f"A:{n}:{k}"})
     rep.check(f"omega(A:{n}:{k})", w, omega(g), detail="clique number floor(n/k)")
     system = h.to_json()        # self-contained certificates for `recheck`
 
     f_proof = tuple(range(w * k + 1, w * k + beta + 1))
-    ok, cert = disjunctive_valid(row, h, f_proof, piece_cap)
+    ok, cert = disjunctive_valid(row, h, f_proof, piece_cap, deadline)
     rep.check(f"valid under proof F={list(f_proof)}", True, ok,
               certificate={**cert, "type": "disjunctive-validity", "system": system,
                            "row": row.to_json(), "valid": ok})
 
-    tsets = list(combinations(g.nodes, beta - 1))
-    if not exhaustive and len(tsets) > sample:
-        rng = random.Random(seed)
-        tsets = sorted(rng.sample(tsets, sample))
-    for tset in tsets:
+    for tset in combinations(g.nodes, beta - 1):
         xbar = {v: (Fraction(0) if v in tset else Fraction(1, w)) for v in g.nodes}
         total = sum(xbar.values())
-        member, mcert = disjunctive_member(xbar, h, tset, piece_cap)
+        member, mcert = disjunctive_member(xbar, h, tset, piece_cap, deadline)
         okt = member and total > row.rhs
         rep.check(f"violating point off T={list(tset)}", True, okt,
                   detail=f"x(V) = {frac_to_str(total)} > {row.rhs}",
                   certificate={**mcert, "type": "membership", "system": system,
                                "point": xbar, "member": member})
 
-    res = disjunctive_rank_inequality(row, h, cyclic=True, piece_cap=piece_cap, graph=g)
+    res = disjunctive_rank_inequality(row, h, cyclic=True, piece_cap=piece_cap, graph=g,
+                                      deadline=deadline)
     rep.check(f"r_d(antiweb row A:{n}:{k})", beta, res.rank,
               certificate=res.to_json(row, h))
     return rep
@@ -440,7 +427,7 @@ def verify_join_bound(blocks: JoinBlocks, piece_cap: int = PIECE_CAP,
     for blk, tag, bg in zip(blocks.blocks, blocks.tags, blocks.block_graphs()):
         row = rank_constraint(bg)
         res = disjunctive_rank_inequality(row, qstab(bg), cyclic=is_circulant(bg),
-                                          piece_cap=piece_cap, graph=bg)
+                                          piece_cap=piece_cap, graph=bg, deadline=deadline)
         block_ranks.append(res.rank)
         rep.add(f"r_d(rank row of block {tag or list(blk)})", "info",
                 computed=res.rank)
@@ -452,7 +439,8 @@ def verify_join_bound(blocks: JoinBlocks, piece_cap: int = PIECE_CAP,
         joined = rank_constraint(blocks.block_graphs()[0])
     else:
         joined = joined_inequality(blocks)
-    res_j = disjunctive_rank_inequality(joined, hq, piece_cap=piece_cap, graph=host)
+    res_j = disjunctive_rank_inequality(joined, hq, piece_cap=piece_cap, graph=host,
+                                        deadline=deadline)
     rep.add("r_d(joined row)", "info", computed=res_j.rank,
             certificate=res_j.to_json(joined, hq))
     rep.check("joined rank >= sum of block ranks",
@@ -470,13 +458,16 @@ def verify_join_bound(blocks: JoinBlocks, piece_cap: int = PIECE_CAP,
 
 
 def verify_w2_description(n_values=(6, 7, 8, 9, 10),
-                          hull_bound: int = HULL_BOUND) -> Report:
-    """Dahl's description equals the stable set polytope for W_n^2."""
+                          hull_bound: int = HULL_BOUND, deadline=None) -> Report:
+    """Dahl's description equals the stable set polytope for W_n^2.
+    Past the deadline (a time.monotonic() value) a hull raises
+    SearchTimeout."""
     rep = Report("w2", {"n_values": list(n_values)})
     for n in n_values:
         g = web(n, 2)
         desc = stab_description_w2_polytope(n)
-        hull = HPolytope(g.nodes, convex_hull_facets(stab(g, hull_bound), hull_bound))
+        hull = HPolytope(g.nodes, convex_hull_facets(stab(g, hull_bound), hull_bound,
+                                                     deadline))
         missing = [r for r in hull.rows if not is_valid(r, desc)[0]]
         extra = [r for r in desc.rows if not is_valid(r, hull)[0]]
         rep.check(f"description(W:{n}:2) = conv(STAB)", True,

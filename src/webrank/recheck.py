@@ -4,7 +4,19 @@ The trusted base is `fractions`, the graph reader and odd-hole search of
 `graphs`, and the row classes of `polyhedra`; neither the simplex nor the
 lift-and-project oracles are imported.  A graph rank is re-checked by
 the odd-hole search in reversed scan order and by adjacency counts, every
-other claim by rational arithmetic, one function per claim.  A piece
+other claim by rational arithmetic, one function per claim.
+
+A `graph-rank` certificate means what it says through one lemma:
+P_F(QSTAB(G)) = STAB(G) exactly when G - F is perfect.  If G - F is
+perfect, each nonempty piece x_F = z is QSTAB of an induced subgraph of
+G - F, which is integral.  If not, G - F has an odd hole or odd
+antihole H (strong perfect graph theorem); the point 1_H/omega(H) lies
+in QSTAB(G) and in the piece z = 0, and violates x(H) <= alpha(H), as
+|H| = alpha(H) omega(H) + 1.  So a perfect G - F with |F| = rank is the
+upper bound, and each pool hole refutes every F that misses it.  The
+perfection and each pool hole are checked here; that the pool meets
+every F of size rank - 1 (pool coverage, the lower bound) is not
+checked yet.  A piece
 claim (`check_pieces`) rests on x >= 0, part of what an HPolytope means:
 with y >= 0 and y.A >= c on the free coordinates, max c.x over the piece
 {x : A x <= b, x_F = z} is at most y.(b - A_F z) + c_F z, so a row is

@@ -39,7 +39,7 @@ def test_rank_graph_commands(capsys):
     assert code == 0 and "rank=2" in out
     code, out, _ = run(capsys, "rank", "graph", "A:9:3")
     assert code == 0 and "rank=2" in out
-    code, out, _ = run(capsys, "rank", "graph", "W:6:2", "--polyhedral")
+    code, out, _ = run(capsys, "rank", "graph", "W:6:2")
     assert code == 0 and "rank=0" in out
 
 
@@ -385,6 +385,44 @@ def test_time_budget_bounds_the_n_lift_lp(monkeypatch, capsys):
     assert (code, out) == (2, "") and "budget" in err
 
 
+def test_time_budget_bounds_the_n_rank_of_a_row(capsys):
+    argv = ["rank", "ineq", "rank-constraint", "W:10:2", "--operator", "N", "--rmax", "1",
+            "--format", "json"]
+    code, out, err = run(capsys, *argv, "--time-budget", "0")
+    assert (code, out) == (2, "") and "simplex deadline" in err
+    assert run(capsys, *argv, "--time-budget", "60") == run(capsys, *argv)
+
+
+def test_time_budget_bounds_the_n_rank_of_a_graph(monkeypatch, capsys):
+    argv = ["rank", "graph", "W:7:2", "--operator", "N", "--rmax", "1", "--format", "json"]
+    code, out, err = run(capsys, *argv, "--time-budget", "0")
+    assert (code, out) == (2, "") and "budget" in err
+    assert run(capsys, *argv, "--time-budget", "60") == run(capsys, *argv)
+    # with a hull that ignores the budget, the lift LP of the search stops
+    from webrank import rank
+    hull = rank.convex_hull_facets
+    monkeypatch.setattr(rank, "convex_hull_facets", lambda v, bound, deadline: hull(v, bound))
+    code, out, err = run(capsys, "rank", "graph", "W:7:2", "--operator", "N",
+                         "--time-budget", "0")
+    assert (code, out) == (2, "") and "simplex deadline" in err
+
+
+def test_time_budget_bounds_verify_rdfar(capsys):
+    argv = ["verify", "rdfar", "--nmax", "7", "--format", "json"]
+    code, out, err = run(capsys, *argv, "--time-budget", "0")
+    assert (code, out) == (2, "") and "budget" in err
+    assert run(capsys, *argv, "--time-budget", "60") == run(capsys, *argv)
+
+
+def test_time_budget_bounds_the_hulls(capsys):
+    argv = ["hull", "W:8:2", "--format", "json"]
+    code, out, err = run(capsys, *argv, "--time-budget", "0")
+    assert (code, out) == (2, "") and "budget" in err
+    assert run(capsys, *argv, "--time-budget", "60") == run(capsys, *argv)
+    code, out, err = run(capsys, "verify", "w2", "--n-values", "6", "--time-budget", "0")
+    assert (code, out) == (2, "") and "budget" in err
+
+
 A11_4_POINT = "1/4,1/6,5/12,1/6,1/2,1/6,1/4,1/12,1/2,1/12,1/12"
 
 
@@ -419,12 +457,14 @@ def test_rank_cert_with_operator_n_is_an_input_error(tmp_path, monkeypatch, caps
 
 
 def test_rank_cert_with_polyhedral_is_an_input_error(tmp_path, monkeypatch, capsys):
+    # rank has one graph route: --polyhedral is an unknown option (exit 3),
+    # no search runs and no certificate is written
     from webrank import cli
-    monkeypatch.setattr(cli, "disjunctive_rank_graph_polyhedral", _no_search)
+    monkeypatch.setattr(cli, "parse_graph_spec", _no_search)
     path = tmp_path / "c.json"
-    code, out, err = run(capsys, "rank", "graph", "W:8:2", "--polyhedral",
-                         "--cert", str(path))
-    assert (code, out) == (3, "") and "--cert with --polyhedral" in err
+    code, out, err = run(capsys, "rank", "graph", "W:8:2", "--cert", str(path),
+                         "--polyhedral")
+    assert (code, out) == (3, "") and "unrecognized arguments: --polyhedral" in err
     assert not path.exists()
 
 
@@ -432,7 +472,15 @@ def test_rank_ineq_with_polyhedral_is_an_input_error(monkeypatch, capsys):
     from webrank import cli
     monkeypatch.setattr(cli, "parse_graph_spec", _no_search)
     code, out, err = run(capsys, "rank", "ineq", "antiweb", "A:8:3", "--polyhedral")
-    assert (code, out) == (3, "") and "--polyhedral" in err
+    assert (code, out) == (3, "") and "unrecognized arguments: --polyhedral" in err
+
+
+def test_removed_options_are_usage_errors(monkeypatch, capsys):
+    # verify rdfar checks every T: --sampled is an unknown option (exit 3)
+    from webrank import cli
+    monkeypatch.setattr(cli, "verify_rdfar", _no_search)
+    code, out, err = run(capsys, "verify", "rdfar", "--sampled")
+    assert (code, out) == (3, "") and "unrecognized arguments: --sampled" in err
 
 
 def test_console_script_entry_point():

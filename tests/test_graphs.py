@@ -10,7 +10,6 @@ import pytest
 from webrank.graphs import (
     AntiwebId,
     _is_hole,
-    ConstructedHole,
     Graph,
     SearchTimeout,
     WebId,
@@ -20,7 +19,6 @@ from webrank.graphs import (
     complement,
     complete_graph,
     complete_join,
-    construct_odd_hole_avoiding,
     delete_nodes,
     enumerate_maximal_cliques,
     enumerate_stable_sets,
@@ -40,7 +38,9 @@ from webrank.graphs import (
 from webrank.polyhedra import stab
 
 from oracles import (
+    ConstructedHole,
     complement_by_edges,
+    construct_odd_hole_avoiding,
     cyclic_relabel_isomorphic,
     delete_nodes_by_edges,
     edgeless_graph,

@@ -1,5 +1,6 @@
 """Rank engine: graph ranks, row ranks, verifiers, closed-form rank tables."""
 
+import json
 import os
 import random
 import subprocess
@@ -17,13 +18,17 @@ from webrank.graphs import (
     Graph,
     ResourceCapExceeded,
     WebId,
+    alpha,
     antiweb,
     complement,
     complete_graph,
     complete_join,
     delete_nodes,
+    from_json_dict,
+    induced_subgraph,
     is_circulant,
     is_perfect,
+    omega,
     parse_graph_spec,
     web,
 )
@@ -36,11 +41,10 @@ from webrank.inequalities import (
     rank_constraint,
 )
 from webrank.liftproject import disjunctive_member, disjunctive_valid, n_operator_valid
-from webrank.polyhedra import convex_hull_facets, frac, is_valid, qstab, stab
+from webrank.polyhedra import LinearInequality, convex_hull_facets, frac, is_valid, qstab, stab
 from webrank.rank import (
     IneqRankResult,
     disjunctive_rank_graph,
-    disjunctive_rank_graph_polyhedral,
     disjunctive_rank_inequality,
     formula_web_rank,
     n_rank_graph_upto,
@@ -52,6 +56,8 @@ from webrank.rank import (
     verify_w2_description,
     verify_web_rank_formulas,
 )
+
+from oracles import disjunctive_rank_graph_polyhedral
 
 
 def brute_graph_rank(g):
@@ -81,6 +87,37 @@ def test_graph_rank_lower_bound_pool_certifies():
     assert res.rank == 2
     assert pool_refutes_all(g, res.lower_bound_witnesses, 1,
                             anchor=1 if res.anchored else None)
+
+
+def test_every_pool_hole_refutes_its_graph_by_the_lemma(tmp_path):
+    """A pool hole H of G certifies a lower bound through the lemma
+    P_F(QSTAB(G)) = STAB(G) iff G - F is perfect: the point 1_H/omega(H)
+    lies in QSTAB(G), is 0 off H (so in the piece z = 0 of each F
+    missing H), and violates x(H) <= alpha(H), since
+    |H| = alpha(H) omega(H) + 1.  Checked on every pool hole of the
+    graph-rank certificates of two suite reports."""
+    from webrank.cli import main
+    from webrank.recheck import check_point
+    holes = 0
+    for argv in (["web-formulas", "--ks", "2,3,4", "--nmax", "16"], ["join"]):
+        path = tmp_path / "report.json"
+        assert main(["verify", *argv, "--out", str(path)]) == 0
+        for e in json.loads(path.read_text())["entries"]:
+            cert = e.get("certificate") or {}
+            if cert.get("type") != "graph-rank":
+                continue
+            g = from_json_dict(cert["graph"])
+            h = qstab(g)
+            for c in cert["pool"]:
+                hole = set(c["nodes"])
+                sub = induced_subgraph(g, hole)
+                w, a = omega(sub), alpha(sub)
+                assert len(hole) == a * w + 1
+                point = {v: Fraction(1, w) if v in hole else Fraction(0) for v in g.nodes}
+                off = [v for v in g.nodes if v not in hole]
+                check_point(h, off, point, LinearInequality(dict.fromkeys(hole, 1), a))
+                holes += 1
+    assert holes >= 100
 
 
 def test_polyhedral_rank_examples():
