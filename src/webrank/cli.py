@@ -15,8 +15,9 @@ the N depth; --time-budget in seconds for the graph-rank searches, the
 piece LPs of rank ineq, verify rdfar and verify join, the N lift LPs of
 rank --operator N and lp --operator N, the membership LPs of lp --member
 and verify rdfar, the hulls of hull, verify w2 and rank graph --operator
-N (checked once per double description insertion), and each objective
-of verify operators.  rank --cert needs a route that builds a
+N (checked once per double description insertion), each objective
+of verify operators, the LP and the pieces of lp (plain and --operator
+disjunctive), and each certificate of recheck.  rank --cert needs a route that builds a
 certificate: --cert with --operator N is an input error.
 A max over STAB without a hull (alpha, the row-rank check against STAB,
 the sandwich) is a stable set search and has no cap.
@@ -246,7 +247,7 @@ def cmd_verify(args) -> int:
 def cmd_recheck(args) -> int:
     with open(args.path) as fh:
         data = json.load(fh)
-    rep = recheck_report(data, args.piece_cap)
+    rep = recheck_report(data, args.piece_cap, args.deadline)
     return _emit(rep, args)
 
 
@@ -314,10 +315,10 @@ def cmd_lp(args) -> int:
         out = n_operator_max(obj, h, args.depth, args.depth_cap, deadline=args.deadline)
         over = f"N^{args.depth}({args.relaxation}({args.spec}))"
     elif args.operator == "disjunctive":
-        out = piece_max(piece_systems(h, f, args.piece_cap), obj)
+        out = piece_max(piece_systems(h, f, args.piece_cap), obj, deadline=args.deadline)
         over = f"P_F({args.relaxation}({args.spec})), F={list(f)}"
     else:
-        out = lp_max(h, obj)
+        out = lp_max(h, obj, args.deadline)
         over = f"{args.relaxation}({args.spec})"
     if args.fmt == "json":
         print(dumps({"graph": args.spec, "relaxation": args.relaxation,

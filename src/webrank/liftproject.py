@@ -35,7 +35,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import product
 
-from .graphs import CertificateError, ResourceCapExceeded, as_nodeset
+from .graphs import CertificateError, ResourceCapExceeded, _check_deadline, as_nodeset
 from .polyhedra import PIECE_CAP, HPolytope, LinearInequality, LPOutcome, _check_piece_cap
 from .recheck import check_member, check_point, check_separating
 from .simplex import LinearProgram, Primal
@@ -156,14 +156,17 @@ def piece_lp_max(h: HPolytope, objective: dict, fixing: dict, *,
     return out
 
 
-def piece_max(systems, objective: dict, stop=None) -> LPOutcome:
+def piece_max(systems, objective: dict, stop=None, deadline=None) -> LPOutcome:
     """Best optimal outcome over the piece systems, the first one winning
     a tie; infeasible when every piece is empty.  With `stop` the scan
     ends at the first piece whose value reaches it, and that piece's
-    outcome (value >= stop) is returned."""
+    outcome (value >= stop) is returned.  Past the deadline (a
+    time.monotonic() value, checked once per piece, as a piece with
+    every coordinate fixed runs no LP) it raises SearchTimeout."""
     best = None
     for sys_ in systems:
-        out = sys_.maximize(objective)
+        _check_deadline(deadline)
+        out = sys_.maximize(objective, deadline)
         if out.status == "optimal" and (best is None or out.value > best.value):
             best = out
             if stop is not None and best.value >= stop:

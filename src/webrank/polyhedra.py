@@ -187,7 +187,7 @@ class LPOutcome:
 _LP_MAX_CACHE: dict = {}    # id(h) -> (h, its LP), for the last h lp_max was asked about
 
 
-def lp_max(h: HPolytope, objective) -> LPOutcome:
+def lp_max(h: HPolytope, objective, deadline=None) -> LPOutcome:
     """Exact maximum of a linear objective over h (with x >= 0).
 
     The LP of h is kept for the next call on the same HPolytope object
@@ -196,7 +196,9 @@ def lp_max(h: HPolytope, objective) -> LPOutcome:
     answer is certified on the spot: primal feasibility, strong duality
     and complementary slackness are re-checked in exact integer
     arithmetic before returning.  Relaxations built here are bounded, so
-    an unbounded status is an internal inconsistency and raises.
+    an unbounded status is an internal inconsistency and raises.  Past
+    the deadline (a time.monotonic() value) the solve raises
+    SearchTimeout.
     """
     obj = objective if isinstance(objective, dict) else dict(zip(h.index, objective))
     pos = {v: i for i, v in enumerate(h.index)}
@@ -210,7 +212,7 @@ def lp_max(h: HPolytope, objective) -> LPOutcome:
         _LP_MAX_CACHE[id(h)] = (h, lp)      # h held, so its id is not reused meanwhile
     else:
         lp = hit[1]
-    res = lp.maximize(lp_obj)
+    res = lp.maximize(lp_obj, deadline)
     if res.status == "unbounded":
         raise RuntimeError("relaxation unbounded: missing bound rows")
     if res.status == "infeasible":

@@ -21,6 +21,19 @@ unhit certificate, and exhaustion of the tree at size m proves that
 every m-subset misses some recorded certificate.  It is anchored at
 node 1 for circulant inputs in the same way.
 
+Each odd-hole search runs once per graph.  The answers of the last
+graph-rank search stay in `_HOLES`, keyed by graph, and the next search
+reuses them when it runs on the same graph or on its complement; any
+other graph empties the cache first, so it holds one web/antiweb pair
+at most.  An antiweb is the complement of a web, and G - F of the one
+is the complement of G - F of the other (Lovász: a graph is perfect
+exactly when its complement is), so `verify_web_rank_formulas` ranks
+each antiweb mostly from its web's answers.  A cached answer still
+checks the deadline, and a deletion set other than the one found is a
+graph the cache lacks, so the closing perfection check stays a real
+search.  `recheck` never reads the cache: it runs its own searches in
+reversed scan order, independent of these.
+
 Everything reported carries a machine-checkable certificate; the
 verify_* suites compare computed values against the closed-form ranks
 and never silently trust external facts (entries for those are marked
@@ -42,14 +55,12 @@ from .graphs import (
     WebId,
     _check_deadline,
     antiweb,
-    as_nodeset,
     complement,
     delete_nodes,
+    find_induced_odd_hole,
     is_circulant,
-    is_perfect,
     is_subweb,
     max_weight_stable_set,
-    minimally_imperfect_certificate,
     omega,
     to_json_dict,
     web,
@@ -140,34 +151,70 @@ class IneqRankResult:
         }
 
 
-def _hitting_search(g: Graph, size: int, pool: list, seed=(), deadline=None):
-    """F with seed <= F, |F| <= size and g-F perfect, or None (pool grows)."""
-    visited = set()
-    members = [frozenset(c[1]) for c in pool]       # node sets, in pool order
+_HOLES: dict = {}       # Graph -> its first odd hole or None, for the last search's graphs
+_HOLES_ROOT = None      # the graph that search started on
 
-    def rec(fset):
-        key = frozenset(fset)
-        if key in visited:
+
+def _hole(g: Graph, deadline=None):
+    """find_induced_odd_hole(g), looked up in _HOLES first; only completed
+    answers are stored, and a lookup still checks the deadline."""
+    try:
+        hole = _HOLES[g]
+    except KeyError:
+        hole = _HOLES[g] = find_induced_odd_hole(g, deadline)
+    else:
+        _check_deadline(deadline)
+    return hole
+
+
+def _imperfect(g: Graph, deadline=None):
+    """minimally_imperfect_certificate(g), each odd-hole search answered
+    once per graph: G - F of an antiweb is the complement of G - F of
+    its web, so the two searches of a pair meet the same graphs."""
+    hole = _hole(g, deadline)
+    if hole is not None:
+        return ("odd-hole", hole)
+    hole = _hole(complement(g), deadline)
+    if hole is not None:
+        return ("odd-antihole", hole)
+    return None
+
+
+def _hitting_search(g: Graph, size: int, pool: list, seed=(), deadline=None):
+    """F with seed <= F, |F| <= size and g-F perfect, or None (pool grows).
+
+    F, the pool members and the visited sets are masks over g's node
+    positions; branching follows the labels of the first unhit member."""
+    pos = g._pos
+
+    def mask(labels):
+        return sum(1 << pos[v] for v in labels)
+
+    visited = set()
+    members = [mask(c[1]) for c in pool]
+
+    def rec(fmask):
+        if fmask in visited:
             return None
-        visited.add(key)
-        unhit = next((c for c, nodes in zip(pool, members) if fset.isdisjoint(nodes)), None)
+        visited.add(fmask)
+        unhit = next((c for c, m in zip(pool, members) if not m & fmask), None)
         if unhit is None:
-            gg = delete_nodes(g, fset) if fset else g
-            cert = minimally_imperfect_certificate(gg, deadline)
+            cert = _imperfect(delete_nodes(g, g._labels_of(fmask)) if fmask else g,
+                              deadline)
             if cert is None:
-                return as_nodeset(fset)
+                return g._labels_of(fmask)
             pool.append(cert)
-            members.append(frozenset(cert[1]))
+            members.append(mask(cert[1]))
             unhit = cert
-        if len(fset) >= size:
+        if fmask.bit_count() >= size:
             return None
         for v in unhit[1]:
-            got = rec(fset | {v})
+            got = rec(fmask | 1 << pos[v])
             if got is not None:
                 return got
         return None
 
-    return rec(set(seed))
+    return rec(mask(seed))
 
 
 def disjunctive_rank_graph(g: Graph, deadline=None) -> GraphRankResult:
@@ -175,10 +222,16 @@ def disjunctive_rank_graph(g: Graph, deadline=None) -> GraphRankResult:
 
     Ascending implicit hitting-set search; for circulant graphs a
     nonempty deletion set is anchored at node 1 (exact by symmetry).
+    The odd-hole answers of the last search are kept for a search on
+    the same graph or its complement (`_HOLES`).
     """
+    global _HOLES_ROOT
     if g.n > RANK_SEARCH_BOUND:
         raise ResourceCapExceeded(f"graph rank search bound exceeded: n={g.n}")
-    cert = minimally_imperfect_certificate(g, deadline)
+    if _HOLES_ROOT is None or g != _HOLES_ROOT and complement(g) != _HOLES_ROOT:
+        _HOLES.clear()
+    _HOLES_ROOT = g
+    cert = _imperfect(g, deadline)
     if cert is None:
         return GraphRankResult(0, (), (), anchored=False)
     anchored = is_circulant(g)
@@ -187,7 +240,7 @@ def disjunctive_rank_graph(g: Graph, deadline=None) -> GraphRankResult:
     for r in range(1, g.n):
         f = _hitting_search(g, r, pool, seed=seed, deadline=deadline)
         if f is not None:
-            if len(f) != r or not is_perfect(delete_nodes(g, f), deadline=deadline):
+            if len(f) != r or _imperfect(delete_nodes(g, f), deadline):
                 raise RuntimeError(f"hitting-set search returned {f}, not {r} deletions "
                                    "leaving a perfect graph")
             return GraphRankResult(r, f, tuple(pool), anchored=anchored)

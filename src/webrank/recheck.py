@@ -35,6 +35,7 @@ from itertools import product
 from .graphs import (
     CertificateError,
     ResourceCapExceeded,
+    _check_deadline,
     complement,
     delete_nodes,
     from_json_dict,
@@ -207,13 +208,16 @@ def recheck_certificate(cert: dict, piece_cap: int = PIECE_CAP):
         return False, str(exc)
 
 
-def recheck_report(report_json: dict, piece_cap: int = PIECE_CAP) -> Report:
+def recheck_report(report_json: dict, piece_cap: int = PIECE_CAP,
+                   deadline=None) -> Report:
     """Re-verify every certificate embedded in a suite/rank report.
 
     A report that is not a JSON object with a list of entry objects is an
     input error (ValueError), an f over piece_cap a ResourceCapExceeded; a
     certificate that lacks a field or holds a value of the wrong shape (a
     rational that does not parse, a number where a list belongs) fails.
+    Past the deadline (a time.monotonic() value, checked once per
+    certificate) it raises SearchTimeout.
     """
     entries = report_json.get("entries", []) if isinstance(report_json, dict) else None
     if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
@@ -225,6 +229,7 @@ def recheck_report(report_json: dict, piece_cap: int = PIECE_CAP) -> Report:
         if not cert or not isinstance(cert, dict) or "type" not in cert:
             continue
         found += 1
+        _check_deadline(deadline)
         try:
             ok, detail = recheck_certificate(cert, piece_cap)
         except ResourceCapExceeded:

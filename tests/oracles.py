@@ -20,6 +20,8 @@ from webrank.graphs import (
     find_induced_odd_hole,
     is_circulant,
     is_odd_hole,
+    is_perfect,
+    minimally_imperfect_certificate,
     mod1,
     web,
 )
@@ -46,7 +48,7 @@ from webrank.polyhedra import (
     qstab,
     stab,
 )
-from webrank.rank import _f_candidates
+from webrank.rank import RANK_SEARCH_BOUND, GraphRankResult, _f_candidates
 from webrank.reporting import frac_to_str
 from webrank.simplex import CertificateError, LinearProgram, _eliminate, _require
 
@@ -712,3 +714,55 @@ def disjunctive_rank_graph_polyhedral(g: Graph, hull_bound: int = HULL_BOUND,
             if all(disjunctive_valid(row, h, f, piece_cap)[0] for row in facets):
                 return m
     raise RuntimeError(f"no F of size <= {h.dim} makes the facets valid")
+
+
+def hitting_search_by_frozensets(g: Graph, size: int, pool: list, seed=(), deadline=None):
+    """`rank._hitting_search` on label sets, with no shared odd-hole
+    answers: every visited F runs its own odd-hole searches."""
+    visited = set()
+    members = [frozenset(c[1]) for c in pool]       # node sets, in pool order
+
+    def rec(fset):
+        key = frozenset(fset)
+        if key in visited:
+            return None
+        visited.add(key)
+        unhit = next((c for c, nodes in zip(pool, members) if fset.isdisjoint(nodes)), None)
+        if unhit is None:
+            gg = delete_nodes(g, fset) if fset else g
+            cert = minimally_imperfect_certificate(gg, deadline)
+            if cert is None:
+                return as_nodeset(fset)
+            pool.append(cert)
+            members.append(frozenset(cert[1]))
+            unhit = cert
+        if len(fset) >= size:
+            return None
+        for v in unhit[1]:
+            got = rec(fset | {v})
+            if got is not None:
+                return got
+        return None
+
+    return rec(set(seed))
+
+
+def disjunctive_rank_graph_uncached(g: Graph, deadline=None) -> GraphRankResult:
+    """`rank.disjunctive_rank_graph` on `hitting_search_by_frozensets`,
+    ending in a fresh perfection check of g - F."""
+    if g.n > RANK_SEARCH_BOUND:
+        raise ResourceCapExceeded(f"graph rank search bound exceeded: n={g.n}")
+    cert = minimally_imperfect_certificate(g, deadline)
+    if cert is None:
+        return GraphRankResult(0, (), (), anchored=False)
+    anchored = is_circulant(g)
+    pool = [cert]
+    seed = (g.nodes[0],) if anchored else ()
+    for r in range(1, g.n):
+        f = hitting_search_by_frozensets(g, r, pool, seed=seed, deadline=deadline)
+        if f is not None:
+            if len(f) != r or not is_perfect(delete_nodes(g, f), deadline=deadline):
+                raise RuntimeError(f"hitting-set search returned {f}, not {r} deletions "
+                                   "leaving a perfect graph")
+            return GraphRankResult(r, f, tuple(pool), anchored=anchored)
+    raise RuntimeError(f"no deletion set of size < {g.n} leaves a perfect graph")

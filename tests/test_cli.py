@@ -92,6 +92,15 @@ def test_operator_sandwich_report_is_pinned(capsys):
         "5fc0b99f48810a13013a6ba9cb9e667cb9aafad72ebbcec6fa701f79527148bd"
 
 
+def test_web_formulas_report_is_pinned(capsys):
+    # pinned when every odd-hole search of every web and antiweb ran anew
+    code, out, _ = run(capsys, "verify", "web-formulas", "--ks", "2,3,4,5,6,7",
+                       "--nmax", "25", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "11a8ad43d9806af75dd4a6ec58b4a59d1f6625ea1f6d8c3bd6d5c837b6e620f9"
+
+
 def test_a_report_is_serialized_once(tmp_path, capsys, monkeypatch):
     calls = []
     orig = Report.to_json_str
@@ -439,6 +448,32 @@ def test_time_budget_bounds_the_row_rank_search(tmp_path, capsys):
                          "--cert", str(tmp_path / "cert.json"))
     assert (code, out) == (2, "") and "budget" in err
     assert not (tmp_path / "cert.json").exists()
+    assert run(capsys, *argv, "--time-budget", "60") == run(capsys, *argv)
+
+
+def test_time_budget_bounds_the_lp_of_a_relaxation(capsys):
+    argv = ["lp", "A:16:5", "--format", "json"]
+    code, out, err = run(capsys, *argv, "--time-budget", "0")
+    assert (code, out) == (2, "") and "simplex deadline" in err
+    assert run(capsys, *argv, "--time-budget", "60") == run(capsys, *argv)
+
+
+def test_time_budget_bounds_the_pieces_of_lp(capsys):
+    # every coordinate fixed: no piece runs an LP
+    argv = ["lp", "W:8:2", "--operator", "disjunctive", "--f", "1,2,3,4,5,6,7,8",
+            "--format", "json"]
+    code, out, err = run(capsys, *argv, "--time-budget", "0")
+    assert (code, out) == (2, "") and "budget" in err
+    assert run(capsys, *argv, "--time-budget", "60") == run(capsys, *argv)
+
+
+def test_time_budget_bounds_recheck(tmp_path, capsys):
+    report = str(tmp_path / "report.json")
+    assert run(capsys, "verify", "web-formulas", "--ks", "2", "--nmax", "8",
+               "--out", report)[0] == 0
+    argv = ["recheck", report, "--format", "json"]
+    code, out, err = run(capsys, *argv, "--time-budget", "0")
+    assert (code, out) == (2, "") and "budget" in err
     assert run(capsys, *argv, "--time-budget", "60") == run(capsys, *argv)
 
 
