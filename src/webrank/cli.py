@@ -15,11 +15,12 @@ the N depth; --time-budget in seconds for the graph-rank searches, the
 piece LPs of rank ineq, verify rdfar and verify join, the N lift LPs of
 rank --operator N and lp --operator N, the membership LPs of lp --member
 and verify rdfar, the hulls of hull, verify w2 and rank graph --operator
-N (checked once per double description insertion), each objective
-of verify operators, the LP and the pieces of lp (plain and --operator
-disjunctive), and each certificate of recheck.  rank --cert needs a route that builds a
-certificate: --cert with --operator N is an input error.
-A max over STAB without a hull (alpha, the row-rank check against STAB,
+N (checked once per double description insertion), each objective of
+verify operators, the LP and the pieces of lp (plain and --operator
+disjunctive), and each certificate of recheck.  A subcommand takes
+only the shared options it reads.  rank --cert needs a route that
+builds a certificate: --cert with --operator N is an input error.  A
+max over STAB without a hull (alpha, the row-rank check against STAB,
 the sandwich) is a stable set search and has no cap.
 
     webrank generate W:8:2 --out w82
@@ -92,14 +93,18 @@ from .reporting import Report, dump, dumps, frac_to_str
 EXIT_OK, EXIT_FAIL, EXIT_CAP, EXIT_INPUT, EXIT_INTERNAL = 0, 1, 2, 3, 4
 
 
-def _add_common(p):
-    p.add_argument("--hull-bound", type=int, default=HULL_BOUND)
-    p.add_argument("--piece-cap", type=int, default=PIECE_CAP)
-    p.add_argument("--depth-cap", type=int, default=DEPTH_CAP)
-    p.add_argument("--time-budget", type=float, default=None,
-                   help="seconds before searches abort (exit 2)")
-    p.add_argument("--format", dest="fmt", choices=("table", "json"), default="table")
-    p.add_argument("--seed", type=int, default=0)
+_COMMON = {"--hull-bound": dict(type=int, default=HULL_BOUND),
+           "--piece-cap": dict(type=int, default=PIECE_CAP),
+           "--depth-cap": dict(type=int, default=DEPTH_CAP),
+           "--time-budget": dict(type=float, help="seconds before searches abort (exit 2)"),
+           "--format": dict(dest="fmt", choices=("table", "json"), default="table"),
+           "--seed": dict(type=int, default=0)}
+
+
+def _add_common(p, *names):
+    """The shared options that this subcommand reads, and no others."""
+    for name in names:
+        p.add_argument(name, **_COMMON[name])
 
 
 def _parse_range(text: str):
@@ -145,12 +150,11 @@ def cmd_generate(args) -> int:
 
 def _build_row(family: str, g):
     if family == "rank-constraint":
-        return rank_constraint(g), True
+        return rank_constraint(g)
     if family == "antiweb":
         if not (g.family and g.family[0] == "antiweb"):
             raise ValueError("antiweb family rows need an A:n:k graph spec")
-        row, _ = antiweb_constraint(AntiwebId(g.family[1], g.family[2]))
-        return row, True
+        return antiweb_constraint(AntiwebId(g.family[1], g.family[2]))[0]
     if family.startswith("one-interval"):
         if not (g.family and g.family[0] == "web" and g.family[2] == 2):
             raise ValueError("one-interval rows need a W:n:2 graph spec")
@@ -159,9 +163,9 @@ def _build_row(family: str, g):
         if idx >= len(sets):
             raise ValueError(f"one-interval index {idx} out of range "
                              f"({len(sets)} sets)")
-        return one_interval_inequality(WebId(g.family[1], 2), sets[idx]), False
+        return one_interval_inequality(WebId(g.family[1], 2), sets[idx])
     if family == "joined":
-        return joined_inequality(join_blocks_of(g)), False
+        return joined_inequality(join_blocks_of(g))
     raise ValueError(f"unknown inequality family {family!r}")
 
 
@@ -185,12 +189,11 @@ def cmd_rank(args) -> int:
                 return EXIT_CAP
             result = {"target": args.spec, "operator": "N", "rank": r}
     else:
-        row, symmetric = _build_row(args.family, g)
+        row = _build_row(args.family, g)
         h = qstab(g)
         if args.operator == "disjunctive":
-            res = disjunctive_rank_inequality(
-                row, h, cyclic=symmetric and g.family is not None,
-                piece_cap=args.piece_cap, deadline=args.deadline)
+            res = disjunctive_rank_inequality(row, h, args.piece_cap,
+                                              deadline=args.deadline)
             cert = res.to_json(row, h)
             result = {"target": args.spec, "family": args.family,
                       "operator": "disjunctive", "rank": res.rank,
@@ -254,15 +257,9 @@ def cmd_recheck(args) -> int:
 def cmd_hull(args) -> int:
     g = parse_graph_spec(args.spec)
     facets = convex_hull_facets(stab(g, args.hull_bound), args.hull_bound, args.deadline)
-    rows = []
-    for f in facets:
-        tag = tag_inequality(g, f)
-        d = f.to_json()
-        d["tag"] = tag
-        rows.append(d)
-    payload = {"graph": args.spec, "facets": rows}
+    rows = [{**f.to_json(), "tag": tag_inequality(g, f)} for f in facets]
     if args.fmt == "json":
-        print(dumps(payload))
+        print(dumps({"graph": args.spec, "facets": rows}))
     else:
         print(f"{len(rows)} facets of STAB({args.spec}):")
         for f, d in zip(facets, rows):
@@ -345,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="emit a graph as DIMACS + JSON")
     p.add_argument("spec")
     p.add_argument("--out", help="basename for .dimacs/.json files")
-    _add_common(p)
 
     p = sub.add_parser("rank", help="rank of a graph or of one inequality")
     p.add_argument("target", choices=("graph", "ineq"))
@@ -356,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rmax", type=int, default=1)
     p.add_argument("--cert", help="write the certificate JSON here (not with "
                    "--operator N, which builds none)")
-    _add_common(p)
+    _add_common(p, "--hull-bound", "--piece-cap", "--depth-cap", "--time-budget", "--format")
 
     p = sub.add_parser("verify", help="run a theorem verification suite")
     p.add_argument("suite", choices=("web-formulas", "rdfar", "w2", "join",
@@ -369,16 +365,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", default="join:A:5:2,A:5:2")
     p.add_argument("--no-complements", action="store_true")
     p.add_argument("--out", help="write the JSON report here")
-    _add_common(p)
+    _add_common(p, "--hull-bound", "--piece-cap", "--time-budget", "--format", "--seed")
 
     p = sub.add_parser("recheck", help="re-verify certificates in a report")
     p.add_argument("path")
     p.add_argument("--out")
-    _add_common(p)
+    _add_common(p, "--piece-cap", "--time-budget", "--format")
 
     p = sub.add_parser("hull", help="facets of STAB(G) with family tags")
     p.add_argument("spec")
-    _add_common(p)
+    _add_common(p, "--hull-bound", "--time-budget", "--format")
 
     p = sub.add_parser("lp", help="exact LP max over a relaxation or a lift of it")
     p.add_argument("spec")
@@ -390,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=1, help="N iterations")
     p.add_argument("--member",
                    help="comma-separated rational point: decide x in P_F instead")
-    _add_common(p)
+    _add_common(p, "--piece-cap", "--depth-cap", "--time-budget", "--format")
     return ap
 
 
@@ -399,7 +395,8 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:       # argparse exits 2 on a usage error, 0 after --help
         return EXIT_INPUT if exc.code == 2 else exc.code
-    args.deadline = None if args.time_budget is None else time.monotonic() + args.time_budget
+    budget = getattr(args, "time_budget", None)
+    args.deadline = None if budget is None else time.monotonic() + budget
     handlers = {"generate": cmd_generate, "rank": cmd_rank, "verify": cmd_verify,
                 "recheck": cmd_recheck, "hull": cmd_hull, "lp": cmd_lp}
     try:

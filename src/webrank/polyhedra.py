@@ -91,15 +91,7 @@ class LinearInequality:
 
     def __repr__(self):
         ints, r = self.canonical()
-        terms = []
-        for v, c in ints:
-            if c == 1:
-                terms.append(f"+x{v}")
-            elif c == -1:
-                terms.append(f"-x{v}")
-            else:
-                terms.append(f"{c:+d}x{v}")
-        lhs = " ".join(terms) if terms else "0"
+        lhs = " ".join({1: "+", -1: "-"}.get(c, f"{c:+d}") + f"x{v}" for v, c in ints) or "0"
         return f"<{lhs} <= {r} [{self.tag}]>"
 
     def to_json(self) -> dict:
@@ -222,15 +214,26 @@ def lp_max(h: HPolytope, objective, deadline=None) -> LPOutcome:
     return LPOutcome(status="optimal", value=res.value, point=point, duals=res.duals)
 
 
+def rotation_invariant(row: LinearInequality, h: HPolytope) -> bool:
+    """Whether moving each coordinate one position along h.index maps the
+    row, and the set of h's rows, to themselves (by canonical keys); a
+    search over F may then hold index[0]."""
+    shift = dict(zip(h.index, h.index[1:] + h.index[:1]))
+
+    def moved(key):
+        return tuple(sorted((shift.get(v, v), c) for v, c in key[0])), key[1]
+
+    keys = {r.canonical() for r in h.rows}
+    return moved(row.canonical()) == row.canonical() and all(moved(k) in keys for k in keys)
+
+
 def is_valid(ineq: LinearInequality, h: HPolytope):
     """(True, None) when a.x <= b holds over h; else (False, maximizer).
 
     An infeasible h makes every inequality vacuously valid.
     """
     out = lp_max(h, ineq.coeffs)
-    if out.status == "infeasible":
-        return True, None
-    if out.value <= ineq.rhs:
+    if out.status == "infeasible" or out.value <= ineq.rhs:
         return True, None
     return False, out.point
 

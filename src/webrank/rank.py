@@ -5,11 +5,11 @@ which it is valid: the disjunctive rank is the smallest |F| with the
 row valid for P_F(h), the N-rank the smallest r with it valid for
 N^r(h), where N^0(h) = h.  The N-rank of a graph is the smallest r with
 every facet of STAB valid for N^r(QSTAB).  One candidate generator
-lists the m-subsets F in lexicographic order, or for circulant inputs
-(webs, antiwebs) only those holding the first coordinate, which is
-exact by rotational symmetry.  Each rejected F leaves its violating
-point, so a row rank is certified by the witness F plus violating
-points for the probed smaller sets.
+lists the m-subsets F in lexicographic order, or only those holding
+the first coordinate when rotation along the index maps the row and the
+system to themselves (`polyhedra.rotation_invariant`).  Each rejected F
+leaves its violating point, so a row rank is certified by the witness F
+plus the points that `recheck` finds to refute every F of size rank-1.
 
 The disjunctive rank of a graph is the minimum number of nodes whose
 deletion leaves a perfect graph, since P_F(QSTAB(G)) = STAB(G) exactly
@@ -93,6 +93,7 @@ from .polyhedra import (
     is_valid,
     lp_max,
     qstab,
+    rotation_invariant,
     stab,
 )
 from .reporting import Report, frac_to_str
@@ -135,7 +136,6 @@ class IneqRankResult:
     rank: int
     witness_f: tuple
     violating_points: list = field(default_factory=list)  # (F, point dict)
-    exhaustive: bool = False
     pieces: list = field(default_factory=list)             # of the witness F
 
     def to_json(self, ineq: LinearInequality, h: HPolytope) -> dict:
@@ -145,7 +145,6 @@ class IneqRankResult:
             "system": h.to_json(),
             "rank": self.rank,
             "witness_f": self.witness_f,
-            "exhaustive": self.exhaustive,
             "pieces": self.pieces,
             "violations": [{"f": f, "point": pt} for f, pt in self.violating_points],
         }
@@ -247,21 +246,6 @@ def disjunctive_rank_graph(g: Graph, deadline=None) -> GraphRankResult:
     raise RuntimeError(f"no deletion set of size < {g.n} leaves a perfect graph")
 
 
-def pool_refutes_all(g: Graph, pool, size: int, anchor=None) -> bool:
-    """Spot-check: every size-`size` deletion set misses a pool member.
-
-    With `anchor` only the sets containing it are checked (the rest are
-    covered by the rotational symmetry that justified anchoring).
-    """
-    nodes = g.nodes
-    for f in combinations(nodes, size):
-        if anchor is not None and anchor not in f:
-            continue
-        if all(set(c[1]) & set(f) for c in pool):
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # the ascending searches over F and over the N depth
 
@@ -271,22 +255,6 @@ def _f_candidates(index, m: int, anchored: bool):
     if anchored and m:
         return ((index[0],) + rest for rest in combinations(index[1:], m - 1))
     return combinations(index, m)
-
-
-def _smallest_f(row, h: HPolytope, anchored: bool, piece_cap: int, deadline=None):
-    """(F, violations, cert): the smallest F (by size, then
-    lexicographically) with the row valid for P_F(h), (F', point) for
-    each rejected F', and the validity certificate of the row on F.  Past
-    the deadline (a time.monotonic() value) a piece solve raises
-    SearchTimeout."""
-    violations = []
-    for m in range(h.dim + 1):
-        for f in _f_candidates(h.index, m, anchored):
-            ok, cert = disjunctive_valid(row, h, f, piece_cap, deadline)
-            if ok:
-                return f, violations, cert
-            violations.append((f, cert["point"]))
-    raise RuntimeError(f"no F of size <= {h.dim} makes the row valid")
 
 
 def _smallest_depth(rows, h: HPolytope, rmax: int, depth_cap: int, deadline=None):
@@ -301,37 +269,31 @@ def _smallest_depth(rows, h: HPolytope, rmax: int, depth_cap: int, deadline=None
 
 
 def disjunctive_rank_inequality(ineq: LinearInequality, h: HPolytope,
-                                cyclic: bool = False, piece_cap: int = PIECE_CAP,
-                                graph: Graph | None = None,
+                                piece_cap: int = PIECE_CAP, graph: Graph | None = None,
                                 deadline=None) -> IneqRankResult:
-    """Smallest |F| with the row valid for P_F(h), ascending search.
+    """Smallest |F| with the row valid for P_F(h): the first valid F by
+    size, then lexicographically, with the violating point of each F
+    rejected before it.
 
-    cyclic=True pins the first element of a nonempty F to the first
-    coordinate (exact when rotation is a symmetry of both h and the
-    row).  For dim <= 10 the lower bound is exhaustive: EVERY F of size
-    rank-1 is shown violated.  Given the graph of h = QSTAB(graph), the
-    row is first checked valid for STAB(graph) by a maximum-weight stable
-    set search.  Past the deadline (a time.monotonic() value) a piece
-    solve raises SearchTimeout.
+    A nonempty F holds the first coordinate when rotation along h.index
+    maps the row and h to themselves (`rotation_invariant`).  Given the
+    graph of h = QSTAB(graph), the row is first checked valid for
+    STAB(graph) by a maximum-weight stable set search.  Past the deadline
+    (a time.monotonic() value) a piece solve raises SearchTimeout.
     """
     if graph is not None:
         val, arg = max_weight_stable_set(graph, ineq.coeffs)
         if val > ineq.rhs:
             raise ValueError(f"row {ineq} invalid for the integer hull at the "
                              f"stable set {list(arg)}")
-    witness, violations, cert = _smallest_f(ineq, h, cyclic, piece_cap, deadline)
-    m = len(witness)
-    exhaustive = h.dim <= 10 and m > 0
-    if exhaustive:
-        rejected = {f for f, _ in violations}        # decided by the search already
-        for f in combinations(h.index, m - 1):
-            if f in rejected:
-                continue
-            ok, refuted = disjunctive_valid(ineq, h, f, piece_cap, deadline)
+    anchored, violations = rotation_invariant(ineq, h), []
+    for m in range(h.dim + 1):
+        for f in _f_candidates(h.index, m, anchored):
+            ok, cert = disjunctive_valid(ineq, h, f, piece_cap, deadline)
             if ok:
-                raise RuntimeError(f"symmetry reduction unsound at {f}")
-            violations.append((f, refuted["point"]))
-    return IneqRankResult(m, witness, violations, exhaustive, cert["pieces"])
+                return IneqRankResult(m, f, violations, cert["pieces"])
+            violations.append((f, cert["point"]))
+    raise RuntimeError(f"no F of size <= {h.dim} makes the row valid")
 
 
 def n_rank_graph_upto(g: Graph, rmax: int, hull_bound: int = HULL_BOUND,
@@ -461,8 +423,7 @@ def verify_rdfar(a: AntiwebId, piece_cap: int = PIECE_CAP, deadline=None) -> Rep
                   certificate={**mcert, "type": "membership", "system": system,
                                "point": xbar, "member": member})
 
-    res = disjunctive_rank_inequality(row, h, cyclic=True, piece_cap=piece_cap, graph=g,
-                                      deadline=deadline)
+    res = disjunctive_rank_inequality(row, h, piece_cap, graph=g, deadline=deadline)
     rep.check(f"r_d(antiweb row A:{n}:{k})", beta, res.rank,
               certificate=res.to_json(row, h))
     return rep
@@ -479,8 +440,8 @@ def verify_join_bound(blocks: JoinBlocks, piece_cap: int = PIECE_CAP,
     formula_sum = 0
     for blk, tag, bg in zip(blocks.blocks, blocks.tags, blocks.block_graphs()):
         row = rank_constraint(bg)
-        res = disjunctive_rank_inequality(row, qstab(bg), cyclic=is_circulant(bg),
-                                          piece_cap=piece_cap, graph=bg, deadline=deadline)
+        res = disjunctive_rank_inequality(row, qstab(bg), piece_cap, graph=bg,
+                                          deadline=deadline)
         block_ranks.append(res.rank)
         rep.add(f"r_d(rank row of block {tag or list(blk)})", "info",
                 computed=res.rank)

@@ -14,27 +14,38 @@ antihole H (strong perfect graph theorem); the point 1_H/omega(H) lies
 in QSTAB(G) and in the piece z = 0, and violates x(H) <= alpha(H), as
 |H| = alpha(H) omega(H) + 1.  So a perfect G - F with |F| = rank is the
 upper bound, and each pool hole refutes every F that misses it.  The
-perfection and each pool hole are checked here; that the pool meets
-every F of size rank - 1 (pool coverage, the lower bound) is not
-checked yet.  A piece
-claim (`check_pieces`) rests on x >= 0, part of what an HPolytope means:
-with y >= 0 and y.A >= c on the free coordinates, max c.x over the piece
-{x : A x <= b, x_F = z} is at most y.(b - A_F z) + c_F z, so a row is
-valid on an optimal piece whose bound is <= its right-hand side, and a
-piece whose bound is < 0 with c = 0 is empty.  The lift-and-project
-oracles run the point, member and separating-row checks on each
-certificate they build.  A failed check raises CertificateError naming
-the step; an F longer than the piece cap raises ResourceCapExceeded.
+perfection and each pool hole are checked here, pool coverage (the
+lower bound) not yet: on the `verify web-formulas --ks 2,...,7 --nmax
+25` report, `hitting_set` over the pools adds 45 ms to a 180 ms recheck.
+
+An `ineq-rank` certificate pins both bounds.  Its witness pieces are the
+upper bound.  A violating point that is 0/1 on F lies in P_F(h), so it
+refutes every F missing its fractional support (the coordinates where it
+is not 0 or 1), and the lower bound is that no F of size rank - 1 meets
+every such support (`hitting_set`: no LP).  When rotation along the
+index maps row and system to themselves (`polyhedra.rotation_invariant`,
+the search's anchoring rule), the F holding index[0] stand for all.  A
+piece claim (`check_pieces`) rests on x >= 0, part of what an HPolytope
+means: with y >= 0 and y.A >= c on the free coordinates, max c.x over
+the piece {x : A x <= b, x_F = z} is at most y.(b - A_F z) + c_F z, so a
+row is valid on an optimal piece whose bound is <= its right-hand side,
+and a piece whose bound is < 0 with c = 0 is empty.  The
+lift-and-project oracles run the point, member and separating-row checks
+on each certificate they build.  A failed check raises CertificateError
+naming the step; an F longer than the piece cap raises
+ResourceCapExceeded.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import product
 
 from .graphs import (
     CertificateError,
     ResourceCapExceeded,
+    _bits,
     _check_deadline,
     complement,
     delete_nodes,
@@ -42,7 +53,8 @@ from .graphs import (
     is_odd_hole,
     is_perfect,
 )
-from .polyhedra import PIECE_CAP, HPolytope, LinearInequality, _check_piece_cap
+from .polyhedra import (PIECE_CAP, HPolytope, LinearInequality, _check_piece_cap,
+                        rotation_invariant)
 from .reporting import Report
 
 
@@ -109,13 +121,14 @@ def check_pieces(h: HPolytope, row: LinearInequality, f, pieces,
                  + ("bound over the row" if optimal else "not proven empty"))
 
 
-def check_point(h: HPolytope, f, point: dict, row: LinearInequality) -> None:
-    """The point lies in h, is 0/1 on f and violates the row."""
+def check_point(h: HPolytope, f, point: dict, row: LinearInequality) -> dict:
+    """The point lies in h, is 0/1 on f and violates the row; returned parsed."""
     pt = _point(point)
     _require(h.contains(pt), "point outside the system")
     for v in f:
         _require(pt.get(int(v), 0) in (0, 1), f"point not 0/1 at f coordinate {v}")
     _require(row.evaluate(pt) > row.rhs, "point satisfies the row")
+    return pt
 
 
 def check_member(h: HPolytope, f, x: dict, multipliers) -> None:
@@ -162,15 +175,41 @@ def _graph_rank(cert, piece_cap):
     return f"perfection + {len(pool)} pool holes"
 
 
+def hitting_set(masks, size: int, seed: int = 0):
+    """A bitmask F with seed <= F and |F| <= size that meets every mask, or
+    None: a branching search on the bits of the first mask F misses."""
+    @cache
+    def rec(f):
+        miss = next((m for m in masks if not m & f), None)
+        if miss is None:
+            return f
+        if f.bit_count() >= size:
+            return None
+        for i in _bits(miss):
+            if (got := rec(f | 1 << i)) is not None:
+                return got
+        return None
+
+    return rec(seed)
+
+
 def _ineq_rank(cert, piece_cap):
     h, row = _system(cert["system"]), LinearInequality.from_json(cert["row"])
-    wf, violations = cert["witness_f"], cert["violations"]
+    wf, violations, rank = cert["witness_f"], cert["violations"], cert["rank"]
     _step(f"witness F={list(wf)}", check_pieces, h, row, wf, cert["pieces"], piece_cap)
+    bit, supports = {v: 1 << i for i, v in enumerate(h.index)}, []
     for i, v in enumerate(violations):
         _require(isinstance(v, dict), f"violations[{i}] is not an object")
-        _step(f"violations[{i}]", check_point, h, v["f"], v["point"], row)
-    _require(len(wf) == cert["rank"], f"|witness_f| = {len(wf)} but rank = {cert['rank']}")
-    return f"witness pieces + {len(violations)} violations"
+        pt = _step(f"violations[{i}]", check_point, h, v["f"], v["point"], row)
+        supports.append(sum(bit.get(u, 0) for u, x in pt.items() if x not in (0, 1)))
+    _require(len(wf) == rank, f"|witness_f| = {len(wf)} but rank = {rank}")
+    anchored = rank > 1 and rotation_invariant(row, h)
+    f = hitting_set(supports, rank - 1, 1 if anchored else 0) if rank else None
+    if f is not None:
+        raise CertificateError(f"coverage failed: F={[h.index[i] for i in _bits(f)]} "
+                               "meets the fractional support of every violation")
+    cover = f" covering every F of size {rank - 1}" + (f" holding {h.index[0]}" if anchored else "")
+    return f"witness pieces + {len(violations)} violations" + (cover if rank else "")
 
 
 def _validity(cert, piece_cap):

@@ -598,6 +598,36 @@ def max_over(vp: VPolytope, objective: dict):
     return best, dict(zip(vp.index, arg))
 
 
+def stable_sets_by_subsets(g: Graph) -> list:
+    """Incidence vectors over g.nodes of every node subset that holds no
+    edge, by trying all 2^n subsets."""
+    edges = list(g.edges())
+    out = []
+    for bits in product((0, 1), repeat=g.n):
+        chosen = {v for v, b in zip(g.nodes, bits) if b}
+        if not any(u in chosen and v in chosen for u, v in edges):
+            out.append(tuple(Fraction(b) for b in bits))
+    return out
+
+
+def rank_by_fractions(rows) -> int:
+    """Rank of a rational matrix by Gaussian elimination in Fractions."""
+    rows = [[Fraction(x) for x in r] for r in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        i = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if i is None:
+            continue
+        rows[rank], rows[i] = rows[i], rows[rank]
+        pivot = rows[rank]
+        for r in rows[rank + 1:]:
+            if r[col]:
+                q = r[col] / pivot[col]
+                r[:] = [a - q * b for a, b in zip(r, pivot)]
+        rank += 1
+    return rank
+
+
 def is_facet(ineq: LinearInequality, g: Graph) -> bool:
     """Facet test against STAB(G): valid and tight on affine rank n-1.
 
@@ -745,6 +775,17 @@ def hitting_search_by_frozensets(g: Graph, size: int, pool: list, seed=(), deadl
         return None
 
     return rec(set(seed))
+
+
+def pool_refutes_all(g: Graph, pool, size: int, anchor=None) -> bool:
+    """Every size-`size` set of g's nodes misses a pool member, by trying
+    each one; with `anchor`, only the sets that hold it."""
+    for f in combinations(g.nodes, size):
+        if anchor is not None and anchor not in f:
+            continue
+        if all(set(c[1]) & set(f) for c in pool):
+            return False
+    return True
 
 
 def disjunctive_rank_graph_uncached(g: Graph, deadline=None) -> GraphRankResult:

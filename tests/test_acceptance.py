@@ -38,7 +38,7 @@ from webrank.liftproject import (
     n_operator_valid,
     verify_n_matrix,
 )
-from webrank.polyhedra import qstab
+from webrank.polyhedra import qstab, rotation_invariant
 from webrank.rank import (
     disjunctive_rank_graph,
     disjunctive_rank_inequality,
@@ -141,8 +141,7 @@ def test_criterion_6_w2_row_ranks():
         for ell in (0, 1, 2):
             n = 3 * s + ell
             g = web(n, 2)
-            res = disjunctive_rank_inequality(rank_constraint(g), qstab(g),
-                                              cyclic=True, graph=g)
+            res = disjunctive_rank_inequality(rank_constraint(g), qstab(g), graph=g)
             ok = ok and res.rank == ell
     checked = 0
     for n in (9, 10):
@@ -191,7 +190,7 @@ def test_criterion_9_join_bounds():
     blocks = join_blocks_of(host)
     row = joined_inequality(blocks)
     res = disjunctive_rank_inequality(row, qstab(host), graph=host)
-    assert res.exhaustive                       # 10 nodes: dim <= 10
+    assert not rotation_invariant(row, qstab(host))     # so every |F| = 1 is probed
     probed_size_one = {f for f, _ in res.violating_points if len(f) == 1}
     ok = res.rank == 2 and probed_size_one == {(v,) for v in host.nodes}
     host_rank = disjunctive_rank_graph(host).rank

@@ -304,6 +304,23 @@ def test_recheck_names_the_failed_step_of_a_row_rank(tmp_path, capsys):
     assert "violations[1] failed: point not 0/1 at f coordinate 1" in out
 
 
+def _inflate_row_rank(cert, label):
+    """One more label in witness_f and rank + 1; each piece record is
+    duplicated with that coordinate at 0 and at 1, so the witness pieces
+    still check and only the lower bound is wrong."""
+    cert["witness_f"].append(label)
+    cert["rank"] += 1
+    cert["pieces"] = [{**p, "z": [*p["z"], z]} for p in cert["pieces"] for z in (0, 1)]
+
+
+def test_recheck_rejects_an_inflated_row_rank(tmp_path, capsys):
+    # the true witness F = {1, 2} meets the fractional support of every
+    # violating point, so no F of size 2 is shown violated
+    out = _recheck_doctored(tmp_path, capsys, ["rank", "ineq", "antiweb", "A:8:3"],
+                            lambda c: _inflate_row_rank(c, 3))
+    assert "coverage failed: F=[1, 2] meets the fractional support of every violation" in out
+
+
 def test_recheck_of_a_value_that_is_not_rational(tmp_path, capsys):
     # the doctored point fails its own entry; the other entries still pass
     path = tmp_path / "rdfar.json"
@@ -516,6 +533,23 @@ def test_removed_options_are_usage_errors(monkeypatch, capsys):
     monkeypatch.setattr(cli, "verify_rdfar", _no_search)
     code, out, err = run(capsys, "verify", "rdfar", "--sampled")
     assert (code, out) == (3, "") and "unrecognized arguments: --sampled" in err
+
+
+_UNREAD = {"--hull-bound": "12", "--piece-cap": "3", "--depth-cap": "2",
+           "--time-budget": "5", "--format": "json", "--seed": "1"}
+
+
+@pytest.mark.parametrize("argv", [
+    *(["generate", "W:8:2", opt] for opt in _UNREAD),
+    ["rank", "graph", "W:8:2", "--seed"],
+    ["verify", "rdfar", "--depth-cap"],
+    *(["recheck", "report.json", opt] for opt in ("--hull-bound", "--depth-cap", "--seed")),
+    *(["hull", "W:8:2", opt] for opt in ("--piece-cap", "--depth-cap", "--seed")),
+    *(["lp", "W:8:2", opt] for opt in ("--hull-bound", "--seed")),
+], ids=lambda argv: f"{argv[0]} {argv[-1]}")
+def test_each_subcommand_takes_only_the_options_it_reads(argv, capsys):
+    code, out, err = run(capsys, *argv, _UNREAD[argv[-1]])
+    assert (code, out) == (3, "") and f"unrecognized arguments: {argv[-1]}" in err
 
 
 def test_console_script_entry_point():

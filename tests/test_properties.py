@@ -1,0 +1,114 @@
+"""Property tests: the row-rank coverage check, the rotation symmetry that
+anchors a row-rank search, and the facets of the STAB hull.
+
+`recheck.hitting_set` decides the lower bound of a row rank; on seeded
+random set families it agrees with the brute-force `pool_refutes_all` of
+tests/oracles.py, anchored and not.  `polyhedra.rotation_invariant` holds
+on the rank row and QSTAB of every web, antiweb, clique and cycle with at
+most 12 nodes, and fails on join hosts and on one-interval rows with
+T != V.  Every facet that `convex_hull_facets` finds for a random graph
+on at most 8 nodes is valid on each stable set and tight on n affinely
+independent ones, both counted by enumeration in tests/oracles.py.
+"""
+
+from itertools import combinations
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st
+
+from webrank.graphs import (Graph, WebId, antiweb, complete_graph, cycle_graph,
+                            parse_graph_spec, web)
+from webrank.inequalities import (
+    enumerate_one_interval_sets,
+    join_blocks_of,
+    joined_inequality,
+    one_interval_inequality,
+    rank_constraint,
+)
+from webrank.polyhedra import convex_hull_facets, qstab, rotation_invariant, stab
+from webrank.recheck import hitting_set
+
+from oracles import pool_refutes_all, rank_by_fractions, stable_sets_by_subsets
+
+
+@st.composite
+def set_families(draw):
+    n = draw(st.integers(1, 9))
+    masks = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=8))
+    size = draw(st.integers(0, n))
+    anchored = size >= 1 and draw(st.booleans())
+    return n, masks, size, anchored
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(set_families())
+def test_coverage_agrees_with_the_brute_force_oracle(case):
+    n, masks, size, anchored = case
+    g = Graph(range(1, n + 1), [])
+    pool = [("support", [v for v in g.nodes if m >> (v - 1) & 1]) for m in masks]
+    f = hitting_set(masks, size, 1 if anchored else 0)
+    assert (f is None) == pool_refutes_all(g, pool, size, 1 if anchored else None)
+    if f is not None:
+        assert f.bit_count() <= size and all(m & f for m in masks)
+        assert not anchored or f & 1
+
+
+def _small_circulants():
+    for n in range(3, 13):
+        yield complete_graph(n)
+        yield cycle_graph(n)
+        for k in range(1, (n - 2) // 2 + 1):
+            yield web(n, k)
+        for k in range(2, n // 2 + 1):
+            yield antiweb(n, k)
+
+
+def test_rotation_invariant_on_every_small_web_antiweb_clique_and_cycle():
+    graphs = list(_small_circulants())
+    assert len(graphs) == 70         # 10 cliques, 10 cycles, 25 webs, 25 antiwebs
+    for g in graphs:
+        assert rotation_invariant(rank_constraint(g), qstab(g)), g
+
+
+@pytest.mark.parametrize("spec", ["join:A:5:2,A:5:2", "join:K:3,A:5:2", "join:C:5,C:7",
+                                  "join:W:7:2,A:8:3"])
+def test_rotation_invariant_fails_on_join_hosts(spec):
+    host = parse_graph_spec(spec)
+    h = qstab(host)
+    assert not rotation_invariant(joined_inequality(join_blocks_of(host)), h)
+    assert not rotation_invariant(rank_constraint(host), h)
+
+
+def test_rotation_invariant_fails_on_one_interval_rows_off_v():
+    checked = 0
+    for n in range(6, 11):
+        g = web(n, 2)
+        h = qstab(g)
+        for s in enumerate_one_interval_sets(n):
+            if s.T != g.nodes:
+                assert not rotation_invariant(one_interval_inequality(WebId(n, 2), s), h)
+                checked += 1
+    assert checked > 0
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(1, 8))
+    pairs = list(combinations(range(1, n + 1), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(range(1, n + 1), [e for e, k in zip(pairs, keep) if k])
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(small_graphs())
+def test_hull_facets_are_valid_and_tight_on_n_independent_stable_sets(g):
+    points = stable_sets_by_subsets(g)
+    for row in convex_hull_facets(stab(g)):
+        a = [row.coeffs.get(v, 0) for v in g.nodes]
+        values = [sum(c * x for c, x in zip(a, p)) for p in points]
+        assert max(values) <= row.rhs, row
+        tight = [p for p, value in zip(points, values) if value == row.rhs]
+        diffs = [[x - y for x, y in zip(p, tight[0])] for p in tight[1:]]
+        assert rank_by_fractions(diffs) == g.n - 1, row

@@ -43,21 +43,20 @@ from webrank.inequalities import (
 from webrank.liftproject import disjunctive_member, disjunctive_valid, n_operator_valid
 from webrank.polyhedra import LinearInequality, convex_hull_facets, frac, is_valid, qstab, stab
 from webrank.rank import (
-    IneqRankResult,
     disjunctive_rank_graph,
     disjunctive_rank_inequality,
     formula_web_rank,
     n_rank_graph_upto,
     n_rank_inequality_upto,
-    pool_refutes_all,
     verify_join_bound,
     verify_operator_sandwich,
     verify_rdfar,
     verify_w2_description,
     verify_web_rank_formulas,
 )
+from webrank.recheck import recheck_certificate
 
-from oracles import disjunctive_rank_graph_polyhedral
+from oracles import disjunctive_rank_graph_polyhedral, pool_refutes_all
 
 
 def brute_graph_rank(g):
@@ -161,8 +160,7 @@ def test_row_rank_table_for_w2_rank_constraints():
     # W_{3s+l}^2 rank row has disjunctive rank l
     for n, expected in [(9, 0), (10, 1), (8, 2), (6, 0), (7, 1), (11, 2)]:
         g = web(n, 2)
-        res = disjunctive_rank_inequality(rank_constraint(g), qstab(g),
-                                          cyclic=True, graph=g)
+        res = disjunctive_rank_inequality(rank_constraint(g), qstab(g), graph=g)
         assert res.rank == expected, n
 
 
@@ -183,30 +181,31 @@ def test_one_interval_row_rank_one_with_paper_witness():
 def test_antiweb_row_rank_a8_3():
     g = antiweb(8, 3)
     row, _ = antiweb_constraint(AntiwebId(8, 3))
-    res = disjunctive_rank_inequality(row, qstab(g), cyclic=True, graph=g)
+    res = disjunctive_rank_inequality(row, qstab(g), graph=g)
     assert res.rank == 2 == 8 - 2 * 3
-    assert res.exhaustive and len(res.violating_points) >= 8
+    assert recheck_certificate(res.to_json(row, qstab(g)))[0]
 
 
 def test_row_rank_search_order_is_pinned():
-    # rank, witness F, the F of each recorded violation in order, and the
-    # exhaustive flag, for an anchored (cyclic) and an unanchored search
+    # rank, witness F and the F of each recorded violation in order, for
+    # an anchored (rotation-invariant) and an unanchored search
     g = antiweb(8, 3)
     row, _ = antiweb_constraint(AntiwebId(8, 3))
-    res = disjunctive_rank_inequality(row, qstab(g), cyclic=True, graph=g)
-    assert (res.rank, res.witness_f, res.exhaustive) == (2, (1, 2), True)
-    assert [f for f, _ in res.violating_points] == [()] + [(v,) for v in range(1, 9)]
+    res = disjunctive_rank_inequality(row, qstab(g), graph=g)
+    assert (res.rank, res.witness_f) == (2, (1, 2))
+    assert [f for f, _ in res.violating_points] == [(), (1,)]
     host = parse_graph_spec("join:A:5:2,A:5:2")
     row = joined_inequality(join_blocks_of(host))
     res = disjunctive_rank_inequality(row, qstab(host), graph=host)
-    assert (res.rank, res.witness_f, res.exhaustive) == (2, (1, 6), True)
+    assert (res.rank, res.witness_f) == (2, (1, 6))
     assert [f for f, _ in res.violating_points] == \
         [()] + [(v,) for v in range(1, 11)] + [(1, v) for v in range(2, 6)]
 
 
 def test_exhaustive_row_rank_step_decides_each_f_once(monkeypatch):
-    # the ascending search has rejected some F of size rank-1 already;
-    # the exhaustive step decides only the others
+    # the ascending search decides each candidate F once: (), (1,) and the
+    # witness (1, 2) on the anchored antiweb row, every F up to the
+    # witness (1, 6) on the unanchored joined row
     calls = []
 
     def counted(*args):
@@ -216,8 +215,8 @@ def test_exhaustive_row_rank_step_decides_each_f_once(monkeypatch):
     monkeypatch.setattr(webrank.rank, "disjunctive_valid", counted)
     g = antiweb(8, 3)
     row, _ = antiweb_constraint(AntiwebId(8, 3))
-    disjunctive_rank_inequality(row, qstab(g), cyclic=True)
-    assert len(calls) == len(set(calls)) == 10
+    disjunctive_rank_inequality(row, qstab(g))
+    assert len(calls) == len(set(calls)) == 3
     host = parse_graph_spec("join:A:5:2,A:5:2")
     calls.clear()
     disjunctive_rank_inequality(joined_inequality(join_blocks_of(host)), qstab(host))
@@ -245,7 +244,7 @@ def test_n_rank_never_exceeds_disjunctive_rank():
         g = web(n, 2)
         h = qstab(g)
         row = rank_constraint(g)
-        d = disjunctive_rank_inequality(row, h, cyclic=True, graph=g).rank
+        d = disjunctive_rank_inequality(row, h, graph=g).rank
         nr = n_rank_inequality_upto(row, h, rmax=min(d, 2) if d else 1)
         if nr is not None:
             assert nr <= d, n
@@ -331,8 +330,8 @@ def test_remark_antiweb_17_3_row_rank_two():
     xbar = {v: (Fraction(0) if v == 1 else Fraction(1, 5)) for v in g.nodes}
     member, _ = disjunctive_member(xbar, h, (1,))
     assert member and sum(xbar.values()) == Fraction(16, 5) > 3
-    res = disjunctive_rank_inequality(row, h, cyclic=True)
-    assert res.rank == 2 and not res.exhaustive  # 17 nodes: dim > 10
+    res = disjunctive_rank_inequality(row, h)
+    assert res.rank == 2
 
 
 def test_remark_antiweb_25_4_row_rank_one():
@@ -375,14 +374,14 @@ def test_assumption_entries_for_deep_n_rank_facts():
 
 def test_rank_row_of_minimally_imperfect_graphs_is_one():
     for g in (web(5, 1), web(7, 2)):
-        res = disjunctive_rank_inequality(rank_constraint(g), qstab(g),
-                                          cyclic=True, graph=g)
+        res = disjunctive_rank_inequality(rank_constraint(g), qstab(g), graph=g)
         assert res.rank == 1
 
 
-# Each script stubs one dependency of a rank search so that the search's
-# own closing check fails; exit 3 means that check raised, 0 that the
-# wrong answer was accepted (as with an `assert` under python -O).
+# Each script stubs one dependency of a rank search so that its answer is
+# wrong; exit 3 means the search's closing check raised or `recheck`
+# failed the certificate, 0 that the wrong answer was accepted (as with an
+# `assert` under python -O).
 WRONG_DELETION_SET = """
 import sys
 from webrank import rank
@@ -402,30 +401,34 @@ from webrank import rank
 from webrank.graphs import web
 from webrank.inequalities import rank_constraint
 from webrank.polyhedra import qstab
+from webrank.recheck import recheck_certificate
 
 real = rank.disjunctive_valid
 
 def stub(ineq, h, f, piece_cap=12, deadline=None):
-    # valid for every |F| = 2 and for F = {2}, but not for the anchor {1};
-    # every answer carries the violating point of F = {} as its certificate
-    _, cert = real(ineq, h, (), piece_cap)
-    return len(f) == 2 or f == (2,), cert
+    # the anchor {1} refuted by the violating point of F = {}, every other
+    # F answered truly: {2} is valid but {1} is not, so the anchored search
+    # returns rank 2 for a row of rank 1
+    if f == (1,):
+        return False, real(ineq, h, (), piece_cap)[1]
+    return real(ineq, h, f, piece_cap, deadline)
 
 rank.disjunctive_valid = stub
 g = web(7, 2)
-try:
-    rank.disjunctive_rank_inequality(rank_constraint(g), qstab(g), cyclic=True)
-except RuntimeError as exc:
-    sys.exit(3 if "symmetry reduction unsound" in str(exc) else 4)
-sys.exit(0)
+row, h = rank_constraint(g), qstab(g)
+res = rank.disjunctive_rank_inequality(row, h)
+ok, detail = recheck_certificate(res.to_json(row, h))
+print(res.rank, detail)
+sys.exit(0 if ok else 3 if res.rank == 2 else 4)
 """
 
 
 @pytest.mark.parametrize("script", [WRONG_DELETION_SET, UNSOUND_SYMMETRY],
                          ids=["graph-rank-deletion-set", "row-rank-symmetry"])
 def test_rank_search_checks_survive_python_O(script):
-    """`python -O` strips `assert`; the closing checks of both rank
-    searches must still raise."""
+    """`python -O` strips `assert`; the closing check of the graph-rank
+    search must still raise, and `recheck` must still fail the row rank
+    of an oracle that breaks the rotation symmetry."""
     env = dict(os.environ)
     pkg_root = str(Path(webrank.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(

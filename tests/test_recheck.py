@@ -6,7 +6,10 @@ arithmetic.  On random graphs of at most 8 nodes the multipliers of each
 piece prove exactly the value its LP found.  Every mutation of a piece
 record of a `verify rdfar --nmax 8` report (one multiplier's sign
 flipped, all of them halved, all of them dropped, the record dropped)
-makes `recheck` fail the certificate.
+makes `recheck` fail the certificate.  A row-rank certificate must also
+pin its lower bound: a raised or lowered rank fails, and a dropped
+violation or a swapped point fails exactly when the brute-force coverage
+oracle finds an F of size rank-1 left unrefuted.
 """
 
 import ast
@@ -23,11 +26,15 @@ from hypothesis import given, settings, strategies as st
 
 import webrank
 from webrank.cli import main
-from webrank.graphs import Graph
+from webrank.graphs import AntiwebId, Graph, parse_graph_spec
+from webrank.inequalities import antiweb_constraint, join_blocks_of, joined_inequality
 from webrank.liftproject import disjunctive_valid, piece_max, piece_systems
-from webrank.polyhedra import LinearInequality, frac, qstab
-from webrank.recheck import _piece_bound, check_pieces, recheck_certificate
+from webrank.polyhedra import LinearInequality, frac, qstab, rotation_invariant
+from webrank.rank import disjunctive_rank_inequality
+from webrank.recheck import _piece_bound, _system, check_pieces, recheck_certificate
 from webrank.reporting import dumps
+
+from oracles import pool_refutes_all
 
 
 @st.composite
@@ -100,6 +107,89 @@ def test_every_mutation_of_a_piece_record_fails(tmp_path, capsys):
             counts[kind] = counts.get(kind, 0) + 1
     # 20 records over the 4 proofs and 4 witnesses, 69 nonzero multipliers
     assert counts == {"sign": 69, "halve": 20, "empty": 20, "drop": 20}
+
+
+def _row_certificate(spec, family):
+    g = parse_graph_spec(spec)
+    row = (antiweb_constraint(AntiwebId(*g.family[1:]))[0] if family == "antiweb"
+           else joined_inequality(join_blocks_of(g)))
+    h = qstab(g)
+    return json.loads(dumps(disjunctive_rank_inequality(row, h).to_json(row, h)))
+
+
+def _support(violation):
+    return tuple(sorted(int(v) for v, x in violation["point"].items()
+                        if Fraction(x) not in (0, 1)))
+
+
+@pytest.mark.parametrize("spec, family", [("A:8:3", "antiweb"), ("A:11:3", "antiweb"),
+                                          ("A:11:4", "antiweb"),
+                                          ("join:A:5:2,A:5:2", "joined")])
+def test_every_mutation_of_a_row_rank_fails(spec, family):
+    """Raising or lowering the rank fails, with or without the witness
+    extended to match.  Dropping the violations of one fractional support
+    fails exactly when the rest leave some F of size rank-1 unrefuted (by
+    the brute-force oracle), and for some support it does.  On an anchored
+    row, a point fractional on the anchor in place of each point that is
+    not fails the coverage step."""
+    cert = _row_certificate(spec, family)
+    h = _system(cert["system"])
+    anchor = h.index[0] if rotation_invariant(LinearInequality.from_json(cert["row"]), h) \
+        else None
+    assert recheck_certificate(cert)[0] and (anchor is not None) == (family == "antiweb")
+    rank = cert["rank"]
+    assert rank >= 2
+    for delta in (1, -1):
+        assert not recheck_certificate({**cert, "rank": rank + delta})[0]
+    extra = next(v for v in h.index if v not in cert["witness_f"])
+    inflated = copy.deepcopy(cert)
+    inflated["witness_f"].append(extra)
+    inflated["rank"] += 1
+    inflated["pieces"] = [{**p, "z": [*p["z"], z]} for p in cert["pieces"] for z in (0, 1)]
+    ok, detail = recheck_certificate(inflated)
+    assert not ok and detail.startswith("coverage failed")
+    shortened = {**cert, "rank": rank - 1, "witness_f": cert["witness_f"][:-1]}
+    assert not recheck_certificate(shortened)[0]
+
+    g = Graph(h.index, [])
+    failed = 0
+    for support in {_support(v) for v in cert["violations"]}:
+        kept = [v for v in cert["violations"] if _support(v) != support]
+        ok, detail = recheck_certificate({**cert, "violations": kept})
+        pool = [("support", _support(v)) for v in kept]
+        assert ok == pool_refutes_all(g, pool, rank - 1, anchor)
+        assert ok or detail.startswith("coverage failed")
+        failed += not ok
+    assert failed
+
+    if anchor is not None:
+        fractional = cert["violations"][0]["point"]
+        assert 0 < Fraction(fractional[str(anchor)]) < 1
+        swapped = [v if anchor in _support(v) else {"f": [], "point": fractional}
+                   for v in cert["violations"]]
+        ok, detail = recheck_certificate({**cert, "violations": swapped})
+        assert not ok and detail.startswith("coverage failed: F=[1]")
+
+
+def test_a_coordinate_above_one_is_not_zero_one():
+    """On 0 <= x_1 <= 2, 0 <= x_2 <= 1 the row x_1 <= 1 has rank 1 (F =
+    {1}).  Claimed rank 2 with witness {1, 2}, its pieces check; the one
+    violation (2, 0) is 0/1 at 2 only, so it refutes {2} but not {1}, and
+    the coverage step must find F = {1}."""
+    system = {"index": [1, 2], "rows": [{"coeffs": {"1": "-1"}, "rhs": "0"},
+                                        {"coeffs": {"2": "-1"}, "rhs": "0"},
+                                        {"coeffs": {"1": "1"}, "rhs": "2"},
+                                        {"coeffs": {"2": "1"}, "rhs": "1"}]}
+    cert = {"type": "ineq-rank", "system": system, "row": {"coeffs": {"1": "1"}, "rhs": "1"},
+            "rank": 2, "witness_f": [1, 2],
+            "pieces": [{"z": [a, b], "status": "optimal", "y": {}}
+                       for a in (0, 1) for b in (0, 1)],
+            "violations": [{"f": [2], "point": {"1": "2", "2": "0"}}]}
+    assert recheck_certificate(cert) == (
+        False, "coverage failed: F=[1] meets the fractional support of every violation")
+    cert.update(rank=1, witness_f=[1], pieces=[{"z": [z], "status": "optimal", "y": {}}
+                                               for z in (0, 1)])
+    assert recheck_certificate(cert)[0]
 
 
 def test_recheck_piece_cap_bounds_the_piece_checks(tmp_path, capsys):

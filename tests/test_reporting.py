@@ -107,4 +107,4 @@ def test_row_rank_certificate_file_is_pinned(tmp_path, capsys):
     assert main(["rank", "ineq", "antiweb", "A:8:3", "--cert", str(path)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(path.read_bytes()).hexdigest() == \
-        "ce456858c780c1350a7211e89db25fc2de503f258b3f09daa0da1918ee0cf830"
+        "ef8726d5dcf12a24cfa8a0d8d15331b87cb58e65df8333250de60e3855de7ef1"
