@@ -285,12 +285,12 @@ def family_tag(g: Graph):
 
 
 def is_circulant(g: Graph) -> bool:
-    """True when rotation i -> i+1 (mod n) is a known automorphism."""
-    return (
-        g.family is not None
-        and g.family[0] in ("web", "antiweb")
-        and g.nodes == tuple(range(1, g.n + 1))
-    )
+    """True when the nodes are 1..n and rotation i -> i+1 (mod n) is an
+    automorphism: rotating each position's adjacency mask gives the next."""
+    n, adj = g.n, g._adj
+    full = (1 << n) - 1
+    return g.nodes == tuple(range(1, n + 1)) and all(
+        (m << 1 | m >> (n - 1)) & full == adj[(i + 1) % n] for i, m in enumerate(adj))
 
 
 # ---------------------------------------------------------------------------
@@ -497,22 +497,11 @@ def is_odd_hole(g: Graph, nodes) -> bool:
     return len(nodes) >= 5 and len(nodes) % 2 == 1 and _is_hole(g, nodes)
 
 
-def minimally_imperfect_certificate(g: Graph, deadline=None, reverse=False):
-    """("odd-hole", nodes) for an induced odd hole of g, ("odd-antihole",
-    nodes) for one of its complement, or None when g is perfect."""
-    hole = find_induced_odd_hole(g, deadline=deadline, reverse=reverse)
-    if hole is not None:
-        return ("odd-hole", hole)
-    hole = find_induced_odd_hole(complement(g), deadline=deadline, reverse=reverse)
-    if hole is not None:
-        return ("odd-antihole", hole)
-    return None
-
-
 def is_perfect(g: Graph, deadline=None, reverse=False) -> bool:
     """Strong Perfect Graph Theorem route: no induced odd hole in g or its
     complement."""
-    return minimally_imperfect_certificate(g, deadline, reverse) is None
+    return (find_induced_odd_hole(g, deadline, reverse) is None
+            and find_induced_odd_hole(complement(g), deadline, reverse) is None)
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,11 @@ class LinearInequality:
             object.__setattr__(self, "_canon", key)
         return self._canon
 
+    def exceeds(self, num: dict, L: int) -> bool:
+        """a.x > b at x = num / L, in integers (missing keys read 0)."""
+        key, rhs = self.canonical()
+        return sum(c * num.get(v, 0) for v, c in key) > rhs * L
+
     def integer_form(self) -> tuple:
         """(coeff dict, rhs) scaled to coprime integers."""
         key, r = self.canonical()
@@ -101,6 +106,14 @@ class LinearInequality:
     def from_json(d: dict) -> "LinearInequality":
         return LinearInequality({int(v): Fraction(c) for v, c in d["coeffs"].items()},
                                 Fraction(d["rhs"]), d.get("tag", "other"))
+
+
+def clear_denominators(point: dict, index) -> tuple:
+    """(num, L) with x = num / L on the index, in integers: L is the lcm
+    of the denominators; keys outside the index are ignored."""
+    vals = [point.get(v, 0) for v in index]
+    L = lcm(*(q.denominator for q in vals))
+    return {v: q.numerator * (L // q.denominator) for v, q in zip(index, vals)}, L
 
 
 def nonneg_row(v: int) -> LinearInequality:
@@ -139,20 +152,17 @@ class HPolytope:
     def dim(self) -> int:
         return len(self.index)
 
+    def cleared(self, point: dict):
+        """clear_denominators(point, index) when x lies in h, else None:
+        each row is tested as a.num <= b L in its integer form."""
+        num, L = clear_denominators(point, self.index)
+        if any(a < 0 for a in num.values()) or any(r.exceeds(num, L) for r in self.rows):
+            return None
+        return num, L
+
     def contains(self, point: dict) -> bool:
-        """x in h, in integers: the point is cleared of denominators once
-        (x = num / L) and each row tested as a.num <= b L in its integer
-        form; keys outside the index are ignored."""
-        vals = [point.get(v, 0) for v in self.index]
-        L = lcm(*(q.denominator for q in vals))
-        num = {v: q.numerator * (L // q.denominator) for v, q in zip(self.index, vals)}
-        if any(a < 0 for a in num.values()):
-            return False
-        for r in self.rows:
-            key, rhs = r.canonical()
-            if sum(c * num[v] for v, c in key) > rhs * L:
-                return False
-        return True
+        """x in h, tested in integers (`cleared`)."""
+        return self.cleared(point) is not None
 
     def to_json(self) -> dict:
         return {"index": self.index, "rows": [r.to_json() for r in self.rows]}

@@ -15,11 +15,12 @@ The disjunctive rank of a graph is the minimum number of nodes whose
 deletion leaves a perfect graph, since P_F(QSTAB(G)) = STAB(G) exactly
 when G - F is perfect (the lemma `recheck` states).  The search is an
 implicit hitting set over discovered minimally imperfect induced
-subgraphs (odd holes / odd antiholes): a candidate deletion set must
-hit every certificate in the pool, branching happens on the nodes of an
-unhit certificate, and exhaustion of the tree at size m proves that
-every m-subset misses some recorded certificate.  It is anchored at
-node 1 for circulant inputs in the same way.
+subgraphs (odd holes / odd antiholes), run by `recheck.hitting_set`: a
+candidate deletion set must hit every certificate in the pool, one
+that does is refuted by an odd hole or antihole of G - F, and
+exhaustion of the tree at size m proves that every m-subset misses
+some recorded certificate.  It is anchored at node 1 when rotation is
+an automorphism of the graph (`graphs.is_circulant`).
 
 Each odd-hole search runs once per graph.  The answers of the last
 graph-rank search stay in `_HOLES`, keyed by graph, and the next search
@@ -96,6 +97,7 @@ from .polyhedra import (
     rotation_invariant,
     stab,
 )
+from .recheck import hitting_set
 from .reporting import Report, frac_to_str
 
 RANK_SEARCH_BOUND = 25
@@ -167,9 +169,10 @@ def _hole(g: Graph, deadline=None):
 
 
 def _imperfect(g: Graph, deadline=None):
-    """minimally_imperfect_certificate(g), each odd-hole search answered
-    once per graph: G - F of an antiweb is the complement of G - F of
-    its web, so the two searches of a pair meet the same graphs."""
+    """("odd-hole", nodes) for an induced odd hole of g, ("odd-antihole",
+    nodes) for one of its complement, or None when g is perfect; G - F
+    of an antiweb is the complement of G - F of its web, so `_hole`
+    answers the two searches of a pair from the same graphs."""
     hole = _hole(g, deadline)
     if hole is not None:
         return ("odd-hole", hole)
@@ -179,50 +182,13 @@ def _imperfect(g: Graph, deadline=None):
     return None
 
 
-def _hitting_search(g: Graph, size: int, pool: list, seed=(), deadline=None):
-    """F with seed <= F, |F| <= size and g-F perfect, or None (pool grows).
-
-    F, the pool members and the visited sets are masks over g's node
-    positions; branching follows the labels of the first unhit member."""
-    pos = g._pos
-
-    def mask(labels):
-        return sum(1 << pos[v] for v in labels)
-
-    visited = set()
-    members = [mask(c[1]) for c in pool]
-
-    def rec(fmask):
-        if fmask in visited:
-            return None
-        visited.add(fmask)
-        unhit = next((c for c, m in zip(pool, members) if not m & fmask), None)
-        if unhit is None:
-            cert = _imperfect(delete_nodes(g, g._labels_of(fmask)) if fmask else g,
-                              deadline)
-            if cert is None:
-                return g._labels_of(fmask)
-            pool.append(cert)
-            members.append(mask(cert[1]))
-            unhit = cert
-        if fmask.bit_count() >= size:
-            return None
-        for v in unhit[1]:
-            got = rec(fmask | 1 << pos[v])
-            if got is not None:
-                return got
-        return None
-
-    return rec(mask(seed))
-
-
 def disjunctive_rank_graph(g: Graph, deadline=None) -> GraphRankResult:
     """Minimum deletions to a perfect graph = the disjunctive rank.
 
-    Ascending implicit hitting-set search; for circulant graphs a
-    nonempty deletion set is anchored at node 1 (exact by symmetry).
-    The odd-hole answers of the last search are kept for a search on
-    the same graph or its complement (`_HOLES`).
+    Ascending implicit hitting-set search (`recheck.hitting_set`); for
+    circulant graphs a nonempty deletion set is anchored at node 1
+    (exact by symmetry).  The odd-hole answers of the last search are
+    kept for a search on the same graph or its complement (`_HOLES`).
     """
     global _HOLES_ROOT
     if g.n > RANK_SEARCH_BOUND:
@@ -234,11 +200,20 @@ def disjunctive_rank_graph(g: Graph, deadline=None) -> GraphRankResult:
     if cert is None:
         return GraphRankResult(0, (), (), anchored=False)
     anchored = is_circulant(g)
-    pool = [cert]
-    seed = (g.nodes[0],) if anchored else ()
+    pool, pos = [cert], g._pos
+    masks = [sum(1 << pos[v] for v in cert[1])]
+
+    def refute(fmask):
+        found = _imperfect(delete_nodes(g, g._labels_of(fmask)), deadline)
+        if found is None:
+            return None
+        pool.append(found)
+        return sum(1 << pos[v] for v in found[1])
+
     for r in range(1, g.n):
-        f = _hitting_search(g, r, pool, seed=seed, deadline=deadline)
-        if f is not None:
+        fmask = hitting_set(masks, r, 1 if anchored else 0, refute, deadline)
+        if fmask is not None:
+            f = g._labels_of(fmask)
             if len(f) != r or _imperfect(delete_nodes(g, f), deadline):
                 raise RuntimeError(f"hitting-set search returned {f}, not {r} deletions "
                                    "leaving a perfect graph")

@@ -1,8 +1,9 @@
 """Independent re-verification of archived certificates, with no solver.
 
 The trusted base is `fractions`, the graph reader and odd-hole search of
-`graphs`, and the row classes of `polyhedra`; neither the simplex nor the
-lift-and-project oracles are imported.  A graph rank is re-checked by
+`graphs`, and the row classes of `polyhedra`; neither the simplex, the
+lift-and-project oracles nor the rank searches (which import
+`hitting_set` from here) are imported.  A graph rank is re-checked by
 the odd-hole search in reversed scan order and by adjacency counts, every
 other claim by rational arithmetic, one function per claim.
 
@@ -54,7 +55,7 @@ from .graphs import (
     is_perfect,
 )
 from .polyhedra import (PIECE_CAP, HPolytope, LinearInequality, _check_piece_cap,
-                        rotation_invariant)
+                        clear_denominators, rotation_invariant)
 from .reporting import Report
 
 
@@ -124,10 +125,12 @@ def check_pieces(h: HPolytope, row: LinearInequality, f, pieces,
 def check_point(h: HPolytope, f, point: dict, row: LinearInequality) -> dict:
     """The point lies in h, is 0/1 on f and violates the row; returned parsed."""
     pt = _point(point)
-    _require(h.contains(pt), "point outside the system")
+    cleared = h.cleared(pt)
+    _require(cleared is not None, "point outside the system")
+    _require(set(row.coeffs) <= set(h.index), "the row leaves the system")
     for v in f:
         _require(pt.get(int(v), 0) in (0, 1), f"point not 0/1 at f coordinate {v}")
-    _require(row.evaluate(pt) > row.rhs, "point satisfies the row")
+    _require(row.exceeds(*cleared), "point satisfies the row")
     return pt
 
 
@@ -148,7 +151,8 @@ def check_member(h: HPolytope, f, x: dict, multipliers) -> None:
 
 
 def check_separating(row: LinearInequality, x: dict) -> None:
-    _require(row.evaluate(_point(x)) > row.rhs, "separating row not violated by the point")
+    _require(row.exceeds(*clear_denominators(_point(x), row.coeffs)),
+             "separating row not violated by the point")
 
 
 def _known(nodes: set, labels, where: str) -> None:
@@ -158,12 +162,12 @@ def _known(nodes: set, labels, where: str) -> None:
         raise CertificateError(f"{where} names {unknown}, not nodes of the graph")
 
 
-def _graph_rank(cert, piece_cap):
+def _graph_rank(cert, piece_cap, deadline):
     g = from_json_dict(cert["graph"])
     hole_in = {"odd-hole": g, "odd-antihole": complement(g)}
     f, pool, nodes = cert["deletion_set"], cert["pool"], set(g.nodes)
     _known(nodes, f, "deletion_set")
-    _require(is_perfect(delete_nodes(g, f) if f else g, reverse=True),
+    _require(is_perfect(delete_nodes(g, f) if f else g, deadline, reverse=True),
              "perfection failed: reversed-order odd hole search")
     for i, c in enumerate(pool):
         _require(isinstance(c, dict) and c.get("type") in hole_in,
@@ -175,14 +179,21 @@ def _graph_rank(cert, piece_cap):
     return f"perfection + {len(pool)} pool holes"
 
 
-def hitting_set(masks, size: int, seed: int = 0):
+def hitting_set(masks: list, size: int, seed: int = 0, refute=None, deadline=None):
     """A bitmask F with seed <= F and |F| <= size that meets every mask, or
-    None: a branching search on the bits of the first mask F misses."""
+    None: a branching search on the bits of the first mask F misses.  An
+    F that meets every mask goes to refute(F) when given, which returns a
+    mask F misses (appended to `masks` and branched on) or None (F is
+    accepted).  Past the deadline (a time.monotonic() value) it raises
+    SearchTimeout."""
     @cache
     def rec(f):
+        _check_deadline(deadline)
         miss = next((m for m in masks if not m & f), None)
         if miss is None:
-            return f
+            if refute is None or (miss := refute(f)) is None:
+                return f
+            masks.append(miss)
         if f.bit_count() >= size:
             return None
         for i in _bits(miss):
@@ -193,7 +204,7 @@ def hitting_set(masks, size: int, seed: int = 0):
     return rec(seed)
 
 
-def _ineq_rank(cert, piece_cap):
+def _ineq_rank(cert, piece_cap, deadline):
     h, row = _system(cert["system"]), LinearInequality.from_json(cert["row"])
     wf, violations, rank = cert["witness_f"], cert["violations"], cert["rank"]
     _step(f"witness F={list(wf)}", check_pieces, h, row, wf, cert["pieces"], piece_cap)
@@ -204,7 +215,8 @@ def _ineq_rank(cert, piece_cap):
         supports.append(sum(bit.get(u, 0) for u, x in pt.items() if x not in (0, 1)))
     _require(len(wf) == rank, f"|witness_f| = {len(wf)} but rank = {rank}")
     anchored = rank > 1 and rotation_invariant(row, h)
-    f = hitting_set(supports, rank - 1, 1 if anchored else 0) if rank else None
+    f = (hitting_set(supports, rank - 1, 1 if anchored else 0, deadline=deadline)
+         if rank else None)
     if f is not None:
         raise CertificateError(f"coverage failed: F={[h.index[i] for i in _bits(f)]} "
                                "meets the fractional support of every violation")
@@ -212,7 +224,7 @@ def _ineq_rank(cert, piece_cap):
     return f"witness pieces + {len(violations)} violations" + (cover if rank else "")
 
 
-def _validity(cert, piece_cap):
+def _validity(cert, piece_cap, deadline):
     h, row = _system(cert["system"]), LinearInequality.from_json(cert["row"])
     if not cert["valid"]:
         check_point(h, cert["f"], cert["point"], row)
@@ -221,7 +233,7 @@ def _validity(cert, piece_cap):
     return "row valid on every piece, by its multipliers"
 
 
-def _membership(cert, piece_cap):
+def _membership(cert, piece_cap, deadline):
     h, x = _system(cert["system"]), _point(cert["point"])
     if cert["member"]:
         check_member(h, cert["f"], x, cert["multipliers"])
@@ -236,13 +248,14 @@ _CHECKS = {"graph-rank": _graph_rank, "ineq-rank": _ineq_rank,
            "disjunctive-validity": _validity, "membership": _membership}
 
 
-def recheck_certificate(cert: dict, piece_cap: int = PIECE_CAP):
-    """(ok, detail) for one certificate dict; anything else fails."""
+def recheck_certificate(cert: dict, piece_cap: int = PIECE_CAP, deadline=None):
+    """(ok, detail) for one certificate dict; anything else fails.  Past
+    the deadline (a time.monotonic() value) a search raises SearchTimeout."""
     check = _CHECKS.get(cert.get("type")) if isinstance(cert, dict) else None
     if check is None:
         return False, f"certificate {cert!r:.60} is not an object of a known type"
     try:
-        return True, check(cert, piece_cap)
+        return True, check(cert, piece_cap, deadline)
     except CertificateError as exc:
         return False, str(exc)
 
@@ -256,7 +269,7 @@ def recheck_report(report_json: dict, piece_cap: int = PIECE_CAP,
     certificate that lacks a field or holds a value of the wrong shape (a
     rational that does not parse, a number where a list belongs) fails.
     Past the deadline (a time.monotonic() value, checked once per
-    certificate) it raises SearchTimeout.
+    certificate and inside its searches) it raises SearchTimeout.
     """
     entries = report_json.get("entries", []) if isinstance(report_json, dict) else None
     if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
@@ -270,7 +283,7 @@ def recheck_report(report_json: dict, piece_cap: int = PIECE_CAP,
         found += 1
         _check_deadline(deadline)
         try:
-            ok, detail = recheck_certificate(cert, piece_cap)
+            ok, detail = recheck_certificate(cert, piece_cap, deadline)
         except ResourceCapExceeded:
             raise
         except KeyError as exc:

@@ -16,12 +16,12 @@ from webrank.graphs import (
     _check_deadline,
     _is_hole,
     as_nodeset,
+    complement,
     delete_nodes,
     find_induced_odd_hole,
     is_circulant,
     is_odd_hole,
     is_perfect,
-    minimally_imperfect_certificate,
     mod1,
     web,
 )
@@ -746,9 +746,23 @@ def disjunctive_rank_graph_polyhedral(g: Graph, hull_bound: int = HULL_BOUND,
     raise RuntimeError(f"no F of size <= {h.dim} makes the facets valid")
 
 
+def minimally_imperfect_certificate(g: Graph, deadline=None, reverse=False):
+    """("odd-hole", nodes) for an induced odd hole of g, ("odd-antihole",
+    nodes) for one of its complement, or None when g is perfect: the
+    reference for `rank._imperfect`, with no shared odd-hole answers."""
+    hole = find_induced_odd_hole(g, deadline=deadline, reverse=reverse)
+    if hole is not None:
+        return ("odd-hole", hole)
+    hole = find_induced_odd_hole(complement(g), deadline=deadline, reverse=reverse)
+    if hole is not None:
+        return ("odd-antihole", hole)
+    return None
+
+
 def hitting_search_by_frozensets(g: Graph, size: int, pool: list, seed=(), deadline=None):
-    """`rank._hitting_search` on label sets, with no shared odd-hole
-    answers: every visited F runs its own odd-hole searches."""
+    """The graph-rank search of `rank.disjunctive_rank_graph` on label
+    sets, with no shared odd-hole answers: every visited F meeting the
+    pool runs its own odd-hole searches."""
     visited = set()
     members = [frozenset(c[1]) for c in pool]       # node sets, in pool order
 

@@ -16,6 +16,7 @@ from webrank.graphs import (
     alpha,
     alpha_induced,
     antiweb,
+    circular_distance,
     complement,
     complete_graph,
     complete_join,
@@ -24,6 +25,7 @@ from webrank.graphs import (
     enumerate_stable_sets,
     find_induced_odd_hole,
     from_json_dict,
+    is_circulant,
     is_odd_hole,
     is_perfect,
     is_subweb,
@@ -469,6 +471,38 @@ def test_construct_odd_hole_hypothesis_errors():
 def test_dimacs_round_trip():
     g = web(8, 2)
     assert from_dimacs(to_dimacs(g)) == Graph(g.nodes, g.edges())
+
+
+def test_circulance_is_read_off_the_adjacency():
+    """`is_circulant` holds on every web and antiweb with n <= 25, agrees
+    with rotating the edge list on random graphs and circulants, fails on
+    every seeded deletion of the benchmark's `combinatorial` inputs, and
+    ignores a doctored family tag."""
+    assert all(is_circulant(web(n, k)) for k in range(1, 12) for n in range(2 * k + 2, 26))
+    assert all(is_circulant(antiweb(n, k)) for k in range(2, 13) for n in range(2 * k, 26))
+    for seed in (1, 2, 3):
+        rng = random.Random(f"combinatorial:{seed}")      # drawn as bench/workloads.py does
+        for k in range(2, 8):
+            for n in range(2 * (k + 1), 26):
+                f = sorted(rng.sample(range(1, n + 1), 1 + n % 3))
+                assert not is_circulant(delete_nodes(web(n, k), f)), (n, k, f)
+    rng = random.Random(4)
+    for trial in range(300):
+        n = rng.randint(1, 9)
+        if trial % 2:
+            dists = set(rng.sample(range(1, n // 2 + 1), rng.randint(0, n // 2)))
+            g = Graph(range(1, n + 1), [(i, j) for i, j in combinations(range(1, n + 1), 2)
+                                        if circular_distance(i, j, n) in dists])
+        else:
+            g = random_graph(rng, n)
+        rotated = {tuple(sorted((mod1(u + 1, n), mod1(v + 1, n)))) for u, v in g.edges()}
+        assert is_circulant(g) == (rotated == set(g.edges())), g.edges()
+        assert is_circulant(g) or not trial % 2          # each C_n(dists) is circulant
+    shifted = Graph(range(2, 7), [(2, 3), (3, 4), (4, 5), (5, 6), (2, 6)])
+    assert not is_circulant(shifted)               # a 5-cycle, but not on 1..5
+    tagged = from_json_dict({"n": 6, "edges": [[2, 3], [3, 4], [4, 5], [5, 6], [2, 6]],
+                             "family_tag": "W:6:1"})
+    assert tagged.family == ("web", 6, 1) and not is_circulant(tagged)
 
 
 def test_json_round_trip_keeps_family_and_blocks():

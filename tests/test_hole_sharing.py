@@ -128,9 +128,11 @@ def test_the_closing_guard_checks_a_wrong_deletion_set(monkeypatch):
     for fresh in (False, True):
         if fresh:
             monkeypatch.setattr(rank, "_HOLES", {})
-        # right size, but g minus it keeps an odd hole or antihole
-        monkeypatch.setattr(rank, "_hitting_search",
-                            lambda h, size, pool, seed=(), deadline=None: h.nodes[:size])
+        # right size (the first `size` nodes), but g minus it keeps an odd
+        # hole or antihole
+        monkeypatch.setattr(rank, "hitting_set",
+                            lambda masks, size, seed=0, refute=None, deadline=None:
+                            (1 << size) - 1)
         with pytest.raises(RuntimeError, match="hitting-set search"):
             disjunctive_rank_graph(g)
 

@@ -16,6 +16,7 @@ from webrank import liftproject
 from webrank.graphs import web
 from webrank.inequalities import rank_constraint
 from webrank.liftproject import (
+    NLiftSystem,
     PieceSystem,
     disjunctive_member,
     disjunctive_valid,
@@ -317,7 +318,7 @@ def test_n_lift_optimum_certified_by_exact_duality():
     # the 16/7 claim is an upper bound too: verify the dual of the full lift
     # LP, rebuilt from the rows the presolve starts from
     g = web(8, 2)
-    sys_ = n_lift_system(qstab(g), 1, cache=False)
+    sys_ = NLiftSystem(qstab(g), 1)
     out, _ = sys_.maximize(ones(g))
     assert out.value == Fraction(16, 7)
     lp = _full_lift_lp(sys_)
@@ -332,7 +333,7 @@ def test_presolved_lift_max_equals_the_full_lift_max():
     cases = [(n, k, 1) for k in range(1, 4) for n in range(2 * (k + 1), 9)]
     for n, k, depth in cases + [(5, 1, 2)]:
         g = web(n, k)
-        sys_ = n_lift_system(qstab(g), depth, cache=False)
+        sys_ = NLiftSystem(qstab(g), depth)
         assert sys_._lp.nv < sys_._nv and len(sys_._lp.rows) < len(sys_._le) + len(sys_._eq)
         lp = _full_lift_lp(sys_)
         objectives = [ones(g)] + [{v: rng.randint(0, 6) for v in g.nodes}
@@ -360,7 +361,7 @@ def test_depth1_lift_matrix_is_certified_and_zero_on_edges():
 def test_n1_pivot_path_on_w10_2_is_pinned():
     # one solve, then warm re-solves: values and the running pivot total
     g = web(10, 2)
-    sys_ = n_lift_system(qstab(g), 1, cache=False)
+    sys_ = NLiftSystem(qstab(g), 1)
     rng = random.Random(0)
     seen = []
     for _ in range(10):
@@ -381,7 +382,7 @@ _N2_PRESOLVED = {(5, 1): ((340, 110), 163), (7, 2): ((805, 217), 373)}
 def test_n2_max_pivot_count_is_pinned(n, k, shape, pivots):
     # shape and pivots of the full lift LP as built, then of its presolve
     g = web(n, k)
-    sys_ = n_lift_system(qstab(g), 2, cache=False)
+    sys_ = NLiftSystem(qstab(g), 2)
     lp = _full_lift_lp(sys_)
     assert (len(lp.rows), lp.nv) == shape
     raw = lp.solve(_full_lift_objective(sys_, ones(g)))

@@ -164,8 +164,10 @@ def test_membership_chain_stab_qstab_frac():
 
 def test_integer_contains_matches_fractions():
     # rows with fractional and negative coefficients, points with negative
-    # coordinates, int values, missing coordinates and keys outside the index
-    rng = random.Random(13)
+    # coordinates, int values, missing coordinates and keys outside the index;
+    # on a point of h, a further row's integer test on the cleared point
+    # matches its Fraction sum over the index
+    rng, rows_rng = random.Random(13), random.Random(14)
     verdicts = []
     for _ in range(400):
         index = tuple(rng.sample(range(1, 10), rng.randint(1, 5)))
@@ -183,6 +185,13 @@ def test_integer_contains_matches_fractions():
                       for v in rng.sample(range(10, 14), rng.randint(0, 2))})
         verdicts.append(h.contains(point))
         assert verdicts[-1] == contains_by_fractions(h, point), (h.rows, point)
+        cleared = h.cleared(point)
+        assert (cleared is not None) == verdicts[-1]
+        if cleared:
+            row = LinearInequality({v: Fraction(rows_rng.randint(-3, 6), rows_rng.randint(1, 4))
+                                    for v in index}, Fraction(rows_rng.randint(-2, 8), 3))
+            on_index = {v: Fraction(point.get(v, 0)) for v in index}
+            assert row.exceeds(*cleared) == (row.evaluate(on_index) > row.rhs), (row, point)
     assert 100 < sum(verdicts) < 300
 
 

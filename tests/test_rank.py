@@ -119,6 +119,16 @@ def test_every_pool_hole_refutes_its_graph_by_the_lemma(tmp_path):
     assert holes >= 100
 
 
+def test_a_family_tag_does_not_anchor_the_search():
+    """A 5-cycle on 2..6 beside the isolated node 1, tagged as W:6:1: its
+    rotation is no automorphism, so the search is not anchored at node 1
+    (which lies on no hole) and finds rank 1, not 2."""
+    g = Graph(range(1, 7), [(2, 3), (3, 4), (4, 5), (5, 6), (2, 6)], family=("web", 6, 1))
+    res = disjunctive_rank_graph(g)
+    assert (res.rank, res.deletion_set, res.anchored) == (1, (2,), False)
+    assert recheck_certificate(res.to_json(g))[0]
+
+
 def test_polyhedral_rank_examples():
     assert disjunctive_rank_graph_polyhedral(web(5, 1)) == 1
     assert disjunctive_rank_graph_polyhedral(web(6, 2)) == 0
@@ -387,7 +397,7 @@ import sys
 from webrank import rank
 from webrank.graphs import web
 
-rank._hitting_search = lambda g, size, pool, seed=(), deadline=None: ()
+rank.hitting_set = lambda masks, size, seed=0, refute=None, deadline=None: 0
 try:
     rank.disjunctive_rank_graph(web(7, 2))
 except RuntimeError as exc:

@@ -15,6 +15,7 @@ oracle finds an F of size rank-1 left unrefuted.
 import ast
 import copy
 import json
+import time
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -26,12 +27,14 @@ from hypothesis import given, settings, strategies as st
 
 import webrank
 from webrank.cli import main
-from webrank.graphs import AntiwebId, Graph, parse_graph_spec
+from webrank.graphs import AntiwebId, CertificateError, Graph, SearchTimeout, parse_graph_spec
 from webrank.inequalities import antiweb_constraint, join_blocks_of, joined_inequality
 from webrank.liftproject import disjunctive_valid, piece_max, piece_systems
-from webrank.polyhedra import LinearInequality, frac, qstab, rotation_invariant
+from webrank.polyhedra import (HPolytope, LinearInequality, frac, nonneg_row, qstab,
+                               rotation_invariant)
 from webrank.rank import disjunctive_rank_inequality
-from webrank.recheck import _piece_bound, _system, check_pieces, recheck_certificate
+from webrank.recheck import (_piece_bound, _system, check_pieces, check_point,
+                             hitting_set, recheck_certificate)
 from webrank.reporting import dumps
 
 from oracles import pool_refutes_all
@@ -169,6 +172,22 @@ def test_every_mutation_of_a_row_rank_fails(spec, family):
                    for v in cert["violations"]]
         ok, detail = recheck_certificate({**cert, "violations": swapped})
         assert not ok and detail.startswith("coverage failed: F=[1]")
+
+
+def test_a_past_deadline_stops_the_coverage_search():
+    past = time.monotonic() - 1
+    with pytest.raises(SearchTimeout):
+        hitting_set([1, 2], 1, deadline=past)
+    with pytest.raises(SearchTimeout):
+        recheck_certificate(_row_certificate("A:8:3", "antiweb"), deadline=past)
+
+
+def test_a_violated_row_must_lie_in_the_system():
+    """The row is tested in integers on the point cleared over the
+    system's index, so a row naming another coordinate is rejected."""
+    h = HPolytope((1,), [nonneg_row(1), LinearInequality({1: 1}, 1)])
+    with pytest.raises(CertificateError, match="the row leaves the system"):
+        check_point(h, [], {"1": "1/2", "2": "1"}, LinearInequality({1: 1, 2: 1}, 1))
 
 
 def test_a_coordinate_above_one_is_not_zero_one():
