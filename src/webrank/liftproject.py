@@ -7,7 +7,8 @@ the piece cap), one substitution of the fixed coordinates
 row over P_F is decided piecewise (one exact LP per piece); membership
 is decided by the disjunctive extended formulation (a convex
 combination of one point per piece), an exact LP feasibility problem
-whose Farkas dual yields a separating inequality.  That LP is built
+whose Farkas dual yields a separating inequality; a point of K that is
+0/1 on F is its own piece and needs no LP.  That LP is built
 reduced: the fixed coordinates of each piece's block are substituted
 by its lambda (or 0), empty pieces are left out, and so are rows that
 nonnegativity implies.  On A_11^4 with |F| = 3 this takes the LP from
@@ -241,14 +242,28 @@ def disjunctive_member(x: dict, h: HPolytope, f, piece_cap: int = PIECE_CAP,
     is left out.  With every piece empty P_F(h) is empty and 0.x <= -1
     separates; no LP is built.
 
+    A point of h that is 0/1 on F needs no LP either: it lies in its own
+    piece z = x_F, and P_F(h) is the convex hull of the pieces, so the
+    one multiplier lambda_z = 1 with the point x itself proves
+    membership.  Only such a point skips the LP.  One outside h is no
+    member, since P_F(h) lies in h, and the LP's Farkas dual gives its
+    separating row.
+
     A yes answer carries the convex multipliers and per-piece points; a
     no answer carries a separating inequality recovered from the Farkas
     certificate and the piece records of its `disjunctive_valid` scan.
     Both pass their `recheck` checks before they are handed out.
-    Past the deadline (a time.monotonic() value) the solve raises
-    SearchTimeout.
+    Past the deadline (a time.monotonic() value) the short cut or the
+    solve raises SearchTimeout.
     """
     f = as_nodeset(f)
+    _check_piece_cap(f, piece_cap)
+    if all(x.get(v, 0) in (0, 1) for v in f) and h.contains(x):
+        _check_deadline(deadline)
+        mult = [{"z": tuple(int(x.get(v, 0)) for v in f), "lambda": Fraction(1),
+                 "point": {v: Fraction(x.get(v, 0)) for v in h.index}}]
+        check_member(h, f, x, mult)
+        return True, {"kind": "validity-proof", "f": f, "multipliers": mult}
     free = [v for v in h.index if v not in f]
     pos = {v: j for j, v in enumerate(free)}
     pieces = []         # (z, fixing, rows) per nonempty piece; rows (free coeffs, lambda coeff)

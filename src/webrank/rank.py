@@ -366,8 +366,9 @@ def verify_rdfar(a: AntiwebId, piece_cap: int = PIECE_CAP, deadline=None) -> Rep
     (i) validity under the proof's deletion set F = {wk+1, ..., wk+beta};
     (ii) for every |T| = beta-1 the point at 1/w off T lies in
     P_T(qstab) and violates the row; (iii) minimal-F search agrees with
-    n - w k.  Past the deadline (a time.monotonic() value) an LP raises
-    SearchTimeout.
+    n - w k.  Each point of (ii) is 0/1 on T, so its membership needs no
+    LP.  Past the deadline (a time.monotonic() value) an LP, or the
+    membership check of a point, raises SearchTimeout.
     """
     if not a.prime:
         raise ValueError(f"A_{a.n}^{a.k} is not prime (gcd={gcd(a.n, a.k)}); "

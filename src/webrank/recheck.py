@@ -40,7 +40,7 @@ ResourceCapExceeded.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from itertools import product
 
 from .graphs import (
@@ -64,8 +64,20 @@ def _point(d: dict) -> dict:
 
 
 def _system(d: dict) -> HPolytope:
-    return HPolytope(tuple(d["index"]),
-                     [LinearInequality.from_json(r) for r in d["rows"]])
+    """The system of a certificate, parsed once per distinct JSON content
+    (a report repeats one system in many certificates); the key holds
+    every value the parse reads, so a doctored row gets its own parse.
+    An unhashable value (a list as rhs) raises TypeError, as a parse would."""
+    return _parsed_system(tuple(d["index"]), tuple(
+        (tuple(r["coeffs"].items()), r["rhs"], r.get("tag", "other")) for r in d["rows"]))
+
+
+@lru_cache(maxsize=16)
+def _parsed_system(index: tuple, rows: tuple) -> HPolytope:
+    # HPolytope and LinearInequality are immutable, so every certificate
+    # with this content may share the one parsed object
+    return HPolytope(index, [LinearInequality.from_json(
+        {"coeffs": dict(coeffs), "rhs": rhs, "tag": tag}) for coeffs, rhs, tag in rows])
 
 
 def _require(ok: bool, message: str) -> None:

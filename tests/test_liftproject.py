@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -13,7 +14,7 @@ import pytest
 
 import webrank
 from webrank import liftproject
-from webrank.graphs import web
+from webrank.graphs import SearchTimeout, web
 from webrank.inequalities import rank_constraint
 from webrank.liftproject import (
     NLiftSystem,
@@ -38,7 +39,7 @@ from webrank.polyhedra import (
     qstab,
     stab,
 )
-from webrank.recheck import recheck_certificate
+from webrank.recheck import _point, recheck_certificate
 from webrank.reporting import dumps
 from webrank.simplex import LinearProgram
 
@@ -111,6 +112,49 @@ def test_rdfar_style_point_in_p_t():
     member, _ = disjunctive_member(xbar, h, (5,))
     assert member
     assert sum(xbar.values()) == Fraction(7, 2) > 3   # k + 1/omega
+
+
+def _rdfar_points(n, k):
+    """(qstab, T, point) for every T of size beta - 1 of A_n^k: the point
+    is 0 on T and 1/omega elsewhere, as in `verify rdfar`."""
+    from itertools import combinations
+    from webrank.graphs import antiweb
+    g = antiweb(n, k)
+    w = n // k
+    for tset in combinations(g.nodes, n - w * k - 1):
+        yield qstab(g), tset, {v: Fraction(0) if v in tset else Fraction(1, w)
+                               for v in g.nodes}
+
+
+@pytest.mark.parametrize("n, k", [(8, 3), (11, 4)])
+def test_rdfar_point_is_its_own_piece_without_an_lp(monkeypatch, n, k):
+    def no_lp(*args, **kwargs):
+        raise AssertionError("a point of h that is 0/1 on F built an LP")
+
+    monkeypatch.setattr(liftproject.LinearProgram, "solve", no_lp)
+    for h, tset, x in _rdfar_points(n, k):
+        member, cert = disjunctive_member(x, h, tset)
+        assert member
+        [m] = cert["multipliers"]
+        assert m == {"z": (0,) * len(tset), "lambda": 1, "point": x}
+        assert recheck_certificate(_membership_cert(h, x, member, cert))[0]
+        with pytest.raises(SearchTimeout):
+            disjunctive_member(x, h, tset, deadline=time.monotonic() - 1)
+
+
+def test_a_doctored_one_piece_certificate_fails_recheck():
+    h, tset, x = next(_rdfar_points(11, 4))
+    cert = _membership_cert(h, x, *disjunctive_member(x, h, tset))
+    half = json.loads(json.dumps(cert))
+    half["multipliers"][0]["lambda"] = "1/2"
+    assert recheck_certificate(half) == (False, "convex multipliers do not sum to 1")
+    # x and its piece point moved together to a point off h, still 0/1 on T:
+    # only the relaxation check can catch it
+    v = next(u for u in h.index if u not in tset)
+    off = json.loads(json.dumps(cert))
+    off["point"][str(v)] = off["multipliers"][0]["point"][str(v)] = "1"
+    assert not h.contains(_point(off["point"]))
+    assert recheck_certificate(off) == (False, "piece point outside the relaxation")
 
 
 def test_piece_cap_enforced():

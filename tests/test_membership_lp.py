@@ -5,7 +5,9 @@ fixed coordinates substituted away and empty pieces and implied rows left
 out; `oracles.disjunctive_member_unreduced` builds it as it stands.  On
 random graphs of at most 8 nodes, under QSTAB and FRAC, with |F| <= 3
 and points on a 1/4 grid (some of them outside the relaxation), both give
-the same verdict, and every certificate passes `recheck`.
+the same verdict, and every certificate passes `recheck`.  A point of h
+that is 0/1 on F is its own piece and builds no LP; one outside h is no
+member, whatever it is on F.
 """
 
 import json
@@ -48,10 +50,15 @@ HALF = Fraction(1, 2)
 @example((qstab(web(5, 1)), (1,), dict.fromkeys(range(1, 6), HALF)))    # in h, not in P_F
 @example((frac(complete_graph(3)), (), dict.fromkeys(range(1, 4), HALF)))
 @example((frac(complete_graph(3)), (1, 2), dict.fromkeys(range(1, 4), HALF)))
+@example((frac(complete_graph(3)), (1,), {1: Fraction(1), 2: Fraction(1), 3: Fraction(0)}))
 def test_reduced_membership_lp_agrees_with_the_unreduced_one(case):
+    # the last example is 0/1 on F but outside h: the LP, not the one-piece
+    # short cut, must answer it
     h, f, x = case
     member, cert = disjunctive_member(x, h, f)
     assert member == disjunctive_member_unreduced(x, h, f)[0]
+    if not h.contains(x):               # P_F(h) lies in h
+        assert not member
     wrapped = json.loads(dumps({**cert, "type": "membership", "system": h.to_json(),
                                 "point": x, "member": member}))
     ok, detail = recheck_certificate(wrapped)

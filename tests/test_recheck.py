@@ -34,7 +34,7 @@ from webrank.polyhedra import (HPolytope, LinearInequality, frac, nonneg_row, qs
                                rotation_invariant)
 from webrank.rank import disjunctive_rank_inequality
 from webrank.recheck import (_piece_bound, _system, check_pieces, check_point,
-                             hitting_set, recheck_certificate)
+                             hitting_set, recheck_certificate, recheck_report)
 from webrank.reporting import dumps
 
 from oracles import pool_refutes_all
@@ -228,6 +228,39 @@ def test_recheck_piece_cap_bounds_the_piece_checks(tmp_path, capsys):
     assert main(["recheck", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "piece cap exceeded: |F|=13 > 12" in captured.err
+
+
+def test_a_doctored_copy_of_a_shared_system_is_parsed_on_its_own(tmp_path, capsys):
+    """`recheck` parses each distinct system once: equal content shares
+    one parse, and a copy with one row tightened, so that its point falls
+    outside, gets its own and fails, before or after the intact one."""
+    _, report = _rdfar_report(tmp_path, 8)
+    good = next(e for e in report["entries"]
+                if e.get("certificate", {}).get("type") == "membership")
+    cert = good["certificate"]
+    assert _system(cert["system"]) is _system(copy.deepcopy(cert["system"]))
+    bad = copy.deepcopy(good)
+    system = bad["certificate"]["system"]
+    i = next(i for i, r in enumerate(system["rows"]) if r["rhs"] == "1"
+             and any(Fraction(cert["point"][v]) for v in r["coeffs"]))
+    system["rows"][i]["rhs"] = "0"
+    bad["name"] = "doctored"
+    for entries in ([good, bad], [bad, good], [good, bad]):
+        rep = recheck_report({"entries": entries})
+        assert [e.status for e in rep.entries] == ["fail" if e is bad else "pass"
+                                                   for e in entries]
+        assert rep.failures[0].detail == "piece point outside the relaxation"
+
+
+def test_an_unhashable_system_value_is_a_malformed_certificate():
+    cert = {"type": "membership", "member": True, "f": [], "point": {"1": "0"},
+            "multipliers": [{"z": [], "lambda": "1", "point": {"1": "0"}}],
+            "system": {"index": [1], "rows": [{"coeffs": {"1": "-1"}, "rhs": "0"},
+                                             {"coeffs": {"1": "1"}, "rhs": ["1"]}]}}
+    [entry] = recheck_report({"entries": [{"name": "list rhs", "certificate": cert}]}).entries
+    assert entry.status == "fail" and entry.detail.startswith("malformed certificate:")
+    cert["system"]["rows"][1]["rhs"] = "1"
+    assert recheck_certificate(cert) == (True, "convex combination re-assembled exactly")
 
 
 def test_recheck_imports_no_solver():
