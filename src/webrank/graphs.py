@@ -497,11 +497,39 @@ def is_odd_hole(g: Graph, nodes) -> bool:
     return len(nodes) >= 5 and len(nodes) % 2 == 1 and _is_hole(g, nodes)
 
 
+def is_chordal(g: Graph) -> bool:
+    """No chordless cycle of length >= 4, by maximum cardinality search
+    (Tarjan and Yannakakis 1984): visit next a node with the most visited
+    neighbours.  g is chordal exactly when the reversed visit order is a
+    perfect elimination ordering (Rose, Tarjan and Lueker 1976), that is,
+    when each node's neighbours visited before it form a clique; the
+    search stops at the first node whose do not."""
+    adj = g._adj
+    weight, left, visited = [0] * g.n, list(range(g.n)), 0
+    while left:
+        v = max(left, key=weight.__getitem__)
+        left.remove(v)
+        before = adj[v] & visited
+        for u in _bits(before):
+            if before & ~adj[u] & ~(1 << u):
+                return False
+        visited |= 1 << v
+        for u in _bits(adj[v] & ~visited):
+            weight[u] += 1
+    return True
+
+
 def is_perfect(g: Graph, deadline=None, reverse=False) -> bool:
-    """Strong Perfect Graph Theorem route: no induced odd hole in g or its
-    complement."""
+    """A chordal graph is perfect (Dirac 1961, Berge), and so is its
+    complement (Lovász 1972), so `is_chordal` of g or of its complement
+    answers first.  Otherwise the Strong Perfect Graph Theorem route: no
+    induced odd hole in g or its complement."""
+    _check_deadline(deadline)
+    co = complement(g)
+    if is_chordal(g) or is_chordal(co):
+        return True
     return (find_induced_odd_hole(g, deadline, reverse) is None
-            and find_induced_odd_hole(complement(g), deadline, reverse) is None)
+            and find_induced_odd_hole(co, deadline, reverse) is None)
 
 
 # ---------------------------------------------------------------------------

@@ -245,7 +245,8 @@ def disjunctive_member(x: dict, h: HPolytope, f, piece_cap: int = PIECE_CAP,
     A point of h that is 0/1 on F needs no LP either: it lies in its own
     piece z = x_F, and P_F(h) is the convex hull of the pieces, so the
     one multiplier lambda_z = 1 with the point x itself proves
-    membership.  Only such a point skips the LP.  One outside h is no
+    membership.  `check_member` decides it, testing the point against h
+    once, and only such a point skips the LP.  One outside h is no
     member, since P_F(h) lies in h, and the LP's Farkas dual gives its
     separating row.
 
@@ -258,12 +259,16 @@ def disjunctive_member(x: dict, h: HPolytope, f, piece_cap: int = PIECE_CAP,
     """
     f = as_nodeset(f)
     _check_piece_cap(f, piece_cap)
-    if all(x.get(v, 0) in (0, 1) for v in f) and h.contains(x):
+    if all(x.get(v, 0) in (0, 1) for v in f):
         _check_deadline(deadline)
         mult = [{"z": tuple(int(x.get(v, 0)) for v in f), "lambda": Fraction(1),
                  "point": {v: Fraction(x.get(v, 0)) for v in h.index}}]
-        check_member(h, f, x, mult)
-        return True, {"kind": "validity-proof", "f": f, "multipliers": mult}
+        try:
+            check_member(h, f, x, mult)
+        except CertificateError:
+            pass
+        else:
+            return True, {"kind": "validity-proof", "f": f, "multipliers": mult}
     free = [v for v in h.index if v not in f]
     pos = {v: j for j, v in enumerate(free)}
     pieces = []         # (z, fixing, rows) per nonempty piece; rows (free coeffs, lambda coeff)

@@ -32,8 +32,13 @@ exactly when its complement is), so `verify_web_rank_formulas` ranks
 each antiweb mostly from its web's answers.  A cached answer still
 checks the deadline, and a deletion set other than the one found is a
 graph the cache lacks, so the closing perfection check stays a real
-search.  `recheck` never reads the cache: it runs its own searches in
-reversed scan order, independent of these.
+search.  `recheck` never reads the cache.  It proves G - F perfect by
+`graphs.is_perfect`: a chordality test of G - F and of its complement
+first (a chordal graph and its complement are perfect), which settles
+most certificates of the web and antiweb table, else its own odd-hole
+searches in reversed scan order.  The search here keeps its odd-hole
+route: most graphs it meets have an odd hole, which that route finds
+fast, so a chordality test first costs more than it saves.
 
 Everything reported carries a machine-checkable certificate; the
 verify_* suites compare computed values against the closed-form ranks
@@ -111,7 +116,8 @@ class GraphRankResult:
     certificate pool from the exhausted hitting-set search at size
     rank-1 (every smaller deletion set misses one of them; when
     `anchored` is set the pool refutes the sets containing node 1,
-    which covers everything by rotation).
+    which covers everything by rotation).  The certificate leaves
+    `anchored` out: `recheck` computes it from the graph.
     """
 
     rank: int
@@ -125,7 +131,6 @@ class GraphRankResult:
             "graph": to_json_dict(g),
             "rank": self.rank,
             "deletion_set": list(self.deletion_set),
-            "anchored": self.anchored,
             "pool": [{"type": kind, "nodes": list(nodes)}
                      for kind, nodes in self.lower_bound_witnesses],
         }

@@ -1,11 +1,13 @@
 """Independent re-verification of archived certificates, with no solver.
 
-The trusted base is `fractions`, the graph reader and odd-hole search of
-`graphs`, and the row classes of `polyhedra`; neither the simplex, the
-lift-and-project oracles nor the rank searches (which import
-`hitting_set` from here) are imported.  A graph rank is re-checked by
-the odd-hole search in reversed scan order and by adjacency counts, every
-other claim by rational arithmetic, one function per claim.
+The trusted base is `fractions`, the graph reader, chordality test,
+odd-hole search and rotation test of `graphs`, and the row classes of
+`polyhedra`; neither the simplex, the lift-and-project oracles nor the
+rank searches (which import `hitting_set` from here) are imported.  A
+graph rank is re-checked by `graphs.is_perfect` (a chordality test of
+G - F and of its complement, else the odd-hole search in reversed scan
+order), by adjacency counts and by `hitting_set`, every other claim by
+rational arithmetic, one function per claim.
 
 A `graph-rank` certificate means what it says through one lemma:
 P_F(QSTAB(G)) = STAB(G) exactly when G - F is perfect.  If G - F is
@@ -15,9 +17,12 @@ antihole H (strong perfect graph theorem); the point 1_H/omega(H) lies
 in QSTAB(G) and in the piece z = 0, and violates x(H) <= alpha(H), as
 |H| = alpha(H) omega(H) + 1.  So a perfect G - F with |F| = rank is the
 upper bound, and each pool hole refutes every F that misses it.  The
-perfection and each pool hole are checked here, pool coverage (the
-lower bound) not yet: on the `verify web-formulas --ks 2,...,7 --nmax
-25` report, `hitting_set` over the pools adds 45 ms to a 180 ms recheck.
+lower bound is that no F of size rank - 1 meets every pool hole
+(`hitting_set`).  When rotation is an automorphism of G
+(`graphs.is_circulant`, computed here, as the search's anchoring rule)
+the F holding node 1 stand for all: F rotated to hold node 1 misses a
+pool hole, so F misses that hole rotated back, an odd hole or antihole
+of G as well.
 
 An `ineq-rank` certificate pins both bounds.  Its witness pieces are the
 upper bound.  A violating point that is 0/1 on F lies in P_F(h), so it
@@ -51,6 +56,7 @@ from .graphs import (
     complement,
     delete_nodes,
     from_json_dict,
+    is_circulant,
     is_odd_hole,
     is_perfect,
 )
@@ -177,18 +183,33 @@ def _known(nodes: set, labels, where: str) -> None:
 def _graph_rank(cert, piece_cap, deadline):
     g = from_json_dict(cert["graph"])
     hole_in = {"odd-hole": g, "odd-antihole": complement(g)}
-    f, pool, nodes = cert["deletion_set"], cert["pool"], set(g.nodes)
+    f, pool, rank, nodes = cert["deletion_set"], cert["pool"], cert["rank"], set(g.nodes)
     _known(nodes, f, "deletion_set")
     _require(is_perfect(delete_nodes(g, f) if f else g, deadline, reverse=True),
              "perfection failed: reversed-order odd hole search")
+    masks = []
     for i, c in enumerate(pool):
         _require(isinstance(c, dict) and c.get("type") in hole_in,
                  f"pool[{i}] is not an odd-hole or odd-antihole object")
         _known(nodes, c["nodes"], f"pool[{i}]")
         _require(is_odd_hole(hole_in[c["type"]], c["nodes"]),
                  f"pool[{i}] ({c['type']}) failed: adjacency re-count")
-    _require(len(f) == cert["rank"], f"|deletion_set| = {len(f)} but rank = {cert['rank']}")
-    return f"perfection + {len(pool)} pool holes"
+        masks.append(sum(1 << g._pos[v] for v in set(c["nodes"])))
+    _require(len(f) == rank, f"|deletion_set| = {len(f)} but rank = {rank}")
+    return f"perfection + {len(pool)} pool holes" + _covered(
+        masks, rank, rank > 1 and is_circulant(g), g.nodes, "every pool hole", deadline)
+
+
+def _covered(masks: list, rank: int, anchored: bool, labels, what: str, deadline) -> str:
+    """The lower bound of a rank: no F of size rank - 1 (holding labels[0]
+    when anchored) meets every mask, a set of positions in labels.
+    Returns the detail's coverage clause."""
+    if not rank:
+        return ""
+    f = hitting_set(masks, rank - 1, 1 if anchored else 0, deadline=deadline)
+    if f is not None:
+        raise CertificateError(f"coverage failed: F={[labels[i] for i in _bits(f)]} meets {what}")
+    return f" covering every F of size {rank - 1}" + (f" holding {labels[0]}" if anchored else "")
 
 
 def hitting_set(masks: list, size: int, seed: int = 0, refute=None, deadline=None):
@@ -226,14 +247,9 @@ def _ineq_rank(cert, piece_cap, deadline):
         pt = _step(f"violations[{i}]", check_point, h, v["f"], v["point"], row)
         supports.append(sum(bit.get(u, 0) for u, x in pt.items() if x not in (0, 1)))
     _require(len(wf) == rank, f"|witness_f| = {len(wf)} but rank = {rank}")
-    anchored = rank > 1 and rotation_invariant(row, h)
-    f = (hitting_set(supports, rank - 1, 1 if anchored else 0, deadline=deadline)
-         if rank else None)
-    if f is not None:
-        raise CertificateError(f"coverage failed: F={[h.index[i] for i in _bits(f)]} "
-                               "meets the fractional support of every violation")
-    cover = f" covering every F of size {rank - 1}" + (f" holding {h.index[0]}" if anchored else "")
-    return f"witness pieces + {len(violations)} violations" + (cover if rank else "")
+    return f"witness pieces + {len(violations)} violations" + _covered(
+        supports, rank, rank > 1 and rotation_invariant(row, h), h.index,
+        "the fractional support of every violation", deadline)
 
 
 def _validity(cert, piece_cap, deadline):

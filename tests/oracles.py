@@ -284,6 +284,15 @@ def is_hole_by_pairs(g: Graph, nodes) -> bool:
     return len(seen) == len(nodes)
 
 
+def chordless_cycles(g: Graph, min_len: int = 4):
+    """Every node set of at least min_len nodes that induces a cycle, by
+    trying each subset with `is_hole_by_pairs` (2^n of them: keep n small)."""
+    for size in range(min_len, g.n + 1):
+        for nodes in combinations(g.nodes, size):
+            if is_hole_by_pairs(g, nodes):
+                yield nodes
+
+
 # ---------------------------------------------------------------------------
 # the constructive odd-hole claim behind the web rank theorem
 

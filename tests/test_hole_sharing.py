@@ -5,8 +5,10 @@ search (`rank._HOLES`) for the next search when that one runs on the
 same graph or on its complement: G - F of an antiweb is the complement
 of G - F of its web.  The tests compare it with the search that shares
 nothing (`oracles.disjunctive_rank_graph_uncached`), and check that the
-shared answers outlive no pair, that `recheck` does not read them, and
-that they skip neither the deadline nor the closing perfection check.
+shared answers outlive no pair, that `recheck` does not read them (it
+runs its own reversed searches, or none when G - F or its complement is
+chordal), and that they skip neither the deadline nor the closing
+perfection check.
 """
 
 import random
@@ -19,7 +21,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from webrank import graphs, rank
-from webrank.graphs import Graph, SearchTimeout, complement, delete_nodes, web
+from webrank.graphs import Graph, SearchTimeout, complement, delete_nodes, is_chordal, web
 from webrank.rank import disjunctive_rank_graph
 from webrank.recheck import recheck_certificate
 
@@ -101,12 +103,52 @@ def test_an_antiweb_ranked_after_its_web_reuses_answers(empty_cache, counted_hol
     assert 0 < len(counted_holes) < fresh
 
 
-def test_recheck_runs_its_own_reversed_searches(counted_holes):
-    g = web(10, 2)
+class _WatchedDict(dict):
+    """A dict that records every key looked up in it."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.reads = []
+
+    def __getitem__(self, key):
+        self.reads.append(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.reads.append(key)
+        return super().get(key, default)
+
+    def __contains__(self, key):
+        self.reads.append(key)
+        return super().__contains__(key)
+
+
+def test_recheck_runs_its_own_reversed_searches(monkeypatch, counted_holes):
+    """W_10^3 minus its deletion set {1, 2} is neither chordal nor
+    co-chordal, so `recheck` proves it perfect by the two reversed
+    odd-hole searches, and reads none of the search's shared answers."""
+    g = web(10, 3)
     cert = disjunctive_rank_graph(g).to_json(g)
+    rest = delete_nodes(g, cert["deletion_set"])
+    assert cert["deletion_set"] == [1, 2]
+    assert not is_chordal(rest) and not is_chordal(complement(rest))
+    watched = _WatchedDict(rank._HOLES)
+    monkeypatch.setattr(rank, "_HOLES", watched)
     counted_holes.clear()
     assert recheck_certificate(cert)[0]
-    assert [rev for _, rev in counted_holes] == [True, True]
+    assert counted_holes == [(rest, True), (complement(rest), True)]
+    assert watched.reads == []
+
+
+def test_recheck_proves_a_chordal_g_minus_f_with_no_odd_hole_search(counted_holes):
+    """W_10^2 minus its deletion set {1, 2} is chordal, so `is_perfect`
+    answers from the chordality test and runs no odd-hole search."""
+    g = web(10, 2)
+    cert = disjunctive_rank_graph(g).to_json(g)
+    assert cert["deletion_set"] == [1, 2] and is_chordal(delete_nodes(g, (1, 2)))
+    counted_holes.clear()
+    assert recheck_certificate(cert)[0]
+    assert counted_holes == []
 
 
 def test_cached_answers_still_meet_the_deadline(empty_cache, counted_holes):

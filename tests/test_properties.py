@@ -1,5 +1,6 @@
 """Property tests: the row-rank coverage check, the rotation symmetry that
-anchors a row-rank search, and the facets of the STAB hull.
+anchors a row-rank search, the facets of the STAB hull and the
+chordality test.
 
 `recheck.hitting_set` decides the lower bound of a row rank; on seeded
 random set families it agrees with the brute-force `pool_refutes_all` of
@@ -9,6 +10,9 @@ most 12 nodes, and fails on join hosts and on one-interval rows with
 T != V.  Every facet that `convex_hull_facets` finds for a random graph
 on at most 8 nodes is valid on each stable set and tight on n affinely
 independent ones, both counted by enumeration in tests/oracles.py.
+`graphs.is_chordal` accepts a graph on at most 10 nodes exactly when it
+has no chordless cycle of length 4 or more (enumerated by subsets), and
+when it accepts a graph or its complement, neither has an odd hole.
 """
 
 from itertools import combinations
@@ -18,8 +22,8 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from webrank.graphs import (Graph, WebId, antiweb, complete_graph, cycle_graph,
-                            parse_graph_spec, web)
+from webrank.graphs import (Graph, WebId, antiweb, complement, complete_graph, cycle_graph,
+                            is_chordal, parse_graph_spec, web)
 from webrank.inequalities import (
     enumerate_one_interval_sets,
     join_blocks_of,
@@ -30,7 +34,8 @@ from webrank.inequalities import (
 from webrank.polyhedra import convex_hull_facets, qstab, rotation_invariant, stab
 from webrank.recheck import hitting_set
 
-from oracles import pool_refutes_all, rank_by_fractions, stable_sets_by_subsets
+from oracles import (chordless_cycles, find_induced_odd_hole_by_generators, pool_refutes_all,
+                     rank_by_fractions, stable_sets_by_subsets)
 
 
 @st.composite
@@ -112,3 +117,27 @@ def test_hull_facets_are_valid_and_tight_on_n_independent_stable_sets(g):
         tight = [p for p, value in zip(points, values) if value == row.rhs]
         diffs = [[x - y for x, y in zip(p, tight[0])] for p in tight[1:]]
         assert rank_by_fractions(diffs) == g.n - 1, row
+
+
+@st.composite
+def graphs_up_to_10(draw):
+    """A graph on at most 10 nodes: random edges, or the overlaps of random
+    intervals (an interval graph, which is chordal)."""
+    nodes = range(1, draw(st.integers(1, 10)) + 1)
+    pairs = list(combinations(nodes, 2))
+    if draw(st.booleans()):
+        keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        return Graph(nodes, [e for e, k in zip(pairs, keep) if k])
+    ends = [sorted(draw(st.tuples(st.integers(0, 12), st.integers(0, 12)))) for _ in nodes]
+    return Graph(nodes, [(u, v) for u, v in pairs
+                         if ends[u - 1][0] <= ends[v - 1][1] and ends[v - 1][0] <= ends[u - 1][1]])
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(graphs_up_to_10())
+def test_chordal_exactly_without_a_long_chordless_cycle(g):
+    co = complement(g)
+    assert is_chordal(g) == (next(chordless_cycles(g), None) is None)
+    if is_chordal(g) or is_chordal(co):
+        assert find_induced_odd_hole_by_generators(g) is None
+        assert find_induced_odd_hole_by_generators(co) is None

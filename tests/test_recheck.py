@@ -9,7 +9,10 @@ flipped, all of them halved, all of them dropped, the record dropped)
 makes `recheck` fail the certificate.  A row-rank certificate must also
 pin its lower bound: a raised or lowered rank fails, and a dropped
 violation or a swapped point fails exactly when the brute-force coverage
-oracle finds an F of size rank-1 left unrefuted.
+oracle finds an F of size rank-1 left unrefuted.  So must a graph-rank
+certificate: a raised or lowered rank fails, and so does a pool with one
+hole dropped exactly when that oracle finds an F of size rank-1 that
+meets every hole left.
 """
 
 import ast
@@ -27,12 +30,13 @@ from hypothesis import given, settings, strategies as st
 
 import webrank
 from webrank.cli import main
-from webrank.graphs import AntiwebId, CertificateError, Graph, SearchTimeout, parse_graph_spec
+from webrank.graphs import (AntiwebId, CertificateError, Graph, SearchTimeout, delete_nodes,
+                            is_circulant, parse_graph_spec)
 from webrank.inequalities import antiweb_constraint, join_blocks_of, joined_inequality
 from webrank.liftproject import disjunctive_valid, piece_max, piece_systems
 from webrank.polyhedra import (HPolytope, LinearInequality, frac, nonneg_row, qstab,
                                rotation_invariant)
-from webrank.rank import disjunctive_rank_inequality
+from webrank.rank import disjunctive_rank_graph, disjunctive_rank_inequality
 from webrank.recheck import (_piece_bound, _system, check_pieces, check_point,
                              hitting_set, recheck_certificate, recheck_report)
 from webrank.reporting import dumps
@@ -172,6 +176,62 @@ def test_every_mutation_of_a_row_rank_fails(spec, family):
                    for v in cert["violations"]]
         ok, detail = recheck_certificate({**cert, "violations": swapped})
         assert not ok and detail.startswith("coverage failed: F=[1]")
+
+
+def _graph_certificate(spec, drop=()):
+    g = parse_graph_spec(spec)
+    g = delete_nodes(g, drop) if drop else g
+    return g, json.loads(dumps(disjunctive_rank_graph(g).to_json(g)))
+
+
+def test_an_inflated_graph_rank_with_an_empty_pool_fails(tmp_path, capsys):
+    """The `rank graph W:10:2 --cert` certificate with node 3 appended to
+    its deletion set, rank 3 and an empty pool: W_10^2 minus {1, 2, 3} is
+    still perfect and |F| = rank, so only the lower bound is wrong, and
+    `recheck` exits 1 at the coverage step."""
+    path = tmp_path / "w102.json"
+    assert main(["rank", "graph", "W:10:2", "--cert", str(path)]) == 0
+    report = json.loads(path.read_text())
+    cert = report["entries"][0]["certificate"]
+    assert (cert["rank"], cert["deletion_set"], len(cert["pool"])) == (2, [1, 2], 2)
+    cert.update(deletion_set=[1, 2, 3], rank=3, pool=[])
+    path.write_text(json.dumps(report))
+    capsys.readouterr()
+    assert main(["recheck", str(path)]) == 1
+    assert "coverage failed: F=[1] meets every pool hole" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("spec, drop", [("W:10:2", ()), ("W:13:3", ()), ("A:13:4", ()),
+                                        ("W:14:3", (4,)), ("W:16:3", (2, 9)),
+                                        ("join:C:5,C:7", ())])
+def test_every_mutation_of_a_graph_rank_fails(spec, drop):
+    """Raising or lowering the rank fails, with or without the deletion
+    set changed to match.  Dropping one pool hole fails exactly when the
+    rest leave some F of size rank-1 unrefuted (by the brute-force
+    oracle, over the F holding node 1 when rotation is an automorphism),
+    and for some hole it does."""
+    g, cert = _graph_certificate(spec, drop)
+    anchor = g.nodes[0] if is_circulant(g) else None
+    assert recheck_certificate(cert)[0] and (anchor is not None) == (spec[0] in "WA" and not drop)
+    rank, f = cert["rank"], cert["deletion_set"]
+    assert rank >= 2
+    for delta in (1, -1):
+        assert not recheck_certificate({**cert, "rank": rank + delta})[0]
+    extra = next(v for v in g.nodes if v not in f)
+    ok, detail = recheck_certificate({**cert, "rank": rank + 1, "deletion_set": [*f, extra]})
+    assert not ok and detail.startswith("coverage failed")
+    ok, detail = recheck_certificate({**cert, "rank": rank - 1, "deletion_set": f[:-1]})
+    assert not ok and detail.startswith("perfection failed")
+
+    failed = 0
+    for i in range(len(cert["pool"])):
+        kept = cert["pool"][:i] + cert["pool"][i + 1:]
+        ok, detail = recheck_certificate({**cert, "pool": kept})
+        pool = [(c["type"], c["nodes"]) for c in kept]
+        assert ok == pool_refutes_all(g, pool, rank - 1, anchor)
+        assert ok or detail.startswith("coverage failed")
+        failed += not ok
+    assert failed
 
 
 def test_a_past_deadline_stops_the_coverage_search():
