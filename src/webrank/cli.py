@@ -11,17 +11,13 @@ render the same exact values.  Caps (exit 2 when hit): --hull-bound on
 the hull dimension, which is also the node count whose stable sets a
 hull enumerates; --piece-cap on |F| in every piece scan, lp --operator
 disjunctive and the piece checks of recheck included; --depth-cap on
-the N depth; --time-budget in seconds for the graph-rank searches, the
-piece LPs of rank ineq, verify rdfar and verify join, the N lift LPs of
-rank --operator N and lp --operator N, the membership LPs of lp --member
-and verify rdfar, the hulls of hull, verify w2 and rank graph --operator
-N (checked once per double description insertion), each objective of
-verify operators, the LP and the pieces of lp (plain and --operator
-disjunctive), and each certificate of recheck.  A subcommand takes
-only the shared options it reads.  rank --cert needs a route that
-builds a certificate: --cert with --operator N is an input error.  A
-max over STAB without a hull (alpha, the row-rank check against STAB,
-the sandwich) is a stable set search and has no cap.
+the N depth.  --time-budget gives the run that many seconds: every
+search and every LP checks it.  A subcommand takes only the shared
+options it reads, and `main` sets them as `graphs.LIMITS` for the run.
+rank --cert needs a route that builds a certificate: --cert with
+--operator N is an input error.  A max over STAB without a hull (alpha,
+the row-rank check against STAB, the sandwich) is a stable set search,
+with no cap and no budget check of its own.
 
     webrank generate W:8:2 --out w82
     webrank rank graph W:9:2 --operator disjunctive
@@ -42,11 +38,15 @@ import time
 from functools import cache
 
 from .graphs import (
+    DEPTH_CAP,
+    HULL_BOUND,
+    PIECE_CAP,
     AntiwebId,
     ResourceCapExceeded,
     SearchTimeout,
     WebId,
     as_nodeset,
+    limits,
     parse_graph_spec,
     to_dimacs,
     to_json_dict,
@@ -61,15 +61,12 @@ from .inequalities import (
     tag_inequality,
 )
 from .liftproject import (
-    DEPTH_CAP,
-    PIECE_CAP,
     disjunctive_member,
     n_operator_max,
     piece_max,
     piece_systems,
 )
 from .polyhedra import (
-    HULL_BOUND,
     convex_hull_facets,
     frac,
     lp_max,
@@ -175,14 +172,13 @@ def cmd_rank(args) -> int:
     g = parse_graph_spec(args.spec)
     if args.target == "graph":
         if args.operator == "disjunctive":
-            res = disjunctive_rank_graph(g, deadline=args.deadline)
+            res = disjunctive_rank_graph(g)
             cert = res.to_json(g)
             result = {"target": args.spec, "operator": "disjunctive",
                       "route": "combinatorial", "rank": res.rank,
                       "deletion_set": list(res.deletion_set)}
         else:
-            r = n_rank_graph_upto(g, args.rmax, args.hull_bound, args.depth_cap,
-                                  args.deadline)
+            r = n_rank_graph_upto(g, args.rmax)
             if r is None:
                 print(f"N-rank of {args.spec} exceeds rmax={args.rmax} "
                       f"(lower bound {args.rmax + 1}); raise --rmax/--depth-cap")
@@ -192,14 +188,13 @@ def cmd_rank(args) -> int:
         row = _build_row(args.family, g)
         h = qstab(g)
         if args.operator == "disjunctive":
-            res = disjunctive_rank_inequality(row, h, args.piece_cap,
-                                              deadline=args.deadline)
+            res = disjunctive_rank_inequality(row, h)
             cert = res.to_json(row, h)
             result = {"target": args.spec, "family": args.family,
                       "operator": "disjunctive", "rank": res.rank,
                       "witness_f": list(res.witness_f)}
         else:
-            r = n_rank_inequality_upto(row, h, args.rmax, args.depth_cap, args.deadline)
+            r = n_rank_inequality_upto(row, h, args.rmax)
             if r is None:
                 print(f"N-rank of the row exceeds rmax={args.rmax}")
                 return EXIT_CAP
@@ -223,25 +218,22 @@ def cmd_verify(args) -> int:
     if args.suite == "web-formulas":
         rep = verify_web_rank_formulas(
             ks=_parse_range(args.ks), n_max=nmax,
-            complements=not args.no_complements, deadline=args.deadline)
+            complements=not args.no_complements)
     elif args.suite == "rdfar":
         rep = Report("rdfar", {"nmax": nmax})
         from math import gcd
         for n in range(4, nmax + 1):
             for k in range(2, n // 2 + 1):
                 if gcd(n, k) == 1:
-                    sub = verify_rdfar(AntiwebId(n, k), args.piece_cap, args.deadline)
+                    sub = verify_rdfar(AntiwebId(n, k))
                     rep.entries.extend(sub.entries)
     elif args.suite == "w2":
-        rep = verify_w2_description(_parse_range(args.n_values), args.hull_bound,
-                                    args.deadline)
+        rep = verify_w2_description(_parse_range(args.n_values))
     elif args.suite == "join":
         host = parse_graph_spec(args.spec)
-        rep = verify_join_bound(join_blocks_of(host), args.piece_cap,
-                                deadline=args.deadline)
+        rep = verify_join_bound(join_blocks_of(host))
     elif args.suite == "operators":
-        rep = verify_operator_sandwich(nmax, args.objectives, args.seed,
-                                       deadline=args.deadline)
+        rep = verify_operator_sandwich(nmax, args.objectives, args.seed)
     else:
         raise ValueError(f"unknown suite {args.suite!r}")
     return _emit(rep, args)
@@ -250,13 +242,13 @@ def cmd_verify(args) -> int:
 def cmd_recheck(args) -> int:
     with open(args.path) as fh:
         data = json.load(fh)
-    rep = recheck_report(data, args.piece_cap, args.deadline)
+    rep = recheck_report(data)
     return _emit(rep, args)
 
 
 def cmd_hull(args) -> int:
     g = parse_graph_spec(args.spec)
-    facets = convex_hull_facets(stab(g, args.hull_bound), args.hull_bound, args.deadline)
+    facets = convex_hull_facets(stab(g))
     rows = [{**f.to_json(), "tag": tag_inequality(g, f)} for f in facets]
     if args.fmt == "json":
         print(dumps({"graph": args.spec, "facets": rows}))
@@ -290,8 +282,7 @@ def cmd_lp(args) -> int:
         raise ValueError(f"--f names {unknown}, not nodes of {args.spec}")
     if args.member:
         point = _parse_point(args.member, h.index)
-        member, cert = disjunctive_member(point, h, f, args.piece_cap,
-                                          deadline=args.deadline)
+        member, cert = disjunctive_member(point, h, f)
         payload = {"graph": args.spec, "relaxation": args.relaxation,
                    "f": f, "member": member, "certificate": cert}
         if args.fmt == "json":
@@ -309,13 +300,13 @@ def cmd_lp(args) -> int:
     else:
         obj = {v: 1 for v in h.index}
     if args.operator == "N":
-        out = n_operator_max(obj, h, args.depth, args.depth_cap, deadline=args.deadline)
+        out = n_operator_max(obj, h, args.depth)
         over = f"N^{args.depth}({args.relaxation}({args.spec}))"
     elif args.operator == "disjunctive":
-        out = piece_max(piece_systems(h, f, args.piece_cap), obj, deadline=args.deadline)
+        out = piece_max(piece_systems(h, f), obj)
         over = f"P_F({args.relaxation}({args.spec})), F={list(f)}"
     else:
-        out = lp_max(h, obj, args.deadline)
+        out = lp_max(h, obj)
         over = f"{args.relaxation}({args.spec})"
     if args.fmt == "json":
         print(dumps({"graph": args.spec, "relaxation": args.relaxation,
@@ -395,12 +386,16 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:       # argparse exits 2 on a usage error, 0 after --help
         return EXIT_INPUT if exc.code == 2 else exc.code
-    budget = getattr(args, "time_budget", None)
-    args.deadline = None if budget is None else time.monotonic() + budget
+    # the limits the subcommand reads, set for its run and restored after
+    run = {name: getattr(args, name) for name in ("piece_cap", "hull_bound", "depth_cap")
+           if hasattr(args, name)}
+    if getattr(args, "time_budget", None) is not None:
+        run["deadline"] = time.monotonic() + args.time_budget
     handlers = {"generate": cmd_generate, "rank": cmd_rank, "verify": cmd_verify,
                 "recheck": cmd_recheck, "hull": cmd_hull, "lp": cmd_lp}
     try:
-        return handlers[args.command](args)
+        with limits(**run):
+            return handlers[args.command](args)
     except ResourceCapExceeded as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_CAP

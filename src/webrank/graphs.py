@@ -6,14 +6,16 @@ antiweb A_n^k is the complement of W_n^{k-1}.  Node labels are 1-based
 and survive deletions, so certificates can always point back at the
 original circular positions.
 
-Everything here is pure and immutable; search routines accept an
-optional deadline (time.monotonic() value) and raise SearchTimeout when
-they run past it.
+Everything here is pure and immutable but `LIMITS`, the limits of a
+run: a deadline (a time.monotonic() value or None) and the caps.  Each
+check reads it where it is made, `limits(...)` sets it for a block, and
+past the deadline a search or an LP raises SearchTimeout.
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -21,7 +23,7 @@ from math import gcd, lcm
 
 
 class SearchTimeout(Exception):
-    """A combinatorial search ran past its deadline."""
+    """A search or an LP ran past the deadline of LIMITS."""
 
 
 class ResourceCapExceeded(ValueError):
@@ -32,9 +34,60 @@ class CertificateError(RuntimeError):
     """A certificate failed its exact check; the message names the step."""
 
 
-def _check_deadline(deadline):
+HULL_BOUND = 12     # cap on the hull dimension, and so on the nodes behind STAB
+PIECE_CAP = 12      # cap on |F| in a piece scan; pieces number 2^|F|
+DEPTH_CAP = 2       # N iterations; lift size grows as (2n)^(r-1) matrices
+
+
+@dataclass(slots=True)
+class Limits:
+    """The limits of a run: a deadline (a time.monotonic() value, or None
+    for none) and the caps, each one a CLI option."""
+
+    deadline: float | None = None
+    piece_cap: int = PIECE_CAP
+    hull_bound: int = HULL_BOUND
+    depth_cap: int = DEPTH_CAP
+
+
+LIMITS = Limits()       # the one instance, which every check reads
+
+
+@contextmanager
+def limits(**values):
+    """Set fields of LIMITS for the block, restored when it ends however
+    it ends; an unknown field raises AttributeError."""
+    saved = {name: getattr(LIMITS, name) for name in values}
+    try:
+        for name, value in values.items():
+            setattr(LIMITS, name, value)
+        yield
+    finally:
+        for name, value in saved.items():
+            setattr(LIMITS, name, value)
+
+
+def _check_deadline(what="search"):
+    deadline = LIMITS.deadline
     if deadline is not None and time.monotonic() > deadline:
-        raise SearchTimeout("search deadline exceeded")
+        raise SearchTimeout(f"{what} deadline exceeded")
+
+
+def _check_piece_cap(f):
+    if len(f) > LIMITS.piece_cap:
+        raise ResourceCapExceeded(f"piece cap exceeded: |F|={len(f)} > {LIMITS.piece_cap} "
+                                  f"(2^|F| pieces)")
+
+
+def _check_hull_bound(n: int):
+    if n > LIMITS.hull_bound:
+        raise ResourceCapExceeded(f"hull bound exceeded: dim={n} > {LIMITS.hull_bound} "
+                                  "(raise --hull-bound)")
+
+
+def _check_depth_cap(depth: int):
+    if depth > LIMITS.depth_cap:
+        raise ResourceCapExceeded(f"N depth cap exceeded: r={depth} > {LIMITS.depth_cap}")
 
 
 def mod1(x: int, n: int) -> int:
@@ -413,7 +466,7 @@ def max_weight_stable_set(g: Graph, weights: dict) -> tuple:
 # ---------------------------------------------------------------------------
 # odd holes and perfection
 
-def find_induced_odd_hole(g: Graph, deadline=None, reverse=False):
+def find_induced_odd_hole(g: Graph, reverse=False):
     """A chordless odd cycle of length >= 5, or None.
 
     DFS over chordless path extensions: the path's interior may not touch
@@ -422,7 +475,7 @@ def find_induced_odd_hole(g: Graph, deadline=None, reverse=False):
     `reverse` flips the deterministic scan order (used by `recheck` as an
     independent search path).
     """
-    _check_deadline(deadline)
+    _check_deadline()
     adj = g._adj
     n = g.n
     steps = 0
@@ -434,7 +487,7 @@ def find_induced_odd_hole(g: Graph, deadline=None, reverse=False):
         nonlocal steps
         steps += 1
         if steps % 2048 == 0:
-            _check_deadline(deadline)
+            _check_deadline()
         reach = mid_ok & adj[last]
         if length >= 4 and length % 2 == 0:     # closing at w: odd, >= 5 nodes
             close = reach & nb_b & above_p1      # the lowest w > p1
@@ -519,17 +572,17 @@ def is_chordal(g: Graph) -> bool:
     return True
 
 
-def is_perfect(g: Graph, deadline=None, reverse=False) -> bool:
+def is_perfect(g: Graph, reverse=False) -> bool:
     """A chordal graph is perfect (Dirac 1961, Berge), and so is its
     complement (Lovász 1972), so `is_chordal` of g or of its complement
     answers first.  Otherwise the Strong Perfect Graph Theorem route: no
     induced odd hole in g or its complement."""
-    _check_deadline(deadline)
+    _check_deadline()
     co = complement(g)
     if is_chordal(g) or is_chordal(co):
         return True
-    return (find_induced_odd_hole(g, deadline, reverse) is None
-            and find_induced_odd_hole(co, deadline, reverse) is None)
+    return (find_induced_odd_hole(g, reverse) is None
+            and find_induced_odd_hole(co, reverse) is None)
 
 
 # ---------------------------------------------------------------------------

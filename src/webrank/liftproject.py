@@ -36,18 +36,17 @@ from fractions import Fraction
 from functools import partial
 from itertools import product
 
-from .graphs import CertificateError, ResourceCapExceeded, _check_deadline, as_nodeset
-from .polyhedra import PIECE_CAP, HPolytope, LinearInequality, LPOutcome, _check_piece_cap
+from .graphs import (CertificateError, _check_deadline, _check_depth_cap, _check_piece_cap,
+                     as_nodeset)
+from .polyhedra import HPolytope, LinearInequality, LPOutcome
 from .recheck import check_member, check_point, check_separating
 from .simplex import LinearProgram, Primal
 
-DEPTH_CAP = 2       # N iterations; lift size grows as (2n)^(r-1) matrices
 
-
-def _pieces(f, piece_cap):
+def _pieces(f):
     """(z, fixing) for each piece of F, z in lexicographic order, after
     the piece cap check: the one enumeration of the pieces."""
-    _check_piece_cap(f, piece_cap)
+    _check_piece_cap(f)
     for z in product((0, 1), repeat=len(f)):
         yield z, dict(zip(f, z))
 
@@ -100,9 +99,8 @@ class PieceSystem:
         for _, coeffs, rhs in rows:
             self._lp.add_le(coeffs, rhs)
 
-    def maximize(self, objective: dict, deadline=None) -> LPOutcome:
-        """The max over the piece; its point is built on the first read.
-        A deadline passed mid-solve raises SearchTimeout."""
+    def maximize(self, objective: dict) -> LPOutcome:
+        """The max over the piece; its point is built on the first read."""
         if self.empty:
             return LPOutcome(status="infeasible")
         shift = sum((objective.get(v, 0) * z for v, z in self.fixing.items() if z),
@@ -111,7 +109,7 @@ class PieceSystem:
             return LPOutcome(status="optimal", value=shift,
                              point=_piece_point(self.fixing, self.free, None))
         obj = {i: c for i, v in enumerate(self.free) if (c := objective.get(v))}
-        res = self._last = self._lp.maximize(obj, deadline)
+        res = self._last = self._lp.maximize(obj)
         if res.status == "infeasible":
             return LPOutcome(status="infeasible")
         if res.status == "unbounded":
@@ -141,33 +139,31 @@ def _piece_point(fixing: dict, free: list, primal) -> dict:
     return point
 
 
-def piece_systems(h: HPolytope, f, piece_cap: int = PIECE_CAP) -> list:
+def piece_systems(h: HPolytope, f) -> list:
     """The PieceSystem of each piece of F, in lexicographic z order."""
-    return [PieceSystem(h, fixing) for _, fixing in _pieces(as_nodeset(f), piece_cap)]
+    return [PieceSystem(h, fixing) for _, fixing in _pieces(as_nodeset(f))]
 
 
-def piece_lp_max(h: HPolytope, objective: dict, fixing: dict, *,
-                 deadline=None) -> LPOutcome:
+def piece_lp_max(h: HPolytope, objective: dict, fixing: dict) -> LPOutcome:
     """Exact max of objective over h n {x_i = z_i for i in fixing}, solved
     from scratch, its duals the piece's multipliers (a dict, see
     `PieceSystem.multipliers`)."""
     sys_ = PieceSystem(h, fixing)
-    out = sys_.maximize(objective, deadline)
+    out = sys_.maximize(objective)
     out.duals = sys_.multipliers()
     return out
 
 
-def piece_max(systems, objective: dict, stop=None, deadline=None) -> LPOutcome:
+def piece_max(systems, objective: dict, stop=None) -> LPOutcome:
     """Best optimal outcome over the piece systems, the first one winning
     a tie; infeasible when every piece is empty.  With `stop` the scan
     ends at the first piece whose value reaches it, and that piece's
-    outcome (value >= stop) is returned.  Past the deadline (a
-    time.monotonic() value, checked once per piece, as a piece with
-    every coordinate fixed runs no LP) it raises SearchTimeout."""
+    outcome (value >= stop) is returned.  Each piece checks the deadline,
+    as a piece with every coordinate fixed runs no LP."""
     best = None
     for sys_ in systems:
-        _check_deadline(deadline)
-        out = sys_.maximize(objective, deadline)
+        _check_deadline()
+        out = sys_.maximize(objective)
         if out.status == "optimal" and (best is None or out.value > best.value):
             best = out
             if stop is not None and best.value >= stop:
@@ -201,20 +197,18 @@ def min_piece_max(pieces, objective: dict, known: LPOutcome | None = None):
     return low
 
 
-def disjunctive_valid(ineq: LinearInequality, h: HPolytope, f,
-                      piece_cap: int = PIECE_CAP, deadline=None):
+def disjunctive_valid(ineq: LinearInequality, h: HPolytope, f):
     """Is a.x <= b valid for P_F(h)?  Returns (bool, certificate).
 
     Valid over a convex hull of pieces iff valid on every feasible
     piece; infeasible pieces are vacuous.  Pieces are scanned in
     lexicographic z order with early exit on the first violation; each
-    record carries the multipliers y that prove it.  Past the deadline
-    (a time.monotonic() value) a piece solve raises SearchTimeout.
+    record carries the multipliers y that prove it.
     """
     f = as_nodeset(f)
     pieces = []
-    for z, fixing in _pieces(f, piece_cap):
-        out = piece_lp_max(h, ineq.coeffs, fixing, deadline=deadline)
+    for z, fixing in _pieces(f):
+        out = piece_lp_max(h, ineq.coeffs, fixing)
         pieces.append({"z": z, "status": out.status, "value": out.value, "y": out.duals})
         if out.status == "optimal" and out.value > ineq.rhs:
             check_point(h, f, out.point, ineq)
@@ -227,8 +221,7 @@ def disjunctive_valid(ineq: LinearInequality, h: HPolytope, f,
     return True, cert
 
 
-def disjunctive_member(x: dict, h: HPolytope, f, piece_cap: int = PIECE_CAP,
-                       deadline=None):
+def disjunctive_member(x: dict, h: HPolytope, f):
     """Is x in P_F(h) = conv of the pieces?  (bool, certificate).
 
     Decided by the disjunctive extended formulation of Balas, Ceria and
@@ -253,14 +246,13 @@ def disjunctive_member(x: dict, h: HPolytope, f, piece_cap: int = PIECE_CAP,
     A yes answer carries the convex multipliers and per-piece points; a
     no answer carries a separating inequality recovered from the Farkas
     certificate and the piece records of its `disjunctive_valid` scan.
-    Both pass their `recheck` checks before they are handed out.
-    Past the deadline (a time.monotonic() value) the short cut or the
-    solve raises SearchTimeout.
+    Both pass their `recheck` checks before they are handed out.  The
+    short cut checks the deadline as the LP does.
     """
     f = as_nodeset(f)
-    _check_piece_cap(f, piece_cap)
+    _check_piece_cap(f)
     if all(x.get(v, 0) in (0, 1) for v in f):
-        _check_deadline(deadline)
+        _check_deadline()
         mult = [{"z": tuple(int(x.get(v, 0)) for v in f), "lambda": Fraction(1),
                  "point": {v: Fraction(x.get(v, 0)) for v in h.index}}]
         try:
@@ -272,14 +264,14 @@ def disjunctive_member(x: dict, h: HPolytope, f, piece_cap: int = PIECE_CAP,
     free = [v for v in h.index if v not in f]
     pos = {v: j for j, v in enumerate(free)}
     pieces = []         # (z, fixing, rows) per nonempty piece; rows (free coeffs, lambda coeff)
-    for z, fixing in _pieces(f, piece_cap):
+    for z, fixing in _pieces(f):
         rows, _ = _fixed_rows(h, fixing, pos)
         if rows is not None:
             pieces.append((z, fixing, [(coeffs, -rhs) for _, coeffs, rhs in rows
                                        if rhs < 0 or any(c > 0 for c in coeffs.values())]))
     if not pieces:
         sep = LinearInequality({}, -1, tag="separating")
-        return _non_member(sep, h, f, x, piece_cap, deadline)
+        return _non_member(sep, h, f, x)
     # variable layout: y^p (one per free coordinate each), then lambda_p
     n = len(free)
     lam0 = len(pieces) * n
@@ -300,7 +292,7 @@ def disjunctive_member(x: dict, h: HPolytope, f, piece_cap: int = PIECE_CAP,
         lp.add_eq(row, Fraction(x.get(v, 0)))
     convex_row = len(lp.rows)
     lp.add_eq({lam0 + p: 1 for p in range(len(pieces))}, 1)
-    res = lp.solve(None, deadline=deadline)
+    res = lp.solve(None)
     if res.status == "optimal":
         mult = []
         for p, (z, fixing, _) in enumerate(pieces):
@@ -315,14 +307,14 @@ def disjunctive_member(x: dict, h: HPolytope, f, piece_cap: int = PIECE_CAP,
         raise RuntimeError(f"membership LP ended {res.status}")
     pi = {v: -res.farkas[coord_rows[j]] for j, v in enumerate(h.index)}
     return _non_member(LinearInequality(pi, res.farkas[convex_row], tag="separating"),
-                       h, f, x, piece_cap, deadline)
+                       h, f, x)
 
 
-def _non_member(sep, h, f, x, piece_cap, deadline):
+def _non_member(sep, h, f, x):
     """The no answer of disjunctive_member, after checks that sep cuts off
     x and is valid for P_F(h), whose piece records it carries."""
     check_separating(sep, x)
-    ok, cert = disjunctive_valid(sep, h, f, piece_cap, deadline)
+    ok, cert = disjunctive_valid(sep, h, f)
     if not ok:
         raise CertificateError(f"separating inequality is violated at {cert['point']}")
     return False, {"kind": "violating-point", "f": f, "point": dict(x),
@@ -360,11 +352,9 @@ class NLiftSystem:
     `maximize` reports optima in the full variable layout.
     """
 
-    def __init__(self, h: HPolytope, depth: int, depth_cap: int = DEPTH_CAP):
+    def __init__(self, h: HPolytope, depth: int):
         if depth < 1:
             raise ValueError("N depth must be >= 1")
-        if depth > depth_cap:
-            raise ResourceCapExceeded(f"N depth cap exceeded: r={depth} > {depth_cap}")
         self.h = h
         self.depth = depth
         self.n = h.dim
@@ -451,13 +441,13 @@ class NLiftSystem:
 
     # -- solving ------------------------------------------------------------
 
-    def maximize(self, objective: dict, deadline=None) -> tuple:
+    def maximize(self, objective: dict) -> tuple:
         """(LPOutcome, raw LPResult) of the max over N^depth(h).  The raw
         result's x is in the full variable layout, 0 on every variable
         the presolve dropped, and built on its first read; its duals
         belong to the presolved rows."""
         obj = {col: c for v, col in self._diag if col is not None and (c := objective.get(v))}
-        res = self._lp.maximize(obj, deadline=deadline)
+        res = self._lp.maximize(obj)
         if res.status == "infeasible":
             return LPOutcome(status="infeasible"), res
         if res.status == "unbounded":
@@ -521,26 +511,25 @@ def _presolve(le, eq, nv):
 _NLIFT_CACHE: dict = {}     # the last system built with cache=True, by (h, depth)
 
 
-def n_lift_system(h: HPolytope, depth: int, depth_cap: int = DEPTH_CAP,
-                  cache: bool = True) -> NLiftSystem:
-    """The lift system of N^depth(h).  With `cache` only the last one
-    built is kept: callers ask for one system many times in a row."""
+def n_lift_system(h: HPolytope, depth: int, cache: bool = True) -> NLiftSystem:
+    """The lift system of N^depth(h), after the depth cap check, which a
+    cached system meets too.  With `cache` only the last one built is
+    kept: callers ask for one system many times in a row."""
+    _check_depth_cap(depth)
     key = (h, depth)
     if cache and key in _NLIFT_CACHE:
         return _NLIFT_CACHE[key]
-    sys_ = NLiftSystem(h, depth, depth_cap)
+    sys_ = NLiftSystem(h, depth)
     if cache:
         _NLIFT_CACHE.clear()
         _NLIFT_CACHE[key] = sys_
     return sys_
 
 
-def n_operator_max(objective, h: HPolytope, depth: int = 1,
-                   depth_cap: int = DEPTH_CAP, deadline=None) -> LPOutcome:
-    """Exact max of the objective over N^depth(h).  Past the deadline (a
-    time.monotonic() value) the solve raises SearchTimeout."""
+def n_operator_max(objective, h: HPolytope, depth: int = 1) -> LPOutcome:
+    """Exact max of the objective over N^depth(h)."""
     obj = objective if isinstance(objective, dict) else dict(zip(h.index, objective))
-    return n_lift_system(h, depth, depth_cap).maximize(obj, deadline)[0]
+    return n_lift_system(h, depth).maximize(obj)[0]
 
 
 def verify_n_matrix(h: HPolytope, y: list) -> bool:
@@ -575,14 +564,12 @@ def verify_n_matrix(h: HPolytope, y: list) -> bool:
     return True
 
 
-def n_operator_valid(ineq: LinearInequality, h: HPolytope, depth: int = 1,
-                     depth_cap: int = DEPTH_CAP, deadline=None):
+def n_operator_valid(ineq: LinearInequality, h: HPolytope, depth: int = 1):
     """Is a.x <= b valid for N^depth(h)?  (bool, certificate).  A
     violating point carries the top lifted matrix Y, re-verified against
-    the cone conditions by verify_n_matrix at depth 1.  Past the deadline
-    (a time.monotonic() value) the solve raises SearchTimeout."""
-    sys_ = n_lift_system(h, depth, depth_cap)
-    out, raw = sys_.maximize(ineq.coeffs, deadline)
+    the cone conditions by verify_n_matrix at depth 1."""
+    sys_ = n_lift_system(h, depth)
+    out, raw = sys_.maximize(ineq.coeffs)
     if out.status == "infeasible":
         return True, {"kind": "validity-proof", "depth": depth}
     if out.value <= ineq.rhs:

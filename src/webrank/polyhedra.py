@@ -25,18 +25,9 @@ from fractions import Fraction
 from itertools import islice
 from math import gcd, lcm
 
-from .graphs import (Graph, ResourceCapExceeded, _check_deadline, as_nodeset,
+from .graphs import (Graph, _check_deadline, _check_hull_bound, as_nodeset,
                      enumerate_maximal_cliques, enumerate_stable_sets)
 from .simplex import LinearProgram, _eliminate, _frac, _intify
-
-HULL_BOUND = 12     # cap on the hull dimension, and so on the nodes behind STAB
-PIECE_CAP = 12      # cap on |F| in a piece scan; pieces number 2^|F|
-
-
-def _check_piece_cap(f, cap):
-    if len(f) > cap:
-        raise ResourceCapExceeded(f"piece cap exceeded: |F|={len(f)} > {cap} "
-                                  f"(2^|F| pieces)")
 
 
 class LinearInequality:
@@ -189,7 +180,7 @@ class LPOutcome:
 _LP_MAX_CACHE: dict = {}    # id(h) -> (h, its LP), for the last h lp_max was asked about
 
 
-def lp_max(h: HPolytope, objective, deadline=None) -> LPOutcome:
+def lp_max(h: HPolytope, objective) -> LPOutcome:
     """Exact maximum of a linear objective over h (with x >= 0).
 
     The LP of h is kept for the next call on the same HPolytope object
@@ -198,9 +189,7 @@ def lp_max(h: HPolytope, objective, deadline=None) -> LPOutcome:
     answer is certified on the spot: primal feasibility, strong duality
     and complementary slackness are re-checked in exact integer
     arithmetic before returning.  Relaxations built here are bounded, so
-    an unbounded status is an internal inconsistency and raises.  Past
-    the deadline (a time.monotonic() value) the solve raises
-    SearchTimeout.
+    an unbounded status is an internal inconsistency and raises.
     """
     obj = objective if isinstance(objective, dict) else dict(zip(h.index, objective))
     pos = {v: i for i, v in enumerate(h.index)}
@@ -214,7 +203,7 @@ def lp_max(h: HPolytope, objective, deadline=None) -> LPOutcome:
         _LP_MAX_CACHE[id(h)] = (h, lp)      # h held, so its id is not reused meanwhile
     else:
         lp = hit[1]
-    res = lp.maximize(lp_obj, deadline)
+    res = lp.maximize(lp_obj)
     if res.status == "unbounded":
         raise RuntimeError("relaxation unbounded: missing bound rows")
     if res.status == "infeasible":
@@ -286,17 +275,11 @@ class VPolytope:
         return len(self.index)
 
 
-def _check_hull_bound(n: int, bound: int):
-    if n > bound:
-        raise ResourceCapExceeded(f"hull bound exceeded: dim={n} > {bound} "
-                                  "(raise --hull-bound)")
-
-
-def stab(g: Graph, bound: int = HULL_BOUND) -> VPolytope:
+def stab(g: Graph) -> VPolytope:
     """Incidence vectors of all stable sets (the origin included): the
     points of a hull, so n is capped like the hull dimension.  A max over
     STAB needs no list (graphs.max_weight_stable_set)."""
-    _check_hull_bound(g.n, bound)
+    _check_hull_bound(g.n)
     pts = []
     for s in enumerate_stable_sets(g):
         sset = set(s)
@@ -364,15 +347,14 @@ def _primitive(values) -> tuple:
     return tuple(x // g for x in values)
 
 
-def cone_extreme_rays(m_rows, deadline=None) -> list:
+def cone_extreme_rays(m_rows) -> list:
     """Extreme rays of the pointed cone {y : M y >= 0}.
 
     Starts from a simplicial subcone spanned by the first d independent
     rows and inserts the remaining halfspaces with the double description
     step; adjacency of rays is the combinatorial zero-set test.  Exact
     integer arithmetic throughout; raises if the rows do not have full
-    rank (cone not pointed).  Past the deadline (a time.monotonic()
-    value, checked once per insertion) it raises SearchTimeout.
+    rank (cone not pointed).  Each insertion checks the deadline.
     """
     rows = [_int_row(r) for r in m_rows]
     d = len(m_rows[0])
@@ -403,7 +385,7 @@ def cone_extreme_rays(m_rows, deadline=None) -> list:
     in_basis = set(basis_idx)
     rest = [t for t in range(len(rows)) if t not in in_basis]
     for n, t in enumerate(rest, start=d):
-        _check_deadline(deadline)
+        _check_deadline()
         m = rows[t]
         bit = 1 << n
         sig = [_dot(m, r) for r in rays]
@@ -451,20 +433,19 @@ def _dot(row: dict, ray) -> int:
     return sum(v * ray[j] for j, v in row.items())
 
 
-def convex_hull_facets(v: VPolytope, bound: int = HULL_BOUND, deadline=None) -> list:
+def convex_hull_facets(v: VPolytope) -> list:
     """Irredundant facet list of conv(points) for a full-dimensional set.
 
     Facets are the extreme rays of the polar cone
     {(b, a) : b - a.p >= 0 for all points p}; output rows are
-    canonicalized to coprime integers.  Past the deadline (a
-    time.monotonic() value) the ray enumeration raises SearchTimeout.
+    canonicalized to coprime integers.
     """
     n = v.dim
-    _check_hull_bound(n, bound)
+    _check_hull_bound(n)
     if affine_rank(v.points) != n:
         raise ValueError("convex_hull_facets needs a full-dimensional point set")
     m_rows = [[Fraction(1)] + [-c for c in p] for p in v.points]
-    rays = cone_extreme_rays(m_rows, deadline)
+    rays = cone_extreme_rays(m_rows)
     out = []
     for ray in rays:
         b, a = ray[0], ray[1:]

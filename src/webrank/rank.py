@@ -60,6 +60,7 @@ from .graphs import (
     Graph,
     WebId,
     _check_deadline,
+    _check_depth_cap,
     antiweb,
     complement,
     delete_nodes,
@@ -81,8 +82,6 @@ from .inequalities import (
     stab_description_w2_polytope,
 )
 from .liftproject import (
-    DEPTH_CAP,
-    PIECE_CAP,
     disjunctive_member,
     disjunctive_valid,
     min_piece_max,
@@ -92,7 +91,6 @@ from .liftproject import (
     piece_systems,
 )
 from .polyhedra import (
-    HULL_BOUND,
     HPolytope,
     LinearInequality,
     convex_hull_facets,
@@ -161,33 +159,33 @@ _HOLES: dict = {}       # Graph -> its first odd hole or None, for the last sear
 _HOLES_ROOT = None      # the graph that search started on
 
 
-def _hole(g: Graph, deadline=None):
+def _hole(g: Graph):
     """find_induced_odd_hole(g), looked up in _HOLES first; only completed
     answers are stored, and a lookup still checks the deadline."""
     try:
         hole = _HOLES[g]
     except KeyError:
-        hole = _HOLES[g] = find_induced_odd_hole(g, deadline)
+        hole = _HOLES[g] = find_induced_odd_hole(g)
     else:
-        _check_deadline(deadline)
+        _check_deadline()
     return hole
 
 
-def _imperfect(g: Graph, deadline=None):
+def _imperfect(g: Graph):
     """("odd-hole", nodes) for an induced odd hole of g, ("odd-antihole",
     nodes) for one of its complement, or None when g is perfect; G - F
     of an antiweb is the complement of G - F of its web, so `_hole`
     answers the two searches of a pair from the same graphs."""
-    hole = _hole(g, deadline)
+    hole = _hole(g)
     if hole is not None:
         return ("odd-hole", hole)
-    hole = _hole(complement(g), deadline)
+    hole = _hole(complement(g))
     if hole is not None:
         return ("odd-antihole", hole)
     return None
 
 
-def disjunctive_rank_graph(g: Graph, deadline=None) -> GraphRankResult:
+def disjunctive_rank_graph(g: Graph) -> GraphRankResult:
     """Minimum deletions to a perfect graph = the disjunctive rank.
 
     Ascending implicit hitting-set search (`recheck.hitting_set`); for
@@ -201,7 +199,7 @@ def disjunctive_rank_graph(g: Graph, deadline=None) -> GraphRankResult:
     if _HOLES_ROOT is None or g != _HOLES_ROOT and complement(g) != _HOLES_ROOT:
         _HOLES.clear()
     _HOLES_ROOT = g
-    cert = _imperfect(g, deadline)
+    cert = _imperfect(g)
     if cert is None:
         return GraphRankResult(0, (), (), anchored=False)
     anchored = is_circulant(g)
@@ -209,17 +207,17 @@ def disjunctive_rank_graph(g: Graph, deadline=None) -> GraphRankResult:
     masks = [sum(1 << pos[v] for v in cert[1])]
 
     def refute(fmask):
-        found = _imperfect(delete_nodes(g, g._labels_of(fmask)), deadline)
+        found = _imperfect(delete_nodes(g, g._labels_of(fmask)))
         if found is None:
             return None
         pool.append(found)
         return sum(1 << pos[v] for v in found[1])
 
     for r in range(1, g.n):
-        fmask = hitting_set(masks, r, 1 if anchored else 0, refute, deadline)
+        fmask = hitting_set(masks, r, 1 if anchored else 0, refute)
         if fmask is not None:
             f = g._labels_of(fmask)
-            if len(f) != r or _imperfect(delete_nodes(g, f), deadline):
+            if len(f) != r or _imperfect(delete_nodes(g, f)):
                 raise RuntimeError(f"hitting-set search returned {f}, not {r} deletions "
                                    "leaving a perfect graph")
             return GraphRankResult(r, f, tuple(pool), anchored=anchored)
@@ -237,20 +235,18 @@ def _f_candidates(index, m: int, anchored: bool):
     return combinations(index, m)
 
 
-def _smallest_depth(rows, h: HPolytope, rmax: int, depth_cap: int, deadline=None):
+def _smallest_depth(rows, h: HPolytope, rmax: int):
     """Smallest r <= rmax with every row valid for N^r(h), where
-    N^0(h) = h; None when there is none.  Past the deadline (a
-    time.monotonic() value) a lift solve raises SearchTimeout."""
+    N^0(h) = h; None when there is none."""
     for r in range(rmax + 1):
-        if all((n_operator_valid(row, h, r, depth_cap, deadline) if r else is_valid(row, h))[0]
+        if all((n_operator_valid(row, h, r) if r else is_valid(row, h))[0]
                for row in rows):
             return r
     return None
 
 
 def disjunctive_rank_inequality(ineq: LinearInequality, h: HPolytope,
-                                piece_cap: int = PIECE_CAP, graph: Graph | None = None,
-                                deadline=None) -> IneqRankResult:
+                                graph: Graph | None = None) -> IneqRankResult:
     """Smallest |F| with the row valid for P_F(h): the first valid F by
     size, then lexicographically, with the violating point of each F
     rejected before it.
@@ -258,8 +254,7 @@ def disjunctive_rank_inequality(ineq: LinearInequality, h: HPolytope,
     A nonempty F holds the first coordinate when rotation along h.index
     maps the row and h to themselves (`rotation_invariant`).  Given the
     graph of h = QSTAB(graph), the row is first checked valid for
-    STAB(graph) by a maximum-weight stable set search.  Past the deadline
-    (a time.monotonic() value) a piece solve raises SearchTimeout.
+    STAB(graph) by a maximum-weight stable set search.
     """
     if graph is not None:
         val, arg = max_weight_stable_set(graph, ineq.coeffs)
@@ -269,36 +264,31 @@ def disjunctive_rank_inequality(ineq: LinearInequality, h: HPolytope,
     anchored, violations = rotation_invariant(ineq, h), []
     for m in range(h.dim + 1):
         for f in _f_candidates(h.index, m, anchored):
-            ok, cert = disjunctive_valid(ineq, h, f, piece_cap, deadline)
+            ok, cert = disjunctive_valid(ineq, h, f)
             if ok:
                 return IneqRankResult(m, f, violations, cert["pieces"])
             violations.append((f, cert["point"]))
     raise RuntimeError(f"no F of size <= {h.dim} makes the row valid")
 
 
-def n_rank_graph_upto(g: Graph, rmax: int, hull_bound: int = HULL_BOUND,
-                      depth_cap: int = DEPTH_CAP, deadline=None):
+def n_rank_graph_upto(g: Graph, rmax: int):
     """Smallest r <= rmax with N^r(qstab) = STAB, else None.
 
     Equality holds iff every facet of STAB(g), from the hull, is valid
-    for the lift.  Past the deadline (a time.monotonic() value) the hull
-    or a lift solve raises SearchTimeout.
+    for the lift.
     """
-    facets = convex_hull_facets(stab(g, hull_bound), hull_bound, deadline)
-    return _smallest_depth(facets, qstab(g), rmax, depth_cap, deadline)
+    return _smallest_depth(convex_hull_facets(stab(g)), qstab(g), rmax)
 
 
-def n_rank_inequality_upto(ineq: LinearInequality, h: HPolytope, rmax: int,
-                           depth_cap: int = DEPTH_CAP, deadline=None):
+def n_rank_inequality_upto(ineq: LinearInequality, h: HPolytope, rmax: int):
     """Smallest r <= rmax with the row valid for N^r(h), else None.
 
     r = 0 means the row already holds for h itself (rank-of-row
-    semantics aligned between the two operators).  Past the deadline (a
-    time.monotonic() value) a lift solve raises SearchTimeout.
+    semantics aligned between the two operators).  An rmax over the
+    depth cap is refused up front.
     """
-    if rmax > depth_cap:
-        raise ResourceCapExceeded(f"N depth cap exceeded: rmax={rmax} > {depth_cap}")
-    return _smallest_depth([ineq], h, rmax, depth_cap, deadline)
+    _check_depth_cap(rmax)
+    return _smallest_depth([ineq], h, rmax)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +308,7 @@ def formula_web_rank(n: int, k: int) -> int:
 # verify suites
 
 def verify_web_rank_formulas(ks=(2, 3, 4), n_max: int = 16, n_min=None,
-                             complements: bool = True, deadline=None) -> Report:
+                             complements: bool = True) -> Report:
     """Computed web ranks vs the closed forms, and complement invariance.
 
     N-rank facts that need lifts this suite does not run (the webs
@@ -333,12 +323,12 @@ def verify_web_rank_formulas(ks=(2, 3, 4), n_max: int = 16, n_min=None,
         for n in range(max(lo, 2 * (k + 1)), n_max + 1):
             g = web(n, k)
             expected = formula_web_rank(n, k)
-            res = disjunctive_rank_graph(g, deadline=deadline)
+            res = disjunctive_rank_graph(g)
             rep.check(f"r_d(W:{n}:{k})", expected, res.rank,
                       certificate=res.to_json(g))
             if complements:
                 gc = complement(g)
-                res_c = disjunctive_rank_graph(gc, deadline=deadline)
+                res_c = disjunctive_rank_graph(gc)
                 rep.check(f"r_d(A:{n}:{k + 1})", res.rank, res_c.rank,
                           detail="complement invariance",
                           certificate=res_c.to_json(gc))
@@ -365,15 +355,14 @@ def _flag_n_rank_assumptions(rep: Report, n: int, k: int):
                     detail="rests on the subweb's external N-rank; not asserted")
 
 
-def verify_rdfar(a: AntiwebId, piece_cap: int = PIECE_CAP, deadline=None) -> Report:
+def verify_rdfar(a: AntiwebId) -> Report:
     """The antiweb-constraint rank theorem on one prime antiweb.
 
     (i) validity under the proof's deletion set F = {wk+1, ..., wk+beta};
     (ii) for every |T| = beta-1 the point at 1/w off T lies in
     P_T(qstab) and violates the row; (iii) minimal-F search agrees with
     n - w k.  Each point of (ii) is 0/1 on T, so its membership needs no
-    LP.  Past the deadline (a time.monotonic() value) an LP, or the
-    membership check of a point, raises SearchTimeout.
+    LP.
     """
     if not a.prime:
         raise ValueError(f"A_{a.n}^{a.k} is not prime (gcd={gcd(a.n, a.k)}); "
@@ -389,7 +378,7 @@ def verify_rdfar(a: AntiwebId, piece_cap: int = PIECE_CAP, deadline=None) -> Rep
     system = h.to_json()        # self-contained certificates for `recheck`
 
     f_proof = tuple(range(w * k + 1, w * k + beta + 1))
-    ok, cert = disjunctive_valid(row, h, f_proof, piece_cap, deadline)
+    ok, cert = disjunctive_valid(row, h, f_proof)
     rep.check(f"valid under proof F={list(f_proof)}", True, ok,
               certificate={**cert, "type": "disjunctive-validity", "system": system,
                            "row": row.to_json(), "valid": ok})
@@ -397,21 +386,20 @@ def verify_rdfar(a: AntiwebId, piece_cap: int = PIECE_CAP, deadline=None) -> Rep
     for tset in combinations(g.nodes, beta - 1):
         xbar = {v: (Fraction(0) if v in tset else Fraction(1, w)) for v in g.nodes}
         total = sum(xbar.values())
-        member, mcert = disjunctive_member(xbar, h, tset, piece_cap, deadline)
+        member, mcert = disjunctive_member(xbar, h, tset)
         okt = member and total > row.rhs
         rep.check(f"violating point off T={list(tset)}", True, okt,
                   detail=f"x(V) = {frac_to_str(total)} > {row.rhs}",
                   certificate={**mcert, "type": "membership", "system": system,
                                "point": xbar, "member": member})
 
-    res = disjunctive_rank_inequality(row, h, piece_cap, graph=g, deadline=deadline)
+    res = disjunctive_rank_inequality(row, h, graph=g)
     rep.check(f"r_d(antiweb row A:{n}:{k})", beta, res.rank,
               certificate=res.to_json(row, h))
     return rep
 
 
-def verify_join_bound(blocks: JoinBlocks, piece_cap: int = PIECE_CAP,
-                      deadline=None) -> Report:
+def verify_join_bound(blocks: JoinBlocks) -> Report:
     """Join superadditivity of row ranks and the induced graph bound."""
     host = blocks.host
     rep = Report("join", {"blocks": [list(b) for b in blocks.blocks],
@@ -421,8 +409,7 @@ def verify_join_bound(blocks: JoinBlocks, piece_cap: int = PIECE_CAP,
     formula_sum = 0
     for blk, tag, bg in zip(blocks.blocks, blocks.tags, blocks.block_graphs()):
         row = rank_constraint(bg)
-        res = disjunctive_rank_inequality(row, qstab(bg), piece_cap, graph=bg,
-                                          deadline=deadline)
+        res = disjunctive_rank_inequality(row, qstab(bg), graph=bg)
         block_ranks.append(res.rank)
         rep.add(f"r_d(rank row of block {tag or list(blk)})", "info",
                 computed=res.rank)
@@ -434,14 +421,13 @@ def verify_join_bound(blocks: JoinBlocks, piece_cap: int = PIECE_CAP,
         joined = rank_constraint(blocks.block_graphs()[0])
     else:
         joined = joined_inequality(blocks)
-    res_j = disjunctive_rank_inequality(joined, hq, piece_cap=piece_cap, graph=host,
-                                        deadline=deadline)
+    res_j = disjunctive_rank_inequality(joined, hq, graph=host)
     rep.add("r_d(joined row)", "info", computed=res_j.rank,
             certificate=res_j.to_json(joined, hq))
     rep.check("joined rank >= sum of block ranks",
               True, res_j.rank >= sum(block_ranks),
               detail=f"{res_j.rank} >= {'+'.join(map(str, block_ranks))}")
-    host_res = disjunctive_rank_graph(host, deadline=deadline)
+    host_res = disjunctive_rank_graph(host)
     rep.add("r_d(host)", "info", computed=host_res.rank,
             certificate=host_res.to_json(host))
     rep.check("r_d(host) >= r_d(joined row)", True, host_res.rank >= res_j.rank)
@@ -452,17 +438,13 @@ def verify_join_bound(blocks: JoinBlocks, piece_cap: int = PIECE_CAP,
     return rep
 
 
-def verify_w2_description(n_values=(6, 7, 8, 9, 10),
-                          hull_bound: int = HULL_BOUND, deadline=None) -> Report:
-    """Dahl's description equals the stable set polytope for W_n^2.
-    Past the deadline (a time.monotonic() value) a hull raises
-    SearchTimeout."""
+def verify_w2_description(n_values=(6, 7, 8, 9, 10)) -> Report:
+    """Dahl's description equals the stable set polytope for W_n^2."""
     rep = Report("w2", {"n_values": list(n_values)})
     for n in n_values:
         g = web(n, 2)
         desc = stab_description_w2_polytope(n)
-        hull = HPolytope(g.nodes, convex_hull_facets(stab(g, hull_bound), hull_bound,
-                                                     deadline))
+        hull = HPolytope(g.nodes, convex_hull_facets(stab(g)))
         missing = [r for r in hull.rows if not is_valid(r, desc)[0]]
         extra = [r for r in desc.rows if not is_valid(r, hull)[0]]
         rep.check(f"description(W:{n}:2) = conv(STAB)", True,
@@ -484,7 +466,7 @@ def verify_w2_description(n_values=(6, 7, 8, 9, 10),
 
 
 def verify_operator_sandwich(n_max: int = 9, objectives: int = 20,
-                             seed: int = 0, deadline=None) -> Report:
+                             seed: int = 0) -> Report:
     """max STAB <= max N(K) <= min_j max P_j(K) <= max K on random
     objectives, K = QSTAB of a web.
 
@@ -498,8 +480,8 @@ def verify_operator_sandwich(n_max: int = 9, objectives: int = 20,
     {0, 1} (that piece holds x*, so max P_j(K) = max K), and only the j
     where x* is fractional get piece LPs (`min_piece_max`).  Of the piece
     and lift maxima only values are read, so no point of theirs is
-    built.  Past the deadline (a time.monotonic() value, checked once
-    per objective) it raises SearchTimeout.
+    built.  Each objective checks the deadline before its stable set
+    search, which has none of its own.
     """
     rep = Report("operators", {"n_max": n_max, "objectives": objectives,
                                "seed": seed})
@@ -511,7 +493,7 @@ def verify_operator_sandwich(n_max: int = 9, objectives: int = 20,
             pieces = [piece_systems(h, (j,)) for j in g.nodes]
             bad = []
             for _ in range(objectives):
-                _check_deadline(deadline)
+                _check_deadline()
                 c = {v: Fraction(rng.randint(0, 9)) for v in g.nodes}
                 smax = max_weight_stable_set(g, c)[0]
                 nmax = n_operator_max(c, h, 1).value

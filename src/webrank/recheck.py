@@ -53,6 +53,7 @@ from .graphs import (
     ResourceCapExceeded,
     _bits,
     _check_deadline,
+    _check_piece_cap,
     complement,
     delete_nodes,
     from_json_dict,
@@ -60,8 +61,7 @@ from .graphs import (
     is_odd_hole,
     is_perfect,
 )
-from .polyhedra import (PIECE_CAP, HPolytope, LinearInequality, _check_piece_cap,
-                        clear_denominators, rotation_invariant)
+from .polyhedra import HPolytope, LinearInequality, clear_denominators, rotation_invariant
 from .reporting import Report
 
 
@@ -121,13 +121,12 @@ def _piece_bound(h: HPolytope, fixing: dict, y: dict, c: dict) -> Fraction:
     return bound
 
 
-def check_pieces(h: HPolytope, row: LinearInequality, f, pieces,
-                 piece_cap: int = PIECE_CAP) -> None:
+def check_pieces(h: HPolytope, row: LinearInequality, f, pieces) -> None:
     """The row is valid on every piece of f, by one record {"z", "status",
     "y"} per 0/1 pattern z."""
     f = [int(v) for v in f]
     _require(len(set(f)) == len(f), f"f {f} repeats a label")
-    _check_piece_cap(f, piece_cap)
+    _check_piece_cap(f)
     _require(set(f) | set(row.coeffs) <= set(h.index), "f or the row leaves the system")
     records = {tuple(p["z"]): p for p in pieces}
     for z in product((0, 1), repeat=len(f)):
@@ -180,12 +179,12 @@ def _known(nodes: set, labels, where: str) -> None:
         raise CertificateError(f"{where} names {unknown}, not nodes of the graph")
 
 
-def _graph_rank(cert, piece_cap, deadline):
+def _graph_rank(cert):
     g = from_json_dict(cert["graph"])
     hole_in = {"odd-hole": g, "odd-antihole": complement(g)}
     f, pool, rank, nodes = cert["deletion_set"], cert["pool"], cert["rank"], set(g.nodes)
     _known(nodes, f, "deletion_set")
-    _require(is_perfect(delete_nodes(g, f) if f else g, deadline, reverse=True),
+    _require(is_perfect(delete_nodes(g, f) if f else g, reverse=True),
              "perfection failed: reversed-order odd hole search")
     masks = []
     for i, c in enumerate(pool):
@@ -197,31 +196,30 @@ def _graph_rank(cert, piece_cap, deadline):
         masks.append(sum(1 << g._pos[v] for v in set(c["nodes"])))
     _require(len(f) == rank, f"|deletion_set| = {len(f)} but rank = {rank}")
     return f"perfection + {len(pool)} pool holes" + _covered(
-        masks, rank, rank > 1 and is_circulant(g), g.nodes, "every pool hole", deadline)
+        masks, rank, rank > 1 and is_circulant(g), g.nodes, "every pool hole")
 
 
-def _covered(masks: list, rank: int, anchored: bool, labels, what: str, deadline) -> str:
+def _covered(masks: list, rank: int, anchored: bool, labels, what: str) -> str:
     """The lower bound of a rank: no F of size rank - 1 (holding labels[0]
     when anchored) meets every mask, a set of positions in labels.
     Returns the detail's coverage clause."""
     if not rank:
         return ""
-    f = hitting_set(masks, rank - 1, 1 if anchored else 0, deadline=deadline)
+    f = hitting_set(masks, rank - 1, 1 if anchored else 0)
     if f is not None:
         raise CertificateError(f"coverage failed: F={[labels[i] for i in _bits(f)]} meets {what}")
     return f" covering every F of size {rank - 1}" + (f" holding {labels[0]}" if anchored else "")
 
 
-def hitting_set(masks: list, size: int, seed: int = 0, refute=None, deadline=None):
+def hitting_set(masks: list, size: int, seed: int = 0, refute=None):
     """A bitmask F with seed <= F and |F| <= size that meets every mask, or
     None: a branching search on the bits of the first mask F misses.  An
     F that meets every mask goes to refute(F) when given, which returns a
     mask F misses (appended to `masks` and branched on) or None (F is
-    accepted).  Past the deadline (a time.monotonic() value) it raises
-    SearchTimeout."""
+    accepted).  Each node checks the deadline."""
     @cache
     def rec(f):
-        _check_deadline(deadline)
+        _check_deadline()
         miss = next((m for m in masks if not m & f), None)
         if miss is None:
             if refute is None or (miss := refute(f)) is None:
@@ -237,10 +235,10 @@ def hitting_set(masks: list, size: int, seed: int = 0, refute=None, deadline=Non
     return rec(seed)
 
 
-def _ineq_rank(cert, piece_cap, deadline):
+def _ineq_rank(cert):
     h, row = _system(cert["system"]), LinearInequality.from_json(cert["row"])
     wf, violations, rank = cert["witness_f"], cert["violations"], cert["rank"]
-    _step(f"witness F={list(wf)}", check_pieces, h, row, wf, cert["pieces"], piece_cap)
+    _step(f"witness F={list(wf)}", check_pieces, h, row, wf, cert["pieces"])
     bit, supports = {v: 1 << i for i, v in enumerate(h.index)}, []
     for i, v in enumerate(violations):
         _require(isinstance(v, dict), f"violations[{i}] is not an object")
@@ -249,26 +247,26 @@ def _ineq_rank(cert, piece_cap, deadline):
     _require(len(wf) == rank, f"|witness_f| = {len(wf)} but rank = {rank}")
     return f"witness pieces + {len(violations)} violations" + _covered(
         supports, rank, rank > 1 and rotation_invariant(row, h), h.index,
-        "the fractional support of every violation", deadline)
+        "the fractional support of every violation")
 
 
-def _validity(cert, piece_cap, deadline):
+def _validity(cert):
     h, row = _system(cert["system"]), LinearInequality.from_json(cert["row"])
     if not cert["valid"]:
         check_point(h, cert["f"], cert["point"], row)
         return "violating point, pure arithmetic"
-    check_pieces(h, row, cert["f"], cert["pieces"], piece_cap)
+    check_pieces(h, row, cert["f"], cert["pieces"])
     return "row valid on every piece, by its multipliers"
 
 
-def _membership(cert, piece_cap, deadline):
+def _membership(cert):
     h, x = _system(cert["system"]), _point(cert["point"])
     if cert["member"]:
         check_member(h, cert["f"], x, cert["multipliers"])
         return "convex combination re-assembled exactly"
     row = LinearInequality.from_json(cert["separating"])
     check_separating(row, x)
-    check_pieces(h, row, cert["f"], cert["pieces"], piece_cap)
+    check_pieces(h, row, cert["f"], cert["pieces"])
     return "separating row valid on every piece, by its multipliers"
 
 
@@ -276,28 +274,26 @@ _CHECKS = {"graph-rank": _graph_rank, "ineq-rank": _ineq_rank,
            "disjunctive-validity": _validity, "membership": _membership}
 
 
-def recheck_certificate(cert: dict, piece_cap: int = PIECE_CAP, deadline=None):
-    """(ok, detail) for one certificate dict; anything else fails.  Past
-    the deadline (a time.monotonic() value) a search raises SearchTimeout."""
+def recheck_certificate(cert: dict):
+    """(ok, detail) for one certificate dict; anything else fails."""
     check = _CHECKS.get(cert.get("type")) if isinstance(cert, dict) else None
     if check is None:
         return False, f"certificate {cert!r:.60} is not an object of a known type"
     try:
-        return True, check(cert, piece_cap, deadline)
+        return True, check(cert)
     except CertificateError as exc:
         return False, str(exc)
 
 
-def recheck_report(report_json: dict, piece_cap: int = PIECE_CAP,
-                   deadline=None) -> Report:
+def recheck_report(report_json: dict) -> Report:
     """Re-verify every certificate embedded in a suite/rank report.
 
     A report that is not a JSON object with a list of entry objects is an
-    input error (ValueError), an f over piece_cap a ResourceCapExceeded; a
-    certificate that lacks a field or holds a value of the wrong shape (a
-    rational that does not parse, a number where a list belongs) fails.
-    Past the deadline (a time.monotonic() value, checked once per
-    certificate and inside its searches) it raises SearchTimeout.
+    input error (ValueError), an f over the piece cap a
+    ResourceCapExceeded; a certificate that lacks a field or holds a value
+    of the wrong shape (a rational that does not parse, a number where a
+    list belongs) fails.  Each certificate checks the deadline, and so do
+    the searches inside it.
     """
     entries = report_json.get("entries", []) if isinstance(report_json, dict) else None
     if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
@@ -309,9 +305,9 @@ def recheck_report(report_json: dict, piece_cap: int = PIECE_CAP,
         if not cert or not isinstance(cert, dict) or "type" not in cert:
             continue
         found += 1
-        _check_deadline(deadline)
+        _check_deadline()
         try:
-            ok, detail = recheck_certificate(cert, piece_cap, deadline)
+            ok, detail = recheck_certificate(cert)
         except ResourceCapExceeded:
             raise
         except KeyError as exc:

@@ -33,7 +33,8 @@ Each row is cleared of denominators once per LinearProgram; the tableau
 starts from that integer form, and `check_optimal` tests it against x, y
 and c, each put over one common denominator, in integer arithmetic.
 Certificate checks raise CertificateError and tableau invariants raise
-RuntimeError, so both hold under ``python -O``.
+RuntimeError, so both hold under ``python -O``.  Every pivot checks the
+deadline of `graphs.LIMITS`.
 """
 
 from __future__ import annotations
@@ -42,9 +43,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
 from math import gcd, lcm
-from time import monotonic
 
-from .graphs import CertificateError, SearchTimeout
+from .graphs import CertificateError, _check_deadline
 
 
 DEGENERACY_STREAK = 40
@@ -138,14 +138,13 @@ class LinearProgram:
     def add_eq(self, coeffs, rhs):
         self.rows.append((self._pairs(coeffs), _frac(rhs), "="))
 
-    def solve(self, objective=None, deadline=None) -> LPResult:
-        """Maximize objective (default 0) over the current rows.  A deadline
-        (time.monotonic() value) passed mid-solve raises SearchTimeout."""
+    def solve(self, objective=None) -> LPResult:
+        """Maximize objective (default 0) over the current rows."""
         obj = self._pairs(objective) if objective is not None else []
         self._tab = _Tableau(self)
-        return self._tab.solve(obj, deadline)
+        return self._tab.solve(obj)
 
-    def resolve(self, objective, deadline=None) -> LPResult:
+    def resolve(self, objective) -> LPResult:
         """Re-optimize with a new objective from the last optimal basis.
 
         The feasible basis of the previous solve is reused, so only the
@@ -153,14 +152,14 @@ class LinearProgram:
         """
         if self._tab is None or not self._tab.feasible_basis:
             raise RuntimeError("resolve() needs a previous feasible solve")
-        return self._tab.reoptimize(self._pairs(objective), deadline)
+        return self._tab.reoptimize(self._pairs(objective))
 
-    def maximize(self, objective, deadline=None) -> LPResult:
+    def maximize(self, objective) -> LPResult:
         """Re-solve from the last feasible basis when there is one, else
         solve from scratch."""
         if self._tab is not None and self._tab.feasible_basis:
-            return self.resolve(objective, deadline)
-        return self.solve(objective, deadline)
+            return self.resolve(objective)
+        return self.solve(objective)
 
     def _integer_rows(self) -> list:
         """(column -> integer, integer rhs, L) per row: the row times L, the
@@ -386,13 +385,12 @@ class _Tableau:
                     best = (i, b, a)
         return best, hits
 
-    def _run(self, deadline):
+    def _run(self):
         bland, streak = False, 0
         while True:
             if self.pivots > MAX_PIVOTS:
                 raise RuntimeError("pivot limit exceeded; simplex stalled")
-            if deadline is not None and monotonic() > deadline:
-                raise SearchTimeout("simplex deadline exceeded")
+            _check_deadline("simplex")
             s = self._entering(bland)
             if s is None:
                 return "optimal"
@@ -406,18 +404,18 @@ class _Tableau:
 
     # -- phases ------------------------------------------------------------
 
-    def solve(self, objective, deadline) -> LPResult:
+    def solve(self, objective) -> LPResult:
         if self.art_col:
-            status = self._phase1(deadline)
+            status = self._phase1()
             if status is not None:
                 return status
         self.banned = set(self.art_col.values())
-        return self.reoptimize(objective, deadline)
+        return self.reoptimize(objective)
 
-    def _phase1(self, deadline):
+    def _phase1(self):
         cints = {col: -1 for col in self.art_col.values()}
         self._build_obj(cints, 1)
-        if self._run(deadline) != "optimal":
+        if self._run() != "optimal":
             raise RuntimeError("phase 1 cannot be unbounded")
         value = self.obj.get(self.ncols, 0)
         if value:
@@ -448,10 +446,10 @@ class _Tableau:
         for i in reversed(drop):
             del self.rows[i], self.divs[i], self.basis[i], self.orig[i]
 
-    def reoptimize(self, objective, deadline) -> LPResult:
+    def reoptimize(self, objective) -> LPResult:
         cints, scale = _intify(objective)
         self._build_obj(cints, scale)
-        status = self._run(deadline)
+        status = self._run()
         self.feasible_basis = True
         if status == "unbounded":
             return LPResult(status="unbounded", pivots=self.pivots)

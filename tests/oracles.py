@@ -14,6 +14,8 @@ from webrank.graphs import (
     WebId,
     _bits,
     _check_deadline,
+    _check_hull_bound,
+    _check_piece_cap,
     _is_hole,
     as_nodeset,
     complement,
@@ -25,13 +27,8 @@ from webrank.graphs import (
     mod1,
     web,
 )
-from webrank.liftproject import (
-    PIECE_CAP,
-    _check_piece_cap,
-    disjunctive_valid,
-)
+from webrank.liftproject import disjunctive_valid
 from webrank.polyhedra import (
-    HULL_BOUND,
     HPolytope,
     LinearInequality,
     VPolytope,
@@ -217,11 +214,11 @@ def delete_nodes_by_edges(g: Graph, f) -> Graph:
     return Graph(keep, edges, family=family)
 
 
-def find_induced_odd_hole_by_generators(g: Graph, deadline=None, reverse=False):
+def find_induced_odd_hole_by_generators(g: Graph, reverse=False):
     """The odd-hole DFS with a path list, one closure per base node and
     generator bit loops: the scan order graphs.find_induced_odd_hole
     must keep."""
-    _check_deadline(deadline)
+    _check_deadline()
     adj = g._adj
     n = g.n
     order = range(n - 1, -1, -1) if reverse else range(n)
@@ -234,7 +231,7 @@ def find_induced_odd_hole_by_generators(g: Graph, deadline=None, reverse=False):
             nonlocal steps
             steps += 1
             if steps % 2048 == 0:
-                _check_deadline(deadline)
+                _check_deadline()
             reach = mid_ok & adj[last]
             if length >= 4 and length % 2 == 0:
                 for w in _bits(reach & nb_b):
@@ -307,7 +304,7 @@ class ConstructedHole:
     method: str
 
 
-def construct_odd_hole_avoiding(w: WebId, f, deadline=None) -> ConstructedHole:
+def construct_odd_hole_avoiding(w: WebId, f) -> ConstructedHole:
     """Odd hole of W_n^k avoiding F, |F| = k-1, for n >= 3k+2.
 
     Follows the constructive case analysis over the families
@@ -349,7 +346,7 @@ def construct_odd_hole_avoiding(w: WebId, f, deadline=None) -> ConstructedHole:
         if res is not None:
             return res
 
-    hole = find_induced_odd_hole(delete_nodes(g, f), deadline=deadline)
+    hole = find_induced_odd_hole(delete_nodes(g, f))
     if hole is None:
         raise RuntimeError(
             f"no odd hole in W_{n}^{k} - F for F={f}; claim violated"
@@ -516,14 +513,13 @@ def dense(h: HPolytope, coeffs: dict) -> list:
     return [Fraction(coeffs.get(v, 0)) for v in h.index]
 
 
-def enumerate_vertices(h: HPolytope, bound: int = HULL_BOUND) -> list:
+def enumerate_vertices(h: HPolytope) -> list:
     """Vertices of a bounded HPolytope via the homogenized cone.
 
     Used by the piecewise hull cross-checks of the disjunctive operator.
     """
     n = h.dim
-    if n > bound:
-        raise ResourceCapExceeded(f"vertex enumeration bound exceeded: dim={n} > {bound}")
+    _check_hull_bound(n)
     m_rows = [[Fraction(1)] + [Fraction(0)] * n]           # x0 >= 0
     for r in h.rows:
         m_rows.append([r.rhs] + [-c for c in dense(h, r.coeffs)])
@@ -681,13 +677,13 @@ def contains_by_fractions(h: HPolytope, point: dict) -> bool:
         point.get(v, Fraction(0)) >= 0 for v in h.index)
 
 
-def disjunctive_member_unreduced(x: dict, h: HPolytope, f, piece_cap: int = PIECE_CAP):
+def disjunctive_member_unreduced(x: dict, h: HPolytope, f):
     """disjunctive_member over the unreduced extended formulation: one
     y^z block of n variables and one lambda_z per piece z, empty pieces
     included, with x = sum_z y^z, A y^z <= lambda_z b, y^z_F = lambda_z z
     and sum lambda_z = 1 as they stand."""
     f = as_nodeset(f)
-    _check_piece_cap(f, piece_cap)
+    _check_piece_cap(f)
     n = h.dim
     zs = list(product((0, 1), repeat=len(f)))
     npieces = len(zs)
@@ -734,41 +730,40 @@ def disjunctive_member_unreduced(x: dict, h: HPolytope, f, piece_cap: int = PIEC
                            res.farkas[convex_row], tag="separating")
     if not sep.evaluate({v: Fraction(x.get(v, 0)) for v in h.index}) > sep.rhs:
         raise CertificateError("separating inequality does not cut off the point")
-    if not disjunctive_valid(sep, h, f, piece_cap)[0]:
+    if not disjunctive_valid(sep, h, f)[0]:
         raise CertificateError("separating inequality is violated on a piece")
     return False, {"kind": "violating-point", "f": f, "point": dict(x),
                    "separating": sep.to_json()}
 
 
-def disjunctive_rank_graph_polyhedral(g: Graph, hull_bound: int = HULL_BOUND,
-                                      piece_cap: int = PIECE_CAP) -> int:
+def disjunctive_rank_graph_polyhedral(g: Graph) -> int:
     """The disjunctive rank of g by its definition: the smallest |F| with
     every STAB facet valid for P_F(qstab), F by ascending size and then
     lexicographically (orbit-anchored for circulants, as
     rank.disjunctive_rank_graph is)."""
-    facets = convex_hull_facets(stab(g, hull_bound), hull_bound)
+    facets = convex_hull_facets(stab(g))
     h = qstab(g)
     for m in range(h.dim + 1):
         for f in _f_candidates(h.index, m, is_circulant(g)):
-            if all(disjunctive_valid(row, h, f, piece_cap)[0] for row in facets):
+            if all(disjunctive_valid(row, h, f)[0] for row in facets):
                 return m
     raise RuntimeError(f"no F of size <= {h.dim} makes the facets valid")
 
 
-def minimally_imperfect_certificate(g: Graph, deadline=None, reverse=False):
+def minimally_imperfect_certificate(g: Graph, reverse=False):
     """("odd-hole", nodes) for an induced odd hole of g, ("odd-antihole",
     nodes) for one of its complement, or None when g is perfect: the
     reference for `rank._imperfect`, with no shared odd-hole answers."""
-    hole = find_induced_odd_hole(g, deadline=deadline, reverse=reverse)
+    hole = find_induced_odd_hole(g, reverse=reverse)
     if hole is not None:
         return ("odd-hole", hole)
-    hole = find_induced_odd_hole(complement(g), deadline=deadline, reverse=reverse)
+    hole = find_induced_odd_hole(complement(g), reverse=reverse)
     if hole is not None:
         return ("odd-antihole", hole)
     return None
 
 
-def hitting_search_by_frozensets(g: Graph, size: int, pool: list, seed=(), deadline=None):
+def hitting_search_by_frozensets(g: Graph, size: int, pool: list, seed=()):
     """The graph-rank search of `rank.disjunctive_rank_graph` on label
     sets, with no shared odd-hole answers: every visited F meeting the
     pool runs its own odd-hole searches."""
@@ -783,7 +778,7 @@ def hitting_search_by_frozensets(g: Graph, size: int, pool: list, seed=(), deadl
         unhit = next((c for c, nodes in zip(pool, members) if fset.isdisjoint(nodes)), None)
         if unhit is None:
             gg = delete_nodes(g, fset) if fset else g
-            cert = minimally_imperfect_certificate(gg, deadline)
+            cert = minimally_imperfect_certificate(gg)
             if cert is None:
                 return as_nodeset(fset)
             pool.append(cert)
@@ -811,21 +806,21 @@ def pool_refutes_all(g: Graph, pool, size: int, anchor=None) -> bool:
     return True
 
 
-def disjunctive_rank_graph_uncached(g: Graph, deadline=None) -> GraphRankResult:
+def disjunctive_rank_graph_uncached(g: Graph) -> GraphRankResult:
     """`rank.disjunctive_rank_graph` on `hitting_search_by_frozensets`,
     ending in a fresh perfection check of g - F."""
     if g.n > RANK_SEARCH_BOUND:
         raise ResourceCapExceeded(f"graph rank search bound exceeded: n={g.n}")
-    cert = minimally_imperfect_certificate(g, deadline)
+    cert = minimally_imperfect_certificate(g)
     if cert is None:
         return GraphRankResult(0, (), (), anchored=False)
     anchored = is_circulant(g)
     pool = [cert]
     seed = (g.nodes[0],) if anchored else ()
     for r in range(1, g.n):
-        f = hitting_search_by_frozensets(g, r, pool, seed=seed, deadline=deadline)
+        f = hitting_search_by_frozensets(g, r, pool, seed=seed)
         if f is not None:
-            if len(f) != r or not is_perfect(delete_nodes(g, f), deadline=deadline):
+            if len(f) != r or not is_perfect(delete_nodes(g, f)):
                 raise RuntimeError(f"hitting-set search returned {f}, not {r} deletions "
                                    "leaving a perfect graph")
             return GraphRankResult(r, f, tuple(pool), anchored=anchored)

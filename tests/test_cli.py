@@ -6,6 +6,10 @@ import json
 import pytest
 
 from webrank.cli import main
+from webrank.graphs import LIMITS, Limits, limits, web
+from webrank.inequalities import rank_constraint
+from webrank.liftproject import disjunctive_valid
+from webrank.polyhedra import qstab
 from webrank.reporting import Report
 
 
@@ -421,6 +425,14 @@ def test_time_budget_bounds_the_n_rank_of_a_row(capsys):
     assert run(capsys, *argv, "--time-budget", "60") == run(capsys, *argv)
 
 
+def _without_budget(fn):
+    """fn run with no deadline, whatever the budget of the command."""
+    def unbounded(*args):
+        with limits(deadline=None):
+            return fn(*args)
+    return unbounded
+
+
 def test_time_budget_bounds_the_n_rank_of_a_graph(monkeypatch, capsys):
     argv = ["rank", "graph", "W:7:2", "--operator", "N", "--rmax", "1", "--format", "json"]
     code, out, err = run(capsys, *argv, "--time-budget", "0")
@@ -428,11 +440,54 @@ def test_time_budget_bounds_the_n_rank_of_a_graph(monkeypatch, capsys):
     assert run(capsys, *argv, "--time-budget", "60") == run(capsys, *argv)
     # with a hull that ignores the budget, the lift LP of the search stops
     from webrank import rank
-    hull = rank.convex_hull_facets
-    monkeypatch.setattr(rank, "convex_hull_facets", lambda v, bound, deadline: hull(v, bound))
+    monkeypatch.setattr(rank, "convex_hull_facets", _without_budget(rank.convex_hull_facets))
     code, out, err = run(capsys, "rank", "graph", "W:7:2", "--operator", "N",
                          "--time-budget", "0")
     assert (code, out) == (2, "") and "simplex deadline" in err
+
+
+def test_time_budget_bounds_the_lps_after_a_step_that_ignores_it(monkeypatch, capsys):
+    """The LPs of a command check the budget themselves: the is_valid LPs
+    of verify w2 after hulls run without it, the r = 0 check of rank
+    --operator N, and the LPs inside one objective of verify operators."""
+    from webrank import rank
+    monkeypatch.setattr(rank, "convex_hull_facets", _without_budget(rank.convex_hull_facets))
+    code, out, err = run(capsys, "verify", "w2", "--n-values", "8", "--time-budget", "0")
+    assert (code, out) == (2, "") and "simplex deadline" in err
+    # W:6:2 is perfect, so its rank row holds at r = 0 and no lift is built
+    code, out, err = run(capsys, "rank", "ineq", "rank-constraint", "W:6:2",
+                         "--operator", "N", "--time-budget", "0")
+    assert (code, out) == (2, "") and "simplex deadline" in err
+    monkeypatch.setattr(rank, "_check_deadline", lambda what="search": None)
+    code, out, err = run(capsys, "verify", "operators", "--nmax", "6", "--objectives", "1",
+                         "--time-budget", "0")
+    assert (code, out) == (2, "") and "simplex deadline" in err
+
+
+def test_the_depth_cap_holds_on_a_cached_lift(monkeypatch, capsys):
+    from webrank import liftproject
+    monkeypatch.setattr(liftproject, "_NLIFT_CACHE", {})
+    argv = ["lp", "W:5:1", "--operator", "N", "--depth", "2"]
+    codes = [run(capsys, *argv, *cap)[0] for cap in (["--depth-cap", "1"], [],
+                                                       ["--depth-cap", "1"])]
+    assert codes == [2, 0, 2]
+
+
+def test_main_restores_the_limits_on_every_exit_path(capsys):
+    """Commands run one after another in one process (as the benchmark
+    runs them): one that ends at its budget, at a cap or at an input
+    error leaves LIMITS at its defaults, and a library call after it runs
+    with no budget and the default caps."""
+    g = web(8, 2)
+    row, h = rank_constraint(g), qstab(g)
+    for argv, code in ((["lp", "A:16:5", "--time-budget", "0"], 2),
+                       (["lp", "W:8:2", "--operator", "disjunctive", "--f", "1,2,3",
+                         "--piece-cap", "2"], 2),
+                       (["lp", "W:8:2", "--f", "99", "--piece-cap", "2",
+                         "--time-budget", "0"], 3)):
+        assert run(capsys, *argv)[0] == code
+        assert LIMITS == Limits()
+        disjunctive_valid(row, h, (1, 2, 3))
 
 
 def test_time_budget_bounds_verify_rdfar(capsys):

@@ -29,6 +29,7 @@ from webrank.graphs import (
     is_odd_hole,
     is_perfect,
     is_subweb,
+    limits,
     max_weight_stable_set,
     mod1,
     omega,
@@ -417,8 +418,8 @@ def test_hole_recheck_on_masks_matches_the_pair_scan():
 
 
 def test_odd_hole_search_deadline():
-    with pytest.raises(SearchTimeout):
-        find_induced_odd_hole(web(14, 2), deadline=time.monotonic() - 1)
+    with limits(deadline=time.monotonic() - 1), pytest.raises(SearchTimeout):
+        find_induced_odd_hole(web(14, 2))
 
 
 def test_is_odd_hole_recheck_rejects_chords_and_even_cycles():

@@ -21,7 +21,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from webrank import graphs, rank
-from webrank.graphs import Graph, SearchTimeout, complement, delete_nodes, is_chordal, web
+from webrank.graphs import (Graph, SearchTimeout, complement, delete_nodes, is_chordal,
+                            limits, web)
 from webrank.rank import disjunctive_rank_graph
 from webrank.recheck import recheck_certificate
 
@@ -45,9 +46,9 @@ def counted_holes(monkeypatch):
     calls = []
     real = graphs.find_induced_odd_hole
 
-    def counting(g, deadline=None, reverse=False):
+    def counting(g, reverse=False):
         calls.append((g, reverse))
-        return real(g, deadline, reverse)
+        return real(g, reverse)
     monkeypatch.setattr(rank, "find_induced_odd_hole", counting)
     monkeypatch.setattr(graphs, "find_induced_odd_hole", counting)
     return calls
@@ -160,8 +161,8 @@ def test_cached_answers_still_meet_the_deadline(empty_cache, counted_holes):
     counted_holes.clear()
     disjunctive_rank_graph(complement(w))
     assert counted_holes == []                  # every answer of the pair is kept
-    with pytest.raises(SearchTimeout):
-        disjunctive_rank_graph(w, deadline=time.monotonic() - 1)
+    with limits(deadline=time.monotonic() - 1), pytest.raises(SearchTimeout):
+        disjunctive_rank_graph(w)
 
 
 def test_the_closing_guard_checks_a_wrong_deletion_set(monkeypatch):
@@ -173,8 +174,7 @@ def test_the_closing_guard_checks_a_wrong_deletion_set(monkeypatch):
         # right size (the first `size` nodes), but g minus it keeps an odd
         # hole or antihole
         monkeypatch.setattr(rank, "hitting_set",
-                            lambda masks, size, seed=0, refute=None, deadline=None:
-                            (1 << size) - 1)
+                            lambda masks, size, seed=0, refute=None: (1 << size) - 1)
         with pytest.raises(RuntimeError, match="hitting-set search"):
             disjunctive_rank_graph(g)
 

@@ -14,7 +14,7 @@ import pytest
 
 import webrank
 from webrank import liftproject
-from webrank.graphs import SearchTimeout, web
+from webrank.graphs import SearchTimeout, limits, web
 from webrank.inequalities import rank_constraint
 from webrank.liftproject import (
     NLiftSystem,
@@ -138,8 +138,8 @@ def test_rdfar_point_is_its_own_piece_without_an_lp(monkeypatch, n, k):
         [m] = cert["multipliers"]
         assert m == {"z": (0,) * len(tset), "lambda": 1, "point": x}
         assert recheck_certificate(_membership_cert(h, x, member, cert))[0]
-        with pytest.raises(SearchTimeout):
-            disjunctive_member(x, h, tset, deadline=time.monotonic() - 1)
+        with limits(deadline=time.monotonic() - 1), pytest.raises(SearchTimeout):
+            disjunctive_member(x, h, tset)
 
 
 def test_a_doctored_one_piece_certificate_fails_recheck():
@@ -159,8 +159,8 @@ def test_a_doctored_one_piece_certificate_fails_recheck():
 
 def test_piece_cap_enforced():
     g = web(6, 2)
-    with pytest.raises(ValueError, match="piece cap"):
-        disjunctive_valid(rank_constraint(g), qstab(g), (1, 2, 3), piece_cap=2)
+    with limits(piece_cap=2), pytest.raises(ValueError, match="piece cap"):
+        disjunctive_valid(rank_constraint(g), qstab(g), (1, 2, 3))
 
 
 def test_member_agrees_with_piecewise_vertex_hull():
@@ -669,7 +669,7 @@ from webrank.inequalities import rank_constraint
 from webrank.polyhedra import LPOutcome, qstab
 from webrank.simplex import CertificateError
 
-def outside(h, objective, fixing, *, deadline=None):
+def outside(h, objective, fixing):
     # every coordinate at 1: breaks the clique rows and ignores the fixing
     return LPOutcome(status="optimal", value=Fraction(7),
                      point={v: Fraction(1) for v in h.index})

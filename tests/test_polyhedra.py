@@ -238,7 +238,7 @@ def test_hull_requires_full_dimension():
 def test_hull_bound_enforced():
     g = web(13, 2)
     with pytest.raises(ValueError, match="hull bound"):
-        convex_hull_facets(stab(g), bound=12)
+        convex_hull_facets(stab(g))
 
 
 def test_canonical_equality_ignores_scaling_and_tag():

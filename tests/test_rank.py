@@ -397,7 +397,7 @@ import sys
 from webrank import rank
 from webrank.graphs import web
 
-rank.hitting_set = lambda masks, size, seed=0, refute=None, deadline=None: 0
+rank.hitting_set = lambda masks, size, seed=0, refute=None: 0
 try:
     rank.disjunctive_rank_graph(web(7, 2))
 except RuntimeError as exc:
@@ -415,13 +415,13 @@ from webrank.recheck import recheck_certificate
 
 real = rank.disjunctive_valid
 
-def stub(ineq, h, f, piece_cap=12, deadline=None):
+def stub(ineq, h, f):
     # the anchor {1} refuted by the violating point of F = {}, every other
     # F answered truly: {2} is valid but {1} is not, so the anchored search
     # returns rank 2 for a row of rank 1
     if f == (1,):
-        return False, real(ineq, h, (), piece_cap)[1]
-    return real(ineq, h, f, piece_cap, deadline)
+        return False, real(ineq, h, ())[1]
+    return real(ineq, h, f)
 
 rank.disjunctive_valid = stub
 g = web(7, 2)

@@ -31,7 +31,7 @@ from hypothesis import given, settings, strategies as st
 import webrank
 from webrank.cli import main
 from webrank.graphs import (AntiwebId, CertificateError, Graph, SearchTimeout, delete_nodes,
-                            is_circulant, parse_graph_spec)
+                            is_circulant, limits, parse_graph_spec)
 from webrank.inequalities import antiweb_constraint, join_blocks_of, joined_inequality
 from webrank.liftproject import disjunctive_valid, piece_max, piece_systems
 from webrank.polyhedra import (HPolytope, LinearInequality, frac, nonneg_row, qstab,
@@ -235,11 +235,12 @@ def test_every_mutation_of_a_graph_rank_fails(spec, drop):
 
 
 def test_a_past_deadline_stops_the_coverage_search():
-    past = time.monotonic() - 1
-    with pytest.raises(SearchTimeout):
-        hitting_set([1, 2], 1, deadline=past)
-    with pytest.raises(SearchTimeout):
-        recheck_certificate(_row_certificate("A:8:3", "antiweb"), deadline=past)
+    cert = _row_certificate("A:8:3", "antiweb")
+    with limits(deadline=time.monotonic() - 1):
+        with pytest.raises(SearchTimeout):
+            hitting_set([1, 2], 1)
+        with pytest.raises(SearchTimeout):
+            recheck_certificate(cert)
 
 
 def test_a_violated_row_must_lie_in_the_system():
