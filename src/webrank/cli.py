@@ -12,8 +12,9 @@ the hull dimension, which is also the node count whose stable sets a
 hull enumerates; --piece-cap on |F| in every piece scan, lp --operator
 disjunctive and the piece checks of recheck included; --depth-cap on
 the N depth.  --time-budget gives the run that many seconds: every
-search and every LP checks it.  A subcommand takes only the shared
-options it reads, and `main` sets them as `graphs.LIMITS` for the run.
+search and every LP checks it; a budget that is not finite is an input
+error.  A subcommand takes only the shared options it reads, and `main`
+sets them as `graphs.LIMITS` for the run.
 rank --cert needs a route that builds a certificate: --cert with
 --operator N is an input error.  A max over STAB without a hull (alpha,
 the row-rank check against STAB, the sandwich) is a stable set search,
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from functools import cache
@@ -90,10 +92,19 @@ from .reporting import Report, dump, dumps, frac_to_str
 EXIT_OK, EXIT_FAIL, EXIT_CAP, EXIT_INPUT, EXIT_INTERNAL = 0, 1, 2, 3, 4
 
 
+def _budget(text: str) -> float:
+    """A finite number of seconds: a nan or inf budget would bound nothing,
+    since no time is later than a nan or inf deadline."""
+    seconds = float(text)
+    if not math.isfinite(seconds):
+        raise argparse.ArgumentTypeError(f"not a finite number of seconds: {text}")
+    return seconds
+
+
 _COMMON = {"--hull-bound": dict(type=int, default=HULL_BOUND),
            "--piece-cap": dict(type=int, default=PIECE_CAP),
            "--depth-cap": dict(type=int, default=DEPTH_CAP),
-           "--time-budget": dict(type=float, help="seconds before searches abort (exit 2)"),
+           "--time-budget": dict(type=_budget, help="seconds before searches abort (exit 2)"),
            "--format": dict(dest="fmt", choices=("table", "json"), default="table"),
            "--seed": dict(type=int, default=0)}
 

@@ -526,8 +526,20 @@ def n_lift_system(h: HPolytope, depth: int, cache: bool = True) -> NLiftSystem:
     return sys_
 
 
-def n_operator_max(objective, h: HPolytope, depth: int = 1) -> LPOutcome:
-    """Exact max of the objective over N^depth(h)."""
+def n_operator_max(objective, h: HPolytope, depth: int = 1,
+                   known: LPOutcome | None = None) -> LPOutcome:
+    """Exact max of the objective over N^depth(h).
+
+    `known`, an optimal outcome of the same objective's max over h
+    (`lp_max`, whose point `check_optimal` has proved in h), settles the
+    max when its point is 0/1: N^depth(h) lies in h, and a 0/1 point x
+    of h lies in N^depth(h) (Y = (1, x)(1, x)^T at every level), so the
+    max is known.value, returned with no lift built and no LP solved.
+    The depth cap and the deadline still hold on that path."""
+    if known is not None and all(x in (0, 1) for x in known.point.values()):
+        _check_depth_cap(depth)
+        _check_deadline()
+        return LPOutcome(status="optimal", value=known.value, point=known.point)
     obj = objective if isinstance(objective, dict) else dict(zip(h.index, objective))
     return n_lift_system(h, depth).maximize(obj)[0]
 

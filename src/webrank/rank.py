@@ -475,9 +475,11 @@ def verify_operator_sandwich(n_max: int = 9, objectives: int = 20,
     over STAB is a maximum-weight stable set search (no enumeration, so
     no cap on n).  The 2n piece systems K n {x_j = z}, the N lift and the
     LP of K are each built once per web and re-solved from their last
-    optimal basis for each objective.  The max over K is taken before the
-    piece scan: its certified optimum x* settles each j with x*_j in
-    {0, 1} (that piece holds x*, so max P_j(K) = max K), and only the j
+    optimal basis for each objective.  The max over K comes first, and
+    its certified optimum x* settles the two terms between: when x* is
+    0/1 it lies in N(K), which lies in K, so max N(K) = max K with no
+    lift LP (`n_operator_max`'s `known`); and each j with x*_j in {0, 1}
+    has a piece that holds x*, so max P_j(K) = max K, and only the j
     where x* is fractional get piece LPs (`min_piece_max`).  Of the piece
     and lift maxima only values are read, so no point of theirs is
     built.  Each objective checks the deadline before its stable set
@@ -496,8 +498,8 @@ def verify_operator_sandwich(n_max: int = 9, objectives: int = 20,
                 _check_deadline()
                 c = {v: Fraction(rng.randint(0, 9)) for v in g.nodes}
                 smax = max_weight_stable_set(g, c)[0]
-                nmax = n_operator_max(c, h, 1).value
                 qmax = lp_max(h, c)
+                nmax = n_operator_max(c, h, 1, known=qmax).value
                 inter = min_piece_max(pieces, c, qmax)
                 if not (smax <= nmax <= inter <= qmax.value):
                     bad.append({"objective": {v: int(x) for v, x in c.items()},

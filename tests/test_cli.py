@@ -402,6 +402,13 @@ def test_time_budget_exhaustion_exit_2(capsys):
     assert code == 2 and "budget" in err
 
 
+@pytest.mark.parametrize("budget", ["nan", "inf", "-inf"])
+def test_a_non_finite_time_budget_is_an_input_error(capsys, budget):
+    # `monotonic() > nan` is never true: a nan budget would bound nothing
+    code, out, err = run(capsys, "lp", "W:7:2", f"--time-budget={budget}")
+    assert (code, out) == (3, "") and "finite" in err
+
+
 def test_time_budget_bounds_the_operator_sandwich(capsys):
     argv = ["verify", "operators", "--nmax", "7", "--objectives", "5", "--format", "json"]
     code, out, err = run(capsys, *argv, "--time-budget", "0")

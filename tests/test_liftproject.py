@@ -650,6 +650,73 @@ def test_sandwich_piece_lps_are_pinned(monkeypatch):
     assert calls["piece"] == 240
 
 
+def _count_lifts(monkeypatch):
+    """The dict counting NLiftSystem builds ("build") and maxima ("lp"),
+    with the lift cache emptied first."""
+    calls = {"build": 0, "lp": 0}
+    init, maximize = NLiftSystem.__init__, NLiftSystem.maximize
+
+    def built(self, *args, **kwargs):
+        calls["build"] += 1
+        init(self, *args, **kwargs)
+
+    def solved(self, *args, **kwargs):
+        calls["lp"] += 1
+        return maximize(self, *args, **kwargs)
+    monkeypatch.setattr(liftproject, "_NLIFT_CACHE", {})
+    monkeypatch.setattr(NLiftSystem, "__init__", built)
+    monkeypatch.setattr(NLiftSystem, "maximize", solved)
+    return calls
+
+
+def test_sandwich_lift_lps_are_pinned(monkeypatch):
+    # without settling by the max over K this run solves 480 lift LPs on 12 lifts
+    from webrank.rank import verify_operator_sandwich
+    lifts = _count_lifts(monkeypatch)
+    pieces = _count_piece_lps(monkeypatch)
+    assert verify_operator_sandwich(9, 40, 5).passed
+    assert (lifts["lp"], lifts["build"], pieces["piece"]) == (32, 5, 240)
+
+
+@pytest.mark.parametrize("depth, webs", [
+    (1, [(n, k) for k in range(1, 5) for n in range(2 * (k + 1), 11)]),
+    (2, [(5, 1), (6, 1)]),
+])
+def test_a_known_optimum_gives_the_n_max(monkeypatch, depth, webs):
+    # N^depth(K) lies in K and holds every 0/1 point of K: a 0/1 optimum
+    # over K is the N max; a fractional one still solves the lift LP
+    rng = random.Random(depth)
+    lifts = _count_lifts(monkeypatch)
+    seen = set()
+    for n, k in webs:
+        g = web(n, k)
+        h = qstab(g)
+        for c in [ones(g)] + [{v: Fraction(rng.randint(0, 9)) for v in g.nodes}
+                              for _ in range(5)]:
+            known = lp_max(h, c)
+            integral = set(known.point.values()) <= {0, 1}
+            want = n_operator_max(c, h, depth).value
+            before = lifts["lp"]
+            assert n_operator_max(c, h, depth, known=known).value == want, (n, k, c)
+            assert lifts["lp"] == before + (not integral)
+            seen.add(integral)
+    assert seen == {True, False}
+
+
+def test_a_known_optimum_still_meets_the_limits(monkeypatch):
+    g = web(6, 1)
+    h = qstab(g)
+    known = lp_max(h, ones(g))
+    assert set(known.point.values()) <= {0, 1}
+    lifts = _count_lifts(monkeypatch)
+    assert n_operator_max(ones(g), h, 2, known=known).value == 3
+    with limits(depth_cap=1), pytest.raises(ValueError, match="depth cap"):
+        n_operator_max(ones(g), h, 2, known=known)
+    with limits(deadline=time.monotonic() - 1), pytest.raises(SearchTimeout):
+        n_operator_max(ones(g), h, 1, known=known)
+    assert lifts == {"build": 0, "lp": 0}
+
+
 def test_lp_disjunctive_json_is_pinned(capsys):
     from webrank.cli import main
     assert main(["lp", "W:7:2", "--operator", "disjunctive", "--f", "1,3",
