@@ -16,7 +16,7 @@ search and every LP checks it; a budget that is not finite is an input
 error.  A subcommand takes only the shared options it reads, and `main`
 sets them as `graphs.LIMITS` for the run.
 rank --cert needs a route that builds a certificate: --cert with
---operator N is an input error.  A max over STAB without a hull (alpha,
+--operator N is an input error, and so is a negative --rmax.  A max over STAB without a hull (alpha,
 the row-rank check against STAB, the sandwich) is a stable set search,
 with no cap and no budget check of its own.
 
@@ -168,7 +168,7 @@ def _build_row(family: str, g):
             raise ValueError("one-interval rows need a W:n:2 graph spec")
         idx = int(family.split(":")[1]) if ":" in family else 0
         sets = enumerate_one_interval_sets(g.family[1])
-        if idx >= len(sets):
+        if not 0 <= idx < len(sets):
             raise ValueError(f"one-interval index {idx} out of range "
                              f"({len(sets)} sets)")
         return one_interval_inequality(WebId(g.family[1], 2), sets[idx])
@@ -180,6 +180,8 @@ def _build_row(family: str, g):
 def cmd_rank(args) -> int:
     if args.cert and args.operator == "N":
         raise ValueError("--cert with --operator N: that route builds no certificate")
+    if args.rmax < 0:
+        raise ValueError(f"--rmax {args.rmax}: no rank is below 0")
     g = parse_graph_spec(args.spec)
     if args.target == "graph":
         if args.operator == "disjunctive":

@@ -250,19 +250,18 @@ def joined_inequality(blocks: JoinBlocks) -> LinearInequality:
 # provenance tagging for hull output
 
 def tag_inequality(g: Graph, ineq: LinearInequality) -> str:
-    """Best-effort family tag for a facet produced by the hull code."""
+    """Family tag of a facet of STAB(G), read off the facet itself.
+
+    An all-ones facet x(S) <= b has b = alpha(G[S]): it holds at every
+    stable set and is tight at one.  So b = 1 makes S a clique, S = V
+    makes it the rank constraint, and any other S gets "one-interval";
+    -x_v <= 0 is "nonneg" and anything else "other".
+    """
     ints, rhs = ineq.integer_form()
-    if len(ints) == 1:
-        (v, c), = ints.items()
-        if c == -1 and rhs == 0:
-            return "nonneg"
-    if all(c == 1 for c in ints.values()) and rhs == 1:
-        sup = list(ints)
-        if all(g.has_edge(u, v) for i, u in enumerate(sup) for v in sup[i + 1:]):
-            return "clique"
-    if set(ints) == set(g.nodes) and all(c == 1 for c in ints.values()):
-        if rhs == alpha(g):
-            return "rank"
-    if all(c == 1 for c in ints.values()) and rhs == alpha_induced(g, list(ints)):
-        return "one-interval" if len(ints) < g.n else "rank"
-    return "other"
+    if rhs == 0 and list(ints.values()) == [-1]:
+        return "nonneg"
+    if any(c != 1 for c in ints.values()):
+        return "other"
+    if rhs == 1:
+        return "clique"
+    return "rank" if set(ints) == set(g.nodes) else "one-interval"

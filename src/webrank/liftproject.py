@@ -40,7 +40,7 @@ from .graphs import (CertificateError, _check_deadline, _check_depth_cap, _check
                      as_nodeset)
 from .polyhedra import HPolytope, LinearInequality, LPOutcome
 from .recheck import check_member, check_point, check_separating
-from .simplex import LinearProgram, Primal
+from .simplex import LinearProgram
 
 
 def _pieces(f):
@@ -349,7 +349,7 @@ class NLiftSystem:
     The rows built (`_le`, `_eq`) reach the LP through `_presolve`: on
     QSTAB it drops every edge entry Y_ij of the top matrix, which the
     clique rows force to 0, and the rows the symmetry of Y repeats.
-    `maximize` reports optima in the full variable layout.
+    `_col` maps each variable the presolve kept to its LP column.
     """
 
     def __init__(self, h: HPolytope, depth: int):
@@ -364,7 +364,6 @@ class NLiftSystem:
         self.top = self._new_matrix(top=True)
         self._require_matrix_columns(self.top, depth - 1)
         rows, self._col = _presolve(self._le, self._eq, self._nv)
-        self._var = list(self._col)     # the variable behind each LP column
         self._diag = [(v, self._col.get(self.top[(j, j)]))     # LP column of x_v or None
                       for j, v in enumerate(h.index, start=1)]
         self._lp = LinearProgram(len(self._col))
@@ -443,29 +442,28 @@ class NLiftSystem:
 
     def maximize(self, objective: dict) -> tuple:
         """(LPOutcome, raw LPResult) of the max over N^depth(h).  The raw
-        result's x is in the full variable layout, 0 on every variable
-        the presolve dropped, and built on its first read; its duals
-        belong to the presolved rows."""
+        result's x and duals belong to the presolved LP's columns and
+        rows (`y_matrix` reads the lifted matrix through `_col`)."""
         obj = {col: c for v, col in self._diag if col is not None and (c := objective.get(v))}
         res = self._lp.maximize(obj)
         if res.status == "infeasible":
             return LPOutcome(status="infeasible"), res
         if res.status == "unbounded":
             raise RuntimeError("N lift unbounded: relaxation lacks bound rows")
-        primal = res.primal
-        point = {v: Fraction(0) if col is None else primal[col] for v, col in self._diag}
-        res.primal = Primal(self._nv, primal.basic, self._var)
-        vars(res).pop("x", None)        # an x read before this is in LP columns
+        point = {v: Fraction(0) if col is None else res.primal[col] for v, col in self._diag}
         return LPOutcome(status="optimal", value=res.value, point=point), res
 
     def y_matrix(self, res) -> list:
-        """The top lifted matrix as an (n+1)x(n+1) Fraction grid."""
+        """The top lifted matrix as an (n+1)x(n+1) Fraction grid, 0 at
+        every entry the presolve dropped."""
         n = self.n
         y = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
         y[0][0] = Fraction(1)
         for i in range(1, n + 1):
             for j in range(i, n + 1):
-                y[i][j] = y[j][i] = res.x[self.top[(i, j)]]
+                col = self._col.get(self.top[(i, j)])
+                if col is not None:
+                    y[i][j] = y[j][i] = res.primal[col]
         for j in range(1, n + 1):
             y[0][j] = y[j][0] = y[j][j]
         return y

@@ -14,9 +14,10 @@ and the combinatorial adjacency test.
 Exact elimination here is the simplex tableau's: rows are cleared of
 denominators by ``simplex._intify`` and updated by ``simplex._eliminate``
 (the gcd-reduced fraction-free row update of Bareiss 1968).  One in-order
-pass over sparse integer rows gives both the matrix rank and the initial
-simplicial cone of the double description method, whose rays it reads
-from unit marker columns, as the tableau reads duals from its slacks.
+pass over sparse integer rows gives the initial simplicial cone of the
+double description method, whose rays it reads from unit marker columns,
+as the tableau reads duals from its slacks; the same pass is the
+full-rank test of the hull input.
 """
 
 from __future__ import annotations
@@ -258,14 +259,14 @@ def frac(g: Graph) -> HPolytope:
 
 
 class VPolytope:
-    """Finite rational point list (here: stable set incidence vectors)."""
+    """Finite rational point list, sorted and without repeats; entries are
+    kept as given, int or Fraction (stab gives 0/1 ints)."""
 
     __slots__ = ("index", "points")
 
     def __init__(self, index, points):
         object.__setattr__(self, "index", tuple(index))
-        pts = sorted(set(tuple(Fraction(c) for c in p) for p in points))
-        object.__setattr__(self, "points", tuple(pts))
+        object.__setattr__(self, "points", tuple(sorted(set(map(tuple, points)))))
 
     def __setattr__(self, name, value):
         raise AttributeError("VPolytope is immutable")
@@ -282,8 +283,10 @@ def stab(g: Graph) -> VPolytope:
     _check_hull_bound(g.n)
     pts = []
     for s in enumerate_stable_sets(g):
-        sset = set(s)
-        pts.append(tuple(Fraction(1 if v in sset else 0) for v in g.nodes))
+        p = [0] * g.n
+        for v in s:
+            p[g._pos[v]] = 1
+        pts.append(tuple(p))
     return VPolytope(g.nodes, pts)
 
 
@@ -319,23 +322,6 @@ def _echelon(rows, ncols):
         yield i, row, div, col
         if len(found) == ncols:
             return
-
-
-def matrix_rank(rows) -> int:
-    """Rank over the rationals by fraction-free Gaussian elimination."""
-    rows = [_int_row(r) for r in rows]
-    ncols = max((max(r) + 1 for r in rows if r), default=0)
-    return sum(1 for _ in _echelon(rows, ncols))
-
-
-def affine_rank(points) -> int:
-    """Dimension of the affine hull of the given points."""
-    pts = [list(p) for p in points]
-    if not pts:
-        return -1
-    p0 = pts[0]
-    diffs = [[a - b for a, b in zip(p, p0)] for p in pts[1:]]
-    return matrix_rank(diffs) if diffs else 0
 
 
 # ---------------------------------------------------------------------------
@@ -437,21 +423,19 @@ def convex_hull_facets(v: VPolytope) -> list:
     """Irredundant facet list of conv(points) for a full-dimensional set.
 
     Facets are the extreme rays of the polar cone
-    {(b, a) : b - a.p >= 0 for all points p}; output rows are
-    canonicalized to coprime integers.
+    {(b, a) : b - a.p >= 0 for all points p}, whose rows [1, -p] have full
+    column rank exactly when the points span the n dimensions: the cone
+    core's own rank test rejects a point set that does not.  Output rows
+    are canonicalized to coprime integers.
     """
-    n = v.dim
-    _check_hull_bound(n)
-    if affine_rank(v.points) != n:
+    _check_hull_bound(v.dim)
+    if not v.points:
         raise ValueError("convex_hull_facets needs a full-dimensional point set")
-    m_rows = [[Fraction(1)] + [-c for c in p] for p in v.points]
-    rays = cone_extreme_rays(m_rows)
+    rays = cone_extreme_rays([[1, *(-c for c in p)] for p in v.points])
     out = []
     for ray in rays:
         b, a = ray[0], ray[1:]
         if all(c == 0 for c in a):
             continue  # the trivial 0.x <= b direction, never extreme here
-        coeffs = {vlab: Fraction(c) for vlab, c in zip(v.index, a)}
-        ineq = LinearInequality(coeffs, b, tag="hull")
-        out.append(ineq)
+        out.append(LinearInequality(dict(zip(v.index, a)), b, tag="hull"))
     return sorted(out, key=lambda r: r.canonical())

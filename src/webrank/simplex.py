@@ -62,13 +62,12 @@ class Primal:
     column -> (integer right-hand side, divisor) of each basic structural
     column with a nonzero value.  It copies the integers out, so later
     pivots leave it as it is; x_j is made a Fraction only when read.
-    `values` lays the point out over nv variables, LP column j at
-    names[j] (at j without names)."""
+    `values` lays the point out over the nv LP columns."""
 
-    __slots__ = ("nv", "basic", "names")
+    __slots__ = ("nv", "basic")
 
-    def __init__(self, nv: int, basic: dict, names=None):
-        self.nv, self.basic, self.names = nv, basic, names
+    def __init__(self, nv: int, basic: dict):
+        self.nv, self.basic = nv, basic
 
     def __getitem__(self, j) -> Fraction:
         """x_j of LP column j."""
@@ -77,9 +76,8 @@ class Primal:
 
     def values(self) -> list:
         x = [_ZERO] * self.nv
-        names = self.names
         for j, q in self.basic.items():
-            x[j if names is None else names[j]] = Fraction(*q)
+            x[j] = Fraction(*q)
         return x
 
 

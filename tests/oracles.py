@@ -17,6 +17,8 @@ from webrank.graphs import (
     _check_hull_bound,
     _check_piece_cap,
     _is_hole,
+    alpha,
+    alpha_induced,
     as_nodeset,
     complement,
     delete_nodes,
@@ -36,12 +38,10 @@ from webrank.polyhedra import (
     _echelon,
     _int_row,
     _primitive,
-    affine_rank,
     cone_extreme_rays,
     convex_hull_facets,
     is_valid,
     lp_max,
-    matrix_rank,
     qstab,
     stab,
 )
@@ -456,6 +456,47 @@ def jsonable_by_isinstance(v):
 
 # ---------------------------------------------------------------------------
 # polyhedra
+
+def matrix_rank(rows) -> int:
+    """Rank over the rationals by the fraction-free elimination that
+    starts the double description core (`polyhedra._echelon`)."""
+    rows = [_int_row(r) for r in rows]
+    ncols = max((max(r) + 1 for r in rows if r), default=0)
+    return sum(1 for _ in _echelon(rows, ncols))
+
+
+def affine_rank(points) -> int:
+    """Dimension of the affine hull of the given points (-1 for none)."""
+    pts = [list(p) for p in points]
+    if not pts:
+        return -1
+    p0 = pts[0]
+    diffs = [[a - b for a, b in zip(p, p0)] for p in pts[1:]]
+    return matrix_rank(diffs) if diffs else 0
+
+
+def tag_inequality_by_alpha(g: Graph, ineq: LinearInequality) -> str:
+    """The family tag of a row by stability numbers: "clique" for x(S) <= 1
+    on a clique S, "rank" for x(V) <= alpha(G), "one-interval" for any
+    other x(S) <= alpha(G[S]), "nonneg" for -x_v <= 0, else "other"; the
+    reference for `inequalities.tag_inequality`, which reads the tag off
+    a facet."""
+    ints, rhs = ineq.integer_form()
+    if len(ints) == 1:
+        (v, c), = ints.items()
+        if c == -1 and rhs == 0:
+            return "nonneg"
+    if all(c == 1 for c in ints.values()) and rhs == 1:
+        sup = list(ints)
+        if all(g.has_edge(u, v) for i, u in enumerate(sup) for v in sup[i + 1:]):
+            return "clique"
+    if set(ints) == set(g.nodes) and all(c == 1 for c in ints.values()):
+        if rhs == alpha(g):
+            return "rank"
+    if all(c == 1 for c in ints.values()) and rhs == alpha_induced(g, list(ints)):
+        return "one-interval" if len(ints) < g.n else "rank"
+    return "other"
+
 
 def cone_extreme_rays_full_scan(m_rows) -> list:
     """Double description with an adjacency test that scans every ray for

@@ -351,6 +351,22 @@ def test_join_host_above_eighteen_nodes(capsys):
     assert code == 0 and "result: PASS" in out
 
 
+def test_hull_reports_are_pinned(capsys):
+    # pinned before the hull took 0/1 integer points, one full-rank test and
+    # facet tags without stability-number searches: every web and antiweb on
+    # at most 12 nodes, then a join host
+    specs = [f"{f}:{n}:{k}" for n in range(4, 13) for f, k in
+             [("W", k) for k in range(1, 6) if n >= 2 * k + 2] +
+             [("A", k) for k in range(2, 7) if n >= 2 * k]] + ["join:A:5:2,A:5:2"]
+    digest = hashlib.sha256()
+    for spec in specs:
+        code, out, _ = run(capsys, "hull", spec, "--hull-bound", "16", "--format", "json")
+        assert code == 0, spec
+        digest.update(out.encode())
+    assert len(specs) == 51
+    assert digest.hexdigest() == "b29b14340fc6faef7a925307eb59f2d636194044b67fc4a1ef2c84e68214c99f"
+
+
 def test_hull_bound_caps_the_stable_set_enumeration(capsys):
     code, out, _ = run(capsys, "hull", "K:19", "--hull-bound", "19")
     assert code == 0 and out.startswith("20 facets of STAB(K:19)")
@@ -589,6 +605,25 @@ def test_rank_ineq_with_polyhedral_is_an_input_error(monkeypatch, capsys):
     monkeypatch.setattr(cli, "parse_graph_spec", _no_search)
     code, out, err = run(capsys, "rank", "ineq", "antiweb", "A:8:3", "--polyhedral")
     assert (code, out) == (3, "") and "unrecognized arguments: --polyhedral" in err
+
+
+@pytest.mark.parametrize("index, code", [("-1", 3), ("0", 0), ("8", 0), ("9", 3)])
+def test_a_one_interval_index_outside_the_sets_is_an_input_error(index, code, capsys):
+    # W_9^2 has 9 one-interval sets: indices 0..8; -1 names no set, and is
+    # not read from the end of the list
+    got, out, err = run(capsys, "rank", "ineq", f"one-interval:{index}", "W:9:2")
+    assert got == code
+    assert ("rank=1" in out) if code == 0 else (out == "" and "out of range" in err)
+
+
+@pytest.mark.parametrize("target", [["graph"], ["ineq", "rank-constraint"]])
+def test_a_negative_rmax_is_an_input_error(target, monkeypatch, capsys):
+    # no rank is below 0: a usage error before any hull or lift is built,
+    # not a cap that every search hits
+    from webrank import cli
+    monkeypatch.setattr(cli, "parse_graph_spec", _no_search)
+    code, out, err = run(capsys, "rank", *target, "W:7:2", "--operator", "N", "--rmax", "-1")
+    assert (code, out) == (3, "") and "--rmax" in err
 
 
 def test_removed_options_are_usage_errors(monkeypatch, capsys):

@@ -20,19 +20,18 @@ from webrank.polyhedra import (
     HPolytope,
     LinearInequality,
     VPolytope,
-    affine_rank,
     cone_extreme_rays,
     convex_hull_facets,
     frac,
     is_valid,
     lp_max,
-    matrix_rank,
     nonneg_row,
     qstab,
     stab,
 )
 
 from oracles import (
+    affine_rank,
     as_dicts,
     cone_extreme_rays_full_scan,
     contains_by_fractions,
@@ -40,7 +39,9 @@ from oracles import (
     feasible_sets_equal,
     is_facet,
     is_vertex,
+    matrix_rank,
     remove_redundant_rows,
+    stable_sets_by_subsets,
 )
 
 ones = lambda g: {v: 1 for v in g.nodes}
@@ -233,6 +234,17 @@ def test_hull_requires_full_dimension():
     flat = VPolytope((1, 2), [(0, 0), (1, 1)])
     with pytest.raises(ValueError, match="full-dimensional"):
         convex_hull_facets(flat)
+
+
+def test_hull_of_no_points_is_not_full_dimensional():
+    with pytest.raises(ValueError, match="full-dimensional"):
+        convex_hull_facets(VPolytope((1, 2), []))
+
+
+def test_stab_points_are_integer_tuples():
+    pts = stab(web(7, 2)).points
+    assert all(type(c) is int for p in pts for c in p)
+    assert list(pts) == sorted(stable_sets_by_subsets(web(7, 2)))
 
 
 def test_hull_bound_enforced():

@@ -9,7 +9,9 @@ on the rank row and QSTAB of every web, antiweb, clique and cycle with at
 most 12 nodes, and fails on join hosts and on one-interval rows with
 T != V.  Every facet that `convex_hull_facets` finds for a random graph
 on at most 8 nodes is valid on each stable set and tight on n affinely
-independent ones, both counted by enumeration in tests/oracles.py.
+independent ones, both counted by enumeration in tests/oracles.py, and
+its family tag (`inequalities.tag_inequality`, read off the facet) is the
+one the stability-number reference of tests/oracles.py gives.
 `graphs.is_chordal` accepts a graph on at most 10 nodes exactly when it
 has no chordless cycle of length 4 or more (enumerated by subsets), and
 when it accepts a graph or its complement, neither has an odd hole.
@@ -30,12 +32,13 @@ from webrank.inequalities import (
     joined_inequality,
     one_interval_inequality,
     rank_constraint,
+    tag_inequality,
 )
 from webrank.polyhedra import convex_hull_facets, qstab, rotation_invariant, stab
 from webrank.recheck import hitting_set
 
 from oracles import (chordless_cycles, find_induced_odd_hole_by_generators, pool_refutes_all,
-                     rank_by_fractions, stable_sets_by_subsets)
+                     rank_by_fractions, stable_sets_by_subsets, tag_inequality_by_alpha)
 
 
 @st.composite
@@ -117,6 +120,13 @@ def test_hull_facets_are_valid_and_tight_on_n_independent_stable_sets(g):
         tight = [p for p, value in zip(points, values) if value == row.rhs]
         diffs = [[x - y for x, y in zip(p, tight[0])] for p in tight[1:]]
         assert rank_by_fractions(diffs) == g.n - 1, row
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(small_graphs())
+def test_facet_tags_agree_with_the_stability_number_reference(g):
+    for row in convex_hull_facets(stab(g)):
+        assert tag_inequality(g, row) == tag_inequality_by_alpha(g, row), row
 
 
 @st.composite
