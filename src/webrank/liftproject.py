@@ -7,12 +7,13 @@ the piece cap), one substitution of the fixed coordinates
 row over P_F is decided piecewise (one exact LP per piece); membership
 is decided by the disjunctive extended formulation (a convex
 combination of one point per piece), an exact LP feasibility problem
-whose Farkas dual yields a separating inequality; a point of K that is
-0/1 on F is its own piece and needs no LP.  That LP is built
-reduced: the fixed coordinates of each piece's block are substituted
-by its lambda (or 0), empty pieces are left out, and so are rows that
-nonnegativity implies.  On A_11^4 with |F| = 3 this takes the LP from
-300 rows x 96 variables (36 equality rows) to 188 x 72 (12).
+whose Farkas dual yields a separating inequality and, block by block,
+the multipliers that prove it on each piece, so no piece LP is solved;
+a point of K that is 0/1 on F is its own piece and needs no LP.  That
+LP is built reduced: the fixed coordinates of each piece's block are
+substituted by its lambda (or 0), empty pieces are left out, and so are
+rows that nonnegativity implies.  On A_11^4 with |F| = 3 this takes the
+LP from 300 rows x 96 variables (36 equality rows) to 188 x 72 (12).
 
 N operator: lift to symmetric (n+1)x(n+1) matrices Y with
 Ye_0 = diag(Y), Ye_i and Y(e_0 - e_i) in cone(K), then project back to
@@ -25,9 +26,10 @@ Both oracles answer (bool, certificate), the certificate a plain dict of
 exact values (Fractions, int keys, tuples) that `reporting.dumps` writes
 and `recheck` reads: kind ("validity-proof" or "violating-point"), f or
 depth, pieces ({"z", "status", "value", "y"} each, y as in
-`PieceSystem.multipliers`), point, Y, value, multipliers ({"z", "lambda",
-"point"} each) and separating (the row's to_json()).  A field without a
-value is left out.
+`PieceSystem.multipliers`; a non-member's are {"z", "status", "y"}, with
+status "bounded" or "infeasible" and y from the Farkas vector), point,
+Y, value, multipliers ({"z", "lambda", "point"} each) and separating
+(the row's to_json()).  A field without a value is left out.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from itertools import product
 from .graphs import (CertificateError, _check_deadline, _check_depth_cap, _check_piece_cap,
                      as_nodeset)
 from .polyhedra import HPolytope, LinearInequality, LPOutcome
-from .recheck import check_member, check_point, check_separating
+from .recheck import check_member, check_pieces, check_point, check_separating
 from .simplex import LinearProgram
 
 
@@ -244,10 +246,17 @@ def disjunctive_member(x: dict, h: HPolytope, f):
     separating row.
 
     A yes answer carries the convex multipliers and per-piece points; a
-    no answer carries a separating inequality recovered from the Farkas
-    certificate and the piece records of its `disjunctive_valid` scan.
-    Both pass their `recheck` checks before they are handed out.  The
-    short cut checks the deadline as the LP does.
+    no answer carries a separating inequality pi.x <= pi_0 recovered from
+    the Farkas certificate and one record per piece.  The Farkas vector
+    is y >= 0 on the <= rows with y.A >= 0 on every column and y.rhs < 0:
+    on the column of y^p_v that reads y_p.A_v >= pi_v, on the column of
+    lambda_p y_p.(b - A_F z) + pi_F z <= pi_0, so the block y_p of each
+    piece, keyed by the rows of h behind its LP rows, is the record
+    `check_pieces` tests ("bounded": no piece max is solved).  An empty
+    piece gets {i: 1} for the row i that empties it, as in
+    `disjunctive_valid`, and with every piece empty (no LP) so does each.
+    Both answers pass their `recheck` checks before they are handed out.
+    The short cut checks the deadline as the LP does.
     """
     f = as_nodeset(f)
     _check_piece_cap(f)
@@ -263,24 +272,28 @@ def disjunctive_member(x: dict, h: HPolytope, f):
             return True, {"kind": "validity-proof", "f": f, "multipliers": mult}
     free = [v for v in h.index if v not in f]
     pos = {v: j for j, v in enumerate(free)}
-    pieces = []         # (z, fixing, rows) per nonempty piece; rows (free coeffs, lambda coeff)
+    # (z, fixing, rows) per nonempty piece, each row (row of h, free coeffs,
+    # lambda coeff); emptied[z] the row of h that empties piece z, or None
+    pieces, emptied = [], {}
     for z, fixing in _pieces(f):
-        rows, _ = _fixed_rows(h, fixing, pos)
+        rows, emptied[z] = _fixed_rows(h, fixing, pos)
         if rows is not None:
-            pieces.append((z, fixing, [(coeffs, -rhs) for _, coeffs, rhs in rows
+            pieces.append((z, fixing, [(i, coeffs, -rhs) for i, coeffs, rhs in rows
                                        if rhs < 0 or any(c > 0 for c in coeffs.values())]))
     if not pieces:
-        sep = LinearInequality({}, -1, tag="separating")
-        return _non_member(sep, h, f, x)
+        return _non_member(LinearInequality({}, -1, tag="separating"), h, f, x, emptied, {})
     # variable layout: y^p (one per free coordinate each), then lambda_p
     n = len(free)
     lam0 = len(pieces) * n
     lp = LinearProgram(lam0 + len(pieces))
+    blocks = []         # per piece: (LP row, row of h) of each of its rows
     for p, (_, _, rows) in enumerate(pieces):
         base = p * n
-        for coeffs, lam in rows:
+        blocks.append([])
+        for i, coeffs, lam in rows:
             row = {base + j: c for j, c in coeffs.items()}
             row[lam0 + p] = lam
+            blocks[p].append((len(lp.rows), i))
             lp.add_le(row, 0)
     coord_rows = []
     for v in h.index:
@@ -305,20 +318,26 @@ def disjunctive_member(x: dict, h: HPolytope, f):
         return True, {"kind": "validity-proof", "f": f, "multipliers": mult}
     if res.status != "infeasible":
         raise RuntimeError(f"membership LP ended {res.status}")
-    pi = {v: -res.farkas[coord_rows[j]] for j, v in enumerate(h.index)}
-    return _non_member(LinearInequality(pi, res.farkas[convex_row], tag="separating"),
-                       h, f, x)
+    farkas = res.farkas
+    pi = {v: -farkas[coord_rows[j]] for j, v in enumerate(h.index)}
+    sep = LinearInequality(pi, farkas[convex_row], tag="separating")
+    proofs = {z: {i: y for t, i in block if (y := farkas[t])}
+              for (z, _, _), block in zip(pieces, blocks)}
+    return _non_member(sep, h, f, x, emptied, proofs)
 
 
-def _non_member(sep, h, f, x):
+def _non_member(sep, h, f, x, emptied, proofs):
     """The no answer of disjunctive_member, after checks that sep cuts off
-    x and is valid for P_F(h), whose piece records it carries."""
+    x and is valid for P_F(h) by its piece records: the Farkas block
+    proofs[z] of each piece in the LP ("bounded"), {i: 1} for the row i
+    = emptied[z] of each empty one ("infeasible")."""
+    records = [{"z": z, "status": "bounded", "y": proofs[z]} if z in proofs
+               else {"z": z, "status": "infeasible", "y": {emptied[z]: Fraction(1)}}
+               for z in emptied]
     check_separating(sep, x)
-    ok, cert = disjunctive_valid(sep, h, f)
-    if not ok:
-        raise CertificateError(f"separating inequality is violated at {cert['point']}")
+    check_pieces(h, sep, f, records)
     return False, {"kind": "violating-point", "f": f, "point": dict(x),
-                   "separating": sep.to_json(), "pieces": cert["pieces"]}
+                   "separating": sep.to_json(), "pieces": records}
 
 
 # ---------------------------------------------------------------------------

@@ -120,11 +120,12 @@ class HPolytope:
     live in [0,1]^n.
     """
 
-    __slots__ = ("index", "rows")
+    __slots__ = ("index", "rows", "_tests")
 
     def __init__(self, index, rows):
         object.__setattr__(self, "index", tuple(index))
         object.__setattr__(self, "rows", tuple(rows))
+        object.__setattr__(self, "_tests", None)
         for r in rows:
             if not set(r.support) <= set(self.index):
                 raise ValueError(f"row {r} outside coordinate index")
@@ -146,9 +147,16 @@ class HPolytope:
 
     def cleared(self, point: dict):
         """clear_denominators(point, index) when x lies in h, else None:
-        each row is tested as a.num <= b L in its integer form."""
+        each row is tested as a.num <= b L in its integer form, built once
+        per HPolytope; a row that x >= 0 implies (no positive coefficient,
+        b >= 0) is not tested."""
+        if self._tests is None:
+            object.__setattr__(self, "_tests", tuple(
+                (key, rhs) for key, rhs in (r.canonical() for r in self.rows)
+                if rhs < 0 or any(c > 0 for _, c in key)))
         num, L = clear_denominators(point, self.index)
-        if any(a < 0 for a in num.values()) or any(r.exceeds(num, L) for r in self.rows):
+        if any(a < 0 for a in num.values()) or any(
+                sum(c * num[v] for v, c in key) > rhs * L for key, rhs in self._tests):
             return None
         return num, L
 

@@ -7,9 +7,15 @@ N^r(h), where N^0(h) = h.  The N-rank of a graph is the smallest r with
 every facet of STAB valid for N^r(QSTAB).  One candidate generator
 lists the m-subsets F in lexicographic order, or only those holding
 the first coordinate when rotation along the index maps the row and the
-system to themselves (`polyhedra.rotation_invariant`).  Each rejected F
-leaves its violating point, so a row rank is certified by the witness F
-plus the points that `recheck` finds to refute every F of size rank-1.
+system to themselves (`polyhedra.rotation_invariant`).  On a down-closed
+system the row search starts at the point bound: one point u of h such
+that u with any m coordinates set to 0 still violates the row refutes
+every F with |F| <= m (`recheck.point_bound`), with no LP; that is the
+paper's point 1/w off T for the antiweb constraint, for any row.  Each F
+rejected from the bound up leaves its violating point, so a row rank is
+certified by the witness F, the bound point, and when the bound is below
+the rank the points that `recheck` finds to refute every F of size
+rank-1.
 
 The disjunctive rank of a graph is the minimum number of nodes whose
 deletion leaves a perfect graph, since P_F(QSTAB(G)) = STAB(G) exactly
@@ -100,7 +106,7 @@ from .polyhedra import (
     rotation_invariant,
     stab,
 )
-from .recheck import hitting_set
+from .recheck import down_closed, hitting_set, point_bound
 from .reporting import Report, frac_to_str
 
 RANK_SEARCH_BOUND = 25
@@ -136,23 +142,30 @@ class GraphRankResult:
 
 @dataclass
 class IneqRankResult:
-    """Disjunctive rank of one row: witness F, its pieces, probed violations."""
+    """Disjunctive rank of one row: witness F, its pieces, the point
+    bound and the violations of the F scanned from the bound up."""
 
     rank: int
     witness_f: tuple
     violating_points: list = field(default_factory=list)  # (F, point dict)
     pieces: list = field(default_factory=list)             # of the witness F
+    bound: int = 0                  # every F smaller than this is refuted by bound_point
+    bound_point: dict | None = None
 
     def to_json(self, ineq: LinearInequality, h: HPolytope) -> dict:
-        return {
+        cert = {
             "type": "ineq-rank",
             "row": ineq.to_json(),
             "system": h.to_json(),
             "rank": self.rank,
             "witness_f": self.witness_f,
             "pieces": self.pieces,
+            "bound": self.bound,
             "violations": [{"f": f, "point": pt} for f, pt in self.violating_points],
         }
+        if self.bound_point is not None:
+            cert["bound_point"] = self.bound_point
+        return cert
 
 
 _HOLES: dict = {}       # Graph -> its first odd hole or None, for the last search's graphs
@@ -245,13 +258,36 @@ def _smallest_depth(rows, h: HPolytope, rmax: int):
     return None
 
 
+def _uniform_point(h: HPolytope) -> dict | None:
+    """t on every coordinate, t the least b / a(row) over the rows whose
+    coefficient sum a(row) is positive (1/omega on QSTAB); None without
+    such a row."""
+    t = min((r.rhs / a for r in h.rows if (a := sum(r.coeffs.values())) > 0), default=None)
+    return None if t is None else dict.fromkeys(h.index, t)
+
+
+def _bound(ineq: LinearInequality, h: HPolytope, point) -> tuple:
+    """(`recheck.point_bound`, point) for a point of h, (0, None) for
+    None or a point outside h."""
+    cleared = None if point is None else h.cleared(point)
+    if cleared is None:
+        return 0, None
+    return point_bound(h, ineq, *cleared), point
+
+
 def disjunctive_rank_inequality(ineq: LinearInequality, h: HPolytope,
                                 graph: Graph | None = None) -> IneqRankResult:
     """Smallest |F| with the row valid for P_F(h): the first valid F by
-    size, then lexicographically, with the violating point of each F
-    rejected before it.
+    size, then lexicographically, from the point bound up, with the
+    violating point of each F rejected on the way.
 
-    A nonempty F holds the first coordinate when rotation along h.index
+    On a down-closed h (`recheck.down_closed`) one point of h refutes
+    every F below its `recheck.point_bound`, with no LP.  The uniform
+    point (`_uniform_point`) gives the first bound; when the first F
+    scanned at that size is rejected, the certified `lp_max` optimum of
+    the row is tried once too (it is the tight one on Dahl's 1-interval
+    rows), and the scan restarts at its bound if that is higher.  A
+    nonempty F holds the first coordinate when rotation along h.index
     maps the row and h to themselves (`rotation_invariant`).  Given the
     graph of h = QSTAB(graph), the row is first checked valid for
     STAB(graph) by a maximum-weight stable set search.
@@ -262,12 +298,24 @@ def disjunctive_rank_inequality(ineq: LinearInequality, h: HPolytope,
             raise ValueError(f"row {ineq} invalid for the integer hull at the "
                              f"stable set {list(arg)}")
     anchored, violations = rotation_invariant(ineq, h), []
-    for m in range(h.dim + 1):
+    closed = down_closed(h)
+    bound, point = _bound(ineq, h, _uniform_point(h)) if closed else (0, None)
+    m = bound
+    while m <= h.dim:
         for f in _f_candidates(h.index, m, anchored):
             ok, cert = disjunctive_valid(ineq, h, f)
             if ok:
-                return IneqRankResult(m, f, violations, cert["pieces"])
+                return IneqRankResult(m, f, violations, cert["pieces"], bound, point)
+            if closed:
+                closed = False          # the second point is tried once
+                best = lp_max(h, ineq.coeffs)
+                got = _bound(ineq, h, best.point if best.status == "optimal" else None)
+                if got[0] > m:
+                    (bound, point), m = got, got[0]
+                    break
             violations.append((f, cert["point"]))
+        else:
+            m += 1
     raise RuntimeError(f"no F of size <= {h.dim} makes the row valid")
 
 

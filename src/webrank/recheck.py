@@ -25,19 +25,27 @@ pool hole, so F misses that hole rotated back, an odd hole or antihole
 of G as well.
 
 An `ineq-rank` certificate pins both bounds.  Its witness pieces are the
-upper bound.  A violating point that is 0/1 on F lies in P_F(h), so it
-refutes every F missing its fractional support (the coordinates where it
-is not 0 or 1), and the lower bound is that no F of size rank - 1 meets
-every such support (`hitting_set`: no LP).  When rotation along the
-index maps row and system to themselves (`polyhedra.rotation_invariant`,
-the search's anchoring rule), the F holding index[0] stand for all.  A
-piece claim (`check_pieces`) rests on x >= 0, part of what an HPolytope
-means: with y >= 0 and y.A >= c on the free coordinates, max c.x over
-the piece {x : A x <= b, x_F = z} is at most y.(b - A_F z) + c_F z, so a
-row is valid on an optimal piece whose bound is <= its right-hand side,
-and a piece whose bound is < 0 with c = 0 is empty.  The
-lift-and-project oracles run the point, member and separating-row checks
-on each certificate they build.  A failed check raises CertificateError
+upper bound.  The lower bound starts at its point bound (`check_bound`):
+on a down-closed system (a sign test per row, `down_closed`) the bound
+point u with any m coordinates set to 0 stays in h and is 0/1 on every F
+inside those m, so it lies in P_F(h); when c.u less its m largest terms
+c_v u_v exceeds b (`point_bound`), it refutes every F with |F| <= m, and
+the rank is at least m + 1.  With the bound equal to the rank that is
+the whole lower bound.  Below it, a violating point that is 0/1 on F
+lies in P_F(h), so it refutes every F missing its fractional support
+(the coordinates where it is not 0 or 1), and the lower bound is that no
+F of size rank - 1 meets every such support (`hitting_set`: no LP); the
+bound does not help there, as rank - 1 is over its m.  When rotation
+along the index maps row and system to themselves
+(`polyhedra.rotation_invariant`, the search's anchoring rule), the F
+holding index[0] stand for all.  A piece claim (`check_pieces`) rests on
+x >= 0, part of what an HPolytope means: with y >= 0 and y.A >= c on the
+free coordinates, max c.x over the piece {x : A x <= b, x_F = z} is at
+most y.(b - A_F z) + c_F z, so a row is valid on a piece (solved,
+"optimal", or not, "bounded") whose bound is <= its right-hand side, and
+a piece whose bound is < 0 with c = 0 is empty.  The lift-and-project
+oracles run the point, member, separating-row and piece checks on each
+certificate they build.  A failed check raises CertificateError
 naming the step; an F longer than the piece cap raises
 ResourceCapExceeded.
 """
@@ -123,7 +131,9 @@ def _piece_bound(h: HPolytope, fixing: dict, y: dict, c: dict) -> Fraction:
 
 def check_pieces(h: HPolytope, row: LinearInequality, f, pieces) -> None:
     """The row is valid on every piece of f, by one record {"z", "status",
-    "y"} per 0/1 pattern z."""
+    "y"} per 0/1 pattern z: status "optimal" (the piece's max was solved)
+    or "bounded" (no max claimed) when y bounds the row on the piece,
+    "infeasible" when y proves the piece empty."""
     f = [int(v) for v in f]
     _require(len(set(f)) == len(f), f"f {f} repeats a label")
     _check_piece_cap(f)
@@ -131,7 +141,7 @@ def check_pieces(h: HPolytope, row: LinearInequality, f, pieces) -> None:
     records = {tuple(p["z"]): p for p in pieces}
     for z in product((0, 1), repeat=len(f)):
         p = records.get(z, {})
-        optimal = p.get("status") == "optimal"
+        optimal = p.get("status") in ("optimal", "bounded")
         _require(optimal or p.get("status") == "infeasible", f"no record of piece z={list(z)}")
         bound = _step(f"piece z={list(z)}", _piece_bound, h, dict(zip(f, z)), p["y"],
                       row.coeffs if optimal else {})
@@ -149,6 +159,40 @@ def check_point(h: HPolytope, f, point: dict, row: LinearInequality) -> dict:
         _require(pt.get(int(v), 0) in (0, 1), f"point not 0/1 at f coordinate {v}")
     _require(row.exceeds(*cleared), "point satisfies the row")
     return pt
+
+
+def down_closed(h: HPolytope) -> bool:
+    """Every row has only coefficients >= 0, or only coefficients <= 0 and
+    a right-hand side >= 0: then with x in h, every 0 <= x' <= x is in h."""
+    return all(all(c >= 0 for c in r.coeffs.values())
+               or (r.rhs >= 0 and all(c <= 0 for c in r.coeffs.values())) for r in h.rows)
+
+
+def point_bound(h: HPolytope, row: LinearInequality, num: dict, L: int) -> int:
+    """m + 1 for the largest m <= h.dim with c.u, less its m largest terms
+    c_v u_v, above b at u = num / L (in integers); 0 when there is none.
+    For u in a down-closed h that bounds the row rank from below: u with
+    any m coordinates set to 0 stays in h and violates the row, and it is
+    0/1 on every F inside those m, so it lies in P_F(h)."""
+    key, rhs = row.canonical()
+    terms = dict.fromkeys(h.index, 0)
+    terms.update((v, c * num[v]) for v, c in key)
+    excess = sum(terms.values()) - rhs * L
+    bound = int(excess > 0)
+    for m, t in enumerate(sorted(terms.values(), reverse=True), start=1):
+        excess -= t
+        if excess > 0:
+            bound = m + 1
+    return bound
+
+
+def check_bound(h: HPolytope, row: LinearInequality, point: dict, bound: int) -> None:
+    """One point refutes every F of size < bound (`point_bound`)."""
+    _require(down_closed(h), "a row of the system has coefficients of both signs")
+    cleared = h.cleared(_point(point))
+    _require(cleared is not None, "point outside the system")
+    _require(point_bound(h, row, *cleared) >= bound,
+             f"c.u less its {bound - 1} largest terms is not above the row's right-hand side")
 
 
 def check_member(h: HPolytope, f, x: dict, multipliers) -> None:
@@ -238,6 +282,7 @@ def hitting_set(masks: list, size: int, seed: int = 0, refute=None):
 def _ineq_rank(cert):
     h, row = _system(cert["system"]), LinearInequality.from_json(cert["row"])
     wf, violations, rank = cert["witness_f"], cert["violations"], cert["rank"]
+    bound = cert.get("bound", 0)
     _step(f"witness F={list(wf)}", check_pieces, h, row, wf, cert["pieces"])
     bit, supports = {v: 1 << i for i, v in enumerate(h.index)}, []
     for i, v in enumerate(violations):
@@ -245,9 +290,14 @@ def _ineq_rank(cert):
         pt = _step(f"violations[{i}]", check_point, h, v["f"], v["point"], row)
         supports.append(sum(bit.get(u, 0) for u, x in pt.items() if x not in (0, 1)))
     _require(len(wf) == rank, f"|witness_f| = {len(wf)} but rank = {rank}")
-    return f"witness pieces + {len(violations)} violations" + _covered(
-        supports, rank, rank > 1 and rotation_invariant(row, h), h.index,
-        "the fractional support of every violation")
+    _require(type(bound) is int and 0 <= bound <= rank, f"bound {bound!r} not in 0..{rank}")
+    if bound:
+        _step(f"bound {bound}", check_bound, h, row, cert["bound_point"], bound)
+    detail = f"witness pieces + bound {bound} + {len(violations)} violations"
+    if bound == rank:
+        return detail
+    return detail + _covered(supports, rank, rank > 1 and rotation_invariant(row, h),
+                             h.index, "the fractional support of every violation")
 
 
 def _validity(cert):

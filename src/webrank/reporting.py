@@ -19,27 +19,43 @@ def frac_to_str(q) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
+def _str_key(item):
+    return str(item[0])
+
+
 def _jsonable(v):
-    # exact types first: isinstance(v, Fraction) goes through the numbers
-    # ABC's __instancecheck__, slow on a large report, so the isinstance
-    # chain below serves only subclasses; int list entries (node labels,
-    # edges) are kept without a call
-    t = type(v)
-    if t is int or t is str or t is bool or v is None:
-        return v
-    if t is Fraction:
-        return frac_to_str(v)
-    if t is list or t is tuple:
-        return [x if type(x) is int else _jsonable(x) for x in v]
-    if isinstance(v, dict):
-        return {str(k): _jsonable(x) for k, x in sorted(v.items(), key=lambda kv: str(kv[0]))}
-    if isinstance(v, Fraction):
-        return frac_to_str(v)
-    if isinstance(v, int):
-        return v
-    if isinstance(v, (list, tuple)):
-        return [_jsonable(x) for x in v]
-    return str(v)
+    """The JSON-ready form of v.  A dict met again (one system shared by
+    many certificates) is encoded once per call: `seen` maps the id of
+    each dict encoded so far to its encoding, and every input dict lives
+    until the call returns, so no id is reused."""
+    seen = {}
+
+    def enc(v):
+        # exact types first: isinstance(v, Fraction) goes through the
+        # numbers ABC's __instancecheck__, slow on a large report, so the
+        # isinstance chain below serves only subclasses; int list entries
+        # (node labels, edges) are kept without a call
+        t = type(v)
+        if t is int or t is str or t is bool or v is None:
+            return v
+        if t is Fraction:
+            return frac_to_str(v)
+        if t is list or t is tuple:
+            return [x if type(x) is int else enc(x) for x in v]
+        if isinstance(v, dict):
+            out = seen.get(id(v))
+            if out is None:
+                out = seen[id(v)] = {str(k): enc(x) for k, x in sorted(v.items(), key=_str_key)}
+            return out
+        if isinstance(v, Fraction):
+            return frac_to_str(v)
+        if isinstance(v, int):
+            return v
+        if isinstance(v, (list, tuple)):
+            return [enc(x) for x in v]
+        return str(v)
+
+    return enc(v)
 
 
 def dumps(v) -> str:

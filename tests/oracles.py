@@ -628,6 +628,29 @@ def with_rows(h: HPolytope, extra) -> HPolytope:
     return HPolytope(h.index, list(h.rows) + list(extra))
 
 
+def with_mixed_rows(h: HPolytope) -> HPolytope:
+    """h with the rows x_v - x_w <= 1, w the coordinate after v along the
+    index (cyclically): redundant in [0,1]^n, so every P_F and every rank
+    stays, and rotation still maps h to itself when it did; but h is no
+    longer down-closed, so a row search over it has no point bound and
+    scans every size from 0."""
+    nxt = dict(zip(h.index, h.index[1:] + h.index[:1]))
+    return with_rows(h, [LinearInequality({v: 1, w: -1}, 1) for v, w in nxt.items()])
+
+
+def polar_vertices(h: HPolytope, q: dict) -> list:
+    """The vertices of a bounded h with q in its interior, from the facets
+    of its polar: with s = b - a.q > 0 for each row a.x <= b of h, the
+    polar of h - q is conv(a / s), and its facet d.p <= e (e > 0, as 0 is
+    interior) is the vertex q + d / e of h."""
+    points = []
+    for r in h.rows:
+        s = r.rhs - r.evaluate(q)
+        points.append(tuple(Fraction(r.coeffs.get(v, 0)) / s for v in h.index))
+    return [{v: q[v] + Fraction(facet.coeffs.get(v, 0)) / facet.rhs for v in h.index}
+            for facet in convex_hull_facets(VPolytope(h.index, points))]
+
+
 def as_dicts(vp: VPolytope) -> list:
     """The points of vp as dicts keyed by its index."""
     return [dict(zip(vp.index, p)) for p in vp.points]

@@ -33,6 +33,7 @@ from webrank.inequalities import (
     rank_constraint,
 )
 from webrank.liftproject import (
+    disjunctive_member,
     disjunctive_valid,
     n_lift_system,
     n_operator_valid,
@@ -189,10 +190,16 @@ def test_criterion_9_join_bounds():
     host = complete_join(antiweb(5, 2), antiweb(5, 2))
     blocks = join_blocks_of(host)
     row = joined_inequality(blocks)
-    res = disjunctive_rank_inequality(row, qstab(host), graph=host)
-    assert not rotation_invariant(row, qstab(host))     # so every |F| = 1 is probed
-    probed_size_one = {f for f, _ in res.violating_points if len(f) == 1}
-    ok = res.rank == 2 and probed_size_one == {(v,) for v in host.nodes}
+    h = qstab(host)
+    res = disjunctive_rank_inequality(row, h, graph=host)
+    assert not rotation_invariant(row, h)               # so no F is anchored
+    # the bound 2 says that for every |F| = 1 the bound point with x_F = 0
+    # lies in P_F(h) and violates the row; each of those points is checked
+    u = res.bound_point
+    off = [{**u, v: Fraction(0)} for v in host.nodes]
+    ok = res.rank == res.bound == 2 and all(
+        h.contains(x) and row.evaluate(x) > row.rhs and disjunctive_member(x, h, (v,))[0]
+        for v, x in zip(host.nodes, off))
     host_rank = disjunctive_rank_graph(host).rank
     ok = ok and host_rank == 2
     rep = verify_join_bound(blocks)

@@ -300,14 +300,19 @@ def test_recheck_names_an_unknown_node_and_its_step(tmp_path, capsys):
 
 
 def test_recheck_names_the_failed_step_of_a_row_rank(tmp_path, capsys):
-    def off_piece(c):
-        v = c["violations"][1]
-        assert v["f"] == [1] and v["point"]["1"] == "0"
-        v["point"]["1"] = "1/4"
+    def off_system(c):
+        assert c["bound"] == 2 and c["bound_point"]["1"] == "1/2"
+        c["bound_point"]["1"] = "1"
 
-    out = _recheck_doctored(tmp_path, capsys, ["rank", "ineq", "antiweb", "A:8:3"],
-                            off_piece)
-    assert "violations[1] failed: point not 0/1 at f coordinate 1" in out
+    argv = ["rank", "ineq", "antiweb", "A:8:3"]
+    out = _recheck_doctored(tmp_path, capsys, argv, off_system)
+    assert "bound 2 failed: point outside the system" in out
+
+    def off_piece(c):
+        c["violations"] = [{"f": [1], "point": {"1": "1/4", "2": "0"}}]
+
+    out = _recheck_doctored(tmp_path, capsys, argv, off_piece)
+    assert "violations[0] failed: point not 0/1 at f coordinate 1" in out
 
 
 def _inflate_row_rank(cert, label):
@@ -320,11 +325,20 @@ def _inflate_row_rank(cert, label):
 
 
 def test_recheck_rejects_an_inflated_row_rank(tmp_path, capsys):
-    # the true witness F = {1, 2} meets the fractional support of every
-    # violating point, so no F of size 2 is shown violated
-    out = _recheck_doctored(tmp_path, capsys, ["rank", "ineq", "antiweb", "A:8:3"],
-                            lambda c: _inflate_row_rank(c, 3))
-    assert "coverage failed: F=[1, 2] meets the fractional support of every violation" in out
+    # the bound 2 stands, so the coverage at size 2 runs, and with no
+    # violation recorded the anchored F = {1} meets every one of them; a
+    # bound raised to the rank fails at its arithmetic
+    argv = ["rank", "ineq", "antiweb", "A:8:3"]
+    out = _recheck_doctored(tmp_path, capsys, argv, lambda c: _inflate_row_rank(c, 3))
+    assert "coverage failed: F=[1] meets the fractional support of every violation" in out
+
+    def inflate_with_bound(c):
+        _inflate_row_rank(c, 3)
+        c["bound"] += 1
+
+    out = _recheck_doctored(tmp_path, capsys, argv, inflate_with_bound)
+    assert ("bound 3 failed: c.u less its 2 largest terms is not above the row's "
+            "right-hand side") in out
 
 
 def test_recheck_of_a_value_that_is_not_rational(tmp_path, capsys):
@@ -335,8 +349,8 @@ def test_recheck_of_a_value_that_is_not_rational(tmp_path, capsys):
     data = json.loads(path.read_text())
     names = [e["name"] for e in data["entries"] if e.get("certificate")]
     doctored = next(e for e in data["entries"]
-                    if e.get("certificate", {}).get("violations"))
-    doctored["certificate"]["violations"][0]["point"] = {"1": "abc"}
+                    if e.get("certificate", {}).get("bound_point"))
+    doctored["certificate"]["bound_point"]["1"] = "abc"
     path.write_text(json.dumps(data))
     code, out, err = run(capsys, "recheck", str(path))
     assert (code, err) == (1, "")

@@ -14,9 +14,16 @@ its family tag (`inequalities.tag_inequality`, read off the facet) is the
 one the stability-number reference of tests/oracles.py gives.
 `graphs.is_chordal` accepts a graph on at most 10 nodes exactly when it
 has no chordless cycle of length 4 or more (enumerated by subsets), and
-when it accepts a graph or its complement, neither has an odd hole.
+when it accepts a graph or its complement, neither has an odd hole.  On
+random polytopes in at most 4 dimensions, the `lp_max` optimum is the
+best vertex, with the vertices read off the facets of the polar by the
+double description core (and equal to those of the homogenized cone).
+`recheck.point_bound` at the uniform point of QSTAB or FRAC is one more
+than the largest m for which zeroing any m coordinates leaves a
+violating point, and at most the row rank.
 """
 
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -25,7 +32,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from webrank.graphs import (Graph, WebId, antiweb, complement, complete_graph, cycle_graph,
-                            is_chordal, parse_graph_spec, web)
+                            is_chordal, max_weight_stable_set, parse_graph_spec, web)
 from webrank.inequalities import (
     enumerate_one_interval_sets,
     join_blocks_of,
@@ -34,11 +41,14 @@ from webrank.inequalities import (
     rank_constraint,
     tag_inequality,
 )
-from webrank.polyhedra import convex_hull_facets, qstab, rotation_invariant, stab
-from webrank.recheck import hitting_set
+from webrank.polyhedra import (HPolytope, LinearInequality, convex_hull_facets, frac, lp_max,
+                               nonneg_row, qstab, rotation_invariant, stab)
+from webrank.rank import disjunctive_rank_inequality
+from webrank.recheck import down_closed, hitting_set, point_bound
 
-from oracles import (chordless_cycles, find_induced_odd_hole_by_generators, pool_refutes_all,
-                     rank_by_fractions, stable_sets_by_subsets, tag_inequality_by_alpha)
+from oracles import (chordless_cycles, enumerate_vertices, find_induced_odd_hole_by_generators,
+                     polar_vertices, pool_refutes_all, rank_by_fractions, stable_sets_by_subsets,
+                     tag_inequality_by_alpha, with_mixed_rows)
 
 
 @st.composite
@@ -151,3 +161,63 @@ def test_chordal_exactly_without_a_long_chordless_cycle(g):
     if is_chordal(g) or is_chordal(co):
         assert find_induced_odd_hole_by_generators(g) is None
         assert find_induced_odd_hole_by_generators(co) is None
+
+
+@st.composite
+def small_polytopes(draw):
+    """(h, q, objective): h = {x >= 0 : x <= 1, a.x <= b} in 1 to 4
+    dimensions with q = 1/2 in its interior (each random row has b - a.q
+    in {1/4, ..., 2}), and an integer objective."""
+    n = draw(st.integers(1, 4))
+    index = tuple(range(1, n + 1))
+    q = dict.fromkeys(index, Fraction(1, 2))
+    rows = [nonneg_row(v) for v in index] + [LinearInequality({v: 1}, 1) for v in index]
+    for _ in range(draw(st.integers(0, 4))):
+        a = {v: draw(st.integers(-3, 3)) for v in index}
+        slack = Fraction(draw(st.integers(1, 8)), 4)
+        rows.append(LinearInequality(a, sum(c * q[v] for v, c in a.items()) + slack))
+    objective = {v: draw(st.integers(-5, 5)) for v in index}
+    return HPolytope(index, rows), q, objective
+
+
+@st.composite
+def row_rank_cases(draw):
+    """(g, h, row): QSTAB or FRAC of a graph on 2 to 6 nodes and a row with
+    coefficients in -2..4 whose right-hand side is the max over STAB."""
+    g = draw(small_graphs().filter(lambda g: 2 <= g.n <= 6))
+    h = draw(st.sampled_from((qstab, frac)))(g)
+    coeffs = {v: draw(st.integers(-2, 4)) for v in g.nodes}
+    return g, h, LinearInequality(coeffs, max_weight_stable_set(g, coeffs)[0])
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(small_polytopes())
+def test_lp_optimum_is_the_best_vertex_of_the_dd_core(case):
+    h, q, objective = case
+    vertices = polar_vertices(h, q)
+    assert sorted(map(sorted, (v.items() for v in vertices))) == \
+        sorted(map(sorted, (v.items() for v in enumerate_vertices(h))))
+    out = lp_max(h, objective)
+    best = max(sum(c * x[v] for v, c in objective.items()) for x in vertices)
+    assert out.status == "optimal" and out.value == best
+    assert out.point in vertices            # a basic optimum is a vertex
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(row_rank_cases())
+def test_the_point_bound_refutes_every_smaller_f_and_no_more(case):
+    """`recheck.point_bound` at the uniform point of QSTAB or FRAC is m + 1
+    for the largest m such that zeroing any m coordinates leaves a
+    violating point (by trying every set), and at most the row rank of
+    the search with no bound (`with_mixed_rows`)."""
+    g, h, row = case
+    u = dict.fromkeys(h.index, min(r.rhs / sum(r.coeffs.values()) for r in h.rows
+                                   if sum(r.coeffs.values()) > 0))
+    assert down_closed(h) and not down_closed(with_mixed_rows(h))
+    bound = point_bound(h, row, *h.cleared(u))
+    violating = [m for m in range(g.n + 1)
+                 if all(row.evaluate({**u, **dict.fromkeys(t, 0)}) > row.rhs
+                        for t in combinations(h.index, m))]
+    assert bound == (max(violating) + 1 if violating else 0)
+    if bound:
+        assert bound <= disjunctive_rank_inequality(row, with_mixed_rows(h)).rank

@@ -41,7 +41,8 @@ from webrank.inequalities import (
     rank_constraint,
 )
 from webrank.liftproject import disjunctive_member, disjunctive_valid, n_operator_valid
-from webrank.polyhedra import LinearInequality, convex_hull_facets, frac, is_valid, qstab, stab
+from webrank.polyhedra import (LinearInequality, convex_hull_facets, frac, is_valid, lp_max, qstab,
+                               stab)
 from webrank.rank import (
     disjunctive_rank_graph,
     disjunctive_rank_inequality,
@@ -55,8 +56,9 @@ from webrank.rank import (
     verify_web_rank_formulas,
 )
 from webrank.recheck import recheck_certificate
+from webrank.reporting import dumps
 
-from oracles import disjunctive_rank_graph_polyhedral, pool_refutes_all
+from oracles import disjunctive_rank_graph_polyhedral, pool_refutes_all, with_mixed_rows
 
 
 def brute_graph_rank(g):
@@ -197,25 +199,73 @@ def test_antiweb_row_rank_a8_3():
 
 
 def test_row_rank_search_order_is_pinned():
-    # rank, witness F and the F of each recorded violation in order, for
-    # an anchored (rotation-invariant) and an unanchored search
+    # rank, bound, witness F and the F of each recorded violation in order,
+    # for an anchored (rotation-invariant) and an unanchored search: over
+    # QSTAB the scan starts at the point bound, over a system that is not
+    # down-closed at size 0
     g = antiweb(8, 3)
     row, _ = antiweb_constraint(AntiwebId(8, 3))
     res = disjunctive_rank_inequality(row, qstab(g), graph=g)
-    assert (res.rank, res.witness_f) == (2, (1, 2))
+    assert (res.rank, res.bound, res.witness_f) == (2, 2, (1, 2))
+    assert res.bound_point == dict.fromkeys(g.nodes, Fraction(1, 2))
+    assert res.violating_points == []
+    res = disjunctive_rank_inequality(row, with_mixed_rows(qstab(g)), graph=g)
+    assert (res.rank, res.bound, res.bound_point, res.witness_f) == (2, 0, None, (1, 2))
     assert [f for f, _ in res.violating_points] == [(), (1,)]
     host = parse_graph_spec("join:A:5:2,A:5:2")
     row = joined_inequality(join_blocks_of(host))
     res = disjunctive_rank_inequality(row, qstab(host), graph=host)
-    assert (res.rank, res.witness_f) == (2, (1, 6))
+    assert (res.rank, res.bound, res.witness_f) == (2, 2, (1, 6))
+    assert [f for f, _ in res.violating_points] == [(1, v) for v in range(2, 6)]
+    res = disjunctive_rank_inequality(row, with_mixed_rows(qstab(host)), graph=host)
+    assert (res.rank, res.bound, res.witness_f) == (2, 0, (1, 6))
     assert [f for f, _ in res.violating_points] == \
         [()] + [(v,) for v in range(1, 11)] + [(1, v) for v in range(2, 6)]
 
 
+def test_the_lp_optimum_raises_a_uniform_bound_once():
+    # on W_9^2's 1-interval row of T = (1, 3, 5, 7, 8, 9) the uniform
+    # point gives no bound, F = () is rejected, and the certified LP
+    # optimum of the row gives bound 1 = rank: the scan restarts at size
+    # 1, and the violation at size 0 is not recorded
+    g = web(9, 2)
+    s = next(t for t in enumerate_one_interval_sets(9) if t.T == (1, 3, 5, 7, 8, 9))
+    row = one_interval_inequality(WebId(9, 2), s)
+    h = qstab(g)
+    res = disjunctive_rank_inequality(row, h, graph=g)
+    assert (res.rank, res.bound, res.violating_points) == (1, 1, [])
+    assert res.bound_point == lp_max(h, row.coeffs).point
+    assert recheck_certificate(res.to_json(row, h)) == (
+        True, "witness pieces + bound 1 + 0 violations")
+
+
+def test_the_point_bound_is_the_row_rank_where_the_scan_is_fast():
+    # the rows whose row rank search runs fast: the rank rows of W_7^2 ..
+    # W_13^2, the antiweb row of every prime antiweb with n <= 17 (up to
+    # A_17^7), the joined row of C_5 v C_5 and Dahl's 1-interval rows on
+    # W_10^2; each certificate passes `recheck` with no coverage step
+    cases = [(rank_constraint(web(n, 2)), web(n, 2)) for n in range(7, 14)]
+    cases += [(antiweb_constraint(AntiwebId(n, k))[0], antiweb(n, k))
+              for n in range(4, 18) for k in range(2, n // 2 + 1) if AntiwebId(n, k).prime]
+    host = parse_graph_spec("join:A:5:2,A:5:2")
+    cases.append((joined_inequality(join_blocks_of(host)), host))
+    cases += [(one_interval_inequality(WebId(10, 2), s), web(10, 2))
+              for s in enumerate_one_interval_sets(10)]
+    assert len(cases) == 7 + 32 + 1 + 2
+    for row, g in cases:
+        h = qstab(g)
+        res = disjunctive_rank_inequality(row, h, graph=g)
+        assert res.bound == res.rank, row
+        ok, detail = recheck_certificate(json.loads(dumps(res.to_json(row, h))))
+        assert ok and "covering" not in detail, row
+
+
 def test_exhaustive_row_rank_step_decides_each_f_once(monkeypatch):
-    # the ascending search decides each candidate F once: (), (1,) and the
-    # witness (1, 2) on the anchored antiweb row, every F up to the
-    # witness (1, 6) on the unanchored joined row
+    # the ascending search decides each candidate F once: from the bound,
+    # only the witness (1, 2) on the anchored antiweb row and (1, 2) ..
+    # (1, 6) on the unanchored joined row; from size 0 (no bound), (),
+    # (1,) and the witness on the antiweb row, every F up to the witness
+    # on the joined row
     calls = []
 
     def counted(*args):
@@ -225,12 +275,14 @@ def test_exhaustive_row_rank_step_decides_each_f_once(monkeypatch):
     monkeypatch.setattr(webrank.rank, "disjunctive_valid", counted)
     g = antiweb(8, 3)
     row, _ = antiweb_constraint(AntiwebId(8, 3))
-    disjunctive_rank_inequality(row, qstab(g))
-    assert len(calls) == len(set(calls)) == 3
     host = parse_graph_spec("join:A:5:2,A:5:2")
-    calls.clear()
-    disjunctive_rank_inequality(joined_inequality(join_blocks_of(host)), qstab(host))
-    assert len(calls) == len(set(calls)) == 16
+    joined = joined_inequality(join_blocks_of(host))
+    for row, h, expected in [(row, qstab(g), 1), (joined, qstab(host), 5),
+                             (row, with_mixed_rows(qstab(g)), 3),
+                             (joined, with_mixed_rows(qstab(host)), 16)]:
+        calls.clear()
+        disjunctive_rank_inequality(row, h)
+        assert len(calls) == len(set(calls)) == expected
 
 
 def test_row_rank_rejects_rows_invalid_for_the_hull():

@@ -6,10 +6,15 @@ arithmetic.  On random graphs of at most 8 nodes the multipliers of each
 piece prove exactly the value its LP found.  Every mutation of a piece
 record of a `verify rdfar --nmax 8` report (one multiplier's sign
 flipped, all of them halved, all of them dropped, the record dropped)
-makes `recheck` fail the certificate.  A row-rank certificate must also
-pin its lower bound: a raised or lowered rank fails, and a dropped
-violation or a swapped point fails exactly when the brute-force coverage
-oracle finds an F of size rank-1 left unrefuted.  So must a graph-rank
+makes `recheck` fail the certificate, and so does every mutation of the
+Farkas piece record of a nonempty piece of a non-member (its y negated,
+halved or dropped, the record relabelled infeasible).  A row-rank
+certificate must also pin its lower bound: a raised or lowered rank
+fails; so do a raised or lowered point bound, a bound point moved out of
+the system and a row of mixed signs added to it; and where the bound is
+below the rank, a dropped violation or a swapped point fails exactly
+when the brute-force coverage oracle finds an F of size rank-1 left
+unrefuted.  So must a graph-rank
 certificate: a raised or lowered rank fails, and so does a pool with one
 hole dropped exactly when that oracle finds an F of size rank-1 that
 meets every hole left.
@@ -18,6 +23,7 @@ meets every hole left.
 import ast
 import copy
 import json
+import random
 import time
 from fractions import Fraction
 from itertools import combinations
@@ -30,10 +36,10 @@ from hypothesis import given, settings, strategies as st
 
 import webrank
 from webrank.cli import main
-from webrank.graphs import (AntiwebId, CertificateError, Graph, SearchTimeout, delete_nodes,
-                            is_circulant, limits, parse_graph_spec)
+from webrank.graphs import (AntiwebId, CertificateError, Graph, SearchTimeout, antiweb,
+                            delete_nodes, is_circulant, limits, parse_graph_spec)
 from webrank.inequalities import antiweb_constraint, join_blocks_of, joined_inequality
-from webrank.liftproject import disjunctive_valid, piece_max, piece_systems
+from webrank.liftproject import disjunctive_member, disjunctive_valid, piece_max, piece_systems
 from webrank.polyhedra import (HPolytope, LinearInequality, frac, nonneg_row, qstab,
                                rotation_invariant)
 from webrank.rank import disjunctive_rank_graph, disjunctive_rank_inequality
@@ -41,7 +47,7 @@ from webrank.recheck import (_piece_bound, _system, check_pieces, check_point,
                              hitting_set, recheck_certificate, recheck_report)
 from webrank.reporting import dumps
 
-from oracles import pool_refutes_all
+from oracles import pool_refutes_all, with_mixed_rows
 
 
 @st.composite
@@ -116,11 +122,57 @@ def test_every_mutation_of_a_piece_record_fails(tmp_path, capsys):
     assert counts == {"sign": 69, "halve": 20, "empty": 20, "drop": 20}
 
 
-def _row_certificate(spec, family):
+def _non_member_certificates():
+    """(h, membership certificate) of each non-member among seeded points
+    of [1/12, 1/2]^n and F of size 1 to 3 on nine prime antiwebs."""
+    rng = random.Random(1)
+    for n, k in ((7, 2), (7, 3), (8, 3), (9, 2), (9, 4), (10, 3), (11, 2), (11, 3), (11, 4)):
+        h = qstab(antiweb(n, k))
+        for size in (1, 2, 3):
+            f = sorted(rng.sample(h.index, size))
+            x = {v: Fraction(rng.randint(1, 6), 12) for v in h.index}
+            member, cert = disjunctive_member(x, h, f)
+            if not member:
+                yield h, json.loads(dumps({**cert, "type": "membership", "member": False,
+                                           "system": h.to_json(), "point": x}))
+
+
+def test_every_mutation_of_a_farkas_piece_record_fails():
+    """A non-member's piece records are read off the Farkas vector of its
+    membership LP: status "bounded", the multipliers y and no value.  On
+    every piece that holds a point (the one equal to z on F and 0 off
+    it), the record's y negated, halved or dropped fails `recheck`, and so
+    does the record relabelled "infeasible".  (On an empty piece the
+    Farkas block may prove emptiness too, and the relabelled record then
+    holds.)"""
+    counts, certs = {}, 0
+    for h, cert in _non_member_certificates():
+        assert recheck_certificate(cert) == (
+            True, "separating row valid on every piece, by its multipliers")
+        certs += 1
+        for r, rec in enumerate(cert["pieces"]):
+            assert ("value" not in rec and rec["status"] == "bounded") or \
+                rec["status"] == "infeasible" and len(rec["y"]) == 1
+            if rec["status"] != "bounded" or not h.contains(
+                    {int(v): Fraction(z) for v, z in zip(cert["f"], rec["z"])}):
+                continue
+            mutants = [("relabel", {**rec, "status": "infeasible"}), ("drop", {**rec, "y": {}})]
+            for kind, scale in (("negate", -1), ("halve", Fraction(1, 2))):
+                y = {i: str(Fraction(v) * scale) for i, v in rec["y"].items()}
+                mutants.append((kind, {**rec, "y": y}))
+            for kind, mutant in mutants:
+                pieces = [*cert["pieces"][:r], mutant, *cert["pieces"][r + 1:]]
+                assert not recheck_certificate({**cert, "pieces": pieces})[0], kind
+                counts[kind] = counts.get(kind, 0) + 1
+    assert certs == 15          # 54 records of nonempty pieces among them
+    assert counts == {"relabel": 54, "drop": 54, "negate": 54, "halve": 54}
+
+
+def _row_certificate(spec, family, mixed=False):
     g = parse_graph_spec(spec)
     row = (antiweb_constraint(AntiwebId(*g.family[1:]))[0] if family == "antiweb"
            else joined_inequality(join_blocks_of(g)))
-    h = qstab(g)
+    h = with_mixed_rows(qstab(g)) if mixed else qstab(g)
     return json.loads(dumps(disjunctive_rank_inequality(row, h).to_json(row, h)))
 
 
@@ -129,31 +181,84 @@ def _support(violation):
                         if Fraction(x) not in (0, 1)))
 
 
-@pytest.mark.parametrize("spec, family", [("A:8:3", "antiweb"), ("A:11:3", "antiweb"),
-                                          ("A:11:4", "antiweb"),
-                                          ("join:A:5:2,A:5:2", "joined")])
-def test_every_mutation_of_a_row_rank_fails(spec, family):
-    """Raising or lowering the rank fails, with or without the witness
-    extended to match.  Dropping the violations of one fractional support
-    fails exactly when the rest leave some F of size rank-1 unrefuted (by
-    the brute-force oracle), and for some support it does.  On an anchored
-    row, a point fractional on the anchor in place of each point that is
-    not fails the coverage step."""
+def _inflated(cert, extra):
+    """rank + 1 with extra appended to the witness, each piece record
+    duplicated with it at 0 and at 1: the witness pieces still check."""
+    out = copy.deepcopy(cert)
+    out["witness_f"].append(extra)
+    out["rank"] += 1
+    out["pieces"] = [{**p, "z": [*p["z"], z]} for p in cert["pieces"] for z in (0, 1)]
+    return out
+
+
+ROW_RANK_CASES = [("A:8:3", "antiweb"), ("A:11:3", "antiweb"), ("A:11:4", "antiweb"),
+                  ("join:A:5:2,A:5:2", "joined")]
+
+
+@pytest.mark.parametrize("spec, family", ROW_RANK_CASES)
+def test_every_mutation_of_a_row_rank_bound_fails(spec, family):
+    """Over QSTAB the point bound equals the rank, so the certificate has
+    no coverage step.  Raising or lowering the rank fails, with or without
+    the witness extended to match (the inflated rank fails at the bound's
+    arithmetic once the bound is raised with it, and at the coverage
+    while it is not).  So do a bound raised by one, a bound point moved
+    out of the system, a row of mixed signs added to the system, and a
+    bound lowered below the rank, which the empty violation list cannot
+    cover."""
     cert = _row_certificate(spec, family)
+    rank, bound = cert["rank"], cert["bound"]
+    assert recheck_certificate(cert)[0] and bound == rank >= 2 and cert["bound_point"]
+    for delta in (1, -1):
+        assert not recheck_certificate({**cert, "rank": rank + delta})[0]
+    h = _system(cert["system"])
+    inflated = _inflated(cert, next(v for v in h.index if v not in cert["witness_f"]))
+    ok, detail = recheck_certificate(inflated)
+    assert not ok and detail.startswith("coverage failed")
+    ok, detail = recheck_certificate({**inflated, "bound": bound + 1})
+    assert not ok and detail == (f"bound {bound + 1} failed: c.u less its {bound} largest "
+                                 "terms is not above the row's right-hand side")
+    shortened = {**cert, "rank": rank - 1, "witness_f": cert["witness_f"][:-1]}
+    assert not recheck_certificate(shortened)[0]
+
+    assert recheck_certificate({**cert, "bound": bound + 1}) == (
+        False, f"bound {bound + 1} not in 0..{rank}")
+    ok, detail = recheck_certificate({**cert, "bound": bound - 1})
+    assert not ok and detail.startswith("coverage failed")
+    outside = copy.deepcopy(cert)
+    v = next(iter(outside["bound_point"]))
+    outside["bound_point"][v] = str(Fraction(outside["bound_point"][v]) + 1)
+    assert recheck_certificate(outside) == (False, f"bound {bound} failed: point outside "
+                                                   "the system")
+    mixed = copy.deepcopy(cert)
+    mixed["system"]["rows"].append({"coeffs": {h.index[0]: "1", h.index[1]: "-1"},
+                                    "rhs": "1"})
+    assert recheck_certificate(mixed) == (False, f"bound {bound} failed: a row of the "
+                                                 "system has coefficients of both signs")
+
+
+@pytest.mark.parametrize("spec, family", ROW_RANK_CASES)
+def test_every_mutation_of_a_row_rank_fails(spec, family):
+    """Over a system that is not down-closed (`with_mixed_rows`) the bound
+    is 0 and the lower bound rests on the violations.  Raising or lowering the
+    rank fails, with or without the witness extended to match.  Dropping
+    the violations of one fractional support fails exactly when the rest
+    leave some F of size rank-1 unrefuted (by the brute-force oracle), and
+    for some support it does.  On an anchored row, a point fractional on
+    the anchor in place of each point that is not fails the coverage
+    step."""
+    cert = _row_certificate(spec, family, mixed=True)
     h = _system(cert["system"])
     anchor = h.index[0] if rotation_invariant(LinearInequality.from_json(cert["row"]), h) \
         else None
     assert recheck_certificate(cert)[0] and (anchor is not None) == (family == "antiweb")
+    assert cert["bound"] == 0 and "bound_point" not in cert
+    assert cert["rank"] == _row_certificate(spec, family)["rank"]
     rank = cert["rank"]
     assert rank >= 2
     for delta in (1, -1):
         assert not recheck_certificate({**cert, "rank": rank + delta})[0]
-    extra = next(v for v in h.index if v not in cert["witness_f"])
-    inflated = copy.deepcopy(cert)
-    inflated["witness_f"].append(extra)
-    inflated["rank"] += 1
-    inflated["pieces"] = [{**p, "z": [*p["z"], z]} for p in cert["pieces"] for z in (0, 1)]
-    ok, detail = recheck_certificate(inflated)
+    ok, detail = recheck_certificate(
+        _inflated(cert, next(v for v in h.index if v not in cert["witness_f"])))
     assert not ok and detail.startswith("coverage failed")
     shortened = {**cert, "rank": rank - 1, "witness_f": cert["witness_f"][:-1]}
     assert not recheck_certificate(shortened)[0]
@@ -235,7 +340,8 @@ def test_every_mutation_of_a_graph_rank_fails(spec, drop):
 
 
 def test_a_past_deadline_stops_the_coverage_search():
-    cert = _row_certificate("A:8:3", "antiweb")
+    cert = _row_certificate("A:8:3", "antiweb", mixed=True)
+    assert cert["bound"] < cert["rank"]
     with limits(deadline=time.monotonic() - 1):
         with pytest.raises(SearchTimeout):
             hitting_set([1, 2], 1)

@@ -68,7 +68,9 @@ def test_dump_is_dumps_and_a_newline():
 
 
 # exact bytes of both membership payloads; the non-member certificate holds
-# the piece records ("pieces") of the validity scan of its separating row
+# one piece record per z, its multipliers y read off the Farkas vector of
+# the membership LP ("bounded": the row is bounded on the piece, no piece
+# max is claimed)
 
 MEMBER_A72 = (
     '{"certificate":{"f":[1,3],"kind":"validity-proof","multipliers":['
@@ -82,10 +84,10 @@ MEMBER_A72 = (
 
 NON_MEMBER_A73 = (
     '{"certificate":{"f":[1,2],"kind":"violating-point","pieces":['
-    '{"status":"optimal","value":"6","y":{"11":"2","13":"2","8":"2"},"z":[0,0]},'
-    '{"status":"optimal","value":"6","y":{"10":"2","12":"2","7":"2","9":"2"},"z":[0,1]},'
-    '{"status":"optimal","value":"6","y":{"11":"2","12":"2","7":"2","8":"2"},"z":[1,0]},'
-    '{"status":"optimal","value":"6","y":{"10":"2","12":"2","7":"2","8":"2"},"z":[1,1]}],'
+    '{"status":"bounded","y":{"11":"2","13":"2","8":"2"},"z":[0,0]},'
+    '{"status":"bounded","y":{"10":"2","12":"2","7":"2","9":"2"},"z":[0,1]},'
+    '{"status":"bounded","y":{"10":"2","12":"2","7":"2","8":"2"},"z":[1,0]},'
+    '{"status":"bounded","y":{"10":"2","12":"2","7":"2","8":"2"},"z":[1,1]}],'
     '"point":{"1":"1/2",'
     '"2":"1/2","3":"1/2","4":"1/2","5":"1/2","6":"1/2","7":"1/2"},'
     '"separating":{"coeffs":{"1":"2","2":"2","3":"2","4":"2","5":"2","6":"2",'
@@ -103,8 +105,23 @@ def test_membership_payloads_are_pinned(capsys):
 
 
 def test_row_rank_certificate_file_is_pinned(tmp_path, capsys):
+    # with the point bound 2 at u = 1/2 and no violation recorded
     path = tmp_path / "a83.json"
     assert main(["rank", "ineq", "antiweb", "A:8:3", "--cert", str(path)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(path.read_bytes()).hexdigest() == \
-        "ef8726d5dcf12a24cfa8a0d8d15331b87cb58e65df8333250de60e3855de7ef1"
+        "b859a440a606f472bc3649688a911287994a46a9723e2931b51d34053d05cfa6"
+
+
+def test_a_shared_dict_is_encoded_once_per_call():
+    # a report repeats one system object in many certificates: it is
+    # encoded once per call, and the text is what encoding each copy gives
+    system = {"index": (1, 2), "rows": [{"coeffs": {1: Fraction(-1)}, "rhs": Fraction(0)}]}
+    report = {"entries": [{"certificate": {"system": system, "n": i}} for i in range(3)]}
+    out = _jsonable(report)
+    encoded = [e["certificate"]["system"] for e in out["entries"]]
+    assert all(x is encoded[0] for x in encoded)
+    assert out == jsonable_by_isinstance(report)
+    assert dumps(report) == json.dumps(jsonable_by_isinstance(report), sort_keys=True,
+                                       separators=(",", ":"))
+    assert _jsonable(report)["entries"][0]["certificate"]["system"] is not encoded[0]
