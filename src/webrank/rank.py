@@ -258,21 +258,16 @@ def _smallest_depth(rows, h: HPolytope, rmax: int):
     return None
 
 
-def _uniform_point(h: HPolytope) -> dict | None:
-    """t on every coordinate, t the least b / a(row) over the rows whose
-    coefficient sum a(row) is positive (1/omega on QSTAB); None without
-    such a row."""
+def _uniform_bound(ineq: LinearInequality, h: HPolytope) -> tuple:
+    """(`recheck.point_bound`, u) for u = t on every coordinate, t the
+    least b / a(row) over the rows whose coefficient sum a(row) is
+    positive (1/omega on QSTAB); (0, None) without such a row, when u
+    lies outside h or when it refutes no F."""
     t = min((r.rhs / a for r in h.rows if (a := sum(r.coeffs.values())) > 0), default=None)
-    return None if t is None else dict.fromkeys(h.index, t)
-
-
-def _bound(ineq: LinearInequality, h: HPolytope, point) -> tuple:
-    """(`recheck.point_bound`, point) for a point of h, (0, None) for
-    None or a point outside h."""
+    point = None if t is None else dict.fromkeys(h.index, t)
     cleared = None if point is None else h.cleared(point)
-    if cleared is None:
-        return 0, None
-    return point_bound(h, ineq, *cleared), point
+    bound = 0 if cleared is None else point_bound(h, ineq, *cleared)
+    return (bound, point) if bound else (0, None)
 
 
 def disjunctive_rank_inequality(ineq: LinearInequality, h: HPolytope,
@@ -281,16 +276,12 @@ def disjunctive_rank_inequality(ineq: LinearInequality, h: HPolytope,
     size, then lexicographically, from the point bound up, with the
     violating point of each F rejected on the way.
 
-    On a down-closed h (`recheck.down_closed`) one point of h refutes
-    every F below its `recheck.point_bound`, with no LP.  The uniform
-    point (`_uniform_point`) gives the first bound; when the first F
-    scanned at that size is rejected, the certified `lp_max` optimum of
-    the row is tried once too (it is the tight one on Dahl's 1-interval
-    rows), and the scan restarts at its bound if that is higher.  A
-    nonempty F holds the first coordinate when rotation along h.index
-    maps the row and h to themselves (`rotation_invariant`).  Given the
-    graph of h = QSTAB(graph), the row is first checked valid for
-    STAB(graph) by a maximum-weight stable set search.
+    On a down-closed h (`recheck.down_closed`) the uniform point
+    (`_uniform_bound`) refutes every F below its `recheck.point_bound`,
+    with no LP.  A nonempty F holds the first coordinate when rotation
+    along h.index maps the row and h to themselves (`rotation_invariant`).
+    Given the graph of h = QSTAB(graph), the row is first checked valid
+    for STAB(graph) by a maximum-weight stable set search.
     """
     if graph is not None:
         val, arg = max_weight_stable_set(graph, ineq.coeffs)
@@ -298,24 +289,13 @@ def disjunctive_rank_inequality(ineq: LinearInequality, h: HPolytope,
             raise ValueError(f"row {ineq} invalid for the integer hull at the "
                              f"stable set {list(arg)}")
     anchored, violations = rotation_invariant(ineq, h), []
-    closed = down_closed(h)
-    bound, point = _bound(ineq, h, _uniform_point(h)) if closed else (0, None)
-    m = bound
-    while m <= h.dim:
+    bound, point = _uniform_bound(ineq, h) if down_closed(h) else (0, None)
+    for m in range(bound, h.dim + 1):
         for f in _f_candidates(h.index, m, anchored):
             ok, cert = disjunctive_valid(ineq, h, f)
             if ok:
                 return IneqRankResult(m, f, violations, cert["pieces"], bound, point)
-            if closed:
-                closed = False          # the second point is tried once
-                best = lp_max(h, ineq.coeffs)
-                got = _bound(ineq, h, best.point if best.status == "optimal" else None)
-                if got[0] > m:
-                    (bound, point), m = got, got[0]
-                    break
             violations.append((f, cert["point"]))
-        else:
-            m += 1
     raise RuntimeError(f"no F of size <= {h.dim} makes the row valid")
 
 

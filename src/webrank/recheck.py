@@ -282,7 +282,7 @@ def hitting_set(masks: list, size: int, seed: int = 0, refute=None):
 def _ineq_rank(cert):
     h, row = _system(cert["system"]), LinearInequality.from_json(cert["row"])
     wf, violations, rank = cert["witness_f"], cert["violations"], cert["rank"]
-    bound = cert.get("bound", 0)
+    bound = cert["bound"]
     _step(f"witness F={list(wf)}", check_pieces, h, row, wf, cert["pieces"])
     bit, supports = {v: 1 << i for i, v in enumerate(h.index)}, []
     for i, v in enumerate(violations):

@@ -313,6 +313,8 @@ def test_recheck_names_the_failed_step_of_a_row_rank(tmp_path, capsys):
 
     out = _recheck_doctored(tmp_path, capsys, argv, off_piece)
     assert "violations[0] failed: point not 0/1 at f coordinate 1" in out
+    out = _recheck_doctored(tmp_path, capsys, argv, lambda c: c.pop("bound"))
+    assert "malformed certificate: no field 'bound'" in out
 
 
 def _inflate_row_rank(cert, label):

@@ -41,7 +41,7 @@ from webrank.inequalities import (
     rank_constraint,
 )
 from webrank.liftproject import disjunctive_member, disjunctive_valid, n_operator_valid
-from webrank.polyhedra import (LinearInequality, convex_hull_facets, frac, is_valid, lp_max, qstab,
+from webrank.polyhedra import (LinearInequality, convex_hull_facets, frac, is_valid, qstab,
                                stab)
 from webrank.rank import (
     disjunctive_rank_graph,
@@ -223,41 +223,50 @@ def test_row_rank_search_order_is_pinned():
         [()] + [(v,) for v in range(1, 11)] + [(1, v) for v in range(2, 6)]
 
 
-def test_the_lp_optimum_raises_a_uniform_bound_once():
+def test_a_one_interval_row_has_bound_zero_and_one_violation():
     # on W_9^2's 1-interval row of T = (1, 3, 5, 7, 8, 9) the uniform
-    # point gives no bound, F = () is rejected, and the certified LP
-    # optimum of the row gives bound 1 = rank: the scan restarts at size
-    # 1, and the violation at size 0 is not recorded
+    # point satisfies the row, so the bound is 0 and carries no point; the
+    # scan rejects F = () and the coverage of size 0 rests on its point
     g = web(9, 2)
     s = next(t for t in enumerate_one_interval_sets(9) if t.T == (1, 3, 5, 7, 8, 9))
     row = one_interval_inequality(WebId(9, 2), s)
     h = qstab(g)
     res = disjunctive_rank_inequality(row, h, graph=g)
-    assert (res.rank, res.bound, res.violating_points) == (1, 1, [])
-    assert res.bound_point == lp_max(h, row.coeffs).point
-    assert recheck_certificate(res.to_json(row, h)) == (
-        True, "witness pieces + bound 1 + 0 violations")
+    assert (res.rank, res.bound, res.bound_point) == (1, 0, None)
+    assert [f for f, _ in res.violating_points] == [()]
+    cert = res.to_json(row, h)
+    assert "bound_point" not in cert
+    assert recheck_certificate(cert) == (
+        True, "witness pieces + bound 0 + 1 violations covering every F of size 0")
+    ok, detail = recheck_certificate({**cert, "violations": []})
+    assert not ok and detail.startswith("coverage failed")
 
 
 def test_the_point_bound_is_the_row_rank_where_the_scan_is_fast():
     # the rows whose row rank search runs fast: the rank rows of W_7^2 ..
     # W_13^2, the antiweb row of every prime antiweb with n <= 17 (up to
-    # A_17^7), the joined row of C_5 v C_5 and Dahl's 1-interval rows on
-    # W_10^2; each certificate passes `recheck` with no coverage step
+    # A_17^7) and the joined row of C_5 v C_5; each certificate passes
+    # `recheck` with no coverage step.  Dahl's 1-interval rows on W_10^2
+    # have rank 1 and bound 0, and their scans start at F = ()
     cases = [(rank_constraint(web(n, 2)), web(n, 2)) for n in range(7, 14)]
     cases += [(antiweb_constraint(AntiwebId(n, k))[0], antiweb(n, k))
               for n in range(4, 18) for k in range(2, n // 2 + 1) if AntiwebId(n, k).prime]
     host = parse_graph_spec("join:A:5:2,A:5:2")
     cases.append((joined_inequality(join_blocks_of(host)), host))
-    cases += [(one_interval_inequality(WebId(10, 2), s), web(10, 2))
-              for s in enumerate_one_interval_sets(10)]
-    assert len(cases) == 7 + 32 + 1 + 2
+    assert len(cases) == 7 + 32 + 1
     for row, g in cases:
         h = qstab(g)
         res = disjunctive_rank_inequality(row, h, graph=g)
         assert res.bound == res.rank, row
         ok, detail = recheck_certificate(json.loads(dumps(res.to_json(row, h))))
         assert ok and "covering" not in detail, row
+    scans = []
+    for s in enumerate_one_interval_sets(10):
+        row = one_interval_inequality(WebId(10, 2), s)
+        res = disjunctive_rank_inequality(row, qstab(web(10, 2)), graph=web(10, 2))
+        assert (res.rank, res.bound, res.bound_point) == (1, 0, None), row
+        scans.append([f for f, _ in res.violating_points] + [res.witness_f])
+    assert scans == [[(), (1,)], [(), (1,), (2,)]]
 
 
 def test_exhaustive_row_rank_step_decides_each_f_once(monkeypatch):

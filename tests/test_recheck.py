@@ -367,7 +367,7 @@ def test_a_coordinate_above_one_is_not_zero_one():
                                         {"coeffs": {"1": "1"}, "rhs": "2"},
                                         {"coeffs": {"2": "1"}, "rhs": "1"}]}
     cert = {"type": "ineq-rank", "system": system, "row": {"coeffs": {"1": "1"}, "rhs": "1"},
-            "rank": 2, "witness_f": [1, 2],
+            "rank": 2, "witness_f": [1, 2], "bound": 0,
             "pieces": [{"z": [a, b], "status": "optimal", "y": {}}
                        for a in (0, 1) for b in (0, 1)],
             "violations": [{"f": [2], "point": {"1": "2", "2": "0"}}]}
