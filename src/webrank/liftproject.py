@@ -21,6 +21,9 @@ Ye_0 = diag(Y), Ye_i and Y(e_0 - e_i) in cone(K), then project back to
 A x <= x0 b}; since every coordinate of K is bounded by a row, the cone
 has its apex only at the origin and one exact LP captures N^r via
 nested matrices (one per cone-membership constraint when r >= 2).
+When rotations or reflections of the positions fix K's rows and the
+objective, the max is taken, exactly, over that LP folded onto the
+orbits of its columns (`NLiftSystem`).
 
 Both oracles answer (bool, certificate), the certificate a plain dict of
 exact values (Fractions, int keys, tuples) that `reporting.dumps` writes
@@ -37,12 +40,13 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import partial
 from itertools import product
+from math import gcd
 
 from .graphs import (CertificateError, _check_deadline, _check_depth_cap, _check_piece_cap,
                      as_nodeset)
-from .polyhedra import HPolytope, LinearInequality, LPOutcome
+from .polyhedra import HPolytope, LinearInequality, LPOutcome, symmetries
 from .recheck import check_member, check_pieces, check_point, check_separating
-from .simplex import LinearProgram
+from .simplex import LinearProgram, LPResult, Primal
 
 
 def _pieces(f):
@@ -369,6 +373,30 @@ class NLiftSystem:
     QSTAB it drops every edge entry Y_ij of the top matrix, which the
     clique rows force to 0, and the rows the symmetry of Y repeats.
     `_col` maps each variable the presolve kept to its LP column.
+
+    Each variable has a structural key (`_var` maps it to the variable):
+    the path of its matrix, the (column i, side) pair of each cone
+    constraint on the way down from the top matrix (side 0 for Ye_i, 1
+    for Y(e_0 - e_i)), and its entry (i, j), i <= j, with (0, 0) for
+    Y_00.  A map of the positions of h.index acts on the keys by moving
+    every matrix index i >= 1 with its position, and so on the
+    variables.
+
+    Symmetry fold.  When rotations or reflections of the positions map
+    h's rows and the objective to themselves (`polyhedra.symmetries`),
+    the max is taken over the LP folded onto the orbits of its columns
+    under the group they generate.  The fold is exact.  The lift is built
+    alike from every row of h at every position, so each such map
+    permutes the LP's columns and maps its rows onto its rows (checked
+    on a generating set before folding; a failure raises): it maps the
+    feasible set and the objective to themselves.  The average of an
+    optimum over the group is then an optimum constant on every orbit,
+    a point x_j = z_(orbit of j), on which each row reads as its folded
+    row, the coefficients summed per orbit.  So the folded max is the
+    max, and its optimum expanded back to the columns is an optimum of
+    the LP itself, which `y_matrix` reads as any other.  A trivial group
+    solves the LP itself, from its last feasible basis; each folded LP
+    is kept for the next objective with the same generators.
     """
 
     def __init__(self, h: HPolytope, depth: int):
@@ -378,37 +406,40 @@ class NLiftSystem:
         self.depth = depth
         self.n = h.dim
         self._nv = 0
+        self._var = {}      # structural key -> variable, in variable order
         self._le = []       # (dict var->coefficient, rhs)
         self._eq = []
-        self.top = self._new_matrix(top=True)
-        self._require_matrix_columns(self.top, depth - 1)
+        self.top = self._new_matrix((), top=True)
+        self._require_matrix_columns(self.top, (), depth - 1)
         rows, self._col = _presolve(self._le, self._eq, self._nv)
         self._diag = [(v, self._col.get(self.top[(j, j)]))     # LP column of x_v or None
                       for j, v in enumerate(h.index, start=1)]
         self._lp = LinearProgram(len(self._col))
         for coeffs, rhs, kind in rows:
             (self._lp.add_le if kind == "<=" else self._lp.add_eq)(coeffs, rhs)
+        self._folds = {}    # generators -> (folded LP, orbit of each LP column)
 
     # -- variable/expression plumbing --------------------------------------
 
-    def _new_var(self):
-        v = self._nv
+    def _new_var(self, key):
+        v = self._var[key] = self._nv
         self._nv += 1
         return v
 
-    def _new_matrix(self, top=False):
+    def _new_matrix(self, path, top=False):
         """Symmetric matrix with Y_0j identified with Y_jj (diag condition).
 
         Returns a dict with entries for 1<=i<=j<=n plus "00" (absent for
-        the top matrix, whose Y_00 is the constant 1).
+        the top matrix, whose Y_00 is the constant 1); path is its
+        structural path.
         """
         n = self.n
         mat = {}
         if not top:
-            mat["00"] = self._new_var()
+            mat["00"] = self._new_var((path, (0, 0)))
         for i in range(1, n + 1):
             for j in range(i, n + 1):
-                mat[(i, j)] = self._new_var()
+                mat[(i, j)] = self._new_var((path, (i, j)))
         mat["top"] = top
         return mat
 
@@ -421,25 +452,27 @@ class NLiftSystem:
             return {mat[(j, j)]: 1}          # Y_0j = Y_jj
         return {mat[(i, j)]: 1}
 
-    def _require_matrix_columns(self, mat, inner_depth):
+    def _require_matrix_columns(self, mat, path, inner_depth):
         """Ye_i and Y(e_0 - e_i) in cone(N^inner_depth(h)) for i = 1..n."""
         n = self.n
         e0 = [self._entry_expr(mat, j, j) for j in range(0, n + 1)]
         for i in range(1, n + 1):
             col = [self._entry_expr(mat, j, i) for j in range(0, n + 1)]
-            self._require_in_cone(col, inner_depth)
+            self._require_in_cone(col, path + ((i, 0),), inner_depth)
             self._require_in_cone([_lin((1, a), (-1, b)) for a, b in zip(e0, col)],
-                                  inner_depth)
+                                  path + ((i, 1),), inner_depth)
 
-    def _require_in_cone(self, expr, inner_depth):
-        """expr (length n+1, homogeneous) must lie in cone(N^inner_depth(h))."""
+    def _require_in_cone(self, expr, path, inner_depth):
+        """expr (length n+1, homogeneous) must lie in cone(N^inner_depth(h));
+        path is the structural path of the matrix that proves it."""
+        _check_deadline()
         if inner_depth == 0:
             self._add_cone_rows(expr)
             return
-        mat = self._new_matrix()
+        mat = self._new_matrix(path)
         for j in range(0, self.n + 1):
             self._add_row(_lin((1, self._entry_expr(mat, j, j)), (-1, expr[j])), "=")
-        self._require_matrix_columns(mat, inner_depth - 1)
+        self._require_matrix_columns(mat, path, inner_depth - 1)
 
     def _add_cone_rows(self, expr):
         """Homogenized rows of h on expr = (x0, x): A x <= x0 b, x0, x >= 0."""
@@ -457,14 +490,91 @@ class NLiftSystem:
         terms = {v: c for v, c in expr.items() if v != _ONE}
         (self._le if kind == "<=" else self._eq).append((terms, -expr.get(_ONE, 0)))
 
+    # -- the symmetry fold ----------------------------------------------------
+
+    def _fold(self, gens) -> tuple:
+        """(folded LP, orbit of each LP column) for the group the position
+        maps gens generate.  Each map must permute the LP's columns
+        through their structural keys and map every LP row onto an LP
+        row, compared in their coprime integer form (as `polyhedra`
+        compares rows), else RuntimeError; the folded rows sum each such
+        row's coefficients per orbit, without repeats and without empty
+        rows that hold."""
+        _check_deadline()
+        lp, cols, key_of = self._lp, self._lp.nv, list(self._var)
+        rows = []
+        for (ints, rhs, _), (_, _, kind) in zip(lp._integer_rows(), lp.rows):
+            g = gcd(rhs, *ints.values())
+            rows.append(({j: a // g for j, a in ints.items()}, rhs // g, kind))
+        rowset = {(kind, rhs, frozenset(ints.items())) for ints, rhs, kind in rows}
+        parent = list(range(cols))
+
+        def root(j):
+            while parent[j] != j:
+                parent[j] = j = parent[parent[j]]
+            return j
+
+        for p in gens:
+            m = (0, *(q + 1 for q in p))
+            img = []
+            for v in self._col:                     # in LP column order
+                path, (i, j) = key_of[v]
+                i, j = sorted((m[i], m[j]))
+                img.append(self._col.get(self._var[tuple((m[a], s) for a, s in path), (i, j)]))
+            _check_deadline()
+            if None in img or len(set(img)) != cols or any(
+                    (kind, rhs, frozenset((img[j], a) for j, a in ints.items())) not in rowset
+                    for ints, rhs, kind in rows):
+                raise RuntimeError(f"position map {p} does not map the N lift onto itself")
+            for j, k in enumerate(img):
+                parent[root(j)] = root(k)
+        ids = {}
+        orbit = [ids.setdefault(root(j), len(ids)) for j in range(cols)]
+        folded, seen = LinearProgram(len(ids)), set()
+        _check_deadline()
+        for ints, rhs, kind in rows:
+            acc = {}
+            for j, a in ints.items():
+                acc[orbit[j]] = acc.get(orbit[j], 0) + a
+            acc = {o: a for o, a in acc.items() if a}
+            key = (kind, rhs, frozenset(acc.items()))
+            if key in seen or not acc and (rhs >= 0 if kind == "<=" else rhs == 0):
+                continue
+            seen.add(key)
+            (folded.add_le if kind == "<=" else folded.add_eq)(acc, rhs)
+        return folded, orbit
+
+    def _folded_maximize(self, objective: dict, gens) -> LPResult:
+        """The max over the folded LP of gens, as an LPResult over the LP's
+        own columns: the folded optimum expanded back, no duals."""
+        if gens not in self._folds:
+            self._folds[gens] = self._fold(gens)
+        lp, orbit = self._folds[gens]
+        obj = {}
+        for v, col in self._diag:
+            if col is not None and (c := objective.get(v)):
+                obj[orbit[col]] = obj.get(orbit[col], 0) + c
+        res = lp.maximize(obj)
+        if res.status != "optimal":
+            return res
+        basic = res.primal.basic
+        return LPResult(status="optimal", value=res.value, pivots=res.pivots,
+                        primal=Primal(self._lp.nv, {j: q for j, o in enumerate(orbit)
+                                                    if (q := basic.get(o))}))
+
     # -- solving ------------------------------------------------------------
 
     def maximize(self, objective: dict) -> tuple:
         """(LPOutcome, raw LPResult) of the max over N^depth(h).  The raw
-        result's x and duals belong to the presolved LP's columns and
-        rows (`y_matrix` reads the lifted matrix through `_col`)."""
-        obj = {col: c for v, col in self._diag if col is not None and (c := objective.get(v))}
-        res = self._lp.maximize(obj)
+        result's x belongs to the presolved LP's columns (`y_matrix`
+        reads the lifted matrix through `_col`), and so do its duals when
+        the LP itself was solved; a folded max has none."""
+        group = symmetries(self.h, objective)
+        if len(group) > 1:
+            res = self._folded_maximize(objective, _generators(group))
+        else:
+            res = self._lp.maximize({col: c for v, col in self._diag
+                                     if col is not None and (c := objective.get(v))})
         if res.status == "infeasible":
             return LPOutcome(status="infeasible"), res
         if res.status == "unbounded":
@@ -488,6 +598,16 @@ class NLiftSystem:
         return y
 
 
+def _generators(group) -> tuple:
+    """A generating set of a group of position maps (`polyhedra.symmetries`,
+    the identity first): the least rotation in it and its first
+    reflection, where there are such."""
+    n = len(group[0])
+    rotations = [p for p in group[1:] if (p[1] - p[0]) % n == 1]
+    reflections = [p for p in group[1:] if (p[1] - p[0]) % n != 1]
+    return tuple(rotations[:1] + reflections[:1])
+
+
 def _presolve(le, eq, nv):
     """(rows, col): the <= rows le and = rows eq, (dict var->coefficient,
     rhs) over nv variables >= 0, as (dict column->coefficient, rhs, kind)
@@ -495,10 +615,11 @@ def _presolve(le, eq, nv):
     rhs 0 whose remaining coefficients are all positive, or for an = row
     all of one sign, forces its variables to 0, to a fixpoint; they leave
     every row, and rows left empty, lone -x <= 0 rows and exact duplicates
-    go."""
+    go.  Each pass of the fixpoint and each row kept check the deadline."""
     rows = [(c, rhs, "<=") for c, rhs in le] + [(c, rhs, "=") for c, rhs in eq]
     zero, grew = set(), True
     while grew:
+        _check_deadline()
         grew = False
         for coeffs, rhs, kind in rows:
             if rhs:
@@ -511,6 +632,7 @@ def _presolve(le, eq, nv):
     seen = set()
     out = []
     for coeffs, rhs, kind in rows:
+        _check_deadline()
         live = {col[v]: c for v, c in coeffs.items() if v not in zero}
         if not live:
             if rhs < 0 or (kind == "=" and rhs):

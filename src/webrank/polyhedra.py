@@ -222,17 +222,37 @@ def lp_max(h: HPolytope, objective) -> LPOutcome:
     return LPOutcome(status="optimal", value=res.value, point=point, duals=res.duals)
 
 
+def symmetries(h: HPolytope, coeffs: dict, maps=None) -> list:
+    """The position maps among `maps` (by default every rotation and
+    reflection of the positions of h.index, the identity first) that map
+    the coefficients and the set of h's rows (by canonical keys) to
+    themselves.  A map p moves the coordinate at position i to position
+    p[i]."""
+    index, n = h.index, h.dim
+    vals = [coeffs.get(v, 0).as_integer_ratio() for v in index]
+    if maps is None:        # a rotation or reflection is known by where it moves position 0
+        starts = [s for s in range(n) if vals[s] == vals[0]]
+        maps = dict.fromkeys(tuple((s + e * i) % n for i in range(n))
+                             for e in (1, -1) for s in starts)
+    rows, out, identity = None, [], tuple(range(n))
+    for p in maps:
+        if [vals[q] for q in p] != vals:
+            continue
+        if p == identity:
+            out.append(p)
+            continue
+        if rows is None:
+            rows = {(frozenset(key), b) for key, b in (r.canonical() for r in h.rows)}
+        move = dict(zip(index, (index[q] for q in p)))
+        if all((frozenset((move[v], c) for v, c in key), b) in rows for key, b in rows):
+            out.append(p)
+    return out
+
+
 def rotation_invariant(row: LinearInequality, h: HPolytope) -> bool:
-    """Whether moving each coordinate one position along h.index maps the
-    row, and the set of h's rows, to themselves (by canonical keys); a
-    search over F may then hold index[0]."""
-    shift = dict(zip(h.index, h.index[1:] + h.index[:1]))
-
-    def moved(key):
-        return tuple(sorted((shift.get(v, v), c) for v, c in key[0])), key[1]
-
-    keys = {r.canonical() for r in h.rows}
-    return moved(row.canonical()) == row.canonical() and all(moved(k) in keys for k in keys)
+    """Whether the shift by one position along h.index is among the
+    symmetries of h and the row; a search over F may then hold index[0]."""
+    return bool(symmetries(h, row.coeffs, [tuple((i + 1) % h.dim for i in range(h.dim))]))
 
 
 def is_valid(ineq: LinearInequality, h: HPolytope):

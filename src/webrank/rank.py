@@ -250,10 +250,13 @@ def _f_candidates(index, m: int, anchored: bool):
 
 def _smallest_depth(rows, h: HPolytope, rmax: int):
     """Smallest r <= rmax with every row valid for N^r(h), where
-    N^0(h) = h; None when there is none."""
+    N^0(h) = h; None when there is none.  N^(r+1)(h) lies in N^r(h), so
+    a row valid at depth r stays valid, and each depth checks only the
+    rows the depths before it left undecided."""
     for r in range(rmax + 1):
-        if all((n_operator_valid(row, h, r) if r else is_valid(row, h))[0]
-               for row in rows):
+        rows = [row for row in rows
+                if not (n_operator_valid(row, h, r) if r else is_valid(row, h))[0]]
+        if not rows:
             return r
     return None
 

@@ -64,9 +64,10 @@ def dumps(v) -> str:
 
 
 def dump(v, fh):
-    """Write the JSON text of v and a newline to fh, streamed."""
-    json.dump(_jsonable(v), fh, sort_keys=True, separators=(",", ":"))
-    fh.write("\n")
+    """Write the JSON text of v and a newline to fh, encoded whole by
+    `dumps` (json.dump would stream it through the slower pure-Python
+    encoder)."""
+    fh.write(dumps(v) + "\n")
 
 
 @dataclass

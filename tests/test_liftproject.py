@@ -415,8 +415,10 @@ def test_n1_pivot_path_on_w10_2_is_pinned():
                     (18, 56), (24, 80), (23, 91), (21, 101), (17, 119)]
 
 
-# shape and pivot count of the presolved depth-2 lift LP, by (n, k)
-_N2_PRESOLVED = {(5, 1): ((340, 110), 163), (7, 2): ((805, 217), 373)}
+# shape and pivots of the presolved depth-2 lift LP, then of its fold by
+# the dihedral group, by (n, k)
+_N2_PRESOLVED = {(5, 1): ((340, 110), 163, (39, 15), 15),
+                 (7, 2): ((805, 217), 373, (62, 20), 19)}
 
 
 @pytest.mark.parametrize("n, k, shape, pivots", [
@@ -424,17 +426,24 @@ _N2_PRESOLVED = {(5, 1): ((340, 110), 163), (7, 2): ((805, 217), 373)}
     (7, 2, (3052, 434), 482),
 ])
 def test_n2_max_pivot_count_is_pinned(n, k, shape, pivots):
-    # shape and pivots of the full lift LP as built, then of its presolve
+    # shape and pivots of the full lift LP as built, of its presolve (solved
+    # directly) and of the presolve folded onto column orbits (x(V) is fixed
+    # by every rotation and reflection)
     g = web(n, k)
     sys_ = NLiftSystem(qstab(g), 2)
     lp = _full_lift_lp(sys_)
     assert (len(lp.rows), lp.nv) == shape
     raw = lp.solve(_full_lift_objective(sys_, ones(g)))
     assert raw.value == 2 and raw.pivots == pivots
-    small_shape, small_pivots = _N2_PRESOLVED[(n, k)]
+    small_shape, small_pivots, fold_shape, fold_pivots = _N2_PRESOLVED[(n, k)]
     assert (len(sys_._lp.rows), sys_._lp.nv) == small_shape
+    raw = sys_._lp.solve({col: 1 for _, col in sys_._diag if col is not None})
+    assert raw.value == 2 and raw.pivots == small_pivots
     out, raw = sys_.maximize(ones(g))
-    assert out.value == 2 and raw.pivots == small_pivots
+    (folded, _), = sys_._folds.values()
+    assert (len(folded.rows), folded.nv) == fold_shape
+    assert out.value == 2 and raw.pivots == fold_pivots
+    assert out.point == dict.fromkeys(g.nodes, Fraction(2, n))
 
 
 def test_warm_restart_reuses_the_lift_system():

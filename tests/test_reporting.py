@@ -125,3 +125,14 @@ def test_a_shared_dict_is_encoded_once_per_call():
     assert dumps(report) == json.dumps(jsonable_by_isinstance(report), sort_keys=True,
                                        separators=(",", ":"))
     assert _jsonable(report)["entries"][0]["certificate"]["system"] is not encoded[0]
+
+
+def test_dump_encodes_in_one_shot(monkeypatch):
+    # json.dump streams through the pure-Python encoder; dump must not
+    def streamed(*args, **kwargs):
+        raise AssertionError("streamed through the pure-Python encoder")
+    monkeypatch.setattr(json.encoder, "_make_iterencode", streamed)
+    for v in VALUES:
+        fh = io.StringIO()
+        dump(v, fh)
+        assert fh.getvalue() == dumps(v) + "\n"
