@@ -25,6 +25,11 @@ When rotations or reflections of the positions fix K's rows and the
 objective, the max is taken, exactly, over that LP folded onto the
 orbits of its columns (`NLiftSystem`).
 
+Every LP here is built from `HPolytope.integral_rows`, so the integer
+rows of QSTAB, FRAC and hull facets stay ints from the lift, piece and
+membership rows down to the tableau; the values, points, duals and
+Farkas vectors read back are Fractions, as in the certificates.
+
 Both oracles answer (bool, certificate), the certificate a plain dict of
 exact values (Fractions, int keys, tuples) that `reporting.dumps` writes
 and `recheck` reads: kind ("validity-proof" or "violating-point"), f or
@@ -58,14 +63,15 @@ def _pieces(f):
 
 
 def _fixed_rows(h: HPolytope, fixing: dict, col: dict):
-    """(rows, None), rows the rows of h with x_v = fixing[v] substituted as
-    (index in h.rows, coefficients keyed by col[v] of the free coordinates,
-    right-hand side); or (None, i) when row i, left without a free
-    coordinate, has a negative right-hand side (the piece is empty)."""
+    """(rows, None), rows the rows of h (`HPolytope.integral_rows`) with
+    x_v = fixing[v] substituted as (index in h.rows, coefficients keyed by
+    col[v] of the free coordinates, right-hand side); or (None, i) when
+    row i, left without a free coordinate, has a negative right-hand side
+    (the piece is empty)."""
     rows = []
-    for i, r in enumerate(h.rows):
-        coeffs, rhs = {}, r.rhs
-        for v, c in r.coeffs.items():
+    for i, (row, rhs) in enumerate(h.integral_rows()):
+        coeffs = {}
+        for v, c in row.items():
             z = fixing.get(v)
             if z is None:
                 coeffs[col[v]] = c
@@ -356,7 +362,7 @@ def _lin(*terms):
     for scale, expr in terms:
         for v, c in expr.items():
             out[v] = out.get(v, 0) + scale * c
-    return {v: c for v, c in out.items() if c}
+    return {v: c for v, c in out.items() if c} if 0 in out.values() else out
 
 
 class NLiftSystem:
@@ -475,20 +481,23 @@ class NLiftSystem:
         self._require_matrix_columns(mat, path, inner_depth - 1)
 
     def _add_cone_rows(self, expr):
-        """Homogenized rows of h on expr = (x0, x): A x <= x0 b, x0, x >= 0."""
+        """Homogenized rows of h on expr = (x0, x): A x <= x0 b, x0, x >= 0,
+        from `HPolytope.integral_rows`.  An entry of expr that is at most
+        one positive term is >= 0 for every LP point and gets no row."""
         pos = {v: j + 1 for j, v in enumerate(self.h.index)}
         for e in expr:
-            self._add_row(_lin((-1, e)), "<=")                # x0 >= 0, x >= 0
-        for r in self.h.rows:
+            if len(e) > 1 or min(e.values(), default=1) < 0:
+                self._add_row(_lin((-1, e)), "<=")            # x0 >= 0, x >= 0
+        for r, (coeffs, rhs) in zip(self.h.rows, self.h.integral_rows()):
             if r.tag == "nonneg":
                 continue                                      # covered above
-            self._add_row(_lin((-r.rhs, expr[0]),
-                               *((c, expr[pos[v]]) for v, c in r.coeffs.items())), "<=")
+            self._add_row(_lin((-rhs, expr[0]),
+                               *((c, expr[pos[v]]) for v, c in coeffs.items())), "<=")
 
     def _add_row(self, expr, kind):
-        """The row expr <= 0 (kind "<=") or expr = 0 (kind "=")."""
-        terms = {v: c for v, c in expr.items() if v != _ONE}
-        (self._le if kind == "<=" else self._eq).append((terms, -expr.get(_ONE, 0)))
+        """The row expr <= 0 (kind "<=") or expr = 0 (kind "="); expr, a
+        fresh `_lin` result, becomes the row's coefficients."""
+        (self._le if kind == "<=" else self._eq).append((expr, -expr.pop(_ONE, 0)))
 
     # -- the symmetry fold ----------------------------------------------------
 
@@ -505,7 +514,9 @@ class NLiftSystem:
         rows = []
         for (ints, rhs, _), (_, _, kind) in zip(lp._integer_rows(), lp.rows):
             g = gcd(rhs, *ints.values())
-            rows.append(({j: a // g for j, a in ints.items()}, rhs // g, kind))
+            if g != 1:
+                ints, rhs = {j: a // g for j, a in ints.items()}, rhs // g
+            rows.append((ints, rhs, kind))
         rowset = {(kind, rhs, frozenset(ints.items())) for ints, rhs, kind in rows}
         parent = list(range(cols))
 
@@ -613,21 +624,25 @@ def _presolve(le, eq, nv):
     rhs) over nv variables >= 0, as (dict column->coefficient, rhs, kind)
     rows, col numbering densely the variables not forced to 0.  A row with
     rhs 0 whose remaining coefficients are all positive, or for an = row
-    all of one sign, forces its variables to 0, to a fixpoint; they leave
-    every row, and rows left empty, lone -x <= 0 rows and exact duplicates
-    go.  Each pass of the fixpoint and each row kept check the deadline."""
+    all of one sign, forces its variables to 0, to a fixpoint (a pass
+    after the first reads only the rows that share a variable with the
+    rows the pass before it fired); they leave every row, and rows left
+    empty, lone -x <= 0 rows and exact duplicates go.  Each pass of the
+    fixpoint and each row kept check the deadline."""
     rows = [(c, rhs, "<=") for c, rhs in le] + [(c, rhs, "=") for c, rhs in eq]
-    zero, grew = set(), True
-    while grew:
+    zero, scan = set(), rows
+    while scan:
         _check_deadline()
-        grew = False
-        for coeffs, rhs, kind in rows:
+        grew = set()
+        for coeffs, rhs, kind in scan:
             if rhs:
                 continue
             live = [c for v, c in coeffs.items() if v not in zero]
             if live and (min(live) > 0 or (kind == "=" and max(live) < 0)):
+                grew.update(coeffs)
                 zero.update(coeffs)
-                grew = True
+        # the next pass reads only the rows this one may have changed
+        scan = [row for row in rows if not grew.isdisjoint(row[0])]
     col = {v: i for i, v in enumerate(v for v in range(nv) if v not in zero)}
     seen = set()
     out = []

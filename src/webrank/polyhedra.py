@@ -28,7 +28,12 @@ from math import gcd, lcm
 
 from .graphs import (Graph, _check_deadline, _check_hull_bound, as_nodeset,
                      enumerate_maximal_cliques, enumerate_stable_sets)
-from .simplex import LinearProgram, _eliminate, _frac, _intify
+from .simplex import LinearProgram, _eliminate, _intify
+
+
+def _frac(v):
+    """v as a Fraction; a Fraction is kept as it is (it is immutable)."""
+    return v if isinstance(v, Fraction) else Fraction(v)
 
 
 class LinearInequality:
@@ -100,6 +105,11 @@ class LinearInequality:
                                 Fraction(d["rhs"]), d.get("tag", "other"))
 
 
+def _integral(q: Fraction):
+    """q as an int when it is integral, else q itself."""
+    return q.numerator if q.denominator == 1 else q
+
+
 def clear_denominators(point: dict, index) -> tuple:
     """(num, L) with x = num / L on the index, in integers: L is the lcm
     of the denominators; keys outside the index are ignored."""
@@ -118,14 +128,18 @@ class HPolytope:
     All relaxations built here carry explicit nonnegativity rows and a
     bound on every coordinate (a singleton-clique or edge row), so they
     live in [0,1]^n.
+
+    Every LP over h (`lp_max` and those of `liftproject`) is built from
+    `integral_rows`, so integer rows reach the tableau as ints.
     """
 
-    __slots__ = ("index", "rows", "_tests")
+    __slots__ = ("index", "rows", "_tests", "_ints")
 
     def __init__(self, index, rows):
         object.__setattr__(self, "index", tuple(index))
         object.__setattr__(self, "rows", tuple(rows))
         object.__setattr__(self, "_tests", None)
+        object.__setattr__(self, "_ints", None)
         for r in rows:
             if not set(r.support) <= set(self.index):
                 raise ValueError(f"row {r} outside coordinate index")
@@ -159,6 +173,17 @@ class HPolytope:
                 sum(c * num[v] for v, c in key) > rhs * L for key, rhs in self._tests):
             return None
         return num, L
+
+    def integral_rows(self) -> tuple:
+        """(coeffs, rhs) of each row, in row order, with the row's values,
+        each integral one as an int and the others as Fractions; built once
+        per HPolytope.  The rows are not rescaled, so an LP built from them
+        has the duals and Farkas vectors of the rows themselves."""
+        if self._ints is None:
+            object.__setattr__(self, "_ints", tuple(
+                ({v: _integral(c) for v, c in r.coeffs.items()}, _integral(r.rhs))
+                for r in self.rows))
+        return self._ints
 
     def contains(self, point: dict) -> bool:
         """x in h, tested in integers (`cleared`)."""
@@ -206,8 +231,8 @@ def lp_max(h: HPolytope, objective) -> LPOutcome:
     hit = _LP_MAX_CACHE.get(id(h))
     if hit is None:
         lp = LinearProgram(len(h.index))
-        for r in h.rows:
-            lp.add_le({pos[v]: c for v, c in r.coeffs.items()}, r.rhs)
+        for coeffs, rhs in h.integral_rows():
+            lp.add_le({pos[v]: c for v, c in coeffs.items()}, rhs)
         _LP_MAX_CACHE.clear()
         _LP_MAX_CACHE[id(h)] = (h, lp)      # h held, so its id is not reused meanwhile
     else:

@@ -53,7 +53,7 @@ ResourceCapExceeded.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import lru_cache
 from itertools import product
 
 from .graphs import (
@@ -260,23 +260,31 @@ def hitting_set(masks: list, size: int, seed: int = 0, refute=None):
     None: a branching search on the bits of the first mask F misses.  An
     F that meets every mask goes to refute(F) when given, which returns a
     mask F misses (appended to `masks` and branched on) or None (F is
-    accepted).  Each node checks the deadline."""
-    @cache
-    def rec(f):
+    accepted).  A child F | bit meets every mask its parent met and the
+    one it branched on, so its scan starts one past that mask; masks
+    only grow, so the answer of each F is kept (keyed by F alone,
+    whatever the start).  Each node checks the deadline."""
+    memo = {}
+
+    def rec(f, start):
+        if f in memo:
+            return memo[f]
         _check_deadline()
-        miss = next((m for m in masks if not m & f), None)
-        if miss is None:
+        k = next((k for k in range(start, len(masks)) if not masks[k] & f), len(masks))
+        if k == len(masks):
             if refute is None or (miss := refute(f)) is None:
+                memo[f] = f
                 return f
             masks.append(miss)
-        if f.bit_count() >= size:
-            return None
-        for i in _bits(miss):
-            if (got := rec(f | 1 << i)) is not None:
-                return got
-        return None
+        got = None
+        if f.bit_count() < size:
+            for i in _bits(masks[k]):
+                if (got := rec(f | 1 << i, k + 1)) is not None:
+                    break
+        memo[f] = got
+        return got
 
-    return rec(seed)
+    return rec(seed, 0)
 
 
 def _ineq_rank(cert):

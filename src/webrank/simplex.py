@@ -11,8 +11,12 @@ nonzeros of that row and of the pivot row: ``row*(p/g) - prow*(e/g)``
 with ``g = gcd(p, e)``, in the gcd-reduced style of Bareiss (1968).  The
 reduced-cost row is built in integers over the lcm of the divisors of
 the rows that contribute to it.  ``LinearProgram.rows`` holds sparse
-``(coeffs, rhs, kind)`` rows, ``coeffs`` the nonzero ``(column, Fraction)``
-pairs, which a solve clears of denominators directly.  A pivot scans the
+``(coeffs, rhs, kind)`` rows, ``coeffs`` the nonzero ``(column, value)``
+pairs, each value an ``int`` when given as one and a ``Fraction``
+otherwise, which a solve clears of denominators directly (an ``int`` has
+denominator 1, so integral rows cost no ``Fraction`` work from build to
+tableau).  Values, points, duals and certificates of a solve are
+``Fraction``s whatever the rows hold.  A pivot scans the
 rows once: the ratio scan also records every row with a nonzero in the
 entering column, and the pivot clears just those.
 
@@ -112,14 +116,14 @@ class LinearProgram:
             raise ValueError("need at least one variable")
         self.nv = num_vars
         self._cols = frozenset(range(num_vars))
-        self.rows = []               # (nonzero (column, Fraction) pairs, Fraction rhs, kind)
+        self.rows = []               # (nonzero (column, value) pairs, rhs, kind), int or Fraction
         self._ints = []              # integer form of each row, see _integer_rows
         self._tab = None
 
     def _pairs(self, coeffs) -> list:
-        """The nonzero (column, Fraction) pairs of a row or objective given
-        as a dict {column: value} or as a dense list of nv values; a column
-        outside 0..nv-1 raises ValueError."""
+        """The nonzero (column, value) pairs of a row or objective given as
+        a dict {column: value} or as a dense list of nv values, each value
+        made exact (`_exact`); a column outside 0..nv-1 raises ValueError."""
         if not isinstance(coeffs, dict):
             if len(coeffs) != self.nv:
                 raise ValueError(f"row length {len(coeffs)} != {self.nv}")
@@ -127,14 +131,15 @@ class LinearProgram:
         if not self._cols.issuperset(coeffs):
             bad = [j for j in coeffs if j not in self._cols]
             raise ValueError(f"columns {bad} outside 0..{self.nv - 1}")
-        return [(j, v if isinstance(v, Fraction) else Fraction(v))
+        # `_exact`, inlined: it runs on the objective of every re-solve
+        return [(j, v if type(v) is int or isinstance(v, Fraction) else Fraction(v))
                 for j, v in coeffs.items() if v]
 
     def add_le(self, coeffs, rhs):
-        self.rows.append((self._pairs(coeffs), _frac(rhs), "<="))
+        self.rows.append((self._pairs(coeffs), _exact(rhs), "<="))
 
     def add_eq(self, coeffs, rhs):
-        self.rows.append((self._pairs(coeffs), _frac(rhs), "="))
+        self.rows.append((self._pairs(coeffs), _exact(rhs), "="))
 
     def solve(self, objective=None) -> LPResult:
         """Maximize objective (default 0) over the current rows."""
@@ -212,13 +217,14 @@ class LinearProgram:
                  == value.numerator * dy, "strong duality")
 
 
-def _frac(v):
-    """v as a Fraction; a Fraction is kept as it is (it is immutable)."""
-    return v if isinstance(v, Fraction) else Fraction(v)
+def _exact(v):
+    """v as an exact LP value: an int (not a bool) or a Fraction is kept as
+    it is, anything else made a Fraction."""
+    return v if type(v) is int or isinstance(v, Fraction) else Fraction(v)
 
 
 def _intify(items):
-    """Clear denominators of (key, Fraction) pairs.
+    """Clear denominators of (key, int or Fraction) pairs.
 
     Returns (dict key -> integer, positive scale L), L the lcm of the
     denominators.

@@ -5,6 +5,7 @@ None of these is used by the package itself.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, islice, product
 from math import gcd, lcm
 
@@ -29,7 +30,7 @@ from webrank.graphs import (
     mod1,
     web,
 )
-from webrank.liftproject import disjunctive_valid
+from webrank.liftproject import NLiftSystem, _lin, disjunctive_valid
 from webrank.polyhedra import (
     HPolytope,
     LinearInequality,
@@ -716,6 +717,42 @@ def is_facet(ineq: LinearInequality, g: Graph) -> bool:
 # ---------------------------------------------------------------------------
 # the disjunctive operator
 
+def fixed_rows_by_fractions(h: HPolytope, fixing: dict, col: dict):
+    """`liftproject._fixed_rows` on the Fraction rows of h (h.rows, not
+    `HPolytope.integral_rows`): every value of its rows a Fraction."""
+    rows = []
+    for i, r in enumerate(h.rows):
+        coeffs, rhs = {}, r.rhs
+        for v, c in r.coeffs.items():
+            z = fixing.get(v)
+            if z is None:
+                coeffs[col[v]] = c
+            elif z == 1:
+                rhs -= c
+            elif z:
+                rhs -= c * z
+        if coeffs:
+            rows.append((i, coeffs, rhs))
+        elif rhs < 0:
+            return None, i
+    return rows, None
+
+
+class NLiftByFractions(NLiftSystem):
+    """`liftproject.NLiftSystem` with its cone rows built from the Fraction
+    rows of h (h.rows, not `HPolytope.integral_rows`)."""
+
+    def _add_cone_rows(self, expr):
+        pos = {v: j + 1 for j, v in enumerate(self.h.index)}
+        for e in expr:
+            self._add_row(_lin((-1, e)), "<=")
+        for r in self.h.rows:
+            if r.tag == "nonneg":
+                continue
+            self._add_row(_lin((-r.rhs, expr[0]),
+                               *((c, expr[pos[v]]) for v, c in r.coeffs.items())), "<=")
+
+
 def piece_max_by_rows(h: HPolytope, objective: dict, fixing: dict):
     """max of objective over the piece h n {x_v = z_v for v in fixing} by
     lp_max over h plus the rows x_v <= z_v and -x_v <= -z_v, nothing
@@ -868,6 +905,27 @@ def pool_refutes_all(g: Graph, pool, size: int, anchor=None) -> bool:
         if all(set(c[1]) & set(f) for c in pool):
             return False
     return True
+
+
+def hitting_set_by_full_scan(masks: list, size: int, seed: int = 0, refute=None):
+    """`recheck.hitting_set` with every node scanning the masks from the
+    first one, not from one past the mask its parent branched on."""
+    @cache
+    def rec(f):
+        _check_deadline()
+        miss = next((m for m in masks if not m & f), None)
+        if miss is None:
+            if refute is None or (miss := refute(f)) is None:
+                return f
+            masks.append(miss)
+        if f.bit_count() >= size:
+            return None
+        for i in _bits(miss):
+            if (got := rec(f | 1 << i)) is not None:
+                return got
+        return None
+
+    return rec(seed)
 
 
 def disjunctive_rank_graph_uncached(g: Graph) -> GraphRankResult:

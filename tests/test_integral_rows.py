@@ -1,0 +1,169 @@
+"""Integral rows stay ints from the polytope to the tableau.
+
+`HPolytope.integral_rows` gives the rows of h with each integral value as
+an int, and every LP over h is built from it: `lp_max`, the piece LPs
+(`PieceSystem`), the membership LP of `disjunctive_member` and the N
+lift (`NLiftSystem`).  `LinearProgram` keeps an int row value as an int.
+The same LP given with int rows and with the equal Fraction rows gives
+identical results, and each LP built from the integral view equals, value
+for value, the one the Fraction builders of tests/oracles.py make from
+h.rows; on QSTAB every value of a lift LP is an int.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st
+
+from webrank import liftproject
+from webrank.graphs import antiweb, web
+from webrank.liftproject import NLiftSystem, PieceSystem, _pieces, disjunctive_member
+from webrank.polyhedra import HPolytope, LinearInequality, lp_max, qstab
+from webrank.simplex import LinearProgram
+
+from oracles import NLiftByFractions, fixed_rows_by_fractions
+
+
+def _outcome(res) -> tuple:
+    """Everything an LPResult tells, point and duals read."""
+    return res.status, res.value, res.pivots, res.farkas, res.x, res.duals
+
+
+@st.composite
+def lp_cases(draw):
+    """(nv, rows, objectives): <= and = rows with integer values, some
+    right-hand sides negative (phase 1), and two objectives, the second
+    re-solved warm."""
+    nv = draw(st.integers(1, 5))
+    values = st.integers(-3, 3)
+    rows = [({j: draw(values) for j in range(nv)}, draw(st.integers(-4, 6)),
+             draw(st.sampled_from(("<=", "<=", "=")))) for _ in range(draw(st.integers(1, 6)))]
+    rows += [({j: 1}, draw(st.integers(0, 4)), "<=") for j in range(nv)]      # bounded
+    objectives = [{j: draw(values) for j in range(nv)} for _ in range(2)]
+    return nv, rows, objectives
+
+
+def _row_values(lp: LinearProgram) -> list:
+    """Every coefficient and right-hand side of the LP's rows."""
+    return [c for pairs, rhs, _ in lp.rows for c in (rhs, *(c for _, c in pairs))]
+
+
+def _lp(nv, rows, make) -> LinearProgram:
+    lp = LinearProgram(nv)
+    for coeffs, rhs, kind in rows:
+        (lp.add_le if kind == "<=" else lp.add_eq)({j: make(c) for j, c in coeffs.items()},
+                                                   make(rhs))
+    return lp
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(lp_cases())
+def test_int_rows_and_equal_fraction_rows_give_identical_results(case):
+    nv, rows, objectives = case
+    ints, fracs = _lp(nv, rows, int), _lp(nv, rows, Fraction)
+    assert all(type(c) is int for c in _row_values(ints))
+    assert all(type(c) is Fraction for c in _row_values(fracs))
+    for obj in objectives:
+        a = ints.maximize(obj)
+        b = fracs.maximize({j: Fraction(c) for j, c in obj.items()})
+        assert _outcome(a) == _outcome(b)
+        exact = [a.value, *(a.farkas or ()), *(a.x or ()), *(a.duals or ())]
+        assert all(type(v) is Fraction for v in exact if v is not None)
+        if a.status == "optimal":
+            ints.check_optimal(a, obj)
+
+
+def _values(rows) -> list:
+    """LP rows with their coefficients as sorted (column, value) pairs."""
+    return [(sorted(pairs), rhs, kind) for pairs, rhs, kind in rows]
+
+
+def _halved(h: HPolytope) -> HPolytope:
+    """h with every row halved: the same polytope, non-integral rows."""
+    return HPolytope(h.index, [LinearInequality({v: c / 2 for v, c in r.coeffs.items()},
+                                                r.rhs / 2, r.tag) for r in h.rows])
+
+
+SMALL = [qstab(web(n, k)) for k in range(1, 4) for n in range(2 * (k + 1), 9)] + \
+        [qstab(antiweb(n, k)) for k in range(2, 5) for n in range(2 * k, 9)]
+HALVED = [_halved(qstab(web(5, 1))), _halved(qstab(web(7, 2))), _halved(qstab(antiweb(7, 3)))]
+
+
+def _lift_cases():
+    for h in SMALL + HALVED:
+        yield h, 1
+    for h in (qstab(web(5, 1)), qstab(web(7, 2)), HALVED[0]):
+        yield h, 2
+
+
+@pytest.mark.parametrize("h, depth", list(_lift_cases()))
+def test_lift_lp_rows_equal_those_of_the_fraction_builder(h, depth):
+    sys_, ref = NLiftSystem(h, depth), NLiftByFractions(h, depth)
+    assert sys_._col == ref._col and sys_._lp.nv == ref._lp.nv
+    assert _values(sys_._lp.rows) == _values(ref._lp.rows)
+    values = _row_values(sys_._lp)
+    if all(type(c) is int for coeffs, rhs in h.integral_rows() for c in (rhs, *coeffs.values())):
+        assert all(type(c) is int for c in values)
+    else:
+        assert any(type(c) is Fraction for c in values)
+
+
+def _f(h):
+    """Positions 1 and 3 of h: some pieces are empty, some are not."""
+    return h.index[0], h.index[2]
+
+
+@pytest.mark.parametrize("h", SMALL + HALVED + [qstab(antiweb(11, 4))])
+def test_piece_lp_rows_equal_those_of_the_fraction_builder(h, monkeypatch):
+    built = [PieceSystem(h, fixing) for _, fixing in _pieces(_f(h))]
+    monkeypatch.setattr(liftproject, "_fixed_rows", fixed_rows_by_fractions)
+    for sys_, (_, fixing) in zip(built, _pieces(_f(h))):
+        ref = PieceSystem(h, fixing)
+        assert sys_.empty == ref.empty and (sys_._lp is None) == (ref._lp is None)
+        if sys_._lp is not None:
+            assert sys_._row == ref._row
+            assert _values(sys_._lp.rows) == _values(ref._lp.rows)
+
+
+class _Recorded(LinearProgram):
+    built = []
+
+    def __init__(self, num_vars):
+        super().__init__(num_vars)
+        self.built.append(self)
+
+
+A11 = qstab(antiweb(11, 4))
+MEMBER_POINTS = [(h, _f(h), dict.fromkeys(h.index, Fraction(1, 3))) for h in SMALL + HALVED] + [
+    (A11, (1, 2, 3), dict.fromkeys(A11.index, Fraction(1, 4))),
+    (A11, (5, 6, 8), dict(zip(A11.index, map(Fraction, (
+        "1/4", "1/6", "5/12", "1/6", "1/2", "1/6", "1/4", "1/12", "1/2", "1/12", "1/12"))))),
+    (A11, (1, 2, 3), dict(zip(A11.index, map(Fraction, "1/2 0 1/2 0 1/2 0 1/2 0 1/2 0 0".split())))),
+]
+
+
+@pytest.mark.parametrize("h, f, x", MEMBER_POINTS)
+def test_membership_lp_rows_equal_those_of_the_fraction_builder(h, f, x, monkeypatch):
+    monkeypatch.setattr(liftproject, "LinearProgram", _Recorded)
+    runs = []
+    for fixed_rows in (liftproject._fixed_rows, fixed_rows_by_fractions):
+        monkeypatch.setattr(liftproject, "_fixed_rows", fixed_rows)
+        _Recorded.built = []
+        runs.append((disjunctive_member(x, h, f), [_values(lp.rows) for lp in _Recorded.built]))
+    (got, lps), (want, ref_lps) = runs
+    assert len(lps) == 1 and lps == ref_lps
+    assert got == want
+
+
+def test_lp_max_builds_from_the_integral_view():
+    h = qstab(web(7, 2))
+    view = h.integral_rows()
+    assert view is h.integral_rows() and len(view) == len(h.rows)
+    for (coeffs, rhs), r in zip(view, h.rows):
+        assert coeffs == r.coeffs and rhs == r.rhs
+        assert all(type(c) is int for c in (rhs, *coeffs.values()))
+    out = lp_max(h, dict.fromkeys(h.index, 1))
+    assert out.value == Fraction(7, 3) and type(out.value) is Fraction
+    assert all(type(v) is Fraction for v in (*out.point.values(), *out.duals))

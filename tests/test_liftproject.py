@@ -422,8 +422,8 @@ _N2_PRESOLVED = {(5, 1): ((340, 110), 163, (39, 15), 15),
 
 
 @pytest.mark.parametrize("n, k, shape, pivots", [
-    (5, 1, (1160, 175), 184),
-    (7, 2, (3052, 434), 482),
+    (5, 1, (810, 175), 184),
+    (7, 2, (2170, 434), 482),
 ])
 def test_n2_max_pivot_count_is_pinned(n, k, shape, pivots):
     # shape and pivots of the full lift LP as built, of its presolve (solved

@@ -4,7 +4,12 @@ chordality test.
 
 `recheck.hitting_set` decides the lower bound of a row rank; on seeded
 random set families it agrees with the brute-force `pool_refutes_all` of
-tests/oracles.py, anchored and not.  `polyhedra.rotation_invariant` holds
+tests/oracles.py, anchored and not.  Its scan for an unmet mask starts
+one past the mask the parent branched on; on random families with a
+refuting callback, and in the graph-rank search of every web of `verify
+web-formulas --ks 2,...,7` with n <= 16 and of its complement, it gives
+the answers, refute calls and appended masks of the full-scan search of
+tests/oracles.py.  `polyhedra.rotation_invariant` holds
 on the rank row and QSTAB of every web, antiweb, clique and cycle with at
 most 12 nodes, and fails on join hosts and on one-interval rows with
 T != V.  Every facet that `convex_hull_facets` finds for a random graph
@@ -31,6 +36,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
+from webrank import rank
 from webrank.graphs import (Graph, WebId, antiweb, complement, complete_graph, cycle_graph,
                             is_chordal, max_weight_stable_set, parse_graph_spec, web)
 from webrank.inequalities import (
@@ -43,12 +49,13 @@ from webrank.inequalities import (
 )
 from webrank.polyhedra import (HPolytope, LinearInequality, convex_hull_facets, frac, lp_max,
                                nonneg_row, qstab, rotation_invariant, stab)
-from webrank.rank import disjunctive_rank_inequality
+from webrank.rank import disjunctive_rank_graph, disjunctive_rank_inequality
 from webrank.recheck import down_closed, hitting_set, point_bound
 
 from oracles import (chordless_cycles, enumerate_vertices, find_induced_odd_hole_by_generators,
-                     polar_vertices, pool_refutes_all, rank_by_fractions, stable_sets_by_subsets,
-                     tag_inequality_by_alpha, with_mixed_rows)
+                     hitting_set_by_full_scan, polar_vertices, pool_refutes_all,
+                     rank_by_fractions, stable_sets_by_subsets, tag_inequality_by_alpha,
+                     with_mixed_rows)
 
 
 @st.composite
@@ -71,6 +78,63 @@ def test_coverage_agrees_with_the_brute_force_oracle(case):
     if f is not None:
         assert f.bit_count() <= size and all(m & f for m in masks)
         assert not anchored or f & 1
+
+
+def _same_search(masks: list, size: int, seed: int, refute=None):
+    """hitting_set's answer, after checking that the full-scan search of
+    tests/oracles.py gives it too, with the same refute calls (replayed
+    from hitting_set's, in order) and the same masks appended."""
+    calls, replay = [], []
+
+    def recorded(f):
+        calls.append((f, miss := refute(f)))
+        return miss
+
+    def replayed(f):
+        f_then, miss = calls[len(replay)]
+        assert f == f_then
+        replay.append(f)
+        return miss
+
+    before = list(masks)
+    got = hitting_set(masks, size, seed, refute and recorded)
+    assert hitting_set_by_full_scan(before, size, seed, refute and replayed) == got
+    assert len(replay) == len(calls) and before == masks
+    return got
+
+
+@st.composite
+def refuted_families(draw):
+    """A set family, and a hidden one that refutes an F meeting the first
+    with the first hidden mask F misses."""
+    n, masks, size, anchored = draw(set_families())
+    hidden = draw(st.lists(st.integers(1, (1 << n) - 1), max_size=6))
+    return masks, size, 1 if anchored else 0, hidden
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(refuted_families())
+def test_hitting_set_resumes_its_scan_as_the_full_scan_search_decides(case):
+    masks, size, seed, hidden = case
+    _same_search(list(masks), size, seed)
+    _same_search(masks, size, seed, lambda f: next((m for m in hidden if not m & f), None))
+
+
+def test_graph_rank_searches_call_refute_as_the_full_scan_search(monkeypatch):
+    """Every web of `verify web-formulas --ks 2,...,7` with n <= 16, and
+    its complement: the graph-rank search's refute calls and answers."""
+    searches = []
+
+    def checked(masks, size, seed=0, refute=None):
+        searches.append(size)
+        return _same_search(masks, size, seed, refute)
+
+    monkeypatch.setattr(rank, "hitting_set", checked)
+    for k in range(2, 8):
+        for n in range(2 * (k + 1), 17):
+            g = web(n, k)
+            assert disjunctive_rank_graph(g).rank == disjunctive_rank_graph(complement(g)).rank
+    assert len(searches) > 72
 
 
 def _small_circulants():
