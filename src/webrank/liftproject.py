@@ -20,9 +20,10 @@ Ye_0 = diag(Y), Ye_i and Y(e_0 - e_i) in cone(K), then project back to
 {x : Ye_0 = (1, x)}.  cone(K) is the homogenization {(x0,x): x >= 0,
 A x <= x0 b}; since every coordinate of K is bounded by a row, the cone
 has its apex only at the origin and one exact LP captures N^r via
-nested matrices (one per cone-membership constraint when r >= 2).
-When rotations or reflections of the positions fix K's rows and the
-objective, the max is taken, exactly, over that LP folded onto the
+nested matrices (one per cone-membership constraint when r >= 2), each
+taking its diagonal from the column it proves, so the LP has <= rows
+only.  When rotations or reflections of the positions fix K's rows and
+the objective, the max is taken, exactly, over that LP folded onto the
 orbits of its columns (`NLiftSystem`).
 
 Every LP here is built from `HPolytope.integral_rows`, so the integer
@@ -51,7 +52,7 @@ from .graphs import (CertificateError, _check_deadline, _check_depth_cap, _check
                      as_nodeset)
 from .polyhedra import HPolytope, LinearInequality, LPOutcome, symmetries
 from .recheck import check_member, check_pieces, check_point, check_separating
-from .simplex import LinearProgram, LPResult, Primal
+from .simplex import LinearProgram, LPResult, Primal, _intify
 
 
 def _pieces(f):
@@ -368,25 +369,28 @@ def _lin(*terms):
 class NLiftSystem:
     """The LP encoding of max over N^r(h), reusable across objectives.
 
-    Depth 1 substitutes Y_00 = 1 and Y_0i = Y_ii away, leaving an
-    all-<= system with nonnegative right-hand sides (no phase-1 work);
-    deeper lifts add one nested symmetric matrix per cone-membership
-    constraint, tied to its column by equality rows.  A lift expression
-    is a dict from LP variable to its nonzero coefficient, with the
-    constant term under the key _ONE.
+    Every matrix Y of the lift is symmetric with Ye_0 = diag(Y), and
+    takes its diagonal as given (`_new_matrix`): the top matrix has
+    Y_00 = 1 and one variable per Y_jj, and each nested matrix, one per
+    cone-membership constraint when r >= 2, has Y_jj = expr[j] for the
+    column expr it proves.  Y_0j reads Y_jj and every entry above the
+    diagonal is a variable, so the lift is all <= rows over nonnegative
+    variables, with nonnegative right-hand sides when h has them (no
+    phase-1 work).  A lift expression is a dict from LP variable to its
+    nonzero coefficient, with the constant term under the key _ONE.
 
-    The rows built (`_le`, `_eq`) reach the LP through `_presolve`: on
-    QSTAB it drops every edge entry Y_ij of the top matrix, which the
-    clique rows force to 0, and the rows the symmetry of Y repeats.
-    `_col` maps each variable the presolve kept to its LP column.
+    The rows built (`_rows`) reach the LP through `_presolve`: on QSTAB
+    it drops every edge entry Y_ij of the top matrix, which the clique
+    rows force to 0, and the rows the symmetry of Y repeats.  `_col` maps
+    each variable the presolve kept to its LP column.
 
     Each variable has a structural key (`_var` maps it to the variable):
     the path of its matrix, the (column i, side) pair of each cone
     constraint on the way down from the top matrix (side 0 for Ye_i, 1
-    for Y(e_0 - e_i)), and its entry (i, j), i <= j, with (0, 0) for
-    Y_00.  A map of the positions of h.index acts on the keys by moving
-    every matrix index i >= 1 with its position, and so on the
-    variables.
+    for Y(e_0 - e_i)), and its entry (i, j), 1 <= i <= j <= n; a nested
+    matrix has keys for i < j only, as its diagonal is no variable.  A
+    map of the positions of h.index acts on the keys by moving every
+    matrix index i >= 1 with its position, and so on the variables.
 
     Symmetry fold.  When rotations or reflections of the positions map
     h's rows and the objective to themselves (`polyhedra.symmetries`),
@@ -413,16 +417,14 @@ class NLiftSystem:
         self.n = h.dim
         self._nv = 0
         self._var = {}      # structural key -> variable, in variable order
-        self._le = []       # (dict var->coefficient, rhs)
-        self._eq = []
-        self.top = self._new_matrix((), top=True)
-        self._require_matrix_columns(self.top, (), depth - 1)
-        rows, self._col = _presolve(self._le, self._eq, self._nv)
-        self._diag = [(v, self._col.get(self.top[(j, j)]))     # LP column of x_v or None
+        self._rows = []     # (dict var->coefficient, rhs), each row <= rhs
+        self._require_matrix_columns(self._new_matrix(()), (), depth - 1)
+        rows, self._col = _presolve(self._rows, self._nv)
+        self._diag = [(v, self._col.get(self._var[(), (j, j)]))    # LP column of x_v or None
                       for j, v in enumerate(h.index, start=1)]
         self._lp = LinearProgram(len(self._col))
-        for coeffs, rhs, kind in rows:
-            (self._lp.add_le if kind == "<=" else self._lp.add_eq)(coeffs, rhs)
+        for coeffs, rhs in rows:
+            self._lp.add_le(coeffs, rhs)
         self._folds = {}    # generators -> (folded LP, orbit of each LP column)
 
     # -- variable/expression plumbing --------------------------------------
@@ -432,53 +434,39 @@ class NLiftSystem:
         self._nv += 1
         return v
 
-    def _new_matrix(self, path, top=False):
-        """Symmetric matrix with Y_0j identified with Y_jj (diag condition).
-
-        Returns a dict with entries for 1<=i<=j<=n plus "00" (absent for
-        the top matrix, whose Y_00 is the constant 1); path is its
-        structural path.
-        """
-        n = self.n
-        mat = {}
-        if not top:
-            mat["00"] = self._new_var((path, (0, 0)))
-        for i in range(1, n + 1):
-            for j in range(i, n + 1):
-                mat[(i, j)] = self._new_var((path, (i, j)))
-        mat["top"] = top
+    def _new_matrix(self, path, diag=None):
+        """The symmetric matrix of path as {(i, j): lift expression} over
+        0 <= i, j <= n, with Y_0j = Y_jj = diag[j] (diag the n+1 lift
+        expressions Y_00, ..., Y_nn) and a new variable for each entry
+        above the diagonal.  The top matrix (no diag) has Y_00 = 1 and a
+        new variable for each Y_jj as well, made in row order."""
+        mat = {(0, 0): diag[0] if diag else {_ONE: 1}}
+        for i in range(1, self.n + 1):
+            for j in range(i, self.n + 1):
+                mat[i, j] = mat[j, i] = (diag[i] if diag and i == j
+                                         else {self._new_var((path, (i, j))): 1})
+            mat[0, i] = mat[i, 0] = mat[i, i]
         return mat
-
-    def _entry_expr(self, mat, i, j):
-        if i > j:
-            i, j = j, i
-        if i == 0:
-            if j == 0:
-                return {_ONE: 1} if mat["top"] else {mat["00"]: 1}
-            return {mat[(j, j)]: 1}          # Y_0j = Y_jj
-        return {mat[(i, j)]: 1}
 
     def _require_matrix_columns(self, mat, path, inner_depth):
         """Ye_i and Y(e_0 - e_i) in cone(N^inner_depth(h)) for i = 1..n."""
         n = self.n
-        e0 = [self._entry_expr(mat, j, j) for j in range(0, n + 1)]
+        e0 = [mat[j, 0] for j in range(n + 1)]
         for i in range(1, n + 1):
-            col = [self._entry_expr(mat, j, i) for j in range(0, n + 1)]
+            col = [mat[j, i] for j in range(n + 1)]
             self._require_in_cone(col, path + ((i, 0),), inner_depth)
             self._require_in_cone([_lin((1, a), (-1, b)) for a, b in zip(e0, col)],
                                   path + ((i, 1),), inner_depth)
 
     def _require_in_cone(self, expr, path, inner_depth):
-        """expr (length n+1, homogeneous) must lie in cone(N^inner_depth(h));
-        path is the structural path of the matrix that proves it."""
+        """expr (length n+1, homogeneous) must lie in cone(N^inner_depth(h)):
+        the rows of h on expr at depth 0, else the columns of the matrix
+        of path, whose diagonal is expr."""
         _check_deadline()
         if inner_depth == 0:
             self._add_cone_rows(expr)
-            return
-        mat = self._new_matrix(path)
-        for j in range(0, self.n + 1):
-            self._add_row(_lin((1, self._entry_expr(mat, j, j)), (-1, expr[j])), "=")
-        self._require_matrix_columns(mat, path, inner_depth - 1)
+        else:
+            self._require_matrix_columns(self._new_matrix(path, expr), path, inner_depth - 1)
 
     def _add_cone_rows(self, expr):
         """Homogenized rows of h on expr = (x0, x): A x <= x0 b, x0, x >= 0,
@@ -487,17 +475,17 @@ class NLiftSystem:
         pos = {v: j + 1 for j, v in enumerate(self.h.index)}
         for e in expr:
             if len(e) > 1 or min(e.values(), default=1) < 0:
-                self._add_row(_lin((-1, e)), "<=")            # x0 >= 0, x >= 0
+                self._add_row(_lin((-1, e)))                  # x0 >= 0, x >= 0
         for r, (coeffs, rhs) in zip(self.h.rows, self.h.integral_rows()):
             if r.tag == "nonneg":
                 continue                                      # covered above
             self._add_row(_lin((-rhs, expr[0]),
-                               *((c, expr[pos[v]]) for v, c in coeffs.items())), "<=")
+                               *((c, expr[pos[v]]) for v, c in coeffs.items())))
 
-    def _add_row(self, expr, kind):
-        """The row expr <= 0 (kind "<=") or expr = 0 (kind "="); expr, a
-        fresh `_lin` result, becomes the row's coefficients."""
-        (self._le if kind == "<=" else self._eq).append((expr, -expr.pop(_ONE, 0)))
+    def _add_row(self, expr):
+        """The row expr <= 0; expr, a fresh `_lin` result, becomes the
+        row's coefficients."""
+        self._rows.append((expr, -expr.pop(_ONE, 0)))
 
     # -- the symmetry fold ----------------------------------------------------
 
@@ -510,14 +498,16 @@ class NLiftSystem:
         row's coefficients per orbit, without repeats and without empty
         rows that hold."""
         _check_deadline()
-        lp, cols, key_of = self._lp, self._lp.nv, list(self._var)
+        cols, key_of = self._lp.nv, list(self._var)
         rows = []
-        for (ints, rhs, _), (_, _, kind) in zip(lp._integer_rows(), lp.rows):
+        for pairs, rhs, _ in self._lp.rows:
+            ints = _intify([*pairs, (-1, rhs)])[0]
+            rhs = ints.pop(-1)
             g = gcd(rhs, *ints.values())
             if g != 1:
                 ints, rhs = {j: a // g for j, a in ints.items()}, rhs // g
-            rows.append((ints, rhs, kind))
-        rowset = {(kind, rhs, frozenset(ints.items())) for ints, rhs, kind in rows}
+            rows.append((ints, rhs))
+        rowset = {(rhs, frozenset(ints.items())) for ints, rhs in rows}
         parent = list(range(cols))
 
         def root(j):
@@ -534,8 +524,8 @@ class NLiftSystem:
                 img.append(self._col.get(self._var[tuple((m[a], s) for a, s in path), (i, j)]))
             _check_deadline()
             if None in img or len(set(img)) != cols or any(
-                    (kind, rhs, frozenset((img[j], a) for j, a in ints.items())) not in rowset
-                    for ints, rhs, kind in rows):
+                    (rhs, frozenset((img[j], a) for j, a in ints.items())) not in rowset
+                    for ints, rhs in rows):
                 raise RuntimeError(f"position map {p} does not map the N lift onto itself")
             for j, k in enumerate(img):
                 parent[root(j)] = root(k)
@@ -543,16 +533,16 @@ class NLiftSystem:
         orbit = [ids.setdefault(root(j), len(ids)) for j in range(cols)]
         folded, seen = LinearProgram(len(ids)), set()
         _check_deadline()
-        for ints, rhs, kind in rows:
+        for ints, rhs in rows:
             acc = {}
             for j, a in ints.items():
                 acc[orbit[j]] = acc.get(orbit[j], 0) + a
             acc = {o: a for o, a in acc.items() if a}
-            key = (kind, rhs, frozenset(acc.items()))
-            if key in seen or not acc and (rhs >= 0 if kind == "<=" else rhs == 0):
+            key = (rhs, frozenset(acc.items()))
+            if key in seen or not acc and rhs >= 0:
                 continue
             seen.add(key)
-            (folded.add_le if kind == "<=" else folded.add_eq)(acc, rhs)
+            folded.add_le(acc, rhs)
         return folded, orbit
 
     def _folded_maximize(self, objective: dict, gens) -> LPResult:
@@ -601,7 +591,7 @@ class NLiftSystem:
         y[0][0] = Fraction(1)
         for i in range(1, n + 1):
             for j in range(i, n + 1):
-                col = self._col.get(self.top[(i, j)])
+                col = self._col.get(self._var[(), (i, j)])
                 if col is not None:
                     y[i][j] = y[j][i] = res.primal[col]
         for j in range(1, n + 1):
@@ -619,26 +609,25 @@ def _generators(group) -> tuple:
     return tuple(rotations[:1] + reflections[:1])
 
 
-def _presolve(le, eq, nv):
-    """(rows, col): the <= rows le and = rows eq, (dict var->coefficient,
-    rhs) over nv variables >= 0, as (dict column->coefficient, rhs, kind)
-    rows, col numbering densely the variables not forced to 0.  A row with
-    rhs 0 whose remaining coefficients are all positive, or for an = row
-    all of one sign, forces its variables to 0, to a fixpoint (a pass
-    after the first reads only the rows that share a variable with the
-    rows the pass before it fired); they leave every row, and rows left
-    empty, lone -x <= 0 rows and exact duplicates go.  Each pass of the
-    fixpoint and each row kept check the deadline."""
-    rows = [(c, rhs, "<=") for c, rhs in le] + [(c, rhs, "=") for c, rhs in eq]
+def _presolve(rows, nv):
+    """(rows, col): the rows (dict var->coefficient, rhs), each row <= rhs
+    over nv variables >= 0, as (dict column->coefficient, rhs) rows, col
+    numbering densely the variables not forced to 0.  A row with rhs 0
+    whose remaining coefficients are all positive forces its variables to
+    0, to a fixpoint (a pass after the first reads only the rows that
+    share a variable with the rows the pass before it fired); they leave
+    every row, and rows left empty, lone -x <= 0 rows and exact
+    duplicates go.  Each pass of the fixpoint and each row kept check the
+    deadline."""
     zero, scan = set(), rows
     while scan:
         _check_deadline()
         grew = set()
-        for coeffs, rhs, kind in scan:
+        for coeffs, rhs in scan:
             if rhs:
                 continue
             live = [c for v, c in coeffs.items() if v not in zero]
-            if live and (min(live) > 0 or (kind == "=" and max(live) < 0)):
+            if live and min(live) > 0:
                 grew.update(coeffs)
                 zero.update(coeffs)
         # the next pass reads only the rows this one may have changed
@@ -646,19 +635,19 @@ def _presolve(le, eq, nv):
     col = {v: i for i, v in enumerate(v for v in range(nv) if v not in zero)}
     seen = set()
     out = []
-    for coeffs, rhs, kind in rows:
+    for coeffs, rhs in rows:
         _check_deadline()
         live = {col[v]: c for v, c in coeffs.items() if v not in zero}
         if not live:
-            if rhs < 0 or (kind == "=" and rhs):
-                raise RuntimeError(f"inconsistent constant {kind} row in lift")
+            if rhs < 0:
+                raise RuntimeError("inconsistent constant row in lift")
             continue
-        if kind == "<=" and not rhs and len(live) == 1 and min(live.values()) < 0:
+        if not rhs and len(live) == 1 and min(live.values()) < 0:
             continue
-        key = (kind, rhs, frozenset(live.items()))
+        key = (rhs, frozenset(live.items()))
         if key not in seen:
             seen.add(key)
-            out.append((live, rhs, kind))
+            out.append((live, rhs))
     return out, col
 
 

@@ -30,7 +30,7 @@ from webrank.graphs import (
     mod1,
     web,
 )
-from webrank.liftproject import NLiftSystem, _lin, disjunctive_valid
+from webrank.liftproject import _ONE, NLiftSystem, _lin, disjunctive_valid
 from webrank.polyhedra import (
     HPolytope,
     LinearInequality,
@@ -745,12 +745,94 @@ class NLiftByFractions(NLiftSystem):
     def _add_cone_rows(self, expr):
         pos = {v: j + 1 for j, v in enumerate(self.h.index)}
         for e in expr:
-            self._add_row(_lin((-1, e)), "<=")
+            self._add_row(_lin((-1, e)))
         for r in self.h.rows:
             if r.tag == "nonneg":
                 continue
             self._add_row(_lin((-r.rhs, expr[0]),
-                               *((c, expr[pos[v]]) for v, c in r.coeffs.items())), "<=")
+                               *((c, expr[pos[v]]) for v, c in r.coeffs.items())))
+
+
+class NLiftWithEqualities:
+    """The lift LP of N^depth(h) with a diagonal of its own in every
+    nested matrix: variables Y_00 and Y_jj tied to the column expr the
+    matrix proves by the n+1 rows Y_jj = expr[j], and an x >= 0 row on
+    every entry of every cone column.  `lp` is that LP after the presolve
+    of `presolve_with_equalities`; `maximize` re-solves it warm."""
+
+    def __init__(self, h: HPolytope, depth: int):
+        self.h, self.nv = h, 0
+        self.le, self.eq = [], []       # lift expressions: e <= 0, e = 0
+        top = self._matrix({_ONE: 1})
+        self.diag = {v: next(iter(top[j, j])) for j, v in enumerate(h.index, start=1)}
+        self._columns(top, depth - 1)
+        rows = [(e, -e.pop(_ONE, 0), "<=") for e in self.le] + \
+               [(e, -e.pop(_ONE, 0), "=") for e in self.eq]
+        rows, self.col = presolve_with_equalities(rows, self.nv)
+        self.lp = LinearProgram(len(self.col))
+        for coeffs, rhs, kind in rows:
+            (self.lp.add_le if kind == "<=" else self.lp.add_eq)(coeffs, rhs)
+
+    def _matrix(self, y00):
+        n = self.h.dim
+        mat = {(0, 0): y00}
+        for i in range(1, n + 1):
+            for j in range(i, n + 1):
+                mat[i, j] = mat[j, i] = {self.nv: 1}
+                self.nv += 1
+            mat[0, i] = mat[i, 0] = mat[i, i]
+        return mat
+
+    def _columns(self, mat, inner):
+        n = self.h.dim
+        for i in range(1, n + 1):
+            col = [mat[j, i] for j in range(n + 1)]
+            self._in_cone(col, inner)
+            self._in_cone([_lin((1, mat[j, 0]), (-1, col[j])) for j in range(n + 1)], inner)
+
+    def _in_cone(self, expr, inner):
+        if inner:
+            self.nv += 1
+            mat = self._matrix({self.nv - 1: 1})
+            self.eq.extend(_lin((1, mat[j, j]), (-1, expr[j])) for j in range(len(expr)))
+            self._columns(mat, inner - 1)
+            return
+        pos = {v: j + 1 for j, v in enumerate(self.h.index)}
+        self.le.extend(_lin((-1, e)) for e in expr)
+        self.le.extend(_lin((-r.rhs, expr[0]), *((c, expr[pos[v]]) for v, c in r.coeffs.items()))
+                       for r in self.h.rows if r.tag != "nonneg")
+
+    def maximize(self, objective: dict):
+        """The max of objective over N^depth(h)."""
+        return self.lp.maximize({self.col[self.diag[v]]: c for v, c in objective.items()
+                                 if c and self.diag[v] in self.col}).value
+
+
+def presolve_with_equalities(rows, nv):
+    """(rows, col): the (dict var->coefficient, rhs, kind) rows, kind "<="
+    or "=", over nv variables >= 0, over the columns col numbers densely
+    among the variables not forced to 0: a row with rhs 0 whose remaining
+    coefficients are all positive, or for an = row all of one sign, forces
+    its variables to 0, to a fixpoint; rows left empty, lone -x <= 0 rows
+    and exact duplicates go."""
+    zero, grew = set(), True
+    while grew:
+        grew = False
+        for coeffs, rhs, kind in rows:
+            live = [c for v, c in coeffs.items() if v not in zero]
+            if not rhs and live and (min(live) > 0 or kind == "=" and max(live) < 0):
+                zero.update(coeffs)
+                grew = True
+    col = {v: i for i, v in enumerate(v for v in range(nv) if v not in zero)}
+    out = {}
+    for coeffs, rhs, kind in rows:
+        live = {col[v]: c for v, c in coeffs.items() if v not in zero}
+        if not live:
+            if rhs < 0 or kind == "=" and rhs:
+                raise RuntimeError("inconsistent constant row in lift")
+        elif len(live) > 1 or kind == "=" or rhs or min(live.values()) > 0:
+            out.setdefault((kind, rhs, frozenset(live.items())), (live, rhs, kind))
+    return list(out.values()), col
 
 
 def piece_max_by_rows(h: HPolytope, objective: dict, fixing: dict):

@@ -452,8 +452,8 @@ def test_time_budget_bounds_the_n_lift_lp(monkeypatch, capsys):
     from webrank import liftproject
     monkeypatch.setattr(liftproject, "_NLIFT_CACHE", {})      # no warm lift to re-solve
     # an objective no rotation or reflection fixes: the lift LP is not folded
-    code, out, err = run(capsys, "lp", "W:7:2", "--operator", "N", "--depth", "2",
-                         "--objective", "1,2,3,4,5,6,7", "--time-budget", "0.05")
+    code, out, err = run(capsys, "lp", "W:9:2", "--operator", "N", "--depth", "2",
+                         "--objective", "1,2,3,4,5,6,7,8,9", "--time-budget", "0.05")
     assert (code, out) == (2, "") and "budget" in err
 
 

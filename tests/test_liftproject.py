@@ -345,16 +345,14 @@ def test_n2_reaches_integer_hull_in_two_variables():
 def _full_lift_lp(sys_):
     """The lift LP of sys_ as built, before its presolve."""
     lp = LinearProgram(sys_._nv)
-    for coeffs, rhs in sys_._le:
+    for coeffs, rhs in sys_._rows:
         lp.add_le(coeffs, rhs)
-    for coeffs, rhs in sys_._eq:
-        lp.add_eq(coeffs, rhs)
     return lp
 
 
 def _full_lift_objective(sys_, c):
     """The objective c on the diagonal of the top matrix of that LP."""
-    return {sys_.top[(j, j)]: Fraction(c[v])
+    return {sys_._var[(), (j, j)]: Fraction(c[v])
             for j, v in enumerate(sys_.h.index, start=1) if c[v]}
 
 
@@ -378,7 +376,7 @@ def test_presolved_lift_max_equals_the_full_lift_max():
     for n, k, depth in cases + [(5, 1, 2)]:
         g = web(n, k)
         sys_ = NLiftSystem(qstab(g), depth)
-        assert sys_._lp.nv < sys_._nv and len(sys_._lp.rows) < len(sys_._le) + len(sys_._eq)
+        assert sys_._lp.nv < sys_._nv and len(sys_._lp.rows) < len(sys_._rows)
         lp = _full_lift_lp(sys_)
         objectives = [ones(g)] + [{v: rng.randint(0, 6) for v in g.nodes}
                                   for _ in range(5 if depth == 1 else 1)]
@@ -417,13 +415,13 @@ def test_n1_pivot_path_on_w10_2_is_pinned():
 
 # shape and pivots of the presolved depth-2 lift LP, then of its fold by
 # the dihedral group, by (n, k)
-_N2_PRESOLVED = {(5, 1): ((340, 110), 163, (39, 15), 15),
-                 (7, 2): ((805, 217), 373, (62, 20), 19)}
+_N2_PRESOLVED = {(5, 1): ((155, 35), 26, (20, 5), 5),
+                 (7, 2): ((350, 63), 55, (27, 6), 6)}
 
 
 @pytest.mark.parametrize("n, k, shape, pivots", [
-    (5, 1, (810, 175), 184),
-    (7, 2, (2170, 434), 482),
+    (5, 1, (785, 115), 56),
+    (7, 2, (2135, 322), 99),
 ])
 def test_n2_max_pivot_count_is_pinned(n, k, shape, pivots):
     # shape and pivots of the full lift LP as built, of its presolve (solved
