@@ -422,7 +422,7 @@ _N2_PRESOLVED = {(5, 1): ((155, 35), 26, (20, 5), 5),
 @pytest.mark.parametrize("n, k, shape, pivots", [
     (5, 1, (785, 115), 56),
     (7, 2, (2135, 322), 99),
-])
+], ids=["W51", "W72"])
 def test_n2_max_pivot_count_is_pinned(n, k, shape, pivots):
     # shape and pivots of the full lift LP as built, of its presolve (solved
     # directly) and of the presolve folded onto column orbits (x(V) is fixed
