@@ -471,7 +471,12 @@ def find_induced_odd_hole(g: Graph, reverse=False):
 
     DFS over chordless path extensions: the path's interior may not touch
     the base node or any non-consecutive path node, which prunes hard in
-    dense graphs.  The returned node set is re-verified before handing out.
+    dense graphs.  Before extending, a flood from the extensions through
+    the nodes a longer path may still use must meet a node that could
+    close it, else the branch returns None; the allowed nodes only shrink
+    with depth, so the cut drops no hole and keeps the scan order, and it
+    prunes the sparse, perfect graphs where the DFS finds nothing.  The
+    returned node set is re-verified before handing out.
     `reverse` flips the deterministic scan order (used by `recheck` as an
     independent search path).
     """
@@ -499,6 +504,26 @@ def find_induced_odd_hole(g: Graph, reverse=False):
         ext = reach & ~nb_b
         if ext:
             nxt = mid_ok & ~adj[last]
+            # mid_ok only shrinks, so below here every closing node lies in
+            # goal and every interior node in region: when no path from ext
+            # through region meets a neighbour in goal, nothing below closes
+            goal = nxt & nb_b & above_p1
+            region = nxt & ~nb_b
+            if not goal:
+                return None
+            seen = frontier = ext
+            while frontier:
+                hit = 0
+                while frontier and not hit & goal:
+                    low = frontier & -frontier
+                    frontier ^= low
+                    hit |= adj[low.bit_length() - 1]
+                if hit & goal:
+                    break
+                frontier = hit & region & ~seen
+                seen |= frontier
+            else:
+                return None
             while ext:
                 low = ext & -ext
                 ext ^= low

@@ -499,14 +499,7 @@ class NLiftSystem:
         rows that hold."""
         _check_deadline()
         cols, key_of = self._lp.nv, list(self._var)
-        rows = []
-        for pairs, rhs, _ in self._lp.rows:
-            ints = _intify([*pairs, (-1, rhs)])[0]
-            rhs = ints.pop(-1)
-            g = gcd(rhs, *ints.values())
-            if g != 1:
-                ints, rhs = {j: a // g for j, a in ints.items()}, rhs // g
-            rows.append((ints, rhs))
+        rows = [_coprime(dict(pairs), rhs) for pairs, rhs, _ in self._lp.rows]
         rowset = {(rhs, frozenset(ints.items())) for ints, rhs in rows}
         parent = list(range(cols))
 
@@ -609,6 +602,21 @@ def _generators(group) -> tuple:
     return tuple(rotations[:1] + reflections[:1])
 
 
+def _coprime(row: dict, rhs) -> tuple:
+    """(dict column->int, int rhs): the row sum(a x) <= rhs over coprime
+    integers, the one form of each positive multiple of it; the row
+    itself when it already is."""
+    try:
+        g = gcd(rhs, *row.values())
+    except TypeError:           # a Fraction among the values: clear them first
+        row = _intify([*row.items(), (-1, rhs)])[0]
+        rhs = row.pop(-1)
+        g = gcd(rhs, *row.values())
+    if g != 1:
+        row, rhs = {j: a // g for j, a in row.items()}, rhs // g
+    return row, rhs
+
+
 def _presolve(rows, nv):
     """(rows, col): the rows (dict var->coefficient, rhs), each row <= rhs
     over nv variables >= 0, as (dict column->coefficient, rhs) rows, col
@@ -616,9 +624,9 @@ def _presolve(rows, nv):
     whose remaining coefficients are all positive forces its variables to
     0, to a fixpoint (a pass after the first reads only the rows that
     share a variable with the rows the pass before it fired); they leave
-    every row, and rows left empty, lone -x <= 0 rows and exact
-    duplicates go.  Each pass of the fixpoint and each row kept check the
-    deadline."""
+    every row, and rows left empty, lone -x <= 0 rows and duplicates go,
+    a positive multiple of a row kept being a duplicate (`_coprime`).
+    Each pass of the fixpoint and each row kept check the deadline."""
     zero, scan = set(), rows
     while scan:
         _check_deadline()
@@ -644,7 +652,8 @@ def _presolve(rows, nv):
             continue
         if not rhs and len(live) == 1 and min(live.values()) < 0:
             continue
-        key = (rhs, frozenset(live.items()))
+        ints, b = _coprime(live, rhs)
+        key = (b, frozenset(ints.items()))
         if key not in seen:
             seen.add(key)
             out.append((live, rhs))

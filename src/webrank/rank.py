@@ -26,7 +26,12 @@ candidate deletion set must hit every certificate in the pool, one
 that does is refuted by an odd hole or antihole of G - F, and
 exhaustion of the tree at size m proves that every m-subset misses
 some recorded certificate.  It is anchored at node 1 when rotation is
-an automorphism of the graph (`graphs.is_circulant`).
+an automorphism of the graph (`graphs.is_circulant`).  Both searches
+skip dead work and keep every answer and their scan orders: the
+odd-hole DFS cuts a path whose extensions reach no closing node through
+the nodes a longer path may use (a flood over the adjacency masks), and
+each hitting-set node scans the pool and its branch bits in plain
+loops, with no generator.
 
 Each odd-hole search runs once per graph.  The answers of the last
 graph-rank search stay in `_HOLES`, keyed by graph, and the next search

@@ -263,23 +263,30 @@ def hitting_set(masks: list, size: int, seed: int = 0, refute=None):
     accepted).  A child F | bit meets every mask its parent met and the
     one it branched on, so its scan starts one past that mask; masks
     only grow, so the answer of each F is kept (keyed by F alone,
-    whatever the start).  Each node checks the deadline."""
+    whatever the start).  Each node checks the deadline.  The scan for
+    the first unhit mask and the branch over its bits (lowest first) are
+    plain loops, as a graph-rank table visits tens of thousands of nodes."""
     memo = {}
 
     def rec(f, start):
         if f in memo:
             return memo[f]
         _check_deadline()
-        k = next((k for k in range(start, len(masks)) if not masks[k] & f), len(masks))
-        if k == len(masks):
+        k, n = start, len(masks)
+        while k < n and masks[k] & f:
+            k += 1
+        if k == n:
             if refute is None or (miss := refute(f)) is None:
                 memo[f] = f
                 return f
             masks.append(miss)
         got = None
         if f.bit_count() < size:
-            for i in _bits(masks[k]):
-                if (got := rec(f | 1 << i, k + 1)) is not None:
+            m = masks[k]
+            while m:            # lowest bit first
+                low = m & -m
+                m ^= low
+                if (got := rec(f | low, k + 1)) is not None:
                     break
         memo[f] = got
         return got

@@ -107,6 +107,18 @@ def test_web_formulas_report_is_pinned(capsys):
         "54f047a5aeb4e599c30a00392597da4b6ddbc84a277a23404937ccbdc0fd190d"
 
 
+def test_web_formulas_recheck_report_is_pinned(tmp_path, capsys):
+    # the recheck of the report above: its perfection checks and coverage
+    # searches (recheck.hitting_set) give the same entries, byte for byte
+    path = str(tmp_path / "web-formulas-25.json")
+    assert run(capsys, "verify", "web-formulas", "--ks", "2,3,4,5,6,7", "--nmax", "25",
+               "--out", path)[0] == 0
+    code, out, _ = run(capsys, "recheck", path, "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "70e516bc26fc1aed47a016669a3b0dc144323711fef8beb2bfbced5a41553015"
+
+
 def test_a_report_is_serialized_once(tmp_path, capsys, monkeypatch):
     calls = []
     orig = Report.to_json_str

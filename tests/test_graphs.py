@@ -362,6 +362,25 @@ def test_odd_hole_search_matches_the_generator_dfs():
     assert 200 < found < 1000          # both outcomes are well represented
 
 
+def test_odd_hole_search_matches_the_generator_dfs_on_webs_minus_nodes():
+    # webs and antiwebs less a few nodes, and their complements, are the
+    # searches of a graph rank: many are chordal, where the reachability
+    # cut of the DFS prunes, and the answer must still be the uncut one
+    rng = random.Random(31)
+    graphs = [web(n, k) for n in range(4, 21) for k in range(1, n // 2)] + \
+             [antiweb(n, k) for n in range(4, 21) for k in range(2, n // 2 + 1)]
+    found = {True: 0, False: 0}
+    for g in graphs:
+        for _ in range(rng.randint(2, 3)):
+            h = delete_nodes(g, rng.sample(g.nodes, rng.randint(1, 3)))
+            for x in (h, complement(h)):
+                for reverse in (False, True):
+                    hole = find_induced_odd_hole(x, reverse=reverse)
+                    assert hole == find_induced_odd_hole_by_generators(x, reverse=reverse)
+                    found[hole is not None] += 1
+    assert len(graphs) == 162 and min(found.values()) > 600
+
+
 def planted_cycles(rng, n):
     """(graph, node list, expected verdict or None) triples on a random graph
     with n non-contiguous labels: a planted hole, the same graph with a

@@ -90,3 +90,13 @@ def test_nested_diagonals_are_no_variables():
     assert len(nested) == 2 * n * n * (n - 1) // 2
     assert sys_._nv == len(top) + len(nested) == len(sys_._var)
     assert sys_.maximize(dict.fromkeys(W51.index, 1))[0].value == Fraction(2)
+
+
+def test_presolve_merges_rows_written_at_two_scales():
+    # the halved system is the same polytope, so its lift keeps the rows of
+    # QSTAB's own: a row and its double are one row in coprime integer form
+    full, halved = NLiftSystem(W51, 2), NLiftSystem(HALVED, 2)
+    assert len(full._lp.rows) == len(halved._lp.rows) == 155
+    assert halved._lp.nv == full._lp.nv
+    for c in (dict.fromkeys(W51.index, 1), _asymmetric(W51)):
+        assert halved.maximize(c)[0].value == full.maximize(c)[0].value
