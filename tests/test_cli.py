@@ -96,24 +96,19 @@ def test_operator_sandwich_report_is_pinned(capsys):
         "5fc0b99f48810a13013a6ba9cb9e667cb9aafad72ebbcec6fa701f79527148bd"
 
 
-def test_web_formulas_report_is_pinned(capsys):
+def test_web_formulas_report_is_pinned(tmp_path, capsys):
     # pinned when every odd-hole search of every web and antiweb ran anew;
     # re-pinned once when graph-rank certificates lost their "anchored"
-    # key (recheck computes circulance itself), which changed no other byte
-    code, out, _ = run(capsys, "verify", "web-formulas", "--ks", "2,3,4,5,6,7",
-                       "--nmax", "25", "--format", "json")
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == \
-        "54f047a5aeb4e599c30a00392597da4b6ddbc84a277a23404937ccbdc0fd190d"
-
-
-def test_web_formulas_recheck_report_is_pinned(tmp_path, capsys):
-    # the recheck of the report above: its perfection checks and coverage
-    # searches (recheck.hitting_set) give the same entries, byte for byte
-    path = str(tmp_path / "web-formulas-25.json")
+    # key (recheck computes circulance itself), which changed no other byte.
+    # Its recheck is pinned too: the perfection checks and coverage
+    # searches (recheck.hitting_set) give the same entries, byte for byte.
+    # The report file holds the JSON printed without --out, newline too
+    path = tmp_path / "web-formulas-25.json"
     assert run(capsys, "verify", "web-formulas", "--ks", "2,3,4,5,6,7", "--nmax", "25",
-               "--out", path)[0] == 0
-    code, out, _ = run(capsys, "recheck", path, "--format", "json")
+               "--format", "json", "--out", str(path))[0] == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        "54f047a5aeb4e599c30a00392597da4b6ddbc84a277a23404937ccbdc0fd190d"
+    code, out, _ = run(capsys, "recheck", str(path), "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "70e516bc26fc1aed47a016669a3b0dc144323711fef8beb2bfbced5a41553015"
