@@ -475,10 +475,10 @@ def find_induced_odd_hole(g: Graph, reverse=False):
     the nodes a longer path may still use must meet a node that could
     close it, else the branch returns None; the allowed nodes only shrink
     with depth, so the cut drops no hole and keeps the scan order, and it
-    prunes the sparse, perfect graphs where the DFS finds nothing.  The
-    returned node set is re-verified before handing out.
-    `reverse` flips the deterministic scan order (used by `recheck` as an
-    independent search path).
+    prunes the sparse, perfect graphs where the DFS finds nothing.  A
+    hole's position mask is re-verified (`_is_hole`) before it is turned
+    into labels and handed out.  `reverse` flips the deterministic scan
+    order (used by `recheck` as an independent search path).
     """
     _check_deadline()
     adj = g._adj
@@ -497,10 +497,11 @@ def find_induced_odd_hole(g: Graph, reverse=False):
         if length >= 4 and length % 2 == 0:     # closing at w: odd, >= 5 nodes
             close = reach & nb_b & above_p1      # the lowest w > p1
             if close:
-                hole = g._labels_of(on_path | (close & -close))
+                hole = on_path | (close & -close)
                 if not _is_hole(g, hole):
-                    raise RuntimeError(f"odd-hole search returned a non-hole {hole}")
-                return hole
+                    raise RuntimeError(f"odd-hole search returned a non-hole "
+                                       f"{g._labels_of(hole)}")
+                return g._labels_of(hole)
         ext = reach & ~nb_b
         if ext:
             nxt = mid_ok & ~adj[last]
@@ -547,32 +548,35 @@ def find_induced_odd_hole(g: Graph, reverse=False):
     return None
 
 
-def _is_hole(g: Graph, nodes) -> bool:
-    """Independent re-check: induced subgraph on `nodes` is a single cycle.
+def _is_hole(g: Graph, inset: int) -> bool:
+    """Independent re-check: the induced subgraph on the positions in the
+    mask inset is a single cycle.
 
     Read off the adjacency masks alone: every node has exactly two
     neighbors in the set, and a flood fill from one node reaches all."""
-    nodes = as_nodeset(nodes)
-    if len(nodes) < 4:
+    if inset.bit_count() < 4:
         return False
-    adj, pos = g._adj, g._pos
-    at = [pos[v] for v in nodes]
-    inset = sum(1 << i for i in at)
-    if any((adj[i] & inset).bit_count() != 2 for i in at):
-        return False
-    seen = frontier = 1 << at[0]
+    adj, m = g._adj, inset
+    while m:
+        low = m & -m
+        m ^= low
+        if (adj[low.bit_length() - 1] & inset).bit_count() != 2:
+            return False
+    seen = frontier = inset & -inset
     while frontier:
         reach = 0
-        for i in _bits(frontier):
-            reach |= adj[i]
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            reach |= adj[low.bit_length() - 1]
         frontier = reach & inset & ~seen
         seen |= frontier
     return seen == inset
 
 
 def is_odd_hole(g: Graph, nodes) -> bool:
-    nodes = as_nodeset(nodes)
-    return len(nodes) >= 5 and len(nodes) % 2 == 1 and _is_hole(g, nodes)
+    inset = sum(1 << g._pos[v] for v in set(nodes))
+    return inset.bit_count() >= 5 and inset.bit_count() % 2 == 1 and _is_hole(g, inset)
 
 
 def is_chordal(g: Graph) -> bool:

@@ -118,12 +118,10 @@ def _compositions(total, parts):
             yield (first,) + rest
 
 
-def enumerate_one_interval_sets(n: int, dedup_by_T: bool = True) -> list:
-    """All 1-interval configurations on W_n^2, rotations included.
-
-    Different block partitions can induce the same T; dedup_by_T keeps
-    one representative per T (the inequality depends only on T).
-    """
+def enumerate_one_interval_sets(n: int) -> list:
+    """All 1-interval configurations on W_n^2, rotations included, one
+    per T: different block partitions can induce the same T, and the
+    inequality depends only on T."""
     if n < 6:
         raise ValueError("1-interval sets need n >= 6")
     out = []
@@ -137,11 +135,9 @@ def enumerate_one_interval_sets(n: int, dedup_by_T: bool = True) -> list:
                 sizes = tuple(3 * k + 1 for k in comp)
                 for start in range(1, n + 1):
                     s = one_interval_set(n, sizes, start)
-                    if dedup_by_T:
-                        if s.T in seen:
-                            continue
+                    if s.T not in seen:
                         seen.add(s.T)
-                    out.append(s)
+                        out.append(s)
         t += 2
     return out
 
@@ -178,7 +174,7 @@ def stab_description_w2(n: int) -> list:
     if n % 3 != 0:
         rows.append(rank_constraint(g))
     w = WebId(n, 2)
-    for s in enumerate_one_interval_sets(n, dedup_by_T=True):
+    for s in enumerate_one_interval_sets(n):
         rows.append(one_interval_inequality(w, s))
     # drop duplicates (triangle-sized intervals reproduce clique rows)
     uniq, seen = [], set()

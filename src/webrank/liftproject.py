@@ -22,14 +22,16 @@ A x <= x0 b}; since every coordinate of K is bounded by a row, the cone
 has its apex only at the origin and one exact LP captures N^r via
 nested matrices (one per cone-membership constraint when r >= 2), each
 taking its diagonal from the column it proves, so the LP has <= rows
-only.  When rotations or reflections of the positions fix K's rows and
-the objective, the max is taken, exactly, over that LP folded onto the
-orbits of its columns (`NLiftSystem`).
+only.  The max is taken, exactly, over that LP folded onto the orbits of
+its columns under the rotations and reflections of the positions that
+fix K's rows and the objective, the identity alone folding nothing
+(`NLiftSystem`).
 
-Every LP here is built from `HPolytope.integral_rows`, so the integer
-rows of QSTAB, FRAC and hull facets stay ints from the lift, piece and
-membership rows down to the tableau; the values, points, duals and
-Farkas vectors read back are Fractions, as in the certificates.
+The piece and membership LPs are built from `HPolytope.integral_rows`,
+so the integer rows of QSTAB, FRAC and hull facets stay ints down to the
+tableau, and the lift from the coprime integer form of each row, so
+every lift row is an int row; the values, points, duals and Farkas
+vectors read back are Fractions, as in the certificates.
 
 Both oracles answer (bool, certificate), the certificate a plain dict of
 exact values (Fractions, int keys, tuples) that `reporting.dumps` writes
@@ -52,7 +54,7 @@ from .graphs import (CertificateError, _check_deadline, _check_depth_cap, _check
                      as_nodeset)
 from .polyhedra import HPolytope, LinearInequality, LPOutcome, symmetries
 from .recheck import check_member, check_pieces, check_point, check_separating
-from .simplex import LinearProgram, LPResult, Primal, _intify
+from .simplex import LinearProgram, LPResult, Primal
 
 
 def _pieces(f):
@@ -379,9 +381,10 @@ class NLiftSystem:
     phase-1 work).  A lift expression is a dict from LP variable to its
     nonzero coefficient, with the constant term under the key _ONE.
 
-    The rows built (`_rows`) reach the LP through `_presolve`: on QSTAB
-    it drops every edge entry Y_ij of the top matrix, which the clique
-    rows force to 0, and the rows the symmetry of Y repeats.  `_col` maps
+    The rows built (`_rows`, int rows) reach the LP through `_presolve`:
+    on QSTAB it drops every edge entry Y_ij of the top matrix, which the
+    clique rows force to 0, and the rows the symmetry of Y repeats, and
+    keeps each row in coprime integer form (`_presolved`).  `_col` maps
     each variable the presolve kept to its LP column.
 
     Each variable has a structural key (`_var` maps it to the variable):
@@ -392,21 +395,22 @@ class NLiftSystem:
     map of the positions of h.index acts on the keys by moving every
     matrix index i >= 1 with its position, and so on the variables.
 
-    Symmetry fold.  When rotations or reflections of the positions map
-    h's rows and the objective to themselves (`polyhedra.symmetries`),
-    the max is taken over the LP folded onto the orbits of its columns
-    under the group they generate.  The fold is exact.  The lift is built
-    alike from every row of h at every position, so each such map
-    permutes the LP's columns and maps its rows onto its rows (checked
-    on a generating set before folding; a failure raises): it maps the
-    feasible set and the objective to themselves.  The average of an
-    optimum over the group is then an optimum constant on every orbit,
-    a point x_j = z_(orbit of j), on which each row reads as its folded
-    row, the coefficients summed per orbit.  So the folded max is the
-    max, and its optimum expanded back to the columns is an optimum of
-    the LP itself, which `y_matrix` reads as any other.  A trivial group
-    solves the LP itself, from its last feasible basis; each folded LP
-    is kept for the next objective with the same generators.
+    Symmetry fold.  The max is taken over the LP folded onto the orbits
+    of its columns under the group generated by the rotations and
+    reflections of the positions that map h's rows and the objective to
+    themselves (`polyhedra.symmetries`, `_generators`); the trivial group
+    has no generators and its fold is the presolved LP, row for row.
+    The fold is exact.  The lift is built alike from every row of h at
+    every position, so each such map permutes the LP's columns and maps
+    its rows onto its rows (checked on a generating set before folding;
+    a failure raises): it maps the feasible set and the objective to
+    themselves.  The average of an optimum over the group is then an
+    optimum constant on every orbit, a point x_j = z_(orbit of j), on
+    which each row reads as its folded row, the coefficients summed per
+    orbit.  So the folded max is the max, and its optimum expanded back
+    to the columns is an optimum of the LP itself, which `y_matrix` reads
+    as any other.  Each folded LP is kept for the next objective with the
+    same generators and re-solved from its last feasible basis.
     """
 
     def __init__(self, h: HPolytope, depth: int):
@@ -417,14 +421,12 @@ class NLiftSystem:
         self.n = h.dim
         self._nv = 0
         self._var = {}      # structural key -> variable, in variable order
-        self._rows = []     # (dict var->coefficient, rhs), each row <= rhs
+        self._rows = []     # (dict var->int coefficient, int rhs), each row <= rhs
+        self._cone = [r.integer_form() for r in h.rows if r.tag != "nonneg"]   # A x <= b
         self._require_matrix_columns(self._new_matrix(()), (), depth - 1)
-        rows, self._col = _presolve(self._rows, self._nv)
+        self._presolved, self._col = _presolve(self._rows, self._nv)
         self._diag = [(v, self._col.get(self._var[(), (j, j)]))    # LP column of x_v or None
                       for j, v in enumerate(h.index, start=1)]
-        self._lp = LinearProgram(len(self._col))
-        for coeffs, rhs in rows:
-            self._lp.add_le(coeffs, rhs)
         self._folds = {}    # generators -> (folded LP, orbit of each LP column)
 
     # -- variable/expression plumbing --------------------------------------
@@ -470,15 +472,15 @@ class NLiftSystem:
 
     def _add_cone_rows(self, expr):
         """Homogenized rows of h on expr = (x0, x): A x <= x0 b, x0, x >= 0,
-        from `HPolytope.integral_rows`.  An entry of expr that is at most
-        one positive term is >= 0 for every LP point and gets no row."""
+        from the coprime integer form of each row of h but its x >= 0 rows
+        (`_cone`), so every lift row is an int row.  An entry of expr that
+        is at most one positive term is >= 0 for every LP point and gets no
+        row."""
         pos = {v: j + 1 for j, v in enumerate(self.h.index)}
         for e in expr:
             if len(e) > 1 or min(e.values(), default=1) < 0:
                 self._add_row(_lin((-1, e)))                  # x0 >= 0, x >= 0
-        for r, (coeffs, rhs) in zip(self.h.rows, self.h.integral_rows()):
-            if r.tag == "nonneg":
-                continue                                      # covered above
+        for coeffs, rhs in self._cone:
             self._add_row(_lin((-rhs, expr[0]),
                                *((c, expr[pos[v]]) for v, c in coeffs.items())))
 
@@ -491,16 +493,15 @@ class NLiftSystem:
 
     def _fold(self, gens) -> tuple:
         """(folded LP, orbit of each LP column) for the group the position
-        maps gens generate.  Each map must permute the LP's columns
-        through their structural keys and map every LP row onto an LP
-        row, compared in their coprime integer form (as `polyhedra`
-        compares rows), else RuntimeError; the folded rows sum each such
-        row's coefficients per orbit, without repeats and without empty
-        rows that hold."""
+        maps gens generate, the trivial group (no gens) folding nothing.
+        Each map must permute the LP's columns through their structural
+        keys and map every presolved row onto a presolved row, both in
+        coprime integer form (as `polyhedra` compares rows), else
+        RuntimeError; the folded rows sum each row's coefficients per
+        orbit, without repeats and without empty rows that hold.  When no
+        two columns merge, the folded rows are the presolved rows."""
         _check_deadline()
-        cols, key_of = self._lp.nv, list(self._var)
-        rows = [_coprime(dict(pairs), rhs) for pairs, rhs, _ in self._lp.rows]
-        rowset = {(rhs, frozenset(ints.items())) for ints, rhs in rows}
+        rows, cols = self._presolved, len(self._col)
         parent = list(range(cols))
 
         def root(j):
@@ -508,6 +509,9 @@ class NLiftSystem:
                 parent[j] = j = parent[parent[j]]
             return j
 
+        if gens:
+            key_of = list(self._var)
+            rowset = {(rhs, frozenset(row.items())) for row, rhs in rows}
         for p in gens:
             m = (0, *(q + 1 for q in p))
             img = []
@@ -517,8 +521,8 @@ class NLiftSystem:
                 img.append(self._col.get(self._var[tuple((m[a], s) for a, s in path), (i, j)]))
             _check_deadline()
             if None in img or len(set(img)) != cols or any(
-                    (rhs, frozenset((img[j], a) for j, a in ints.items())) not in rowset
-                    for ints, rhs in rows):
+                    (rhs, frozenset((img[j], a) for j, a in row.items())) not in rowset
+                    for row, rhs in rows):
                 raise RuntimeError(f"position map {p} does not map the N lift onto itself")
             for j, k in enumerate(img):
                 parent[root(j)] = root(k)
@@ -526,9 +530,13 @@ class NLiftSystem:
         orbit = [ids.setdefault(root(j), len(ids)) for j in range(cols)]
         folded, seen = LinearProgram(len(ids)), set()
         _check_deadline()
-        for ints, rhs in rows:
+        if len(ids) == cols:                        # the presolve left no repeats
+            for row, rhs in rows:
+                folded.add_le(row, rhs)
+            return folded, orbit
+        for row, rhs in rows:
             acc = {}
-            for j, a in ints.items():
+            for j, a in row.items():
                 acc[orbit[j]] = acc.get(orbit[j], 0) + a
             acc = {o: a for o, a in acc.items() if a}
             key = (rhs, frozenset(acc.items()))
@@ -538,41 +546,33 @@ class NLiftSystem:
             folded.add_le(acc, rhs)
         return folded, orbit
 
-    def _folded_maximize(self, objective: dict, gens) -> LPResult:
-        """The max over the folded LP of gens, as an LPResult over the LP's
-        own columns: the folded optimum expanded back, no duals."""
+    # -- solving ------------------------------------------------------------
+
+    def maximize(self, objective: dict) -> tuple:
+        """(LPOutcome, raw LPResult) of the max over N^depth(h), taken over
+        the LP folded by the symmetries of h and the objective (`_fold`;
+        each folded LP is kept and re-solved from its last feasible basis).
+        The raw result is the folded optimum expanded back to the presolved
+        LP's columns (`y_matrix` reads the lifted matrix through `_col`),
+        with no duals."""
+        gens = _generators(symmetries(self.h, objective))
         if gens not in self._folds:
             self._folds[gens] = self._fold(gens)
         lp, orbit = self._folds[gens]
         obj = {}
         for v, col in self._diag:
             if col is not None and (c := objective.get(v)):
-                obj[orbit[col]] = obj.get(orbit[col], 0) + c
+                o = orbit[col]
+                obj[o] = obj[o] + c if o in obj else c
         res = lp.maximize(obj)
-        if res.status != "optimal":
-            return res
-        basic = res.primal.basic
-        return LPResult(status="optimal", value=res.value, pivots=res.pivots,
-                        primal=Primal(self._lp.nv, {j: q for j, o in enumerate(orbit)
-                                                    if (q := basic.get(o))}))
-
-    # -- solving ------------------------------------------------------------
-
-    def maximize(self, objective: dict) -> tuple:
-        """(LPOutcome, raw LPResult) of the max over N^depth(h).  The raw
-        result's x belongs to the presolved LP's columns (`y_matrix`
-        reads the lifted matrix through `_col`), and so do its duals when
-        the LP itself was solved; a folded max has none."""
-        group = symmetries(self.h, objective)
-        if len(group) > 1:
-            res = self._folded_maximize(objective, _generators(group))
-        else:
-            res = self._lp.maximize({col: c for v, col in self._diag
-                                     if col is not None and (c := objective.get(v))})
         if res.status == "infeasible":
             return LPOutcome(status="infeasible"), res
         if res.status == "unbounded":
             raise RuntimeError("N lift unbounded: relaxation lacks bound rows")
+        basic = res.primal.basic
+        res = LPResult(status="optimal", value=res.value, pivots=res.pivots,
+                       primal=Primal(len(orbit), {j: q for j, o in enumerate(orbit)
+                                                  if (q := basic.get(o))}))
         point = {v: Fraction(0) if col is None else res.primal[col] for v, col in self._diag}
         return LPOutcome(status="optimal", value=res.value, point=point), res
 
@@ -602,34 +602,26 @@ def _generators(group) -> tuple:
     return tuple(rotations[:1] + reflections[:1])
 
 
-def _coprime(row: dict, rhs) -> tuple:
-    """(dict column->int, int rhs): the row sum(a x) <= rhs over coprime
+def _coprime(row: dict, rhs: int) -> tuple:
+    """(dict column->int, int rhs): the int row sum(a x) <= rhs over coprime
     integers, the one form of each positive multiple of it; the row
-    itself when it already is.  The values may be `Fraction`s: `gcd`
-    takes only ints and raises TypeError on one, and such a row has its
-    denominators cleared (`_intify`) first.  Clearing every row, ints
-    too, would take `_presolve` of the depth-2 lift of QSTAB(W:14:2) 1.6
-    times as long."""
-    try:
-        g = gcd(rhs, *row.values())
-    except TypeError:
-        row = _intify([*row.items(), (-1, rhs)])[0]
-        rhs = row.pop(-1)
-        g = gcd(rhs, *row.values())
+    itself when it already is."""
+    g = gcd(rhs, *row.values())
     if g != 1:
         row, rhs = {j: a // g for j, a in row.items()}, rhs // g
     return row, rhs
 
 
 def _presolve(rows, nv):
-    """(rows, col): the rows (dict var->coefficient, rhs), each row <= rhs
-    over nv variables >= 0, as (dict column->coefficient, rhs) rows, col
-    numbering densely the variables not forced to 0.  A row with rhs 0
+    """(rows, col): the int rows (dict var->coefficient, rhs), each row <=
+    rhs over nv variables >= 0, as (dict column->coefficient, rhs) rows in
+    coprime integer form (`_coprime`), col numbering densely the
+    variables not forced to 0.  A row with rhs 0
     whose remaining coefficients are all positive forces its variables to
     0, to a fixpoint (a pass after the first reads only the rows that
     share a variable with the rows the pass before it fired); they leave
     every row, and rows left empty, lone -x <= 0 rows and duplicates go,
-    a positive multiple of a row kept being a duplicate (`_coprime`).
+    a positive multiple of a row kept being a duplicate.
     Each pass of the fixpoint and each row kept check the deadline."""
     zero, scan = set(), rows
     while scan:
@@ -656,8 +648,8 @@ def _presolve(rows, nv):
             continue
         if not rhs and len(live) == 1 and min(live.values()) < 0:
             continue
-        ints, b = _coprime(live, rhs)
-        key = (b, frozenset(ints.items()))
+        live, rhs = _coprime(live, rhs)
+        key = (rhs, frozenset(live.items()))
         if key not in seen:
             seen.add(key)
             out.append((live, rhs))
@@ -682,7 +674,7 @@ def n_lift_system(h: HPolytope, depth: int, cache: bool = True) -> NLiftSystem:
     return sys_
 
 
-def n_operator_max(objective, h: HPolytope, depth: int = 1,
+def n_operator_max(objective: dict, h: HPolytope, depth: int = 1,
                    known: LPOutcome | None = None) -> LPOutcome:
     """Exact max of the objective over N^depth(h).
 
@@ -696,8 +688,7 @@ def n_operator_max(objective, h: HPolytope, depth: int = 1,
         _check_depth_cap(depth)
         _check_deadline()
         return LPOutcome(status="optimal", value=known.value, point=known.point)
-    obj = objective if isinstance(objective, dict) else dict(zip(h.index, objective))
-    return n_lift_system(h, depth).maximize(obj)[0]
+    return n_lift_system(h, depth).maximize(objective)[0]
 
 
 def verify_n_matrix(h: HPolytope, y: list) -> bool:

@@ -129,8 +129,9 @@ class HPolytope:
     bound on every coordinate (a singleton-clique or edge row), so they
     live in [0,1]^n.
 
-    Every LP over h (`lp_max` and those of `liftproject`) is built from
-    `integral_rows`, so integer rows reach the tableau as ints.
+    `lp_max` and the piece and membership LPs of `liftproject` are built
+    from `integral_rows`, and the N lift from each row's `integer_form`,
+    so integer rows reach the tableau as ints.
     """
 
     __slots__ = ("index", "rows", "_tests", "_ints")
@@ -214,8 +215,8 @@ class LPOutcome:
 _LP_MAX_CACHE: dict = {}    # id(h) -> (h, its LP), for the last h lp_max was asked about
 
 
-def lp_max(h: HPolytope, objective) -> LPOutcome:
-    """Exact maximum of a linear objective over h (with x >= 0).
+def lp_max(h: HPolytope, objective: dict) -> LPOutcome:
+    """Exact maximum of a linear objective, by node, over h (with x >= 0).
 
     The LP of h is kept for the next call on the same HPolytope object
     (only the last one is kept: callers ask about one h many times in a
@@ -225,9 +226,8 @@ def lp_max(h: HPolytope, objective) -> LPOutcome:
     arithmetic before returning.  Relaxations built here are bounded, so
     an unbounded status is an internal inconsistency and raises.
     """
-    obj = objective if isinstance(objective, dict) else dict(zip(h.index, objective))
     pos = {v: i for i, v in enumerate(h.index)}
-    lp_obj = {pos[v]: c for v, c in obj.items() if v in pos}
+    lp_obj = {pos[v]: c for v, c in objective.items() if v in pos}
     hit = _LP_MAX_CACHE.get(id(h))
     if hit is None:
         lp = LinearProgram(len(h.index))

@@ -343,7 +343,7 @@ def formula_web_rank(n: int, k: int) -> int:
 # ---------------------------------------------------------------------------
 # verify suites
 
-def verify_web_rank_formulas(ks=(2, 3, 4), n_max: int = 16, n_min=None,
+def verify_web_rank_formulas(ks=(2, 3, 4), n_max: int = 16,
                              complements: bool = True) -> Report:
     """Computed web ranks vs the closed forms, and complement invariance.
 
@@ -355,8 +355,7 @@ def verify_web_rank_formulas(ks=(2, 3, 4), n_max: int = 16, n_min=None,
     rep = Report("web-formulas", {"ks": list(ks), "n_max": n_max,
                                   "complements": complements})
     for k in ks:
-        lo = n_min if n_min is not None else 2 * (k + 1)
-        for n in range(max(lo, 2 * (k + 1)), n_max + 1):
+        for n in range(2 * (k + 1), n_max + 1):
             g = web(n, k)
             expected = formula_web_rank(n, k)
             res = disjunctive_rank_graph(g)

@@ -238,7 +238,7 @@ def find_induced_odd_hole_by_generators(g: Graph, reverse=False):
                 for w in _bits(reach & nb_b):
                     if w > p1:
                         hole = as_nodeset(g.nodes[i] for i in path + [w])
-                        if not _is_hole(g, hole):
+                        if not _is_hole(g, sum(1 << i for i in path + [w])):
                             raise RuntimeError(f"odd-hole search returned a non-hole {hole}")
                         return hole
             for w in _bits(reach & ~nb_b):
@@ -739,13 +739,20 @@ def fixed_rows_by_fractions(h: HPolytope, fixing: dict, col: dict):
 
 
 class NLiftByFractions(NLiftSystem):
-    """`liftproject.NLiftSystem` with its cone rows built from the Fraction
-    rows of h (h.rows, not `HPolytope.integral_rows`)."""
+    """The rows `liftproject.NLiftSystem` builds for the lift of h (its
+    `_rows`, before the presolve), with the cone rows built from the
+    Fraction rows of h (h.rows, not their coprime integer form).  No LP is
+    built: the presolve takes int rows only."""
+
+    def __init__(self, h: HPolytope, depth: int):
+        self.h, self.n, self._nv, self._var, self._rows = h, h.dim, 0, {}, []
+        self._require_matrix_columns(self._new_matrix(()), (), depth - 1)
 
     def _add_cone_rows(self, expr):
         pos = {v: j + 1 for j, v in enumerate(self.h.index)}
         for e in expr:
-            self._add_row(_lin((-1, e)))
+            if len(e) > 1 or min(e.values(), default=1) < 0:
+                self._add_row(_lin((-1, e)))
         for r in self.h.rows:
             if r.tag == "nonneg":
                 continue

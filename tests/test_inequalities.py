@@ -66,11 +66,6 @@ def test_one_interval_sets_n7_empty():
     assert enumerate_one_interval_sets(7) == []
 
 
-def test_one_interval_rotations_kept_without_dedup():
-    rot = enumerate_one_interval_sets(9, dedup_by_T=False)
-    assert len(rot) == 27          # 9 starts x 3 compositions of (1,1,4)
-
-
 def test_one_interval_inequality_rhs():
     s = one_interval_set(9, (1, 1, 4), 1)
     row = one_interval_inequality(WebId(9, 2), s)

@@ -1,13 +1,14 @@
 """Integral rows stay ints from the polytope to the tableau.
 
 `HPolytope.integral_rows` gives the rows of h with each integral value as
-an int, and every LP over h is built from it: `lp_max`, the piece LPs
-(`PieceSystem`), the membership LP of `disjunctive_member` and the N
-lift (`NLiftSystem`).  `LinearProgram` keeps an int row value as an int.
-The same LP given with int rows and with the equal Fraction rows gives
-identical results, and each LP built from the integral view equals, value
-for value, the one the Fraction builders of tests/oracles.py make from
-h.rows; on QSTAB every value of a lift LP is an int.
+an int, and `lp_max`, the piece LPs (`PieceSystem`) and the membership LP
+of `disjunctive_member` are built from it; the N lift (`NLiftSystem`) is
+built from the coprime integer form of each row, so every lift row is an
+int row.  `LinearProgram` keeps an int row value as an int.  The same LP
+given with int rows and with the equal Fraction rows gives identical
+results, each LP built from the integral view equals, value for value,
+the one the Fraction builders of tests/oracles.py make from h.rows, and
+each lift row equals theirs up to a positive scale.
 """
 
 from fractions import Fraction
@@ -98,16 +99,28 @@ def _lift_cases():
         yield h, 2
 
 
+def _scale(row, ref) -> Fraction | None:
+    """s > 0 with row = s * ref, both (dict var->value, rhs) rows; else None."""
+    (coeffs, rhs), (ref_coeffs, ref_rhs) = row, ref
+    pairs = [(rhs, ref_rhs)] + [(a, ref_coeffs.get(v, 0)) for v, a in coeffs.items()]
+    if coeffs.keys() != ref_coeffs.keys() or any((a == 0) != (b == 0) for a, b in pairs):
+        return None
+    ratios = {Fraction(a) / b for a, b in pairs if b}
+    return ratios.pop() if len(ratios) == 1 and min(ratios) > 0 else None
+
+
 @pytest.mark.parametrize("h, depth", list(_lift_cases()))
 def test_lift_lp_rows_equal_those_of_the_fraction_builder(h, depth):
+    # the rows as built, before the presolve: the same rows up to a
+    # positive scale, the same variables, and every value an int
     sys_, ref = NLiftSystem(h, depth), NLiftByFractions(h, depth)
-    assert sys_._col == ref._col and sys_._lp.nv == ref._lp.nv
-    assert _values(sys_._lp.rows) == _values(ref._lp.rows)
-    values = _row_values(sys_._lp)
-    if all(type(c) is int for coeffs, rhs in h.integral_rows() for c in (rhs, *coeffs.values())):
-        assert all(type(c) is int for c in values)
-    else:
-        assert any(type(c) is Fraction for c in values)
+    assert sys_._var == ref._var and len(sys_._rows) == len(ref._rows)
+    assert all(_scale(row, want) for row, want in zip(sys_._rows, ref._rows))
+    assert all(type(c) is int for coeffs, rhs in sys_._rows for c in (rhs, *coeffs.values()))
+    if any(type(c) is Fraction for coeffs, rhs in h.integral_rows()
+           for c in (rhs, *coeffs.values())):
+        assert any(_scale(row, want) != 1 for row, want in zip(sys_._rows, ref._rows))
+    assert all(type(c) is int for coeffs, rhs in sys_._presolved for c in (rhs, *coeffs.values()))
 
 
 def _f(h):

@@ -376,7 +376,7 @@ def test_presolved_lift_max_equals_the_full_lift_max():
     for n, k, depth in cases + [(5, 1, 2)]:
         g = web(n, k)
         sys_ = NLiftSystem(qstab(g), depth)
-        assert sys_._lp.nv < sys_._nv and len(sys_._lp.rows) < len(sys_._rows)
+        assert len(sys_._col) < sys_._nv and len(sys_._presolved) < len(sys_._rows)
         lp = _full_lift_lp(sys_)
         objectives = [ones(g)] + [{v: rng.randint(0, 6) for v in g.nodes}
                                   for _ in range(5 if depth == 1 else 1)]
@@ -434,8 +434,9 @@ def test_n2_max_pivot_count_is_pinned(n, k, shape, pivots):
     raw = lp.solve(_full_lift_objective(sys_, ones(g)))
     assert raw.value == 2 and raw.pivots == pivots
     small_shape, small_pivots, fold_shape, fold_pivots = _N2_PRESOLVED[(n, k)]
-    assert (len(sys_._lp.rows), sys_._lp.nv) == small_shape
-    raw = sys_._lp.solve({col: 1 for _, col in sys_._diag if col is not None})
+    small, _ = sys_._fold(())           # the trivial group's fold: the presolved LP
+    assert (len(small.rows), small.nv) == small_shape
+    raw = small.solve({col: 1 for _, col in sys_._diag if col is not None})
     assert raw.value == 2 and raw.pivots == small_pivots
     out, raw = sys_.maximize(ones(g))
     (folded, _), = sys_._folds.values()

@@ -14,7 +14,7 @@ import pytest
 
 from webrank import simplex
 from webrank.graphs import web
-from webrank.liftproject import NLiftSystem
+from webrank.liftproject import NLiftSystem, _presolve
 from webrank.polyhedra import HPolytope, LinearInequality, qstab
 
 from oracles import NLiftWithEqualities
@@ -55,12 +55,13 @@ def test_depth2_lift_is_all_le_and_runs_no_phase1(h, monkeypatch):
     calls = _phase1_calls(monkeypatch)
     sys_ = NLiftSystem(h, 2)
     assert all(rhs >= 0 for _, rhs in sys_._rows)
-    assert all(kind == "<=" and rhs >= 0 for _, rhs, kind in sys_._lp.rows)
+    assert all(rhs >= 0 for _, rhs in sys_._presolved)
     out, raw = sys_.maximize(_asymmetric(h))
-    assert raw.pivots and raw.duals is not None     # the LP itself, not a fold
+    assert raw.pivots and list(sys_._folds) == [()]     # the presolved LP, folding nothing
     out, raw = sys_.maximize(dict.fromkeys(h.index, 1))
-    (folded, _), = sys_._folds.values()
-    assert all(kind == "<=" and rhs >= 0 for _, rhs, kind in folded.rows)
+    assert len(sys_._folds) == 2
+    assert all(kind == "<=" and rhs >= 0
+               for folded, _ in sys_._folds.values() for _, rhs, kind in folded.rows)
     assert calls == []
 
 
@@ -93,10 +94,13 @@ def test_nested_diagonals_are_no_variables():
 
 
 def test_presolve_merges_rows_written_at_two_scales():
-    # the halved system is the same polytope, so its lift keeps the rows of
-    # QSTAB's own: a row and its double are one row in coprime integer form
+    # a row and its double are one row in coprime integer form
+    rows, col = _presolve([({0: 2, 1: 4}, 6), ({0: 1, 1: 2}, 3), ({0: 3, 1: 3}, 6)], 2)
+    assert rows == [({0: 1, 1: 2}, 3), ({0: 1, 1: 1}, 2)] and col == {0: 0, 1: 1}
+    # the halved system is the same polytope, and the lift is built from the
+    # coprime form of its rows, so it has the rows of QSTAB's own
     full, halved = NLiftSystem(W51, 2), NLiftSystem(HALVED, 2)
-    assert len(full._lp.rows) == len(halved._lp.rows) == 155
-    assert halved._lp.nv == full._lp.nv
+    assert halved._rows == full._rows and halved._presolved == full._presolved
+    assert len(full._presolved) == 155 and halved._col == full._col
     for c in (dict.fromkeys(W51.index, 1), _asymmetric(W51)):
         assert halved.maximize(c)[0].value == full.maximize(c)[0].value

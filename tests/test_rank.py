@@ -435,7 +435,7 @@ def test_frac_rank_external_fact_consistency():
 def test_assumption_entries_for_deep_n_rank_facts():
     # k >= 3 N-rank equalities are flagged, never asserted; only their
     # subweb-existence ingredient is checked
-    rep = verify_web_rank_formulas(ks=(4,), n_max=16, n_min=15, complements=False)
+    rep = verify_web_rank_formulas(ks=(4,), n_max=16, complements=False)
     assert rep.passed
     assumed = [e for e in rep.entries if e.status == "assumed"]
     assert assumed

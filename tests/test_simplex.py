@@ -196,7 +196,8 @@ def test_a_dropped_lp_is_freed_without_the_cycle_collector(monkeypatch):
         polyhedra._LP_MAX_CACHE.clear()
         liftproject._NLIFT_CACHE.clear()
         outs.append(n_operator_max(c, h, 1))
-        tabs.append(weakref.ref(liftproject._NLIFT_CACHE[(h, 1)]._lp._tab))
+        sys_ = liftproject._NLIFT_CACHE[(h, 1)]
+        tabs += [weakref.ref(lp._tab) for lp, _ in sys_._folds.values()]
         liftproject._NLIFT_CACHE.clear()
         sys_ = PieceSystem(h, {1: 1})
         outs.append(sys_.maximize(c))

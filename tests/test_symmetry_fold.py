@@ -1,11 +1,12 @@
 """The N lift folded onto the column orbits of a dihedral symmetry group.
 
-`NLiftSystem.maximize` takes an objective that rotations or reflections
-of h.index fix (`polyhedra.symmetries`) over the LP folded onto column
-orbits.  The folded max must equal the max of the presolved lift LP
-itself, its expanded optimum must be a feasible point of that LP with
-that value (and, at depth 1, a Y that `verify_n_matrix` accepts), and an
-objective no symmetry fixes must keep the LP's own warm path.
+`NLiftSystem.maximize` takes every objective over the LP folded onto the
+column orbits of the rotations and reflections of h.index that fix it
+(`polyhedra.symmetries`).  The folded max must equal the max of the
+presolved lift LP itself, its expanded optimum must be a feasible point
+of that LP with that value (and, at depth 1, a Y that `verify_n_matrix`
+accepts).  The trivial group's fold is the presolved LP row for row, and
+an objective no symmetry fixes re-solves it warm, as the LP itself would.
 """
 
 import random
@@ -14,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from webrank import rank
+from webrank import liftproject, rank
 from webrank.graphs import antiweb, delete_nodes, web
 from webrank.liftproject import NLiftSystem, _generators, verify_n_matrix
 from webrank.polyhedra import (HPolytope, LinearInequality, nonneg_row, qstab,
@@ -29,12 +30,14 @@ def _lp_objective(sys_, c):
     return {col: c[v] for v, col in sys_._diag if col is not None and c.get(v)}
 
 
-def _feasible(lp, x) -> bool:
-    for pairs, rhs, kind in lp.rows:
-        lhs = sum(a * x[j] for j, a in pairs)
-        if lhs > rhs if kind == "<=" else lhs != rhs:
-            return False
-    return True
+def _feasible(sys_, x) -> bool:
+    """x meets every presolved row of sys_."""
+    return all(sum(a * x[j] for j, a in row.items()) <= rhs for row, rhs in sys_._presolved)
+
+
+def _asymmetric(h):
+    """1, 2, ..., n on h.index: no rotation or reflection fixes it."""
+    return {v: i for i, v in enumerate(h.index, start=1)}
 
 
 def _reflection_objective(h, p, rng):
@@ -47,12 +50,12 @@ def _reflection_objective(h, p, rng):
 
 
 def _check_folded_max(sys_, ref, c):
-    """The folded max of c against the presolved LP of ref solved from
-    scratch; returns the raw result."""
+    """The folded max of c against the presolved LP of ref (the trivial
+    group's fold) solved from scratch; returns the raw result."""
     out, raw = sys_.maximize(c)
-    want = ref._lp.solve(_lp_objective(ref, c))
+    want = ref._fold(())[0].solve(_lp_objective(ref, c))
     assert out.value == want.value == raw.value, c
-    assert _feasible(sys_._lp, raw.x), c
+    assert _feasible(sys_, raw.x), c
     assert sum(c[v] * x for v, x in out.point.items()) == out.value
     if sys_.depth == 1:
         y = sys_.y_matrix(raw)
@@ -72,7 +75,7 @@ def test_folded_max_equals_the_presolved_max(g, depth):
     raw = _check_folded_max(sys_, ref, dict.fromkeys(g.nodes, 1))
     assert raw.duals is None and len(sys_._folds) == 1
     (folded, orbit), = sys_._folds.values()
-    assert folded.nv == max(orbit) + 1 < sys_._lp.nv
+    assert folded.nv == max(orbit) + 1 < len(sys_._col)
     reflections = [p for p in group if (p[1] - p[0]) % g.n != 1]
     for p in reflections if depth == 1 else reflections[:1]:
         c = _reflection_objective(h, p, rng)
@@ -82,10 +85,11 @@ def test_folded_max_equals_the_presolved_max(g, depth):
 
 @pytest.mark.parametrize("g, depth", [(g, 1) for g in SMALL] + [(web(5, 1), 2)])
 def test_an_objective_no_symmetry_fixes_keeps_the_warm_path(g, depth):
-    # the LP's own warm re-solves, folded maxima in between or not
+    # the presolved LP's own warm re-solves, folded maxima in between or not
     rng = random.Random(g.n)
     h = qstab(g)
-    sys_, twin, ref = NLiftSystem(h, depth), NLiftSystem(h, depth), NLiftSystem(h, depth)
+    sys_, ref = NLiftSystem(h, depth), NLiftSystem(h, depth)
+    twin, _ = ref._fold(())
     ones, warm = dict.fromkeys(g.nodes, 1), 0
     for _ in range(4 if depth == 1 else 2):
         c = {v: rng.randint(0, 9) for v in g.nodes}
@@ -94,10 +98,41 @@ def test_an_objective_no_symmetry_fixes_keeps_the_warm_path(g, depth):
         warm += 1
         sys_.maximize(ones)
         raw = _check_folded_max(sys_, ref, c)
-        want = twin._lp.maximize(_lp_objective(twin, c))
+        want = twin.maximize(_lp_objective(ref, c))
         assert (raw.value, raw.pivots, raw.x) == (want.value, want.pivots, want.x)
-        assert raw.duals == want.duals
-    assert warm and len(sys_._folds) == 1 and not twin._folds
+        assert raw.duals is None
+    assert warm and len(sys_._folds) == 2 and () in sys_._folds
+
+
+@pytest.mark.parametrize("h, depth", [(qstab(web(7, 2)), 1), (qstab(web(5, 1)), 2),
+                                      (qstab(delete_nodes(web(8, 2), [1, 2, 5])), 1)])
+def test_the_identity_fold_is_the_presolved_lp_row_for_row(h, depth):
+    sys_ = NLiftSystem(h, depth)
+    lp, orbit = sys_._fold(())
+    assert lp.nv == len(sys_._col) and orbit == list(range(lp.nv))
+    assert [(dict(pairs), rhs, kind) for pairs, rhs, kind in lp.rows] == \
+        [(row, rhs, "<=") for row, rhs in sys_._presolved]
+    out, raw = sys_.maximize(_asymmetric(h))
+    assert list(sys_._folds) == [()]
+    assert out.value == lp.solve(_lp_objective(sys_, _asymmetric(h))).value
+
+
+def test_a_symmetric_max_builds_only_its_folded_lp(monkeypatch):
+    built = []
+
+    class Recorded(liftproject.LinearProgram):
+        def __init__(self, num_vars):
+            super().__init__(num_vars)
+            built.append(self)
+
+    monkeypatch.setattr(liftproject, "LinearProgram", Recorded)
+    h = qstab(web(9, 2))
+    sys_ = NLiftSystem(h, 2)
+    assert not built                    # the presolved rows, no LP
+    out, raw = sys_.maximize(dict.fromkeys(h.index, 1))
+    assert out.value == 3
+    (folded, orbit), = sys_._folds.values()
+    assert built == [folded] and folded.nv < len(sys_._col)
 
 
 def test_a_web_with_one_node_deleted_keeps_only_the_reflection_through_it():
@@ -116,8 +151,8 @@ def test_a_web_with_no_symmetry_left_solves_the_lp_itself():
     ones = dict.fromkeys(g.nodes, 1)
     assert symmetries(h, ones) == [(0, 1, 2, 3, 4)]
     sys_ = NLiftSystem(h, 1)
-    raw = _check_folded_max(sys_, NLiftSystem(h, 1), ones)
-    assert not sys_._folds and raw.duals is not None
+    _check_folded_max(sys_, NLiftSystem(h, 1), ones)
+    assert list(sys_._folds) == [()]
 
 
 def test_rows_written_at_other_scales_keep_their_symmetry():
@@ -131,7 +166,8 @@ def test_rows_written_at_other_scales_keep_their_symmetry():
     for depth in (1, 2):
         sys_ = NLiftSystem(h, depth)
         _check_folded_max(sys_, NLiftSystem(h, depth), ones)
-        assert sys_._folds
+        (gens,) = sys_._folds
+        assert gens
 
 
 def _without_clique_123():
@@ -160,7 +196,7 @@ def test_a_map_that_is_no_symmetry_fails_the_row_check(p, of_the_web):
     whole = NLiftSystem(qstab(web(8, 2)), 1)
     if of_the_web:
         folded, orbit = whole._fold((p,))
-        assert folded.nv < whole._lp.nv
+        assert folded.nv < len(whole._col)
     else:
         with pytest.raises(RuntimeError, match="does not map the N lift onto itself"):
             whole._fold((p,))
