@@ -15,8 +15,9 @@ the N depth.  --time-budget gives the run that many seconds: every
 search and every LP checks it; a budget that is not finite is an input
 error.  A subcommand takes only the shared options it reads, and `main`
 sets them as `graphs.LIMITS` for the run.
-rank --cert needs a route that builds a certificate: --cert with
---operator N is an input error, and so is a negative --rmax.  A max over STAB without a hull (alpha,
+An option its route would not read is an input error (rank --cert, lp
+--f, lp --member with --operator N; lp --depth without it; lp --f alone;
+rank graph with a family), as is a negative --rmax.  A max over STAB without a hull (alpha,
 the row-rank check against STAB, the sandwich) is a stable set search,
 with no cap and no budget check of its own.
 
@@ -180,6 +181,8 @@ def _build_row(family: str, g):
 def cmd_rank(args) -> int:
     if args.cert and args.operator == "N":
         raise ValueError("--cert with --operator N: that route builds no certificate")
+    if args.target == "graph" and args.family is not None:
+        raise ValueError(f"rank graph takes no row family, got {args.family!r}")
     if args.rmax < 0:
         raise ValueError(f"--rmax {args.rmax}: no rank is below 0")
     g = parse_graph_spec(args.spec)
@@ -198,12 +201,13 @@ def cmd_rank(args) -> int:
                 return EXIT_CAP
             result = {"target": args.spec, "operator": "N", "rank": r}
     else:
-        row = _build_row(args.family, g)
+        family = args.family or "rank-constraint"
+        row = _build_row(family, g)
         h = qstab(g)
         if args.operator == "disjunctive":
             res = disjunctive_rank_inequality(row, h)
             cert = res.to_json(row, h)
-            result = {"target": args.spec, "family": args.family,
+            result = {"target": args.spec, "family": family,
                       "operator": "disjunctive", "rank": res.rank,
                       "witness_f": list(res.witness_f)}
         else:
@@ -211,7 +215,7 @@ def cmd_rank(args) -> int:
             if r is None:
                 print(f"N-rank of the row exceeds rmax={args.rmax}")
                 return EXIT_CAP
-            result = {"target": args.spec, "family": args.family,
+            result = {"target": args.spec, "family": family,
                       "operator": "N", "rank": r}
     if args.cert:
         with open(args.cert, "w") as fh:
@@ -287,6 +291,12 @@ def cmd_lp(args) -> int:
     maximizes over P_F(qstab) for --f; --member decides membership of a
     point in P_F(qstab) instead of maximizing.
     """
+    if args.operator == "N" and (args.f or args.member):
+        raise ValueError("--f or --member with --operator N: the N lift fixes no coordinates")
+    if args.depth is not None and args.operator != "N":
+        raise ValueError("--depth without --operator N: only the N lift has a depth")
+    if args.f and not args.member and args.operator == "none":
+        raise ValueError("--f needs --operator disjunctive or --member: a plain max fixes none")
     g = parse_graph_spec(args.spec)
     h = qstab(g) if args.relaxation == "qstab" else frac(g)
     f = as_nodeset(int(x) for x in args.f.split(",")) if args.f else ()
@@ -313,8 +323,9 @@ def cmd_lp(args) -> int:
     else:
         obj = {v: 1 for v in h.index}
     if args.operator == "N":
-        out = n_operator_max(obj, h, args.depth)
-        over = f"N^{args.depth}({args.relaxation}({args.spec}))"
+        depth = 1 if args.depth is None else args.depth
+        out = n_operator_max(obj, h, depth)
+        over = f"N^{depth}({args.relaxation}({args.spec}))"
     elif args.operator == "disjunctive":
         out = piece_max(piece_systems(h, f), obj)
         over = f"P_F({args.relaxation}({args.spec})), F={list(f)}"
@@ -349,8 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rank", help="rank of a graph or of one inequality")
     p.add_argument("target", choices=("graph", "ineq"))
-    p.add_argument("family", nargs="?", default="rank-constraint",
-                   help="ineq only: rank-constraint | antiweb | one-interval[:i] | joined")
+    p.add_argument("family", nargs="?",
+                   help="ineq only: rank-constraint (default) | antiweb | one-interval[:i]|joined")
     p.add_argument("spec")
     p.add_argument("--operator", choices=("disjunctive", "N"), default="disjunctive")
     p.add_argument("--rmax", type=int, default=1)
@@ -387,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--operator", choices=("none", "disjunctive", "N"),
                    default="none")
     p.add_argument("--f", help="fixed coordinates for the disjunctive piece hull")
-    p.add_argument("--depth", type=int, default=1, help="N iterations")
+    p.add_argument("--depth", type=int, help="N iterations (--operator N only, default 1)")
     p.add_argument("--member",
                    help="comma-separated rational point: decide x in P_F instead")
     _add_common(p, "--piece-cap", "--depth-cap", "--time-budget", "--format")

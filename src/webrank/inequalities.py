@@ -165,24 +165,22 @@ def stab_description_w2(n: int) -> list:
     """Dahl's full description of STAB(W_n^2) as a row list.
 
     Nonnegativity, maximal clique rows, the rank constraint when n is
-    not a multiple of 3, and all 1-interval rows (dedup by T).
-    """
-    if n < 6:
-        raise ValueError("needs n >= 6")
+    not a multiple of 3, and all 1-interval rows (dedup by T), each rhs
+    checked against its search (`one_interval_inequality`)."""
+    w = WebId(n, 2)
+    return w2_description(n, [one_interval_inequality(w, s)
+                              for s in enumerate_one_interval_sets(n)])
+
+
+def w2_description(n: int, one_interval_rows) -> list:
+    """The rows of QSTAB(W_n^2), the rank constraint when n is not a
+    multiple of 3, then the given 1-interval rows, without repeats
+    (triangle-sized intervals reproduce clique rows)."""
     g = web(n, 2)
     rows = list(qstab(g).rows)
     if n % 3 != 0:
         rows.append(rank_constraint(g))
-    w = WebId(n, 2)
-    for s in enumerate_one_interval_sets(n):
-        rows.append(one_interval_inequality(w, s))
-    # drop duplicates (triangle-sized intervals reproduce clique rows)
-    uniq, seen = [], set()
-    for r in rows:
-        if r not in seen:
-            seen.add(r)
-            uniq.append(r)
-    return uniq
+    return list(dict.fromkeys(rows + list(one_interval_rows)))
 
 
 def stab_description_w2_polytope(n: int) -> HPolytope:

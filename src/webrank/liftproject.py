@@ -368,32 +368,81 @@ def _lin(*terms):
     return {v: c for v, c in out.items() if c} if 0 in out.values() else out
 
 
+def _lift_rows(index, cone, depth: int) -> tuple:
+    """(keys, rows): the lift of N^depth over {x >= 0 : A x <= b} on the
+    positions index, cone the (dict node->coefficient, rhs) rows of
+    A x <= b; rows (dict variable->coefficient, rhs), each <= rhs over
+    variables >= 0, and keys[v] the structural key of variable v.
+
+    Every matrix Y of the lift is symmetric with Ye_0 = diag(Y), and
+    takes its diagonal as given (`new_matrix`): the top matrix has
+    Y_00 = 1 and one variable per Y_jj, and each nested matrix, one per
+    cone-membership constraint when depth >= 2, has Y_jj = expr[j] for
+    the column expr it proves.  Y_0j reads Y_jj and every entry above the
+    diagonal is a variable, made in row order.  A lift expression is a
+    dict from variable to its nonzero coefficient, the constant term under
+    the key _ONE.  The key of a variable is the path of its matrix, the
+    (column i, side) pair of each cone constraint on the way down (side 0
+    for Ye_i, 1 for Y(e_0 - e_i)), and its entry (i, j), 1 <= i <= j <= n
+    (i < j in a nested matrix).  Each cone constraint checks the deadline."""
+    n = len(index)
+    pos = {v: j + 1 for j, v in enumerate(index)}
+    keys, rows = [], []
+
+    def new_matrix(path, diag=None):
+        mat = {(0, 0): diag[0] if diag else {_ONE: 1}}
+        for i in range(1, n + 1):
+            for j in range(i, n + 1):
+                if diag and i == j:
+                    mat[i, i] = diag[i]
+                else:
+                    mat[i, j] = mat[j, i] = {len(keys): 1}
+                    keys.append((path, (i, j)))
+            mat[0, i] = mat[i, 0] = mat[i, i]
+        return mat
+
+    def require_columns(mat, path, inner_depth):
+        """Ye_i and Y(e_0 - e_i) in cone(N^inner_depth), i = 1..n: the cone
+        rows at depth 0, else the columns of a nested matrix of that diagonal."""
+        e0 = [mat[j, 0] for j in range(n + 1)]
+        for i in range(1, n + 1):
+            col = [mat[j, i] for j in range(n + 1)]
+            for side in (0, 1):
+                expr = [_lin((1, a), (-1, b)) for a, b in zip(e0, col)] if side else col
+                _check_deadline()
+                if inner_depth == 0:
+                    add_cone_rows(expr)
+                else:
+                    sub = path + ((i, side),)
+                    require_columns(new_matrix(sub, expr), sub, inner_depth - 1)
+
+    def add_cone_rows(expr):
+        """A x <= x0 b on expr = (x0, x), and e >= 0 on each entry e but one
+        that is at most one positive term (>= 0 at every LP point)."""
+        for e in expr:
+            if len(e) > 1 or min(e.values(), default=1) < 0:
+                add_row(_lin((-1, e)))
+        for coeffs, rhs in cone:
+            add_row(_lin((-rhs, expr[0]), *((c, expr[pos[v]]) for v, c in coeffs.items())))
+
+    def add_row(expr):          # expr <= 0
+        rows.append((expr, -expr.pop(_ONE, 0)))
+
+    require_columns(new_matrix(()), (), depth - 1)
+    return keys, rows
+
+
 class NLiftSystem:
     """The LP encoding of max over N^r(h), reusable across objectives.
 
-    Every matrix Y of the lift is symmetric with Ye_0 = diag(Y), and
-    takes its diagonal as given (`_new_matrix`): the top matrix has
-    Y_00 = 1 and one variable per Y_jj, and each nested matrix, one per
-    cone-membership constraint when r >= 2, has Y_jj = expr[j] for the
-    column expr it proves.  Y_0j reads Y_jj and every entry above the
-    diagonal is a variable, so the lift is all <= rows over nonnegative
-    variables, with nonnegative right-hand sides when h has them (no
-    phase-1 work).  A lift expression is a dict from LP variable to its
-    nonzero coefficient, with the constant term under the key _ONE.
-
-    The rows built (`_rows`, int rows) reach the LP through `_presolve`:
-    on QSTAB it drops every edge entry Y_ij of the top matrix, which the
-    clique rows force to 0, and the rows the symmetry of Y repeats, and
-    keeps each row in coprime integer form (`_presolved`).  `_col` maps
-    each variable the presolve kept to its LP column.
-
-    Each variable has a structural key (`_var` maps it to the variable):
-    the path of its matrix, the (column i, side) pair of each cone
-    constraint on the way down from the top matrix (side 0 for Ye_i, 1
-    for Y(e_0 - e_i)), and its entry (i, j), 1 <= i <= j <= n; a nested
-    matrix has keys for i < j only, as its diagonal is no variable.  A
-    map of the positions of h.index acts on the keys by moving every
-    matrix index i >= 1 with its position, and so on the variables.
+    The lift (`_lift_rows`), from the coprime integer form of the rows of
+    h but x >= 0, is int <= rows over variables >= 0, with rhs >= 0 when
+    h has them (no phase 1).  Its presolve (`_presolve`) is the LP
+    (`_presolved`): on QSTAB it drops every edge entry Y_ij of the top
+    matrix, which the clique rows force to 0, and the rows the symmetry
+    of Y repeats.  Of the build only the structural key of each LP column
+    is kept, both ways (`_keys`, `_col`).  A map of the positions of
+    h.index acts on the keys by moving every matrix index i >= 1 with it.
 
     Symmetry fold.  The max is taken over the LP folded onto the orbits
     of its columns under the group generated by the rotations and
@@ -418,76 +467,14 @@ class NLiftSystem:
             raise ValueError("N depth must be >= 1")
         self.h = h
         self.depth = depth
-        self.n = h.dim
-        self._nv = 0
-        self._var = {}      # structural key -> variable, in variable order
-        self._rows = []     # (dict var->int coefficient, int rhs), each row <= rhs
-        self._cone = [r.integer_form() for r in h.rows if r.tag != "nonneg"]   # A x <= b
-        self._require_matrix_columns(self._new_matrix(()), (), depth - 1)
-        self._presolved, self._col = _presolve(self._rows, self._nv)
-        self._diag = [(v, self._col.get(self._var[(), (j, j)]))    # LP column of x_v or None
+        keys, rows = _lift_rows(h.index, [r.integer_form() for r in h.rows if r.tag != "nonneg"],
+                                depth)
+        self._presolved, col = _presolve(rows, len(keys))
+        self._keys = [keys[v] for v in col]     # LP column -> structural key
+        self._col = {key: j for j, key in enumerate(self._keys)}
+        self._diag = [(v, self._col.get(((), (j, j))))     # LP column of x_v or None
                       for j, v in enumerate(h.index, start=1)]
         self._folds = {}    # generators -> (folded LP, orbit of each LP column)
-
-    # -- variable/expression plumbing --------------------------------------
-
-    def _new_var(self, key):
-        v = self._var[key] = self._nv
-        self._nv += 1
-        return v
-
-    def _new_matrix(self, path, diag=None):
-        """The symmetric matrix of path as {(i, j): lift expression} over
-        0 <= i, j <= n, with Y_0j = Y_jj = diag[j] (diag the n+1 lift
-        expressions Y_00, ..., Y_nn) and a new variable for each entry
-        above the diagonal.  The top matrix (no diag) has Y_00 = 1 and a
-        new variable for each Y_jj as well, made in row order."""
-        mat = {(0, 0): diag[0] if diag else {_ONE: 1}}
-        for i in range(1, self.n + 1):
-            for j in range(i, self.n + 1):
-                mat[i, j] = mat[j, i] = (diag[i] if diag and i == j
-                                         else {self._new_var((path, (i, j))): 1})
-            mat[0, i] = mat[i, 0] = mat[i, i]
-        return mat
-
-    def _require_matrix_columns(self, mat, path, inner_depth):
-        """Ye_i and Y(e_0 - e_i) in cone(N^inner_depth(h)) for i = 1..n."""
-        n = self.n
-        e0 = [mat[j, 0] for j in range(n + 1)]
-        for i in range(1, n + 1):
-            col = [mat[j, i] for j in range(n + 1)]
-            self._require_in_cone(col, path + ((i, 0),), inner_depth)
-            self._require_in_cone([_lin((1, a), (-1, b)) for a, b in zip(e0, col)],
-                                  path + ((i, 1),), inner_depth)
-
-    def _require_in_cone(self, expr, path, inner_depth):
-        """expr (length n+1, homogeneous) must lie in cone(N^inner_depth(h)):
-        the rows of h on expr at depth 0, else the columns of the matrix
-        of path, whose diagonal is expr."""
-        _check_deadline()
-        if inner_depth == 0:
-            self._add_cone_rows(expr)
-        else:
-            self._require_matrix_columns(self._new_matrix(path, expr), path, inner_depth - 1)
-
-    def _add_cone_rows(self, expr):
-        """Homogenized rows of h on expr = (x0, x): A x <= x0 b, x0, x >= 0,
-        from the coprime integer form of each row of h but its x >= 0 rows
-        (`_cone`), so every lift row is an int row.  An entry of expr that
-        is at most one positive term is >= 0 for every LP point and gets no
-        row."""
-        pos = {v: j + 1 for j, v in enumerate(self.h.index)}
-        for e in expr:
-            if len(e) > 1 or min(e.values(), default=1) < 0:
-                self._add_row(_lin((-1, e)))                  # x0 >= 0, x >= 0
-        for coeffs, rhs in self._cone:
-            self._add_row(_lin((-rhs, expr[0]),
-                               *((c, expr[pos[v]]) for v, c in coeffs.items())))
-
-    def _add_row(self, expr):
-        """The row expr <= 0; expr, a fresh `_lin` result, becomes the
-        row's coefficients."""
-        self._rows.append((expr, -expr.pop(_ONE, 0)))
 
     # -- the symmetry fold ----------------------------------------------------
 
@@ -510,15 +497,13 @@ class NLiftSystem:
             return j
 
         if gens:
-            key_of = list(self._var)
             rowset = {(rhs, frozenset(row.items())) for row, rhs in rows}
         for p in gens:
             m = (0, *(q + 1 for q in p))
             img = []
-            for v in self._col:                     # in LP column order
-                path, (i, j) = key_of[v]
+            for path, (i, j) in self._keys:
                 i, j = sorted((m[i], m[j]))
-                img.append(self._col.get(self._var[tuple((m[a], s) for a, s in path), (i, j)]))
+                img.append(self._col.get((tuple((m[a], s) for a, s in path), (i, j))))
             _check_deadline()
             if None in img or len(set(img)) != cols or any(
                     (rhs, frozenset((img[j], a) for j, a in row.items())) not in rowset
@@ -554,7 +539,7 @@ class NLiftSystem:
         each folded LP is kept and re-solved from its last feasible basis).
         The raw result is the folded optimum expanded back to the presolved
         LP's columns (`y_matrix` reads the lifted matrix through `_col`),
-        with no duals."""
+        with no duals; the outcome's point is built on the first read."""
         gens = _generators(symmetries(self.h, objective))
         if gens not in self._folds:
             self._folds[gens] = self._fold(gens)
@@ -573,23 +558,28 @@ class NLiftSystem:
         res = LPResult(status="optimal", value=res.value, pivots=res.pivots,
                        primal=Primal(len(orbit), {j: q for j, o in enumerate(orbit)
                                                   if (q := basic.get(o))}))
-        point = {v: Fraction(0) if col is None else res.primal[col] for v, col in self._diag}
-        return LPOutcome(status="optimal", value=res.value, point=point), res
+        return LPOutcome(status="optimal", value=res.value,
+                         point=partial(_lift_point, self._diag, res.primal)), res
 
     def y_matrix(self, res) -> list:
         """The top lifted matrix as an (n+1)x(n+1) Fraction grid, 0 at
         every entry the presolve dropped."""
-        n = self.n
+        n = self.h.dim
         y = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
         y[0][0] = Fraction(1)
         for i in range(1, n + 1):
             for j in range(i, n + 1):
-                col = self._col.get(self._var[(), (i, j)])
+                col = self._col.get(((), (i, j)))
                 if col is not None:
                     y[i][j] = y[j][i] = res.primal[col]
         for j in range(1, n + 1):
             y[0][j] = y[j][0] = y[j][j]
         return y
+
+
+def _lift_point(diag, primal) -> dict:
+    """x_v = Y_vv from a lift optimum's primal, by `NLiftSystem._diag`."""
+    return {v: Fraction(0) if col is None else primal[col] for v, col in diag}
 
 
 def _generators(group) -> tuple:
@@ -662,14 +652,15 @@ _NLIFT_CACHE: dict = {}     # the last system built with cache=True, by (h, dept
 def n_lift_system(h: HPolytope, depth: int, cache: bool = True) -> NLiftSystem:
     """The lift system of N^depth(h), after the depth cap check, which a
     cached system meets too.  With `cache` only the last one built is
-    kept: callers ask for one system many times in a row."""
+    kept: callers ask for one system many times in a row.  It is emptied
+    before any build, so no two systems are held at once."""
     _check_depth_cap(depth)
     key = (h, depth)
     if cache and key in _NLIFT_CACHE:
         return _NLIFT_CACHE[key]
+    _NLIFT_CACHE.clear()
     sys_ = NLiftSystem(h, depth)
     if cache:
-        _NLIFT_CACHE.clear()
         _NLIFT_CACHE[key] = sys_
     return sys_
 

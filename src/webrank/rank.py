@@ -90,7 +90,7 @@ from .inequalities import (
     one_interval_inequality,
     enumerate_one_interval_sets,
     rank_constraint,
-    stab_description_w2_polytope,
+    w2_description,
 )
 from .liftproject import (
     disjunctive_member,
@@ -474,11 +474,19 @@ def verify_join_bound(blocks: JoinBlocks) -> Report:
 
 
 def verify_w2_description(n_values=(6, 7, 8, 9, 10)) -> Report:
-    """Dahl's description equals the stable set polytope for W_n^2."""
+    """Dahl's description equals the stable set polytope for W_n^2.  Each
+    1-interval alpha(T) is searched once; a mismatch gives no row."""
     rep = Report("w2", {"n_values": list(n_values)})
     for n in n_values:
         g = web(n, 2)
-        desc = stab_description_w2_polytope(n)
+        w = WebId(n, 2)
+        ones, mism = [], 0
+        for s in enumerate_one_interval_sets(n):
+            try:
+                ones.append(one_interval_inequality(w, s))
+            except RuntimeError:
+                mism += 1
+        desc = HPolytope(g.nodes, w2_description(n, ones))
         hull = HPolytope(g.nodes, convex_hull_facets(stab(g)))
         missing = [r for r in hull.rows if not is_valid(r, desc)[0]]
         extra = [r for r in desc.rows if not is_valid(r, hull)[0]]
@@ -488,13 +496,6 @@ def verify_w2_description(n_values=(6, 7, 8, 9, 10)) -> Report:
                   certificate=None if not (missing or extra) else
                   {"missing": [str(r) for r in missing],
                    "extra": [str(r) for r in extra]})
-        mism = 0
-        w = WebId(n, 2)
-        for s in enumerate_one_interval_sets(n):
-            try:
-                one_interval_inequality(w, s)
-            except RuntimeError:
-                mism += 1
         rep.check(f"closed-form alpha(T) matches search (n={n})", 0, mism,
                   detail="per 1-interval set")
     return rep

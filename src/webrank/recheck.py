@@ -1,9 +1,11 @@
-"""Independent re-verification of archived certificates, with no solver.
+"""Independent re-verification of archived certificates, with no LP built.
 
 The trusted base is `fractions`, the graph reader, chordality test,
-odd-hole search and rotation test of `graphs`, and the row classes of
-`polyhedra`; neither the simplex, the lift-and-project oracles nor the
-rank searches (which import `hitting_set` from here) are imported.  A
+odd-hole search and rotation test of `graphs`, the row classes of
+`polyhedra` and `simplex._intify`, which their canonical form runs; no
+LP is built.  Neither the simplex, the lift-and-project oracles nor the
+rank searches (which import `hitting_set` from here) are imported here,
+and the CI grep reads only this module's own imports.  A
 graph rank is re-checked by `graphs.is_perfect` (a chordality test of
 G - F and of its complement, else the odd-hole search in reversed scan
 order), by adjacency counts and by `hitting_set`, every other claim by

@@ -120,14 +120,10 @@ class LinearProgram:
         self._ints = []              # integer form of each row, see _integer_rows
         self._tab = None
 
-    def _pairs(self, coeffs) -> list:
+    def _pairs(self, coeffs: dict) -> list:
         """The nonzero (column, value) pairs of a row or objective given as
-        a dict {column: value} or as a dense list of nv values, each value
-        made exact (`_exact`); a column outside 0..nv-1 raises ValueError."""
-        if not isinstance(coeffs, dict):
-            if len(coeffs) != self.nv:
-                raise ValueError(f"row length {len(coeffs)} != {self.nv}")
-            coeffs = dict(enumerate(coeffs))
+        a dict {column: value}, each value made exact (`_exact`); a column
+        outside 0..nv-1 raises ValueError."""
         if not self._cols.issuperset(coeffs):
             bad = [j for j in coeffs if j not in self._cols]
             raise ValueError(f"columns {bad} outside 0..{self.nv - 1}")

@@ -30,7 +30,7 @@ from webrank.graphs import (
     mod1,
     web,
 )
-from webrank.liftproject import _ONE, NLiftSystem, _lin, disjunctive_valid
+from webrank.liftproject import _ONE, _lift_rows, _lin, disjunctive_valid
 from webrank.polyhedra import (
     HPolytope,
     LinearInequality,
@@ -604,13 +604,14 @@ def remove_redundant_rows(h: HPolytope) -> HPolytope:
     so it is kept.
     """
     rows = list(h.rows)
+    pos = {v: j for j, v in enumerate(h.index)}
     kept = []
     for i, r in enumerate(rows):
         others = kept + rows[i + 1:]
         lp = LinearProgram(len(h.index))
         for o in others:
-            lp.add_le(dense(h, o.coeffs), o.rhs)
-        res = lp.solve(dense(h, r.coeffs))
+            lp.add_le({pos[v]: c for v, c in o.coeffs.items()}, o.rhs)
+        res = lp.solve({pos[v]: c for v, c in r.coeffs.items()})
         implied = res.status == "optimal" and res.value <= r.rhs
         implied = implied or res.status == "infeasible"
         if not implied:
@@ -738,26 +739,17 @@ def fixed_rows_by_fractions(h: HPolytope, fixing: dict, col: dict):
     return rows, None
 
 
-class NLiftByFractions(NLiftSystem):
-    """The rows `liftproject.NLiftSystem` builds for the lift of h (its
-    `_rows`, before the presolve), with the cone rows built from the
-    Fraction rows of h (h.rows, not their coprime integer form).  No LP is
-    built: the presolve takes int rows only."""
+def n_lift_rows(h: HPolytope, depth: int) -> tuple:
+    """(keys, rows) of the lift of N^depth(h) as `liftproject.NLiftSystem`
+    builds it, before the presolve: `_lift_rows` fed the coprime integer
+    form of each row of h but its x >= 0 rows."""
+    return _lift_rows(h.index, [r.integer_form() for r in h.rows if r.tag != "nonneg"], depth)
 
-    def __init__(self, h: HPolytope, depth: int):
-        self.h, self.n, self._nv, self._var, self._rows = h, h.dim, 0, {}, []
-        self._require_matrix_columns(self._new_matrix(()), (), depth - 1)
 
-    def _add_cone_rows(self, expr):
-        pos = {v: j + 1 for j, v in enumerate(self.h.index)}
-        for e in expr:
-            if len(e) > 1 or min(e.values(), default=1) < 0:
-                self._add_row(_lin((-1, e)))
-        for r in self.h.rows:
-            if r.tag == "nonneg":
-                continue
-            self._add_row(_lin((-r.rhs, expr[0]),
-                               *((c, expr[pos[v]]) for v, c in r.coeffs.items())))
+def n_lift_rows_by_fractions(h: HPolytope, depth: int) -> tuple:
+    """`n_lift_rows` with `_lift_rows` fed the Fraction rows of h (h.rows,
+    not their coprime integer form)."""
+    return _lift_rows(h.index, [(r.coeffs, r.rhs) for r in h.rows if r.tag != "nonneg"], depth)
 
 
 class NLiftWithEqualities:

@@ -74,6 +74,15 @@ def test_verify_exit_codes_and_output(tmp_path, capsys):
     assert data["passed"] is True
 
 
+def test_w2_report_is_pinned(capsys):
+    # pinned when every 1-interval alpha(T) was searched twice per n, once
+    # for the description and once for the match count
+    code, out, _ = run(capsys, "verify", "w2", "--n-values", "6..10", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "e60d59ef444b7ad321954c5141d52b53969ea81d62711c8bd651f7141a7c9e6f"
+
+
 def test_verify_json_reports_are_byte_identical(capsys):
     a = run(capsys, "verify", "rdfar", "--nmax", "7", "--format", "json")
     b = run(capsys, "verify", "rdfar", "--nmax", "7", "--format", "json")
@@ -648,6 +657,44 @@ def test_a_negative_rmax_is_an_input_error(target, monkeypatch, capsys):
     monkeypatch.setattr(cli, "parse_graph_spec", _no_search)
     code, out, err = run(capsys, "rank", *target, "W:7:2", "--operator", "N", "--rmax", "-1")
     assert (code, out) == (3, "") and "--rmax" in err
+
+
+_C5_POINT = "1/2,1/2,0,1/2,0"
+
+
+@pytest.mark.parametrize("argv, says", [
+    (["lp", "W:7:2", "--f", "1,3"], "--f needs --operator disjunctive or --member"),
+    (["lp", "W:7:2", "--operator", "N", "--f", "1,3"], "--f or --member with --operator N"),
+    (["lp", "C:5", "--operator", "N", "--member", _C5_POINT], "--f or --member with --operator N"),
+    (["lp", "W:7:2", "--depth", "2"], "--depth without --operator N"),
+    (["lp", "W:7:2", "--operator", "disjunctive", "--f", "1", "--depth", "2"],
+     "--depth without --operator N"),
+    (["rank", "graph", "antiweb", "W:7:2"], "rank graph takes no row family"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_an_option_the_route_would_not_read_is_an_input_error(argv, says, monkeypatch,
+                                                               capsys):
+    # each was accepted and then dropped: the plain max for --f or --depth,
+    # P_F membership for --member with the N operator, the graph rank for a
+    # row family; now a usage error before the graph is built
+    from webrank import cli
+    monkeypatch.setattr(cli, "parse_graph_spec", _no_search)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "") and says in err
+
+
+def test_the_defaults_those_options_leave_out(capsys):
+    # no family is the rank constraint, no --depth depth 1 and no --rmax
+    # rmax 1; --f goes with --member as with --operator disjunctive
+    assert run(capsys, "rank", "ineq", "W:7:2")[:2] == (
+        0, "target=W:7:2 family=rank-constraint operator=disjunctive rank=1 witness_f=[1]\n")
+    code, out, _ = run(capsys, "lp", "W:7:2", "--operator", "N")
+    assert code == 0 and out.startswith("max over N^1(qstab(W:7:2)) = 2 at ")
+    code, out, _ = run(capsys, "rank", "graph", "W:8:2", "--operator", "N")
+    assert (code, out) == (2, "N-rank of W:8:2 exceeds rmax=1 (lower bound 2); "
+                              "raise --rmax/--depth-cap\n")
+    for point, verdict in ((_C5_POINT, "inside"), ("1/2,1/2,1/2,1/2,1/2", "outside")):
+        assert run(capsys, "lp", "C:5", "--member", point, "--f", "1")[:2] == (
+            0, f"point is {verdict} P_F(qstab(C:5)) for F=[1]\n")
 
 
 def test_removed_options_are_usage_errors(monkeypatch, capsys):

@@ -20,11 +20,11 @@ from hypothesis import given, settings, strategies as st
 
 from webrank import liftproject
 from webrank.graphs import antiweb, web
-from webrank.liftproject import NLiftSystem, PieceSystem, _pieces, disjunctive_member
+from webrank.liftproject import NLiftSystem, PieceSystem, _pieces, _presolve, disjunctive_member
 from webrank.polyhedra import HPolytope, LinearInequality, lp_max, qstab
 from webrank.simplex import LinearProgram
 
-from oracles import NLiftByFractions, fixed_rows_by_fractions
+from oracles import fixed_rows_by_fractions, n_lift_rows, n_lift_rows_by_fractions
 
 
 def _outcome(res) -> tuple:
@@ -112,14 +112,19 @@ def _scale(row, ref) -> Fraction | None:
 @pytest.mark.parametrize("h, depth", list(_lift_cases()))
 def test_lift_lp_rows_equal_those_of_the_fraction_builder(h, depth):
     # the rows as built, before the presolve: the same rows up to a
-    # positive scale, the same variables, and every value an int
-    sys_, ref = NLiftSystem(h, depth), NLiftByFractions(h, depth)
-    assert sys_._var == ref._var and len(sys_._rows) == len(ref._rows)
-    assert all(_scale(row, want) for row, want in zip(sys_._rows, ref._rows))
-    assert all(type(c) is int for coeffs, rhs in sys_._rows for c in (rhs, *coeffs.values()))
+    # positive scale, the same variables, and every value an int; the
+    # system's LP is the presolve of exactly these rows, its columns named
+    # by their variables' keys
+    (keys, rows), (ref_keys, ref_rows) = n_lift_rows(h, depth), n_lift_rows_by_fractions(h, depth)
+    assert keys == ref_keys and len(rows) == len(ref_rows)
+    assert all(_scale(row, want) for row, want in zip(rows, ref_rows))
+    assert all(type(c) is int for coeffs, rhs in rows for c in (rhs, *coeffs.values()))
     if any(type(c) is Fraction for coeffs, rhs in h.integral_rows()
            for c in (rhs, *coeffs.values())):
-        assert any(_scale(row, want) != 1 for row, want in zip(sys_._rows, ref._rows))
+        assert any(_scale(row, want) != 1 for row, want in zip(rows, ref_rows))
+    sys_ = NLiftSystem(h, depth)
+    presolved, col = _presolve(rows, len(keys))
+    assert sys_._presolved == presolved and sys_._keys == [keys[v] for v in col]
     assert all(type(c) is int for coeffs, rhs in sys_._presolved for c in (rhs, *coeffs.values()))
 
 

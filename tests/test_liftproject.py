@@ -41,13 +41,14 @@ from webrank.polyhedra import (
 )
 from webrank.recheck import _point, recheck_certificate
 from webrank.reporting import dumps
-from webrank.simplex import LinearProgram
+from webrank.simplex import CertificateError, LinearProgram
 
 from oracles import (
     as_dicts,
     disjunctive_member_unreduced,
     enumerate_vertices,
     max_over,
+    n_lift_rows,
     with_rows,
 )
 
@@ -180,8 +181,9 @@ def test_member_agrees_with_piecewise_vertex_hull():
         def oracle(x):
             lp = LinearProgram(len(piece_vertices))
             for v in h.index:
-                lp.add_eq([pt[v] for pt in piece_vertices], x.get(v, Fraction(0)))
-            lp.add_eq([1] * len(piece_vertices), 1)
+                lp.add_eq({j: pt[v] for j, pt in enumerate(piece_vertices)},
+                          x.get(v, Fraction(0)))
+            lp.add_eq(dict.fromkeys(range(len(piece_vertices)), 1), 1)
             return lp.solve(None).status == "optimal"
 
         for _ in range(12):
@@ -299,6 +301,46 @@ def test_n1_on_w8_2_still_violates_the_rank_row():
     assert verify_n_matrix(qstab(g), sys_.y_matrix(raw))
 
 
+def _doctored(y, *entries):
+    """A copy of the grid y with y[i][j] = value for each (i, j, value)."""
+    y = [row[:] for row in y]
+    for i, j, value in entries:
+        y[i][j] = value
+    return y
+
+
+def test_each_condition_of_a_lifted_matrix_is_checked():
+    # Y of the N max of x(V) over QSTAB(W_8^2), doctored one condition at a
+    # time: (Ye_0)_0 = 1, symmetry, Ye_0 = diag(Y), x >= 0 and the clique
+    # row {1, 2, 3} on the column Ye_1 (edge entry Y_12 raised to 1)
+    g = web(8, 2)
+    h = qstab(g)
+    sys_ = n_lift_system(h, 1)
+    y = sys_.y_matrix(sys_.maximize(ones(g))[1])
+    assert verify_n_matrix(h, y) and y[1][4] > 0 and y[1][2] == 0
+    for bad in (_doctored(y, (0, 0, Fraction(2))),
+                _doctored(y, (1, 4, y[1][4] + 1)),
+                _doctored(y, (0, 1, y[1][1] + 1), (1, 0, y[1][1] + 1)),
+                _doctored(y, (1, 4, Fraction(-1)), (4, 1, Fraction(-1))),
+                _doctored(y, (1, 2, Fraction(1)), (2, 1, Fraction(1)))):
+        assert not verify_n_matrix(h, bad)
+
+
+def test_a_violating_lift_point_is_checked_before_it_is_handed_out(monkeypatch):
+    # the rank row of W_8^2 is not valid for N(QSTAB): a lifted matrix that
+    # fails its conditions, or a point that satisfies the row, raises
+    g = web(8, 2)
+    h, row = qstab(g), rank_constraint(g)
+    monkeypatch.setattr(liftproject, "verify_n_matrix", lambda h, y: False)
+    with pytest.raises(CertificateError, match="fails the N-operator conditions"):
+        n_operator_valid(row, h, 1)
+    monkeypatch.undo()
+    monkeypatch.setattr(liftproject, "_lift_point",
+                        lambda diag, primal: {v: Fraction(0) for v, _ in diag})
+    with pytest.raises(CertificateError, match="does not violate the row"):
+        n_operator_valid(row, h, 1)
+
+
 def test_n1_equals_alpha_on_perfect_webs():
     for n, k in [(6, 2), (8, 3), (8, 1), (10, 4)]:
         g = web(n, k)
@@ -342,29 +384,30 @@ def test_n2_reaches_integer_hull_in_two_variables():
     assert o2.value == 1      # N^n(K) is the integer hull for n = 2
 
 
-def _full_lift_lp(sys_):
-    """The lift LP of sys_ as built, before its presolve."""
-    lp = LinearProgram(sys_._nv)
-    for coeffs, rhs in sys_._rows:
+def _full_lift(h, depth):
+    """The lift LP of N^depth(h) as built, before its presolve, and the
+    variable of each diagonal entry of its top matrix, by node."""
+    keys, rows = n_lift_rows(h, depth)
+    lp = LinearProgram(len(keys))
+    for coeffs, rhs in rows:
         lp.add_le(coeffs, rhs)
-    return lp
+    var = {key: v for v, key in enumerate(keys)}
+    return lp, {u: var[(), (j, j)] for j, u in enumerate(h.index, start=1)}
 
 
-def _full_lift_objective(sys_, c):
+def _full_lift_objective(diag, c):
     """The objective c on the diagonal of the top matrix of that LP."""
-    return {sys_._var[(), (j, j)]: Fraction(c[v])
-            for j, v in enumerate(sys_.h.index, start=1) if c[v]}
+    return {diag[v]: Fraction(c[v]) for v in diag if c[v]}
 
 
 def test_n_lift_optimum_certified_by_exact_duality():
     # the 16/7 claim is an upper bound too: verify the dual of the full lift
     # LP, rebuilt from the rows the presolve starts from
     g = web(8, 2)
-    sys_ = NLiftSystem(qstab(g), 1)
-    out, _ = sys_.maximize(ones(g))
+    out, _ = NLiftSystem(qstab(g), 1).maximize(ones(g))
     assert out.value == Fraction(16, 7)
-    lp = _full_lift_lp(sys_)
-    obj = _full_lift_objective(sys_, ones(g))
+    lp, diag = _full_lift(qstab(g), 1)
+    obj = _full_lift_objective(diag, ones(g))
     raw = lp.solve(obj)
     assert raw.value == Fraction(16, 7)
     lp.check_optimal(raw, obj)
@@ -376,13 +419,13 @@ def test_presolved_lift_max_equals_the_full_lift_max():
     for n, k, depth in cases + [(5, 1, 2)]:
         g = web(n, k)
         sys_ = NLiftSystem(qstab(g), depth)
-        assert len(sys_._col) < sys_._nv and len(sys_._presolved) < len(sys_._rows)
-        lp = _full_lift_lp(sys_)
+        lp, diag = _full_lift(qstab(g), depth)
+        assert len(sys_._col) < lp.nv and len(sys_._presolved) < len(lp.rows)
         objectives = [ones(g)] + [{v: rng.randint(0, 6) for v in g.nodes}
                                   for _ in range(5 if depth == 1 else 1)]
         for c in objectives:
             out, _ = sys_.maximize(c)
-            assert out.value == lp.maximize(_full_lift_objective(sys_, c)).value, (n, k, c)
+            assert out.value == lp.maximize(_full_lift_objective(diag, c)).value, (n, k, c)
 
 
 def test_depth1_lift_matrix_is_certified_and_zero_on_edges():
@@ -429,9 +472,9 @@ def test_n2_max_pivot_count_is_pinned(n, k, shape, pivots):
     # by every rotation and reflection)
     g = web(n, k)
     sys_ = NLiftSystem(qstab(g), 2)
-    lp = _full_lift_lp(sys_)
+    lp, diag = _full_lift(qstab(g), 2)
     assert (len(lp.rows), lp.nv) == shape
-    raw = lp.solve(_full_lift_objective(sys_, ones(g)))
+    raw = lp.solve(_full_lift_objective(diag, ones(g)))
     assert raw.value == 2 and raw.pivots == pivots
     small_shape, small_pivots, fold_shape, fold_pivots = _N2_PRESOLVED[(n, k)]
     small, _ = sys_._fold(())           # the trivial group's fold: the presolved LP
@@ -456,6 +499,43 @@ def test_warm_restart_reuses_the_lift_system():
     assert a == 2 and b > 0
     n_lift_system(qstab(web(8, 2)), 1)
     assert n_lift_system(h, 1) is not sys1     # only the last system is kept
+
+
+def test_a_lift_system_is_built_with_the_cache_empty(monkeypatch):
+    # the cached system is dropped before the next one is built, so the
+    # two are never held together
+    liftproject._NLIFT_CACHE.clear()
+    held = []
+    build = liftproject.NLiftSystem
+    monkeypatch.setattr(liftproject, "NLiftSystem",
+                        lambda h, depth: held.append(len(liftproject._NLIFT_CACHE))
+                        or build(h, depth))
+    n_lift_system(qstab(web(7, 2)), 1)
+    n_lift_system(qstab(web(8, 2)), 1)
+    n_lift_system(qstab(web(7, 2)), 1, cache=False)
+    assert held == [0, 0, 0]
+
+
+def test_a_lift_system_keeps_its_lp_and_the_key_of_each_column():
+    # the rows as built and the variable numbering go with __init__; each
+    # LP column is named by its structural key, both ways
+    sys_ = NLiftSystem(qstab(web(7, 2)), 2)
+    assert set(vars(sys_)) == {"h", "depth", "_presolved", "_keys", "_col", "_diag",
+                               "_folds"}
+    assert sys_._col == {key: j for j, key in enumerate(sys_._keys)}
+    assert len(sys_._keys) == 1 + max(j for row, _ in sys_._presolved for j in row)
+
+
+def test_a_lift_max_builds_its_point_on_the_first_read(monkeypatch):
+    built = []
+    point = liftproject._lift_point
+    monkeypatch.setattr(liftproject, "_lift_point",
+                        lambda *a: built.append(a) or point(*a))
+    g = web(7, 2)
+    out, raw = NLiftSystem(qstab(g), 1).maximize({v: v for v in g.nodes})
+    assert out.value == 11 and built == []
+    assert out.point == out.point and len(built) == 1
+    assert out.point == dict.fromkeys(g.nodes, Fraction(0)) | {4: 1, 7: 1}
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from webrank.graphs import web
 from webrank.liftproject import NLiftSystem, _presolve
 from webrank.polyhedra import HPolytope, LinearInequality, qstab
 
-from oracles import NLiftWithEqualities
+from oracles import NLiftWithEqualities, n_lift_rows
 
 
 def _halved(h: HPolytope) -> HPolytope:
@@ -53,8 +53,8 @@ def _phase1_calls(monkeypatch) -> list:
 @pytest.mark.parametrize("h", [W51, W72, W82, HALVED], ids=["W51", "W72", "W82", "halved-W51"])
 def test_depth2_lift_is_all_le_and_runs_no_phase1(h, monkeypatch):
     calls = _phase1_calls(monkeypatch)
+    assert all(rhs >= 0 for _, rhs in n_lift_rows(h, 2)[1])
     sys_ = NLiftSystem(h, 2)
-    assert all(rhs >= 0 for _, rhs in sys_._rows)
     assert all(rhs >= 0 for _, rhs in sys_._presolved)
     out, raw = sys_.maximize(_asymmetric(h))
     assert raw.pivots and list(sys_._folds) == [()]     # the presolved LP, folding nothing
@@ -82,15 +82,15 @@ def test_depth2_maxima_equal_those_of_the_lift_with_equality_rows(h, shape):
 
 
 def test_nested_diagonals_are_no_variables():
-    sys_ = NLiftSystem(W51, 2)
+    keys, _ = n_lift_rows(W51, 2)
     n = W51.dim
-    top = [key for key in sys_._var if key[0] == ()]
-    nested = [key for key in sys_._var if key[0] != ()]
+    top = [key for key in keys if key[0] == ()]
+    nested = [key for key in keys if key[0] != ()]
     assert len(top) == n * (n + 1) // 2
     assert nested and all(i < j for _, (i, j) in nested)
     assert len(nested) == 2 * n * n * (n - 1) // 2
-    assert sys_._nv == len(top) + len(nested) == len(sys_._var)
-    assert sys_.maximize(dict.fromkeys(W51.index, 1))[0].value == Fraction(2)
+    assert len(set(keys)) == len(keys) == len(top) + len(nested)
+    assert NLiftSystem(W51, 2).maximize(dict.fromkeys(W51.index, 1))[0].value == Fraction(2)
 
 
 def test_presolve_merges_rows_written_at_two_scales():
@@ -99,8 +99,9 @@ def test_presolve_merges_rows_written_at_two_scales():
     assert rows == [({0: 1, 1: 2}, 3), ({0: 1, 1: 1}, 2)] and col == {0: 0, 1: 1}
     # the halved system is the same polytope, and the lift is built from the
     # coprime form of its rows, so it has the rows of QSTAB's own
+    assert n_lift_rows(HALVED, 2) == n_lift_rows(W51, 2)
     full, halved = NLiftSystem(W51, 2), NLiftSystem(HALVED, 2)
-    assert halved._rows == full._rows and halved._presolved == full._presolved
+    assert halved._presolved == full._presolved
     assert len(full._presolved) == 155 and halved._col == full._col
     for c in (dict.fromkeys(W51.index, 1), _asymmetric(W51)):
         assert halved.maximize(c)[0].value == full.maximize(c)[0].value

@@ -345,6 +345,11 @@ def test_verify_web_formula_tables():
     assert rep3.passed
     web_ranks = [e.computed for e in rep3.entries if e.name.startswith("r_d(W")]
     assert web_ranks == [0, 1, 2, 3]
+    # k = 1: a web is a cycle, of rank 0 when even and 1 when odd (parity)
+    rep1 = verify_web_rank_formulas(ks=(1,), n_max=14)
+    assert rep1.passed and len(rep1.entries) == 22
+    web_ranks = [e.computed for e in rep1.entries if e.name.startswith("r_d(W")]
+    assert web_ranks == [n % 2 for n in range(4, 15)]
 
 
 def test_verify_rdfar_examples():
@@ -382,6 +387,26 @@ def test_verify_join_degenerate_single_block():
 def test_verify_w2_and_sandwich_small():
     assert verify_w2_description((6, 7)).passed
     assert verify_operator_sandwich(n_max=7, objectives=4, seed=2).passed
+
+
+def test_verify_w2_searches_each_one_interval_set_once(monkeypatch):
+    # one search per 1-interval set, and a set whose closed form the search
+    # contradicts is one mismatch in the report, not an error that ends it
+    from webrank import inequalities
+    searched = []
+    search = inequalities.alpha_induced
+    monkeypatch.setattr(inequalities, "alpha_induced",
+                        lambda g, nodes: searched.append(nodes) or search(g, nodes))
+    assert verify_w2_description((6, 9)).passed
+    assert searched == [s.T for n in (6, 9) for s in enumerate_one_interval_sets(n)]
+    bad = enumerate_one_interval_sets(9)[2].T
+    monkeypatch.setattr(inequalities, "alpha_induced",
+                        lambda g, nodes: search(g, nodes) + (nodes == bad))
+    rep = verify_w2_description((9,))
+    assert [(e.name, e.computed) for e in rep.entries] == [
+        ("description(W:9:2) = conv(STAB)", False),
+        ("closed-form alpha(T) matches search (n=9)", 1)]
+    assert not rep.passed
 
 
 # ---------------------------------------------------------------------------

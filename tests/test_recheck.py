@@ -37,8 +37,9 @@ from hypothesis import given, settings, strategies as st
 import webrank
 from webrank.cli import main
 from webrank.graphs import (AntiwebId, CertificateError, Graph, SearchTimeout, antiweb,
-                            delete_nodes, is_circulant, limits, parse_graph_spec)
-from webrank.inequalities import antiweb_constraint, join_blocks_of, joined_inequality
+                            delete_nodes, is_circulant, limits, parse_graph_spec, web)
+from webrank.inequalities import (antiweb_constraint, join_blocks_of, joined_inequality,
+                                   rank_constraint)
 from webrank.liftproject import disjunctive_member, disjunctive_valid, piece_max, piece_systems
 from webrank.polyhedra import (HPolytope, LinearInequality, frac, nonneg_row, qstab,
                                rotation_invariant)
@@ -376,6 +377,20 @@ def test_a_coordinate_above_one_is_not_zero_one():
     cert.update(rank=1, witness_f=[1], pieces=[{"z": [z], "status": "optimal", "y": {}}
                                                for z in (0, 1)])
     assert recheck_certificate(cert)[0]
+
+
+def test_a_violating_point_of_a_validity_certificate_is_checked_by_arithmetic():
+    # the rank row of W_8^2 is not valid for P_F(QSTAB) with F = {1}: the
+    # certificate's point violates it, and moved to 0 it no longer does
+    g = web(8, 2)
+    h, row = qstab(g), rank_constraint(g)
+    ok, cert = disjunctive_valid(row, h, (1,))
+    assert not ok
+    cert = json.loads(dumps({**cert, "type": "disjunctive-validity", "system": h.to_json(),
+                             "row": row.to_json(), "valid": ok}))
+    assert recheck_certificate(cert) == (True, "violating point, pure arithmetic")
+    cert["point"] = dict.fromkeys(cert["point"], "0")
+    assert recheck_certificate(cert) == (False, "point satisfies the row")
 
 
 def test_recheck_piece_cap_bounds_the_piece_checks(tmp_path, capsys):

@@ -32,49 +32,49 @@ from oracles import check_farkas, check_optimal_by_fractions
 
 def test_small_box_lp():
     lp = LinearProgram(2)
-    lp.add_le([1, 1], Fraction(3, 2))
-    lp.add_le([1, 0], 1)
-    lp.add_le([0, 1], 1)
-    res = lp.solve([1, 1])
+    lp.add_le({0: 1, 1: 1}, Fraction(3, 2))
+    lp.add_le({0: 1}, 1)
+    lp.add_le({1: 1}, 1)
+    res = lp.solve({0: 1, 1: 1})
     assert res.status == "optimal" and res.value == Fraction(3, 2)
-    lp.check_optimal(res, [Fraction(1), Fraction(1)])
+    lp.check_optimal(res, {0: Fraction(1), 1: Fraction(1)})
 
 
 def test_fractional_input_rows_are_scaled_exactly():
     lp = LinearProgram(2)
-    lp.add_le([Fraction(1, 3), Fraction(1, 7)], Fraction(2, 21))
-    res = lp.solve([Fraction(5, 2), 0])
+    lp.add_le({0: Fraction(1, 3), 1: Fraction(1, 7)}, Fraction(2, 21))
+    res = lp.solve({0: Fraction(5, 2)})
     assert res.status == "optimal" and res.value == Fraction(5, 2) * Fraction(2, 7)
-    lp.check_optimal(res, [Fraction(5, 2), Fraction(0)])
+    lp.check_optimal(res, {0: Fraction(5, 2), 1: Fraction(0)})
 
 
 def test_zero_objective_feasibility():
     lp = LinearProgram(3)
-    lp.add_le([1, 1, 1], 10)
+    lp.add_le({0: 1, 1: 1, 2: 1}, 10)
     res = lp.solve(None)
     assert res.status == "optimal" and res.value == 0
 
 
 def test_unbounded_detected():
     lp = LinearProgram(2)
-    lp.add_le([1, -1], 1)
-    res = lp.solve([0, 1])
+    lp.add_le({0: 1, 1: -1}, 1)
+    res = lp.solve({1: 1})
     assert res.status == "unbounded"
 
 
 def test_infeasible_le_farkas():
     lp = LinearProgram(1)
-    lp.add_le([-1], -2)      # x >= 2
-    lp.add_le([1], 1)        # x <= 1
-    res = lp.solve([1])
+    lp.add_le({0: -1}, -2)      # x >= 2
+    lp.add_le({0: 1}, 1)        # x <= 1
+    res = lp.solve({0: 1})
     assert res.status == "infeasible"
     check_farkas(lp, res)
 
 
 def test_infeasible_equalities_farkas():
     lp = LinearProgram(2)
-    lp.add_eq([1, 1], 1)
-    lp.add_eq([1, 1], 2)
+    lp.add_eq({0: 1, 1: 1}, 1)
+    lp.add_eq({0: 1, 1: 1}, 2)
     res = lp.solve(None)
     assert res.status == "infeasible"
     check_farkas(lp, res)
@@ -82,26 +82,26 @@ def test_infeasible_equalities_farkas():
 
 def test_negative_rhs_equality_with_artificial_flip():
     lp = LinearProgram(2)
-    lp.add_eq([-1, -1], -1)   # x1 + x2 = 1 written backwards
-    res = lp.solve([1, 0])
+    lp.add_eq({0: -1, 1: -1}, -1)   # x1 + x2 = 1 written backwards
+    res = lp.solve({0: 1})
     assert res.status == "optimal" and res.value == 1
-    lp.check_optimal(res, [Fraction(1), Fraction(0)])
+    lp.check_optimal(res, {0: Fraction(1), 1: Fraction(0)})
 
 
 def test_equality_mix():
     lp = LinearProgram(3)
-    lp.add_eq([1, 1, 1], 2)
-    lp.add_le([1, 0, 0], 1)
-    res = lp.solve([2, 1, 0])
+    lp.add_eq({0: 1, 1: 1, 2: 1}, 2)
+    lp.add_le({0: 1}, 1)
+    res = lp.solve({0: 2, 1: 1})
     assert res.status == "optimal" and res.value == 3
-    lp.check_optimal(res, [Fraction(2), Fraction(1), Fraction(0)])
+    lp.check_optimal(res, {0: Fraction(2), 1: Fraction(1), 2: Fraction(0)})
 
 
 def test_redundant_equality_row_is_dropped():
     lp = LinearProgram(2)
-    lp.add_eq([1, 1], 1)
-    lp.add_eq([2, 2], 2)     # same hyperplane
-    res = lp.solve([1, 0])
+    lp.add_eq({0: 1, 1: 1}, 1)
+    lp.add_eq({0: 2, 1: 2}, 2)     # same hyperplane
+    res = lp.solve({0: 1})
     assert res.status == "optimal" and res.value == 1
 
 
@@ -109,11 +109,11 @@ def test_resolve_matches_fresh_solve():
     rng = random.Random(7)
     lp = LinearProgram(4)
     for _ in range(6):
-        lp.add_le([rng.randint(0, 4) for _ in range(4)], rng.randint(1, 9))
-    first = lp.solve([1, 1, 1, 1])
+        lp.add_le(dict(enumerate(rng.randint(0, 4) for _ in range(4))), rng.randint(1, 9))
+    first = lp.solve({0: 1, 1: 1, 2: 1, 3: 1})
     assert first.status == "optimal"
     for trial in range(8):
-        c = [rng.randint(-2, 6) for _ in range(4)]
+        c = dict(enumerate(rng.randint(-2, 6) for _ in range(4)))
         warm = lp.resolve(c)
         fresh = LinearProgram(4)
         fresh.rows = lp.rows
@@ -130,16 +130,16 @@ def test_maximize_solves_once_then_resolves(monkeypatch):
             return _orig(self, *args, **kw)
         monkeypatch.setattr(LinearProgram, name, counted)
     lp = LinearProgram(2)
-    lp.add_le([1, 1], 4)
-    lp.add_le([1, 0], 3)
-    assert [lp.maximize(c).value for c in ([1, 0], [0, 1], [1, 2])] == [3, 4, 8]
+    lp.add_le({0: 1, 1: 1}, 4)
+    lp.add_le({0: 1}, 3)
+    assert [lp.maximize(c).value for c in ({0: 1}, {1: 1}, {0: 1, 1: 2})] == [3, 4, 8]
     assert calls == ["solve", "resolve", "resolve"]
     # an infeasible first call leaves no basis to start from
     calls.clear()
     bad = LinearProgram(1)
-    bad.add_le([1], 1)
-    bad.add_eq([1], 2)
-    assert [bad.maximize([1]).status for _ in range(2)] == ["infeasible"] * 2
+    bad.add_le({0: 1}, 1)
+    bad.add_eq({0: 1}, 2)
+    assert [bad.maximize({0: 1}).status for _ in range(2)] == ["infeasible"] * 2
     assert calls == ["solve", "solve"]
 
 
@@ -147,9 +147,9 @@ def test_duals_read_after_a_resolve_are_those_of_their_own_solve():
     rng = random.Random(8)
     for _ in range(20):
         n = rng.randint(2, 5)
-        rows = [([rng.randint(0, 4) for _ in range(n)], rng.randint(1, 9))
-                for _ in range(rng.randint(2, 7))] + [([1] * n, 10)]
-        objectives = [[rng.randint(-2, 6) for _ in range(n)] for _ in range(3)]
+        rows = [(dict(enumerate(rng.randint(0, 4) for _ in range(n))), rng.randint(1, 9))
+                for _ in range(rng.randint(2, 7))] + [(dict.fromkeys(range(n), 1), 10)]
+        objectives = [dict(enumerate(rng.randint(-2, 6) for _ in range(n))) for _ in range(3)]
 
         def build():
             lp = LinearProgram(n)
@@ -182,10 +182,10 @@ def test_a_dropped_lp_is_freed_without_the_cycle_collector(monkeypatch):
     gc.disable()
     try:
         lp = LinearProgram(2)
-        lp.add_le([1, 1], 3)
-        lp.add_eq([1, 0], 1)
-        res = lp.solve([1, 2])
-        lp.resolve([2, 1])
+        lp.add_le({0: 1, 1: 1}, 3)
+        lp.add_eq({0: 1}, 1)
+        res = lp.solve({0: 1, 1: 2})
+        lp.resolve({0: 2, 1: 1})
         ref = weakref.ref(lp)
         del lp
         assert ref() is None
@@ -217,11 +217,10 @@ def test_random_lps_have_exact_certificates():
         m = rng.randint(1, 8)
         lp = LinearProgram(n)
         for _ in range(m):
-            coeffs = [Fraction(rng.randint(-3, 5), rng.randint(1, 3))
-                      for _ in range(n)]
+            coeffs = {j: Fraction(rng.randint(-3, 5), rng.randint(1, 3)) for j in range(n)}
             lp.add_le(coeffs, Fraction(rng.randint(-2, 8), rng.randint(1, 2)))
-        lp.add_le([1] * n, 50)   # keep it bounded
-        c = [Fraction(rng.randint(-4, 6)) for _ in range(n)]
+        lp.add_le(dict.fromkeys(range(n), 1), 50)   # keep it bounded
+        c = {j: Fraction(rng.randint(-4, 6)) for j in range(n)}
         res = lp.solve(c)
         if res.status == "optimal":
             lp.check_optimal(res, c)
@@ -250,14 +249,16 @@ def random_lp_cases(seed, count):
         rows.append(([Fraction(1)] * n, Fraction(20), "<="))
         objectives = [[Fraction(rng.randint(-4, 6)) for _ in range(n)] for _ in range(3)]
         rng.randrange(2)    # a draw kept so that the seeded cases stay the same
-        yield n, rows, objectives
+        yield (n, [(dict(enumerate(coeffs)), rhs, kind) for coeffs, rhs, kind in rows],
+               [dict(enumerate(c)) for c in objectives])
 
 
-def run_lp_case(n, rows, objectives, as_dict):
+def run_lp_case(n, rows, objectives, sparse):
     """A solve, a resolve and a maximize, each certificate checked; rows and
-    objectives go in as dicts (zeros at odd columns kept) or dense lists."""
+    objectives go in with a zero at every column (dense) or only at the odd
+    columns (sparse)."""
     def form(coeffs):
-        return {j: c for j, c in enumerate(coeffs) if c or j % 2} if as_dict else coeffs
+        return {j: c for j, c in coeffs.items() if c or j % 2} if sparse else coeffs
     lp = LinearProgram(n)
     for coeffs, rhs, kind in rows:
         (lp.add_le if kind == "<=" else lp.add_eq)(form(coeffs), rhs)
@@ -276,8 +277,8 @@ def run_lp_case(n, rows, objectives, as_dict):
 def test_dict_and_dense_rows_give_identical_pinned_results():
     records = []
     for case in random_lp_cases(2024, 150):
-        dense = run_lp_case(*case, as_dict=False)
-        assert run_lp_case(*case, as_dict=True) == dense
+        dense = run_lp_case(*case, sparse=False)
+        assert run_lp_case(*case, sparse=True) == dense
         records.append(dense)
     statuses = [r[0] for rec in records for r in rec]
     assert (statuses.count("optimal"), statuses.count("infeasible")) == (171, 93)
@@ -361,14 +362,14 @@ def test_a_short_dual_list_fails_both_optimality_checks():
 def test_a_pivot_clears_negative_entries_of_the_entering_column():
     # x1 enters first and has -1 in the second row; unless the pivot clears
     # it there, the second pivot reads x2 = 1 instead of 1 + x1 = 3
-    for as_dict in (False, True):
+    for sparse in (False, True):
         lp = LinearProgram(2)
-        lp.add_le({0: 1} if as_dict else [1, 0], 2)
-        lp.add_le({0: -1, 1: 1} if as_dict else [-1, 1], 1)
-        res = lp.solve([1, 1])
+        lp.add_le({0: 1} if sparse else {0: 1, 1: 0}, 2)
+        lp.add_le({0: -1, 1: 1}, 1)
+        res = lp.solve({0: 1, 1: 1})
         assert (res.status, res.value, res.x, res.pivots) == ("optimal", 5, [2, 3], 2)
         assert res.duals == [2, 1]
-        lp.check_optimal(res, [1, 1])
+        lp.check_optimal(res, {0: 1, 1: 1})
 
 
 def test_driving_out_an_artificial_clears_its_column_in_every_row():
@@ -376,16 +377,17 @@ def test_driving_out_an_artificial_clears_its_column_in_every_row():
     # first out pivots on x1, which has -1 in the second row, and only when
     # that row is cleared too does it become all-artificial and get dropped
     lp = LinearProgram(2)
-    lp.add_eq([1, -1], 0)
-    lp.add_eq([-1, 1], 0)
-    lp.add_le([1, 1], 2)
-    res = lp.solve([1, 2])
+    lp.add_eq({0: 1, 1: -1}, 0)
+    lp.add_eq({0: -1, 1: 1}, 0)
+    lp.add_le({0: 1, 1: 1}, 2)
+    res = lp.solve({0: 1, 1: 2})
     assert (res.status, res.value, res.x, res.pivots) == ("optimal", 3, [1, 1], 2)
     assert res.duals == [Fraction(-1, 2), 0, Fraction(3, 2)]
-    lp.check_optimal(res, [1, 2])
+    lp.check_optimal(res, {0: 1, 1: 2})
 
 
-@pytest.mark.parametrize("coeffs", [{-1: 1}, {3: 1}, {0: 1, 5: 2}, {1.5: 1}, [1, 1], [1, 1, 1, 1]])
+@pytest.mark.parametrize("coeffs", [{-1: 1}, {3: 1}, {0: 1, 5: 2}, {1.5: 1},
+                                    {0: 1, 1: 1, 2: 1, 3: 1}, {0: 1, 3: 0}])
 def test_out_of_range_columns_are_rejected(coeffs):
     lp = LinearProgram(3)
     with pytest.raises(ValueError):
@@ -395,8 +397,8 @@ def test_out_of_range_columns_are_rejected(coeffs):
     assert lp.rows == []
     with pytest.raises(ValueError):
         lp.solve(coeffs)
-    lp.add_le([1, 1, 1], 1)
-    res = lp.solve([1, 0, 0])
+    lp.add_le({0: 1, 1: 1, 2: 1}, 1)
+    res = lp.solve({0: 1})
     for call in (lp.resolve, lp.maximize, lambda c: lp.check_optimal(res, c)):
         with pytest.raises(ValueError):
             call(coeffs)
@@ -407,10 +409,10 @@ def test_beale_cycling_example_terminates(monkeypatch):
     # first pivots are degenerate, so a streak of 0 switches to Bland's
     # rule after the first of them
     lp = LinearProgram(4)
-    lp.add_le([Fraction(1, 4), -8, -1, 9], 0)
-    lp.add_le([Fraction(1, 2), -12, Fraction(-1, 2), 3], 0)
-    lp.add_le([0, 0, 1, 0], 1)
-    c = [Fraction(3, 4), -20, Fraction(1, 2), -6]
+    lp.add_le({0: Fraction(1, 4), 1: -8, 2: -1, 3: 9}, 0)
+    lp.add_le({0: Fraction(1, 2), 1: -12, 2: Fraction(-1, 2), 3: 3}, 0)
+    lp.add_le({2: 1}, 1)
+    c = {0: Fraction(3, 4), 1: -20, 2: Fraction(1, 2), 3: -6}
     for streak in (simplex.DEGENERACY_STREAK, 0):
         monkeypatch.setattr(simplex, "DEGENERACY_STREAK", streak)
         res = lp.solve(c)
@@ -422,10 +424,10 @@ def test_beale_cycling_example_terminates(monkeypatch):
 
 def test_duals_align_with_original_row_order():
     lp = LinearProgram(2)
-    lp.add_le([1, 0], 1)
-    lp.add_le([0, 1], 1)
-    lp.add_le([1, 1], Fraction(3, 2))
-    res = lp.solve([1, 2])
+    lp.add_le({0: 1}, 1)
+    lp.add_le({1: 1}, 1)
+    lp.add_le({0: 1, 1: 1}, Fraction(3, 2))
+    res = lp.solve({0: 1, 1: 2})
     assert res.status == "optimal" and res.value == Fraction(5, 2)
     # binding rows: x2 <= 1 and x1 + x2 <= 3/2
     assert res.duals[0] == 0 and res.duals[1] == 1 and res.duals[2] == 1
@@ -440,16 +442,16 @@ def test_duals_align_with_original_row_order():
 ])
 def test_doctored_optimum_is_rejected(field, index, value, message):
     lp = LinearProgram(2)
-    lp.add_le([1, 0], 1)
-    lp.add_le([0, 1], 1)
-    res = lp.solve([1, 1])
-    lp.check_optimal(res, [1, 1])
+    lp.add_le({0: 1}, 1)
+    lp.add_le({1: 1}, 1)
+    res = lp.solve({0: 1, 1: 1})
+    lp.check_optimal(res, {0: 1, 1: 1})
     if index is None:
         setattr(res, field, Fraction(value))
     else:
         getattr(res, field)[index] = Fraction(value)
     with pytest.raises(CertificateError, match=message):
-        lp.check_optimal(res, [1, 1])
+        lp.check_optimal(res, {0: 1, 1: 1})
 
 
 @pytest.mark.parametrize("farkas, message", [
@@ -459,9 +461,9 @@ def test_doctored_optimum_is_rejected(field, index, value, message):
 ])
 def test_doctored_farkas_certificate_is_rejected(farkas, message):
     lp = LinearProgram(1)
-    lp.add_le([-1], -2)      # x >= 2
-    lp.add_le([1], 1)        # x <= 1
-    res = lp.solve([1])
+    lp.add_le({0: -1}, -2)      # x >= 2
+    lp.add_le({0: 1}, 1)        # x <= 1
+    res = lp.solve({0: 1})
     check_farkas(lp, res)
     res.farkas = [Fraction(y) for y in farkas]
     with pytest.raises(CertificateError, match=message):
@@ -472,13 +474,13 @@ DOCTORED_BOX_UNDER_O = """
 import sys
 from webrank.simplex import CertificateError, LinearProgram
 lp = LinearProgram(2)
-lp.add_le([1, 0], 1)
-lp.add_le([0, 1], 1)
-res = lp.solve([1, 1])
+lp.add_le({0: 1}, 1)
+lp.add_le({1: 1}, 1)
+res = lp.solve({0: 1, 1: 1})
 res.value = 7
 res.duals[0] = -5
 try:
-    lp.check_optimal(res, [1, 1])
+    lp.check_optimal(res, {0: 1, 1: 1})
 except CertificateError:
     sys.exit(3)
 sys.exit(0)

@@ -60,7 +60,7 @@ def _check_folded_max(sys_, ref, c):
     if sys_.depth == 1:
         y = sys_.y_matrix(raw)
         assert verify_n_matrix(sys_.h, y), c
-        assert [y[j][j] for j in range(1, sys_.n + 1)] == [out.point[v] for v in sys_.h.index]
+        assert [y[j][j] for j in range(1, sys_.h.dim + 1)] == [out.point[v] for v in sys_.h.index]
     return raw
 
 
