@@ -697,6 +697,41 @@ def test_the_defaults_those_options_leave_out(capsys):
             0, f"point is {verdict} P_F(qstab(C:5)) for F=[1]\n")
 
 
+# one route of each rank target and operator, and of each lp operator and
+# --member, inside and outside (the Farkas branch) P_F; True marks a route
+# that writes a --cert file
+RANK_AND_LP_ROUTES = [
+    (["rank", "graph", "W:8:2"], True),
+    (["rank", "graph", "W:8:2", "--operator", "N", "--rmax", "2"], False),
+    (["rank", "ineq", "antiweb", "A:11:4"], True),
+    (["rank", "ineq", "joined", "join:A:5:2,A:5:2"], True),
+    (["rank", "ineq", "rank-constraint", "W:10:2", "--operator", "N", "--rmax", "1"], False),
+    (["lp", "C:5"], False),
+    (["lp", "W:8:2", "--relaxation", "frac"], False),
+    (["lp", "W:7:2", "--operator", "disjunctive", "--f", "1,3"], False),
+    (["lp", "W:7:2", "--operator", "N", "--depth", "2"], False),
+    (["lp", "C:5", "--member", _C5_POINT, "--f", "1"], False),
+    (["lp", "C:5", "--member", "1/2,1/2,1/2,1/2,1/2", "--f", "1"], False),
+]
+
+
+def test_rank_and_lp_outputs_are_pinned(tmp_path, capsys):
+    # pinned before each route took only the options it reads: the stdout
+    # of every route in JSON and in table form, and each certificate file
+    digest = hashlib.sha256()
+    path = tmp_path / "cert.json"
+    for argv, certifies in RANK_AND_LP_ROUTES:
+        for fmt in ("json", "table"):
+            cert = ["--cert", str(path)] if certifies else []
+            code, out, err = run(capsys, *argv, *cert, "--format", fmt)
+            assert (code, err) == (0, ""), argv
+            digest.update(out.encode())
+            if certifies:
+                digest.update(path.read_bytes())
+    assert digest.hexdigest() == \
+        "608dc7228efb2f68fbda37247008071f6cd95ebecd8bf9fcfe5f821448a8a355"
+
+
 def test_removed_options_are_usage_errors(monkeypatch, capsys):
     # verify rdfar checks every T: --sampled is an unknown option (exit 3)
     from webrank import cli
