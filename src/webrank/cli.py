@@ -13,13 +13,13 @@ hull enumerates; --piece-cap on |F| in every piece scan, lp --operator
 disjunctive and the piece checks of recheck included; --depth-cap on
 the N depth.  --time-budget gives the run that many seconds: every
 search and every LP checks it; a budget that is not finite is an input
-error.  A subcommand takes only the shared options it reads, and `main`
-sets them as `graphs.LIMITS` for the run.
-An option its route would not read is an input error (rank --cert, lp
---f, lp --member with --operator N; lp --depth without it; lp --f alone;
-rank graph with a family), as is a negative --rmax.  A max over STAB without a hull (alpha,
-the row-rank check against STAB, the sandwich) is a stable set search,
-with no cap and no budget check of its own.
+error.  `main` sets the caps given, and the budget, as `graphs.LIMITS`
+for the run.  Each route takes only the options it reads, one parser per
+verify suite and rank target, and `check_route` for an option that only
+some --operator reads; `webrank <command> [suite|target] --help` lists
+them.  A max over STAB without a hull (alpha, the row-rank check against
+STAB, the sandwich) is a stable set search, with no cap and no budget
+check of its own.
 
     webrank generate W:8:2 --out w82
     webrank rank graph W:9:2 --operator disjunctive
@@ -38,55 +38,19 @@ import json
 import math
 import sys
 import time
+from fractions import Fraction
 from functools import cache
 
-from .graphs import (
-    DEPTH_CAP,
-    HULL_BOUND,
-    PIECE_CAP,
-    AntiwebId,
-    ResourceCapExceeded,
-    SearchTimeout,
-    WebId,
-    as_nodeset,
-    limits,
-    parse_graph_spec,
-    to_dimacs,
-    to_json_dict,
-)
-from .inequalities import (
-    antiweb_constraint,
-    enumerate_one_interval_sets,
-    join_blocks_of,
-    joined_inequality,
-    one_interval_inequality,
-    rank_constraint,
-    tag_inequality,
-)
-from .liftproject import (
-    disjunctive_member,
-    n_operator_max,
-    piece_max,
-    piece_systems,
-)
-from .polyhedra import (
-    convex_hull_facets,
-    frac,
-    lp_max,
-    qstab,
-    stab,
-)
-from .rank import (
-    disjunctive_rank_graph,
-    disjunctive_rank_inequality,
-    n_rank_graph_upto,
-    n_rank_inequality_upto,
-    verify_join_bound,
-    verify_operator_sandwich,
-    verify_rdfar,
-    verify_w2_description,
-    verify_web_rank_formulas,
-)
+from .graphs import (AntiwebId, ResourceCapExceeded, SearchTimeout, WebId, as_nodeset, limits,
+                     parse_graph_spec, to_dimacs, to_json_dict)
+from .inequalities import (antiweb_constraint, enumerate_one_interval_sets, join_blocks_of,
+                           joined_inequality, one_interval_inequality, rank_constraint,
+                           tag_inequality)
+from .liftproject import disjunctive_member, n_operator_max, piece_max, piece_systems
+from .polyhedra import convex_hull_facets, frac, lp_max, qstab, stab
+from .rank import (disjunctive_rank_graph, disjunctive_rank_inequality, n_rank_graph_upto,
+                   n_rank_inequality_upto, verify_join_bound, verify_operator_sandwich,
+                   verify_rdfar, verify_w2_description, verify_web_rank_formulas)
 from .recheck import recheck_report
 from .reporting import Report, dump, dumps, frac_to_str
 
@@ -102,18 +66,60 @@ def _budget(text: str) -> float:
     return seconds
 
 
-_COMMON = {"--hull-bound": dict(type=int, default=HULL_BOUND),
-           "--piece-cap": dict(type=int, default=PIECE_CAP),
-           "--depth-cap": dict(type=int, default=DEPTH_CAP),
-           "--time-budget": dict(type=_budget, help="seconds before searches abort (exit 2)"),
-           "--format": dict(dest="fmt", choices=("table", "json"), default="table"),
-           "--seed": dict(type=int, default=0)}
+# The options by flag, but --nmax, whose default is per suite, --out,
+# --operator, --relaxation and the positionals.  Each cap, and each
+# option that only some routes read, defaults to None: a cap not given
+# keeps its graphs.LIMITS value, and `check_route` rejects an option
+# given to a route that does not read it.
+_OPTIONS = {"--hull-bound": dict(type=int, help="cap on the hull dimension"),
+            "--piece-cap": dict(type=int, help="cap on |F| in a piece scan"),
+            "--depth-cap": dict(type=int, help="cap on the N depth"),
+            "--time-budget": dict(type=_budget, help="seconds before searches abort (exit 2)"),
+            "--format": dict(dest="fmt", choices=("table", "json"), default="table"),
+            "--ks": dict(default="2,3,4"),
+            "--no-complements": dict(action="store_true"),
+            "--n-values": dict(default="6..9"),
+            "--spec": dict(default="join:A:5:2,A:5:2"),
+            "--objectives": dict(type=int, default=10),
+            "--seed": dict(type=int, default=0),
+            "--rmax": dict(type=int, help="largest N depth tried (default 1)"),
+            "--cert": dict(help="write the certificate JSON here"),
+            "--objective": dict(help="comma-separated integer objective (default all ones)"),
+            "--f": dict(help="fixed coordinates for the disjunctive piece hull"),
+            "--depth": dict(type=int, help="N iterations (default 1)"),
+            "--member": dict(help="comma-separated rational point: decide x in P_F instead")}
 
 
-def _add_common(p, *names):
-    """The shared options that this subcommand reads, and no others."""
-    for name in names:
-        p.add_argument(name, **_COMMON[name])
+def _add(p, *flags):
+    for flag in flags:
+        p.add_argument(flag, **_OPTIONS[flag])
+
+
+def _add_routes(p, reads: dict):
+    """The options of p that only some routes read, with `reads`, the table
+    of what each route reads (kept for `check_route`, shown by --help),
+    then the options that every route reads."""
+    _add(p, *(flag for flag in _OPTIONS if any(flag in r for r in reads.values())),
+         "--time-budget", "--format")
+    p.set_defaults(reads=reads)
+    p.formatter_class = argparse.RawDescriptionHelpFormatter
+    p.epilog = "options that only some routes read:\n" + "\n".join(
+        f"  {route}: {' '.join(f for f in _OPTIONS if f in r)}" for route, r in reads.items())
+
+
+def check_route(args) -> None:
+    """An option given to a route that does not read it is an input error.
+    The route is the --operator, or --member beside a piece operator."""
+    if not hasattr(args, "reads"):
+        return              # a parser with one route
+    route = f"--operator {args.operator}"
+    if args.operator != "N" and getattr(args, "member", None) is not None:
+        route = "--member"
+    unread = [flag for flag in _OPTIONS if flag not in args.reads[route]
+              and any(flag in r for r in args.reads.values())
+              and getattr(args, flag[2:].replace("-", "_")) is not None]
+    if unread:
+        raise ValueError(f"{', '.join(unread)}: not read with {route}")
 
 
 def _parse_range(text: str):
@@ -179,12 +185,9 @@ def _build_row(family: str, g):
 
 
 def cmd_rank(args) -> int:
-    if args.cert and args.operator == "N":
-        raise ValueError("--cert with --operator N: that route builds no certificate")
-    if args.target == "graph" and args.family is not None:
-        raise ValueError(f"rank graph takes no row family, got {args.family!r}")
-    if args.rmax < 0:
-        raise ValueError(f"--rmax {args.rmax}: no rank is below 0")
+    rmax = 1 if args.rmax is None else args.rmax
+    if rmax < 0:
+        raise ValueError(f"--rmax {rmax}: no rank is below 0")
     g = parse_graph_spec(args.spec)
     if args.target == "graph":
         if args.operator == "disjunctive":
@@ -194,28 +197,27 @@ def cmd_rank(args) -> int:
                       "route": "combinatorial", "rank": res.rank,
                       "deletion_set": list(res.deletion_set)}
         else:
-            r = n_rank_graph_upto(g, args.rmax)
+            r = n_rank_graph_upto(g, rmax)
             if r is None:
-                print(f"N-rank of {args.spec} exceeds rmax={args.rmax} "
-                      f"(lower bound {args.rmax + 1}); raise --rmax/--depth-cap")
+                print(f"N-rank of {args.spec} exceeds rmax={rmax} "
+                      f"(lower bound {rmax + 1}); raise --rmax/--depth-cap")
                 return EXIT_CAP
             result = {"target": args.spec, "operator": "N", "rank": r}
     else:
-        family = args.family or "rank-constraint"
-        row = _build_row(family, g)
+        row = _build_row(args.family, g)
         h = qstab(g)
         if args.operator == "disjunctive":
             res = disjunctive_rank_inequality(row, h)
             cert = res.to_json(row, h)
-            result = {"target": args.spec, "family": family,
+            result = {"target": args.spec, "family": args.family,
                       "operator": "disjunctive", "rank": res.rank,
                       "witness_f": list(res.witness_f)}
         else:
-            r = n_rank_inequality_upto(row, h, args.rmax)
+            r = n_rank_inequality_upto(row, h, rmax)
             if r is None:
-                print(f"N-rank of the row exceeds rmax={args.rmax}")
+                print(f"N-rank of the row exceeds rmax={rmax}")
                 return EXIT_CAP
-            result = {"target": args.spec, "family": family,
+            result = {"target": args.spec, "family": args.family,
                       "operator": "N", "rank": r}
     if args.cert:
         with open(args.cert, "w") as fh:
@@ -229,38 +231,24 @@ def cmd_rank(args) -> int:
     return EXIT_OK
 
 
+def _verify_prime_antiwebs(nmax: int) -> Report:
+    """`verify_rdfar` on every prime antiweb A_n^k with n <= nmax."""
+    rep = Report("rdfar", {"nmax": nmax})
+    for n in range(4, nmax + 1):
+        for k in range(2, n // 2 + 1):
+            if math.gcd(n, k) == 1:
+                rep.entries.extend(verify_rdfar(AntiwebId(n, k)).entries)
+    return rep
+
+
 def cmd_verify(args) -> int:
-    nmax_default = {"web-formulas": 12, "rdfar": 11, "operators": 9}
-    nmax = args.nmax if args.nmax is not None else nmax_default.get(args.suite)
-    if args.suite == "web-formulas":
-        rep = verify_web_rank_formulas(
-            ks=_parse_range(args.ks), n_max=nmax,
-            complements=not args.no_complements)
-    elif args.suite == "rdfar":
-        rep = Report("rdfar", {"nmax": nmax})
-        from math import gcd
-        for n in range(4, nmax + 1):
-            for k in range(2, n // 2 + 1):
-                if gcd(n, k) == 1:
-                    sub = verify_rdfar(AntiwebId(n, k))
-                    rep.entries.extend(sub.entries)
-    elif args.suite == "w2":
-        rep = verify_w2_description(_parse_range(args.n_values))
-    elif args.suite == "join":
-        host = parse_graph_spec(args.spec)
-        rep = verify_join_bound(join_blocks_of(host))
-    elif args.suite == "operators":
-        rep = verify_operator_sandwich(nmax, args.objectives, args.seed)
-    else:
-        raise ValueError(f"unknown suite {args.suite!r}")
-    return _emit(rep, args)
+    return _emit(args.suite_run(args), args)
 
 
 def cmd_recheck(args) -> int:
     with open(args.path) as fh:
         data = json.load(fh)
-    rep = recheck_report(data)
-    return _emit(rep, args)
+    return _emit(recheck_report(data), args)
 
 
 def cmd_hull(args) -> int:
@@ -277,7 +265,6 @@ def cmd_hull(args) -> int:
 
 
 def _parse_point(text: str, index) -> dict:
-    from fractions import Fraction
     vals = [Fraction(x) for x in text.split(",")]
     if len(vals) != len(index):
         raise ValueError(f"point needs {len(index)} entries")
@@ -291,12 +278,6 @@ def cmd_lp(args) -> int:
     maximizes over P_F(qstab) for --f; --member decides membership of a
     point in P_F(qstab) instead of maximizing.
     """
-    if args.operator == "N" and (args.f or args.member):
-        raise ValueError("--f or --member with --operator N: the N lift fixes no coordinates")
-    if args.depth is not None and args.operator != "N":
-        raise ValueError("--depth without --operator N: only the N lift has a depth")
-    if args.f and not args.member and args.operator == "none":
-        raise ValueError("--f needs --operator disjunctive or --member: a plain max fixes none")
     g = parse_graph_spec(args.spec)
     h = qstab(g) if args.relaxation == "qstab" else frac(g)
     f = as_nodeset(int(x) for x in args.f.split(",")) if args.f else ()
@@ -355,53 +336,72 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="emit a graph as DIMACS + JSON")
+    p.set_defaults(func=cmd_generate)
     p.add_argument("spec")
     p.add_argument("--out", help="basename for .dimacs/.json files")
 
-    p = sub.add_parser("rank", help="rank of a graph or of one inequality")
-    p.add_argument("target", choices=("graph", "ineq"))
-    p.add_argument("family", nargs="?",
-                   help="ineq only: rank-constraint (default) | antiweb | one-interval[:i]|joined")
-    p.add_argument("spec")
-    p.add_argument("--operator", choices=("disjunctive", "N"), default="disjunctive")
-    p.add_argument("--rmax", type=int, default=1)
-    p.add_argument("--cert", help="write the certificate JSON here (not with "
-                   "--operator N, which builds none)")
-    _add_common(p, "--hull-bound", "--piece-cap", "--depth-cap", "--time-budget", "--format")
+    targets = sub.add_parser("rank", help="rank of a graph or of one inequality") \
+        .add_subparsers(dest="target", required=True)
+    for target, help, reads in (
+            ("graph", "rank of a graph", {"--operator disjunctive": {"--cert"},
+                                          "--operator N": {"--rmax", "--hull-bound",
+                                                           "--depth-cap"}}),
+            ("ineq", "rank of a row", {"--operator disjunctive": {"--cert", "--piece-cap"},
+                                       "--operator N": {"--rmax", "--depth-cap"}})):
+        p = targets.add_parser(target, help=help)
+        p.set_defaults(func=cmd_rank)
+        if target == "ineq":
+            p.add_argument("family", nargs="?", default="rank-constraint",
+                           help="rank-constraint (default) | antiweb | one-interval[:i] | joined")
+        p.add_argument("spec")
+        p.add_argument("--operator", choices=("disjunctive", "N"), default="disjunctive")
+        _add_routes(p, reads)
 
-    p = sub.add_parser("verify", help="run a theorem verification suite")
-    p.add_argument("suite", choices=("web-formulas", "rdfar", "w2", "join",
-                                     "operators"))
-    p.add_argument("--ks", default="2,3,4")
-    p.add_argument("--nmax", type=int, default=None,
-                   help="per-suite defaults: web-formulas 12, rdfar 11, operators 9")
-    p.add_argument("--n-values", default="6..9")
-    p.add_argument("--objectives", type=int, default=10)
-    p.add_argument("--spec", default="join:A:5:2,A:5:2")
-    p.add_argument("--no-complements", action="store_true")
-    p.add_argument("--out", help="write the JSON report here")
-    _add_common(p, "--hull-bound", "--piece-cap", "--time-budget", "--format", "--seed")
+    suites = sub.add_parser("verify", help="run a theorem verification suite") \
+        .add_subparsers(dest="suite", required=True)
+
+    def suite(name, help, run, *flags, nmax=None):
+        p = suites.add_parser(name, help=help)
+        p.set_defaults(func=cmd_verify, suite_run=run)
+        if nmax is not None:
+            p.add_argument("--nmax", type=int, default=nmax)
+        p.add_argument("--out", help="write the JSON report here")
+        _add(p, *flags, "--time-budget", "--format")
+
+    suite("web-formulas", "disjunctive ranks of webs and antiwebs against their closed forms",
+          lambda a: verify_web_rank_formulas(_parse_range(a.ks), a.nmax, not a.no_complements),
+          "--ks", "--no-complements", nmax=12)
+    suite("rdfar", "the antiweb-constraint rank theorem on every prime antiweb",
+          lambda a: _verify_prime_antiwebs(a.nmax), "--piece-cap", nmax=11)
+    suite("w2", "Dahl's description of STAB(W_n^2) against its hull",
+          lambda a: verify_w2_description(_parse_range(a.n_values)), "--n-values", "--hull-bound")
+    suite("join", "the rank bound of a join of a-perfect graphs",
+          lambda a: verify_join_bound(join_blocks_of(parse_graph_spec(a.spec))),
+          "--spec", "--piece-cap")
+    suite("operators", "max STAB <= max N <= min_j max P_j <= max QSTAB on seeded objectives",
+          lambda a: verify_operator_sandwich(a.nmax, a.objectives, a.seed),
+          "--objectives", "--seed", "--piece-cap", nmax=9)
 
     p = sub.add_parser("recheck", help="re-verify certificates in a report")
+    p.set_defaults(func=cmd_recheck)
     p.add_argument("path")
     p.add_argument("--out")
-    _add_common(p, "--piece-cap", "--time-budget", "--format")
+    _add(p, "--piece-cap", "--time-budget", "--format")
 
     p = sub.add_parser("hull", help="facets of STAB(G) with family tags")
+    p.set_defaults(func=cmd_hull)
     p.add_argument("spec")
-    _add_common(p, "--hull-bound", "--time-budget", "--format")
+    _add(p, "--hull-bound", "--time-budget", "--format")
 
     p = sub.add_parser("lp", help="exact LP max over a relaxation or a lift of it")
+    p.set_defaults(func=cmd_lp)
     p.add_argument("spec")
     p.add_argument("--relaxation", choices=("qstab", "frac"), default="qstab")
-    p.add_argument("--objective", help="comma-separated integer objective")
-    p.add_argument("--operator", choices=("none", "disjunctive", "N"),
-                   default="none")
-    p.add_argument("--f", help="fixed coordinates for the disjunctive piece hull")
-    p.add_argument("--depth", type=int, help="N iterations (--operator N only, default 1)")
-    p.add_argument("--member",
-                   help="comma-separated rational point: decide x in P_F instead")
-    _add_common(p, "--piece-cap", "--depth-cap", "--time-budget", "--format")
+    p.add_argument("--operator", choices=("none", "disjunctive", "N"), default="none")
+    _add_routes(p, {"--operator none": {"--objective"},
+                    "--operator disjunctive": {"--objective", "--f", "--piece-cap"},
+                    "--operator N": {"--objective", "--depth", "--depth-cap"},
+                    "--member": {"--member", "--f", "--piece-cap"}})
     return ap
 
 
@@ -410,16 +410,15 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:       # argparse exits 2 on a usage error, 0 after --help
         return EXIT_INPUT if exc.code == 2 else exc.code
-    # the limits the subcommand reads, set for its run and restored after
-    run = {name: getattr(args, name) for name in ("piece_cap", "hull_bound", "depth_cap")
-           if hasattr(args, name)}
+    # the caps given and the budget, set for the run and restored after
+    run = {name: value for name in ("piece_cap", "hull_bound", "depth_cap")
+           if (value := getattr(args, name, None)) is not None}
     if getattr(args, "time_budget", None) is not None:
         run["deadline"] = time.monotonic() + args.time_budget
-    handlers = {"generate": cmd_generate, "rank": cmd_rank, "verify": cmd_verify,
-                "recheck": cmd_recheck, "hull": cmd_hull, "lp": cmd_lp}
     try:
+        check_route(args)
         with limits(**run):
-            return handlers[args.command](args)
+            return args.func(args)
     except ResourceCapExceeded as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_CAP

@@ -53,7 +53,7 @@ from math import gcd
 from .graphs import (CertificateError, _check_deadline, _check_depth_cap, _check_piece_cap,
                      as_nodeset)
 from .polyhedra import HPolytope, LinearInequality, LPOutcome, symmetries
-from .recheck import check_member, check_pieces, check_point, check_separating
+from .recheck import check_member, check_n_matrix, check_pieces, check_point, check_separating
 from .simplex import LinearProgram, LPResult, Primal
 
 
@@ -682,42 +682,11 @@ def n_operator_max(objective: dict, h: HPolytope, depth: int = 1,
     return n_lift_system(h, depth).maximize(objective)[0]
 
 
-def verify_n_matrix(h: HPolytope, y: list) -> bool:
-    """Exact check that Y lies in M(cone(h)) with (Ye_0)_0 = 1.
-
-    Independent of the LP that produced Y: symmetry, Ye_0 = diag(Y) and
-    both column families' cone membership are checked directly against
-    the rows of h.
-    """
-    n = h.dim
-    if y[0][0] != 1:
-        return False
-    for i in range(n + 1):
-        for j in range(n + 1):
-            if y[i][j] != y[j][i]:
-                return False
-        if y[i][0] != y[i][i]:
-            return False
-
-    def in_cone(vec):
-        x0 = vec[0]
-        if x0 < 0 or any(c < 0 for c in vec[1:]):
-            return False
-        pt = dict(zip(h.index, vec[1:]))
-        return all(r.evaluate(pt) <= r.rhs * x0 for r in h.rows if r.tag != "nonneg")
-
-    for i in range(1, n + 1):
-        col = [y[j][i] for j in range(n + 1)]
-        col_bar = [y[j][0] - y[j][i] for j in range(n + 1)]
-        if not in_cone(col) or not in_cone(col_bar):
-            return False
-    return True
-
-
 def n_operator_valid(ineq: LinearInequality, h: HPolytope, depth: int = 1):
     """Is a.x <= b valid for N^depth(h)?  (bool, certificate).  A
-    violating point carries the top lifted matrix Y, re-verified against
-    the cone conditions by verify_n_matrix at depth 1."""
+    violating point carries the top lifted matrix Y; at depth 1 Y is
+    re-verified against the cone conditions (`recheck.check_n_matrix`)
+    and the point against the row (`recheck.check_point`)."""
     sys_ = n_lift_system(h, depth)
     out, raw = sys_.maximize(ineq.coeffs)
     if out.status == "infeasible":
@@ -726,10 +695,7 @@ def n_operator_valid(ineq: LinearInequality, h: HPolytope, depth: int = 1):
         return True, {"kind": "validity-proof", "depth": depth, "value": out.value}
     y = sys_.y_matrix(raw)
     if depth == 1:
-        if not verify_n_matrix(h, y):
-            raise CertificateError("lifted matrix Y fails the N-operator conditions")
-        if not sum((Fraction(ineq.coeffs.get(v, 0)) * out.point[v]
-                    for v in h.index), Fraction(0)) > ineq.rhs:
-            raise CertificateError("lifted point does not violate the row")
+        check_n_matrix(h, y)
+        check_point(h, (), out.point, ineq)
     return False, {"kind": "violating-point", "depth": depth, "point": out.point,
                    "Y": y, "value": out.value}

@@ -60,10 +60,6 @@ class LinearInequality:
     def support(self) -> tuple:
         return as_nodeset(self.coeffs)
 
-    def evaluate(self, point: dict) -> Fraction:
-        return sum((c * point.get(v, Fraction(0)) for v, c in self.coeffs.items()),
-                   Fraction(0))
-
     def canonical(self) -> tuple:
         if self._canon is None:
             ints, _ = _intify([*self.coeffs.items(), ("rhs", self.rhs)])

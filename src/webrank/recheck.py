@@ -46,10 +46,10 @@ free coordinates, max c.x over the piece {x : A x <= b, x_F = z} is at
 most y.(b - A_F z) + c_F z, so a row is valid on a piece (solved,
 "optimal", or not, "bounded") whose bound is <= its right-hand side, and
 a piece whose bound is < 0 with c = 0 is empty.  The lift-and-project
-oracles run the point, member, separating-row and piece checks on each
-certificate they build.  A failed check raises CertificateError
-naming the step; an F longer than the piece cap raises
-ResourceCapExceeded.
+oracles run the point, member, separating-row, piece and (at depth 1)
+lifted-matrix checks on each certificate they build.  A failed check
+raises CertificateError naming the step; an F longer than the piece cap
+raises ResourceCapExceeded.
 """
 
 from __future__ import annotations
@@ -216,6 +216,28 @@ def check_member(h: HPolytope, f, x: dict, multipliers) -> None:
 def check_separating(row: LinearInequality, x: dict) -> None:
     _require(row.exceeds(*clear_denominators(_point(x), row.coeffs)),
              "separating row not violated by the point")
+
+
+def check_n_matrix(h: HPolytope, y: list) -> None:
+    """Y, an (n+1)x(n+1) grid over (0, *h.index), lies in M(cone(h)) with
+    Y_00 = 1: Y is symmetric, Ye_0 = diag(Y), and for each i both Ye_i
+    and Y(e_0 - e_i) lie in the cone {(x_0, x) >= 0 : a.x <= b x_0 for
+    every row a.x <= b of h}, each column tested in integers with its
+    denominators cleared."""
+    n = h.dim
+    _require(y[0][0] == 1, "Y_00 is not 1")
+    for i in range(n + 1):
+        for j in range(i + 1, n + 1):
+            _require(y[i][j] == y[j][i], f"Y is not symmetric at ({i}, {j})")
+        _require(y[i][0] == y[i][i], f"Ye_0 = diag(Y) fails at {i}")
+    for i in range(1, n + 1):
+        for side, col in ((f"Ye_{i}", [y[j][i] for j in range(n + 1)]),
+                          (f"Y(e_0 - e_{i})", [y[j][0] - y[j][i] for j in range(n + 1)])):
+            num, _ = clear_denominators(dict(enumerate(col)), range(n + 1))
+            _require(min(num.values()) >= 0, f"column {side} has a negative entry")
+            x = dict(zip(h.index, (num[j] for j in range(1, n + 1))))
+            for k, row in enumerate(h.rows):
+                _require(not row.exceeds(x, num[0]), f"column {side} violates row {k} of h")
 
 
 def _known(nodes: set, labels, where: str) -> None:

@@ -313,7 +313,6 @@ class _Tableau:
             self.orig.append(t)
         self.obj = {}
         self.obj_div = 1
-        self.obj_scale = 1
 
     # -- pivoting ----------------------------------------------------------
 
@@ -334,10 +333,9 @@ class _Tableau:
         self.basis[r] = s
         self.pivots += 1
 
-    def _build_obj(self, cints: dict, scale: int):
+    def _build_obj(self, cints: dict):
         """Reduced-cost row r_j = c_B B^-1 A_j - c_j from the current basis,
         summed in integers over the lcm of the contributing divisors."""
-        self.obj_scale = scale
         contrib = [(cints[b], row, d)
                    for b, row, d in zip(self.basis, self.rows, self.divs) if b in cints]
         L = lcm(*(d for _, _, d in contrib))
@@ -414,7 +412,7 @@ class _Tableau:
 
     def _phase1(self):
         cints = {col: -1 for col in self.art_col.values()}
-        self._build_obj(cints, 1)
+        self._build_obj(cints)
         if self._run() != "optimal":
             raise RuntimeError("phase 1 cannot be unbounded")
         value = self.obj.get(self.ncols, 0)
@@ -448,7 +446,7 @@ class _Tableau:
 
     def reoptimize(self, objective) -> LPResult:
         cints, scale = _intify(objective)
-        self._build_obj(cints, scale)
+        self._build_obj(cints)
         status = self._run()
         self.feasible_basis = True
         if status == "unbounded":

@@ -51,6 +51,11 @@ from webrank.reporting import frac_to_str
 from webrank.simplex import CertificateError, LinearProgram, _eliminate, _require
 
 
+def evaluate(row: LinearInequality, point: dict) -> Fraction:
+    """a.x of the row at the point, in Fractions (missing keys read 0)."""
+    return sum((c * point.get(v, Fraction(0)) for v, c in row.coeffs.items()), Fraction(0))
+
+
 # ---------------------------------------------------------------------------
 # simplex
 
@@ -587,7 +592,7 @@ def is_vertex(point: dict, h: HPolytope) -> bool:
         return False
     tight = []
     for r in h.rows:
-        if r.evaluate(point) == r.rhs:
+        if evaluate(r, point) == r.rhs:
             tight.append(dense(h, r.coeffs))
     for j, vlab in enumerate(h.index):
         if point.get(vlab, Fraction(0)) == 0:
@@ -647,7 +652,7 @@ def polar_vertices(h: HPolytope, q: dict) -> list:
     interior) is the vertex q + d / e of h."""
     points = []
     for r in h.rows:
-        s = r.rhs - r.evaluate(q)
+        s = r.rhs - evaluate(r, q)
         points.append(tuple(Fraction(r.coeffs.get(v, 0)) / s for v in h.index))
     return [{v: q[v] + Fraction(facet.coeffs.get(v, 0)) / facet.rhs for v in h.index}
             for facet in convex_hull_facets(VPolytope(h.index, points))]
@@ -844,7 +849,7 @@ def piece_max_by_rows(h: HPolytope, objective: dict, fixing: dict):
 
 
 def satisfied_by(row: LinearInequality, point: dict) -> bool:
-    return row.evaluate(point) <= row.rhs
+    return evaluate(row, point) <= row.rhs
 
 
 def pt_matches(point: dict, fixing: dict) -> bool:
@@ -910,7 +915,7 @@ def disjunctive_member_unreduced(x: dict, h: HPolytope, f):
         raise RuntimeError(f"membership LP ended {res.status}")
     sep = LinearInequality({v: -res.farkas[coord_rows[j]] for j, v in enumerate(h.index)},
                            res.farkas[convex_row], tag="separating")
-    if not sep.evaluate({v: Fraction(x.get(v, 0)) for v in h.index}) > sep.rhs:
+    if not evaluate(sep, {v: Fraction(x.get(v, 0)) for v in h.index}) > sep.rhs:
         raise CertificateError("separating inequality does not cut off the point")
     if not disjunctive_valid(sep, h, f)[0]:
         raise CertificateError("separating inequality is violated on a piece")

@@ -37,7 +37,6 @@ from webrank.liftproject import (
     disjunctive_valid,
     n_lift_system,
     n_operator_valid,
-    verify_n_matrix,
 )
 from webrank.polyhedra import qstab, rotation_invariant
 from webrank.rank import (
@@ -49,10 +48,12 @@ from webrank.rank import (
     verify_w2_description,
     verify_web_rank_formulas,
 )
+from webrank.recheck import check_n_matrix
 
 from oracles import (
     construct_odd_hole_avoiding,
     disjunctive_rank_graph_polyhedral,
+    evaluate,
     is_facet,
 )
 
@@ -169,8 +170,8 @@ def test_criterion_7_n_operator_at_k2():
     sys_ = n_lift_system(h8, 1)
     out, raw = sys_.maximize({v: 1 for v in g8.nodes})
     y = sys_.y_matrix(raw)
-    ok = out.value > 2 and verify_n_matrix(h8, y)
-    ok = ok and sum(y[j][j] for j in range(1, 9)) == out.value
+    check_n_matrix(h8, y)
+    ok = out.value > 2 and sum(y[j][j] for j in range(1, 9)) == out.value
     for n in (9, 10):
         g = web(n, 2)
         valid, _ = n_operator_valid(rank_constraint(g), qstab(g), 1)
@@ -198,7 +199,7 @@ def test_criterion_9_join_bounds():
     u = res.bound_point
     off = [{**u, v: Fraction(0)} for v in host.nodes]
     ok = res.rank == res.bound == 2 and all(
-        h.contains(x) and row.evaluate(x) > row.rhs and disjunctive_member(x, h, (v,))[0]
+        h.contains(x) and evaluate(row, x) > row.rhs and disjunctive_member(x, h, (v,))[0]
         for v, x in zip(host.nodes, off))
     host_rank = disjunctive_rank_graph(host).rank
     ok = ok and host_rank == 2

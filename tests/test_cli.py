@@ -8,7 +8,7 @@ import pytest
 from webrank.cli import main
 from webrank.graphs import LIMITS, Limits, limits, web
 from webrank.inequalities import rank_constraint
-from webrank.liftproject import disjunctive_valid
+from webrank.liftproject import disjunctive_valid, n_operator_max
 from webrank.polyhedra import qstab
 from webrank.reporting import Report
 
@@ -419,18 +419,58 @@ def _doc_examples():
     return [ln.strip() for ln in lines if ln.strip().startswith("webrank ")]
 
 
-def test_documented_command_lines_parse():
-    import shlex
+def _accepts(argv) -> bool:
+    """argv parses, and its route reads every option it is given."""
+    from webrank.cli import build_parser, check_route
 
-    from webrank.cli import build_parser
+    try:
+        check_route(build_parser().parse_args(argv))
+    except (SystemExit, ValueError):
+        return False
+    return True
+
+
+def test_documented_command_lines_parse(capsys):
+    import shlex
 
     examples = _doc_examples()
     assert len(examples) >= 20
     for line in examples:
-        try:
-            build_parser().parse_args(shlex.split(line, comments=True)[1:])
-        except SystemExit:
-            pytest.fail(f"documented command does not parse: {line}")
+        assert _accepts(shlex.split(line, comments=True)[1:]), \
+            f"documented command is not accepted: {line}"
+
+
+def _ci_command_lines():
+    """(argv, rejected) for each webrank command line of the CI workflow;
+    rejected marks the ones that must exit 3: those given to `input_error`,
+    and the one with a budget of nan seconds."""
+    import shlex
+    from pathlib import Path
+
+    workflow = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
+    lines = workflow.read_text().replace("\\\n", " ").splitlines()
+    found = []
+    keywords = ("webrank.cli", "budget_exits_2", "input_error")
+    for words in (shlex.split(line, comments=True) for line in lines
+                  if any(word in line for word in keywords)):
+        starts = [i + 1 for i, w in enumerate(words)
+                  if w in keywords]
+        if not starts or words[starts[0]:starts[0] + 1] == ["$@"]:
+            continue
+        argv = []
+        for w in words[starts[0]:]:
+            if w[0] in ">|" or w.startswith("2>"):
+                break
+            argv.append(w)
+        found.append((argv, words[starts[0] - 1] == "input_error" or "nan" in argv))
+    return found
+
+
+def test_ci_command_lines_parse(capsys):
+    lines = _ci_command_lines()
+    assert len(lines) >= 30 and sum(rejected for _, rejected in lines) == 7
+    for argv, rejected in lines:
+        assert _accepts(argv) != rejected, argv
 
 
 def test_lp_and_hull_commands(capsys):
@@ -617,7 +657,7 @@ def test_rank_cert_with_operator_n_is_an_input_error(tmp_path, monkeypatch, caps
     path = tmp_path / "c.json"
     code, out, err = run(capsys, "rank", "ineq", "rank-constraint", "W:10:2",
                          "--operator", "N", "--rmax", "1", "--cert", str(path))
-    assert (code, out) == (3, "") and "--cert with --operator N" in err
+    assert (code, out) == (3, "") and "--cert: not read with --operator N" in err
     assert not path.exists()
 
 
@@ -663,13 +703,14 @@ _C5_POINT = "1/2,1/2,0,1/2,0"
 
 
 @pytest.mark.parametrize("argv, says", [
-    (["lp", "W:7:2", "--f", "1,3"], "--f needs --operator disjunctive or --member"),
-    (["lp", "W:7:2", "--operator", "N", "--f", "1,3"], "--f or --member with --operator N"),
-    (["lp", "C:5", "--operator", "N", "--member", _C5_POINT], "--f or --member with --operator N"),
-    (["lp", "W:7:2", "--depth", "2"], "--depth without --operator N"),
+    (["lp", "W:7:2", "--f", "1,3"], "--f: not read with --operator none"),
+    (["lp", "W:7:2", "--operator", "N", "--f", "1,3"], "--f: not read with --operator N"),
+    (["lp", "C:5", "--operator", "N", "--member", _C5_POINT],
+     "--member: not read with --operator N"),
+    (["lp", "W:7:2", "--depth", "2"], "--depth: not read with --operator none"),
     (["lp", "W:7:2", "--operator", "disjunctive", "--f", "1", "--depth", "2"],
-     "--depth without --operator N"),
-    (["rank", "graph", "antiweb", "W:7:2"], "rank graph takes no row family"),
+     "--depth: not read with --operator disjunctive"),
+    (["rank", "graph", "antiweb", "W:7:2"], "unrecognized arguments: W:7:2"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_an_option_the_route_would_not_read_is_an_input_error(argv, says, monkeypatch,
                                                                capsys):
@@ -755,6 +796,107 @@ _UNREAD = {"--hull-bound": "12", "--piece-cap": "3", "--depth-cap": "2",
 def test_each_subcommand_takes_only_the_options_it_reads(argv, capsys):
     code, out, err = run(capsys, *argv, _UNREAD[argv[-1]])
     assert (code, out) == (3, "") and f"unrecognized arguments: {argv[-1]}" in err
+
+
+# What each route reads, by route: its command line and the options it
+# reads beyond --time-budget and --format (and --out for a verify suite),
+# which every route of its command reads.  Beside a piece operator
+# --member makes the member route, so those routes count it as read.
+ROUTE_READS = [
+    (["verify", "web-formulas"], {"--ks", "--nmax", "--no-complements"}),
+    (["verify", "rdfar"], {"--nmax", "--piece-cap"}),
+    (["verify", "w2"], {"--n-values", "--hull-bound"}),
+    (["verify", "join"], {"--spec", "--piece-cap"}),
+    (["verify", "operators"], {"--nmax", "--objectives", "--seed", "--piece-cap"}),
+    (["rank", "graph", "W:8:2", "--operator", "disjunctive"], {"--cert"}),
+    (["rank", "graph", "W:8:2", "--operator", "N"], {"--rmax", "--hull-bound", "--depth-cap"}),
+    (["rank", "ineq", "W:8:2", "--operator", "disjunctive"], {"--cert", "--piece-cap"}),
+    (["rank", "ineq", "W:8:2", "--operator", "N"], {"--rmax", "--depth-cap"}),
+    (["lp", "C:5", "--operator", "none"], {"--relaxation", "--objective", "--member"}),
+    (["lp", "C:5", "--operator", "disjunctive"],
+     {"--relaxation", "--objective", "--f", "--piece-cap", "--member"}),
+    (["lp", "C:5", "--operator", "N"], {"--relaxation", "--objective", "--depth", "--depth-cap"}),
+    (["lp", "C:5", "--member", _C5_POINT], {"--relaxation", "--member", "--f", "--piece-cap"}),
+]
+_VALUES = {"--ks": ["2"], "--nmax": ["6"], "--no-complements": [], "--n-values": ["6"],
+           "--spec": ["join:A:5:2,A:5:2"], "--objectives": ["1"], "--seed": ["1"],
+           "--out": ["report.json"], "--hull-bound": ["12"], "--piece-cap": ["3"],
+           "--depth-cap": ["2"], "--time-budget": ["5"], "--format": ["json"],
+           "--rmax": ["1"], "--cert": ["cert.json"], "--relaxation": ["frac"],
+           "--objective": ["1,1,1,1,1"], "--f": ["1"], "--depth": ["1"], "--member": [_C5_POINT]}
+
+
+def _reads(argv) -> set:
+    return {"--time-budget", "--format"} | ({"--out"} if argv[0] == "verify" else set())
+
+
+def _unread_pairs():
+    """(route, option) for each option of a command that the route does not read."""
+    offered = {}
+    for argv, reads in ROUTE_READS:
+        offered.setdefault(argv[0], set()).update(reads | _reads(argv))
+    return [(argv, flag) for argv, reads in ROUTE_READS
+            for flag in sorted(offered[argv[0]] - reads - _reads(argv))]
+
+
+def test_the_table_of_unread_options():
+    # 48 pairs were once accepted and dropped; 8 more were input errors by
+    # an `if` of their own
+    pairs = _unread_pairs()
+    assert len(pairs) == 56 and len(set(map(str, pairs))) == 56
+    assert (["verify", "join"], "--nmax") in pairs
+    assert (["rank", "graph", "W:8:2", "--operator", "disjunctive"], "--rmax") in pairs
+    assert (["lp", "C:5", "--member", _C5_POINT], "--objective") in pairs
+
+
+@pytest.mark.parametrize("argv, flag", _unread_pairs(),
+                         ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_an_unread_option_is_an_input_error(argv, flag, monkeypatch, capsys):
+    from webrank import cli
+    for name in ("parse_graph_spec", "verify_web_rank_formulas", "_verify_prime_antiwebs",
+                 "verify_w2_description", "verify_join_bound", "verify_operator_sandwich"):
+        monkeypatch.setattr(cli, name, _no_search)
+    code, out, err = run(capsys, *argv, flag, *_VALUES[flag])
+    assert (code, out) == (3, "") and flag in err
+
+
+@pytest.mark.parametrize("argv, reads", ROUTE_READS,
+                         ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_each_option_a_route_reads_is_accepted(argv, reads):
+    for flag in sorted(reads | _reads(argv)):
+        assert _accepts([*argv, flag, *_VALUES[flag]]), flag
+
+
+def test_the_defaults_of_the_options_a_route_reads():
+    from webrank.cli import build_parser
+    suites = {"web-formulas": dict(ks="2,3,4", nmax=12, no_complements=False),
+              "rdfar": dict(nmax=11), "w2": dict(n_values="6..9"),
+              "join": dict(spec="join:A:5:2,A:5:2"),
+              "operators": dict(nmax=9, objectives=10, seed=0)}
+    for suite, defaults in suites.items():
+        args = vars(build_parser().parse_args(["verify", suite]))
+        assert {k: args[k] for k in defaults} == defaults, suite
+        assert (args["fmt"], args["out"], args["time_budget"]) == ("table", None, None)
+    args = build_parser().parse_args(["rank", "ineq", "W:8:2"])
+    assert (args.family, args.operator, args.rmax) == ("rank-constraint", "disjunctive", None)
+    args = build_parser().parse_args(["lp", "C:5"])
+    assert (args.relaxation, args.operator, args.depth) == ("qstab", "none", None)
+
+
+def test_main_sets_only_the_caps_given(monkeypatch, capsys):
+    # a cap not given keeps its graphs.LIMITS default for the run
+    from webrank import cli
+    seen = []
+
+    def spy(*args):
+        seen.append((LIMITS.hull_bound, LIMITS.piece_cap, LIMITS.depth_cap))
+        return n_operator_max(*args)
+    monkeypatch.setattr(cli, "n_operator_max", spy)
+    assert run(capsys, "lp", "C:5", "--operator", "N")[0] == 0
+    assert run(capsys, "lp", "C:5", "--operator", "N", "--depth-cap", "1")[0] == 0
+    default = Limits()
+    assert seen == [(default.hull_bound, default.piece_cap, default.depth_cap),
+                    (default.hull_bound, default.piece_cap, 1)]
 
 
 def test_console_script_entry_point():

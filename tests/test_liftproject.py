@@ -28,7 +28,6 @@ from webrank.liftproject import (
     piece_lp_max,
     piece_max,
     piece_systems,
-    verify_n_matrix,
 )
 from webrank.polyhedra import (
     HPolytope,
@@ -39,7 +38,7 @@ from webrank.polyhedra import (
     qstab,
     stab,
 )
-from webrank.recheck import _point, recheck_certificate
+from webrank.recheck import _point, check_n_matrix, recheck_certificate
 from webrank.reporting import dumps
 from webrank.simplex import CertificateError, LinearProgram
 
@@ -47,6 +46,7 @@ from oracles import (
     as_dicts,
     disjunctive_member_unreduced,
     enumerate_vertices,
+    evaluate,
     max_over,
     n_lift_rows,
     with_rows,
@@ -91,7 +91,7 @@ def test_half_point_not_in_p1_of_qstab_c5():
     member, cert = disjunctive_member(x, qstab(g), (1,))
     assert not member
     sep = LinearInequality.from_json(cert["separating"])
-    assert sep.evaluate(x) > sep.rhs
+    assert evaluate(sep, x) > sep.rhs
 
 
 def test_incidence_vectors_are_members_for_any_fixing():
@@ -298,7 +298,7 @@ def test_n1_on_w8_2_still_violates_the_rank_row():
     sys_ = n_lift_system(qstab(g), 1)
     out, raw = sys_.maximize(ones(g))
     assert out.value > 2
-    assert verify_n_matrix(qstab(g), sys_.y_matrix(raw))
+    check_n_matrix(qstab(g), sys_.y_matrix(raw))
 
 
 def _doctored(y, *entries):
@@ -312,18 +312,32 @@ def _doctored(y, *entries):
 def test_each_condition_of_a_lifted_matrix_is_checked():
     # Y of the N max of x(V) over QSTAB(W_8^2), doctored one condition at a
     # time: (Ye_0)_0 = 1, symmetry, Ye_0 = diag(Y), x >= 0 and the clique
-    # row {1, 2, 3} on the column Ye_1 (edge entry Y_12 raised to 1)
+    # row {1, 2, 3} on the column Ye_1 (edge entry Y_12 raised to 1), and a
+    # clique row through node 4 on Y(e_0 - e_1) (Y_14 lowered to 0)
     g = web(8, 2)
     h = qstab(g)
     sys_ = n_lift_system(h, 1)
     y = sys_.y_matrix(sys_.maximize(ones(g))[1])
-    assert verify_n_matrix(h, y) and y[1][4] > 0 and y[1][2] == 0
-    for bad in (_doctored(y, (0, 0, Fraction(2))),
-                _doctored(y, (1, 4, y[1][4] + 1)),
-                _doctored(y, (0, 1, y[1][1] + 1), (1, 0, y[1][1] + 1)),
-                _doctored(y, (1, 4, Fraction(-1)), (4, 1, Fraction(-1))),
-                _doctored(y, (1, 2, Fraction(1)), (2, 1, Fraction(1)))):
-        assert not verify_n_matrix(h, bad)
+    check_n_matrix(h, y)
+    assert y[1][4] > 0 and y[1][2] == 0
+    for bad, says, node in ((_doctored(y, (0, 0, Fraction(2))), "Y_00 is not 1", None),
+                            (_doctored(y, (1, 4, y[1][4] + 1)),
+                             "Y is not symmetric at (1, 4)", None),
+                            (_doctored(y, (0, 1, y[1][1] + 1), (1, 0, y[1][1] + 1)),
+                             "Ye_0 = diag(Y) fails at 1", None),
+                            (_doctored(y, (1, 4, Fraction(-1)), (4, 1, Fraction(-1))),
+                             "column Ye_1 has a negative entry", None),
+                            (_doctored(y, (1, 2, Fraction(1)), (2, 1, Fraction(1))),
+                             "column Ye_1 violates row ", 2),
+                            (_doctored(y, (1, 4, Fraction(0)), (4, 1, Fraction(0))),
+                             "column Y(e_0 - e_1) violates row ", 4)):
+        with pytest.raises(CertificateError) as exc:
+            check_n_matrix(h, bad)
+        message = str(exc.value)
+        assert message.startswith(says), message
+        if node is not None:
+            row = h.rows[int(message.removeprefix(says).split()[0])]
+            assert row.tag == "clique" and node in row.coeffs, message
 
 
 def test_a_violating_lift_point_is_checked_before_it_is_handed_out(monkeypatch):
@@ -331,13 +345,15 @@ def test_a_violating_lift_point_is_checked_before_it_is_handed_out(monkeypatch):
     # fails its conditions, or a point that satisfies the row, raises
     g = web(8, 2)
     h, row = qstab(g), rank_constraint(g)
-    monkeypatch.setattr(liftproject, "verify_n_matrix", lambda h, y: False)
-    with pytest.raises(CertificateError, match="fails the N-operator conditions"):
+    y_matrix = liftproject.NLiftSystem.y_matrix
+    monkeypatch.setattr(liftproject.NLiftSystem, "y_matrix",
+                        lambda self, res: [[2 * q for q in r] for r in y_matrix(self, res)])
+    with pytest.raises(CertificateError, match="Y_00 is not 1"):
         n_operator_valid(row, h, 1)
     monkeypatch.undo()
     monkeypatch.setattr(liftproject, "_lift_point",
                         lambda diag, primal: {v: Fraction(0) for v, _ in diag})
-    with pytest.raises(CertificateError, match="does not violate the row"):
+    with pytest.raises(CertificateError, match="point satisfies the row"):
         n_operator_valid(row, h, 1)
 
 
@@ -363,7 +379,7 @@ def test_n_invalidity_with_reverified_witness():
     g = web(8, 2)
     ok, cert = n_operator_valid(rank_constraint(g), qstab(g), 1)
     assert not ok and cert["kind"] == "violating-point"
-    assert verify_n_matrix(qstab(g), cert["Y"])
+    check_n_matrix(qstab(g), cert["Y"])
     assert sum(cert["point"].values()) > 2
 
 
@@ -438,7 +454,7 @@ def test_depth1_lift_matrix_is_certified_and_zero_on_edges():
             sys_ = n_lift_system(h, 1)
             out, raw = sys_.maximize(c)
             y = sys_.y_matrix(raw)
-            assert verify_n_matrix(h, y), (n, k, c)
+            check_n_matrix(h, y)
             assert all(y[i][j] == 0 for i, j in g.edges()), (n, k, c)
             assert [y[j][j] for j in range(1, n + 1)] == [out.point[v] for v in g.nodes]
 

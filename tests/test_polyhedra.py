@@ -36,6 +36,7 @@ from oracles import (
     cone_extreme_rays_full_scan,
     contains_by_fractions,
     enumerate_vertices,
+    evaluate,
     feasible_sets_equal,
     is_facet,
     is_vertex,
@@ -192,7 +193,7 @@ def test_integer_contains_matches_fractions():
             row = LinearInequality({v: Fraction(rows_rng.randint(-3, 6), rows_rng.randint(1, 4))
                                     for v in index}, Fraction(rows_rng.randint(-2, 8), 3))
             on_index = {v: Fraction(point.get(v, 0)) for v in index}
-            assert row.exceeds(*cleared) == (row.evaluate(on_index) > row.rhs), (row, point)
+            assert row.exceeds(*cleared) == (evaluate(row, on_index) > row.rhs), (row, point)
     assert 100 < sum(verdicts) < 300
 
 

@@ -52,7 +52,8 @@ from webrank.polyhedra import (HPolytope, LinearInequality, convex_hull_facets, 
 from webrank.rank import disjunctive_rank_graph, disjunctive_rank_inequality
 from webrank.recheck import down_closed, hitting_set, point_bound
 
-from oracles import (chordless_cycles, enumerate_vertices, find_induced_odd_hole_by_generators,
+from oracles import (chordless_cycles, enumerate_vertices, evaluate,
+                     find_induced_odd_hole_by_generators,
                      hitting_set_by_full_scan, polar_vertices, pool_refutes_all,
                      rank_by_fractions, stable_sets_by_subsets, tag_inequality_by_alpha,
                      with_mixed_rows)
@@ -280,7 +281,7 @@ def test_the_point_bound_refutes_every_smaller_f_and_no_more(case):
     assert down_closed(h) and not down_closed(with_mixed_rows(h))
     bound = point_bound(h, row, *h.cleared(u))
     violating = [m for m in range(g.n + 1)
-                 if all(row.evaluate({**u, **dict.fromkeys(t, 0)}) > row.rhs
+                 if all(evaluate(row, {**u, **dict.fromkeys(t, 0)}) > row.rhs
                         for t in combinations(h.index, m))]
     assert bound == (max(violating) + 1 if violating else 0)
     if bound:

@@ -4,8 +4,8 @@
 column orbits of the rotations and reflections of h.index that fix it
 (`polyhedra.symmetries`).  The folded max must equal the max of the
 presolved lift LP itself, its expanded optimum must be a feasible point
-of that LP with that value (and, at depth 1, a Y that `verify_n_matrix`
-accepts).  The trivial group's fold is the presolved LP row for row, and
+of that LP with that value (and, at depth 1, a Y that
+`recheck.check_n_matrix` accepts).  The trivial group's fold is the presolved LP row for row, and
 an objective no symmetry fixes re-solves it warm, as the LP itself would.
 """
 
@@ -17,10 +17,11 @@ import pytest
 
 from webrank import liftproject, rank
 from webrank.graphs import antiweb, delete_nodes, web
-from webrank.liftproject import NLiftSystem, _generators, verify_n_matrix
+from webrank.liftproject import NLiftSystem, _generators
 from webrank.polyhedra import (HPolytope, LinearInequality, nonneg_row, qstab,
                                rotation_invariant, symmetries)
 from webrank.rank import n_rank_graph_upto
+from webrank.recheck import check_n_matrix
 
 SMALL = ([web(n, k) for k in range(1, 4) for n in range(2 * (k + 1), 9)]
          + [antiweb(n, k) for k in range(2, 5) for n in range(2 * k, 9)])
@@ -59,7 +60,7 @@ def _check_folded_max(sys_, ref, c):
     assert sum(c[v] * x for v, x in out.point.items()) == out.value
     if sys_.depth == 1:
         y = sys_.y_matrix(raw)
-        assert verify_n_matrix(sys_.h, y), c
+        check_n_matrix(sys_.h, y)
         assert [y[j][j] for j in range(1, sys_.h.dim + 1)] == [out.point[v] for v in sys_.h.index]
     return raw
 
