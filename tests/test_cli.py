@@ -453,8 +453,7 @@ def _ci_command_lines():
     keywords = ("webrank.cli", "budget_exits_2", "input_error")
     for words in (shlex.split(line, comments=True) for line in lines
                   if any(word in line for word in keywords)):
-        starts = [i + 1 for i, w in enumerate(words)
-                  if w in keywords]
+        starts = [i + 1 for i, w in enumerate(words) if w in keywords]
         if not starts or words[starts[0]:starts[0] + 1] == ["$@"]:
             continue
         argv = []
