@@ -123,6 +123,29 @@ def test_web_formulas_report_is_pinned(tmp_path, capsys):
         "70e516bc26fc1aed47a016669a3b0dc144323711fef8beb2bfbced5a41553015"
 
 
+def test_rational_rechecks_are_pinned(tmp_path, capsys):
+    # pinned while recheck's point, member and piece checks ran in Fraction
+    # arithmetic: the recheck of a `verify rdfar --nmax 11` report (member,
+    # validity and row-rank certificates), then of the six antiweb row-rank
+    # certificates from A:13:5 to A:17:7
+    report = tmp_path / "rdfar.json"
+    assert run(capsys, "verify", "rdfar", "--nmax", "11", "--format", "json",
+               "--out", str(report))[0] == 0
+    code, out, _ = run(capsys, "recheck", str(report), "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "d8585b3c8d412ac35996b6560fa939da23527fae5a6fd5985a1e3130cfa51598"
+    digest = hashlib.sha256()
+    cert = tmp_path / "row.json"
+    for spec in ("A:13:5", "A:14:3", "A:15:4", "A:16:5", "A:17:5", "A:17:7"):
+        assert run(capsys, "rank", "ineq", "antiweb", spec, "--cert", str(cert))[0] == 0
+        code, out, _ = run(capsys, "recheck", str(cert), "--format", "json")
+        assert code == 0, spec
+        digest.update(out.encode())
+    assert digest.hexdigest() == \
+        "1dc1d7a2b070ce6ddf39373aca44ef801c613f72c920d581e90d3a6a5dbfbcef"
+
+
 def test_a_report_is_serialized_once(tmp_path, capsys, monkeypatch):
     calls = []
     orig = Report.to_json_str
