@@ -22,8 +22,10 @@ meets every hole left.
 
 import ast
 import copy
+import hashlib
 import json
 import random
+import sys
 import time
 from fractions import Fraction
 from itertools import combinations
@@ -451,3 +453,69 @@ def test_recheck_imports_no_solver():
     imported |= {a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
                  for a in node.names}
     assert not {m for m in imported if m and m.split(".")[-1] in ("simplex", "liftproject")}
+
+
+# the parser inputs: values Fraction parses, reduces or rejects, strings and not
+RATIONALS = ["2/4", "-0", "+3", " 1/3", "1_0", "1.5", "1e-1", "1/0", "3/-2", "", "abc",
+             0.5, True, None, []]
+
+
+def _rational_sites(tmp_path):
+    """(name, certificate, path) for each place recheck reads a rational:
+    a member's point, lambda and piece point, a validity proof's piece
+    multiplier, a row rank's bound point, violation and piece multiplier,
+    a non-member's point, piece multiplier and separating row."""
+    _, report = _rdfar_report(tmp_path, 7)
+    certs = [e["certificate"] for e in report["entries"] if "certificate" in e]
+    member = next(c for c in certs if c["type"] == "membership")
+    proof = next(c for c in certs if c["type"] == "disjunctive-validity")
+    bounded = next(c for c in certs if c["type"] == "ineq-rank")
+    covered = _row_certificate("A:8:3", "antiweb", mixed=True)
+    _, non_member = next(_non_member_certificates())
+    bounded_y = next(i for i, p in enumerate(non_member["pieces"]) if p["status"] == "bounded")
+    yield "member point", member, ("point", "1")
+    yield "member lambda", member, ("multipliers", 0, "lambda")
+    yield "member piece point", member, ("multipliers", 0, "point", "1")
+    yield "validity y", proof, ("pieces", 0, "y", next(iter(proof["pieces"][0]["y"])))
+    yield "bound point", bounded, ("bound_point", "1")
+    yield "violation point", covered, ("violations", 0, "point", "1")
+    yield "row-rank y", covered, ("pieces", 0, "y", next(iter(covered["pieces"][0]["y"])))
+    yield "non-member point", non_member, ("point", "1")
+    yield "non-member y", non_member, ("pieces", bounded_y, "y",
+                                       next(iter(non_member["pieces"][bounded_y]["y"])))
+    yield "separating rhs", non_member, ("separating", "rhs")
+
+
+def _doctored_detail(cert, path, value):
+    """The recheck entry of cert with the value at path replaced."""
+    cert = copy.deepcopy(cert)
+    node = cert
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    [entry] = recheck_report({"entries": [{"name": "doctored", "certificate": cert}]}).entries
+    return f"{entry.status}: {entry.detail}"
+
+
+def test_doctored_rationals_keep_their_recheck_details(tmp_path):
+    """Each parser input at each place recheck reads a rational gives the
+    recheck entry it gave while recheck parsed with Fraction (pinned, but
+    for "1_0", which Fraction reads as 10 from Python 3.11 on and rejects
+    before)."""
+    digest, sites = hashlib.sha256(), list(_rational_sites(tmp_path))
+    assert len(sites) == 10
+    for name, cert, path in sites:
+        for value in RATIONALS:
+            detail = _doctored_detail(cert, path, value)
+            if value == "1_0":
+                assert detail == (_doctored_detail(cert, path, "10") if sys.version_info >= (3, 11)
+                                  else "fail: malformed certificate: Invalid literal for "
+                                       "Fraction: '1_0'")
+            else:
+                digest.update(f"{name} {value!r} {detail}\n".encode())
+    assert _doctored_detail(sites[1][1], sites[1][2], "1/0") == \
+        "fail: malformed certificate: Fraction(1, 0)"
+    assert _doctored_detail(sites[3][1], sites[3][2], None) == \
+        "fail: malformed certificate: argument should be a string or a Rational instance"
+    assert digest.hexdigest() == \
+        "fa870a8209ac6734a55e2eba76894cce47047af0ffd90c2e90b885e15a53829b"
