@@ -53,7 +53,8 @@ from math import gcd
 from .graphs import (CertificateError, _check_deadline, _check_depth_cap, _check_piece_cap,
                      as_nodeset)
 from .polyhedra import HPolytope, LinearInequality, LPOutcome, symmetries
-from .recheck import check_member, check_n_matrix, check_pieces, check_point, check_separating
+from .recheck import (check_member, check_n_matrix, check_pieces, check_point, check_separating,
+                      parse_point)
 from .simplex import LinearProgram, LPResult, Primal
 
 
@@ -278,7 +279,7 @@ def disjunctive_member(x: dict, h: HPolytope, f):
         mult = [{"z": tuple(int(x.get(v, 0)) for v in f), "lambda": Fraction(1),
                  "point": {v: Fraction(x.get(v, 0)) for v in h.index}}]
         try:
-            check_member(h, f, x, mult)
+            check_member(h, f, parse_point(x), mult)
         except CertificateError:
             pass
         else:
@@ -327,7 +328,7 @@ def disjunctive_member(x: dict, h: HPolytope, f):
                 mult.append({"z": z, "lambda": lam, "point": {
                     v: res.x[p * n + pos[v]] / lam if v in pos else Fraction(fixing[v])
                     for v in h.index}})
-        check_member(h, f, x, mult)
+        check_member(h, f, parse_point(x), mult)
         return True, {"kind": "validity-proof", "f": f, "multipliers": mult}
     if res.status != "infeasible":
         raise RuntimeError(f"membership LP ended {res.status}")
@@ -347,7 +348,7 @@ def _non_member(sep, h, f, x, emptied, proofs):
     records = [{"z": z, "status": "bounded", "y": proofs[z]} if z in proofs
                else {"z": z, "status": "infeasible", "y": {emptied[z]: Fraction(1)}}
                for z in emptied]
-    check_separating(sep, x)
+    check_separating(sep, parse_point(x))
     check_pieces(h, sep, f, records)
     return False, {"kind": "violating-point", "f": f, "point": dict(x),
                    "separating": sep.to_json(), "pieces": records}

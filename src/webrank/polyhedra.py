@@ -107,11 +107,12 @@ def _integral(q: Fraction):
 
 
 def clear_denominators(point: dict, index) -> tuple:
-    """(num, L) with x = num / L on the index, in integers: L is the lcm
-    of the denominators; keys outside the index are ignored."""
-    vals = [point.get(v, 0) for v in index]
-    L = lcm(*(q.denominator for q in vals))
-    return {v: q.numerator * (L // q.denominator) for v, q in zip(index, vals)}, L
+    """(num, L) with x = num / L on the index, in integers, for a point of
+    (numerator, denominator > 0) pairs: L is the lcm of the denominators;
+    keys outside the index are ignored."""
+    pairs = [point.get(v, (0, 1)) for v in index]
+    L = lcm(*(d for _, d in pairs))
+    return {v: n * (L // d) for v, (n, d) in zip(index, pairs)}, L
 
 
 def nonneg_row(v: int) -> LinearInequality:
@@ -156,20 +157,17 @@ class HPolytope:
     def dim(self) -> int:
         return len(self.index)
 
-    def cleared(self, point: dict):
-        """clear_denominators(point, index) when x lies in h, else None:
-        each row is tested as a.num <= b L in its integer form, built once
-        per HPolytope; a row that x >= 0 implies (no positive coefficient,
+    def holds(self, num: dict, L: int) -> bool:
+        """x = num / L (num keyed by the index) lies in h, in integers: each
+        row is tested as a.num <= b L in its integer form, built once per
+        HPolytope; a row that x >= 0 implies (no positive coefficient,
         b >= 0) is not tested."""
         if self._tests is None:
             object.__setattr__(self, "_tests", tuple(
                 (key, rhs) for key, rhs in (r.canonical() for r in self.rows)
                 if rhs < 0 or any(c > 0 for _, c in key)))
-        num, L = clear_denominators(point, self.index)
-        if any(a < 0 for a in num.values()) or any(
-                sum(c * num[v] for v, c in key) > rhs * L for key, rhs in self._tests):
-            return None
-        return num, L
+        return all(a >= 0 for a in num.values()) and not any(
+            sum(c * num[v] for v, c in key) > rhs * L for key, rhs in self._tests)
 
     def integral_rows(self) -> tuple:
         """(coeffs, rhs) of each row, in row order, with the row's values,
@@ -183,8 +181,9 @@ class HPolytope:
         return self._ints
 
     def contains(self, point: dict) -> bool:
-        """x in h, tested in integers (`cleared`)."""
-        return self.cleared(point) is not None
+        """x in h, for a point of ints and Fractions (`holds`)."""
+        return self.holds(*clear_denominators(
+            {v: q.as_integer_ratio() for v, q in point.items()}, self.index))
 
     def to_json(self) -> dict:
         return {"index": self.index, "rows": [r.to_json() for r in self.rows]}

@@ -272,10 +272,10 @@ def _uniform_bound(ineq: LinearInequality, h: HPolytope) -> tuple:
     positive (1/omega on QSTAB); (0, None) without such a row, when u
     lies outside h or when it refutes no F."""
     t = min((r.rhs / a for r in h.rows if (a := sum(r.coeffs.values())) > 0), default=None)
-    point = None if t is None else dict.fromkeys(h.index, t)
-    cleared = None if point is None else h.cleared(point)
-    bound = 0 if cleared is None else point_bound(h, ineq, *cleared)
-    return (bound, point) if bound else (0, None)
+    if t is None or not h.holds(num := dict.fromkeys(h.index, t.numerator), t.denominator):
+        return 0, None
+    bound = point_bound(h, ineq, num, t.denominator)
+    return (bound, dict.fromkeys(h.index, t)) if bound else (0, None)
 
 
 def disjunctive_rank_inequality(ineq: LinearInequality, h: HPolytope,

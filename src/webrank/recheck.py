@@ -1,15 +1,20 @@
 """Independent re-verification of archived certificates, with no LP built.
 
-The trusted base is `fractions`, the graph reader, chordality test,
-odd-hole search and rotation test of `graphs`, the row classes of
-`polyhedra` and `simplex._intify`, which their canonical form runs; no
-LP is built.  Neither the simplex, the lift-and-project oracles nor the
-rank searches (which import `hitting_set` from here) are imported here,
-and the CI grep reads only this module's own imports.  A
-graph rank is re-checked by `graphs.is_perfect` (a chordality test of
-G - F and of its complement, else the odd-hole search in reversed scan
-order), by adjacency counts and by `hitting_set`, every other claim by
-rational arithmetic, one function per claim.
+The trusted base is the graph reader, chordality test, odd-hole search
+and rotation test of `graphs`, the row classes of `polyhedra` and
+`simplex._intify`, which their canonical form runs; no LP is built.
+Neither the simplex, the lift-and-project oracles nor the rank searches
+(which import `hitting_set` from here) are imported here, and the CI
+grep reads only this module's own imports.  A graph rank is re-checked
+by `graphs.is_perfect` (a chordality test of G - F and of its
+complement, else the odd-hole search in reversed scan order), by
+adjacency counts and by `hitting_set`, every other claim in integers,
+one function per claim.  Each rational of a point or a multiplier is
+read once as a (numerator, denominator) pair (`_ratio`), each point is
+cleared to num / L and tested on the rows' integer form, and sums of
+multipliers run over the lcm of their denominators; `fractions` reads
+only the rows and the values `_ratio` does not take, and builds each
+piece bound once.
 
 A `graph-rank` certificate means what it says through one lemma:
 P_F(QSTAB(G)) = STAB(G) exactly when G - F is perfect.  If G - F is
@@ -57,6 +62,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import lcm
 
 from .graphs import (
     CertificateError,
@@ -75,8 +81,21 @@ from .polyhedra import HPolytope, LinearInequality, clear_denominators, rotation
 from .reporting import Report
 
 
-def _point(d: dict) -> dict:
-    return {int(k): Fraction(v) for k, v in d.items()}
+def _ratio(v) -> tuple:
+    """(numerator, denominator > 0) of v, with the value or the error of
+    Fraction(v); an int, a Fraction, or an ASCII "p" or "p/q" (p maybe
+    after a minus sign) is read with no Fraction."""
+    if type(v) is str:
+        p, slash, q = v.partition("/")
+        if (p[1:] if p[:1] == "-" else p).isdigit() and p.isascii() and (
+                not slash or q.isdigit() and q.isascii() and q.strip("0")):
+            return int(p), int(q or 1)
+    return (v if type(v) in (int, Fraction) else Fraction(v)).as_integer_ratio()
+
+
+def parse_point(d: dict) -> dict:
+    """A point as {int label: (numerator, denominator)} (`_ratio`)."""
+    return {int(k): _ratio(v) for k, v in d.items()}
 
 
 def _system(d: dict) -> HPolytope:
@@ -111,24 +130,32 @@ def _step(name: str, check, *args):
 
 def _piece_bound(h: HPolytope, fixing: dict, y: dict, c: dict) -> Fraction:
     """y.(b - A_F z) + c_F z, after checking y >= 0 and y.A >= c on the
-    free coordinates; y keyed by row index in h."""
-    bound = sum((c.get(v, 0) * z for v, z in fixing.items()), Fraction(0))
-    ya = {}
+    free coordinates; y keyed by row index in h.  In integers, with y = u/Q
+    and c = k/D over the lcm of their denominators: QD times the bound is
+    D u.(b - A_F z) + Q k_F z, and y.A >= c reads D u.A >= Q k."""
+    rows, ys = h.integral_rows(), []
     for i, yi in y.items():
-        i, yi = int(i), Fraction(yi)
-        if not (0 <= i < len(h.rows) and yi >= 0):
-            raise CertificateError(f"multiplier {yi} on row {i}: negative or no such row")
-        bound += yi * h.rows[i].rhs
-        for v, a in h.rows[i].coeffs.items():
+        i, (p, q) = int(i), _ratio(yi)
+        if not (0 <= i < len(rows) and p >= 0):
+            raise CertificateError(
+                f"multiplier {Fraction(p, q)} on row {i}: negative or no such row")
+        ys.append((i, p, q))
+    Q = lcm(*(q for _, _, q in ys))
+    k, D = clear_denominators({v: a.as_integer_ratio() for v, a in c.items()}, c)
+    bound, ya = 0, {}
+    for i, p, q in ys:
+        u, (coeffs, rhs) = p * (Q // q), rows[i]
+        bound += u * rhs
+        for v, a in coeffs.items():
             z = fixing.get(v)
             if z is None:
-                ya[v] = ya.get(v, 0) + yi * a
+                ya[v] = ya.get(v, 0) + u * a
             elif z:
-                bound -= yi * a
+                bound -= u * a
     for v in h.index:
-        if v not in fixing and ya.get(v, 0) < c.get(v, 0):
+        if v not in fixing and ya.get(v, 0) * D < k.get(v, 0) * Q:
             raise CertificateError(f"y.A falls short of the objective at coordinate {v}")
-    return bound
+    return Fraction(D * bound + Q * sum(k.get(v, 0) * z for v, z in fixing.items()), Q * D)
 
 
 def check_pieces(h: HPolytope, row: LinearInequality, f, pieces) -> None:
@@ -153,21 +180,23 @@ def check_pieces(h: HPolytope, row: LinearInequality, f, pieces) -> None:
 
 def check_point(h: HPolytope, f, point: dict, row: LinearInequality) -> dict:
     """The point lies in h, is 0/1 on f and violates the row; returned parsed."""
-    pt = _point(point)
-    cleared = h.cleared(pt)
-    _require(cleared is not None, "point outside the system")
+    pt = parse_point(point)
+    num, L = clear_denominators(pt, h.index)
+    _require(h.holds(num, L), "point outside the system")
     _require(set(row.coeffs) <= set(h.index), "the row leaves the system")
     for v in f:
-        _require(pt.get(int(v), 0) in (0, 1), f"point not 0/1 at f coordinate {v}")
-    _require(row.exceeds(*cleared), "point satisfies the row")
+        n, d = pt.get(int(v), (0, 1))
+        _require(n in (0, d), f"point not 0/1 at f coordinate {v}")
+    _require(row.exceeds(num, L), "point satisfies the row")
     return pt
 
 
 def down_closed(h: HPolytope) -> bool:
     """Every row has only coefficients >= 0, or only coefficients <= 0 and
-    a right-hand side >= 0: then with x in h, every 0 <= x' <= x is in h."""
-    return all(all(c >= 0 for c in r.coeffs.values())
-               or (r.rhs >= 0 and all(c <= 0 for c in r.coeffs.values())) for r in h.rows)
+    a right-hand side >= 0: then with x in h, every 0 <= x' <= x is in h.
+    Read off each row's integer form, a positive multiple of the row."""
+    return all(all(c >= 0 for _, c in key) or (rhs >= 0 and all(c <= 0 for _, c in key))
+               for key, rhs in (r.canonical() for r in h.rows))
 
 
 def point_bound(h: HPolytope, row: LinearInequality, num: dict, L: int) -> int:
@@ -191,30 +220,37 @@ def point_bound(h: HPolytope, row: LinearInequality, num: dict, L: int) -> int:
 def check_bound(h: HPolytope, row: LinearInequality, point: dict, bound: int) -> None:
     """One point refutes every F of size < bound (`point_bound`)."""
     _require(down_closed(h), "a row of the system has coefficients of both signs")
-    cleared = h.cleared(_point(point))
-    _require(cleared is not None, "point outside the system")
-    _require(point_bound(h, row, *cleared) >= bound,
+    num, L = clear_denominators(parse_point(point), h.index)
+    _require(h.holds(num, L), "point outside the system")
+    _require(point_bound(h, row, num, L) >= bound,
              f"c.u less its {bound - 1} largest terms is not above the row's right-hand side")
 
 
 def check_member(h: HPolytope, f, x: dict, multipliers) -> None:
-    """x is the convex combination of the multipliers' points ({"z",
-    "lambda", "point"} each), each in h and equal to its z on f."""
-    combo = dict.fromkeys(h.index, Fraction(0))
+    """x, a parsed point (`parse_point`), is the convex combination of
+    the multipliers' points ({"z", "lambda", "point"} each), each in h and
+    equal to its z on f: with lambda = a / b and the point num / L, the
+    combination is sum a num (D / bL) over the lcm D of the bL."""
+    terms = []
     for m in multipliers:
-        lam, q = Fraction(m["lambda"]), _point(m["point"])
-        _require(lam > 0, "nonpositive multiplier")
-        _require(h.contains(q), "piece point outside the relaxation")
-        _require(set(m["z"]) <= {0, 1} and [q.get(v, 0) for v in f] == list(m["z"]),
-                 "piece point violates its 0/1 pattern")
-        combo = {v: s + lam * q.get(v, 0) for v, s in combo.items()}
-    _require(sum(Fraction(m["lambda"]) for m in multipliers) == 1,
-             "convex multipliers do not sum to 1")
-    _require(combo == {v: x.get(v, 0) for v in h.index}, "x is not the convex combination")
+        (a, b), q = _ratio(m["lambda"]), parse_point(m["point"])
+        _require(a > 0, "nonpositive multiplier")
+        num, L = clear_denominators(q, h.index)
+        _require(h.holds(num, L), "piece point outside the relaxation")
+        _require(set(m["z"]) <= {0, 1} and list(m["z"]) == [
+            n // d if n in (0, d) else None for n, d in (q.get(v, (0, 1)) for v in f)],
+            "piece point violates its 0/1 pattern")
+        terms.append((a, b, b * L, num))
+    B, D = lcm(*(t[1] for t in terms)), lcm(*(t[2] for t in terms))
+    _require(sum(a * (B // b) for a, b, _, _ in terms) == B, "convex multipliers do not sum to 1")
+    xn, xl = clear_denominators(x, h.index)
+    w = [(a * (D // bl), num) for a, _, bl, num in terms]
+    _require(all(sum(s * num[v] for s, num in w) * xl == xn[v] * D for v in h.index),
+             "x is not the convex combination")
 
 
 def check_separating(row: LinearInequality, x: dict) -> None:
-    _require(row.exceeds(*clear_denominators(_point(x), row.coeffs)),
+    _require(row.exceeds(*clear_denominators(x, row.coeffs)),
              "separating row not violated by the point")
 
 
@@ -233,7 +269,8 @@ def check_n_matrix(h: HPolytope, y: list) -> None:
     for i in range(1, n + 1):
         for side, col in ((f"Ye_{i}", [y[j][i] for j in range(n + 1)]),
                           (f"Y(e_0 - e_{i})", [y[j][0] - y[j][i] for j in range(n + 1)])):
-            num, _ = clear_denominators(dict(enumerate(col)), range(n + 1))
+            num, _ = clear_denominators({j: q.as_integer_ratio() for j, q in enumerate(col)},
+                                        range(n + 1))
             _require(min(num.values()) >= 0, f"column {side} has a negative entry")
             x = dict(zip(h.index, (num[j] for j in range(1, n + 1))))
             for k, row in enumerate(h.rows):
@@ -327,7 +364,7 @@ def _ineq_rank(cert):
     for i, v in enumerate(violations):
         _require(isinstance(v, dict), f"violations[{i}] is not an object")
         pt = _step(f"violations[{i}]", check_point, h, v["f"], v["point"], row)
-        supports.append(sum(bit.get(u, 0) for u, x in pt.items() if x not in (0, 1)))
+        supports.append(sum(bit.get(u, 0) for u, (n, d) in pt.items() if n not in (0, d)))
     _require(len(wf) == rank, f"|witness_f| = {len(wf)} but rank = {rank}")
     _require(type(bound) is int and 0 <= bound <= rank, f"bound {bound!r} not in 0..{rank}")
     if bound:
@@ -349,7 +386,7 @@ def _validity(cert):
 
 
 def _membership(cert):
-    h, x = _system(cert["system"]), _point(cert["point"])
+    h, x = _system(cert["system"]), parse_point(cert["point"])
     if cert["member"]:
         check_member(h, cert["f"], x, cert["multipliers"])
         return "convex combination re-assembled exactly"

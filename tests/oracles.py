@@ -864,6 +864,47 @@ def contains_by_fractions(h: HPolytope, point: dict) -> bool:
         point.get(v, Fraction(0)) >= 0 for v in h.index)
 
 
+def piece_bound_by_fractions(h: HPolytope, fixing: dict, y: dict, c: dict) -> Fraction:
+    """`recheck._piece_bound` in Fraction arithmetic: the same checks in
+    the same order, with the same messages, each multiplier parsed by
+    Fraction."""
+    bound = sum((c.get(v, 0) * z for v, z in fixing.items()), Fraction(0))
+    ya = {}
+    for i, yi in y.items():
+        i, yi = int(i), Fraction(yi)
+        if not (0 <= i < len(h.rows) and yi >= 0):
+            raise CertificateError(f"multiplier {yi} on row {i}: negative or no such row")
+        bound += yi * h.rows[i].rhs
+        for v, a in h.rows[i].coeffs.items():
+            z = fixing.get(v)
+            if z is None:
+                ya[v] = ya.get(v, 0) + yi * a
+            elif z:
+                bound -= yi * a
+    for v in h.index:
+        if v not in fixing and ya.get(v, 0) < c.get(v, 0):
+            raise CertificateError(f"y.A falls short of the objective at coordinate {v}")
+    return bound
+
+
+def check_member_by_fractions(h: HPolytope, f, x: dict, multipliers) -> None:
+    """`recheck.check_member` in Fraction arithmetic, x a point of
+    Fractions: the same checks in the same order, with the same
+    messages, each lambda and point parsed by Fraction."""
+    combo = dict.fromkeys(h.index, Fraction(0))
+    for m in multipliers:
+        lam = Fraction(m["lambda"])
+        q = {int(k): Fraction(v) for k, v in m["point"].items()}
+        _require(lam > 0, "nonpositive multiplier")
+        _require(contains_by_fractions(h, q), "piece point outside the relaxation")
+        _require(set(m["z"]) <= {0, 1} and [q.get(v, 0) for v in f] == list(m["z"]),
+                 "piece point violates its 0/1 pattern")
+        combo = {v: s + lam * q.get(v, 0) for v, s in combo.items()}
+    _require(sum(Fraction(m["lambda"]) for m in multipliers) == 1,
+             "convex multipliers do not sum to 1")
+    _require(combo == {v: x.get(v, 0) for v in h.index}, "x is not the convex combination")
+
+
 def disjunctive_member_unreduced(x: dict, h: HPolytope, f):
     """disjunctive_member over the unreduced extended formulation: one
     y^z block of n variables and one lambda_z per piece z, empty pieces

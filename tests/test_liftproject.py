@@ -38,7 +38,7 @@ from webrank.polyhedra import (
     qstab,
     stab,
 )
-from webrank.recheck import _point, check_n_matrix, recheck_certificate
+from webrank.recheck import check_n_matrix, recheck_certificate
 from webrank.reporting import dumps
 from webrank.simplex import CertificateError, LinearProgram
 
@@ -154,7 +154,7 @@ def test_a_doctored_one_piece_certificate_fails_recheck():
     v = next(u for u in h.index if u not in tset)
     off = json.loads(json.dumps(cert))
     off["point"][str(v)] = off["multipliers"][0]["point"][str(v)] = "1"
-    assert not h.contains(_point(off["point"]))
+    assert not h.contains({int(v): Fraction(q) for v, q in off["point"].items()})
     assert recheck_certificate(off) == (False, "piece point outside the relaxation")
 
 

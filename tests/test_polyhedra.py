@@ -20,6 +20,7 @@ from webrank.polyhedra import (
     HPolytope,
     LinearInequality,
     VPolytope,
+    clear_denominators,
     cone_extreme_rays,
     convex_hull_facets,
     frac,
@@ -187,9 +188,9 @@ def test_integer_contains_matches_fractions():
                       for v in rng.sample(range(10, 14), rng.randint(0, 2))})
         verdicts.append(h.contains(point))
         assert verdicts[-1] == contains_by_fractions(h, point), (h.rows, point)
-        cleared = h.cleared(point)
-        assert (cleared is not None) == verdicts[-1]
-        if cleared:
+        cleared = clear_denominators({v: q.as_integer_ratio() for v, q in point.items()}, index)
+        assert h.holds(*cleared) == verdicts[-1]
+        if verdicts[-1]:
             row = LinearInequality({v: Fraction(rows_rng.randint(-3, 6), rows_rng.randint(1, 4))
                                     for v in index}, Fraction(rows_rng.randint(-2, 8), 3))
             on_index = {v: Fraction(point.get(v, 0)) for v in index}

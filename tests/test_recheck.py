@@ -17,13 +17,19 @@ when the brute-force coverage oracle finds an F of size rank-1 left
 unrefuted.  So must a graph-rank
 certificate: a raised or lowered rank fails, and so does a pool with one
 hole dropped exactly when that oracle finds an F of size rank-1 that
-meets every hole left.
+meets every hole left.  The checks run in integers: their rational
+parser reads what Fraction reads, a doctored rational at each place
+recheck reads one gives the entry it gave under Fraction arithmetic,
+and `check_member` and `_piece_bound` agree with their Fraction oracles
+on the certificates of antiwebs with n <= 11 and doctored copies.
 """
 
 import ast
 import copy
+import functools
 import hashlib
 import json
+import math
 import random
 import sys
 import time
@@ -46,11 +52,13 @@ from webrank.liftproject import disjunctive_member, disjunctive_valid, piece_max
 from webrank.polyhedra import (HPolytope, LinearInequality, frac, nonneg_row, qstab,
                                rotation_invariant)
 from webrank.rank import disjunctive_rank_graph, disjunctive_rank_inequality
-from webrank.recheck import (_piece_bound, _system, check_pieces, check_point,
-                             hitting_set, recheck_certificate, recheck_report)
+from webrank.recheck import (_piece_bound, _ratio, _system, check_member, check_pieces,
+                             check_point, hitting_set, parse_point, recheck_certificate,
+                             recheck_report)
 from webrank.reporting import dumps
 
-from oracles import pool_refutes_all, with_mixed_rows
+from oracles import (check_member_by_fractions, piece_bound_by_fractions, pool_refutes_all,
+                     with_mixed_rows)
 
 
 @st.composite
@@ -519,3 +527,116 @@ def test_doctored_rationals_keep_their_recheck_details(tmp_path):
         "fail: malformed certificate: argument should be a string or a Rational instance"
     assert digest.hexdigest() == \
         "fa870a8209ac6734a55e2eba76894cce47047af0ffd90c2e90b885e15a53829b"
+
+
+def _outcome(check, *args):
+    """What check(*args) gives: ("ok", its value), or the type and the
+    message of what it raises."""
+    try:
+        return "ok", check(*args)
+    except Exception as exc:        # the verdict and the message are what is compared
+        return type(exc).__name__, str(exc)
+
+
+def test_the_parser_reads_what_fraction_reads():
+    """`_ratio` gives Fraction(v)'s value, or raises its error, on every
+    parser input and on a few more strings at the edge of the fast path."""
+    edges = ["007/010", "-12/8", "1/00", "1/", "/2", "-", "-/2", "--1", "²", "١/2", "3/٢",
+             "1" * 5000, "1/" + "1" * 5000]
+    for value in RATIONALS + edges:
+        assert _outcome(lambda v: Fraction(*_ratio(v)), value) == _outcome(Fraction, value)
+    for value in (3, -4, Fraction(-5, 6)):
+        assert _ratio(value) == value.as_integer_ratio()
+
+
+@functools.cache
+def _antiweb_row_rank(n, k):
+    return disjunctive_rank_inequality(antiweb_constraint(AntiwebId(n, k))[0],
+                                       qstab(antiweb(n, k)))
+
+
+@st.composite
+def antiweb_answers(draw):
+    """(h, f, answer, c, rng) on QSTAB of an antiweb with n <= 11: the
+    witness pieces of the antiweb row's rank; or, with every row of QSTAB
+    scaled by 1, 1/2 or 2/3, the membership answer for a point of [0,
+    1/2]^n (a member's {"point", "multipliers"}, or a non-member's
+    {"pieces"} with c its separating row) or the validity answer
+    {"pieces"} for a row c of small rational coefficients."""
+    n = draw(st.integers(4, 11))
+    k = draw(st.integers(2, n // 2))
+    h, rng = qstab(antiweb(n, k)), draw(st.randoms(use_true_random=False))
+    kind = draw(st.sampled_from(("member", "valid", "rank")))
+    if kind == "rank":
+        res = _antiweb_row_rank(n, k)
+        return h, res.witness_f, {"pieces": res.pieces}, dict.fromkeys(h.index, 1), rng
+    scale = draw(st.sampled_from((1, Fraction(1, 2), Fraction(2, 3))))
+    h = HPolytope(h.index, [LinearInequality({v: a * scale for v, a in r.coeffs.items()},
+                                             r.rhs * scale, r.tag) for r in h.rows])
+    f = tuple(sorted(draw(st.lists(st.sampled_from(h.index), min_size=1, max_size=3,
+                                   unique=True))))
+    if kind == "member":
+        x = {v: Fraction(draw(st.integers(0, 6)), 12) for v in h.index}
+        member, cert = disjunctive_member(x, h, f)
+        if member:
+            return h, f, {"point": x, "multipliers": cert["multipliers"]}, None, rng
+        return h, f, {"pieces": cert["pieces"]}, cert["separating"]["coeffs"], rng
+    row = LinearInequality({v: Fraction(draw(st.integers(-1, 3)), draw(st.integers(1, 3)))
+                            for v in h.index}, draw(st.integers(0, 4)))
+    return h, f, {"pieces": disjunctive_valid(row, h, f)[1]["pieces"]}, row.coeffs, rng
+
+
+def _moved(point, rng):
+    """A copy of the point with one coordinate moved up or down by 1/L,
+    L the lcm of the point's denominators."""
+    v = rng.choice(list(point))
+    step = Fraction(1, math.lcm(*(Fraction(q).denominator for q in point.values())))
+    return {**point, v: str(Fraction(point[v]) + rng.choice((step, -step)))}
+
+
+def _doctored_members(answer, rng):
+    """Copies of a member's answer with one lambda scaled, one point
+    coordinate (of x or of a piece point) moved by 1/L, or one convex
+    multiplier dropped."""
+    mults = answer["multipliers"]
+    yield {**answer, "point": _moved(answer["point"], rng)}
+    for j, m in enumerate(mults):
+        for scale in (2, Fraction(1, 2), Fraction(3, 2)):
+            yield {**answer, "multipliers": [*mults[:j], {**m, "lambda": str(
+                Fraction(m["lambda"]) * scale)}, *mults[j + 1:]]}
+        yield {**answer, "multipliers": [*mults[:j], {**m, "point": _moved(m["point"], rng)},
+                                         *mults[j + 1:]]}
+        yield {**answer, "multipliers": mults[:j] + mults[j + 1:]}
+
+
+def _doctored_records(records):
+    """Copies of each piece record with one multiplier y halved, negated
+    or dropped."""
+    for rec in records:
+        for i, yi in rec["y"].items():
+            for scale in (Fraction(1, 2), -1):
+                yield {**rec, "y": {**rec["y"], i: str(Fraction(yi) * scale)}}
+            yield {**rec, "y": {j: yj for j, yj in rec["y"].items() if j != i}}
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(antiweb_answers())
+def test_integer_checks_agree_with_the_fraction_oracles(case):
+    """`check_member` and `_piece_bound` give the verdict and the message
+    of their Fraction oracles on the certificates the oracles of P_F(h)
+    build, in memory and as JSON, and on doctored copies of them."""
+    h, f, answer, c, rng = case
+    as_json = json.loads(dumps(answer))
+    if "multipliers" in answer:
+        for cert in [answer, as_json, *_doctored_members(as_json, rng)]:
+            x, mults = cert["point"], cert["multipliers"]
+            got = _outcome(check_member, h, f, parse_point(x), mults)
+            assert got == _outcome(check_member_by_fractions, h, f,
+                                   {int(v): Fraction(q) for v, q in x.items()}, mults)
+            assert cert is not answer or got == ("ok", None)
+        return
+    c = {int(v): Fraction(q) for v, q in c.items()}
+    for rec in [*answer["pieces"], *as_json["pieces"], *_doctored_records(as_json["pieces"])]:
+        fixing, objective = dict(zip(f, rec["z"])), {} if rec["status"] == "infeasible" else c
+        assert _outcome(_piece_bound, h, fixing, rec["y"], objective) == \
+            _outcome(piece_bound_by_fractions, h, fixing, rec["y"], objective)
