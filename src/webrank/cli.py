@@ -52,7 +52,7 @@ from .rank import (disjunctive_rank_graph, disjunctive_rank_inequality, n_rank_g
                    n_rank_inequality_upto, verify_join_bound, verify_operator_sandwich,
                    verify_rdfar, verify_w2_description, verify_web_rank_formulas)
 from .recheck import recheck_report
-from .reporting import Report, dump, dumps, frac_to_str
+from .reporting import Report, dump, dumps, frac_to_str, read_rational
 
 EXIT_OK, EXIT_FAIL, EXIT_CAP, EXIT_INPUT, EXIT_INTERNAL = 0, 1, 2, 3, 4
 
@@ -265,7 +265,7 @@ def cmd_hull(args) -> int:
 
 
 def _parse_point(text: str, index) -> dict:
-    vals = [Fraction(x) for x in text.split(",")]
+    vals = [Fraction(*read_rational(x)) for x in text.split(",")]
     if len(vals) != len(index):
         raise ValueError(f"point needs {len(index)} entries")
     return dict(zip(index, vals))

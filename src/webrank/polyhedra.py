@@ -28,6 +28,7 @@ from math import gcd, lcm
 
 from .graphs import (Graph, _check_deadline, _check_hull_bound, as_nodeset,
                      enumerate_maximal_cliques, enumerate_stable_sets)
+from .reporting import read_rational
 from .simplex import LinearProgram, _eliminate, _intify
 
 
@@ -97,8 +98,9 @@ class LinearInequality:
 
     @staticmethod
     def from_json(d: dict) -> "LinearInequality":
-        return LinearInequality({int(v): Fraction(c) for v, c in d["coeffs"].items()},
-                                Fraction(d["rhs"]), d.get("tag", "other"))
+        return LinearInequality(
+            {int(v): Fraction(*read_rational(c)) for v, c in d["coeffs"].items()},
+            Fraction(*read_rational(d["rhs"])), d.get("tag", "other"))
 
 
 def _integral(q: Fraction):
@@ -179,11 +181,6 @@ class HPolytope:
                 ({v: _integral(c) for v, c in r.coeffs.items()}, _integral(r.rhs))
                 for r in self.rows))
         return self._ints
-
-    def contains(self, point: dict) -> bool:
-        """x in h, for a point of ints and Fractions (`holds`)."""
-        return self.holds(*clear_denominators(
-            {v: q.as_integer_ratio() for v, q in point.items()}, self.index))
 
     def to_json(self) -> dict:
         return {"index": self.index, "rows": [r.to_json() for r in self.rows]}

@@ -9,12 +9,11 @@ grep reads only this module's own imports.  A graph rank is re-checked
 by `graphs.is_perfect` (a chordality test of G - F and of its
 complement, else the odd-hole search in reversed scan order), by
 adjacency counts and by `hitting_set`, every other claim in integers,
-one function per claim.  Each rational of a point or a multiplier is
-read once as a (numerator, denominator) pair (`_ratio`), each point is
-cleared to num / L and tested on the rows' integer form, and sums of
-multipliers run over the lcm of their denominators; `fractions` reads
-only the rows and the values `_ratio` does not take, and builds each
-piece bound once.
+one function per claim.  Every rational is read once, by
+`reporting.read_rational` (the README's report grammar; anything else is
+malformed); each point is cleared to num / L and tested on the rows'
+integer form, and sums of multipliers run over the lcm of their
+denominators.  `fractions` parses nothing; it builds each piece bound.
 
 A `graph-rank` certificate means what it says through one lemma:
 P_F(QSTAB(G)) = STAB(G) exactly when G - F is perfect.  If G - F is
@@ -78,31 +77,19 @@ from .graphs import (
     is_perfect,
 )
 from .polyhedra import HPolytope, LinearInequality, clear_denominators, rotation_invariant
-from .reporting import Report
-
-
-def _ratio(v) -> tuple:
-    """(numerator, denominator > 0) of v, with the value or the error of
-    Fraction(v); an int, a Fraction, or an ASCII "p" or "p/q" (p maybe
-    after a minus sign) is read with no Fraction."""
-    if type(v) is str:
-        p, slash, q = v.partition("/")
-        if (p[1:] if p[:1] == "-" else p).isdigit() and p.isascii() and (
-                not slash or q.isdigit() and q.isascii() and q.strip("0")):
-            return int(p), int(q or 1)
-    return (v if type(v) in (int, Fraction) else Fraction(v)).as_integer_ratio()
+from .reporting import Report, read_rational
 
 
 def parse_point(d: dict) -> dict:
-    """A point as {int label: (numerator, denominator)} (`_ratio`)."""
-    return {int(k): _ratio(v) for k, v in d.items()}
+    """A point as {int label: (numerator, denominator)} (`read_rational`)."""
+    return {int(k): read_rational(v) for k, v in d.items()}
 
 
 def _system(d: dict) -> HPolytope:
     """The system of a certificate, parsed once per distinct JSON content
     (a report repeats one system in many certificates); the key holds
     every value the parse reads, so a doctored row gets its own parse.
-    An unhashable value (a list as rhs) raises TypeError, as a parse would."""
+    An unhashable value (a list as rhs) raises TypeError: malformed."""
     return _parsed_system(tuple(d["index"]), tuple(
         (tuple(r["coeffs"].items()), r["rhs"], r.get("tag", "other")) for r in d["rows"]))
 
@@ -135,7 +122,7 @@ def _piece_bound(h: HPolytope, fixing: dict, y: dict, c: dict) -> Fraction:
     D u.(b - A_F z) + Q k_F z, and y.A >= c reads D u.A >= Q k."""
     rows, ys = h.integral_rows(), []
     for i, yi in y.items():
-        i, (p, q) = int(i), _ratio(yi)
+        i, (p, q) = int(i), read_rational(yi)
         if not (0 <= i < len(rows) and p >= 0):
             raise CertificateError(
                 f"multiplier {Fraction(p, q)} on row {i}: negative or no such row")
@@ -233,7 +220,7 @@ def check_member(h: HPolytope, f, x: dict, multipliers) -> None:
     combination is sum a num (D / bL) over the lcm D of the bL."""
     terms = []
     for m in multipliers:
-        (a, b), q = _ratio(m["lambda"]), parse_point(m["point"])
+        (a, b), q = read_rational(m["lambda"]), parse_point(m["point"])
         _require(a > 0, "nonpositive multiplier")
         num, L = clear_denominators(q, h.index)
         _require(h.holds(num, L), "piece point outside the relaxation")

@@ -1,10 +1,10 @@
-"""Deterministic pass/fail reports, and the one JSON encoder.
+"""Deterministic pass/fail reports, the one JSON encoder and its reader.
 
 Reports, certificates and CLI payloads hold exact values (Fractions,
 int keys, tuples) until `dumps` or `dump` writes them: rationals as
-"p" or "p/q" strings, keys as strings in sorted order, compact
-separators, no timestamps and no floats, so the output is byte-identical
-for a fixed seed and config.
+"p" or "p/q" strings (`read_rational` reads them back), keys as
+strings in sorted order, compact separators, no timestamps and no
+floats, so the output is byte-identical for a fixed seed and config.
 """
 
 from __future__ import annotations
@@ -17,6 +17,22 @@ from fractions import Fraction
 def frac_to_str(q) -> str:
     """A Fraction or an int as "p" or "p/q"."""
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+
+def read_rational(v) -> tuple:
+    """(numerator, denominator > 0) of an int (not a bool), a Fraction or an
+    ASCII "p" or "p/q", as written; anything else raises one ValueError."""
+    if type(v) is int or type(v) is Fraction:
+        return v.as_integer_ratio()
+    if type(v) is str and v.isascii():
+        p, slash, q = v.partition("/")
+        digits = p[1:] if p[:1] == "-" else p
+        # 4300: CPython's default limit on the digits int(str) reads
+        if digits.isdigit() and max(len(digits), len(q)) <= 4300 and (
+                not slash or q.isdigit() and q.strip("0")):
+            return int(p), int(q or 1)
+    raise ValueError(f'not a rational: {v!r:.40} (an int, or "p" or "p/q" in ASCII digits,'
+                     ' p maybe after "-", q nonzero, at most 4300 digits each)')
 
 
 def _str_key(item):

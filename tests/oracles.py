@@ -39,6 +39,7 @@ from webrank.polyhedra import (
     _echelon,
     _int_row,
     _primitive,
+    clear_denominators,
     cone_extreme_rays,
     convex_hull_facets,
     is_valid,
@@ -49,6 +50,13 @@ from webrank.polyhedra import (
 from webrank.rank import RANK_SEARCH_BOUND, GraphRankResult, _f_candidates
 from webrank.reporting import frac_to_str
 from webrank.simplex import CertificateError, LinearProgram, _eliminate, _require
+
+
+def contains(h: HPolytope, point: dict) -> bool:
+    """x in h, for a point of ints and Fractions, tested in integers
+    (`HPolytope.holds`)."""
+    return h.holds(*clear_denominators(
+        {v: q.as_integer_ratio() for v, q in point.items()}, h.index))
 
 
 def evaluate(row: LinearInequality, point: dict) -> Fraction:
@@ -588,7 +596,7 @@ def enumerate_vertices(h: HPolytope) -> list:
 
 def is_vertex(point: dict, h: HPolytope) -> bool:
     """Exact vertex test: tight rows (plus tight x >= 0) have rank n."""
-    if not h.contains(point):
+    if not contains(h, point):
         return False
     tight = []
     for r in h.rows:
@@ -858,8 +866,8 @@ def pt_matches(point: dict, fixing: dict) -> bool:
 
 
 def contains_by_fractions(h: HPolytope, point: dict) -> bool:
-    """x in h, each row evaluated in Fractions (HPolytope.contains works
-    in integers)."""
+    """x in h, each row evaluated in Fractions (`contains` works in
+    integers)."""
     return all(satisfied_by(r, point) for r in h.rows) and all(
         point.get(v, Fraction(0)) >= 0 for v in h.index)
 

@@ -52,6 +52,7 @@ from webrank.recheck import check_n_matrix
 
 from oracles import (
     construct_odd_hole_avoiding,
+    contains,
     disjunctive_rank_graph_polyhedral,
     evaluate,
     is_facet,
@@ -199,7 +200,7 @@ def test_criterion_9_join_bounds():
     u = res.bound_point
     off = [{**u, v: Fraction(0)} for v in host.nodes]
     ok = res.rank == res.bound == 2 and all(
-        h.contains(x) and evaluate(row, x) > row.rhs and disjunctive_member(x, h, (v,))[0]
+        contains(h, x) and evaluate(row, x) > row.rhs and disjunctive_member(x, h, (v,))[0]
         for v, x in zip(host.nodes, off))
     host_rank = disjunctive_rank_graph(host).rank
     ok = ok and host_rank == 2

@@ -259,6 +259,15 @@ def test_lp_rejects_f_labels_outside_the_graph(capsys):
     assert (code, out) == (3, "") and "input error" in err and "9" in err
 
 
+def test_member_point_is_read_in_the_report_grammar(capsys):
+    # a decimal, a plus sign or a space is no "p" or "p/q": an input error
+    for point in ("0.5,1/2,0,1/2,0", "+1/2,1/2,0,1/2,0", "1/2, 1/2,0,1/2,0", "1/0,0,0,0,0"):
+        code, out, err = run(capsys, "lp", "C:5", "--member", point, "--f", "1")
+        assert (code, out) == (3, "") and err.startswith("input error: not a rational:")
+    assert run(capsys, "lp", "C:5", "--member", "2/4,1/2,-0,1/2,0", "--f", "1")[:2] == (
+        0, "point is inside P_F(qstab(C:5)) for F=[1]\n")
+
+
 def test_recheck_of_a_malformed_report(tmp_path, capsys):
     path = tmp_path / "report.json"
     path.write_text(json.dumps({"suite": "rank", "entries": [

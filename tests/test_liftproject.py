@@ -44,6 +44,7 @@ from webrank.simplex import CertificateError, LinearProgram
 
 from oracles import (
     as_dicts,
+    contains,
     disjunctive_member_unreduced,
     enumerate_vertices,
     evaluate,
@@ -154,7 +155,7 @@ def test_a_doctored_one_piece_certificate_fails_recheck():
     v = next(u for u in h.index if u not in tset)
     off = json.loads(json.dumps(cert))
     off["point"][str(v)] = off["multipliers"][0]["point"][str(v)] = "1"
-    assert not h.contains({int(v): Fraction(q) for v, q in off["point"].items()})
+    assert not contains(h, {int(v): Fraction(q) for v, q in off["point"].items()})
     assert recheck_certificate(off) == (False, "piece point outside the relaxation")
 
 
@@ -188,7 +189,7 @@ def test_member_agrees_with_piecewise_vertex_hull():
 
         for _ in range(12):
             x = {v: Fraction(rng.randint(0, 4), 8) for v in h.index}
-            if not h.contains(x):
+            if not contains(h, x):
                 continue
             member, _ = disjunctive_member(x, h, f)
             assert member == oracle(x), x
@@ -223,7 +224,7 @@ def test_member_with_every_piece_empty_needs_no_lp(monkeypatch):
                            LinearInequality({2: 1}, 1),
                            LinearInequality({1: 2}, 1), LinearInequality({1: -2}, -1)])
     x = {1: Fraction(1, 2), 2: Fraction(0)}
-    assert h.contains(x)
+    assert contains(h, x)
     assert disjunctive_member_unreduced(x, h, (1,))[0] is False
     monkeypatch.setattr(liftproject, "LinearProgram", None)    # no LP may be built
     member, cert = disjunctive_member(x, h, (1,))

@@ -35,6 +35,7 @@ from oracles import (
     affine_rank,
     as_dicts,
     cone_extreme_rays_full_scan,
+    contains,
     contains_by_fractions,
     enumerate_vertices,
     evaluate,
@@ -161,7 +162,7 @@ def test_membership_chain_stab_qstab_frac():
         g = web(n, k)
         hq, hf = qstab(g), frac(g)
         for pt in as_dicts(stab(g)):
-            assert hq.contains(pt) and hf.contains(pt)
+            assert contains(hq, pt) and contains(hf, pt)
             assert all(0 <= x <= 1 for x in pt.values())
 
 
@@ -186,7 +187,7 @@ def test_integer_contains_matches_fractions():
         point.update({v: rng.randint(0, 1) for v in rng.sample(index, 1)})
         point.update({v: Fraction(rng.randint(-5, 5), 3)
                       for v in rng.sample(range(10, 14), rng.randint(0, 2))})
-        verdicts.append(h.contains(point))
+        verdicts.append(contains(h, point))
         assert verdicts[-1] == contains_by_fractions(h, point), (h.rows, point)
         cleared = clear_denominators({v: q.as_integer_ratio() for v, q in point.items()}, index)
         assert h.holds(*cleared) == verdicts[-1]

@@ -52,7 +52,7 @@ from webrank.polyhedra import (HPolytope, LinearInequality, convex_hull_facets, 
 from webrank.rank import disjunctive_rank_graph, disjunctive_rank_inequality
 from webrank.recheck import down_closed, hitting_set, point_bound
 
-from oracles import (chordless_cycles, enumerate_vertices, evaluate,
+from oracles import (chordless_cycles, contains, enumerate_vertices, evaluate,
                      find_induced_odd_hole_by_generators,
                      hitting_set_by_full_scan, polar_vertices, pool_refutes_all,
                      rank_by_fractions, stable_sets_by_subsets, tag_inequality_by_alpha,
@@ -278,7 +278,7 @@ def test_the_point_bound_refutes_every_smaller_f_and_no_more(case):
     g, h, row = case
     t = min(r.rhs / sum(r.coeffs.values()) for r in h.rows if sum(r.coeffs.values()) > 0)
     u = dict.fromkeys(h.index, t)
-    assert down_closed(h) and not down_closed(with_mixed_rows(h)) and h.contains(u)
+    assert down_closed(h) and not down_closed(with_mixed_rows(h)) and contains(h, u)
     bound = point_bound(h, row, dict.fromkeys(h.index, t.numerator), t.denominator)
     violating = [m for m in range(g.n + 1)
                  if all(evaluate(row, {**u, **dict.fromkeys(t, 0)}) > row.rhs

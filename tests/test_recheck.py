@@ -18,10 +18,11 @@ unrefuted.  So must a graph-rank
 certificate: a raised or lowered rank fails, and so does a pool with one
 hole dropped exactly when that oracle finds an F of size rank-1 that
 meets every hole left.  The checks run in integers: their rational
-parser reads what Fraction reads, a doctored rational at each place
-recheck reads one gives the entry it gave under Fraction arithmetic,
-and `check_member` and `_piece_bound` agree with their Fraction oracles
-on the certificates of antiwebs with n <= 11 and doctored copies.
+reader takes the report grammar and rejects everything else with one
+message, a doctored rational at each place recheck reads one gives a
+pinned entry, and `check_member` and `_piece_bound` agree with their
+Fraction oracles on the certificates of antiwebs with n <= 11 and
+doctored copies.
 """
 
 import ast
@@ -31,7 +32,6 @@ import hashlib
 import json
 import math
 import random
-import sys
 import time
 from fractions import Fraction
 from itertools import combinations
@@ -52,13 +52,12 @@ from webrank.liftproject import disjunctive_member, disjunctive_valid, piece_max
 from webrank.polyhedra import (HPolytope, LinearInequality, frac, nonneg_row, qstab,
                                rotation_invariant)
 from webrank.rank import disjunctive_rank_graph, disjunctive_rank_inequality
-from webrank.recheck import (_piece_bound, _ratio, _system, check_member, check_pieces,
-                             check_point, hitting_set, parse_point, recheck_certificate,
-                             recheck_report)
-from webrank.reporting import dumps
+from webrank.recheck import (_piece_bound, _system, check_member, check_pieces, check_point,
+                             hitting_set, parse_point, recheck_certificate, recheck_report)
+from webrank.reporting import dumps, read_rational
 
-from oracles import (check_member_by_fractions, piece_bound_by_fractions, pool_refutes_all,
-                     with_mixed_rows)
+from oracles import (check_member_by_fractions, contains, piece_bound_by_fractions,
+                     pool_refutes_all, with_mixed_rows)
 
 
 @st.composite
@@ -164,8 +163,8 @@ def test_every_mutation_of_a_farkas_piece_record_fails():
         for r, rec in enumerate(cert["pieces"]):
             assert ("value" not in rec and rec["status"] == "bounded") or \
                 rec["status"] == "infeasible" and len(rec["y"]) == 1
-            if rec["status"] != "bounded" or not h.contains(
-                    {int(v): Fraction(z) for v, z in zip(cert["f"], rec["z"])}):
+            if rec["status"] != "bounded" or not contains(
+                    h, {int(v): Fraction(z) for v, z in zip(cert["f"], rec["z"])}):
                 continue
             mutants = [("relabel", {**rec, "status": "infeasible"}), ("drop", {**rec, "y": {}})]
             for kind, scale in (("negate", -1), ("halve", Fraction(1, 2))):
@@ -463,7 +462,7 @@ def test_recheck_imports_no_solver():
     assert not {m for m in imported if m and m.split(".")[-1] in ("simplex", "liftproject")}
 
 
-# the parser inputs: values Fraction parses, reduces or rejects, strings and not
+# the reader's inputs: values Fraction parses, reduces or rejects, strings and not
 RATIONALS = ["2/4", "-0", "+3", " 1/3", "1_0", "1.5", "1e-1", "1/0", "3/-2", "", "abc",
              0.5, True, None, []]
 
@@ -505,28 +504,27 @@ def _doctored_detail(cert, path, value):
     return f"{entry.status}: {entry.detail}"
 
 
+def _not_rational(value):
+    """The one message of every value `read_rational` rejects."""
+    return (f'not a rational: {value!r:.40} (an int, or "p" or "p/q" in ASCII digits, p maybe'
+            ' after "-", q nonzero, at most 4300 digits each)')
+
+
 def test_doctored_rationals_keep_their_recheck_details(tmp_path):
-    """Each parser input at each place recheck reads a rational gives the
-    recheck entry it gave while recheck parsed with Fraction (pinned, but
-    for "1_0", which Fraction reads as 10 from Python 3.11 on and rejects
-    before)."""
+    """Each reader input at each place recheck reads a rational gives a
+    pinned recheck entry, the same on every Python."""
     digest, sites = hashlib.sha256(), list(_rational_sites(tmp_path))
     assert len(sites) == 10
     for name, cert, path in sites:
         for value in RATIONALS:
-            detail = _doctored_detail(cert, path, value)
-            if value == "1_0":
-                assert detail == (_doctored_detail(cert, path, "10") if sys.version_info >= (3, 11)
-                                  else "fail: malformed certificate: Invalid literal for "
-                                       "Fraction: '1_0'")
-            else:
-                digest.update(f"{name} {value!r} {detail}\n".encode())
-    assert _doctored_detail(sites[1][1], sites[1][2], "1/0") == \
-        "fail: malformed certificate: Fraction(1, 0)"
+            digest.update(f"{name} {value!r} {_doctored_detail(cert, path, value)}\n".encode())
+    for value in ("1/0", "1_0"):
+        assert _doctored_detail(sites[1][1], sites[1][2], value) == \
+            "fail: malformed certificate: " + _not_rational(value)
     assert _doctored_detail(sites[3][1], sites[3][2], None) == \
-        "fail: malformed certificate: argument should be a string or a Rational instance"
+        "fail: malformed certificate: " + _not_rational(None)
     assert digest.hexdigest() == \
-        "fa870a8209ac6734a55e2eba76894cce47047af0ffd90c2e90b885e15a53829b"
+        "eb713ba214e9640192be5491ae02c416db3cc4bb50436fc3f4ef23c73c7f7ad4"
 
 
 def _outcome(check, *args):
@@ -538,15 +536,21 @@ def _outcome(check, *args):
         return type(exc).__name__, str(exc)
 
 
-def test_the_parser_reads_what_fraction_reads():
-    """`_ratio` gives Fraction(v)'s value, or raises its error, on every
-    parser input and on a few more strings at the edge of the fast path."""
-    edges = ["007/010", "-12/8", "1/00", "1/", "/2", "-", "-/2", "--1", "²", "١/2", "3/٢",
-             "1" * 5000, "1/" + "1" * 5000]
+def test_the_reader_takes_the_report_grammar_and_nothing_else():
+    """`read_rational` reads an int, a Fraction and an ASCII "p" or "p/q"
+    as written; every other reader input, and each string at the edge of
+    the grammar, raises its one ValueError."""
+    accepted = {"2/4": (2, 4), "-0": (0, 1), "007/010": (7, 10), "-12/8": (-12, 8),
+                "9" * 4300: (10 ** 4300 - 1, 1), "-1/" + "9" * 4300: (-1, 10 ** 4300 - 1)}
+    for value, pair in accepted.items():
+        assert read_rational(value) == pair
+    for value in (3, -4, 0, Fraction(-5, 6)):
+        assert read_rational(value) == value.as_integer_ratio()
+    edges = ["1/00", "1/", "/2", "-", "-/2", "--1", "1/2/3", "1 ", "²", "١/2", "3/٢",
+             "1" * 5000, "1/" + "1" * 5000, "-" + "1" * 4301, False, 2.0, Fraction]
     for value in RATIONALS + edges:
-        assert _outcome(lambda v: Fraction(*_ratio(v)), value) == _outcome(Fraction, value)
-    for value in (3, -4, Fraction(-5, 6)):
-        assert _ratio(value) == value.as_integer_ratio()
+        if not (type(value) is str and value in accepted):
+            assert _outcome(read_rational, value) == ("ValueError", _not_rational(value))
 
 
 @functools.cache
