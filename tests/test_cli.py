@@ -123,6 +123,21 @@ def test_web_formulas_report_is_pinned(tmp_path, capsys):
         "70e516bc26fc1aed47a016669a3b0dc144323711fef8beb2bfbced5a41553015"
 
 
+def test_verify_join_report_and_its_recheck_are_pinned(tmp_path, capsys):
+    # the joined row x(A_7^2)/2 + x(A_8^3)/3 <= 1 is written with its 1/2
+    # and 1/3 coefficients in the row-rank certificate's row; pinned while
+    # every row value was stored as a Fraction
+    path = tmp_path / "verify-join.json"
+    assert run(capsys, "verify", "join", "--spec", "join:A:7:2,A:8:3", "--format", "json",
+               "--out", str(path))[0] == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        "4e169a44853f6d4e5fdcbdf1d1d091526faefba0951b3da279e3f42b73524fc0"
+    code, out, _ = run(capsys, "recheck", str(path), "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "1f6b157780bddda6e5465424d653388ab959c74859c1a927dd7d30ebdf415fef"
+
+
 def test_rational_rechecks_are_pinned(tmp_path, capsys):
     # pinned while recheck's point, member and piece checks ran in Fraction
     # arithmetic: the recheck of a `verify rdfar --nmax 11` report (member,
