@@ -251,7 +251,8 @@ def tag_inequality(g: Graph, ineq: LinearInequality) -> str:
     makes it the rank constraint, and any other S gets "one-interval";
     -x_v <= 0 is "nonneg" and anything else "other".
     """
-    ints, rhs = ineq.integer_form()
+    key, rhs = ineq.canonical()
+    ints = dict(key)
     if rhs == 0 and list(ints.values()) == [-1]:
         return "nonneg"
     if any(c != 1 for c in ints.values()):

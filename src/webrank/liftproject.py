@@ -27,10 +27,10 @@ its columns under the rotations and reflections of the positions that
 fix K's rows and the objective, the identity alone folding nothing
 (`NLiftSystem`).
 
-The piece and membership LPs are built from `HPolytope.integral_rows`,
-so the integer rows of QSTAB, FRAC and hull facets stay ints down to the
-tableau, and the lift from the coprime integer form of each row, so
-every lift row is an int row; the values, points, duals and Farkas
+The piece and membership LPs are built from h.rows, whose integral
+values are ints, so the integer rows of QSTAB, FRAC and hull facets stay
+ints down to the tableau, and the lift from each row's `canonical` form,
+so every lift row is an int row; the values, points, duals and Farkas
 vectors read back are Fractions, as in the certificates.
 
 Both oracles answer (bool, certificate), the certificate a plain dict of
@@ -48,14 +48,13 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import partial
 from itertools import product
-from math import gcd
 
 from .graphs import (CertificateError, _check_deadline, _check_depth_cap, _check_piece_cap,
                      as_nodeset)
 from .polyhedra import HPolytope, LinearInequality, LPOutcome, symmetries
 from .recheck import (check_member, check_n_matrix, check_pieces, check_point, check_separating,
                       parse_point)
-from .simplex import LinearProgram, LPResult, Primal
+from .simplex import LinearProgram, LPResult, Primal, _coprime
 
 
 def _pieces(f):
@@ -67,15 +66,15 @@ def _pieces(f):
 
 
 def _fixed_rows(h: HPolytope, fixing: dict, col: dict):
-    """(rows, None), rows the rows of h (`HPolytope.integral_rows`) with
-    x_v = fixing[v] substituted as (index in h.rows, coefficients keyed by
-    col[v] of the free coordinates, right-hand side); or (None, i) when
-    row i, left without a free coordinate, has a negative right-hand side
-    (the piece is empty)."""
+    """(rows, None), rows the rows of h with x_v = fixing[v] substituted as
+    (index in h.rows, coefficients keyed by col[v] of the free
+    coordinates, right-hand side); or (None, i) when row i, left without
+    a free coordinate, has a negative right-hand side (the piece is
+    empty)."""
     rows = []
-    for i, (row, rhs) in enumerate(h.integral_rows()):
-        coeffs = {}
-        for v, c in row.items():
+    for i, r in enumerate(h.rows):
+        coeffs, rhs = {}, r.rhs
+        for v, c in r.coeffs.items():
             z = fixing.get(v)
             if z is None:
                 coeffs[col[v]] = c
@@ -316,7 +315,7 @@ def disjunctive_member(x: dict, h: HPolytope, f):
             row = {p * n + pos[v]: 1 for p in range(len(pieces))}
         else:
             row = {lam0 + p: 1 for p, (_, fixing, _) in enumerate(pieces) if fixing[v]}
-        lp.add_eq(row, Fraction(x.get(v, 0)))
+        lp.add_eq(row, x.get(v, 0))
     convex_row = len(lp.rows)
     lp.add_eq({lam0 + p: 1 for p in range(len(pieces))}, 1)
     res = lp.solve(None)
@@ -371,7 +370,7 @@ def _lin(*terms):
 
 def _lift_rows(index, cone, depth: int) -> tuple:
     """(keys, rows): the lift of N^depth over {x >= 0 : A x <= b} on the
-    positions index, cone the (dict node->coefficient, rhs) rows of
+    positions index, cone the ((node, coefficient) pairs, rhs) rows of
     A x <= b; rows (dict variable->coefficient, rhs), each <= rhs over
     variables >= 0, and keys[v] the structural key of variable v.
 
@@ -424,7 +423,7 @@ def _lift_rows(index, cone, depth: int) -> tuple:
             if len(e) > 1 or min(e.values(), default=1) < 0:
                 add_row(_lin((-1, e)))
         for coeffs, rhs in cone:
-            add_row(_lin((-rhs, expr[0]), *((c, expr[pos[v]]) for v, c in coeffs.items())))
+            add_row(_lin((-rhs, expr[0]), *((c, expr[pos[v]]) for v, c in coeffs)))
 
     def add_row(expr):          # expr <= 0
         rows.append((expr, -expr.pop(_ONE, 0)))
@@ -468,8 +467,8 @@ class NLiftSystem:
             raise ValueError("N depth must be >= 1")
         self.h = h
         self.depth = depth
-        keys, rows = _lift_rows(h.index, [r.integer_form() for r in h.rows if r.tag != "nonneg"],
-                                depth)
+        cone = [r.canonical() for r in h.rows if r.tag != "nonneg"]
+        keys, rows = _lift_rows(h.index, cone, depth)
         self._presolved, col = _presolve(rows, len(keys))
         self._keys = [keys[v] for v in col]     # LP column -> structural key
         self._col = {key: j for j, key in enumerate(self._keys)}
@@ -593,20 +592,10 @@ def _generators(group) -> tuple:
     return tuple(rotations[:1] + reflections[:1])
 
 
-def _coprime(row: dict, rhs: int) -> tuple:
-    """(dict column->int, int rhs): the int row sum(a x) <= rhs over coprime
-    integers, the one form of each positive multiple of it; the row
-    itself when it already is."""
-    g = gcd(rhs, *row.values())
-    if g != 1:
-        row, rhs = {j: a // g for j, a in row.items()}, rhs // g
-    return row, rhs
-
-
 def _presolve(rows, nv):
     """(rows, col): the int rows (dict var->coefficient, rhs), each row <=
     rhs over nv variables >= 0, as (dict column->coefficient, rhs) rows in
-    coprime integer form (`_coprime`), col numbering densely the
+    coprime integer form (`simplex._coprime`), col numbering densely the
     variables not forced to 0.  A row with rhs 0
     whose remaining coefficients are all positive forces its variables to
     0, to a fixpoint (a pass after the first reads only the rows that

@@ -29,16 +29,12 @@ from math import gcd, lcm
 from .graphs import (Graph, _check_deadline, _check_hull_bound, as_nodeset,
                      enumerate_maximal_cliques, enumerate_stable_sets)
 from .reporting import read_rational
-from .simplex import LinearProgram, _eliminate, _intify
-
-
-def _frac(v):
-    """v as a Fraction; a Fraction is kept as it is (it is immutable)."""
-    return v if isinstance(v, Fraction) else Fraction(v)
+from .simplex import LinearProgram, _coprime, _eliminate, _exact, _intify
 
 
 class LinearInequality:
-    """A row a.x <= b over node-indexed coordinates.
+    """A row a.x <= b over node-indexed coordinates, each value an int
+    where it is integral, else a Fraction (`simplex._exact`).
 
     Equality and hashing use the canonical integer form (coprime
     coefficients, positive scale), so the same facet built by different
@@ -48,9 +44,8 @@ class LinearInequality:
     __slots__ = ("coeffs", "rhs", "tag", "_canon")
 
     def __init__(self, coeffs: dict, rhs, tag: str = "other"):
-        coeffs = {v: _frac(c) for v, c in coeffs.items()}
-        object.__setattr__(self, "coeffs", {v: c for v, c in coeffs.items() if c})
-        object.__setattr__(self, "rhs", _frac(rhs))
+        object.__setattr__(self, "coeffs", {v: q for v, c in coeffs.items() if (q := _exact(c))})
+        object.__setattr__(self, "rhs", _exact(rhs))
         object.__setattr__(self, "tag", tag)
         object.__setattr__(self, "_canon", None)
 
@@ -64,21 +59,14 @@ class LinearInequality:
     def canonical(self) -> tuple:
         if self._canon is None:
             ints, _ = _intify([*self.coeffs.items(), ("rhs", self.rhs)])
-            r = ints.pop("rhs")
-            g = gcd(r, *ints.values()) or 1
-            key = (tuple(sorted((v, c // g) for v, c in ints.items())), r // g)
-            object.__setattr__(self, "_canon", key)
+            ints, r = _coprime(ints, ints.pop("rhs"))
+            object.__setattr__(self, "_canon", (tuple(sorted(ints.items())), r))
         return self._canon
 
     def exceeds(self, num: dict, L: int) -> bool:
         """a.x > b at x = num / L, in integers (missing keys read 0)."""
         key, rhs = self.canonical()
         return sum(c * num.get(v, 0) for v, c in key) > rhs * L
-
-    def integer_form(self) -> tuple:
-        """(coeff dict, rhs) scaled to coprime integers."""
-        key, r = self.canonical()
-        return dict(key), r
 
     def __eq__(self, other):
         if not isinstance(other, LinearInequality):
@@ -94,18 +82,15 @@ class LinearInequality:
         return f"<{lhs} <= {r} [{self.tag}]>"
 
     def to_json(self) -> dict:
-        return {"coeffs": self.coeffs, "rhs": self.rhs, "tag": self.tag}
+        """The row with every value a Fraction, as reports write rows."""
+        return {"coeffs": {v: Fraction(c) for v, c in self.coeffs.items()},
+                "rhs": Fraction(self.rhs), "tag": self.tag}
 
     @staticmethod
     def from_json(d: dict) -> "LinearInequality":
         return LinearInequality(
             {int(v): Fraction(*read_rational(c)) for v, c in d["coeffs"].items()},
             Fraction(*read_rational(d["rhs"])), d.get("tag", "other"))
-
-
-def _integral(q: Fraction):
-    """q as an int when it is integral, else q itself."""
-    return q.numerator if q.denominator == 1 else q
 
 
 def clear_denominators(point: dict, index) -> tuple:
@@ -129,17 +114,16 @@ class HPolytope:
     live in [0,1]^n.
 
     `lp_max` and the piece and membership LPs of `liftproject` are built
-    from `integral_rows`, and the N lift from each row's `integer_form`,
-    so integer rows reach the tableau as ints.
+    from the rows as they are, and the N lift from each row's
+    `canonical` form, so integer rows reach the tableau as ints.
     """
 
-    __slots__ = ("index", "rows", "_tests", "_ints")
+    __slots__ = ("index", "rows", "_tests")
 
     def __init__(self, index, rows):
         object.__setattr__(self, "index", tuple(index))
         object.__setattr__(self, "rows", tuple(rows))
         object.__setattr__(self, "_tests", None)
-        object.__setattr__(self, "_ints", None)
         for r in rows:
             if not set(r.support) <= set(self.index):
                 raise ValueError(f"row {r} outside coordinate index")
@@ -170,17 +154,6 @@ class HPolytope:
                 if rhs < 0 or any(c > 0 for _, c in key)))
         return all(a >= 0 for a in num.values()) and not any(
             sum(c * num[v] for v, c in key) > rhs * L for key, rhs in self._tests)
-
-    def integral_rows(self) -> tuple:
-        """(coeffs, rhs) of each row, in row order, with the row's values,
-        each integral one as an int and the others as Fractions; built once
-        per HPolytope.  The rows are not rescaled, so an LP built from them
-        has the duals and Farkas vectors of the rows themselves."""
-        if self._ints is None:
-            object.__setattr__(self, "_ints", tuple(
-                ({v: _integral(c) for v, c in r.coeffs.items()}, _integral(r.rhs))
-                for r in self.rows))
-        return self._ints
 
     def to_json(self) -> dict:
         return {"index": self.index, "rows": [r.to_json() for r in self.rows]}
@@ -223,8 +196,8 @@ def lp_max(h: HPolytope, objective: dict) -> LPOutcome:
     hit = _LP_MAX_CACHE.get(id(h))
     if hit is None:
         lp = LinearProgram(len(h.index))
-        for coeffs, rhs in h.integral_rows():
-            lp.add_le({pos[v]: c for v, c in coeffs.items()}, rhs)
+        for r in h.rows:
+            lp.add_le({pos[v]: c for v, c in r.coeffs.items()}, r.rhs)
         _LP_MAX_CACHE.clear()
         _LP_MAX_CACHE[id(h)] = (h, lp)      # h held, so its id is not reused meanwhile
     else:
@@ -338,13 +311,6 @@ def stab(g: Graph) -> VPolytope:
 # ---------------------------------------------------------------------------
 # exact linear algebra: the row update of the simplex tableau
 
-def _int_row(values) -> dict:
-    """Sparse integer row (column -> nonzero) of a rational row, scaled by
-    the lcm of its denominators."""
-    row, _ = _intify([(j, v) for j, v in enumerate(values) if v])
-    return row
-
-
 def _echelon(rows, ncols):
     """In-order elimination of sparse integer rows.
 
@@ -387,7 +353,7 @@ def cone_extreme_rays(m_rows) -> list:
     integer arithmetic throughout; raises if the rows do not have full
     rank (cone not pointed).  Each insertion checks the deadline.
     """
-    rows = [_int_row(r) for r in m_rows]
+    rows = [_intify([(j, v) for j, v in enumerate(r) if v])[0] for r in m_rows]
     d = len(m_rows[0])
 
     # Gauss-Jordan on the first d independent rows B, each carrying a unit

@@ -271,7 +271,8 @@ def _uniform_bound(ineq: LinearInequality, h: HPolytope) -> tuple:
     least b / a(row) over the rows whose coefficient sum a(row) is
     positive (1/omega on QSTAB); (0, None) without such a row, when u
     lies outside h or when it refutes no F."""
-    t = min((r.rhs / a for r in h.rows if (a := sum(r.coeffs.values())) > 0), default=None)
+    t = min((Fraction(r.rhs, a) for r in h.rows if (a := sum(r.coeffs.values())) > 0),
+            default=None)
     if t is None or not h.holds(num := dict.fromkeys(h.index, t.numerator), t.denominator):
         return 0, None
     bound = point_bound(h, ineq, num, t.denominator)

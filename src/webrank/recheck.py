@@ -1,8 +1,8 @@
 """Independent re-verification of archived certificates, with no LP built.
 
 The trusted base is the graph reader, chordality test, odd-hole search
-and rotation test of `graphs`, the row classes of `polyhedra` and
-`simplex._intify`, which their canonical form runs; no LP is built.
+and rotation test of `graphs`, the row classes of `polyhedra` and the
+`simplex` helpers they run (`_exact`, `_intify`, `_coprime`); no LP is built.
 Neither the simplex, the lift-and-project oracles nor the rank searches
 (which import `hitting_set` from here) are imported here, and the CI
 grep reads only this module's own imports.  A graph rank is re-checked
@@ -89,9 +89,14 @@ def _system(d: dict) -> HPolytope:
     """The system of a certificate, parsed once per distinct JSON content
     (a report repeats one system in many certificates); the key holds
     every value the parse reads, so a doctored row gets its own parse.
-    An unhashable value (a list as rhs) raises TypeError: malformed."""
-    return _parsed_system(tuple(d["index"]), tuple(
-        (tuple(r["coeffs"].items()), r["rhs"], r.get("tag", "other")) for r in d["rows"]))
+    A key with an unhashable value (a list as rhs) is parsed uncached, so
+    the reader names that value."""
+    key = tuple(d["index"]), tuple(
+        (tuple(r["coeffs"].items()), r["rhs"], r.get("tag", "other")) for r in d["rows"])
+    try:
+        return _parsed_system(*key)
+    except TypeError:
+        return _parsed_system.__wrapped__(*key)
 
 
 @lru_cache(maxsize=16)
@@ -120,7 +125,7 @@ def _piece_bound(h: HPolytope, fixing: dict, y: dict, c: dict) -> Fraction:
     free coordinates; y keyed by row index in h.  In integers, with y = u/Q
     and c = k/D over the lcm of their denominators: QD times the bound is
     D u.(b - A_F z) + Q k_F z, and y.A >= c reads D u.A >= Q k."""
-    rows, ys = h.integral_rows(), []
+    rows, ys = h.rows, []
     for i, yi in y.items():
         i, (p, q) = int(i), read_rational(yi)
         if not (0 <= i < len(rows) and p >= 0):
@@ -131,9 +136,9 @@ def _piece_bound(h: HPolytope, fixing: dict, y: dict, c: dict) -> Fraction:
     k, D = clear_denominators({v: a.as_integer_ratio() for v, a in c.items()}, c)
     bound, ya = 0, {}
     for i, p, q in ys:
-        u, (coeffs, rhs) = p * (Q // q), rows[i]
-        bound += u * rhs
-        for v, a in coeffs.items():
+        u, r = p * (Q // q), rows[i]
+        bound += u * r.rhs
+        for v, a in r.coeffs.items():
             z = fixing.get(v)
             if z is None:
                 ya[v] = ya.get(v, 0) + u * a

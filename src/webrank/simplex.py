@@ -12,12 +12,12 @@ with ``g = gcd(p, e)``, in the gcd-reduced style of Bareiss (1968).  The
 reduced-cost row is built in integers over the lcm of the divisors of
 the rows that contribute to it.  ``LinearProgram.rows`` holds sparse
 ``(coeffs, rhs, kind)`` rows, ``coeffs`` the nonzero ``(column, value)``
-pairs, each value an ``int`` when given as one and a ``Fraction``
-otherwise, which a solve clears of denominators directly (an ``int`` has
-denominator 1, so integral rows cost no ``Fraction`` work from build to
-tableau).  Values, points, duals and certificates of a solve are
-``Fraction``s whatever the rows hold.  A pivot scans the
-rows once: the ratio scan also records every row with a nonzero in the
+pairs, each value an ``int`` where it is integral and a ``Fraction``
+otherwise (`_exact`), which a solve clears of denominators directly (an
+``int`` has denominator 1, so integral rows cost no ``Fraction`` work
+from build to tableau).  Values, points, duals and certificates of a
+solve are ``Fraction``s whatever the rows hold.  A pivot scans the rows
+once: the ratio scan also records every row with a nonzero in the
 entering column, and the pivot clears just those.
 
 There is one pivot rule, and it is deterministic: Dantzig (most
@@ -122,14 +122,12 @@ class LinearProgram:
 
     def _pairs(self, coeffs: dict) -> list:
         """The nonzero (column, value) pairs of a row or objective given as
-        a dict {column: value}, each value made exact (`_exact`); a column
-        outside 0..nv-1 raises ValueError."""
+        a dict {column: value}, each value in its exact form (`_exact`); a
+        column outside 0..nv-1 raises ValueError."""
         if not self._cols.issuperset(coeffs):
             bad = [j for j in coeffs if j not in self._cols]
             raise ValueError(f"columns {bad} outside 0..{self.nv - 1}")
-        # `_exact`, inlined: it runs on the objective of every re-solve
-        return [(j, v if type(v) is int or isinstance(v, Fraction) else Fraction(v))
-                for j, v in coeffs.items() if v]
+        return [(j, _exact(v)) for j, v in coeffs.items() if v]
 
     def add_le(self, coeffs, rhs):
         self.rows.append((self._pairs(coeffs), _exact(rhs), "<="))
@@ -214,9 +212,22 @@ class LinearProgram:
 
 
 def _exact(v):
-    """v as an exact LP value: an int (not a bool) or a Fraction is kept as
-    it is, anything else made a Fraction."""
-    return v if type(v) is int or isinstance(v, Fraction) else Fraction(v)
+    """The one exact form of a row value: an int (not a bool) as it is,
+    anything else made a Fraction, then its numerator if it is integral."""
+    if type(v) is int:
+        return v
+    q = v if isinstance(v, Fraction) else Fraction(v)
+    return q.numerator if q.denominator == 1 else q
+
+
+def _coprime(row: dict, rhs: int) -> tuple:
+    """(dict key->int, int rhs): the int row sum(a x) <= rhs over coprime
+    integers, the one form of each positive multiple of it; the row
+    itself when it already is, or when it is all zero."""
+    g = gcd(rhs, *row.values())
+    if g > 1:
+        row, rhs = {j: a // g for j, a in row.items()}, rhs // g
+    return row, rhs
 
 
 def _intify(items):

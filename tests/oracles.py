@@ -37,7 +37,6 @@ from webrank.polyhedra import (
     VPolytope,
     _dot,
     _echelon,
-    _int_row,
     _primitive,
     clear_denominators,
     cone_extreme_rays,
@@ -49,7 +48,7 @@ from webrank.polyhedra import (
 )
 from webrank.rank import RANK_SEARCH_BOUND, GraphRankResult, _f_candidates
 from webrank.reporting import frac_to_str
-from webrank.simplex import CertificateError, LinearProgram, _eliminate, _require
+from webrank.simplex import CertificateError, LinearProgram, _eliminate, _intify, _require
 
 
 def contains(h: HPolytope, point: dict) -> bool:
@@ -474,7 +473,7 @@ def jsonable_by_isinstance(v):
 def matrix_rank(rows) -> int:
     """Rank over the rationals by the fraction-free elimination that
     starts the double description core (`polyhedra._echelon`)."""
-    rows = [_int_row(r) for r in rows]
+    rows = [_intify([(j, v) for j, v in enumerate(r) if v])[0] for r in rows]
     ncols = max((max(r) + 1 for r in rows if r), default=0)
     return sum(1 for _ in _echelon(rows, ncols))
 
@@ -495,7 +494,8 @@ def tag_inequality_by_alpha(g: Graph, ineq: LinearInequality) -> str:
     other x(S) <= alpha(G[S]), "nonneg" for -x_v <= 0, else "other"; the
     reference for `inequalities.tag_inequality`, which reads the tag off
     a facet."""
-    ints, rhs = ineq.integer_form()
+    key, rhs = ineq.canonical()
+    ints = dict(key)
     if len(ints) == 1:
         (v, c), = ints.items()
         if c == -1 and rhs == 0:
@@ -515,7 +515,7 @@ def tag_inequality_by_alpha(g: Graph, ineq: LinearInequality) -> str:
 def cone_extreme_rays_full_scan(m_rows) -> list:
     """Double description with an adjacency test that scans every ray for
     each candidate pair: the rays, in order, cone_extreme_rays must give."""
-    rows = [_int_row(r) for r in m_rows]
+    rows = [_intify([(j, v) for j, v in enumerate(r) if v])[0] for r in m_rows]
     d = len(m_rows[0])
     marked = ({**r, d + i: 1} for i, r in enumerate(rows))
     basis = list(islice(_echelon(marked, d), d))
@@ -732,12 +732,13 @@ def is_facet(ineq: LinearInequality, g: Graph) -> bool:
 # the disjunctive operator
 
 def fixed_rows_by_fractions(h: HPolytope, fixing: dict, col: dict):
-    """`liftproject._fixed_rows` on the Fraction rows of h (h.rows, not
-    `HPolytope.integral_rows`): every value of its rows a Fraction."""
+    """`liftproject._fixed_rows` with every value of the rows of h made a
+    Fraction first, so every value of its rows is a Fraction."""
     rows = []
     for i, r in enumerate(h.rows):
-        coeffs, rhs = {}, r.rhs
+        coeffs, rhs = {}, Fraction(r.rhs)
         for v, c in r.coeffs.items():
+            c = Fraction(c)
             z = fixing.get(v)
             if z is None:
                 coeffs[col[v]] = c
@@ -756,13 +757,14 @@ def n_lift_rows(h: HPolytope, depth: int) -> tuple:
     """(keys, rows) of the lift of N^depth(h) as `liftproject.NLiftSystem`
     builds it, before the presolve: `_lift_rows` fed the coprime integer
     form of each row of h but its x >= 0 rows."""
-    return _lift_rows(h.index, [r.integer_form() for r in h.rows if r.tag != "nonneg"], depth)
+    return _lift_rows(h.index, [r.canonical() for r in h.rows if r.tag != "nonneg"], depth)
 
 
 def n_lift_rows_by_fractions(h: HPolytope, depth: int) -> tuple:
-    """`n_lift_rows` with `_lift_rows` fed the Fraction rows of h (h.rows,
-    not their coprime integer form)."""
-    return _lift_rows(h.index, [(r.coeffs, r.rhs) for r in h.rows if r.tag != "nonneg"], depth)
+    """`n_lift_rows` with `_lift_rows` fed the rows of h with every value
+    made a Fraction (not their coprime integer form)."""
+    return _lift_rows(h.index, [([(v, Fraction(c)) for v, c in r.coeffs.items()], Fraction(r.rhs))
+                                for r in h.rows if r.tag != "nonneg"], depth)
 
 
 class NLiftWithEqualities:

@@ -1,16 +1,17 @@
-"""Integral rows stay ints from the polytope to the tableau.
+"""Each row value has one form, an int where it is integral, else a Fraction.
 
-`HPolytope.integral_rows` gives the rows of h with each integral value as
-an int, and `lp_max`, the piece LPs (`PieceSystem`) and the membership LP
-of `disjunctive_member` are built from it; the N lift (`NLiftSystem`) is
-built from the coprime integer form of each row, so every lift row is an
-int row.  `LinearProgram` keeps an int row value as an int.  The same LP
-given with int rows and with the equal Fraction rows gives identical
-results, each LP built from the integral view equals, value for value,
-the one the Fraction builders of tests/oracles.py make from h.rows, and
-each lift row equals theirs up to a positive scale.
+`LinearInequality` and `LinearProgram` both hold their values in the one
+form `simplex._exact` gives, so every layer reads a row as it is:
+`lp_max`, the piece LPs (`PieceSystem`) and the membership LP of
+`disjunctive_member` are built from h.rows, and the N lift
+(`NLiftSystem`) from each row's coprime integer form (`canonical`), so
+every lift row is an int row.  Each LP built from h.rows equals, value
+for value, the one the Fraction builders of tests/oracles.py make, and
+each lift row equals theirs up to a positive scale.  `to_json` writes
+every value as a Fraction, so reports keep their bytes.
 """
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -18,13 +19,26 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from webrank import liftproject
-from webrank.graphs import antiweb, web
+from webrank import liftproject, polyhedra
+from webrank.graphs import antiweb, complete_join, web
+from webrank.inequalities import join_blocks_of, joined_inequality, stab_description_w2
 from webrank.liftproject import NLiftSystem, PieceSystem, _pieces, _presolve, disjunctive_member
-from webrank.polyhedra import HPolytope, LinearInequality, lp_max, qstab
+from webrank.polyhedra import (HPolytope, LinearInequality, convex_hull_facets, frac, lp_max,
+                               qstab, stab)
+from webrank.reporting import dumps
 from webrank.simplex import LinearProgram
 
 from oracles import fixed_rows_by_fractions, n_lift_rows, n_lift_rows_by_fractions
+
+
+def _one_form(c) -> bool:
+    """c is an int where it is integral and a Fraction otherwise."""
+    return type(c) is (int if c.denominator == 1 else Fraction)
+
+
+def _row_values(rows) -> list:
+    """Every coefficient and right-hand side of LinearInequality rows."""
+    return [c for r in rows for c in (r.rhs, *r.coeffs.values())]
 
 
 def _outcome(res) -> tuple:
@@ -46,7 +60,7 @@ def lp_cases(draw):
     return nv, rows, objectives
 
 
-def _row_values(lp: LinearProgram) -> list:
+def _lp_values(lp: LinearProgram) -> list:
     """Every coefficient and right-hand side of the LP's rows."""
     return [c for pairs, rhs, _ in lp.rows for c in (rhs, *(c for _, c in pairs))]
 
@@ -62,10 +76,12 @@ def _lp(nv, rows, make) -> LinearProgram:
 @settings(max_examples=300, deadline=None, database=None, derandomize=True)
 @given(lp_cases())
 def test_int_rows_and_equal_fraction_rows_give_identical_results(case):
+    # int rows and the equal Fraction rows are held alike, as ints; halved
+    # rows keep their odd values as Fractions
     nv, rows, objectives = case
     ints, fracs = _lp(nv, rows, int), _lp(nv, rows, Fraction)
-    assert all(type(c) is int for c in _row_values(ints))
-    assert all(type(c) is Fraction for c in _row_values(fracs))
+    assert ints.rows == fracs.rows and all(type(c) is int for c in _lp_values(fracs))
+    assert all(_one_form(c) for c in _lp_values(_lp(nv, rows, lambda c: Fraction(c, 2))))
     for obj in objectives:
         a = ints.maximize(obj)
         b = fracs.maximize({j: Fraction(c) for j, c in obj.items()})
@@ -76,20 +92,51 @@ def test_int_rows_and_equal_fraction_rows_give_identical_results(case):
             ints.check_optimal(a, obj)
 
 
-def _values(rows) -> list:
-    """LP rows with their coefficients as sorted (column, value) pairs."""
-    return [(sorted(pairs), rhs, kind) for pairs, rhs, kind in rows]
-
-
 def _halved(h: HPolytope) -> HPolytope:
     """h with every row halved: the same polytope, non-integral rows."""
-    return HPolytope(h.index, [LinearInequality({v: c / 2 for v, c in r.coeffs.items()},
-                                                r.rhs / 2, r.tag) for r in h.rows])
+    return HPolytope(h.index, [LinearInequality({v: Fraction(c, 2) for v, c in r.coeffs.items()},
+                                                Fraction(r.rhs, 2), r.tag) for r in h.rows])
 
 
 SMALL = [qstab(web(n, k)) for k in range(1, 4) for n in range(2 * (k + 1), 9)] + \
         [qstab(antiweb(n, k)) for k in range(2, 5) for n in range(2 * k, 9)]
 HALVED = [_halved(qstab(web(5, 1))), _halved(qstab(web(7, 2))), _halved(qstab(antiweb(7, 3)))]
+JOIN = complete_join(antiweb(7, 2), antiweb(8, 3))
+
+
+def _built_rows():
+    """(name, rows) for each way the package builds rows."""
+    yield "qstab", qstab(antiweb(11, 4)).rows
+    yield "frac", frac(web(8, 2)).rows
+    yield "hull", convex_hull_facets(stab(antiweb(9, 2)))
+    yield "w2", stab_description_w2(10)
+    yield "joined", [joined_inequality(join_blocks_of(JOIN))]
+    yield "halved", HALVED[1].rows
+
+
+@pytest.mark.parametrize("name, rows", list(_built_rows()))
+def test_every_row_value_is_an_int_where_integral(name, rows):
+    assert rows and all(_one_form(c) for c in _row_values(rows))
+    assert any(type(c) is int for c in _row_values(rows))
+    if name in ("joined", "halved"):
+        assert any(type(c) is Fraction for c in _row_values(rows))
+    # to_json writes every value as a Fraction, and from_json reads it back
+    # in the one form
+    for r in rows:
+        d = r.to_json()
+        assert all(type(c) is Fraction for c in (d["rhs"], *d["coeffs"].values()))
+        back = LinearInequality.from_json(json.loads(dumps(d)))
+        assert back.coeffs == r.coeffs and back.rhs == r.rhs
+        assert all(_one_form(c) for c in _row_values([back]))
+
+
+def test_a_value_read_as_an_unreduced_rational_takes_the_one_form():
+    row = LinearInequality.from_json({"coeffs": {"1": "2/2", "2": "-4/2", "3": "2/6", "4": 3},
+                                      "rhs": "6/3"})
+    assert row.coeffs == {1: 1, 2: -2, 3: Fraction(1, 3), 4: 3} and row.rhs == 2
+    assert all(_one_form(c) for c in _row_values([row]))
+    assert dumps(row.to_json()) == \
+        '{"coeffs":{"1":"1","2":"-2","3":"1/3","4":"3"},"rhs":"2","tag":"other"}'
 
 
 def _lift_cases():
@@ -119,13 +166,19 @@ def test_lift_lp_rows_equal_those_of_the_fraction_builder(h, depth):
     assert keys == ref_keys and len(rows) == len(ref_rows)
     assert all(_scale(row, want) for row, want in zip(rows, ref_rows))
     assert all(type(c) is int for coeffs, rhs in rows for c in (rhs, *coeffs.values()))
-    if any(type(c) is Fraction for coeffs, rhs in h.integral_rows()
-           for c in (rhs, *coeffs.values())):
+    if any(type(c) is Fraction for c in _row_values(h.rows)):
         assert any(_scale(row, want) != 1 for row, want in zip(rows, ref_rows))
     sys_ = NLiftSystem(h, depth)
     presolved, col = _presolve(rows, len(keys))
     assert sys_._presolved == presolved and sys_._keys == [keys[v] for v in col]
     assert all(type(c) is int for coeffs, rhs in sys_._presolved for c in (rhs, *coeffs.values()))
+
+
+def _values(rows) -> list:
+    """LP rows with their coefficients as sorted (column, value) pairs, each
+    value beside its type."""
+    return [(sorted((j, c, type(c)) for j, c in pairs), rhs, type(rhs), kind)
+            for pairs, rhs, kind in rows]
 
 
 def _f(h):
@@ -175,13 +228,15 @@ def test_membership_lp_rows_equal_those_of_the_fraction_builder(h, f, x, monkeyp
     assert got == want
 
 
-def test_lp_max_builds_from_the_integral_view():
-    h = qstab(web(7, 2))
-    view = h.integral_rows()
-    assert view is h.integral_rows() and len(view) == len(h.rows)
-    for (coeffs, rhs), r in zip(view, h.rows):
-        assert coeffs == r.coeffs and rhs == r.rhs
-        assert all(type(c) is int for c in (rhs, *coeffs.values()))
+@pytest.mark.parametrize("h", [qstab(web(7, 2)), HALVED[1]])
+def test_lp_max_builds_from_the_rows(h):
     out = lp_max(h, dict.fromkeys(h.index, 1))
+    lp = polyhedra._LP_MAX_CACHE[id(h)][1]
+    pos = {v: i for i, v in enumerate(h.index)}
+    ref = LinearProgram(h.dim)
+    for r in h.rows:
+        ref.add_le({pos[v]: Fraction(c) for v, c in r.coeffs.items()}, Fraction(r.rhs))
+    assert _values(lp.rows) == _values(ref.rows) and len(lp.rows) == len(h.rows)
+    assert all(_one_form(c) for c in _lp_values(lp))
     assert out.value == Fraction(7, 3) and type(out.value) is Fraction
     assert all(type(v) is Fraction for v in (*out.point.values(), *out.duals))

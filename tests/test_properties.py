@@ -276,7 +276,7 @@ def test_the_point_bound_refutes_every_smaller_f_and_no_more(case):
     violating point (by trying every set), and at most the row rank of
     the search with no bound (`with_mixed_rows`)."""
     g, h, row = case
-    t = min(r.rhs / sum(r.coeffs.values()) for r in h.rows if sum(r.coeffs.values()) > 0)
+    t = min(Fraction(r.rhs, sum(r.coeffs.values())) for r in h.rows if sum(r.coeffs.values()) > 0)
     u = dict.fromkeys(h.index, t)
     assert down_closed(h) and not down_closed(with_mixed_rows(h)) and contains(h, u)
     bound = point_bound(h, row, dict.fromkeys(h.index, t.numerator), t.denominator)

@@ -448,9 +448,14 @@ def test_an_unhashable_system_value_is_a_malformed_certificate():
             "multipliers": [{"z": [], "lambda": "1", "point": {"1": "0"}}],
             "system": {"index": [1], "rows": [{"coeffs": {"1": "-1"}, "rhs": "0"},
                                              {"coeffs": {"1": "1"}, "rhs": ["1"]}]}}
-    [entry] = recheck_report({"entries": [{"name": "list rhs", "certificate": cert}]}).entries
-    assert entry.status == "fail" and entry.detail.startswith("malformed certificate:")
-    cert["system"]["rows"][1]["rhs"] = "1"
+    # the reader names the value, as it does a list at a point, for a
+    # right-hand side and for a coefficient alike
+    for where in ("rhs", "coeff"):
+        [entry] = recheck_report({"entries": [{"name": where, "certificate": cert}]}).entries
+        assert entry.status == "fail"
+        assert entry.detail.startswith("malformed certificate: not a rational: ['1']")
+        cert["system"]["rows"][1].update(coeffs={"1": ["1"]}, rhs="1")
+    cert["system"]["rows"][1]["coeffs"] = {"1": "1"}
     assert recheck_certificate(cert) == (True, "convex combination re-assembled exactly")
 
 
