@@ -78,8 +78,6 @@ def _fixed_rows(h: HPolytope, fixing: dict, col: dict):
             z = fixing.get(v)
             if z is None:
                 coeffs[col[v]] = c
-            elif z == 1:
-                rhs -= c
             elif z:
                 rhs -= c * z
         if coeffs:
@@ -480,13 +478,12 @@ class NLiftSystem:
 
     def _fold(self, gens) -> tuple:
         """(folded LP, orbit of each LP column) for the group the position
-        maps gens generate, the trivial group (no gens) folding nothing.
-        Each map must permute the LP's columns through their structural
-        keys and map every presolved row onto a presolved row, both in
-        coprime integer form (as `polyhedra` compares rows), else
-        RuntimeError; the folded rows sum each row's coefficients per
-        orbit, without repeats and without empty rows that hold.  When no
-        two columns merge, the folded rows are the presolved rows."""
+        maps gens generate.  Each map must permute the LP's columns through
+        their structural keys and map every presolved row onto a presolved
+        row, both in coprime integer form (as `polyhedra` compares rows),
+        else RuntimeError.  A folded row sums a row's coefficients per
+        orbit; repeats and empty rows that hold go, so the trivial group's
+        fold is the presolved rows (nonempty and distinct), row for row."""
         _check_deadline()
         rows, cols = self._presolved, len(self._col)
         parent = list(range(cols))
@@ -515,10 +512,6 @@ class NLiftSystem:
         orbit = [ids.setdefault(root(j), len(ids)) for j in range(cols)]
         folded, seen = LinearProgram(len(ids)), set()
         _check_deadline()
-        if len(ids) == cols:                        # the presolve left no repeats
-            for row, rhs in rows:
-                folded.add_le(row, rhs)
-            return folded, orbit
         for row, rhs in rows:
             acc = {}
             for j, a in row.items():
@@ -636,16 +629,16 @@ def _presolve(rows, nv):
     return out, col
 
 
-_NLIFT_CACHE: dict = {}     # the last system built with cache=True, by (h, depth)
+_NLIFT_CACHE: dict = {}     # (id(h), depth) -> the last system built with cache=True
 
 
 def n_lift_system(h: HPolytope, depth: int, cache: bool = True) -> NLiftSystem:
     """The lift system of N^depth(h), after the depth cap check, which a
-    cached system meets too.  With `cache` only the last one built is
-    kept: callers ask for one system many times in a row.  It is emptied
-    before any build, so no two systems are held at once."""
+    kept system meets too.  With `cache` the last one built is kept for
+    the same h object (the system holds h, so its id is not reused), and
+    dropped before any build, so no two systems are held at once."""
     _check_depth_cap(depth)
-    key = (h, depth)
+    key = (id(h), depth)
     if cache and key in _NLIFT_CACHE:
         return _NLIFT_CACHE[key]
     _NLIFT_CACHE.clear()

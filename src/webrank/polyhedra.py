@@ -28,7 +28,7 @@ from math import gcd, lcm
 
 from .graphs import (Graph, _check_deadline, _check_hull_bound, as_nodeset,
                      enumerate_maximal_cliques, enumerate_stable_sets)
-from .reporting import read_rational
+from .reporting import read_label, read_rational
 from .simplex import LinearProgram, _coprime, _eliminate, _exact, _intify
 
 
@@ -89,7 +89,7 @@ class LinearInequality:
     @staticmethod
     def from_json(d: dict) -> "LinearInequality":
         return LinearInequality(
-            {int(v): Fraction(*read_rational(c)) for v, c in d["coeffs"].items()},
+            {read_label(v): Fraction(*read_rational(c)) for v, c in d["coeffs"].items()},
             Fraction(*read_rational(d["rhs"])), d.get("tag", "other"))
 
 
@@ -118,12 +118,13 @@ class HPolytope:
     `canonical` form, so integer rows reach the tableau as ints.
     """
 
-    __slots__ = ("index", "rows", "_tests")
+    __slots__ = ("index", "rows", "_tests", "_lp")
 
     def __init__(self, index, rows):
         object.__setattr__(self, "index", tuple(index))
         object.__setattr__(self, "rows", tuple(rows))
         object.__setattr__(self, "_tests", None)
+        object.__setattr__(self, "_lp", None)
         for r in rows:
             if not set(r.support) <= set(self.index):
                 raise ValueError(f"row {r} outside coordinate index")
@@ -177,15 +178,11 @@ class LPOutcome:
         return self._point
 
 
-_LP_MAX_CACHE: dict = {}    # id(h) -> (h, its LP), for the last h lp_max was asked about
-
-
 def lp_max(h: HPolytope, objective: dict) -> LPOutcome:
     """Exact maximum of a linear objective, by node, over h (with x >= 0).
 
-    The LP of h is kept for the next call on the same HPolytope object
-    (only the last one is kept: callers ask about one h many times in a
-    row), which re-solves it from its last feasible basis.  Every optimal
+    The LP of h is kept on h (`_lp`), and each later call on the same
+    object re-solves it from its last feasible basis.  Every optimal
     answer is certified on the spot: primal feasibility, strong duality
     and complementary slackness are re-checked in exact integer
     arithmetic before returning.  Relaxations built here are bounded, so
@@ -193,15 +190,11 @@ def lp_max(h: HPolytope, objective: dict) -> LPOutcome:
     """
     pos = {v: i for i, v in enumerate(h.index)}
     lp_obj = {pos[v]: c for v, c in objective.items() if v in pos}
-    hit = _LP_MAX_CACHE.get(id(h))
-    if hit is None:
+    if (lp := h._lp) is None:
         lp = LinearProgram(len(h.index))
         for r in h.rows:
             lp.add_le({pos[v]: c for v, c in r.coeffs.items()}, r.rhs)
-        _LP_MAX_CACHE.clear()
-        _LP_MAX_CACHE[id(h)] = (h, lp)      # h held, so its id is not reused meanwhile
-    else:
-        lp = hit[1]
+        object.__setattr__(h, "_lp", lp)
     res = lp.maximize(lp_obj)
     if res.status == "unbounded":
         raise RuntimeError("relaxation unbounded: missing bound rows")

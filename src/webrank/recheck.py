@@ -9,11 +9,11 @@ grep reads only this module's own imports.  A graph rank is re-checked
 by `graphs.is_perfect` (a chordality test of G - F and of its
 complement, else the odd-hole search in reversed scan order), by
 adjacency counts and by `hitting_set`, every other claim in integers,
-one function per claim.  Every rational is read once, by
-`reporting.read_rational` (the README's report grammar; anything else is
-malformed); each point is cleared to num / L and tested on the rows'
-integer form, and sums of multipliers run over the lcm of their
-denominators.  `fractions` parses nothing; it builds each piece bound.
+one function per claim.  Every rational and label is read once, by
+`reporting.read_rational` and `read_label` (the README's report grammar;
+anything else is malformed); each point is cleared to num / L and tested
+on the rows' integer form, and sums of multipliers run over the lcm of
+their denominators.  `fractions` parses nothing; it builds each piece bound.
 
 A `graph-rank` certificate means what it says through one lemma:
 P_F(QSTAB(G)) = STAB(G) exactly when G - F is perfect.  If G - F is
@@ -77,12 +77,12 @@ from .graphs import (
     is_perfect,
 )
 from .polyhedra import HPolytope, LinearInequality, clear_denominators, rotation_invariant
-from .reporting import Report, read_rational
+from .reporting import Report, read_label, read_rational
 
 
 def parse_point(d: dict) -> dict:
-    """A point as {int label: (numerator, denominator)} (`read_rational`)."""
-    return {int(k): read_rational(v) for k, v in d.items()}
+    """A point as {int label: (numerator, denominator)} (`read_label`, `read_rational`)."""
+    return {read_label(k): read_rational(v) for k, v in d.items()}
 
 
 def _system(d: dict) -> HPolytope:
@@ -91,7 +91,7 @@ def _system(d: dict) -> HPolytope:
     every value the parse reads, so a doctored row gets its own parse.
     A key with an unhashable value (a list as rhs) is parsed uncached, so
     the reader names that value."""
-    key = tuple(d["index"]), tuple(
+    key = tuple(map(read_label, d["index"])), tuple(
         (tuple(r["coeffs"].items()), r["rhs"], r.get("tag", "other")) for r in d["rows"])
     try:
         return _parsed_system(*key)
@@ -127,7 +127,7 @@ def _piece_bound(h: HPolytope, fixing: dict, y: dict, c: dict) -> Fraction:
     D u.(b - A_F z) + Q k_F z, and y.A >= c reads D u.A >= Q k."""
     rows, ys = h.rows, []
     for i, yi in y.items():
-        i, (p, q) = int(i), read_rational(yi)
+        i, (p, q) = read_label(i), read_rational(yi)
         if not (0 <= i < len(rows) and p >= 0):
             raise CertificateError(
                 f"multiplier {Fraction(p, q)} on row {i}: negative or no such row")
@@ -155,7 +155,7 @@ def check_pieces(h: HPolytope, row: LinearInequality, f, pieces) -> None:
     "y"} per 0/1 pattern z: status "optimal" (the piece's max was solved)
     or "bounded" (no max claimed) when y bounds the row on the piece,
     "infeasible" when y proves the piece empty."""
-    f = [int(v) for v in f]
+    f = [read_label(v) for v in f]
     _require(len(set(f)) == len(f), f"f {f} repeats a label")
     _check_piece_cap(f)
     _require(set(f) | set(row.coeffs) <= set(h.index), "f or the row leaves the system")
@@ -176,8 +176,8 @@ def check_point(h: HPolytope, f, point: dict, row: LinearInequality) -> dict:
     num, L = clear_denominators(pt, h.index)
     _require(h.holds(num, L), "point outside the system")
     _require(set(row.coeffs) <= set(h.index), "the row leaves the system")
-    for v in f:
-        n, d = pt.get(int(v), (0, 1))
+    for v in map(read_label, f):
+        n, d = pt.get(v, (0, 1))
         _require(n in (0, d), f"point not 0/1 at f coordinate {v}")
     _require(row.exceeds(num, L), "point satisfies the row")
     return pt
@@ -223,14 +223,14 @@ def check_member(h: HPolytope, f, x: dict, multipliers) -> None:
     the multipliers' points ({"z", "lambda", "point"} each), each in h and
     equal to its z on f: with lambda = a / b and the point num / L, the
     combination is sum a num (D / bL) over the lcm D of the bL."""
-    terms = []
+    terms, labels = [], [read_label(v) for v in f]
     for m in multipliers:
         (a, b), q = read_rational(m["lambda"]), parse_point(m["point"])
         _require(a > 0, "nonpositive multiplier")
         num, L = clear_denominators(q, h.index)
         _require(h.holds(num, L), "piece point outside the relaxation")
         _require(set(m["z"]) <= {0, 1} and list(m["z"]) == [
-            n // d if n in (0, d) else None for n, d in (q.get(v, (0, 1)) for v in f)],
+            n // d if n in (0, d) else None for n, d in (q.get(v, (0, 1)) for v in labels)],
             "piece point violates its 0/1 pattern")
         terms.append((a, b, b * L, num))
     B, D = lcm(*(t[1] for t in terms)), lcm(*(t[2] for t in terms))
@@ -279,7 +279,8 @@ def _known(nodes: set, labels, where: str) -> None:
 def _graph_rank(cert):
     g = from_json_dict(cert["graph"])
     hole_in = {"odd-hole": g, "odd-antihole": complement(g)}
-    f, pool, rank, nodes = cert["deletion_set"], cert["pool"], cert["rank"], set(g.nodes)
+    f, pool, rank = [read_label(v) for v in cert["deletion_set"]], cert["pool"], cert["rank"]
+    nodes = set(g.nodes)
     _known(nodes, f, "deletion_set")
     _require(is_perfect(delete_nodes(g, f) if f else g, reverse=True),
              "perfection failed: reversed-order odd hole search")
@@ -287,10 +288,11 @@ def _graph_rank(cert):
     for i, c in enumerate(pool):
         _require(isinstance(c, dict) and c.get("type") in hole_in,
                  f"pool[{i}] is not an odd-hole or odd-antihole object")
-        _known(nodes, c["nodes"], f"pool[{i}]")
-        _require(is_odd_hole(hole_in[c["type"]], c["nodes"]),
+        hole = [read_label(v) for v in c["nodes"]]
+        _known(nodes, hole, f"pool[{i}]")
+        _require(is_odd_hole(hole_in[c["type"]], hole),
                  f"pool[{i}] ({c['type']}) failed: adjacency re-count")
-        masks.append(sum(1 << g._pos[v] for v in set(c["nodes"])))
+        masks.append(sum(1 << g._pos[v] for v in set(hole)))
     _require(len(f) == rank, f"|deletion_set| = {len(f)} but rank = {rank}")
     return f"perfection + {len(pool)} pool holes" + _covered(
         masks, rank, rank > 1 and is_circulant(g), g.nodes, "every pool hole")

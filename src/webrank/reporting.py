@@ -26,13 +26,26 @@ def read_rational(v) -> tuple:
         return v.as_integer_ratio()
     if type(v) is str and v.isascii():
         p, slash, q = v.partition("/")
-        digits = p[1:] if p[:1] == "-" else p
-        # 4300: CPython's default limit on the digits int(str) reads
-        if digits.isdigit() and max(len(digits), len(q)) <= 4300 and (
-                not slash or q.isdigit() and q.strip("0")):
+        if _is_p(p) and (not slash or q.isdigit() and len(q) <= 4300 and q.strip("0")):
             return int(p), int(q or 1)
     raise ValueError(f'not a rational: {v!r:.40} (an int, or "p" or "p/q" in ASCII digits,'
                      ' p maybe after "-", q nonzero, at most 4300 digits each)')
+
+
+def read_label(v) -> int:
+    """A label (a coordinate, a node or a row position) of an int (not a
+    bool) or an ASCII "p"; anything else raises one ValueError."""
+    if type(v) is int or type(v) is str and v.isascii() and _is_p(v):
+        return int(v)
+    raise ValueError(f'not a label: {v!r:.40} (an int, or "p" in ASCII digits,'
+                     ' maybe after "-", at most 4300 digits)')
+
+
+def _is_p(s: str) -> bool:
+    """An ASCII s is a "p": digits, maybe after "-", at most 4300 of them
+    (CPython's default limit on the digits int(str) reads)."""
+    digits = s[1:] if s[:1] == "-" else s
+    return digits.isdigit() and len(digits) <= 4300
 
 
 def _str_key(item):

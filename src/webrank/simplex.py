@@ -300,7 +300,6 @@ class _Tableau:
         self.rows = []
         self.divs = []
         self.basis = []
-        self.orig = []               # original row index per tableau row
         for t, ((ints, rhs, L), kind) in enumerate(zip(lp._integer_rows(), self.kinds)):
             flip = rhs < 0
             row = {j: -v for j, v in ints.items()} if flip else dict(ints)
@@ -321,7 +320,6 @@ class _Tableau:
                 self.basis.append(self.slack_col[t])
             self.rows.append(row)
             self.divs.append(1)
-            self.orig.append(t)
         self.obj = {}
         self.obj_div = 1
 
@@ -437,23 +435,21 @@ class _Tableau:
         return None
 
     def _drive_out_artificials(self):
+        """Pivot each basic artificial out on the lowest other column of its
+        row.  A redundant equality row has none: it stays, the artificial
+        basic in it at 0 for good (artificials cannot enter), and the row
+        that artificial belongs to reads dual 0."""
         arts = set(self.art_col.values())
         rhs = self.ncols
-        drop = []
-        for i in range(len(self.rows)):
+        for i, row in enumerate(self.rows):
             if self.basis[i] not in arts:
                 continue
-            row = self.rows[i]
             if row.get(rhs, 0) != 0:
                 raise RuntimeError("basic artificial has a nonzero right-hand side after phase 1")
             s = min((j for j in row if j != rhs and j not in arts), default=None)
-            if s is None:
-                drop.append(i)      # redundant equality
-            else:
+            if s is not None:
                 hits = [t for t, other in enumerate(self.rows) if s in other]
                 self._pivot(i, s, hits, allow_any_sign=True)
-        for i in reversed(drop):
-            del self.rows[i], self.divs[i], self.basis[i], self.orig[i]
 
     def reoptimize(self, objective) -> LPResult:
         cints, scale = _intify(objective)
@@ -483,17 +479,12 @@ class _Tableau:
         by artificial columns (-1 during phase 1), which shifts their
         reduced cost r_art = y_std - art_cost.
         """
-        present = set(self.orig)
-        den = obj_div * obj_scale
         duals = []
         for t, kind in enumerate(self.kinds):
-            if t not in present:
-                duals.append(Fraction(0))
-            elif kind == "<=":
-                r = obj.get(self.slack_col[t], 0)
-                duals.append(Fraction(r * self.row_scale[t], den))
+            if kind == "<=":
+                y = obj.get(self.slack_col[t], 0)
             else:
-                y_std = obj.get(self.art_col[t], 0) + art_cost * obj_div
-                sign = -1 if self.row_flip[t] else 1
-                duals.append(Fraction(sign * y_std * self.row_scale[t], den))
+                y = obj.get(self.art_col[t], 0) + art_cost * obj_div
+                y = -y if self.row_flip[t] else y
+            duals.append(Fraction(y * self.row_scale[t], obj_div * obj_scale))
         return duals

@@ -550,9 +550,7 @@ def test_time_budget_bounds_the_operator_sandwich(capsys):
     assert run(capsys, *argv, "--time-budget", "60") == run(capsys, *argv)
 
 
-def test_time_budget_bounds_the_n_lift_lp(monkeypatch, capsys):
-    from webrank import liftproject
-    monkeypatch.setattr(liftproject, "_NLIFT_CACHE", {})      # no warm lift to re-solve
+def test_time_budget_bounds_the_n_lift_lp(capsys):
     # an objective no rotation or reflection fixes: the lift LP is not folded
     code, out, err = run(capsys, "lp", "W:9:2", "--operator", "N", "--depth", "2",
                          "--objective", "1,2,3,4,5,6,7,8,9", "--time-budget", "0.05")
@@ -606,9 +604,20 @@ def test_time_budget_bounds_the_lps_after_a_step_that_ignores_it(monkeypatch, ca
     assert (code, out) == (2, "") and "simplex deadline" in err
 
 
-def test_the_depth_cap_holds_on_a_cached_lift(monkeypatch, capsys):
+def test_an_n_max_prints_in_process_what_it_prints_alone(monkeypatch, capsys):
+    # each command builds its own QSTAB, so an equal polytope of an earlier
+    # command lends it no warm basis, which could end at another optimum
     from webrank import liftproject
     monkeypatch.setattr(liftproject, "_NLIFT_CACHE", {})
+    argv = ["lp", "W:7:2", "--operator", "N", "--format", "json", "--objective"]
+    runs = [run(capsys, *argv, c) for c in ("3,3,1,3,1,0,3", "0,1,0,3,1,0,1", "3,3,1,3,1,0,3")]
+    assert runs[0] == runs[2] and [code for code, _, _ in runs] == [0, 0, 0]
+    assert json.loads(runs[2][1])["point"] == dict(zip("1234567", "1001000"))
+
+
+def test_the_depth_cap_holds_on_a_cached_lift(capsys):
+    # each command builds its own QSTAB and so its own lift; the cap on a
+    # kept lift is checked by test_warm_restart_reuses_the_lift_system
     argv = ["lp", "W:5:1", "--operator", "N", "--depth", "2"]
     codes = [run(capsys, *argv, *cap)[0] for cap in (["--depth-cap", "1"], [],
                                                        ["--depth-cap", "1"])]
@@ -749,20 +758,13 @@ _C5_POINT = "1/2,1/2,0,1/2,0"
 
 
 @pytest.mark.parametrize("argv, says", [
-    (["lp", "W:7:2", "--f", "1,3"], "--f: not read with --operator none"),
-    (["lp", "W:7:2", "--operator", "N", "--f", "1,3"], "--f: not read with --operator N"),
-    (["lp", "C:5", "--operator", "N", "--member", _C5_POINT],
-     "--member: not read with --operator N"),
-    (["lp", "W:7:2", "--depth", "2"], "--depth: not read with --operator none"),
-    (["lp", "W:7:2", "--operator", "disjunctive", "--f", "1", "--depth", "2"],
-     "--depth: not read with --operator disjunctive"),
     (["rank", "graph", "antiweb", "W:7:2"], "unrecognized arguments: W:7:2"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_an_option_the_route_would_not_read_is_an_input_error(argv, says, monkeypatch,
                                                                capsys):
-    # each was accepted and then dropped: the plain max for --f or --depth,
-    # P_F membership for --member with the N operator, the graph rank for a
-    # row family; now a usage error before the graph is built
+    # a row family was accepted and then dropped by the graph rank; now a
+    # usage error before the graph is built (each unread option of a route
+    # is `test_an_unread_option_is_an_input_error`)
     from webrank import cli
     monkeypatch.setattr(cli, "parse_graph_spec", _no_search)
     code, out, err = run(capsys, *argv)
@@ -895,6 +897,22 @@ def test_the_table_of_unread_options():
     assert (["lp", "C:5", "--member", _C5_POINT], "--objective") in pairs
 
 
+def _parser(argv) -> list:
+    """The words that pick the sub-parser of a route: one for lp, and one
+    for each verify suite and each rank target."""
+    return argv[:1] if argv[0] == "lp" else argv[:2]
+
+
+def _unread_message(argv, flag) -> str:
+    """What the input error of an unread option says: the option and the
+    route, where another route of the parser reads it, else that the
+    parser does not know it."""
+    if not any(flag in reads for a, reads in ROUTE_READS if _parser(a) == _parser(argv)):
+        return "unrecognized arguments: " + " ".join([flag, *_VALUES[flag]])
+    route = "--member" if "--member" in argv else " ".join(argv[argv.index("--operator"):][:2])
+    return f"{flag}: not read with {route}"
+
+
 @pytest.mark.parametrize("argv, flag", _unread_pairs(),
                          ids=lambda v: " ".join(v) if isinstance(v, list) else v)
 def test_an_unread_option_is_an_input_error(argv, flag, monkeypatch, capsys):
@@ -903,7 +921,7 @@ def test_an_unread_option_is_an_input_error(argv, flag, monkeypatch, capsys):
                  "verify_w2_description", "verify_join_bound", "verify_operator_sandwich"):
         monkeypatch.setattr(cli, name, _no_search)
     code, out, err = run(capsys, *argv, flag, *_VALUES[flag])
-    assert (code, out) == (3, "") and flag in err
+    assert (code, out) == (3, "") and err.rstrip().endswith(_unread_message(argv, flag))
 
 
 @pytest.mark.parametrize("argv, reads", ROUTE_READS,

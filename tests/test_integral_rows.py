@@ -19,7 +19,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from webrank import liftproject, polyhedra
+from webrank import liftproject
 from webrank.graphs import antiweb, complete_join, web
 from webrank.inequalities import join_blocks_of, joined_inequality, stab_description_w2
 from webrank.liftproject import NLiftSystem, PieceSystem, _pieces, _presolve, disjunctive_member
@@ -231,7 +231,7 @@ def test_membership_lp_rows_equal_those_of_the_fraction_builder(h, f, x, monkeyp
 @pytest.mark.parametrize("h", [qstab(web(7, 2)), HALVED[1]])
 def test_lp_max_builds_from_the_rows(h):
     out = lp_max(h, dict.fromkeys(h.index, 1))
-    lp = polyhedra._LP_MAX_CACHE[id(h)][1]
+    lp = h._lp
     pos = {v: i for i, v in enumerate(h.index)}
     ref = LinearProgram(h.dim)
     for r in h.rows:

@@ -509,11 +509,14 @@ def test_warm_restart_reuses_the_lift_system():
     g = web(7, 2)
     h = qstab(g)
     sys1 = n_lift_system(h, 1)
-    sys2 = n_lift_system(qstab(web(7, 2)), 1)
-    assert sys1 is sys2       # equal HPolytopes share the cached lift
+    assert n_lift_system(h, 1) is sys1        # the same object reuses its lift
     a = n_operator_max({v: 1 for v in g.nodes}, h, 1).value
     b = n_operator_max({v: Fraction(v) for v in g.nodes}, h, 1).value
-    assert a == 2 and b > 0
+    assert a == 2 and b > 0 and n_lift_system(h, 1) is sys1
+    with limits(depth_cap=0), pytest.raises(ValueError, match="depth cap"):
+        n_lift_system(h, 1)                     # a kept system meets the cap too
+    other = qstab(web(7, 2))
+    assert other == h and n_lift_system(other, 1) is not sys1     # an equal h has its own
     n_lift_system(qstab(web(8, 2)), 1)
     assert n_lift_system(h, 1) is not sys1     # only the last system is kept
 
@@ -756,8 +759,7 @@ def test_sandwich_piece_lps_are_pinned(monkeypatch):
 
 
 def _count_lifts(monkeypatch):
-    """The dict counting NLiftSystem builds ("build") and maxima ("lp"),
-    with the lift cache emptied first."""
+    """The dict counting NLiftSystem builds ("build") and maxima ("lp")."""
     calls = {"build": 0, "lp": 0}
     init, maximize = NLiftSystem.__init__, NLiftSystem.maximize
 
@@ -768,7 +770,6 @@ def _count_lifts(monkeypatch):
     def solved(self, *args, **kwargs):
         calls["lp"] += 1
         return maximize(self, *args, **kwargs)
-    monkeypatch.setattr(liftproject, "_NLIFT_CACHE", {})
     monkeypatch.setattr(NLiftSystem, "__init__", built)
     monkeypatch.setattr(NLiftSystem, "maximize", solved)
     return calls

@@ -22,8 +22,9 @@ from oracles import NLiftWithEqualities, n_lift_rows
 
 def _halved(h: HPolytope) -> HPolytope:
     """h with every row halved: the same polytope, non-integral rows."""
-    return HPolytope(h.index, [LinearInequality({v: c / 2 for v, c in r.coeffs.items()},
-                                                r.rhs / 2, r.tag) for r in h.rows])
+    rows = [LinearInequality({v: Fraction(c, 2) for v, c in r.coeffs.items()},
+                             Fraction(r.rhs, 2), r.tag) for r in h.rows]
+    return HPolytope(h.index, rows)
 
 
 W51, W72, W82 = qstab(web(5, 1)), qstab(web(7, 2)), qstab(web(8, 2))

@@ -20,9 +20,10 @@ hole dropped exactly when that oracle finds an F of size rank-1 that
 meets every hole left.  The checks run in integers: their rational
 reader takes the report grammar and rejects everything else with one
 message, a doctored rational at each place recheck reads one gives a
-pinned entry, and `check_member` and `_piece_bound` agree with their
-Fraction oracles on the certificates of antiwebs with n <= 11 and
-doctored copies.
+pinned entry, a label that Python's int reads but the grammar does not
+hold fails as malformed at each place recheck reads one, and
+`check_member` and `_piece_bound` agree with their Fraction oracles on
+the certificates of antiwebs with n <= 11 and doctored copies.
 """
 
 import ast
@@ -54,7 +55,7 @@ from webrank.polyhedra import (HPolytope, LinearInequality, frac, nonneg_row, qs
 from webrank.rank import disjunctive_rank_graph, disjunctive_rank_inequality
 from webrank.recheck import (_piece_bound, _system, check_member, check_pieces, check_point,
                              hitting_set, parse_point, recheck_certificate, recheck_report)
-from webrank.reporting import dumps, read_rational
+from webrank.reporting import dumps, read_label, read_rational
 
 from oracles import (check_member_by_fractions, contains, piece_bound_by_fractions,
                      pool_refutes_all, with_mixed_rows)
@@ -556,6 +557,86 @@ def test_the_reader_takes_the_report_grammar_and_nothing_else():
     for value in RATIONALS + edges:
         if not (type(value) is str and value in accepted):
             assert _outcome(read_rational, value) == ("ValueError", _not_rational(value))
+
+
+def _not_label(value):
+    """The one message of every value `read_label` rejects."""
+    return (f'not a label: {value!r:.40} (an int, or "p" in ASCII digits, maybe after "-",'
+            ' at most 4300 digits)')
+
+
+def _label_sites(tmp_path):
+    """(name, certificate, path) for each place recheck reads a label: the
+    path ends at a key of a dict, or at a position in a list of labels."""
+    _, report = _rdfar_report(tmp_path, 7)
+    certs = [e["certificate"] for e in report["entries"] if "certificate" in e]
+    h = qstab(antiweb(11, 4))
+    x = dict(zip(h.index, map(Fraction, "1/4 1/6 5/12 1/6 1/2 1/6 1/4 1/12 1/2 1/12 1/12".split())))
+    ok, cert = disjunctive_member(x, h, (5, 6, 8))
+    member = json.loads(dumps({**cert, "type": "membership", "member": ok, "system": h.to_json(),
+                               "point": x}))
+    proof = next(c for c in certs if c["type"] == "disjunctive-validity" and c["valid"])
+    bounded = next(c for c in certs if c["type"] == "ineq-rank" and c["bound"])
+    covered = _row_certificate("A:8:3", "antiweb", mixed=True)
+    violation = next(i for i, v in enumerate(covered["violations"]) if v["f"])
+    _, graph = _graph_certificate("W:10:2")
+    yield "member point", member, ("point", next(iter(member["point"])))
+    yield "member piece point", member, ("multipliers", 0, "point",
+                                         next(iter(member["multipliers"][0]["point"])))
+    yield "member f", member, ("f", 0)
+    yield "system index", member, ("system", "index", 0)
+    yield "system row coeffs", member, ("system", "rows", -1, "coeffs",
+                                        next(iter(member["system"]["rows"][-1]["coeffs"])))
+    yield "row coeffs", proof, ("row", "coeffs", next(iter(proof["row"]["coeffs"])))
+    yield "validity f", proof, ("f", 0)
+    yield "validity y", proof, ("pieces", 0, "y", next(iter(proof["pieces"][0]["y"])))
+    yield "bound point", bounded, ("bound_point", "1")
+    yield "witness_f", covered, ("witness_f", 0)
+    yield "violation f", covered, ("violations", violation, "f", 0)
+    yield "violation point", covered, ("violations", violation, "point", "1")
+    yield "deletion_set", graph, ("deletion_set", 0)
+    yield "pool nodes", graph, ("pool", 0, "nodes", 0)
+
+
+def _relabelled(cert, path, form):
+    """The recheck entry of cert with the label at path written as form."""
+    cert = copy.deepcopy(cert)
+    node = cert
+    for key in path[:-1]:
+        node = node[key]
+    if isinstance(node, dict):
+        node[form] = node.pop(path[-1])
+    else:
+        node[path[-1]] = form
+    [entry] = recheck_report({"entries": [{"name": "doctored", "certificate": cert}]}).entries
+    return entry.status, entry.detail
+
+
+def test_a_doctored_label_is_a_malformed_certificate(tmp_path):
+    """Every form of a label that Python's int reads (as the label, or as
+    ten times it) but the report grammar does not hold fails its
+    certificate with the reader's one message, at each place recheck reads
+    a label; the certificates pass as written."""
+    arabic = {ord(d): chr(0x660 + int(d)) for d in "0123456789"}
+    sites = list(_label_sites(tmp_path))
+    assert len(sites) == 14
+    for name, cert, path in sites:
+        assert recheck_certificate(cert)[0], name
+        node = cert
+        for key in path[:-1]:
+            node = node[key]
+        label = int(path[-1]) if isinstance(node, dict) else node[path[-1]]
+        forms = [f" {label}", f"+{label}", f"{label}_0", str(label).translate(arabic),
+                 f"{label}\n"]
+        if isinstance(node, list):
+            forms += [float(label)] + [True] * (label == 1)
+        for form in forms:
+            assert _relabelled(cert, path, form) == (
+                "fail", "malformed certificate: " + _not_label(form)), (name, form)
+    for value, label in (("007", 7), ("-3", -3), (5, 5), ("9" * 4300, 10 ** 4300 - 1)):
+        assert read_label(value) == label
+    for value in ("", "-", "1/2", "1 ", "1" * 4301, "²", None, False, 1.0, Fraction(1)):
+        assert _outcome(read_label, value) == ("ValueError", _not_label(value))
 
 
 @functools.cache

@@ -21,7 +21,7 @@ from types import SimpleNamespace
 import pytest
 
 import webrank
-from webrank import liftproject, polyhedra, simplex
+from webrank import liftproject, simplex
 from webrank.graphs import web
 from webrank.liftproject import PieceSystem, n_operator_max, piece_lp_max
 from webrank.polyhedra import lp_max, qstab
@@ -97,12 +97,30 @@ def test_equality_mix():
     lp.check_optimal(res, {0: Fraction(2), 1: Fraction(1), 2: Fraction(0)})
 
 
-def test_redundant_equality_row_is_dropped():
+def test_a_redundant_equality_row_stays_and_reads_dual_0():
     lp = LinearProgram(2)
     lp.add_eq({0: 1, 1: 1}, 1)
     lp.add_eq({0: 2, 1: 2}, 2)     # same hyperplane
     res = lp.solve({0: 1})
     assert res.status == "optimal" and res.value == 1
+    tab = lp._tab
+    assert len(tab.rows) == len(lp.rows) and tab.basis[1] == tab.art_col[1]
+    assert res.duals == [1, 0]
+    lp.check_optimal(res, {0: 1})
+
+
+def test_an_artificial_basic_in_another_rows_place_leaves_that_rows_dual_free():
+    # phase 1 leaves the artificial of row 3 basic in tableau row 1: the
+    # dual of row 3 reads 0, and that of row 1 its reduced cost, not 0
+    lp = LinearProgram(2)
+    lp.add_eq({0: 1}, 3)
+    lp.add_eq({1: -2}, -2)
+    lp.add_eq({1: 2}, 2)
+    lp.add_eq({0: 1, 1: -2}, 1)
+    res = lp.solve({1: -1})
+    assert lp._tab.basis[1] == lp._tab.art_col[3]
+    assert res.x == [3, 1] and res.duals == [0, Fraction(1, 2), 0, 0]
+    lp.check_optimal(res, {1: -1})
 
 
 def test_resolve_matches_fresh_solve():
@@ -171,7 +189,6 @@ def test_duals_read_after_a_resolve_are_those_of_their_own_solve():
 
 
 def test_a_dropped_lp_is_freed_without_the_cycle_collector(monkeypatch):
-    monkeypatch.setattr(polyhedra, "_LP_MAX_CACHE", {})
     monkeypatch.setattr(liftproject, "_NLIFT_CACHE", {})
     g = web(7, 2)
     h = qstab(g)
@@ -191,12 +208,13 @@ def test_a_dropped_lp_is_freed_without_the_cycle_collector(monkeypatch):
         assert ref() is None
         assert res.value == 5 and res.duals == [2, -1] and res.x == [1, 2]
 
-        # an outcome alone keeps no tableau alive, once its system is gone
-        outs, tabs = [lp_max(h, c)], [weakref.ref(polyhedra._LP_MAX_CACHE[id(h)][1]._tab)]
-        polyhedra._LP_MAX_CACHE.clear()
-        liftproject._NLIFT_CACHE.clear()
+        # an outcome alone keeps no tableau alive, once its polytope or
+        # system is gone
+        k = qstab(g)
+        outs, tabs = [lp_max(k, c)], [weakref.ref(k._lp._tab)]
+        del k
         outs.append(n_operator_max(c, h, 1))
-        sys_ = liftproject._NLIFT_CACHE[(h, 1)]
+        sys_ = liftproject._NLIFT_CACHE[(id(h), 1)]
         tabs += [weakref.ref(lp._tab) for lp, _ in sys_._folds.values()]
         liftproject._NLIFT_CACHE.clear()
         sys_ = PieceSystem(h, {1: 1})
