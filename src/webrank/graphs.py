@@ -21,6 +21,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
 
+from .reporting import read_label
+
 
 class SearchTimeout(Exception):
     """A search or an LP ran past the deadline of LIMITS."""
@@ -165,12 +167,13 @@ class Graph:
                 raise ValueError(f"edge ({u},{v}) uses unknown node label")
             adj[pos[u]] |= 1 << pos[v]
             adj[pos[v]] |= 1 << pos[u]
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "_pos", pos)
-        object.__setattr__(self, "_adj", tuple(adj))
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "block_tags", block_tags)
+        self._set(nodes, pos, adj, family, blocks, block_tags)
+
+    def _set(self, nodes, pos, adj, family=None, blocks=None, block_tags=None):
+        """Set the six slots, the one place a Graph gets its state."""
+        for name, v in zip(self.__slots__, (nodes, pos, tuple(adj), family, blocks, block_tags)):
+            object.__setattr__(self, name, v)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -255,14 +258,7 @@ def cycle_graph(n: int) -> Graph:
 
 def _from_masks(nodes, adj, family=None) -> Graph:
     """Graph on sorted labels with one adjacency bitmask per position."""
-    g = object.__new__(Graph)
-    object.__setattr__(g, "nodes", nodes)
-    object.__setattr__(g, "_pos", {v: i for i, v in enumerate(nodes)})
-    object.__setattr__(g, "_adj", tuple(adj))
-    object.__setattr__(g, "family", family)
-    object.__setattr__(g, "blocks", None)
-    object.__setattr__(g, "block_tags", None)
-    return g
+    return object.__new__(Graph)._set(nodes, {v: i for i, v in enumerate(nodes)}, adj, family)
 
 
 def complement(g: Graph) -> Graph:
@@ -324,17 +320,27 @@ def complete_join(g1: Graph, g2: Graph) -> Graph:
     return Graph(nodes, edges, blocks=b1 + b2, block_tags=t1 + t2)
 
 
+# the letter of each family tag: the family's kind, its number of
+# parameters and the builder that takes them
+_FAMILIES = {"W": ("web", 2, web), "A": ("antiweb", 2, antiweb),
+             "K": ("clique", 1, complete_graph)}
+_LETTERS = {kind: letter for letter, (kind, _, _) in _FAMILIES.items()}
+
+
 def family_tag(g: Graph):
-    if g.family is None:
+    """The tag "W:n:k", "A:n:k" or "K:n" of g's family (`read_family`
+    reads it back), or None."""
+    letter = _LETTERS.get(g.family[0]) if g.family else None
+    return letter and ":".join([letter, *map(str, g.family[1:])])
+
+
+def read_family(tag: str):
+    """The family of a tag "W:n:k", "A:n:k" or "K:n", its parameters read
+    with int (a bad one raises ValueError); None for any other text."""
+    letter, *params = tag.split(":")
+    if letter not in _FAMILIES or len(params) != _FAMILIES[letter][1]:
         return None
-    kind = g.family[0]
-    if kind == "web":
-        return f"W:{g.family[1]}:{g.family[2]}"
-    if kind == "antiweb":
-        return f"A:{g.family[1]}:{g.family[2]}"
-    if kind == "clique":
-        return f"K:{g.family[1]}"
-    return None
+    return (_FAMILIES[letter][0], *map(int, params))
 
 
 def is_circulant(g: Graph) -> bool:
@@ -466,7 +472,7 @@ def max_weight_stable_set(g: Graph, weights: dict) -> tuple:
 # ---------------------------------------------------------------------------
 # odd holes and perfection
 
-def find_induced_odd_hole(g: Graph, reverse=False):
+def find_induced_odd_hole(g: Graph):
     """A chordless odd cycle of length >= 5, or None.
 
     DFS over chordless path extensions: the path's interior may not touch
@@ -477,8 +483,8 @@ def find_induced_odd_hole(g: Graph, reverse=False):
     with depth, so the cut drops no hole and keeps the scan order, and it
     prunes the sparse, perfect graphs where the DFS finds nothing.  A
     hole's position mask is re-verified (`_is_hole`) before it is turned
-    into labels and handed out.  `reverse` flips the deterministic scan
-    order (used by `recheck` as an independent search path).
+    into labels and handed out.  The scan order is fixed: base nodes
+    ascending, each with its higher neighbours ascending.
     """
     _check_deadline()
     adj = g._adj
@@ -533,7 +539,7 @@ def find_induced_odd_hole(g: Graph, reverse=False):
                     return res
         return None
 
-    for b in (range(n - 1, -1, -1) if reverse else range(n)):
+    for b in range(n):
         nb_b = adj[b]
         gt_b = ~((1 << (b + 1)) - 1) & ((1 << n) - 1)
         m = nb_b & gt_b
@@ -601,17 +607,17 @@ def is_chordal(g: Graph) -> bool:
     return True
 
 
-def is_perfect(g: Graph, reverse=False) -> bool:
+def is_perfect(g: Graph) -> bool:
     """A chordal graph is perfect (Dirac 1961, Berge), and so is its
     complement (Lovász 1972), so `is_chordal` of g or of its complement
     answers first.  Otherwise the Strong Perfect Graph Theorem route: no
-    induced odd hole in g or its complement."""
+    induced odd hole in g or its complement (on a perfect g a search
+    visits every path in any scan order, so one order is all it needs)."""
     _check_deadline()
     co = complement(g)
     if is_chordal(g) or is_chordal(co):
         return True
-    return (find_induced_odd_hole(g, reverse) is None
-            and find_induced_odd_hole(co, reverse) is None)
+    return find_induced_odd_hole(g) is None and find_induced_odd_hole(co) is None
 
 
 # ---------------------------------------------------------------------------
@@ -633,20 +639,16 @@ def to_json_dict(g: Graph) -> dict:
 
 
 def from_json_dict(d: dict) -> Graph:
-    nodes = d.get("nodes") or range(1, d["n"] + 1)
-    blocks = tuple(tuple(b) for b in d["blocks"]) if d.get("blocks") else None
+    """The graph of `to_json_dict`, each label (n, a node, an edge end, a
+    block's node) read by `reporting.read_label`; an edge end that is an
+    int passes at once, as a report holds thousands of them."""
+    nodes = map(read_label, d.get("nodes") or range(1, read_label(d["n"]) + 1))
+    edges = [(u if type(u) is int else read_label(u), v if type(v) is int else read_label(v))
+             for u, v in d["edges"]]
+    blocks = tuple(tuple(map(read_label, b)) for b in d["blocks"]) if d.get("blocks") else None
     tags = tuple(d["block_tags"]) if d.get("block_tags") else None
-    family = None
     tag = d.get("family_tag")
-    if tag:
-        parts = tag.split(":")
-        if parts[0] == "W":
-            family = ("web", int(parts[1]), int(parts[2]))
-        elif parts[0] == "A":
-            family = ("antiweb", int(parts[1]), int(parts[2]))
-        elif parts[0] == "K":
-            family = ("clique", int(parts[1]))
-    return Graph(nodes, [tuple(e) for e in d["edges"]], family=family,
+    return Graph(nodes, edges, family=read_family(tag) if tag else None,
                  blocks=blocks, block_tags=tags)
 
 
@@ -667,12 +669,9 @@ def parse_graph_spec(spec: str) -> Graph:
         return out
     parts = spec.split(":")
     try:
-        if parts[0] == "W" and len(parts) == 3:
-            return web(int(parts[1]), int(parts[2]))
-        if parts[0] == "A" and len(parts) == 3:
-            return antiweb(int(parts[1]), int(parts[2]))
-        if parts[0] == "K" and len(parts) == 2:
-            return complete_graph(int(parts[1]))
+        family = read_family(spec)
+        if family is not None:
+            return _FAMILIES[parts[0]][2](*family[1:])
         if parts[0] == "C" and len(parts) == 2:
             return cycle_graph(int(parts[1]))
     except ValueError as exc:

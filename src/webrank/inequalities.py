@@ -63,22 +63,15 @@ class OneIntervalSet:
             raise ValueError(f"need t >= 3 odd intervals, got t={t}")
         if len(self.singletons) != t:
             raise ValueError("need exactly one singleton per interval")
-        covered = []
+        flat = []               # the circular order I_1, J_1, ..., I_t, J_t
         for iv, j in zip(self.intervals, self.singletons):
             if (len(iv) - 1) % 3 != 0:
                 raise ValueError(f"interval size {len(iv)} is not 1 mod 3")
-            covered.extend(iv)
-            covered.append(j)
-        if sorted(covered) != list(range(1, self.n + 1)):
-            raise ValueError("blocks do not partition 1..n")
-        # circular consecutiveness in order I_1, J_1, ..., I_t, J_t
-        flat = []
-        for iv, j in zip(self.intervals, self.singletons):
             flat.extend(iv)
             flat.append(j)
-        start = flat[0]
-        expect = [mod1(start + i, self.n) for i in range(self.n)]
-        if flat != expect:
+        if sorted(flat) != list(range(1, self.n + 1)):
+            raise ValueError("blocks do not partition 1..n")
+        if flat != [mod1(flat[0] + i, self.n) for i in range(self.n)]:
             raise ValueError("blocks are not circularly consecutive in order")
 
     @property

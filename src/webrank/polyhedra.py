@@ -116,6 +116,8 @@ class HPolytope:
     `lp_max` and the piece and membership LPs of `liftproject` are built
     from the rows as they are, and the N lift from each row's
     `canonical` form, so integer rows reach the tableau as ints.
+    Polytopes compare by identity: the LP kept on one (`_lp`) and the N
+    lift kept for it belong to that object, not to its content.
     """
 
     __slots__ = ("index", "rows", "_tests", "_lp")
@@ -131,14 +133,6 @@ class HPolytope:
 
     def __setattr__(self, name, value):
         raise AttributeError("HPolytope is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, HPolytope):
-            return NotImplemented
-        return self.index == other.index and frozenset(self.rows) == frozenset(other.rows)
-
-    def __hash__(self):
-        return hash((self.index, frozenset(self.rows)))
 
     @property
     def dim(self) -> int:

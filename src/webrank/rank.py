@@ -47,9 +47,9 @@ search.  `recheck` never reads the cache.  It proves G - F perfect by
 `graphs.is_perfect`: a chordality test of G - F and of its complement
 first (a chordal graph and its complement are perfect), which settles
 most certificates of the web and antiweb table, else its own odd-hole
-searches in reversed scan order.  The search here keeps its odd-hole
-route: most graphs it meets have an odd hole, which that route finds
-fast, so a chordality test first costs more than it saves.
+searches.  The search here keeps its odd-hole route: most graphs it
+meets have an odd hole, which that route finds fast, so a chordality
+test first costs more than it saves.
 
 Everything reported carries a machine-checkable certificate; the
 verify_* suites compare computed values against the closed-form ranks
@@ -80,6 +80,7 @@ from .graphs import (
     is_subweb,
     max_weight_stable_set,
     omega,
+    read_family,
     to_json_dict,
     web,
 )
@@ -449,10 +450,9 @@ def verify_join_bound(blocks: JoinBlocks) -> Report:
         block_ranks.append(res.rank)
         rep.add(f"r_d(rank row of block {tag or list(blk)})", "info",
                 computed=res.rank)
-        if tag and tag.startswith("A:"):
-            _, ns, ks = tag.split(":")
-            ns, ks = int(ns), int(ks)
-            formula_sum += ns - (ns // ks) * ks
+        family = read_family(tag) if tag else None
+        if family and family[0] == "antiweb":
+            formula_sum += family[1] % family[2]
     if len(blocks.blocks) == 1:
         joined = rank_constraint(blocks.block_graphs()[0])
     else:

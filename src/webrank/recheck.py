@@ -2,18 +2,19 @@
 
 The trusted base is the graph reader, chordality test, odd-hole search
 and rotation test of `graphs`, the row classes of `polyhedra` and the
-`simplex` helpers they run (`_exact`, `_intify`, `_coprime`); no LP is built.
-Neither the simplex, the lift-and-project oracles nor the rank searches
-(which import `hitting_set` from here) are imported here, and the CI
-grep reads only this module's own imports.  A graph rank is re-checked
-by `graphs.is_perfect` (a chordality test of G - F and of its
-complement, else the odd-hole search in reversed scan order), by
-adjacency counts and by `hitting_set`, every other claim in integers,
-one function per claim.  Every rational and label is read once, by
-`reporting.read_rational` and `read_label` (the README's report grammar;
-anything else is malformed); each point is cleared to num / L and tested
-on the rows' integer form, and sums of multipliers run over the lcm of
-their denominators.  `fractions` parses nothing; it builds each piece bound.
+`simplex` helpers they run (`_exact`, `_intify`, `_coprime`); no LP is
+built.  Neither the simplex, the lift-and-project oracles nor the rank
+searches (which import `hitting_set` from here) are imported here, and
+the CI grep reads only this module's own imports.  A graph rank is
+re-checked by `graphs.is_perfect` (a chordality test of G - F and of its
+complement, else its own odd-hole searches, which read no cache of the
+rank search), by adjacency counts and by `hitting_set`, every other
+claim in integers, one function per claim.  Every rational and label is
+read once, by `reporting.read_rational` and `read_label` (the README's
+report grammar; anything else is malformed); each point is cleared to
+num / L and tested on the rows' integer form, and sums of multipliers
+run over the lcm of their denominators.  `fractions` parses nothing; it
+builds each piece bound.
 
 A `graph-rank` certificate means what it says through one lemma:
 P_F(QSTAB(G)) = STAB(G) exactly when G - F is perfect.  If G - F is
@@ -58,6 +59,7 @@ raises ResourceCapExceeded.
 
 from __future__ import annotations
 
+import pickle
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -87,24 +89,20 @@ def parse_point(d: dict) -> dict:
 
 def _system(d: dict) -> HPolytope:
     """The system of a certificate, parsed once per distinct JSON content
-    (a report repeats one system in many certificates); the key holds
-    every value the parse reads, so a doctored row gets its own parse.
-    A key with an unhashable value (a list as rhs) is parsed uncached, so
-    the reader names that value."""
-    key = tuple(map(read_label, d["index"])), tuple(
-        (tuple(r["coeffs"].items()), r["rhs"], r.get("tag", "other")) for r in d["rows"])
-    try:
-        return _parsed_system(*key)
-    except TypeError:
-        return _parsed_system.__wrapped__(*key)
+    (a report repeats one system in many certificates).  The key is the
+    system's pickle, an exact serialization, so values that compare equal
+    but differ in type (true, 1 and 1.0) get parses of their own, and
+    every JSON value has a key."""
+    return _parsed_system(pickle.dumps(d))
 
 
 @lru_cache(maxsize=16)
-def _parsed_system(index: tuple, rows: tuple) -> HPolytope:
-    # HPolytope and LinearInequality are immutable, so every certificate
-    # with this content may share the one parsed object
-    return HPolytope(index, [LinearInequality.from_json(
-        {"coeffs": dict(coeffs), "rhs": rhs, "tag": tag}) for coeffs, rhs, tag in rows])
+def _parsed_system(key: bytes) -> HPolytope:
+    # the key is `_system`'s pickle of a certificate's system; HPolytope is
+    # immutable, so every certificate with this content shares the parse
+    d = pickle.loads(key)
+    index = tuple(map(read_label, d["index"]))
+    return HPolytope(index, [LinearInequality.from_json(r) for r in d["rows"]])
 
 
 def _require(ok: bool, message: str) -> None:
@@ -282,8 +280,7 @@ def _graph_rank(cert):
     f, pool, rank = [read_label(v) for v in cert["deletion_set"]], cert["pool"], cert["rank"]
     nodes = set(g.nodes)
     _known(nodes, f, "deletion_set")
-    _require(is_perfect(delete_nodes(g, f) if f else g, reverse=True),
-             "perfection failed: reversed-order odd hole search")
+    _require(is_perfect(delete_nodes(g, f) if f else g), "perfection failed: odd hole search")
     masks = []
     for i, c in enumerate(pool):
         _require(isinstance(c, dict) and c.get("type") in hole_in,

@@ -227,16 +227,15 @@ def delete_nodes_by_edges(g: Graph, f) -> Graph:
     return Graph(keep, edges, family=family)
 
 
-def find_induced_odd_hole_by_generators(g: Graph, reverse=False):
+def find_induced_odd_hole_by_generators(g: Graph):
     """The odd-hole DFS with a path list, one closure per base node and
     generator bit loops: the scan order graphs.find_induced_odd_hole
     must keep."""
     _check_deadline()
     adj = g._adj
     n = g.n
-    order = range(n - 1, -1, -1) if reverse else range(n)
     steps = 0
-    for b in order:
+    for b in range(n):
         nb_b = adj[b]
         gt_b = ~((1 << (b + 1)) - 1) & ((1 << n) - 1)
 
@@ -988,14 +987,14 @@ def disjunctive_rank_graph_polyhedral(g: Graph) -> int:
     raise RuntimeError(f"no F of size <= {h.dim} makes the facets valid")
 
 
-def minimally_imperfect_certificate(g: Graph, reverse=False):
+def minimally_imperfect_certificate(g: Graph):
     """("odd-hole", nodes) for an induced odd hole of g, ("odd-antihole",
     nodes) for one of its complement, or None when g is perfect: the
     reference for `rank._imperfect`, with no shared odd-hole answers."""
-    hole = find_induced_odd_hole(g, reverse=reverse)
+    hole = find_induced_odd_hole(g)
     if hole is not None:
         return ("odd-hole", hole)
-    hole = find_induced_odd_hole(complement(g), reverse=reverse)
+    hole = find_induced_odd_hole(complement(g))
     if hole is not None:
         return ("odd-antihole", hole)
     return None

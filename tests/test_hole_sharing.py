@@ -6,7 +6,7 @@ same graph or on its complement: G - F of an antiweb is the complement
 of G - F of its web.  The tests compare it with the search that shares
 nothing (`oracles.disjunctive_rank_graph_uncached`), and check that the
 shared answers outlive no pair, that `recheck` does not read them (it
-runs its own reversed searches, or none when G - F or its complement is
+runs its own searches, or none when G - F or its complement is
 chordal), and that they skip neither the deadline nor the closing
 perfection check.
 """
@@ -42,13 +42,13 @@ def random_graph(rng, n_max):
 
 @pytest.fixture
 def counted_holes(monkeypatch):
-    """The odd-hole searches the rank search runs, as (graph, reverse) pairs."""
+    """The graphs of the odd-hole searches the rank search runs."""
     calls = []
     real = graphs.find_induced_odd_hole
 
-    def counting(g, reverse=False):
-        calls.append((g, reverse))
-        return real(g, reverse)
+    def counting(g):
+        calls.append(g)
+        return real(g)
     monkeypatch.setattr(rank, "find_induced_odd_hole", counting)
     monkeypatch.setattr(graphs, "find_induced_odd_hole", counting)
     return calls
@@ -124,10 +124,10 @@ class _WatchedDict(dict):
         return super().__contains__(key)
 
 
-def test_recheck_runs_its_own_reversed_searches(monkeypatch, counted_holes):
+def test_recheck_runs_its_own_searches(monkeypatch, counted_holes):
     """W_10^3 minus its deletion set {1, 2} is neither chordal nor
-    co-chordal, so `recheck` proves it perfect by the two reversed
-    odd-hole searches, and reads none of the search's shared answers."""
+    co-chordal, so `recheck` proves it perfect by its own two odd-hole
+    searches, and reads none of the search's shared answers."""
     g = web(10, 3)
     cert = disjunctive_rank_graph(g).to_json(g)
     rest = delete_nodes(g, cert["deletion_set"])
@@ -137,7 +137,7 @@ def test_recheck_runs_its_own_reversed_searches(monkeypatch, counted_holes):
     monkeypatch.setattr(rank, "_HOLES", watched)
     counted_holes.clear()
     assert recheck_certificate(cert)[0]
-    assert counted_holes == [(rest, True), (complement(rest), True)]
+    assert counted_holes == [rest, complement(rest)]
     assert watched.reads == []
 
 

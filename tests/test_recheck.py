@@ -460,6 +460,24 @@ def test_an_unhashable_system_value_is_a_malformed_certificate():
     assert recheck_certificate(cert) == (True, "convex combination re-assembled exactly")
 
 
+def test_a_system_value_equal_to_a_cached_one_in_another_type_is_parsed_on_its_own():
+    """True == 1, so a system whose rhs is true must not reuse the parse of
+    one whose rhs is 1: in either order the intact certificate passes and
+    the doctored one fails with the reader's message."""
+    def membership(rhs):
+        return {"type": "membership", "member": True, "f": [], "point": {"1": "0"},
+                "multipliers": [{"z": [], "lambda": "1", "point": {"1": "0"}}],
+                "system": {"index": [1], "rows": [{"coeffs": {"1": "-1"}, "rhs": "0"},
+                                                 {"coeffs": {"1": "1"}, "rhs": rhs}]}}
+    intact = {"name": "intact", "certificate": membership(1)}
+    doctored = {"name": "doctored", "certificate": membership(True)}
+    for entries in ([intact, doctored], [doctored, intact]):
+        rep = recheck_report({"entries": entries})
+        assert [(e.status, e.detail) for e in rep.entries] == [
+            ("pass", "convex combination re-assembled exactly") if e is intact else
+            ("fail", "malformed certificate: " + _not_rational(True)) for e in entries]
+
+
 def test_recheck_imports_no_solver():
     tree = ast.parse((Path(webrank.__file__).parent / "recheck.py").read_text())
     imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
@@ -637,6 +655,26 @@ def test_a_doctored_label_is_a_malformed_certificate(tmp_path):
         assert read_label(value) == label
     for value in ("", "-", "1/2", "1 ", "1" * 4301, "²", None, False, 1.0, Fraction(1)):
         assert _outcome(read_label, value) == ("ValueError", _not_label(value))
+
+
+def test_a_doctored_graph_label_is_a_malformed_certificate():
+    """A node, an edge end or a block's node of a graph certificate
+    written as a float, with a space or a plus before it, or (for 1) as
+    true fails with the reader's message; the certificates pass as
+    written."""
+    _, cert = _graph_certificate("W:10:2")
+    _, joined = _graph_certificate("join:C:5,C:7")
+    sites = [(cert, ("graph", "nodes", 0)), (cert, ("graph", "edges", 0, 0)),
+             (cert, ("graph", "edges", 0, 1)), (joined, ("graph", "blocks", 0, 0))]
+    for c, path in sites:
+        assert recheck_certificate(c)[0]
+        node = c
+        for key in path[:-1]:
+            node = node[key]
+        label = node[path[-1]]
+        for form in [float(label), f" {label}", f"+{label}"] + [True] * (label == 1):
+            assert _relabelled(c, path, form) == (
+                "fail", "malformed certificate: " + _not_label(form)), (path, form)
 
 
 @functools.cache
