@@ -9,7 +9,8 @@ is decided by the disjunctive extended formulation (a convex
 combination of one point per piece), an exact LP feasibility problem
 whose Farkas dual yields a separating inequality and, block by block,
 the multipliers that prove it on each piece, so no piece LP is solved;
-a point of K that is 0/1 on F is its own piece and needs no LP.  That
+a point of K that is 0/1 on F is its own piece, and a point outside K
+is cut off by the row of K it exceeds, so neither needs an LP.  That
 LP is built reduced: the fixed coordinates of each piece's block are
 substituted by its lambda (or 0), empty pieces are left out, and so are
 rows that nonnegativity implies.  On A_11^4 with |F| = 3 this takes the
@@ -38,7 +39,8 @@ exact values (Fractions, int keys, tuples) that `reporting.dumps` writes
 and `recheck` reads: kind ("validity-proof" or "violating-point"), f or
 depth, pieces ({"z", "status", "value", "y"} each, y as in
 `PieceSystem.multipliers`; a non-member's are {"z", "status", "y"}, with
-status "bounded" or "infeasible" and y from the Farkas vector), point,
+status "bounded" or "infeasible" and y from the Farkas vector, or {i: 1}
+on every piece when the separating row is row i of K), point,
 Y, value, multipliers ({"z", "lambda", "point"} each) and separating
 (the row's to_json()).  A field without a value is left out.
 """
@@ -51,7 +53,8 @@ from itertools import product
 
 from .graphs import (CertificateError, _check_deadline, _check_depth_cap, _check_piece_cap,
                      as_nodeset)
-from .polyhedra import HPolytope, LinearInequality, LPOutcome, symmetries
+from .polyhedra import (HPolytope, LinearInequality, LPOutcome, clear_denominators,
+                        symmetries)
 from .recheck import (check_member, check_n_matrix, check_pieces, check_point, check_separating,
                       parse_point)
 from .simplex import LinearProgram, LPResult, Primal, _coprime
@@ -252,9 +255,11 @@ def disjunctive_member(x: dict, h: HPolytope, f):
     piece z = x_F, and P_F(h) is the convex hull of the pieces, so the
     one multiplier lambda_z = 1 with the point x itself proves
     membership.  `check_member` decides it, testing the point against h
-    once, and only such a point skips the LP.  One outside h is no
-    member, since P_F(h) lies in h, and the LP's Farkas dual gives its
-    separating row.
+    once.  A point that exceeds a row of h needs no LP either: P_F(h)
+    lies in h, so the first row i it exceeds separates it, and i bounds
+    itself on every piece, empty ones included, by y = {i: 1}.  Only a
+    point of h that is not 0/1 on F, or one whose only violation is a
+    negative coordinate with no -x_v <= 0 row in h, reaches the LP.
 
     A yes answer carries the convex multipliers and per-piece points; a
     no answer carries a separating inequality pi.x <= pi_0 recovered from
@@ -267,20 +272,28 @@ def disjunctive_member(x: dict, h: HPolytope, f):
     piece gets {i: 1} for the row i that empties it, as in
     `disjunctive_valid`, and with every piece empty (no LP) so does each.
     Both answers pass their `recheck` checks before they are handed out.
-    The short cut checks the deadline as the LP does.
+    The short cuts check the deadline as the LP does.
     """
     f = as_nodeset(f)
     _check_piece_cap(f)
+    _check_deadline()
+    point = parse_point(x)
     if all(x.get(v, 0) in (0, 1) for v in f):
-        _check_deadline()
         mult = [{"z": tuple(int(x.get(v, 0)) for v in f), "lambda": Fraction(1),
                  "point": {v: Fraction(x.get(v, 0)) for v in h.index}}]
         try:
-            check_member(h, f, parse_point(x), mult)
+            check_member(h, f, point, mult)
         except CertificateError:
             pass
         else:
             return True, {"kind": "validity-proof", "f": f, "multipliers": mult}
+    num, L = clear_denominators(point, h.index)
+    cut = next((i for i, r in enumerate(h.rows) if r.exceeds(num, L)), None)
+    if cut is not None:
+        row = h.rows[cut]
+        proofs = {z: {cut: Fraction(1)} for z, _ in _pieces(f)}
+        return _non_member(LinearInequality(row.coeffs, row.rhs, tag="separating"), h, f, x,
+                           dict.fromkeys(proofs), proofs)
     free = [v for v in h.index if v not in f]
     pos = {v: j for j, v in enumerate(free)}
     # (z, fixing, rows) per nonempty piece, each row (row of h, free coeffs,
@@ -325,7 +338,7 @@ def disjunctive_member(x: dict, h: HPolytope, f):
                 mult.append({"z": z, "lambda": lam, "point": {
                     v: res.x[p * n + pos[v]] / lam if v in pos else Fraction(fixing[v])
                     for v in h.index}})
-        check_member(h, f, parse_point(x), mult)
+        check_member(h, f, point, mult)
         return True, {"kind": "validity-proof", "f": f, "multipliers": mult}
     if res.status != "infeasible":
         raise RuntimeError(f"membership LP ended {res.status}")
@@ -339,9 +352,10 @@ def disjunctive_member(x: dict, h: HPolytope, f):
 
 def _non_member(sep, h, f, x, emptied, proofs):
     """The no answer of disjunctive_member, after checks that sep cuts off
-    x and is valid for P_F(h) by its piece records: the Farkas block
-    proofs[z] of each piece in the LP ("bounded"), {i: 1} for the row i
-    = emptied[z] of each empty one ("infeasible")."""
+    x and is valid for P_F(h) by its piece records: proofs[z] for each
+    piece z it holds ("bounded": the Farkas block of a piece in the LP, or
+    {i: 1} when sep is row i of h), {i: 1} for the row i = emptied[z] of
+    each other one ("infeasible")."""
     records = [{"z": z, "status": "bounded", "y": proofs[z]} if z in proofs
                else {"z": z, "status": "infeasible", "y": {emptied[z]: Fraction(1)}}
                for z in emptied]

@@ -206,8 +206,15 @@ class _Recorded(LinearProgram):
         self.built.append(self)
 
 
+def _inside(h):
+    """A point of h, 0/1 on no coordinate, so that the membership LP is
+    built: 1/3 everywhere, or 1/4 on a system with a clique row of 4
+    (W_8^3, A_8^2), which 1/3 exceeds."""
+    return dict.fromkeys(h.index, Fraction(1, max(3, *(len(r.coeffs) for r in h.rows))))
+
+
 A11 = qstab(antiweb(11, 4))
-MEMBER_POINTS = [(h, _f(h), dict.fromkeys(h.index, Fraction(1, 3))) for h in SMALL + HALVED] + [
+MEMBER_POINTS = [(h, _f(h), _inside(h)) for h in SMALL + HALVED] + [
     (A11, (1, 2, 3), dict.fromkeys(A11.index, Fraction(1, 4))),
     (A11, (5, 6, 8), dict(zip(A11.index, map(Fraction, (
         "1/4", "1/6", "5/12", "1/6", "1/2", "1/6", "1/4", "1/12", "1/2", "1/12", "1/12"))))),

@@ -45,6 +45,7 @@ from webrank.simplex import CertificateError, LinearProgram
 from oracles import (
     as_dicts,
     contains,
+    contains_by_fractions,
     disjunctive_member_unreduced,
     enumerate_vertices,
     evaluate,
@@ -232,6 +233,106 @@ def test_member_with_every_piece_empty_needs_no_lp(monkeypatch):
     assert cert["separating"] == {"coeffs": {}, "rhs": Fraction(-1), "tag": "separating"}
     assert recheck_certificate(_membership_cert(h, x, member, cert)) == \
         (True, "separating row valid on every piece, by its multipliers")
+
+
+def _outside_points():
+    """(name, h, F, x) with x outside h: A_11^2 at 1/4 (a clique of 5),
+    W_8^3 and A_8^2 at 1/3 with F their positions 1 and 3 (cliques of 4)."""
+    from webrank.graphs import antiweb
+    for name, g, f, q in (("A:11:2", antiweb(11, 2), (1,), Fraction(1, 4)),
+                          ("W:8:3", web(8, 3), (1, 3), Fraction(1, 3)),
+                          ("A:8:2", antiweb(8, 2), (1, 3), Fraction(1, 3))):
+        yield name, qstab(g), f, dict.fromkeys(g.nodes, q)
+
+
+OUTSIDE = list(_outside_points())
+
+
+@pytest.mark.parametrize("name, h, f, x", OUTSIDE, ids=[case[0] for case in OUTSIDE])
+def test_a_point_outside_h_is_cut_off_by_its_row_without_an_lp(monkeypatch, name, h, f, x):
+    # P_F(h) lies in h: the first row of h that x exceeds separates it, and
+    # bounds itself on every piece (empty ones included) by y = {i: 1}
+    first = next(i for i, r in enumerate(h.rows) if evaluate(r, x) > r.rhs)
+    assert disjunctive_member_unreduced(x, h, f)[0] is False
+    monkeypatch.setattr(liftproject, "LinearProgram", None)    # no LP may be built
+    member, cert = disjunctive_member(x, h, f)
+    assert member is False and cert["kind"] == "violating-point"
+    assert LinearInequality.from_json(cert["separating"]) == h.rows[first]
+    assert cert["separating"]["tag"] == "separating"
+    assert cert["pieces"] == [{"z": z, "status": "bounded", "y": {first: 1}}
+                              for z in product((0, 1), repeat=len(f))]
+    assert recheck_certificate(_membership_cert(h, x, member, cert)) == \
+        (True, "separating row valid on every piece, by its multipliers")
+
+
+@pytest.mark.parametrize("name, h, f, x", OUTSIDE, ids=[case[0] for case in OUTSIDE])
+def test_a_doctored_outside_h_certificate_fails_recheck(name, h, f, x):
+    cert = _membership_cert(h, x, *disjunctive_member(x, h, f))
+    [first] = cert["pieces"][0]["y"]
+
+    def with_y(y):
+        return {**cert, "pieces": [{**p, "y": y} for p in cert["pieces"]]}
+
+    satisfied = next(r for r in h.rows if evaluate(r, x) <= r.rhs)
+    doctored = {
+        "negated": with_y({first: "-1"}),
+        "no such row": with_y({str(len(h.rows)): "1"}),
+        "satisfied": {**cert, "separating": LinearInequality(
+            satisfied.coeffs, satisfied.rhs, tag="separating").to_json()},
+    }
+    for kind, bad in doctored.items():
+        assert not recheck_certificate(json.loads(dumps(bad)))[0], kind
+    assert recheck_certificate(doctored["satisfied"]) == \
+        (False, "separating row not violated by the point")
+    assert "negative or no such row" in recheck_certificate(doctored["no such row"])[1]
+
+
+def test_the_limits_bound_the_outside_h_path(capsys):
+    from webrank.cli import main
+    argv = ["lp", "A:11:2", "--member", ",".join(["1/4"] * 11)]
+    assert main([*argv, "--f", "1", "--time-budget", "0"]) == 2
+    assert main([*argv, "--piece-cap", "1", "--f", "1,2"]) == 2
+    assert main([*argv, "--f", "1"]) == 0
+    assert capsys.readouterr().out.endswith("point is outside P_F(qstab(A:11:2)) for F=[1]\n")
+
+
+def _certify_points(seed):
+    """(h, F, x) drawn as the certify benchmark draws its membership
+    queries: on each prime antiweb A_n^k with n <= 11, one F of each size
+    1 to 3 and one x of [1/12, 1/2]^n in twelfths."""
+    from math import gcd
+    from webrank.graphs import antiweb
+    rng = random.Random(seed)
+    for n in range(4, 12):
+        for k in range(2, n // 2 + 1):
+            if gcd(n, k) != 1:
+                continue
+            h = qstab(antiweb(n, k))
+            for size in (1, 2, 3):
+                f = tuple(sorted(rng.sample(range(1, n + 1), size)))
+                yield h, f, {v: Fraction(rng.randint(1, 6), 12) for v in h.index}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_member_agrees_with_the_unreduced_lp_and_builds_one_only_when_needed(monkeypatch, seed):
+    built = []
+
+    class Counted(LinearProgram):
+        def __init__(self, num_vars):
+            super().__init__(num_vars)
+            built.append(self)
+
+    monkeypatch.setattr(liftproject, "LinearProgram", Counted)
+    kinds = set()
+    for h, f, x in _certify_points(seed):
+        built.clear()
+        member, _ = disjunctive_member(x, h, f)
+        inside = contains_by_fractions(h, x)
+        zero_one = all(x[v] in (0, 1) for v in f)
+        assert len(built) == (inside and not zero_one), (h.index, f, x)
+        assert member is disjunctive_member_unreduced(x, h, f)[0], (h.index, f, x)
+        kinds.add((inside, member))
+    assert (False, False) in kinds and (True, True) in kinds
 
 
 def test_member_with_every_coordinate_fixed_has_no_y_block(monkeypatch):

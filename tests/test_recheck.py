@@ -155,9 +155,12 @@ def test_every_mutation_of_a_farkas_piece_record_fails():
     it), the record's y negated, halved or dropped fails `recheck`, and so
     does the record relabelled "infeasible".  (On an empty piece the
     Farkas block may prove emptiness too, and the relabelled record then
-    holds.)"""
+    holds.)  Only points of h are taken: one outside h is cut off by the
+    row of h it exceeds, with no LP, and its records are that row."""
     counts, certs = {}, 0
     for h, cert in _non_member_certificates():
+        if not contains(h, {int(v): Fraction(q) for v, q in cert["point"].items()}):
+            continue
         assert recheck_certificate(cert) == (
             True, "separating row valid on every piece, by its multipliers")
         certs += 1
@@ -175,8 +178,8 @@ def test_every_mutation_of_a_farkas_piece_record_fails():
                 pieces = [*cert["pieces"][:r], mutant, *cert["pieces"][r + 1:]]
                 assert not recheck_certificate({**cert, "pieces": pieces})[0], kind
                 counts[kind] = counts.get(kind, 0) + 1
-    assert certs == 15          # 54 records of nonempty pieces among them
-    assert counts == {"relabel": 54, "drop": 54, "negate": 54, "halve": 54}
+    assert certs == 2           # 8 records of nonempty pieces among them
+    assert counts == {"relabel": 8, "drop": 8, "negate": 8, "halve": 8}
 
 
 def _row_certificate(spec, family, mixed=False):
