@@ -34,15 +34,17 @@ ints down to the tableau, and the lift from each row's `canonical` form,
 so every lift row is an int row; the values, points, duals and Farkas
 vectors read back are Fractions, as in the certificates.
 
-Both oracles answer (bool, certificate), the certificate a plain dict of
-exact values (Fractions, int keys, tuples) that `reporting.dumps` writes
-and `recheck` reads: kind ("validity-proof" or "violating-point"), f or
-depth, pieces ({"z", "status", "value", "y"} each, y as in
-`PieceSystem.multipliers`; a non-member's are {"z", "status", "y"}, with
-status "bounded" or "infeasible" and y from the Farkas vector, or {i: 1}
-on every piece when the separating row is row i of K), point,
-Y, value, multipliers ({"z", "lambda", "point"} each) and separating
-(the row's to_json()).  A field without a value is left out.
+Each oracle answers (bool, certificate), the certificate a plain dict
+of exact values (Fractions, int keys, tuples) that `reporting.dumps`
+writes and `recheck` reads, with only the fields `recheck` reads (the
+bool is the verdict).  Validity: f, and pieces ({"z", "status", "y"}
+each, y as in `PieceSystem.multipliers`) or the violating point.
+Membership: f, and multipliers ({"z", "lambda", "point"} each) or point,
+separating (the row's to_json()) and pieces, with status "bounded" or
+"infeasible" and y from the Farkas vector, or {i: 1} on every piece when
+the separating row is row i of K.  The N oracle, whose certificate no
+report holds: depth, the max unless N^r(K) is empty (value), and point
+and Y when the row fails.
 """
 
 from __future__ import annotations
@@ -218,23 +220,21 @@ def disjunctive_valid(ineq: LinearInequality, h: HPolytope, f):
 
     Valid over a convex hull of pieces iff valid on every feasible
     piece; infeasible pieces are vacuous.  Pieces are scanned in
-    lexicographic z order with early exit on the first violation; each
-    record carries the multipliers y that prove it.
+    lexicographic z order with early exit on the first violation, whose
+    point is the answer; otherwise each record carries the multipliers y
+    that prove it.  Both answers pass their `recheck` checks before they
+    are handed out.
     """
     f = as_nodeset(f)
     pieces = []
     for z, fixing in _pieces(f):
         out = piece_lp_max(h, ineq.coeffs, fixing)
-        pieces.append({"z": z, "status": out.status, "value": out.value, "y": out.duals})
         if out.status == "optimal" and out.value > ineq.rhs:
             check_point(h, f, out.point, ineq)
-            return False, {"kind": "violating-point", "f": f, "pieces": pieces,
-                           "point": out.point, "value": out.value}
-    cert = {"kind": "validity-proof", "f": f, "pieces": pieces}
-    values = [p["value"] for p in pieces if p["status"] == "optimal"]
-    if values:
-        cert["value"] = max(values)
-    return True, cert
+            return False, {"f": f, "point": out.point}
+        pieces.append({"z": z, "status": out.status, "y": out.duals})
+    check_pieces(h, ineq, f, pieces)
+    return True, {"f": f, "pieces": pieces}
 
 
 def disjunctive_member(x: dict, h: HPolytope, f):
@@ -286,14 +286,12 @@ def disjunctive_member(x: dict, h: HPolytope, f):
         except CertificateError:
             pass
         else:
-            return True, {"kind": "validity-proof", "f": f, "multipliers": mult}
+            return True, {"f": f, "multipliers": mult}
     num, L = clear_denominators(point, h.index)
     cut = next((i for i, r in enumerate(h.rows) if r.exceeds(num, L)), None)
     if cut is not None:
-        row = h.rows[cut]
         proofs = {z: {cut: Fraction(1)} for z, _ in _pieces(f)}
-        return _non_member(LinearInequality(row.coeffs, row.rhs, tag="separating"), h, f, x,
-                           dict.fromkeys(proofs), proofs)
+        return _non_member(h.rows[cut], h, f, x, dict.fromkeys(proofs), proofs)
     free = [v for v in h.index if v not in f]
     pos = {v: j for j, v in enumerate(free)}
     # (z, fixing, rows) per nonempty piece, each row (row of h, free coeffs,
@@ -305,7 +303,7 @@ def disjunctive_member(x: dict, h: HPolytope, f):
             pieces.append((z, fixing, [(i, coeffs, -rhs) for i, coeffs, rhs in rows
                                        if rhs < 0 or any(c > 0 for c in coeffs.values())]))
     if not pieces:
-        return _non_member(LinearInequality({}, -1, tag="separating"), h, f, x, emptied, {})
+        return _non_member(LinearInequality({}, -1), h, f, x, emptied, {})
     # variable layout: y^p (one per free coordinate each), then lambda_p
     n = len(free)
     lam0 = len(pieces) * n
@@ -339,12 +337,12 @@ def disjunctive_member(x: dict, h: HPolytope, f):
                     v: res.x[p * n + pos[v]] / lam if v in pos else Fraction(fixing[v])
                     for v in h.index}})
         check_member(h, f, point, mult)
-        return True, {"kind": "validity-proof", "f": f, "multipliers": mult}
+        return True, {"f": f, "multipliers": mult}
     if res.status != "infeasible":
         raise RuntimeError(f"membership LP ended {res.status}")
     farkas = res.farkas
     pi = {v: -farkas[coord_rows[j]] for j, v in enumerate(h.index)}
-    sep = LinearInequality(pi, farkas[convex_row], tag="separating")
+    sep = LinearInequality(pi, farkas[convex_row])
     proofs = {z: {i: y for t, i in block if (y := farkas[t])}
               for (z, _, _), block in zip(pieces, blocks)}
     return _non_member(sep, h, f, x, emptied, proofs)
@@ -361,8 +359,7 @@ def _non_member(sep, h, f, x, emptied, proofs):
                for z in emptied]
     check_separating(sep, parse_point(x))
     check_pieces(h, sep, f, records)
-    return False, {"kind": "violating-point", "f": f, "point": dict(x),
-                   "separating": sep.to_json(), "pieces": records}
+    return False, {"f": f, "point": dict(x), "separating": sep.to_json(), "pieces": records}
 
 
 # ---------------------------------------------------------------------------
@@ -687,12 +684,11 @@ def n_operator_valid(ineq: LinearInequality, h: HPolytope, depth: int = 1):
     sys_ = n_lift_system(h, depth)
     out, raw = sys_.maximize(ineq.coeffs)
     if out.status == "infeasible":
-        return True, {"kind": "validity-proof", "depth": depth}
+        return True, {"depth": depth}
     if out.value <= ineq.rhs:
-        return True, {"kind": "validity-proof", "depth": depth, "value": out.value}
+        return True, {"depth": depth, "value": out.value}
     y = sys_.y_matrix(raw)
     if depth == 1:
         check_n_matrix(h, y)
         check_point(h, (), out.point, ineq)
-    return False, {"kind": "violating-point", "depth": depth, "point": out.point,
-                   "Y": y, "value": out.value}
+    return False, {"depth": depth, "point": out.point, "Y": y, "value": out.value}

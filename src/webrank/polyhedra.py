@@ -82,15 +82,16 @@ class LinearInequality:
         return f"<{lhs} <= {r} [{self.tag}]>"
 
     def to_json(self) -> dict:
-        """The row with every value a Fraction, as reports write rows."""
+        """The row with every value a Fraction, as reports write rows; the
+        tag, which no check reads, is left out."""
         return {"coeffs": {v: Fraction(c) for v, c in self.coeffs.items()},
-                "rhs": Fraction(self.rhs), "tag": self.tag}
+                "rhs": Fraction(self.rhs)}
 
     @staticmethod
     def from_json(d: dict) -> "LinearInequality":
         return LinearInequality(
             {read_label(v): Fraction(*read_rational(c)) for v, c in d["coeffs"].items()},
-            Fraction(*read_rational(d["rhs"])), d.get("tag", "other"))
+            Fraction(*read_rational(d["rhs"])))
 
 
 def clear_denominators(point: dict, index) -> tuple:

@@ -167,7 +167,7 @@ class IneqRankResult:
             "witness_f": self.witness_f,
             "pieces": self.pieces,
             "bound": self.bound,
-            "violations": [{"f": f, "point": pt} for f, pt in self.violating_points],
+            "violations": [{"point": pt} for _, pt in self.violating_points],
         }
         if self.bound_point is not None:
             cert["bound_point"] = self.bound_point

@@ -354,7 +354,7 @@ def _ineq_rank(cert):
     bit, supports = {v: 1 << i for i, v in enumerate(h.index)}, []
     for i, v in enumerate(violations):
         _require(isinstance(v, dict), f"violations[{i}] is not an object")
-        pt = _step(f"violations[{i}]", check_point, h, v["f"], v["point"], row)
+        pt = _step(f"violations[{i}]", check_point, h, (), v["point"], row)
         supports.append(sum(bit.get(u, 0) for u, (n, d) in pt.items() if n not in (0, d)))
     _require(len(wf) == rank, f"|witness_f| = {len(wf)} but rank = {rank}")
     _require(type(bound) is int and 0 <= bound <= rank, f"bound {bound!r} not in 0..{rank}")

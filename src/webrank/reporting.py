@@ -48,12 +48,9 @@ def _is_p(s: str) -> bool:
     return digits.isdigit() and len(digits) <= 4300
 
 
-def _str_key(item):
-    return str(item[0])
-
-
 def _jsonable(v):
-    """The JSON-ready form of v.  A dict met again (one system shared by
+    """The JSON-ready form of v, each dict in its own key order (`dumps`
+    sorts the keys).  A dict met again (one system shared by
     many certificates) is encoded once per call: `seen` maps the id of
     each dict encoded so far to its encoding, and every input dict lives
     until the call returns, so no id is reused."""
@@ -74,7 +71,7 @@ def _jsonable(v):
         if isinstance(v, dict):
             out = seen.get(id(v))
             if out is None:
-                out = seen[id(v)] = {str(k): enc(x) for k, x in sorted(v.items(), key=_str_key)}
+                out = seen[id(v)] = {str(k): enc(x) for k, x in v.items()}
             return out
         if isinstance(v, Fraction):
             return frac_to_str(v)

@@ -461,8 +461,7 @@ def jsonable_by_isinstance(v):
     if isinstance(v, (list, tuple)):
         return [jsonable_by_isinstance(x) for x in v]
     if isinstance(v, dict):
-        return {str(k): jsonable_by_isinstance(x)
-                for k, x in sorted(v.items(), key=lambda kv: str(kv[0]))}
+        return {str(k): jsonable_by_isinstance(x) for k, x in v.items()}
     return str(v)
 
 
@@ -960,17 +959,16 @@ def disjunctive_member_unreduced(x: dict, h: HPolytope, f):
             if sum((m["lambda"] * m["point"][v] for m in mult), Fraction(0)) \
                     != Fraction(x.get(v, 0)):
                 raise CertificateError(f"coordinate {v} is not the convex combination")
-        return True, {"kind": "validity-proof", "f": f, "multipliers": mult}
+        return True, {"f": f, "multipliers": mult}
     if res.status != "infeasible":
         raise RuntimeError(f"membership LP ended {res.status}")
     sep = LinearInequality({v: -res.farkas[coord_rows[j]] for j, v in enumerate(h.index)},
-                           res.farkas[convex_row], tag="separating")
+                           res.farkas[convex_row])
     if not evaluate(sep, {v: Fraction(x.get(v, 0)) for v in h.index}) > sep.rhs:
         raise CertificateError("separating inequality does not cut off the point")
     if not disjunctive_valid(sep, h, f)[0]:
         raise CertificateError("separating inequality is violated on a piece")
-    return False, {"kind": "violating-point", "f": f, "point": dict(x),
-                   "separating": sep.to_json()}
+    return False, {"f": f, "point": dict(x), "separating": sep.to_json()}
 
 
 def disjunctive_rank_graph_polyhedral(g: Graph) -> int:

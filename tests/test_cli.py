@@ -131,7 +131,7 @@ def test_verify_join_report_and_its_recheck_are_pinned(tmp_path, capsys):
     assert run(capsys, "verify", "join", "--spec", "join:A:7:2,A:8:3", "--format", "json",
                "--out", str(path))[0] == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == \
-        "4e169a44853f6d4e5fdcbdf1d1d091526faefba0951b3da279e3f42b73524fc0"
+        "1375b6ceae2ec208455537ce190eec5208d150e3104c305f6036889fedcc18de"
     code, out, _ = run(capsys, "recheck", str(path), "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == \
@@ -371,11 +371,11 @@ def test_recheck_names_the_failed_step_of_a_row_rank(tmp_path, capsys):
     out = _recheck_doctored(tmp_path, capsys, argv, off_system)
     assert "bound 2 failed: point outside the system" in out
 
-    def off_piece(c):
-        c["violations"] = [{"f": [1], "point": {"1": "1/4", "2": "0"}}]
+    def inside_the_row(c):
+        c["violations"] = [{"point": {"1": "1/4", "2": "0"}}]
 
-    out = _recheck_doctored(tmp_path, capsys, argv, off_piece)
-    assert "violations[0] failed: point not 0/1 at f coordinate 1" in out
+    out = _recheck_doctored(tmp_path, capsys, argv, inside_the_row)
+    assert "violations[0] failed: point satisfies the row" in out
     out = _recheck_doctored(tmp_path, capsys, argv, lambda c: c.pop("bound"))
     assert "malformed certificate: no field 'bound'" in out
 
@@ -818,7 +818,7 @@ def test_rank_and_lp_outputs_are_pinned(tmp_path, capsys):
             if certifies:
                 digest.update(path.read_bytes())
     assert digest.hexdigest() == \
-        "608dc7228efb2f68fbda37247008071f6cd95ebecd8bf9fcfe5f821448a8a355"
+        "fd6ef07a5f3e2ed7238af172d5143e90bc299c933eccee07433d3153122c7439"
 
 
 def test_removed_options_are_usage_errors(monkeypatch, capsys):

@@ -136,7 +136,7 @@ def test_a_value_read_as_an_unreduced_rational_takes_the_one_form():
     assert row.coeffs == {1: 1, 2: -2, 3: Fraction(1, 3), 4: 3} and row.rhs == 2
     assert all(_one_form(c) for c in _row_values([row]))
     assert dumps(row.to_json()) == \
-        '{"coeffs":{"1":"1","2":"-2","3":"1/3","4":"3"},"rhs":"2","tag":"other"}'
+        '{"coeffs":{"1":"1","2":"-2","3":"1/3","4":"3"},"rhs":"2"}'
 
 
 def _lift_cases():

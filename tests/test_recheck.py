@@ -23,7 +23,11 @@ message, a doctored rational at each place recheck reads one gives a
 pinned entry, a label that Python's int reads but the grammar does not
 hold fails as malformed at each place recheck reads one, and
 `check_member` and `_piece_bound` agree with their Fraction oracles on
-the certificates of antiwebs with n <= 11 and doctored copies.
+the certificates of antiwebs with n <= 11 and doctored copies.  Every
+key of the membership, validity and row-rank certificates of four small
+reports, deleted once, fails `recheck` or falls in a named class whose
+count is pinned; and reports that still carry the fields dropped as
+unread (kind, piece values, row tags, violation f) recheck as before.
 """
 
 import ast
@@ -35,7 +39,7 @@ import math
 import random
 import time
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
@@ -49,13 +53,14 @@ from webrank.graphs import (AntiwebId, CertificateError, Graph, SearchTimeout, a
                             delete_nodes, is_circulant, limits, parse_graph_spec, web)
 from webrank.inequalities import (antiweb_constraint, join_blocks_of, joined_inequality,
                                    rank_constraint)
-from webrank.liftproject import disjunctive_member, disjunctive_valid, piece_max, piece_systems
+from webrank.liftproject import (disjunctive_member, disjunctive_valid, piece_lp_max, piece_max,
+                                 piece_systems)
 from webrank.polyhedra import (HPolytope, LinearInequality, frac, nonneg_row, qstab,
                                rotation_invariant)
 from webrank.rank import disjunctive_rank_graph, disjunctive_rank_inequality
 from webrank.recheck import (_piece_bound, _system, check_member, check_pieces, check_point,
                              hitting_set, parse_point, recheck_certificate, recheck_report)
-from webrank.reporting import dumps, read_label, read_rational
+from webrank.reporting import dumps, frac_to_str, read_label, read_rational
 
 from oracles import (check_member_by_fractions, contains, piece_bound_by_fractions,
                      pool_refutes_all, with_mixed_rows)
@@ -86,7 +91,8 @@ def test_piece_multipliers_prove_each_piece_value(case):
     for p in cert["pieces"]:
         fixing = dict(zip(f, p["z"]))
         if p["status"] == "optimal":
-            assert _piece_bound(h, fixing, p["y"], row.coeffs) == p["value"]
+            assert _piece_bound(h, fixing, p["y"], row.coeffs) == \
+                piece_lp_max(h, row.coeffs, fixing).value
         else:
             assert _piece_bound(h, fixing, p["y"], {}) < 0
     check_pieces(h, row, f, cert["pieces"])
@@ -180,6 +186,136 @@ def test_every_mutation_of_a_farkas_piece_record_fails():
                 counts[kind] = counts.get(kind, 0) + 1
     assert certs == 2           # 8 records of nonempty pieces among them
     assert counts == {"relabel": 8, "drop": 8, "negate": 8, "halve": 8}
+
+
+SWEPT = ("membership", "disjunctive-validity", "ineq-rank")
+
+
+def _sweep_reports(tmp_path):
+    """The reports of `verify rdfar --nmax 7`, `rank ineq antiweb A:8:3
+    --cert`, `rank ineq rank-constraint W:9:2 --cert` and `verify join
+    --spec join:A:5:2,A:5:2`, as JSON."""
+    reports = []
+    for name, argv in (("rdfar", ["verify", "rdfar", "--nmax", "7", "--out"]),
+                       ("a83", ["rank", "ineq", "antiweb", "A:8:3", "--cert"]),
+                       ("w92", ["rank", "ineq", "rank-constraint", "W:9:2", "--cert"]),
+                       ("join", ["verify", "join", "--spec", "join:A:5:2,A:5:2", "--out"])):
+        path = tmp_path / f"{name}.json"
+        assert main([*argv, str(path)]) == 0
+        reports.append(json.loads(path.read_text()))
+    return reports
+
+
+def _key_paths(node, path=()):
+    """The path of every dict key in node, depth first."""
+    if isinstance(node, dict):
+        for k, v in node.items():
+            yield (*path, k)
+            yield from _key_paths(v, (*path, k))
+    elif isinstance(node, list):
+        for i, v in enumerate(node):
+            yield from _key_paths(v, (*path, i))
+
+
+def _rechecks(cert) -> bool:
+    [entry] = recheck_report({"entries": [{"name": "swept", "certificate": cert}]}).entries
+    return entry.status == "pass"
+
+
+def _deletion_class(cert, path):
+    """The class of a key deletion that `recheck` lets pass, or None."""
+    *where, key = path
+    parent = functools.reduce(lambda node, k: node[k], where, cert)
+    if where[-1] == "coeffs":
+        return "system coefficient" if where[0] == "system" else "row coefficient"
+    if where[-1] == "point" and parent[key] == "0":
+        return "point coordinate at 0"
+    if where[-1] == "y" and cert["pieces"][where[1]]["status"] == "infeasible":
+        return "multiplier of an empty piece with slack"
+    return None
+
+
+# the key deletions that still pass `recheck`, by class:
+# - a coefficient deleted changes the subject, so the certificate proves its
+#   claim about another system or row (nothing yet ties the subject to the
+#   entry's claim);
+# - a point's missing coordinate reads 0;
+# - on the piece z = (1, 1) of the joined row of join:A:5:2,A:5:2 each of
+#   the four rows of y proves the piece empty alone.
+DELETION_CLASSES = {"system coefficient": 244, "row coefficient": 28,
+                    "point coordinate at 0": 20, "multiplier of an empty piece with slack": 4}
+
+
+def test_every_key_deletion_fails_or_falls_in_a_named_class(tmp_path):
+    """Each key of each membership, validity and row-rank certificate of
+    the sweep reports, deleted once: recheck fails the certificate, or the
+    deletion falls in a class of DELETION_CLASSES, whose counts are
+    pinned.  No certificate carries a key recheck does not read: no kind,
+    no piece or top-level value, no row tag and no violation f."""
+    certs = [e["certificate"] for report in _sweep_reports(tmp_path)
+             for e in report["entries"] if (e.get("certificate") or {}).get("type") in SWEPT]
+    counts, deletions = {}, 0
+    for cert in certs:
+        assert _rechecks(cert)
+        for path in _key_paths(cert):
+            deletions += 1
+            out = copy.deepcopy(cert)
+            node = functools.reduce(lambda node, k: node[k], path[:-1], out)
+            del node[path[-1]]
+            if _rechecks(out):
+                kind = _deletion_class(cert, path)
+                assert kind is not None, (cert["type"], path)
+                counts[kind] = counts.get(kind, 0) + 1
+    assert (len(certs), deletions) == (12, 1200)
+    assert counts == DELETION_CLASSES
+
+
+def _legacy(cert):
+    """A copy of cert with the fields that reports carried before they were
+    dropped as unread: kind, each solved piece's value and a validity
+    proof's top-level value (the piece max, as its multipliers bound it),
+    every row's tag, and each violation's f (here the coordinates where
+    its point is 0 or 1)."""
+    out = copy.deepcopy(cert)
+    h = _system(cert["system"])
+    for r in out["system"]["rows"]:
+        r["tag"] = "other"
+    for key in ("row", "separating"):
+        if key in out:
+            out[key]["tag"] = key
+    if cert["type"] != "ineq-rank":
+        holds = cert["valid"] if "valid" in cert else cert["member"]
+        out["kind"] = "validity-proof" if holds else "violating-point"
+    if "row" in cert:           # a non-member's records carried no value
+        c = LinearInequality.from_json(cert["row"]).coeffs
+        f = cert["f"] if "f" in cert else cert["witness_f"]
+        values = [_piece_bound(h, dict(zip(map(int, f), p["z"])), p["y"], c)
+                  if p["status"] == "optimal" else None for p in cert.get("pieces", ())]
+        for p, value in zip(out.get("pieces", ()), values):
+            p["value"] = None if value is None else frac_to_str(value)
+        if cert["type"] == "disjunctive-validity" and any(v is not None for v in values):
+            out["value"] = frac_to_str(max(v for v in values if v is not None))
+    for v in out.get("violations", ()):
+        v["f"] = [int(u) for u, x in v["point"].items() if Fraction(x) in (0, 1)]
+    return out
+
+
+def test_a_report_with_the_dropped_fields_still_rechecks(tmp_path):
+    """Reports written before kind, piece values, row tags and violation
+    f were dropped still recheck, entry for entry as the fresh ones."""
+    reports = _sweep_reports(tmp_path)
+    reports.append({"entries": [{"name": f"non-member {i}", "certificate": cert}
+                                for i, (_, cert) in enumerate(_non_member_certificates())]})
+    legacy = 0
+    for report in reports:
+        old = copy.deepcopy(report)
+        for e in old["entries"]:
+            if (e.get("certificate") or {}).get("type") in SWEPT:
+                e["certificate"] = _legacy(e["certificate"])
+                legacy += 1
+        fresh, rechecked = recheck_report(report), recheck_report(old)
+        assert not fresh.failures and rechecked.to_json() == fresh.to_json()
+    assert legacy == 27
 
 
 def _row_certificate(spec, family, mixed=False):
@@ -599,7 +735,6 @@ def _label_sites(tmp_path):
     proof = next(c for c in certs if c["type"] == "disjunctive-validity" and c["valid"])
     bounded = next(c for c in certs if c["type"] == "ineq-rank" and c["bound"])
     covered = _row_certificate("A:8:3", "antiweb", mixed=True)
-    violation = next(i for i, v in enumerate(covered["violations"]) if v["f"])
     _, graph = _graph_certificate("W:10:2")
     yield "member point", member, ("point", next(iter(member["point"])))
     yield "member piece point", member, ("multipliers", 0, "point",
@@ -613,8 +748,7 @@ def _label_sites(tmp_path):
     yield "validity y", proof, ("pieces", 0, "y", next(iter(proof["pieces"][0]["y"])))
     yield "bound point", bounded, ("bound_point", "1")
     yield "witness_f", covered, ("witness_f", 0)
-    yield "violation f", covered, ("violations", violation, "f", 0)
-    yield "violation point", covered, ("violations", violation, "point", "1")
+    yield "violation point", covered, ("violations", 0, "point", "1")
     yield "deletion_set", graph, ("deletion_set", 0)
     yield "pool nodes", graph, ("pool", 0, "nodes", 0)
 
@@ -640,7 +774,7 @@ def test_a_doctored_label_is_a_malformed_certificate(tmp_path):
     a label; the certificates pass as written."""
     arabic = {ord(d): chr(0x660 + int(d)) for d in "0123456789"}
     sites = list(_label_sites(tmp_path))
-    assert len(sites) == 14
+    assert len(sites) == 13
     for name, cert, path in sites:
         assert recheck_certificate(cert)[0], name
         node = cert
@@ -692,8 +826,10 @@ def antiweb_answers(draw):
     witness pieces of the antiweb row's rank; or, with every row of QSTAB
     scaled by 1, 1/2 or 2/3, the membership answer for a point of [0,
     1/2]^n (a member's {"point", "multipliers"}, or a non-member's
-    {"pieces"} with c its separating row) or the validity answer
-    {"pieces"} for a row c of small rational coefficients."""
+    {"pieces"} with c its separating row) or, for a row c of small
+    rational coefficients, the piece records {"pieces"} of a validity
+    proof, each piece solved by `piece_lp_max` whether or not the row
+    holds on it."""
     n = draw(st.integers(4, 11))
     k = draw(st.integers(2, n // 2))
     h, rng = qstab(antiweb(n, k)), draw(st.randoms(use_true_random=False))
@@ -714,7 +850,11 @@ def antiweb_answers(draw):
         return h, f, {"pieces": cert["pieces"]}, cert["separating"]["coeffs"], rng
     row = LinearInequality({v: Fraction(draw(st.integers(-1, 3)), draw(st.integers(1, 3)))
                             for v in h.index}, draw(st.integers(0, 4)))
-    return h, f, {"pieces": disjunctive_valid(row, h, f)[1]["pieces"]}, row.coeffs, rng
+    pieces = []
+    for z in product((0, 1), repeat=len(f)):
+        out = piece_lp_max(h, row.coeffs, dict(zip(f, z)))
+        pieces.append({"z": z, "status": out.status, "y": out.duals})
+    return h, f, {"pieces": pieces}, row.coeffs, rng
 
 
 def _moved(point, rng):

@@ -39,8 +39,14 @@ def test_jsonable_matches_the_isinstance_chain():
         assert json.dumps(got) == json.dumps(want)         # key order too
 
 
-def test_jsonable_orders_keys_as_strings():
-    assert list(_jsonable({10: 1, 2: 2, 1: 3})) == ["1", "10", "2"]
+def test_dumps_orders_keys_as_strings():
+    # one sort, json's: _jsonable keeps each dict's order and dumps sorts
+    # the string keys, so "10" comes before "2"
+    assert list(_jsonable({10: 1, 2: 2, 1: 3})) == ["10", "2", "1"]
+    assert dumps({10: 1, 2: 2, 1: 3}) == '{"1":3,"10":1,"2":2}'
+    # of two keys with one string the last value stays, in either order
+    assert dumps({1: "int", "1": "str"}) == '{"1":"str"}'
+    assert dumps({"1": "str", 1: "int"}) == '{"1":"int"}'
 
 
 
@@ -49,15 +55,14 @@ def test_dumps_writes_exact_values_compactly_with_string_keys_in_order():
     assert dumps(Fraction(4)) == '"4"' and dumps(4) == "4"
     assert dumps({10: Fraction(-1, 2), 2: None, 1: (1, Fraction(1, 3))}) \
         == '{"1":[1,"1/3"],"10":"-1/2","2":null}'
-    cert = {"kind": "violating-point", "f": (1, 3),
-            "pieces": [{"z": (0, 1), "status": "infeasible", "value": None}],
+    cert = {"f": (1, 3), "pieces": [{"z": (0, 1), "status": "infeasible", "y": {4: Fraction(1)}}],
             "point": {10: Fraction(1, 2), 9: Fraction(0)},
-            "separating": {"coeffs": {2: Fraction(2)}, "rhs": Fraction(6), "tag": "s"}}
+            "separating": {"coeffs": {2: Fraction(2)}, "rhs": Fraction(6)}}
     assert dumps(cert) == (
-        '{"f":[1,3],"kind":"violating-point",'
-        '"pieces":[{"status":"infeasible","value":null,"z":[0,1]}],'
+        '{"f":[1,3],'
+        '"pieces":[{"status":"infeasible","y":{"4":"1"},"z":[0,1]}],'
         '"point":{"10":"1/2","9":"0"},'
-        '"separating":{"coeffs":{"2":"2"},"rhs":"6","tag":"s"}}')
+        '"separating":{"coeffs":{"2":"2"},"rhs":"6"}}')
 
 
 def test_dump_is_dumps_and_a_newline():
@@ -73,7 +78,7 @@ def test_dump_is_dumps_and_a_newline():
 # max is claimed)
 
 MEMBER_A72 = (
-    '{"certificate":{"f":[1,3],"kind":"validity-proof","multipliers":['
+    '{"certificate":{"f":[1,3],"multipliers":['
     '{"lambda":"5/7","point":{"1":"0","2":"1/5","3":"0","4":"1/5","5":"1/5",'
     '"6":"1/5","7":"2/5"},"z":[0,0]},'
     '{"lambda":"1/7","point":{"1":"0","2":"0","3":"1","4":"0","5":"0","6":"0",'
@@ -83,7 +88,7 @@ MEMBER_A72 = (
     '"f":[1,3],"graph":"A:7:2","member":true,"relaxation":"qstab"}\n')
 
 NON_MEMBER_A73 = (
-    '{"certificate":{"f":[1,2],"kind":"violating-point","pieces":['
+    '{"certificate":{"f":[1,2],"pieces":['
     '{"status":"bounded","y":{"11":"2","13":"2","8":"2"},"z":[0,0]},'
     '{"status":"bounded","y":{"10":"2","12":"2","7":"2","9":"2"},"z":[0,1]},'
     '{"status":"bounded","y":{"10":"2","12":"2","7":"2","8":"2"},"z":[1,0]},'
@@ -91,7 +96,7 @@ NON_MEMBER_A73 = (
     '"point":{"1":"1/2",'
     '"2":"1/2","3":"1/2","4":"1/2","5":"1/2","6":"1/2","7":"1/2"},'
     '"separating":{"coeffs":{"1":"2","2":"2","3":"2","4":"2","5":"2","6":"2",'
-    '"7":"2"},"rhs":"6","tag":"separating"}},'
+    '"7":"2"},"rhs":"6"}},'
     '"f":[1,2],"graph":"A:7:3","member":false,"relaxation":"qstab"}\n')
 
 
@@ -110,7 +115,7 @@ def test_row_rank_certificate_file_is_pinned(tmp_path, capsys):
     assert main(["rank", "ineq", "antiweb", "A:8:3", "--cert", str(path)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(path.read_bytes()).hexdigest() == \
-        "b859a440a606f472bc3649688a911287994a46a9723e2931b51d34053d05cfa6"
+        "78ad66f5c3bf746da4a82b8bbe6042199cd23cd3f7b32a584bc0be5ea5b214be"
 
 
 def test_a_shared_dict_is_encoded_once_per_call():
