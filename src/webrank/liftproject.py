@@ -1,19 +1,19 @@
 """The two lift-and-project oracles over a relaxation K in [0,1]^n.
 
 Disjunctive operator: P_F(K) = conv of the 2^|F| pieces K n {x_F = z}.
-The piece layer has one enumeration of the pieces (`_pieces`, behind
-the piece cap), one substitution of the fixed coordinates
-(`_fixed_rows`) and one piece-max loop (`piece_max`).  Validity of a
-row over P_F is decided piecewise (one exact LP per piece); membership
-is decided by the disjunctive extended formulation (a convex
-combination of one point per piece), an exact LP feasibility problem
-whose Farkas dual yields a separating inequality and, block by block,
-the multipliers that prove it on each piece, so no piece LP is solved;
-a point of K that is 0/1 on F is its own piece, and a point outside K
-is cut off by the row of K it exceeds, so neither needs an LP.  That
-LP is built reduced: the fixed coordinates of each piece's block are
-substituted by its lambda (or 0), empty pieces are left out, and so are
-rows that nonnegativity implies.  On A_11^4 with |F| = 3 this takes the
+The piece layer has one enumeration of the pieces (`_pieces`, behind the
+piece cap), one substitution of the fixed coordinates (`_fixed_rows`,
+then the rows `polyhedra.implied_by_nonneg` go) and one piece-max loop
+(`piece_max`).  Validity of a row over P_F is decided piecewise (one
+exact LP per piece); membership is decided by the disjunctive extended
+formulation (a convex combination of one point per piece), an exact LP
+feasibility problem whose Farkas dual yields a separating inequality
+and, block by block, the multipliers that prove it on each piece, so no
+piece LP is solved; a point of K that is 0/1 on F is its own piece, and
+a point outside K is cut off by the row of K it exceeds, so neither
+needs an LP.  That LP is built reduced: the fixed coordinates of each
+piece's block are substituted by its lambda (or 0), and empty pieces are
+left out, as are the implied rows.  On A_11^4 with |F| = 3 this takes the
 LP from 300 rows x 96 variables (36 equality rows) to 188 x 72 (12).
 
 N operator: lift to symmetric (n+1)x(n+1) matrices Y with
@@ -56,7 +56,7 @@ from itertools import product
 from .graphs import (CertificateError, _check_deadline, _check_depth_cap, _check_piece_cap,
                      as_nodeset)
 from .polyhedra import (HPolytope, LinearInequality, LPOutcome, clear_denominators,
-                        symmetries)
+                        implied_by_nonneg, symmetries)
 from .recheck import (check_member, check_n_matrix, check_pieces, check_point, check_separating,
                       parse_point)
 from .simplex import LinearProgram, LPResult, Primal, _coprime
@@ -97,7 +97,8 @@ class PieceSystem:
     reusable across objectives.
 
     Fixed coordinates are substituted away (`_fixed_rows`), which keeps
-    right-hand sides nonnegative (no phase-1 work) and shrinks the LP.
+    right-hand sides nonnegative (no phase-1 work) and shrinks the LP;
+    the rows that x >= 0 then implies go (`polyhedra.implied_by_nonneg`).
     An empty piece, and with every coordinate fixed a piece of one
     point, need no LP.  `LinearProgram.maximize` re-solves the LP from
     its last feasible basis.
@@ -112,6 +113,7 @@ class PieceSystem:
         self.empty = rows is None
         if self.empty or not self.free:
             return
+        rows = [row for row in rows if not implied_by_nonneg(row[1].values(), row[2])]
         self._lp = LinearProgram(len(self.free))
         self._row = [i for i, _, _ in rows]         # the row of h behind each LP row
         for _, coeffs, rhs in rows:
@@ -246,10 +248,10 @@ def disjunctive_member(x: dict, h: HPolytope, f):
     where z is 1, 0 where z is 0), so the coordinate row of v in F reads
     sum of lambda_z over the pieces with z_v = 1 = x_v and y^z keeps only
     the free coordinates.  A piece `_fixed_rows` finds empty forces
-    lambda_z = 0 (h is bounded) and is left out; a row with no positive
-    coefficient (a -x_v <= 0 row) holds for every y^z, lambda_z >= 0 and
-    is left out.  With every piece empty P_F(h) is empty and 0.x <= -1
-    separates; no LP is built.
+    lambda_z = 0 (h is bounded) and is left out; a row that x >= 0
+    implies (`polyhedra.implied_by_nonneg`) holds for every y^z,
+    lambda_z >= 0 and is left out.  With every piece empty P_F(h) is
+    empty and 0.x <= -1 separates; no LP is built.
 
     A point of h that is 0/1 on F needs no LP either: it lies in its own
     piece z = x_F, and P_F(h) is the convex hull of the pieces, so the
@@ -301,7 +303,7 @@ def disjunctive_member(x: dict, h: HPolytope, f):
         rows, emptied[z] = _fixed_rows(h, fixing, pos)
         if rows is not None:
             pieces.append((z, fixing, [(i, coeffs, -rhs) for i, coeffs, rhs in rows
-                                       if rhs < 0 or any(c > 0 for c in coeffs.values())]))
+                                       if not implied_by_nonneg(coeffs.values(), rhs)]))
     if not pieces:
         return _non_member(LinearInequality({}, -1), h, f, x, emptied, {})
     # variable layout: y^p (one per free coordinate each), then lambda_p

@@ -4,7 +4,7 @@ QSTAB(G) is the clique relaxation (nonnegativity plus x(Q) <= 1 for
 every maximal clique Q), FRAC(G) the edge relaxation, STAB(G) the list
 of stable-set incidence vectors.  Coordinates are indexed by node
 labels, so relaxations of deleted subgraphs keep pointing at original
-web positions.
+web positions.  `lp_max` and the piece LPs skip rows that x >= 0 implies.
 
 Facet enumeration of 0/1 point sets and vertex enumeration of bounded
 H-polytopes both go through one double description core: the extreme
@@ -29,7 +29,7 @@ from math import gcd, lcm
 from .graphs import (Graph, _check_deadline, _check_hull_bound, as_nodeset,
                      enumerate_maximal_cliques, enumerate_stable_sets)
 from .reporting import read_label, read_rational
-from .simplex import LinearProgram, _coprime, _eliminate, _exact, _intify
+from .simplex import _ZERO, LinearProgram, _coprime, _eliminate, _exact, _intify
 
 
 class LinearInequality:
@@ -107,6 +107,13 @@ def nonneg_row(v: int) -> LinearInequality:
     return LinearInequality({v: -1}, 0, tag="nonneg")
 
 
+def implied_by_nonneg(coeffs, rhs) -> bool:
+    """Whether x >= 0 implies sum(c x) <= rhs (c the coefficient values):
+    no c > 0, rhs >= 0.  Its slack, rhs plus a nonnegative sum of x, never
+    leaves the basis (a lower structural column ties), so no LP needs it."""
+    return rhs >= 0 and all(c <= 0 for c in coeffs)
+
+
 class HPolytope:
     """Row list over node-indexed coordinates, kept inside x >= 0.
 
@@ -115,17 +122,19 @@ class HPolytope:
     live in [0,1]^n.
 
     `lp_max` and the piece and membership LPs of `liftproject` are built
-    from the rows as they are, and the N lift from each row's
-    `canonical` form, so integer rows reach the tableau as ints.
-    Polytopes compare by identity: the LP kept on one (`_lp`) and the N
-    lift kept for it belong to that object, not to its content.
+    from the rows but those `implied_by_nonneg` (the rest are `_kept`),
+    the N lift from each row's `canonical` form: integer rows reach the
+    tableau as ints.  Polytopes compare by identity: the LP kept on one
+    (`_lp`) and the N lift kept for it belong to that object.
     """
 
-    __slots__ = ("index", "rows", "_tests", "_lp")
+    __slots__ = ("index", "rows", "_kept", "_tests", "_lp")
 
     def __init__(self, index, rows):
         object.__setattr__(self, "index", tuple(index))
         object.__setattr__(self, "rows", tuple(rows))
+        object.__setattr__(self, "_kept", tuple(
+            i for i, r in enumerate(self.rows) if not implied_by_nonneg(r.coeffs.values(), r.rhs)))
         object.__setattr__(self, "_tests", None)
         object.__setattr__(self, "_lp", None)
         for r in rows:
@@ -141,13 +150,10 @@ class HPolytope:
 
     def holds(self, num: dict, L: int) -> bool:
         """x = num / L (num keyed by the index) lies in h, in integers: each
-        row is tested as a.num <= b L in its integer form, built once per
-        HPolytope; a row that x >= 0 implies (no positive coefficient,
-        b >= 0) is not tested."""
+        row but those x >= 0 implies is tested as a.num <= b L in its
+        integer form, built once per HPolytope."""
         if self._tests is None:
-            object.__setattr__(self, "_tests", tuple(
-                (key, rhs) for key, rhs in (r.canonical() for r in self.rows)
-                if rhs < 0 or any(c > 0 for _, c in key)))
+            object.__setattr__(self, "_tests", tuple(self.rows[i].canonical() for i in self._kept))
         return all(a >= 0 for a in num.values()) and not any(
             sum(c * num[v] for v, c in key) > rhs * L for key, rhs in self._tests)
 
@@ -164,7 +170,7 @@ class LPOutcome:
 
     def __init__(self, status: str, value=None, point=None, duals=None):
         self.status, self.value, self._point = status, value, point
-        self.duals = duals          # per LP row; piece_lp_max: by row of h
+        self.duals = duals          # lp_max: one per row of h; piece_lp_max: a dict by row
 
     @property
     def point(self) -> dict | None:
@@ -176,18 +182,17 @@ class LPOutcome:
 def lp_max(h: HPolytope, objective: dict) -> LPOutcome:
     """Exact maximum of a linear objective, by node, over h (with x >= 0).
 
-    The LP of h is kept on h (`_lp`), and each later call on the same
-    object re-solves it from its last feasible basis.  Every optimal
-    answer is certified on the spot: primal feasibility, strong duality
-    and complementary slackness are re-checked in exact integer
-    arithmetic before returning.  Relaxations built here are bounded, so
-    an unbounded status is an internal inconsistency and raises.
+    The LP of h's `_kept` rows is kept on h (`_lp`) and re-solved from its
+    last feasible basis on each later call.  Every optimal answer, one dual
+    per row of h (0 on a row left out), is certified on the spot in exact
+    integer arithmetic: feasibility, strong duality, complementary
+    slackness.  Relaxations built here are bounded; an unbounded status raises.
     """
     pos = {v: i for i, v in enumerate(h.index)}
     lp_obj = {pos[v]: c for v, c in objective.items() if v in pos}
     if (lp := h._lp) is None:
         lp = LinearProgram(len(h.index))
-        for r in h.rows:
+        for r in (h.rows[i] for i in h._kept):
             lp.add_le({pos[v]: c for v, c in r.coeffs.items()}, r.rhs)
         object.__setattr__(h, "_lp", lp)
     res = lp.maximize(lp_obj)
@@ -197,7 +202,10 @@ def lp_max(h: HPolytope, objective: dict) -> LPOutcome:
         return LPOutcome(status="infeasible")
     lp.check_optimal(res, lp_obj)
     point = dict(zip(h.index, res.x))
-    return LPOutcome(status="optimal", value=res.value, point=point, duals=res.duals)
+    duals = [_ZERO] * len(h.rows)
+    for i, y in zip(h._kept, res.duals):
+        duals[i] = y
+    return LPOutcome(status="optimal", value=res.value, point=point, duals=duals)
 
 
 def symmetries(h: HPolytope, coeffs: dict, maps=None) -> list:

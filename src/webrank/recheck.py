@@ -412,7 +412,7 @@ def recheck_report(report_json: dict) -> Report:
     list belongs) fails.  Each certificate checks the deadline, and so do
     the searches inside it.
     """
-    entries = report_json.get("entries", []) if isinstance(report_json, dict) else None
+    entries = report_json.get("entries") if isinstance(report_json, dict) else None
     if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
         raise ValueError("a report is a JSON object with a list of entry objects")
     rep = Report("recheck", {"source_suite": report_json.get("suite", "?")})

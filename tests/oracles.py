@@ -30,7 +30,7 @@ from webrank.graphs import (
     mod1,
     web,
 )
-from webrank.liftproject import _ONE, _lift_rows, _lin, disjunctive_valid
+from webrank.liftproject import _ONE, _fixed_rows, _lift_rows, _lin, disjunctive_valid
 from webrank.polyhedra import (
     HPolytope,
     LinearInequality,
@@ -749,6 +749,31 @@ def fixed_rows_by_fractions(h: HPolytope, fixing: dict, col: dict):
         elif rhs < 0:
             return None, i
     return rows, None
+
+
+def lp_max_all_rows(h: HPolytope) -> LinearProgram:
+    """The LP of `polyhedra.lp_max` over every row of h, the rows that
+    x >= 0 implies included: the LP lp_max built before it left them out."""
+    pos = {v: i for i, v in enumerate(h.index)}
+    lp = LinearProgram(h.dim)
+    for r in h.rows:
+        lp.add_le({pos[v]: c for v, c in r.coeffs.items()}, r.rhs)
+    return lp
+
+
+def piece_lp_all_rows(h: HPolytope, fixing: dict):
+    """(LP, the row of h behind each LP row) of the piece h n {x_F = z}
+    over every row `liftproject._fixed_rows` returns, the rows that x >= 0
+    implies included: the LP `PieceSystem` built before it left them out.
+    None for an empty piece and for one with every coordinate fixed."""
+    free = [v for v in h.index if v not in fixing]
+    rows, _ = _fixed_rows(h, fixing, {v: i for i, v in enumerate(free)})
+    if rows is None or not free:
+        return None
+    lp = LinearProgram(len(free))
+    for _, coeffs, rhs in rows:
+        lp.add_le(coeffs, rhs)
+    return lp, [i for i, _, _ in rows]
 
 
 def n_lift_rows(h: HPolytope, depth: int) -> tuple:

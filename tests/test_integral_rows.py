@@ -3,12 +3,13 @@
 `LinearInequality` and `LinearProgram` both hold their values in the one
 form `simplex._exact` gives, so every layer reads a row as it is:
 `lp_max`, the piece LPs (`PieceSystem`) and the membership LP of
-`disjunctive_member` are built from h.rows, and the N lift
-(`NLiftSystem`) from each row's coprime integer form (`canonical`), so
-every lift row is an int row.  Each LP built from h.rows equals, value
-for value, the one the Fraction builders of tests/oracles.py make, and
-each lift row equals theirs up to a positive scale.  `to_json` writes
-every value as a Fraction, so reports keep their bytes.
+`disjunctive_member` are built from h.rows, less those x >= 0 implies,
+and the N lift (`NLiftSystem`) from each row's coprime integer form
+(`canonical`), so every lift row is an int row.  Each LP built from
+h.rows equals, value for value, the one the Fraction-only routes of
+tests/oracles.py make, and each lift row equals theirs up to a positive
+scale.  `to_json` writes every value as a Fraction, so reports keep their
+bytes.
 """
 
 import json
@@ -23,8 +24,8 @@ from webrank import liftproject
 from webrank.graphs import antiweb, complete_join, web
 from webrank.inequalities import join_blocks_of, joined_inequality, stab_description_w2
 from webrank.liftproject import NLiftSystem, PieceSystem, _pieces, _presolve, disjunctive_member
-from webrank.polyhedra import (HPolytope, LinearInequality, convex_hull_facets, frac, lp_max,
-                               qstab, stab)
+from webrank.polyhedra import (HPolytope, LinearInequality, convex_hull_facets, frac,
+                               implied_by_nonneg, lp_max, qstab, stab)
 from webrank.reporting import dumps
 from webrank.simplex import LinearProgram
 
@@ -240,10 +241,14 @@ def test_lp_max_builds_from_the_rows(h):
     out = lp_max(h, dict.fromkeys(h.index, 1))
     lp = h._lp
     pos = {v: i for i, v in enumerate(h.index)}
+    # the LP's rows are the rows of h that x >= 0 does not imply, in h's
+    # order, and the duals come one per row of h
+    kept = [r for r in h.rows if not implied_by_nonneg(r.coeffs.values(), r.rhs)]
+    assert len(kept) < len(h.rows) and isinstance(lp, LinearProgram)
     ref = LinearProgram(h.dim)
-    for r in h.rows:
+    for r in kept:
         ref.add_le({pos[v]: Fraction(c) for v, c in r.coeffs.items()}, Fraction(r.rhs))
-    assert _values(lp.rows) == _values(ref.rows) and len(lp.rows) == len(h.rows)
+    assert _values(lp.rows) == _values(ref.rows) and len(out.duals) == len(h.rows)
     assert all(_one_form(c) for c in _lp_values(lp))
     assert out.value == Fraction(7, 3) and type(out.value) is Fraction
     assert all(type(v) is Fraction for v in (*out.point.values(), *out.duals))
