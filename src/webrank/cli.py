@@ -169,7 +169,7 @@ def _build_row(family: str, g):
     if family == "antiweb":
         if not (g.family and g.family[0] == "antiweb"):
             raise ValueError("antiweb family rows need an A:n:k graph spec")
-        return antiweb_constraint(AntiwebId(g.family[1], g.family[2]))[0]
+        return antiweb_constraint(AntiwebId(g.family[1], g.family[2]))
     if family.startswith("one-interval"):
         if not (g.family and g.family[0] == "web" and g.family[2] == 2):
             raise ValueError("one-interval rows need a W:n:2 graph spec")

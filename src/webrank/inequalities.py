@@ -34,13 +34,12 @@ from .polyhedra import HPolytope, LinearInequality, qstab
 
 def rank_constraint(g: Graph) -> LinearInequality:
     """x(V) <= alpha(G), all-ones coefficients."""
-    return LinearInequality({v: 1 for v in g.nodes}, alpha(g), tag="rank")
+    return LinearInequality({v: 1 for v in g.nodes}, alpha(g))
 
 
-def antiweb_constraint(a: AntiwebId):
-    """The rank constraint x(V(A_n^k)) <= k, plus the prime flag."""
-    row = LinearInequality({v: 1 for v in range(1, a.n + 1)}, a.k, tag="antiweb")
-    return row, a.prime
+def antiweb_constraint(a: AntiwebId) -> LinearInequality:
+    """The rank constraint x(V(A_n^k)) <= k."""
+    return LinearInequality({v: 1 for v in range(1, a.n + 1)}, a.k)
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +150,7 @@ def one_interval_inequality(w: WebId, s: OneIntervalSet) -> LinearInequality:
         raise RuntimeError(
             f"1-interval rhs mismatch on T={s.T}: closed form {rhs}, "
             f"searched {searched}")
-    return LinearInequality({v: 1 for v in s.T}, rhs, tag="one-interval")
+    return LinearInequality({v: 1 for v in s.T}, rhs)
 
 
 def stab_description_w2(n: int) -> list:
@@ -230,11 +229,11 @@ def joined_inequality(blocks: JoinBlocks) -> LinearInequality:
         a = alpha(bg)
         for v in blk:
             coeffs[v] = Fraction(1, a)
-    return LinearInequality(coeffs, 1, tag="joined")
+    return LinearInequality(coeffs, 1)
 
 
 # ---------------------------------------------------------------------------
-# provenance tagging for hull output
+# family tags of hull facets
 
 def tag_inequality(g: Graph, ineq: LinearInequality) -> str:
     """Family tag of a facet of STAB(G), read off the facet itself.

@@ -447,11 +447,11 @@ class NLiftSystem:
     """The LP encoding of max over N^r(h), reusable across objectives.
 
     The lift (`_lift_rows`), from the coprime integer form of the rows of
-    h but x >= 0, is int <= rows over variables >= 0, with rhs >= 0 when
-    h has them (no phase 1).  Its presolve (`_presolve`) is the LP
-    (`_presolved`): on QSTAB it drops every edge entry Y_ij of the top
-    matrix, which the clique rows force to 0, and the rows the symmetry
-    of Y repeats.  Of the build only the structural key of each LP column
+    h that x >= 0 does not imply (`h._kept`), is int <= rows over
+    variables >= 0, with rhs >= 0 when h has them (no phase 1).  Its
+    presolve (`_presolve`) is the LP (`_presolved`): on QSTAB it drops
+    every edge entry Y_ij of the top matrix, which the clique rows force
+    to 0, and the rows the symmetry of Y repeats.  Of the build only the structural key of each LP column
     is kept, both ways (`_keys`, `_col`).  A map of the positions of
     h.index acts on the keys by moving every matrix index i >= 1 with it.
 
@@ -478,7 +478,7 @@ class NLiftSystem:
             raise ValueError("N depth must be >= 1")
         self.h = h
         self.depth = depth
-        cone = [r.canonical() for r in h.rows if r.tag != "nonneg"]
+        cone = [h.rows[i].canonical() for i in h._kept]
         keys, rows = _lift_rows(h.index, cone, depth)
         self._presolved, col = _presolve(rows, len(keys))
         self._keys = [keys[v] for v in col]     # LP column -> structural key

@@ -4,7 +4,7 @@ QSTAB(G) is the clique relaxation (nonnegativity plus x(Q) <= 1 for
 every maximal clique Q), FRAC(G) the edge relaxation, STAB(G) the list
 of stable-set incidence vectors.  Coordinates are indexed by node
 labels, so relaxations of deleted subgraphs keep pointing at original
-web positions.  `lp_max` and the piece LPs skip rows that x >= 0 implies.
+web positions.  Every LP over a relaxation skips rows that x >= 0 implies.
 
 Facet enumeration of 0/1 point sets and vertex enumeration of bounded
 H-polytopes both go through one double description core: the extreme
@@ -29,7 +29,7 @@ from math import gcd, lcm
 from .graphs import (Graph, _check_deadline, _check_hull_bound, as_nodeset,
                      enumerate_maximal_cliques, enumerate_stable_sets)
 from .reporting import read_label, read_rational
-from .simplex import _ZERO, LinearProgram, _coprime, _eliminate, _exact, _intify
+from .simplex import LinearProgram, _coprime, _eliminate, _exact, _intify
 
 
 class LinearInequality:
@@ -38,15 +38,14 @@ class LinearInequality:
 
     Equality and hashing use the canonical integer form (coprime
     coefficients, positive scale), so the same facet built by different
-    routes compares equal; the provenance tag is ignored by equality.
+    routes compares equal.
     """
 
-    __slots__ = ("coeffs", "rhs", "tag", "_canon")
+    __slots__ = ("coeffs", "rhs", "_canon")
 
-    def __init__(self, coeffs: dict, rhs, tag: str = "other"):
+    def __init__(self, coeffs: dict, rhs):
         object.__setattr__(self, "coeffs", {v: q for v, c in coeffs.items() if (q := _exact(c))})
         object.__setattr__(self, "rhs", _exact(rhs))
-        object.__setattr__(self, "tag", tag)
         object.__setattr__(self, "_canon", None)
 
     def __setattr__(self, name, value):
@@ -79,11 +78,10 @@ class LinearInequality:
     def __repr__(self):
         ints, r = self.canonical()
         lhs = " ".join({1: "+", -1: "-"}.get(c, f"{c:+d}") + f"x{v}" for v, c in ints) or "0"
-        return f"<{lhs} <= {r} [{self.tag}]>"
+        return f"<{lhs} <= {r}>"
 
     def to_json(self) -> dict:
-        """The row with every value a Fraction, as reports write rows; the
-        tag, which no check reads, is left out."""
+        """The row with every value a Fraction, as reports write rows."""
         return {"coeffs": {v: Fraction(c) for v, c in self.coeffs.items()},
                 "rhs": Fraction(self.rhs)}
 
@@ -104,7 +102,7 @@ def clear_denominators(point: dict, index) -> tuple:
 
 
 def nonneg_row(v: int) -> LinearInequality:
-    return LinearInequality({v: -1}, 0, tag="nonneg")
+    return LinearInequality({v: -1}, 0)
 
 
 def implied_by_nonneg(coeffs, rhs) -> bool:
@@ -121,11 +119,11 @@ class HPolytope:
     bound on every coordinate (a singleton-clique or edge row), so they
     live in [0,1]^n.
 
-    `lp_max` and the piece and membership LPs of `liftproject` are built
-    from the rows but those `implied_by_nonneg` (the rest are `_kept`),
-    the N lift from each row's `canonical` form: integer rows reach the
-    tableau as ints.  Polytopes compare by identity: the LP kept on one
-    (`_lp`) and the N lift kept for it belong to that object.
+    `lp_max`, the piece and membership LPs of `liftproject` and its N
+    lift are built from the rows but those `implied_by_nonneg` (the rest
+    are `_kept`), the N lift from each row's `canonical` form: integer
+    rows reach the tableau as ints.  Polytopes compare by identity: the
+    LP kept on one (`_lp`) and the N lift kept for it belong to that object.
     """
 
     __slots__ = ("index", "rows", "_kept", "_tests", "_lp")
@@ -164,13 +162,13 @@ class HPolytope:
 class LPOutcome:
     """lp_max result with points keyed by node label.  The point may be
     given as a function of no arguments instead, which builds it on the
-    first read."""
+    first read.  Only `piece_lp_max` sets `duals`: the piece's multipliers."""
 
     __slots__ = ("status", "value", "duals", "_point")
 
-    def __init__(self, status: str, value=None, point=None, duals=None):
+    def __init__(self, status: str, value=None, point=None):
         self.status, self.value, self._point = status, value, point
-        self.duals = duals          # lp_max: one per row of h; piece_lp_max: a dict by row
+        self.duals = None
 
     @property
     def point(self) -> dict | None:
@@ -183,10 +181,11 @@ def lp_max(h: HPolytope, objective: dict) -> LPOutcome:
     """Exact maximum of a linear objective, by node, over h (with x >= 0).
 
     The LP of h's `_kept` rows is kept on h (`_lp`) and re-solved from its
-    last feasible basis on each later call.  Every optimal answer, one dual
-    per row of h (0 on a row left out), is certified on the spot in exact
-    integer arithmetic: feasibility, strong duality, complementary
-    slackness.  Relaxations built here are bounded; an unbounded status raises.
+    last feasible basis on each later call.  Every optimal answer is
+    certified on the spot, with the LP's duals, in exact integer
+    arithmetic: feasibility, strong duality, complementary slackness.  The
+    outcome carries the value and the point.  Relaxations built here are
+    bounded; an unbounded status raises.
     """
     pos = {v: i for i, v in enumerate(h.index)}
     lp_obj = {pos[v]: c for v, c in objective.items() if v in pos}
@@ -201,11 +200,7 @@ def lp_max(h: HPolytope, objective: dict) -> LPOutcome:
     if res.status == "infeasible":
         return LPOutcome(status="infeasible")
     lp.check_optimal(res, lp_obj)
-    point = dict(zip(h.index, res.x))
-    duals = [_ZERO] * len(h.rows)
-    for i, y in zip(h._kept, res.duals):
-        duals[i] = y
-    return LPOutcome(status="optimal", value=res.value, point=point, duals=duals)
+    return LPOutcome(status="optimal", value=res.value, point=dict(zip(h.index, res.x)))
 
 
 def symmetries(h: HPolytope, coeffs: dict, maps=None) -> list:
@@ -256,7 +251,7 @@ def qstab(g: Graph) -> HPolytope:
     """Clique relaxation: nonnegativity plus one row per maximal clique."""
     rows = [nonneg_row(v) for v in g.nodes]
     for q in enumerate_maximal_cliques(g):
-        rows.append(LinearInequality({v: 1 for v in q}, 1, tag="clique"))
+        rows.append(LinearInequality({v: 1 for v in q}, 1))
     return HPolytope(g.nodes, rows)
 
 
@@ -265,10 +260,10 @@ def frac(g: Graph) -> HPolytope:
     every coordinate stays bounded."""
     rows = [nonneg_row(v) for v in g.nodes]
     for u, v in g.edges():
-        rows.append(LinearInequality({u: 1, v: 1}, 1, tag="clique"))
+        rows.append(LinearInequality({u: 1, v: 1}, 1))
     for v in g.nodes:
         if g.degree(v) == 0:
-            rows.append(LinearInequality({v: 1}, 1, tag="clique"))
+            rows.append(LinearInequality({v: 1}, 1))
     return HPolytope(g.nodes, rows)
 
 
@@ -444,5 +439,5 @@ def convex_hull_facets(v: VPolytope) -> list:
         b, a = ray[0], ray[1:]
         if all(c == 0 for c in a):
             continue  # the trivial 0.x <= b direction, never extreme here
-        out.append(LinearInequality(dict(zip(v.index, a)), b, tag="hull"))
+        out.append(LinearInequality(dict(zip(v.index, a)), b))
     return sorted(out, key=lambda r: r.canonical())

@@ -124,16 +124,14 @@ class GraphRankResult:
 
     deletion_set makes the graph perfect; lower_bound_witnesses is the
     certificate pool from the exhausted hitting-set search at size
-    rank-1 (every smaller deletion set misses one of them; when
-    `anchored` is set the pool refutes the sets containing node 1,
-    which covers everything by rotation).  The certificate leaves
-    `anchored` out: `recheck` computes it from the graph.
+    rank-1 (every smaller deletion set misses one of them; on a
+    circulant graph the pool refutes the sets containing node 1, which
+    covers everything by rotation, as `recheck` checks).
     """
 
     rank: int
     deletion_set: tuple
     lower_bound_witnesses: tuple
-    anchored: bool = False
 
     def to_json(self, g: Graph) -> dict:
         return {
@@ -220,7 +218,7 @@ def disjunctive_rank_graph(g: Graph) -> GraphRankResult:
     _HOLES_ROOT = g
     cert = _imperfect(g)
     if cert is None:
-        return GraphRankResult(0, (), (), anchored=False)
+        return GraphRankResult(0, (), ())
     anchored = is_circulant(g)
     pool, pos = [cert], g._pos
     masks = [sum(1 << pos[v] for v in cert[1])]
@@ -239,7 +237,7 @@ def disjunctive_rank_graph(g: Graph) -> GraphRankResult:
             if len(f) != r or _imperfect(delete_nodes(g, f)):
                 raise RuntimeError(f"hitting-set search returned {f}, not {r} deletions "
                                    "leaving a perfect graph")
-            return GraphRankResult(r, f, tuple(pool), anchored=anchored)
+            return GraphRankResult(r, f, tuple(pool))
     raise RuntimeError(f"no deletion set of size < {g.n} leaves a perfect graph")
 
 
@@ -407,7 +405,7 @@ def verify_rdfar(a: AntiwebId) -> Report:
     n, k = a.n, a.k
     g = antiweb(n, k)
     h = qstab(g)
-    row, _ = antiweb_constraint(a)
+    row = antiweb_constraint(a)
     w = n // k
     beta = n - w * k
     rep = Report("rdfar", {"antiweb": f"A:{n}:{k}"})

@@ -78,7 +78,8 @@ from .graphs import (
     is_odd_hole,
     is_perfect,
 )
-from .polyhedra import HPolytope, LinearInequality, clear_denominators, rotation_invariant
+from .polyhedra import (HPolytope, LinearInequality, clear_denominators, implied_by_nonneg,
+                        rotation_invariant)
 from .reporting import Report, read_label, read_rational
 
 
@@ -182,10 +183,10 @@ def check_point(h: HPolytope, f, point: dict, row: LinearInequality) -> dict:
 
 
 def down_closed(h: HPolytope) -> bool:
-    """Every row has only coefficients >= 0, or only coefficients <= 0 and
-    a right-hand side >= 0: then with x in h, every 0 <= x' <= x is in h.
+    """Every row has only coefficients >= 0, or is one that x >= 0 implies
+    (`implied_by_nonneg`): then with x in h, every 0 <= x' <= x is in h.
     Read off each row's integer form, a positive multiple of the row."""
-    return all(all(c >= 0 for _, c in key) or (rhs >= 0 and all(c <= 0 for _, c in key))
+    return all(all(c >= 0 for _, c in key) or implied_by_nonneg((c for _, c in key), rhs)
                for key, rhs in (r.canonical() for r in h.rows))
 
 

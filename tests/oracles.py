@@ -779,15 +779,15 @@ def piece_lp_all_rows(h: HPolytope, fixing: dict):
 def n_lift_rows(h: HPolytope, depth: int) -> tuple:
     """(keys, rows) of the lift of N^depth(h) as `liftproject.NLiftSystem`
     builds it, before the presolve: `_lift_rows` fed the coprime integer
-    form of each row of h but its x >= 0 rows."""
-    return _lift_rows(h.index, [r.canonical() for r in h.rows if r.tag != "nonneg"], depth)
+    form of each row of h but those x >= 0 implies (`h._kept`)."""
+    return _lift_rows(h.index, [h.rows[i].canonical() for i in h._kept], depth)
 
 
 def n_lift_rows_by_fractions(h: HPolytope, depth: int) -> tuple:
     """`n_lift_rows` with `_lift_rows` fed the rows of h with every value
     made a Fraction (not their coprime integer form)."""
     return _lift_rows(h.index, [([(v, Fraction(c)) for v, c in r.coeffs.items()], Fraction(r.rhs))
-                                for r in h.rows if r.tag != "nonneg"], depth)
+                                for r in (h.rows[i] for i in h._kept)], depth)
 
 
 class NLiftWithEqualities:
@@ -837,7 +837,7 @@ class NLiftWithEqualities:
         pos = {v: j + 1 for j, v in enumerate(self.h.index)}
         self.le.extend(_lin((-1, e)) for e in expr)
         self.le.extend(_lin((-r.rhs, expr[0]), *((c, expr[pos[v]]) for v, c in r.coeffs.items()))
-                       for r in self.h.rows if r.tag != "nonneg")
+                       for r in (self.h.rows[i] for i in self.h._kept))
 
     def maximize(self, objective: dict):
         """The max of objective over N^depth(h)."""
@@ -1094,7 +1094,7 @@ def disjunctive_rank_graph_uncached(g: Graph) -> GraphRankResult:
         raise ResourceCapExceeded(f"graph rank search bound exceeded: n={g.n}")
     cert = minimally_imperfect_certificate(g)
     if cert is None:
-        return GraphRankResult(0, (), (), anchored=False)
+        return GraphRankResult(0, (), ())
     anchored = is_circulant(g)
     pool = [cert]
     seed = (g.nodes[0],) if anchored else ()
@@ -1104,5 +1104,5 @@ def disjunctive_rank_graph_uncached(g: Graph) -> GraphRankResult:
             if len(f) != r or not is_perfect(delete_nodes(g, f)):
                 raise RuntimeError(f"hitting-set search returned {f}, not {r} deletions "
                                    "leaving a perfect graph")
-            return GraphRankResult(r, f, tuple(pool), anchored=anchored)
+            return GraphRankResult(r, f, tuple(pool))
     raise RuntimeError(f"no deletion set of size < {g.n} leaves a perfect graph")

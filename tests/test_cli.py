@@ -539,6 +539,16 @@ def test_lp_and_hull_commands(capsys):
     assert code == 0 and "one-interval" in out
 
 
+def test_hull_table_prints_each_facet_with_its_family_tag_alone(capsys):
+    # a facet line is the row and the family tag read off it
+    code, out, _ = run(capsys, "hull", "A:7:3")
+    lines = out.splitlines()
+    assert code == 0 and lines[0] == "15 facets of STAB(A:7:3):"
+    assert lines[1] == "  <-x1 <= 0>  tag=nonneg"
+    assert "  <+x1 +x2 +x3 +x4 +x5 +x6 +x7 <= 3>  tag=rank" in lines
+    assert "[" not in out
+
+
 def test_time_budget_exhaustion_exit_2(capsys):
     code, _, err = run(capsys, "verify", "web-formulas", "--ks", "4",
                        "--nmax", "16", "--time-budget", "0.000001")

@@ -30,7 +30,7 @@ from oracles import disjunctive_rank_graph_polyhedral, disjunctive_rank_graph_un
 
 
 def outcome(res):
-    return res.rank, res.deletion_set, res.anchored, res.lower_bound_witnesses
+    return res.rank, res.deletion_set, res.lower_bound_witnesses
 
 
 def random_graph(rng, n_max):

@@ -1,5 +1,6 @@
 """LPs over a relaxation leave out the rows that x >= 0 implies
-(`polyhedra.implied_by_nonneg`) and answer as the LP over every row.
+(`polyhedra.implied_by_nonneg`) and answer as the LP over every row; the
+N lift reads the same kept rows and presolves to the lift of every row.
 
 Each reduced LP is compared with the all-rows LP of tests/oracles.py,
 solve by solve, warm re-solves included: status, value, the tableau's
@@ -13,8 +14,9 @@ from itertools import combinations
 
 import pytest
 
-from webrank.graphs import antiweb, parse_graph_spec, web
-from webrank.liftproject import PieceSystem, _pieces
+from webrank import liftproject
+from webrank.graphs import alpha, parse_graph_spec
+from webrank.liftproject import NLiftSystem, PieceSystem, _pieces
 from webrank.polyhedra import (HPolytope, convex_hull_facets, frac, implied_by_nonneg, lp_max,
                                qstab, stab)
 from webrank.simplex import LinearProgram
@@ -85,10 +87,16 @@ def test_lp_max_answers_as_the_lp_over_every_row(name, make):
     pos = {v: j for j, v in enumerate(h.index)}
     for c in _objectives(name, h):
         out = lp_max(h, c)
-        want = ref.maximize({pos[v]: a for v, a in c.items()})
+        lp_obj = {pos[v]: a for v, a in c.items()}
+        want = ref.maximize(lp_obj)
         assert len(h._lp.rows) == len(kept)
         assert (out.status, out.value, h._lp._tab.pivots) == (want.status, want.value, want.pivots)
-        assert out.point == dict(zip(h.index, want.x)) and out.duals == want.duals
+        assert out.point == dict(zip(h.index, want.x))
+        # lp_max returns no duals: re-solved under the same objective, its
+        # LP takes no pivot from the optimal basis and reads them off it
+        again = h._lp.maximize(lp_obj)
+        assert again.pivots == want.pivots
+        assert _expand(again.duals, kept, len(h.rows)) == want.duals
 
 
 @pytest.mark.parametrize("name, make", SYSTEMS, ids=[name for name, _ in SYSTEMS])
@@ -167,3 +175,27 @@ def test_fuzzed_lps_answer_as_with_their_implied_rows():
     # unbounded ones are all among them
     assert seen[("optimal", True)] > 100 and seen[("infeasible", True)] > 100
     assert seen[("optimal", False)] > 100 and seen.get(("unbounded", True), 0) > 0
+
+
+@pytest.mark.parametrize("spec", ["A:7:3", "W:8:2"])
+def test_n_lift_reads_the_kept_rows_and_answers_as_every_row(spec, monkeypatch):
+    # a STAB hull system has its own -x_v <= 0 facets: the N lift gets the
+    # rows of h that x >= 0 does not imply, and its presolved LP and its
+    # max of x(V) are those of the lift of every row of h
+    h = _hull(spec)
+    lift_rows, cones = liftproject._lift_rows, []
+
+    def recorded(index, cone, depth):
+        cones.append(cone)
+        return lift_rows(index, cone, depth)
+
+    monkeypatch.setattr(liftproject, "_lift_rows", recorded)
+    kept = NLiftSystem(h, 1)
+    monkeypatch.setattr(liftproject, "_lift_rows", lambda index, cone, depth: lift_rows(
+        index, [r.canonical() for r in h.rows], depth))
+    every = NLiftSystem(h, 1)
+    assert len(cones) == 1 and len(cones[0]) == len(h._kept) < len(h.rows)
+    assert kept._presolved == every._presolved and kept._keys == every._keys
+    ones = dict.fromkeys(h.index, 1)
+    assert kept.maximize(ones)[0].value == every.maximize(ones)[0].value == alpha(
+        parse_graph_spec(spec))

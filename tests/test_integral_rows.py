@@ -96,7 +96,7 @@ def test_int_rows_and_equal_fraction_rows_give_identical_results(case):
 def _halved(h: HPolytope) -> HPolytope:
     """h with every row halved: the same polytope, non-integral rows."""
     return HPolytope(h.index, [LinearInequality({v: Fraction(c, 2) for v, c in r.coeffs.items()},
-                                                Fraction(r.rhs, 2), r.tag) for r in h.rows])
+                                                Fraction(r.rhs, 2)) for r in h.rows])
 
 
 SMALL = [qstab(web(n, k)) for k in range(1, 4) for n in range(2 * (k + 1), 9)] + \
@@ -242,13 +242,13 @@ def test_lp_max_builds_from_the_rows(h):
     lp = h._lp
     pos = {v: i for i, v in enumerate(h.index)}
     # the LP's rows are the rows of h that x >= 0 does not imply, in h's
-    # order, and the duals come one per row of h
+    # order; the outcome carries the value and the point, no duals
     kept = [r for r in h.rows if not implied_by_nonneg(r.coeffs.values(), r.rhs)]
     assert len(kept) < len(h.rows) and isinstance(lp, LinearProgram)
     ref = LinearProgram(h.dim)
     for r in kept:
         ref.add_le({pos[v]: Fraction(c) for v, c in r.coeffs.items()}, Fraction(r.rhs))
-    assert _values(lp.rows) == _values(ref.rows) and len(out.duals) == len(h.rows)
+    assert _values(lp.rows) == _values(ref.rows) and out.duals is None
     assert all(_one_form(c) for c in _lp_values(lp))
     assert out.value == Fraction(7, 3) and type(out.value) is Fraction
-    assert all(type(v) is Fraction for v in (*out.point.values(), *out.duals))
+    assert all(type(v) is Fraction for v in out.point.values())

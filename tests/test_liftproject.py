@@ -77,7 +77,7 @@ def test_rank_row_of_w10_2_valid_on_last_coordinate_piece():
 def test_antiweb_row_of_a7_3_valid_under_proof_f():
     from webrank.graphs import antiweb
     g = antiweb(7, 3)
-    row = LinearInequality({v: 1 for v in g.nodes}, 3, tag="antiweb")
+    row = LinearInequality({v: 1 for v in g.nodes}, 3)
     ok, _ = disjunctive_valid(row, qstab(g), (7,))
     assert ok
 
@@ -279,7 +279,7 @@ def test_a_doctored_outside_h_certificate_fails_recheck(name, h, f, x):
         "negated": with_y({first: "-1"}),
         "no such row": with_y({str(len(h.rows)): "1"}),
         "satisfied": {**cert, "separating": LinearInequality(
-            satisfied.coeffs, satisfied.rhs, tag="separating").to_json()},
+            satisfied.coeffs, satisfied.rhs).to_json()},
     }
     for kind, bad in doctored.items():
         assert not recheck_certificate(json.loads(dumps(bad)))[0], kind
@@ -440,7 +440,7 @@ def test_each_condition_of_a_lifted_matrix_is_checked():
         assert message.startswith(says), message
         if node is not None:
             row = h.rows[int(message.removeprefix(says).split()[0])]
-            assert row.tag == "clique" and node in row.coeffs, message
+            assert row.rhs == 1 and node in row.coeffs, message
 
 
 def test_a_violating_lift_point_is_checked_before_it_is_handed_out(monkeypatch):
@@ -494,8 +494,8 @@ def test_depth_cap():
 
 def test_n2_reaches_integer_hull_in_two_variables():
     h = HPolytope((1, 2), [nonneg_row(1), nonneg_row(2),
-                           LinearInequality({1: 1}, 1, tag="clique"),
-                           LinearInequality({2: 1}, 1, tag="clique"),
+                           LinearInequality({1: 1}, 1),
+                           LinearInequality({2: 1}, 1),
                            LinearInequality({1: 1, 2: 1}, Fraction(3, 2))])
     o1 = n_operator_max({1: 1, 2: 1}, h, 1)
     o2 = n_operator_max({1: 1, 2: 1}, h, 2)

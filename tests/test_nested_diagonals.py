@@ -23,7 +23,7 @@ from oracles import NLiftWithEqualities, n_lift_rows
 def _halved(h: HPolytope) -> HPolytope:
     """h with every row halved: the same polytope, non-integral rows."""
     rows = [LinearInequality({v: Fraction(c, 2) for v, c in r.coeffs.items()},
-                             Fraction(r.rhs, 2), r.tag) for r in h.rows]
+                             Fraction(r.rhs, 2)) for r in h.rows]
     return HPolytope(h.index, rows)
 
 

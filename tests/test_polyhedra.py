@@ -57,7 +57,7 @@ def k23():
 def test_qstab_row_counts():
     assert len(qstab(web(5, 1)).rows) == 10            # 5 edges + 5 nonneg
     g = web(8, 2)
-    rows = [r for r in qstab(g).rows if r.tag == "clique"]
+    rows = [r for r in qstab(g).rows if r.rhs == 1]
     assert len(rows) == 8 and all(len(r.support) == 3 for r in rows)
 
 
@@ -87,8 +87,10 @@ def test_lp_duals_certify_each_solve():
             c = {v: Fraction(rng.randint(0, 7)) for v in g.nodes}
             out = lp_max(h, c)
             assert out.status == "optimal"
-            # strong duality, exactly
-            assert sum((y * r.rhs for y, r in zip(out.duals, h.rows)), Fraction(0)) \
+            # strong duality, exactly, with the duals of h's LP re-solved
+            # from its optimal basis, one per row it keeps
+            duals = h._lp.maximize({j: c[v] for j, v in enumerate(h.index)}).duals
+            assert sum((y * h.rows[i].rhs for y, i in zip(duals, h._kept)), Fraction(0)) \
                 == out.value
 
 
@@ -122,7 +124,7 @@ def test_stab_point_lists():
 
 def test_is_valid_examples():
     h = qstab(web(5, 1))
-    row = LinearInequality({v: 1 for v in range(1, 6)}, 2, tag="rank")
+    row = LinearInequality({v: 1 for v in range(1, 6)}, 2)
     ok, witness = is_valid(row, h)
     assert not ok and witness == {v: Fraction(1, 2) for v in range(1, 6)}
     ok, _ = is_valid(h.rows[-1], h)
@@ -200,9 +202,9 @@ def test_integer_contains_matches_fractions():
 
 
 def test_is_facet_antiweb_prime_criterion():
-    row7 = LinearInequality({v: 1 for v in range(1, 8)}, 2, tag="antiweb")
+    row7 = LinearInequality({v: 1 for v in range(1, 8)}, 2)
     assert is_facet(row7, antiweb(7, 2))
-    row8 = LinearInequality({v: 1 for v in range(1, 9)}, 2, tag="antiweb")
+    row8 = LinearInequality({v: 1 for v in range(1, 9)}, 2)
     assert not is_facet(row8, antiweb(8, 2))
     assert is_facet(LinearInequality({1: 1, 2: 1, 3: 1}, 1), complete_graph(3))
 
@@ -256,11 +258,11 @@ def test_hull_bound_enforced():
         convex_hull_facets(stab(g))
 
 
-def test_canonical_equality_ignores_scaling_and_tag():
-    a = LinearInequality({1: 2, 2: 2}, 4, tag="clique")
-    b = LinearInequality({1: Fraction(1, 2), 2: Fraction(1, 2)}, 1, tag="other")
+def test_canonical_equality_ignores_scaling():
+    a = LinearInequality({1: 2, 2: 2}, 4)
+    b = LinearInequality({1: Fraction(1, 2), 2: Fraction(1, 2)}, 1)
     c = LinearInequality({1: Fraction(-3, 4), 2: Fraction(-3, 4)}, Fraction(-3, 2))
-    d = LinearInequality({1: -2, 2: -2}, -4, tag="hull")
+    d = LinearInequality({1: -2, 2: -2}, -4)
     assert a == b and hash(a) == hash(b)
     assert c == d and hash(c) == hash(d)
     assert c.canonical() == (((1, -1), (2, -1)), -2) and c != a   # the sign is kept

@@ -87,7 +87,7 @@ def test_graph_rank_lower_bound_pool_certifies():
     res = disjunctive_rank_graph(g)
     assert res.rank == 2
     assert pool_refutes_all(g, res.lower_bound_witnesses, 1,
-                            anchor=1 if res.anchored else None)
+                            anchor=1 if is_circulant(g) else None)
 
 
 def test_every_pool_hole_refutes_its_graph_by_the_lemma(tmp_path):
@@ -127,7 +127,7 @@ def test_a_family_tag_does_not_anchor_the_search():
     (which lies on no hole) and finds rank 1, not 2."""
     g = Graph(range(1, 7), [(2, 3), (3, 4), (4, 5), (5, 6), (2, 6)], family=("web", 6, 1))
     res = disjunctive_rank_graph(g)
-    assert (res.rank, res.deletion_set, res.anchored) == (1, (2,), False)
+    assert (res.rank, res.deletion_set, is_circulant(g)) == (1, (2,), False)
     assert recheck_certificate(res.to_json(g))[0]
 
 
@@ -192,7 +192,7 @@ def test_one_interval_row_rank_one_with_paper_witness():
 
 def test_antiweb_row_rank_a8_3():
     g = antiweb(8, 3)
-    row, _ = antiweb_constraint(AntiwebId(8, 3))
+    row = antiweb_constraint(AntiwebId(8, 3))
     res = disjunctive_rank_inequality(row, qstab(g), graph=g)
     assert res.rank == 2 == 8 - 2 * 3
     assert recheck_certificate(res.to_json(row, qstab(g)))[0]
@@ -204,7 +204,7 @@ def test_row_rank_search_order_is_pinned():
     # QSTAB the scan starts at the point bound, over a system that is not
     # down-closed at size 0
     g = antiweb(8, 3)
-    row, _ = antiweb_constraint(AntiwebId(8, 3))
+    row = antiweb_constraint(AntiwebId(8, 3))
     res = disjunctive_rank_inequality(row, qstab(g), graph=g)
     assert (res.rank, res.bound, res.witness_f) == (2, 2, (1, 2))
     assert res.bound_point == dict.fromkeys(g.nodes, Fraction(1, 2))
@@ -249,7 +249,7 @@ def test_the_point_bound_is_the_row_rank_where_the_scan_is_fast():
     # `recheck` with no coverage step.  Dahl's 1-interval rows on W_10^2
     # have rank 1 and bound 0, and their scans start at F = ()
     cases = [(rank_constraint(web(n, 2)), web(n, 2)) for n in range(7, 14)]
-    cases += [(antiweb_constraint(AntiwebId(n, k))[0], antiweb(n, k))
+    cases += [(antiweb_constraint(AntiwebId(n, k)), antiweb(n, k))
               for n in range(4, 18) for k in range(2, n // 2 + 1) if AntiwebId(n, k).prime]
     host = parse_graph_spec("join:A:5:2,A:5:2")
     cases.append((joined_inequality(join_blocks_of(host)), host))
@@ -283,7 +283,7 @@ def test_exhaustive_row_rank_step_decides_each_f_once(monkeypatch):
 
     monkeypatch.setattr(webrank.rank, "disjunctive_valid", counted)
     g = antiweb(8, 3)
-    row, _ = antiweb_constraint(AntiwebId(8, 3))
+    row = antiweb_constraint(AntiwebId(8, 3))
     host = parse_graph_spec("join:A:5:2,A:5:2")
     joined = joined_inequality(join_blocks_of(host))
     for row, h, expected in [(row, qstab(g), 1), (joined, qstab(host), 5),
@@ -417,8 +417,8 @@ def test_remark_antiweb_17_3_row_rank_two():
     a = AntiwebId(17, 3)
     g = antiweb(17, 3)
     h = qstab(g)
-    row, prime = antiweb_constraint(a)
-    assert prime
+    row = antiweb_constraint(a)
+    assert a.prime
     w, beta = 17 // 3, 17 - 5 * 3
     assert (w, beta) == (5, 2)
     ok, _ = disjunctive_valid(row, h, (16, 17))        # proof F
@@ -434,8 +434,8 @@ def test_remark_antiweb_25_4_row_rank_one():
     a = AntiwebId(25, 4)
     g = antiweb(25, 4)
     h = qstab(g)
-    row, prime = antiweb_constraint(a)
-    assert prime and 25 - (25 // 4) * 4 == 1
+    row = antiweb_constraint(a)
+    assert a.prime and 25 - (25 // 4) * 4 == 1
     ok, cert = is_valid(row, h)
     assert not ok                                       # rank >= 1: 1/6 point
     ok, _ = disjunctive_valid(row, h, (25,))            # proof F, beta = 1

@@ -320,7 +320,7 @@ def test_a_report_with_the_dropped_fields_still_rechecks(tmp_path):
 
 def _row_certificate(spec, family, mixed=False):
     g = parse_graph_spec(spec)
-    row = (antiweb_constraint(AntiwebId(*g.family[1:]))[0] if family == "antiweb"
+    row = (antiweb_constraint(AntiwebId(*g.family[1:])) if family == "antiweb"
            else joined_inequality(join_blocks_of(g)))
     h = with_mixed_rows(qstab(g)) if mixed else qstab(g)
     return json.loads(dumps(disjunctive_rank_inequality(row, h).to_json(row, h)))
@@ -816,7 +816,7 @@ def test_a_doctored_graph_label_is_a_malformed_certificate():
 
 @functools.cache
 def _antiweb_row_rank(n, k):
-    return disjunctive_rank_inequality(antiweb_constraint(AntiwebId(n, k))[0],
+    return disjunctive_rank_inequality(antiweb_constraint(AntiwebId(n, k)),
                                        qstab(antiweb(n, k)))
 
 
@@ -839,7 +839,7 @@ def antiweb_answers(draw):
         return h, res.witness_f, {"pieces": res.pieces}, dict.fromkeys(h.index, 1), rng
     scale = draw(st.sampled_from((1, Fraction(1, 2), Fraction(2, 3))))
     h = HPolytope(h.index, [LinearInequality({v: a * scale for v, a in r.coeffs.items()},
-                                             r.rhs * scale, r.tag) for r in h.rows])
+                                             r.rhs * scale) for r in h.rows])
     f = tuple(sorted(draw(st.lists(st.sampled_from(h.index), min_size=1, max_size=3,
                                    unique=True))))
     if kind == "member":

@@ -160,7 +160,7 @@ def test_rows_written_at_other_scales_keep_their_symmetry():
     # the edge rows of a 5-cycle, each scaled by its own factor: rows are
     # compared by canonical keys, in h and in the lift alike
     h = HPolytope(range(1, 6), [nonneg_row(v) for v in range(1, 6)] + [
-        LinearInequality({v: s, v % 5 + 1: s}, s, tag="clique")
+        LinearInequality({v: s, v % 5 + 1: s}, s)
         for v, s in zip(range(1, 6), (1, 2, 3, Fraction(1, 2), 5))])
     ones = dict.fromkeys(h.index, 1)
     assert len(symmetries(h, ones)) == 10 and rotation_invariant(LinearInequality(ones, 2), h)
