@@ -41,8 +41,8 @@ import time
 from fractions import Fraction
 from functools import cache
 
-from .graphs import (AntiwebId, ResourceCapExceeded, SearchTimeout, WebId, as_nodeset, limits,
-                     parse_graph_spec, to_dimacs, to_json_dict)
+from .graphs import (AntiwebId, ResourceCapExceeded, SearchTimeout, WebId, as_nodeset,
+                     family_tag, limits, parse_graph_spec, to_dimacs, to_json_dict)
 from .inequalities import (antiweb_constraint, enumerate_one_interval_sets, join_blocks_of,
                            joined_inequality, one_interval_inequality, rank_constraint,
                            tag_inequality)
@@ -149,7 +149,10 @@ def _emit(report: Report, args) -> int:
 def cmd_generate(args) -> int:
     g = parse_graph_spec(args.spec)
     dim = to_dimacs(g)
-    js = dumps(to_json_dict(g))
+    d = {**to_json_dict(g), "n": g.n, "family_tag": family_tag(g)}
+    if g.blocks:
+        d["blocks"], d["block_tags"] = g.blocks, g.block_tags
+    js = dumps(d)
     if args.out:
         with open(args.out + ".dimacs", "w") as fh:
             fh.write(dim)

@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
 
-from .reporting import read_label
+from .reporting import read_labels
 
 
 class SearchTimeout(Exception):
@@ -630,26 +630,15 @@ def to_dimacs(g: Graph) -> str:
 
 
 def to_json_dict(g: Graph) -> dict:
-    d = {"n": g.n, "nodes": list(g.nodes), "edges": [list(e) for e in g.edges()],
-         "family_tag": family_tag(g)}
-    if g.blocks:
-        d["blocks"] = [list(b) for b in g.blocks]
-        d["block_tags"] = list(g.block_tags)
-    return d
+    """The one JSON form of a graph: its nodes and its edges (`cmd_generate`
+    adds the provenance it prints beside them)."""
+    return {"nodes": list(g.nodes), "edges": [list(e) for e in g.edges()]}
 
 
 def from_json_dict(d: dict) -> Graph:
-    """The graph of `to_json_dict`, each label (n, a node, an edge end, a
-    block's node) read by `reporting.read_label`; an edge end that is an
-    int passes at once, as a report holds thousands of them."""
-    nodes = map(read_label, d.get("nodes") or range(1, read_label(d["n"]) + 1))
-    edges = [(u if type(u) is int else read_label(u), v if type(v) is int else read_label(v))
-             for u, v in d["edges"]]
-    blocks = tuple(tuple(map(read_label, b)) for b in d["blocks"]) if d.get("blocks") else None
-    tags = tuple(d["block_tags"]) if d.get("block_tags") else None
-    tag = d.get("family_tag")
-    return Graph(nodes, edges, family=read_family(tag) if tag else None,
-                 blocks=blocks, block_tags=tags)
+    """The graph of `to_json_dict`, read from its `nodes` and `edges` alone:
+    the nodes and each edge, a pair, by `reporting.read_labels`."""
+    return Graph(read_labels(d["nodes"]), [read_labels(e) for e in d["edges"]])
 
 
 def parse_graph_spec(spec: str) -> Graph:

@@ -9,12 +9,12 @@ the CI grep reads only this module's own imports.  A graph rank is
 re-checked by `graphs.is_perfect` (a chordality test of G - F and of its
 complement, else its own odd-hole searches, which read no cache of the
 rank search), by adjacency counts and by `hitting_set`, every other
-claim in integers, one function per claim.  Every rational and label is
-read once, by `reporting.read_rational` and `read_label` (the README's
-report grammar; anything else is malformed); each point is cleared to
-num / L and tested on the rows' integer form, and sums of multipliers
-run over the lcm of their denominators.  `fractions` parses nothing; it
-builds each piece bound.
+claim in integers, one function per claim.  Every rational, label, list
+of labels and integer is read once, by `reporting.read_rational`,
+`read_label`, `read_labels` and `_natural` (the README's report grammar;
+anything else is malformed); each point is cleared to num / L and tested
+on the rows' integer form, and sums of multipliers run over the lcm of
+their denominators.  `fractions` parses nothing; it builds each piece bound.
 
 A `graph-rank` certificate means what it says through one lemma:
 P_F(QSTAB(G)) = STAB(G) exactly when G - F is perfect.  If G - F is
@@ -80,12 +80,19 @@ from .graphs import (
 )
 from .polyhedra import (HPolytope, LinearInequality, clear_denominators, implied_by_nonneg,
                         rotation_invariant)
-from .reporting import Report, read_label, read_rational
+from .reporting import Report, read_label, read_labels, read_rational
 
 
 def parse_point(d: dict) -> dict:
     """A point as {int label: (numerator, denominator)} (`read_label`, `read_rational`)."""
     return {read_label(k): read_rational(v) for k, v in d.items()}
+
+
+def _natural(v) -> int:
+    """v, a JSON integer >= 0 (not a bool); anything else raises one ValueError."""
+    if type(v) is int and v >= 0:
+        return v
+    raise ValueError(f"not an integer >= 0: {v!r:.40}")
 
 
 def _system(d: dict) -> HPolytope:
@@ -102,7 +109,7 @@ def _parsed_system(key: bytes) -> HPolytope:
     # the key is `_system`'s pickle of a certificate's system; HPolytope is
     # immutable, so every certificate with this content shares the parse
     d = pickle.loads(key)
-    index = tuple(map(read_label, d["index"]))
+    index = tuple(read_labels(d["index"]))
     return HPolytope(index, [LinearInequality.from_json(r) for r in d["rows"]])
 
 
@@ -154,11 +161,11 @@ def check_pieces(h: HPolytope, row: LinearInequality, f, pieces) -> None:
     "y"} per 0/1 pattern z: status "optimal" (the piece's max was solved)
     or "bounded" (no max claimed) when y bounds the row on the piece,
     "infeasible" when y proves the piece empty."""
-    f = [read_label(v) for v in f]
+    f = read_labels(f)
     _require(len(set(f)) == len(f), f"f {f} repeats a label")
     _check_piece_cap(f)
     _require(set(f) | set(row.coeffs) <= set(h.index), "f or the row leaves the system")
-    records = {tuple(p["z"]): p for p in pieces}
+    records = {tuple(map(_natural, p["z"])): p for p in pieces}
     for z in product((0, 1), repeat=len(f)):
         p = records.get(z, {})
         optimal = p.get("status") in ("optimal", "bounded")
@@ -175,7 +182,7 @@ def check_point(h: HPolytope, f, point: dict, row: LinearInequality) -> dict:
     num, L = clear_denominators(pt, h.index)
     _require(h.holds(num, L), "point outside the system")
     _require(set(row.coeffs) <= set(h.index), "the row leaves the system")
-    for v in map(read_label, f):
+    for v in read_labels(f):
         n, d = pt.get(v, (0, 1))
         _require(n in (0, d), f"point not 0/1 at f coordinate {v}")
     _require(row.exceeds(num, L), "point satisfies the row")
@@ -222,13 +229,13 @@ def check_member(h: HPolytope, f, x: dict, multipliers) -> None:
     the multipliers' points ({"z", "lambda", "point"} each), each in h and
     equal to its z on f: with lambda = a / b and the point num / L, the
     combination is sum a num (D / bL) over the lcm D of the bL."""
-    terms, labels = [], [read_label(v) for v in f]
+    terms, labels = [], read_labels(f)
     for m in multipliers:
         (a, b), q = read_rational(m["lambda"]), parse_point(m["point"])
         _require(a > 0, "nonpositive multiplier")
         num, L = clear_denominators(q, h.index)
         _require(h.holds(num, L), "piece point outside the relaxation")
-        _require(set(m["z"]) <= {0, 1} and list(m["z"]) == [
+        _require(list(map(_natural, m["z"])) == [
             n // d if n in (0, d) else None for n, d in (q.get(v, (0, 1)) for v in labels)],
             "piece point violates its 0/1 pattern")
         terms.append((a, b, b * L, num))
@@ -278,7 +285,7 @@ def _known(nodes: set, labels, where: str) -> None:
 def _graph_rank(cert):
     g = from_json_dict(cert["graph"])
     hole_in = {"odd-hole": g, "odd-antihole": complement(g)}
-    f, pool, rank = [read_label(v) for v in cert["deletion_set"]], cert["pool"], cert["rank"]
+    f, pool, rank = read_labels(cert["deletion_set"]), cert["pool"], _natural(cert["rank"])
     nodes = set(g.nodes)
     _known(nodes, f, "deletion_set")
     _require(is_perfect(delete_nodes(g, f) if f else g), "perfection failed: odd hole search")
@@ -286,7 +293,7 @@ def _graph_rank(cert):
     for i, c in enumerate(pool):
         _require(isinstance(c, dict) and c.get("type") in hole_in,
                  f"pool[{i}] is not an odd-hole or odd-antihole object")
-        hole = [read_label(v) for v in c["nodes"]]
+        hole = read_labels(c["nodes"])
         _known(nodes, hole, f"pool[{i}]")
         _require(is_odd_hole(hole_in[c["type"]], hole),
                  f"pool[{i}] ({c['type']}) failed: adjacency re-count")
@@ -349,9 +356,9 @@ def hitting_set(masks: list, size: int, seed: int = 0, refute=None):
 
 def _ineq_rank(cert):
     h, row = _system(cert["system"]), LinearInequality.from_json(cert["row"])
-    wf, violations, rank = cert["witness_f"], cert["violations"], cert["rank"]
-    bound = cert["bound"]
-    _step(f"witness F={list(wf)}", check_pieces, h, row, wf, cert["pieces"])
+    wf, rank, bound = read_labels(cert["witness_f"]), _natural(cert["rank"]), cert["bound"]
+    violations = cert["violations"]
+    _step(f"witness F={wf}", check_pieces, h, row, wf, cert["pieces"])
     bit, supports = {v: 1 << i for i, v in enumerate(h.index)}, []
     for i, v in enumerate(violations):
         _require(isinstance(v, dict), f"violations[{i}] is not an object")

@@ -41,6 +41,13 @@ def read_label(v) -> int:
                      ' maybe after "-", at most 4300 digits)')
 
 
+def read_labels(v) -> list:
+    """The labels of a list (or a program's tuple); a string or any other value: ValueError."""
+    if type(v) is list or type(v) is tuple:
+        return [x if type(x) is int else read_label(x) for x in v]
+    raise ValueError(f"not a list of labels: {v!r:.40}")
+
+
 def _is_p(s: str) -> bool:
     """An ASCII s is a "p": digits, maybe after "-", at most 4300 of them
     (CPython's default limit on the digits int(str) reads)."""

@@ -38,6 +38,17 @@ def test_generate_a52_and_join(capsys):
     assert js["n"] == 10 and js["blocks"] == [[1, 2, 3, 4, 5], [6, 7, 8, 9, 10]]
 
 
+def test_generate_output_is_pinned(capsys):
+    # pinned while a certificate's graph still carried n and provenance:
+    # generate writes them beside the graph's nodes and edges, byte for byte
+    for spec, digest in (
+            ("W:8:2", "0740b71b102e822ebf23ed78d11b20a6dfabaec6e1a2c75cf5752924693cbe6a"),
+            ("join:A:5:2,A:5:2",
+             "02e0e15a7d9b53314b11c83991c074345b7bf2ad72fe244fc66bf1838de82068")):
+        code, out, _ = run(capsys, "generate", spec)
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest, spec
+
+
 def test_rank_graph_commands(capsys):
     code, out, _ = run(capsys, "rank", "graph", "W:9:2")
     assert code == 0 and "rank=2" in out
@@ -108,7 +119,8 @@ def test_operator_sandwich_report_is_pinned(capsys):
 def test_web_formulas_report_is_pinned(tmp_path, capsys):
     # pinned when every odd-hole search of every web and antiweb ran anew;
     # re-pinned once when graph-rank certificates lost their "anchored"
-    # key (recheck computes circulance itself), which changed no other byte.
+    # key (recheck computes circulance itself), which changed no other byte,
+    # and again when each certificate's graph became its nodes and edges.
     # Its recheck is pinned too: the perfection checks and coverage
     # searches (recheck.hitting_set) give the same entries, byte for byte.
     # The report file holds the JSON printed without --out, newline too
@@ -116,7 +128,7 @@ def test_web_formulas_report_is_pinned(tmp_path, capsys):
     assert run(capsys, "verify", "web-formulas", "--ks", "2,3,4,5,6,7", "--nmax", "25",
                "--format", "json", "--out", str(path))[0] == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == \
-        "54f047a5aeb4e599c30a00392597da4b6ddbc84a277a23404937ccbdc0fd190d"
+        "13e81ef30e8fa39d72db0d027ad5f8d95860b10e738f7d78584ae377a97351a4"
     code, out, _ = run(capsys, "recheck", str(path), "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == \
@@ -126,12 +138,14 @@ def test_web_formulas_report_is_pinned(tmp_path, capsys):
 def test_verify_join_report_and_its_recheck_are_pinned(tmp_path, capsys):
     # the joined row x(A_7^2)/2 + x(A_8^3)/3 <= 1 is written with its 1/2
     # and 1/3 coefficients in the row-rank certificate's row; pinned while
-    # every row value was stored as a Fraction
+    # every row value was stored as a Fraction; re-pinned when each
+    # graph-rank certificate's graph became its nodes and edges, which left
+    # the recheck's bytes as they were
     path = tmp_path / "verify-join.json"
     assert run(capsys, "verify", "join", "--spec", "join:A:7:2,A:8:3", "--format", "json",
                "--out", str(path))[0] == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == \
-        "1375b6ceae2ec208455537ce190eec5208d150e3104c305f6036889fedcc18de"
+        "ac27be8180f893e901afc519fcf23bb4543663377045332dd2ed0422041ebab4"
     code, out, _ = run(capsys, "recheck", str(path), "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == \
@@ -825,7 +839,9 @@ RANK_AND_LP_ROUTES = [
 
 def test_rank_and_lp_outputs_are_pinned(tmp_path, capsys):
     # pinned before each route took only the options it reads: the stdout
-    # of every route in JSON and in table form, and each certificate file
+    # of every route in JSON and in table form, and each certificate file;
+    # re-pinned when the rank graph W:8:2 certificate's graph became its
+    # nodes and edges
     digest = hashlib.sha256()
     path = tmp_path / "cert.json"
     for argv, certifies in RANK_AND_LP_ROUTES:
@@ -837,7 +853,7 @@ def test_rank_and_lp_outputs_are_pinned(tmp_path, capsys):
             if certifies:
                 digest.update(path.read_bytes())
     assert digest.hexdigest() == \
-        "fd6ef07a5f3e2ed7238af172d5143e90bc299c933eccee07433d3153122c7439"
+        "8a309f2041392fffa03f0ca7927478247e665e5ce54749f66f417f239aa9dac0"
 
 
 def test_removed_options_are_usage_errors(monkeypatch, capsys):

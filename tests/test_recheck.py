@@ -21,13 +21,15 @@ meets every hole left.  The checks run in integers: their rational
 reader takes the report grammar and rejects everything else with one
 message, a doctored rational at each place recheck reads one gives a
 pinned entry, a label that Python's int reads but the grammar does not
-hold fails as malformed at each place recheck reads one, and
-`check_member` and `_piece_bound` agree with their Fraction oracles on
-the certificates of antiwebs with n <= 11 and doctored copies.  Every
-key of the membership, validity and row-rank certificates of four small
-reports, deleted once, fails `recheck` or falls in a named class whose
-count is pinned; and reports that still carry the fields dropped as
-unread (kind, piece values, row tags, violation f) recheck as before.
+hold fails as malformed at each place recheck reads one, so does a list
+of labels written as a string, a rank written 2.0 and a piece pattern
+written with false, and `check_member` and `_piece_bound` agree with
+their Fraction oracles on the certificates of antiwebs with n <= 11 and
+doctored copies.  Every key of every certificate of seven small reports,
+deleted once, fails `recheck` or falls in a named class whose count is
+pinned (no graph-rank key does); and reports that still carry the fields
+dropped as unread (kind, piece values, row tags, violation f, a graph's
+n and provenance) recheck as before.
 """
 
 import ast
@@ -188,18 +190,19 @@ def test_every_mutation_of_a_farkas_piece_record_fails():
     assert counts == {"relabel": 8, "drop": 8, "negate": 8, "halve": 8}
 
 
-SWEPT = ("membership", "disjunctive-validity", "ineq-rank")
-
-
 def _sweep_reports(tmp_path):
     """The reports of `verify rdfar --nmax 7`, `rank ineq antiweb A:8:3
-    --cert`, `rank ineq rank-constraint W:9:2 --cert` and `verify join
-    --spec join:A:5:2,A:5:2`, as JSON."""
+    --cert`, `rank ineq rank-constraint W:9:2 --cert`, `verify join
+    --spec join:A:5:2,A:5:2` and `rank graph --cert` of W:10:2,
+    join:C:5,C:7 and A:13:4, as JSON: every certificate type among them."""
     reports = []
     for name, argv in (("rdfar", ["verify", "rdfar", "--nmax", "7", "--out"]),
                        ("a83", ["rank", "ineq", "antiweb", "A:8:3", "--cert"]),
                        ("w92", ["rank", "ineq", "rank-constraint", "W:9:2", "--cert"]),
-                       ("join", ["verify", "join", "--spec", "join:A:5:2,A:5:2", "--out"])):
+                       ("join", ["verify", "join", "--spec", "join:A:5:2,A:5:2", "--out"]),
+                       ("w102", ["rank", "graph", "W:10:2", "--cert"]),
+                       ("c5c7", ["rank", "graph", "join:C:5,C:7", "--cert"]),
+                       ("a134", ["rank", "graph", "A:13:4", "--cert"])):
         path = tmp_path / f"{name}.json"
         assert main([*argv, str(path)]) == 0
         reports.append(json.loads(path.read_text()))
@@ -242,18 +245,20 @@ def _deletion_class(cert, path):
 # - a point's missing coordinate reads 0;
 # - on the piece z = (1, 1) of the joined row of join:A:5:2,A:5:2 each of
 #   the four rows of y proves the piece empty alone.
+# No key of a graph-rank certificate is among them: its graph is its nodes
+# and edges, and recheck reads both.
 DELETION_CLASSES = {"system coefficient": 244, "row coefficient": 28,
                     "point coordinate at 0": 20, "multiplier of an empty piece with slack": 4}
 
 
 def test_every_key_deletion_fails_or_falls_in_a_named_class(tmp_path):
-    """Each key of each membership, validity and row-rank certificate of
-    the sweep reports, deleted once: recheck fails the certificate, or the
-    deletion falls in a class of DELETION_CLASSES, whose counts are
-    pinned.  No certificate carries a key recheck does not read: no kind,
-    no piece or top-level value, no row tag and no violation f."""
+    """Each key of each certificate of the sweep reports, deleted once:
+    recheck fails the certificate, or the deletion falls in a class of
+    DELETION_CLASSES, whose counts are pinned.  No certificate carries a
+    key recheck does not read: no kind, no piece or top-level value, no
+    row tag, no violation f, and no graph n or provenance."""
     certs = [e["certificate"] for report in _sweep_reports(tmp_path)
-             for e in report["entries"] if (e.get("certificate") or {}).get("type") in SWEPT]
+             for e in report["entries"] if e.get("certificate")]
     counts, deletions = {}, 0
     for cert in certs:
         assert _rechecks(cert)
@@ -266,7 +271,7 @@ def test_every_key_deletion_fails_or_falls_in_a_named_class(tmp_path):
                 kind = _deletion_class(cert, path)
                 assert kind is not None, (cert["type"], path)
                 counts[kind] = counts.get(kind, 0) + 1
-    assert (len(certs), deletions) == (12, 1200)
+    assert (len(certs), deletions) == (16, 1248)
     assert counts == DELETION_CLASSES
 
 
@@ -275,8 +280,13 @@ def _legacy(cert):
     dropped as unread: kind, each solved piece's value and a validity
     proof's top-level value (the piece max, as its multipliers bound it),
     every row's tag, and each violation's f (here the coordinates where
-    its point is 0 or 1)."""
+    its point is 0 or 1), or for a graph-rank certificate its graph's n
+    and provenance (a family tag and one block of every node)."""
     out = copy.deepcopy(cert)
+    if cert["type"] == "graph-rank":
+        g = out["graph"]
+        g.update(n=len(g["nodes"]), family_tag="W:10:2", blocks=[g["nodes"]], block_tags=[None])
+        return out
     h = _system(cert["system"])
     for r in out["system"]["rows"]:
         r["tag"] = "other"
@@ -301,8 +311,9 @@ def _legacy(cert):
 
 
 def test_a_report_with_the_dropped_fields_still_rechecks(tmp_path):
-    """Reports written before kind, piece values, row tags and violation
-    f were dropped still recheck, entry for entry as the fresh ones."""
+    """Reports written before kind, piece values, row tags, violation f
+    and a graph's n and provenance were dropped still recheck, entry for
+    entry as the fresh ones."""
     reports = _sweep_reports(tmp_path)
     reports.append({"entries": [{"name": f"non-member {i}", "certificate": cert}
                                 for i, (_, cert) in enumerate(_non_member_certificates())]})
@@ -310,12 +321,12 @@ def test_a_report_with_the_dropped_fields_still_rechecks(tmp_path):
     for report in reports:
         old = copy.deepcopy(report)
         for e in old["entries"]:
-            if (e.get("certificate") or {}).get("type") in SWEPT:
+            if e.get("certificate"):
                 e["certificate"] = _legacy(e["certificate"])
                 legacy += 1
         fresh, rechecked = recheck_report(report), recheck_report(old)
         assert not fresh.failures and rechecked.to_json() == fresh.to_json()
-    assert legacy == 27
+    assert legacy == 31
 
 
 def _row_certificate(spec, family, mixed=False):
@@ -795,14 +806,13 @@ def test_a_doctored_label_is_a_malformed_certificate(tmp_path):
 
 
 def test_a_doctored_graph_label_is_a_malformed_certificate():
-    """A node, an edge end or a block's node of a graph certificate
-    written as a float, with a space or a plus before it, or (for 1) as
-    true fails with the reader's message; the certificates pass as
-    written."""
+    """A node or an edge end of a graph certificate written as a float,
+    with a space or a plus before it, or (for 1) as true fails with the
+    reader's message; the certificates pass as written."""
     _, cert = _graph_certificate("W:10:2")
     _, joined = _graph_certificate("join:C:5,C:7")
     sites = [(cert, ("graph", "nodes", 0)), (cert, ("graph", "edges", 0, 0)),
-             (cert, ("graph", "edges", 0, 1)), (joined, ("graph", "blocks", 0, 0))]
+             (cert, ("graph", "edges", 0, 1)), (joined, ("graph", "nodes", 5))]
     for c, path in sites:
         assert recheck_certificate(c)[0]
         node = c
@@ -812,6 +822,46 @@ def test_a_doctored_graph_label_is_a_malformed_certificate():
         for form in [float(label), f" {label}", f"+{label}"] + [True] * (label == 1):
             assert _relabelled(c, path, form) == (
                 "fail", "malformed certificate: " + _not_label(form)), (path, form)
+
+
+def _misshapen(tmp_path):
+    """(name, certificate, path, form) for each value of the wrong shape
+    that a reader taking any iterable or any number would accept: a list
+    of one-digit labels written as a string of its digits, a rank written
+    2.0 and a piece pattern written with false for 0."""
+    _, report = _rdfar_report(tmp_path, 5)
+    proof = next(e["certificate"] for e in report["entries"]
+                 if (e.get("certificate") or {}).get("type") == "disjunctive-validity")
+    _, graph = _graph_certificate("W:8:2")
+    row = _row_certificate("A:8:3", "antiweb")
+    assert (proof["f"], proof["system"]["index"]) == ([5], [1, 2, 3, 4, 5])
+    assert (graph["deletion_set"], graph["pool"][0]["nodes"], graph["rank"]) == \
+        ([1, 2], [1, 2, 4, 5, 7], 2)
+    assert (row["witness_f"], row["rank"], row["pieces"][0]["z"]) == ([1, 2], 2, [0, 0])
+    yield "witness_f", row, ("witness_f",), "12"
+    yield "deletion_set", graph, ("deletion_set",), "12"
+    yield "pool nodes", graph, ("pool", 0, "nodes"), "12457"
+    yield "edges", graph, ("graph", "edges"), [f"{u}{v}" for u, v in graph["graph"]["edges"]]
+    yield "validity f", proof, ("f",), "5"
+    yield "system index", proof, ("system", "index"), "12345"
+    yield "graph rank", graph, ("rank",), 2.0
+    yield "row rank", row, ("rank",), 2.0
+    yield "piece z", row, ("pieces", 0, "z"), [False, False]
+
+
+def test_a_value_of_the_wrong_shape_is_a_malformed_certificate(tmp_path):
+    """A list of labels is a JSON list and never a string, a rank is an
+    integer and a piece pattern holds integers: each misshapen form fails
+    as malformed, with its reader's message, where reading a string one
+    digit at a time, or comparing 2.0 == 2 and false == 0, would pass."""
+    sites = list(_misshapen(tmp_path))
+    assert len(sites) == 9
+    for name, cert, path, form in sites:
+        assert recheck_certificate(cert)[0], name
+        shown = form[0] if type(form) is list else form
+        want = (f"not a list of labels: {shown!r:.40}" if type(shown) is str
+                else f"not an integer >= 0: {shown!r:.40}")
+        assert _doctored_detail(cert, path, form) == "fail: malformed certificate: " + want, name
 
 
 @functools.cache
