@@ -6,10 +6,16 @@ of stable-set incidence vectors.  Coordinates are indexed by node
 labels, so relaxations of deleted subgraphs keep pointing at original
 web positions.  Every LP over a relaxation skips rows that x >= 0 implies.
 
-Facet enumeration of 0/1 point sets and vertex enumeration of bounded
-H-polytopes both go through one double description core: the extreme
-rays of a pointed cone {y : M y >= 0}, computed with integer vectors
-and the combinatorial adjacency test.
+Facet enumeration of point sets (the hull of STAB) goes through one
+double description core: the extreme rays of a pointed cone
+{y : M y >= 0}, computed with integer vectors and the combinatorial
+adjacency test.  It runs on one of two row sets.  The polar cone has a
+row [1, -p] per point p.  The anti-blocker (Fulkerson 1972) has a row
+a_v >= 0 per coordinate and a row [1, -S] per maximal point S; it serves
+a down-closed 0/1 set that holds every unit vector, has no more maximal
+points than coordinates and more than ANTI_BLOCKER_RATIO points per
+maximal one (`anti_blocker_maximal`): STAB of A_n^k for k >= 4 and
+n >= 3k - 2.
 
 Exact elimination here is the simplex tableau's: rows are cleared of
 denominators by ``simplex._intify`` and updated by ``simplex._eliminate``
@@ -344,6 +350,12 @@ def cone_extreme_rays(m_rows) -> list:
     integer arithmetic throughout; raises if the rows do not have full
     rank (cone not pointed).  Each insertion checks the deadline.
     """
+    return _double_description(m_rows)[0]
+
+
+def _double_description(m_rows) -> tuple:
+    """(rays, zeros) of `cone_extreme_rays`: zeros[i] has bit t set when
+    ray i is tight on input row t."""
     rows = [_intify([(j, v) for j, v in enumerate(r) if v])[0] for r in m_rows]
     d = len(m_rows[0])
 
@@ -367,15 +379,16 @@ def cone_extreme_rays(m_rows) -> list:
     L = lcm(*(row[col] for col, row in pivots))
     rays = [_primitive([row.get(d + i, 0) * (L // row[col]) for col, row in pivots])
             for i in basis_idx]
-    # each ray is tight on every basis row but its own
-    zeros = [((1 << d) - 1) ^ (1 << j) for j in range(d)]
+    # each ray is tight on every basis row but its own; bit t is input row t
+    full = sum(1 << i for i in basis_idx)
+    zeros = [full ^ (1 << i) for i in basis_idx]
 
     in_basis = set(basis_idx)
     rest = [t for t in range(len(rows)) if t not in in_basis]
-    for n, t in enumerate(rest, start=d):
+    for t in rest:
         _check_deadline()
         m = rows[t]
-        bit = 1 << n
+        bit = 1 << t
         sig = [_dot(m, r) for r in rays]
         plus = [i for i, s in enumerate(sig) if s > 0]
         minus = [i for i, s in enumerate(sig) if s < 0]
@@ -414,30 +427,93 @@ def cone_extreme_rays(m_rows) -> list:
                         new_rays.append(_primitive(comb))
                         new_zeros.append(z | bit)
         rays, zeros = new_rays, new_zeros
-    return rays
+    return rays, zeros
 
 
 def _dot(row: dict, ray) -> int:
     return sum(v * ray[j] for j, v in row.items())
 
 
-def convex_hull_facets(v: VPolytope) -> list:
-    """Irredundant facet list of conv(points) for a full-dimensional set.
+# the anti-blocker rows are used for a down-closed 0/1 set with at most
+# one maximal point per coordinate and more than this many points per
+# maximal one: A_n^k has n maximal stable sets and 4 + 1/n points per
+# maximal one at k = 3, where the polar cone is faster, 8 + 1/n at k = 4,
+# where the anti-blocker is; webs have more maximal stable sets than nodes,
+# and their anti-blockers have many dominated vertices
+ANTI_BLOCKER_RATIO = 6
 
-    Facets are the extreme rays of the polar cone
-    {(b, a) : b - a.p >= 0 for all points p}, whose rows [1, -p] have full
-    column rank exactly when the points span the n dimensions: the cone
-    core's own rank test rejects a point set that does not.  Output rows
-    are canonicalized to coprime integers.
+
+def anti_blocker_maximal(v: VPolytope) -> list | None:
+    """The maximal points of v as bit masks (bit j for coordinate j), in
+    the order of v.points, when `convex_hull_facets` takes the
+    anti-blocker rows; else None.
+
+    It takes them when v is 0/1, down-closed and holds every unit vector
+    (and so 0: the set is full-dimensional), has at most v.dim maximal
+    points, and more than ANTI_BLOCKER_RATIO points per maximal one.
+    """
+    n = v.dim
+    if not all(c == 0 or c == 1 for p in v.points for c in p):
+        return None
+    masks = [sum(1 << j for j, c in enumerate(p) if c) for p in v.points]
+    have = set(masks)
+    if not all(1 << j in have for j in range(n)) or not all(
+            m ^ (1 << j) in have for m in masks for j in range(n) if m >> j & 1):
+        return None
+    maximal = [m for m in masks
+               if not any(m | (1 << j) in have for j in range(n) if not m >> j & 1)]
+    if len(maximal) > n or len(masks) <= ANTI_BLOCKER_RATIO * len(maximal):
+        return None
+    return maximal
+
+
+def convex_hull_facets(v: VPolytope) -> list:
+    """Irredundant facet list of conv(points) for a full-dimensional set,
+    sorted by canonical form, each row in coprime integers.
+
+    Polar cone: the facets are the extreme rays, but the one with a = 0,
+    of {(b, a) : b - a.p >= 0 for all points p}, whose rows [1, -p] have
+    full column rank exactly when the points span the n dimensions: the
+    cone core's own rank test rejects a point set that does not.
+
+    Anti-blocker, for the sets `anti_blocker_maximal` accepts (STAB of a
+    graph with many stable sets per maximal one; Fulkerson 1972): P =
+    conv(points) is down-closed, so its facets are the n rows -x_v <= 0
+    and a.x <= b with a >= 0, b > 0.  These are the extreme rays (b, a) of
+    the cone of rows a_v >= 0 (one per coordinate, first) and b - a.S >= 0
+    (one per maximal point S, in the order of the points) whose tight
+    maximal points cover every coordinate; the ray a = 0 is tight on none.
+    Proof: with b = 1, the rays are the vertices of the anti-blocker A =
+    {a >= 0 : a(S) <= 1 for every maximal S}, which for a >= 0 is a.x <= 1
+    over all of P.  The polar {a : a.x <= 1 on P} of P is A - R^n_+ (the
+    max of a.x over the down-closed P is reached with x_v = 0 where a_v <
+    0), whose vertices, the facets of P with b = 1, are the vertices of A
+    that no other point of A dominates.  A vertex a with some v in no
+    tight maximal set is dominated: a + e_v t stays in A for a small t >
+    0.  If every v lies in a tight maximal S_v, and a' >= a lies in A,
+    then a'(S_v) <= 1 = a(S_v) forces a' = a on S_v, so a' = a.  The zero
+    sets of the double description give the tight rows.
     """
     _check_hull_bound(v.dim)
     if not v.points:
         raise ValueError("convex_hull_facets needs a full-dimensional point set")
-    rays = cone_extreme_rays([[1, *(-c for c in p)] for p in v.points])
-    out = []
-    for ray in rays:
-        b, a = ray[0], ray[1:]
-        if all(c == 0 for c in a):
-            continue  # the trivial 0.x <= b direction, never extreme here
-        out.append(LinearInequality(dict(zip(v.index, a)), b))
+    n = v.dim
+    maximal = anti_blocker_maximal(v)
+    if maximal is None:
+        rays = cone_extreme_rays([[1, *(-c for c in p)] for p in v.points])
+        out = [LinearInequality(dict(zip(v.index, ray[1:])), ray[0])
+               for ray in rays if any(ray[1:])]
+    else:
+        units = [[0] * (j + 1) + [1] + [0] * (n - 1 - j) for j in range(n)]
+        rays, zeros = _double_description(
+            units + [[1, *(-(m >> j & 1) for j in range(n))] for m in maximal])
+        out = [nonneg_row(u) for u in v.index]
+        for ray, z in zip(rays, zeros):
+            cover, z = 0, z >> n
+            for m in maximal:
+                if z & 1:
+                    cover |= m
+                z >>= 1
+            if cover == (1 << n) - 1:
+                out.append(LinearInequality(dict(zip(v.index, ray[1:])), ray[0]))
     return sorted(out, key=lambda r: r.canonical())

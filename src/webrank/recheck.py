@@ -10,11 +10,11 @@ re-checked by `graphs.is_perfect` (a chordality test of G - F and of its
 complement, else its own odd-hole searches, which read no cache of the
 rank search), by adjacency counts and by `hitting_set`, every other
 claim in integers, one function per claim.  Every rational, label, list
-of labels and integer is read once, by `reporting.read_rational`,
-`read_label`, `read_labels` and `_natural` (the README's report grammar;
-anything else is malformed); each point is cleared to num / L and tested
-on the rows' integer form, and sums of multipliers run over the lcm of
-their denominators.  `fractions` parses nothing; it builds each piece bound.
+of labels, integer and boolean is read once, by
+`reporting.read_rational`, `read_label`, `read_labels`, `_natural` and
+`_boolean` (the README's report grammar; anything else is malformed);
+each point is cleared to num / L and tested on the rows' integer form,
+and sums of multipliers run over the lcm of their denominators.  `fractions` parses nothing; it builds each piece bound.
 
 A `graph-rank` certificate means what it says through one lemma:
 P_F(QSTAB(G)) = STAB(G) exactly when G - F is perfect.  If G - F is
@@ -93,6 +93,13 @@ def _natural(v) -> int:
     if type(v) is int and v >= 0:
         return v
     raise ValueError(f"not an integer >= 0: {v!r:.40}")
+
+
+def _boolean(v) -> bool:
+    """v, a JSON boolean; anything else raises one ValueError."""
+    if type(v) is bool:
+        return v
+    raise ValueError(f"not a boolean: {v!r:.40}")
 
 
 def _system(d: dict) -> HPolytope:
@@ -377,7 +384,7 @@ def _ineq_rank(cert):
 
 def _validity(cert):
     h, row = _system(cert["system"]), LinearInequality.from_json(cert["row"])
-    if not cert["valid"]:
+    if not _boolean(cert["valid"]):
         check_point(h, cert["f"], cert["point"], row)
         return "violating point, pure arithmetic"
     check_pieces(h, row, cert["f"], cert["pieces"])
@@ -386,7 +393,7 @@ def _validity(cert):
 
 def _membership(cert):
     h, x = _system(cert["system"]), parse_point(cert["point"])
-    if cert["member"]:
+    if _boolean(cert["member"]):
         check_member(h, cert["f"], x, cert["multipliers"])
         return "convex combination re-assembled exactly"
     row = LinearInequality.from_json(cert["separating"])

@@ -664,6 +664,16 @@ def polar_vertices(h: HPolytope, q: dict) -> list:
             for facet in convex_hull_facets(VPolytope(h.index, points))]
 
 
+def polar_facets(v: VPolytope) -> list:
+    """convex_hull_facets of v by the polar cone alone: the extreme rays
+    (b, a), a != 0, of the cone of rows [1, -p], one per point p."""
+    if not v.points:
+        raise ValueError("polar_facets needs a full-dimensional point set")
+    rays = cone_extreme_rays([[1, *(-c for c in p)] for p in v.points])
+    return sorted((LinearInequality(dict(zip(v.index, ray[1:])), ray[0])
+                   for ray in rays if any(ray[1:])), key=lambda r: r.canonical())
+
+
 def as_dicts(vp: VPolytope) -> list:
     """The points of vp as dicts keyed by its index."""
     return [dict(zip(vp.index, p)) for p in vp.points]

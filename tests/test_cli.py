@@ -466,6 +466,16 @@ def test_hull_reports_are_pinned(capsys):
     assert digest.hexdigest() == "b29b14340fc6faef7a925307eb59f2d636194044b67fc4a1ef2c84e68214c99f"
 
 
+@pytest.mark.parametrize("spec, pin", [
+    # pinned from the polar cone's output; A:16:5 takes the anti-blocker rows, W:16:3 the polar cone
+    ("A:16:5", "5dfd7c047b8b4402c2e5e289625009f6b17bbe95f935f6e2cd52d19058721534"),
+    ("W:16:3", "3148985057dd18bf6c336d513877afc8a21f519c6f7b7bb9a577c5be7b8f9fde"),
+])
+def test_hull_reports_of_16_nodes_are_pinned(capsys, spec, pin):
+    code, out, _ = run(capsys, "hull", spec, "--hull-bound", "16", "--format", "json")
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == pin
+
+
 def test_hull_bound_caps_the_stable_set_enumeration(capsys):
     code, out, _ = run(capsys, "hull", "K:19", "--hull-bound", "19")
     assert code == 0 and out.startswith("20 facets of STAB(K:19)")
@@ -682,10 +692,20 @@ def test_time_budget_bounds_verify_rdfar(capsys):
 
 
 def test_time_budget_bounds_the_hulls(capsys):
-    argv = ["hull", "W:8:2", "--format", "json"]
-    code, out, err = run(capsys, *argv, "--time-budget", "0")
-    assert (code, out) == (2, "") and "budget" in err
-    assert run(capsys, *argv, "--time-budget", "60") == run(capsys, *argv)
+    # W:8:2 takes the polar cone, A:12:4 the anti-blocker rows
+    for spec in ("W:8:2", "A:12:4"):
+        argv = ["hull", spec, "--format", "json"]
+        code, out, err = run(capsys, *argv, "--time-budget", "0")
+        assert (code, out) == (2, "") and "budget" in err
+        assert run(capsys, *argv, "--time-budget", "60") == run(capsys, *argv)
+    # past the stable-set enumeration, the double description checks it too
+    from webrank.graphs import SearchTimeout, parse_graph_spec
+    from webrank.polyhedra import anti_blocker_maximal, convex_hull_facets, stab
+    for spec, anti in (("W:8:2", False), ("A:12:4", True)):
+        points = stab(parse_graph_spec(spec))
+        assert (anti_blocker_maximal(points) is not None) == anti
+        with limits(deadline=0.0), pytest.raises(SearchTimeout):
+            convex_hull_facets(points)
     code, out, err = run(capsys, "verify", "w2", "--n-values", "6", "--time-budget", "0")
     assert (code, out) == (2, "") and "budget" in err
 

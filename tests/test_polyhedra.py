@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
 
 import pytest
@@ -12,14 +12,17 @@ from webrank.graphs import (
     antiweb,
     complete_graph,
     complete_join,
+    parse_graph_spec,
     web,
     Graph,
 )
 from webrank.inequalities import rank_constraint
 from webrank.polyhedra import (
+    ANTI_BLOCKER_RATIO,
     HPolytope,
     LinearInequality,
     VPolytope,
+    anti_blocker_maximal,
     clear_denominators,
     cone_extreme_rays,
     convex_hull_facets,
@@ -43,6 +46,7 @@ from oracles import (
     is_facet,
     is_vertex,
     matrix_rank,
+    polar_facets,
     remove_redundant_rows,
     stable_sets_by_subsets,
 )
@@ -333,6 +337,72 @@ def test_simplicial_cone_rays_invert_the_rows(d):
             assert all(isinstance(x, int) for x in r) and gcd(*r) == 1
             image = [sum(a * x for a, x in zip(row, r)) for row in b]
             assert image[j] > 0 and all(v == 0 for i, v in enumerate(image) if i != j)
+
+
+SMALL_HULL_SPECS = [f"{f}:{n}:{k}" for n in range(4, 13) for f, k in
+                    [("W", k) for k in range(1, 6) if n >= 2 * k + 2] +
+                    [("A", k) for k in range(2, 7) if n >= 2 * k]] + \
+    [f"C:{n}" for n in range(5, 12)] + ["K:6", "join:A:5:2,A:5:2"]
+# the inputs above that take the anti-blocker rows: a change to the rule shows here
+ANTI_BLOCKER_SPECS = {"A:10:4", "A:11:4", "A:12:4"}
+
+
+@pytest.mark.parametrize("spec", SMALL_HULL_SPECS)
+def test_hull_facets_equal_the_polar_cone_facets(spec):
+    points = stab(parse_graph_spec(spec))
+    assert (anti_blocker_maximal(points) is not None) == (spec in ANTI_BLOCKER_SPECS)
+    assert convex_hull_facets(points) == polar_facets(points)
+
+
+def test_anti_blocker_rule_reads_the_counts():
+    # edgeless: 2^n points, one maximal; A_n^4: 1 + 8n points, n maximal
+    edgeless = stab(Graph(range(1, 7), []))
+    assert anti_blocker_maximal(edgeless) == [(1 << 6) - 1]
+    assert convex_hull_facets(edgeless) == polar_facets(edgeless) == sorted(
+        [nonneg_row(v) for v in range(1, 7)] + [LinearInequality({v: 1}, 1) for v in range(1, 7)],
+        key=lambda r: r.canonical())
+    a12 = stab(antiweb(12, 4))
+    assert len(a12.points) == 1 + 8 * 12 and len(anti_blocker_maximal(a12)) == 12
+    assert len(a12.points) > ANTI_BLOCKER_RATIO * 12
+    # A_n^3: 1 + 4n points per n maximal, under the ratio; webs: more maximal than nodes
+    assert len(stab(antiweb(12, 3)).points) == 1 + 4 * 12
+    assert anti_blocker_maximal(stab(antiweb(12, 3))) is None
+    assert anti_blocker_maximal(stab(web(12, 3))) is None
+
+
+def test_hull_facets_equal_the_polar_cone_facets_on_down_closed_sets():
+    """Seeded down-closed 0/1 families (all subsets of a few random sets,
+    with every singleton): both rules of the row choice are met and missed."""
+    rng = random.Random(45)
+    taken = 0
+    for _ in range(60):
+        n = rng.randint(3, 9)
+        tops = [frozenset(rng.sample(range(n), rng.randint(2, n // 2 + 1)))
+                for _ in range(rng.randint(1, 2 * n))] + [frozenset([j]) for j in range(n)]
+        pts = {tuple(int(j in s) for j in range(n))
+               for t in tops for r in range(len(t) + 1) for s in combinations(t, r)}
+        v = VPolytope(range(1, n + 1), pts)
+        taken += anti_blocker_maximal(v) is not None
+        assert convex_hull_facets(v) == polar_facets(v)
+    assert 10 < taken < 50
+
+
+def test_hull_of_other_point_sets_takes_the_polar_cone():
+    """A set that is not 0/1, not down-closed or not full-dimensional keeps
+    the polar cone, its facets and its errors."""
+    cube = list(product((0, 1), repeat=3))
+    halved = VPolytope((1, 2, 3), [tuple(Fraction(c, 2) for c in p) for p in cube])
+    shifted = VPolytope((1, 2, 3), [tuple(c + 1 for c in p) for p in cube])
+    up_closed = VPolytope((1, 2, 3), [p for p in cube if sum(p) >= 1])
+    for v in (halved, shifted, up_closed):
+        assert anti_blocker_maximal(v) is None
+        assert convex_hull_facets(v) == polar_facets(v)
+    # down-closed, many points per maximal one, but no unit vector e_3: flat
+    flat = VPolytope((1, 2, 3), [(a, b, 0) for a in (0, 1) for b in (0, 1)])
+    assert anti_blocker_maximal(flat) is None
+    for hull in (convex_hull_facets, polar_facets):
+        with pytest.raises(ValueError, match="full-dimensional"):
+            hull(flat)
 
 
 def test_hull_on_join_host():

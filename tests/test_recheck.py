@@ -828,10 +828,13 @@ def _misshapen(tmp_path):
     """(name, certificate, path, form) for each value of the wrong shape
     that a reader taking any iterable or any number would accept: a list
     of one-digit labels written as a string of its digits, a rank written
-    2.0 and a piece pattern written with false for 0."""
+    2.0, a piece pattern written with false for 0, and a verdict that is
+    true or false only as Python reads a value's truth."""
     _, report = _rdfar_report(tmp_path, 5)
-    proof = next(e["certificate"] for e in report["entries"]
-                 if (e.get("certificate") or {}).get("type") == "disjunctive-validity")
+    certs = {e["certificate"]["type"]: e["certificate"] for e in report["entries"]
+             if e.get("certificate")}
+    proof, member = certs["disjunctive-validity"], certs["membership"]
+    assert (proof["valid"], member["member"]) == (True, True)
     _, graph = _graph_certificate("W:8:2")
     row = _row_certificate("A:8:3", "antiweb")
     assert (proof["f"], proof["system"]["index"]) == ([5], [1, 2, 3, 4, 5])
@@ -847,19 +850,25 @@ def _misshapen(tmp_path):
     yield "graph rank", graph, ("rank",), 2.0
     yield "row rank", row, ("rank",), 2.0
     yield "piece z", row, ("pieces", 0, "z"), [False, False]
+    for form in (1, "false", [0]):
+        yield "valid", proof, ("valid",), form
+    yield "member", member, ("member",), "false"
 
 
 def test_a_value_of_the_wrong_shape_is_a_malformed_certificate(tmp_path):
     """A list of labels is a JSON list and never a string, a rank is an
-    integer and a piece pattern holds integers: each misshapen form fails
-    as malformed, with its reader's message, where reading a string one
-    digit at a time, or comparing 2.0 == 2 and false == 0, would pass."""
+    integer, a piece pattern holds integers and a verdict is a boolean:
+    each misshapen form fails as malformed, with its reader's message,
+    where reading a string one digit at a time, comparing 2.0 == 2 and
+    false == 0, or branching on the truth of 1, "false" or [0] would
+    pass."""
     sites = list(_misshapen(tmp_path))
-    assert len(sites) == 9
+    assert len(sites) == 13
     for name, cert, path, form in sites:
         assert recheck_certificate(cert)[0], name
         shown = form[0] if type(form) is list else form
-        want = (f"not a list of labels: {shown!r:.40}" if type(shown) is str
+        want = (f"not a boolean: {form!r:.40}" if path[-1] in ("valid", "member")
+                else f"not a list of labels: {shown!r:.40}" if type(shown) is str
                 else f"not an integer >= 0: {shown!r:.40}")
         assert _doctored_detail(cert, path, form) == "fail: malformed certificate: " + want, name
 
