@@ -472,8 +472,9 @@ def max_weight_stable_set(g: Graph, weights: dict) -> tuple:
 # ---------------------------------------------------------------------------
 # odd holes and perfection
 
-def find_induced_odd_hole(g: Graph):
-    """A chordless odd cycle of length >= 5, or None.
+def find_induced_odd_hole(g: Graph, deleted: int = 0):
+    """A chordless odd cycle of length >= 5 in g minus the nodes at the
+    positions in the mask deleted, or None.
 
     DFS over chordless path extensions: the path's interior may not touch
     the base node or any non-consecutive path node, which prunes hard in
@@ -485,10 +486,15 @@ def find_induced_odd_hole(g: Graph):
     hole's position mask is re-verified (`_is_hole`) before it is turned
     into labels and handed out.  The scan order is fixed: base nodes
     ascending, each with its higher neighbours ascending.
+
+    `delete_nodes` keeps the order of the positions it keeps, so with a
+    mask the search scans, finds and labels as on `delete_nodes` of its
+    nodes, with no graph built: base nodes and the nodes a path may use
+    lie in the kept positions, and a hole's induced subgraph is as in g.
     """
     _check_deadline()
+    keep = ((1 << g.n) - 1) & ~deleted
     adj = g._adj
-    n = g.n
     steps = 0
 
     # path b, p1, ..., last, with on_path its position mask; mid_ok excludes
@@ -539,9 +545,9 @@ def find_induced_odd_hole(g: Graph):
                     return res
         return None
 
-    for b in range(n):
+    for b in _bits(keep):
         nb_b = adj[b]
-        gt_b = ~((1 << (b + 1)) - 1) & ((1 << n) - 1)
+        gt_b = ~((1 << (b + 1)) - 1) & keep
         m = nb_b & gt_b
         while m:
             low = m & -m

@@ -33,23 +33,26 @@ the nodes a longer path may use (a flood over the adjacency masks), and
 each hitting-set node scans the pool and its branch bits in plain
 loops, with no generator.
 
-Each odd-hole search runs once per graph.  The answers of the last
-graph-rank search stay in `_HOLES`, keyed by graph, and the next search
-reuses them when it runs on the same graph or on its complement; any
-other graph empties the cache first, so it holds one web/antiweb pair
-at most.  An antiweb is the complement of a web, and G - F of the one
-is the complement of G - F of the other (Lovász: a graph is perfect
-exactly when its complement is), so `verify_web_rank_formulas` ranks
-each antiweb mostly from its web's answers.  A cached answer still
-checks the deadline, and a deletion set other than the one found is a
-graph the cache lacks, so the closing perfection check stays a real
-search.  `recheck` never reads the cache.  It proves G - F perfect by
-`graphs.is_perfect`: a chordality test of G - F and of its complement
-first (a chordal graph and its complement are perfect), which settles
-most certificates of the web and antiweb table, else its own odd-hole
-searches.  The search here keeps its odd-hole route: most graphs it
-meets have an odd hole, which that route finds fast, so a chordality
-test first costs more than it saves.
+Each odd-hole search runs once per graph, and builds no G - F: the
+search holds the pair (G, co(G)), built once, and searches G - F and
+co(G) - F, its complement, on the pair's masks with F's positions
+deleted (`graphs.find_induced_odd_hole`).  The answers of the last
+graph-rank search stay in `_HOLES`, keyed by (side, F's mask), and the
+next search reuses them on the same graph or, sides swapped, on its
+complement; any other graph empties the cache first, so it holds one
+web/antiweb pair at most.  An antiweb is the complement of a web, and
+G - F of the one is the complement of G - F of the other (Lovász: a
+graph is perfect exactly when its complement is), so
+`verify_web_rank_formulas` ranks each antiweb mostly from its web's
+answers.  A cached answer still checks the deadline, and the closing
+perfection check of the accepted F is a lookup.  `recheck` never reads
+the cache.  It proves G - F perfect by `graphs.is_perfect`: a
+chordality test of G - F and of its complement first (a chordal graph
+and its complement are perfect), which settles most certificates of the
+web and antiweb table, else its own odd-hole searches.  The search here
+keeps its odd-hole route: most graphs it meets have an odd hole, which
+that route finds fast, so a chordality test first costs more than it
+saves.
 
 Everything reported carries a machine-checkable certificate; the
 verify_* suites compare computed values against the closed-form ranks
@@ -74,7 +77,6 @@ from .graphs import (
     _check_depth_cap,
     antiweb,
     complement,
-    delete_nodes,
     find_induced_odd_hole,
     is_circulant,
     is_subweb,
@@ -172,31 +174,32 @@ class IneqRankResult:
         return cert
 
 
-_HOLES: dict = {}       # Graph -> its first odd hole or None, for the last search's graphs
-_HOLES_ROOT = None      # the graph that search started on
+_HOLES: dict = {}       # (side, deleted mask) -> first odd hole or None, for the last search
+_HOLES_PAIR = None      # (g, complement(g)) of that search's graph: sides 0 and 1
 
 
-def _hole(g: Graph):
-    """find_induced_odd_hole(g), looked up in _HOLES first; only completed
-    answers are stored, and a lookup still checks the deadline."""
+def _hole(side: int, deleted: int):
+    """find_induced_odd_hole(_HOLES_PAIR[side], deleted), looked up in
+    _HOLES first; only completed answers are stored, and a lookup still
+    checks the deadline."""
     try:
-        hole = _HOLES[g]
+        hole = _HOLES[side, deleted]
     except KeyError:
-        hole = _HOLES[g] = find_induced_odd_hole(g)
+        hole = _HOLES[side, deleted] = find_induced_odd_hole(_HOLES_PAIR[side], deleted)
     else:
         _check_deadline()
     return hole
 
 
-def _imperfect(g: Graph):
-    """("odd-hole", nodes) for an induced odd hole of g, ("odd-antihole",
-    nodes) for one of its complement, or None when g is perfect; G - F
-    of an antiweb is the complement of G - F of its web, so `_hole`
-    answers the two searches of a pair from the same graphs."""
-    hole = _hole(g)
+def _imperfect(side: int, deleted: int):
+    """("odd-hole", nodes) for an induced odd hole of G - F, ("odd-antihole",
+    nodes) for one of its complement, or None when G - F is perfect, for G
+    the graph on the side given of the pair and F the positions in the
+    mask deleted: co(G - F) = co(G) - F, so the other side answers."""
+    hole = _hole(side, deleted)
     if hole is not None:
         return ("odd-hole", hole)
-    hole = _hole(complement(g))
+    hole = _hole(1 - side, deleted)
     if hole is not None:
         return ("odd-antihole", hole)
     return None
@@ -210,13 +213,14 @@ def disjunctive_rank_graph(g: Graph) -> GraphRankResult:
     (exact by symmetry).  The odd-hole answers of the last search are
     kept for a search on the same graph or its complement (`_HOLES`).
     """
-    global _HOLES_ROOT
+    global _HOLES_PAIR
     if g.n > RANK_SEARCH_BOUND:
         raise ResourceCapExceeded(f"graph rank search bound exceeded: n={g.n}")
-    if _HOLES_ROOT is None or g != _HOLES_ROOT and complement(g) != _HOLES_ROOT:
+    if _HOLES_PAIR is None or g not in _HOLES_PAIR:
         _HOLES.clear()
-    _HOLES_ROOT = g
-    cert = _imperfect(g)
+        _HOLES_PAIR = (g, complement(g))
+    side = _HOLES_PAIR.index(g)
+    cert = _imperfect(side, 0)
     if cert is None:
         return GraphRankResult(0, (), ())
     anchored = is_circulant(g)
@@ -224,7 +228,7 @@ def disjunctive_rank_graph(g: Graph) -> GraphRankResult:
     masks = [sum(1 << pos[v] for v in cert[1])]
 
     def refute(fmask):
-        found = _imperfect(delete_nodes(g, g._labels_of(fmask)))
+        found = _imperfect(side, fmask)
         if found is None:
             return None
         pool.append(found)
@@ -234,7 +238,7 @@ def disjunctive_rank_graph(g: Graph) -> GraphRankResult:
         fmask = hitting_set(masks, r, 1 if anchored else 0, refute)
         if fmask is not None:
             f = g._labels_of(fmask)
-            if len(f) != r or _imperfect(delete_nodes(g, f)):
+            if len(f) != r or _imperfect(side, fmask):
                 raise RuntimeError(f"hitting-set search returned {f}, not {r} deletions "
                                    "leaving a perfect graph")
             return GraphRankResult(r, f, tuple(pool))

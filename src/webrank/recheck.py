@@ -332,7 +332,13 @@ def hitting_set(masks: list, size: int, seed: int = 0, refute=None):
     only grow, so the answer of each F is kept (keyed by F alone,
     whatever the start).  Each node checks the deadline.  The scan for
     the first unhit mask and the branch over its bits (lowest first) are
-    plain loops, as a graph-rank table visits tens of thousands of nodes."""
+    plain loops, as a graph-rank table visits tens of thousands of nodes.
+
+    With one bit left, a child F | bit can meet every mask only if bit
+    lies in the AND of the masks F misses, so the node branches on that
+    AND.  The cut is exact and keeps the refute calls in order: a child
+    off it misses a mask already there, a leaf with no refute call, and
+    a mask refute appends between children never gave branch bits."""
     memo = {}
 
     def rec(f, start):
@@ -350,6 +356,10 @@ def hitting_set(masks: list, size: int, seed: int = 0, refute=None):
         got = None
         if f.bit_count() < size:
             m = masks[k]
+            if f.bit_count() == size - 1:       # the last bit meets every missed mask
+                for j in range(k + 1, len(masks)):
+                    if not masks[j] & f:
+                        m &= masks[j]
             while m:            # lowest bit first
                 low = m & -m
                 m ^= low

@@ -383,6 +383,56 @@ def test_odd_hole_search_matches_the_generator_dfs_on_webs_minus_nodes():
     assert len(graphs) == 162 and min(found.values()) > 300
 
 
+def test_masked_search_is_the_search_on_the_graph_minus_the_mask():
+    # the search on g with the positions of F as its deleted mask scans,
+    # finds and labels as the search on delete_nodes(g, F), on g and on
+    # its complement (co(G - F) = co(G) - F); F = () and F leaving fewer
+    # than 5 nodes, too few for a hole, are among them
+    rng = random.Random(46)
+    graphs = [random_graph(rng, n, rng.sample(range(1, 60), n))
+              for n in (rng.randint(1, 14) for _ in range(150))]
+    graphs += [web(n, k) for n in range(4, 13) for k in range(1, (n - 2) // 2 + 1)]
+    graphs += [antiweb(n, k) for n in range(4, 13) for k in range(2, n // 2 + 1)]
+    found = {True: 0, False: 0}
+    for g in graphs:
+        co = complement(g)
+        sizes = (0, rng.randint(1, g.n - 1) if g.n > 1 else 0, g.n - rng.randint(1, min(4, g.n)))
+        for f in (rng.sample(g.nodes, size) for size in sizes):
+            mask, rest = sum(1 << g._pos[v] for v in f), delete_nodes(g, f)
+            assert complement(rest) == delete_nodes(co, f)
+            for h, h_minus_f in ((g, rest), (co, complement(rest))):
+                hole = find_induced_odd_hole(h, mask)
+                assert hole == find_induced_odd_hole(h_minus_f), (h.edges(), f)
+                found[hole is not None] += 1
+    assert len(graphs) == 200 and min(found.values()) > 100
+
+
+def test_the_rank_search_builds_no_graph_after_its_root_pair(monkeypatch):
+    # disjunctive_rank_graph builds (g, complement(g)) once and searches
+    # every G - F on its masks: no complement, no delete_nodes after that
+    from webrank import graphs, rank
+    w, u = web(13, 3), delete_nodes(web(12, 2), (5,))
+    pairs = [(w, complement(w)), (u, complement(u))]
+    built = []
+    for name in ("complement", "delete_nodes"):
+        real = getattr(graphs, name)
+
+        def counting(*args, name=name, real=real):
+            built.append(name)
+            return real(*args)
+        for module in (graphs, rank):
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counting)
+    monkeypatch.setattr(rank, "_HOLES", {})
+    monkeypatch.setattr(rank, "_HOLES_PAIR", None)
+    for g, co in pairs:
+        assert rank.disjunctive_rank_graph(g).rank > 0 and built == ["complement"]
+        built.clear()
+        for h in (co, g, co):
+            assert rank.disjunctive_rank_graph(h).rank > 0
+        assert built == []
+
+
 def planted_cycles(rng, n):
     """(graph, node list, expected verdict or None) triples on a random graph
     with n non-contiguous labels: a planted hole, the same graph with a
@@ -438,8 +488,9 @@ def test_hole_recheck_on_masks_matches_the_pair_scan():
 
 
 def test_odd_hole_search_deadline():
-    with limits(deadline=time.monotonic() - 1), pytest.raises(SearchTimeout):
-        find_induced_odd_hole(web(14, 2))
+    for deleted in (0, 0b101):
+        with limits(deadline=time.monotonic() - 1), pytest.raises(SearchTimeout):
+            find_induced_odd_hole(web(14, 2), deleted)
 
 
 def test_is_odd_hole_recheck_rejects_chords_and_even_cycles():

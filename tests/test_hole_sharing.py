@@ -1,9 +1,10 @@
 """The graph-rank search answers each odd-hole search once per graph.
 
 `rank.disjunctive_rank_graph` keeps the odd-hole answers of its last
-search (`rank._HOLES`) for the next search when that one runs on the
-same graph or on its complement: G - F of an antiweb is the complement
-of G - F of its web.  The tests compare it with the search that shares
+search (`rank._HOLES`, keyed by side of the root pair and deleted
+positions) for the next search when that one runs on the same graph or
+on its complement: G - F of an antiweb is the complement of G - F of
+its web.  The tests compare it with the search that shares
 nothing (`oracles.disjunctive_rank_graph_uncached`), and check that the
 shared answers outlive no pair, that `recheck` does not read them (it
 runs its own searches, or none when G - F or its complement is
@@ -42,13 +43,14 @@ def random_graph(rng, n_max):
 
 @pytest.fixture
 def counted_holes(monkeypatch):
-    """The graphs of the odd-hole searches the rank search runs."""
+    """The (graph, deleted mask) of each odd-hole search that the rank
+    search or `recheck` runs."""
     calls = []
     real = graphs.find_induced_odd_hole
 
-    def counting(g):
-        calls.append(g)
-        return real(g)
+    def counting(g, deleted=0):
+        calls.append((g, deleted))
+        return real(g, deleted)
     monkeypatch.setattr(rank, "find_induced_odd_hole", counting)
     monkeypatch.setattr(graphs, "find_induced_odd_hole", counting)
     return calls
@@ -78,18 +80,30 @@ def test_search_unchanged_on_random_graphs_after_their_complements():
 @pytest.fixture
 def empty_cache(monkeypatch):
     monkeypatch.setattr(rank, "_HOLES", {})
-    monkeypatch.setattr(rank, "_HOLES_ROOT", None)
+    monkeypatch.setattr(rank, "_HOLES_PAIR", None)
+
+
+def cached_answers_are_searches_on(root):
+    """Every answer in the cache is the odd-hole search of its side of
+    (root, complement(root)) minus its deleted positions."""
+    pair = (root, complement(root))
+    assert rank._HOLES_PAIR == pair
+    for (side, deleted), hole in rank._HOLES.items():
+        assert hole == graphs.find_induced_odd_hole(pair[side], deleted), (side, deleted)
 
 
 def test_the_cache_holds_the_last_search_only(empty_cache):
     w, u = web(13, 3), delete_nodes(web(12, 2), (5,))
     disjunctive_rank_graph(u)
     alone = set(rank._HOLES)
+    cached_answers_are_searches_on(u)
     disjunctive_rank_graph(w)
     disjunctive_rank_graph(complement(w))
+    cached_answers_are_searches_on(w)
     pair = set(rank._HOLES)
     disjunctive_rank_graph(u)
-    assert set(rank._HOLES) == alone and not alone & pair
+    assert set(rank._HOLES) == alone and pair - alone       # the pair's own keys are gone
+    cached_answers_are_searches_on(u)
 
 
 def test_an_antiweb_ranked_after_its_web_reuses_answers(empty_cache, counted_holes):
@@ -137,7 +151,7 @@ def test_recheck_runs_its_own_searches(monkeypatch, counted_holes):
     monkeypatch.setattr(rank, "_HOLES", watched)
     counted_holes.clear()
     assert recheck_certificate(cert)[0]
-    assert counted_holes == [rest, complement(rest)]
+    assert counted_holes == [(rest, 0), (complement(rest), 0)]
     assert watched.reads == []
 
 

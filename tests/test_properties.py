@@ -9,9 +9,12 @@ one past the mask the parent branched on; on random families with a
 refuting callback, and in the graph-rank search of every web of `verify
 web-formulas --ks 2,...,7` with n <= 16 and of its complement, it gives
 the answers, refute calls and appended masks of the full-scan search of
-tests/oracles.py.  `polyhedra.rotation_invariant` holds
-on the rank row and QSTAB of every web, antiweb, clique and cycle with at
-most 12 nodes, and fails on join hosts and on one-interval rows with
+tests/oracles.py.  So it does on seeded families that reach a node with
+one deletion left, where the search branches only on the AND of the
+masks F misses, empty or not; that cut takes the coverage check of the
+`rank graph W:25:7` certificate to 418 nodes.
+`polyhedra.rotation_invariant` holds on the rank row and QSTAB of every
+web, antiweb, clique and cycle with at most 12 nodes, and fails on join hosts and on one-interval rows with
 T != V.  Every facet that `convex_hull_facets` finds for a random graph
 on at most 8 nodes is valid on each stable set and tight on n affinely
 independent ones, both counted by enumeration in tests/oracles.py, and
@@ -28,16 +31,22 @@ than the largest m for which zeroing any m coordinates leaves a
 violating point, and at most the row rank.
 """
 
+import contextlib
+import io
+import json
+import random
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
+from operator import and_
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from webrank import rank
-from webrank.graphs import (Graph, WebId, antiweb, complement, complete_graph, cycle_graph,
+from webrank import cli, rank, recheck
+from webrank.graphs import (Graph, WebId, _bits, antiweb, complement, complete_graph, cycle_graph,
                             is_chordal, max_weight_stable_set, parse_graph_spec, web)
 from webrank.inequalities import (
     enumerate_one_interval_sets,
@@ -119,6 +128,53 @@ def test_hitting_set_resumes_its_scan_as_the_full_scan_search_decides(case):
     masks, size, seed, hidden = case
     _same_search(list(masks), size, seed)
     _same_search(masks, size, seed, lambda f: next((m for m in hidden if not m & f), None))
+
+
+def _last_level_cases():
+    """Seeded (masks, size, seed, hidden) with one deletion left at the
+    root (size = |seed| + 1) or at each child of the root (size = |seed|
+    + 2), and the AND of the masks each such node misses at the start:
+    empty for some, not for others."""
+    rng = random.Random(46)
+    cases, ands = [], []
+    for _ in range(300):
+        n = rng.randint(2, 9)
+        masks = [rng.randint(1, (1 << n) - 1) for _ in range(rng.randint(1, 6))]
+        hidden = [rng.randint(1, (1 << n) - 1) for _ in range(rng.randint(0, 4))]
+        seed, depth = rng.choice((0, 1)), rng.randint(1, 2)
+        cases.append((masks, seed.bit_count() + depth, seed, hidden))
+        miss = next((m for m in masks if not m & seed), None)
+        nodes = [seed] if depth == 1 else [seed | 1 << i for i in _bits(miss or 0)]
+        for f in nodes:
+            missed = [m for m in masks if not m & f]
+            if missed:
+                ands.append(reduce(and_, missed))
+    return cases, ands
+
+
+def test_the_last_level_cut_calls_refute_as_the_full_scan_search():
+    cases, ands = _last_level_cases()
+    assert sum(a == 0 for a in ands) > 50 and sum(a != 0 for a in ands) > 200
+    for masks, size, seed, hidden in cases:
+        _same_search(list(masks), size, seed)
+        _same_search(list(masks), size, seed,
+                     lambda f: next((m for m in hidden if not m & f), None))
+
+
+def test_the_coverage_check_of_w_25_7_visits_418_nodes(tmp_path, monkeypatch):
+    """One `recheck._check_deadline` call per hitting-set node: 418 nodes
+    for the 32-hole pool of `rank graph W:25:7 --cert`, where branching
+    on every bit of the first missed hole at the last level took 1,484."""
+    path = tmp_path / "w25-7.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["rank", "graph", "W:25:7", "--cert", str(path)]) == 0
+    cert = json.loads(path.read_text())["entries"][0]["certificate"]
+    nodes = []
+    real = recheck._check_deadline
+    monkeypatch.setattr(recheck, "_check_deadline", lambda *a: nodes.append(1) or real(*a))
+    assert recheck.recheck_certificate(cert) == (
+        True, "perfection + 32 pool holes covering every F of size 6 holding 1")
+    assert len(nodes) == 418
 
 
 def test_graph_rank_searches_call_refute_as_the_full_scan_search(monkeypatch):

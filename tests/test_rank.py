@@ -55,7 +55,7 @@ from webrank.rank import (
     verify_w2_description,
     verify_web_rank_formulas,
 )
-from webrank.recheck import recheck_certificate
+from webrank.recheck import check_pieces, recheck_certificate
 from webrank.reporting import dumps
 
 from oracles import disjunctive_rank_graph_polyhedral, pool_refutes_all, with_mixed_rows
@@ -497,7 +497,7 @@ from webrank import rank
 from webrank.graphs import web
 from webrank.inequalities import rank_constraint
 from webrank.polyhedra import qstab
-from webrank.recheck import recheck_certificate
+from webrank.recheck import check_pieces, recheck_certificate
 
 real = rank.disjunctive_valid
 
@@ -532,3 +532,28 @@ def test_rank_search_checks_survive_python_O(script):
     out = subprocess.run([sys.executable, "-O", "-c", script],
                          capture_output=True, text=True, env=env, timeout=60)
     assert out.returncode == 3, out.stdout + out.stderr
+
+
+def _small_webs_and_antiwebs():
+    for n in range(4, 13):
+        yield from (web(n, k) for k in range(1, (n - 2) // 2 + 1))
+        yield from (antiweb(n, k) for k in range(2, n // 2 + 1))
+
+
+def test_every_facet_is_valid_for_the_piece_union_of_the_graph_rank_deletion_set():
+    """A second, polyhedral proof of each graph rank's upper half, which
+    shares no code with the odd-hole search: every facet of STAB that
+    QSTAB does not imply is valid for P_F*(QSTAB), F* the deletion set
+    `disjunctive_rank_graph` returns, by piece LPs whose multipliers
+    `recheck.check_pieces` accepts."""
+    checked = []
+    for g in _small_webs_and_antiwebs():
+        h, f = qstab(g), disjunctive_rank_graph(g).deletion_set
+        rows = [row for row in convex_hull_facets(stab(g)) if not is_valid(row, h)[0]]
+        for row in rows:
+            ok, cert = disjunctive_valid(row, h, f)
+            assert ok, (g, f, str(row))
+            check_pieces(h, row, f, cert["pieces"])
+        checked.append(len(rows))
+    # 50 graphs, of which 18 are perfect (STAB = QSTAB, F* = ())
+    assert len(checked) == 50 and sum(map(bool, checked)) == 32 and sum(checked) == 288
